@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz bench metrics csr analytics mvcc wire oracle chaos diskchaos recover durbench fmt vet clean
+.PHONY: all build test race fuzz bench metrics analytics mvcc wire oracle chaos diskchaos recover durbench fmt vet clean
 
 all: build test
 
@@ -101,13 +101,6 @@ wire:
 metrics:
 	$(GO) run ./cmd/grbench -exp observability -queries 10 -json BENCH_observability.json
 
-# CSR layout benchmark + regression gate: pointer vs CSR traversal kernels
-# and layout-forced engine runs. Fails if any gated speedup drops more than
-# 10% below the committed baseline floor, or if a steady-state CSR kernel
-# traversal allocates. CI uploads BENCH_csr.json on every run.
-csr:
-	$(GO) run ./cmd/grbench -exp csr -queries 6 -json BENCH_csr.json -baseline BENCH_csr_baseline.json
-
 # Whole-graph analytics benchmark + regression gate: naive single-threaded
 # references vs the CSR kernels behind the PAGERANK / CONNECTED_COMPONENTS
 # / LABEL_PROPAGATION / DEGREE_CENTRALITY table-valued functions. Fails if
@@ -125,4 +118,4 @@ vet:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_concurrency.json BENCH_observability.json BENCH_csr.json BENCH_analytics.json BENCH_wire.json ORACLE_repro.sql
+	rm -f BENCH_concurrency.json BENCH_observability.json BENCH_analytics.json BENCH_wire.json ORACLE_repro.sql

@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table2, fig7, fig8, fig9, fig10, table3, fig11, ablation, concurrency, observability, csr, analytics, durability, oracle, recovery, all)")
+		exp      = flag.String("exp", "all", "experiment id (table2, fig7, fig8, fig9, fig10, table3, fig11, ablation, concurrency, observability, analytics, durability, oracle, recovery, all)")
 		expAlias = flag.String("experiment", "", "alias for -exp")
 		scale    = flag.Float64("scale", 1.0, "dataset scale multiplier")
 		queries  = flag.Int("queries", 10, "query instances averaged per data point")
@@ -44,7 +44,7 @@ func main() {
 		workers  = flag.Int("workers", 2, "oracle: engine worker-pool size")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		jsonOut  = flag.String("json", "", "also write rows with run metadata to this JSON file (e.g. BENCH_concurrency.json)")
-		baseline = flag.String("baseline", "", "csr/analytics/concurrency: regression-gate this run against a committed baseline JSON (exit 1 on >10% speedup loss, steady-state allocations, or a storm read-p99 ratio past the MVCC ceiling)")
+		baseline = flag.String("baseline", "", "analytics/concurrency/wire: regression-gate this run against a committed baseline JSON (exit 1 on >10% speedup loss, steady-state allocations, a storm read-p99 ratio past the MVCC ceiling, or a wire throughput ratio under its floor)")
 	)
 	flag.Parse()
 	if *expAlias != "" {
@@ -63,6 +63,15 @@ func main() {
 
 	if *exp == "oracle" || *exp == "recovery" {
 		os.Exit(runOracle(*exp, *seed, *rounds, *duration, *workers))
+	}
+
+	var check gate
+	if *baseline != "" {
+		var err error
+		if check, err = gateFor(*exp); err != nil {
+			fmt.Fprintf(os.Stderr, "grbench: %v\n", err)
+			os.Exit(2)
+		}
 	}
 
 	cfg := bench.Config{
@@ -94,22 +103,31 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *jsonOut)
 	}
-	if *baseline != "" {
-		check := bench.CheckCSRBaseline
-		switch *exp {
-		case "analytics":
-			check = bench.CheckAnalyticsBaseline
-		case "concurrency":
-			check = bench.CheckConcurrencyBaseline
-		case "wire":
-			check = bench.CheckWireBaseline
-		}
+	if check != nil {
 		if err := check(*baseline, rows, 0.10); err != nil {
 			fmt.Fprintf(os.Stderr, "grbench: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("%s gate: no regression vs %s\n", *exp, *baseline)
 	}
+}
+
+// gate checks one experiment's fresh rows against its committed baseline.
+type gate func(baselinePath string, rows []bench.Row, tolerance float64) error
+
+// gateFor returns the regression gate of an experiment. Asking for one on
+// an experiment that has none is a usage error: falling through to some
+// other experiment's gate would compare against the wrong rows.
+func gateFor(exp string) (gate, error) {
+	switch exp {
+	case "analytics":
+		return bench.CheckAnalyticsBaseline, nil
+	case "concurrency":
+		return bench.CheckConcurrencyBaseline, nil
+	case "wire":
+		return bench.CheckWireBaseline, nil
+	}
+	return nil, fmt.Errorf("-baseline: experiment %q has no regression gate (gated experiments: analytics, concurrency, wire)", exp)
 }
 
 // runOracle drives the correctness harness (mode "oracle" for the live

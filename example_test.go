@@ -65,6 +65,6 @@ func ExampleDB_Explain() {
 	fmt.Print(plan)
 	// Output:
 	// Project PS.PathString
-	//   PathScan[DFScan] G len=[1,1] start=1 layout=ptr
+	//   PathScan[DFScan] G len=[1,1] start=1
 	//     Singleton
 }

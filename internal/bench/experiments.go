@@ -628,7 +628,6 @@ func All(cfg Config) []Row {
 	rows = append(rows, Ablation(cfg)...)
 	rows = append(rows, Concurrency(cfg)...)
 	rows = append(rows, Observability(cfg)...)
-	rows = append(rows, CSRBench(cfg)...)
 	rows = append(rows, AnalyticsBench(cfg)...)
 	rows = append(rows, DurabilityBench(cfg)...)
 	rows = append(rows, DiskFaultBench(cfg)...)
@@ -648,7 +647,6 @@ var Experiments = map[string]func(Config) []Row{
 	"ablation":      Ablation,
 	"concurrency":   Concurrency,
 	"observability": Observability,
-	"csr":           CSRBench,
 	"analytics":     AnalyticsBench,
 	"durability":    DurabilityBench,
 	"diskfault":     DiskFaultBench,

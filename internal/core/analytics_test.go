@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"grfusion/internal/plan"
 )
 
 // TestAnalyticsDegreeCentrality pins the relational surface of the degree
@@ -110,38 +108,11 @@ func TestAnalyticsArgumentValidation(t *testing.T) {
 	}
 }
 
-// TestAnalyticsLayoutSelection pins the planner's size rule and the
-// ForceLayout override for analytics scans, and checks both layouts return
-// identical relations.
-func TestAnalyticsLayoutSelection(t *testing.T) {
-	small := socialEngine(t)
-	p := planText(mustExec(t, small, `EXPLAIN SELECT * FROM SocialNetwork.PAGERANK() PR`))
-	if !strings.Contains(p, "layout=ptr") {
-		t.Errorf("small graph should plan pointer layout:\n%s", p)
-	}
-
-	big := ladderEngine(t, 200, 2)
-	p = planText(mustExec(t, big, `EXPLAIN SELECT * FROM Ladder.PAGERANK() PR`))
-	if !strings.Contains(p, "layout=csr") {
-		t.Errorf("large graph should plan CSR layout:\n%s", p)
-	}
-
-	// Layout invariance: ptr and csr must agree bit-for-bit on every TVF.
-	for _, q := range []string{
-		`SELECT * FROM Ladder.PAGERANK(0.85, 15) X`,
-		`SELECT * FROM Ladder.CONNECTED_COMPONENTS() X`,
-		`SELECT * FROM Ladder.LABEL_PROPAGATION(8) X`,
-		`SELECT * FROM Ladder.DEGREE_CENTRALITY() X`,
-	} {
-		big.SetPlanOptions(plan.Options{ForceLayout: "ptr"})
-		ptr := render(mustExec(t, big, q))
-		big.SetPlanOptions(plan.Options{ForceLayout: "csr"})
-		csr := render(mustExec(t, big, q))
-		big.SetPlanOptions(plan.Options{})
-		if !reflect.DeepEqual(ptr, csr) {
-			t.Fatalf("%s: ptr and csr layouts disagree", q)
-		}
-	}
+// TestAnalyticsMatchReference checks a pooled engine (workers = 2, parallel
+// kernels and multi-source scans) against the single-threaded pointer
+// references bit-for-bit, TVFs and path scans alike.
+func TestAnalyticsMatchReference(t *testing.T) {
+	checkAgainstReference(t, ladderEngine(t, 200, 2), "Ladder", [][2]int64{{0, 199}, {7, 150}})
 }
 
 func TestAnalyticsExplainAnalyzeAndMetrics(t *testing.T) {

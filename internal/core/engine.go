@@ -312,9 +312,7 @@ func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, text string) 
 		}
 	}()
 	if readOnly {
-		lw := time.Now()
 		st := e.pin()
-		e.metrics.LockReadWaitNS.Add(time.Since(lw).Nanoseconds())
 		defer e.unpin(st)
 		// A statement whose deadline elapsed (or that was canceled) before
 		// it pinned aborts before planning anything — mirrors the write

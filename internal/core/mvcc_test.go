@@ -276,7 +276,8 @@ func TestReadOnlyDispatchComplete(t *testing.T) {
 
 // TestMVCCMetricsSurface checks the new lock/MVCC metrics are published
 // under their SHOW METRICS keys and behave: versions are published per
-// mutation, the combined lock.wait_ns key is the sum of the split keys.
+// mutation, and with lock-free readers the historical lock.wait_ns key
+// equals the writer-side wait (there is no read-side key any more).
 func TestMVCCMetricsSurface(t *testing.T) {
 	e := New(Options{})
 	mustExec(t, e, `CREATE TABLE T (id BIGINT PRIMARY KEY)`)
@@ -287,15 +288,18 @@ func TestMVCCMetricsSurface(t *testing.T) {
 	for _, row := range mustExec(t, e, `SHOW METRICS`).Rows {
 		kv[row[0].String()] = row[1].I
 	}
-	for _, name := range []string{"lock.read_wait_ns", "lock.write_wait_ns", "lock.wait_ns",
+	for _, name := range []string{"lock.write_wait_ns", "lock.wait_ns",
 		"mvcc.published", "mvcc.versions_live", "mvcc.seq", "mvcc.pinned_readers"} {
 		if _, ok := kv[name]; !ok {
 			t.Errorf("SHOW METRICS missing %q", name)
 		}
 	}
-	if kv["lock.wait_ns"] != kv["lock.read_wait_ns"]+kv["lock.write_wait_ns"] {
-		t.Errorf("lock.wait_ns = %d, want read+write = %d",
-			kv["lock.wait_ns"], kv["lock.read_wait_ns"]+kv["lock.write_wait_ns"])
+	if _, ok := kv["lock.read_wait_ns"]; ok {
+		t.Error("SHOW METRICS still publishes lock.read_wait_ns: readers take no lock")
+	}
+	if kv["lock.wait_ns"] != kv["lock.write_wait_ns"] {
+		t.Errorf("lock.wait_ns = %d, want lock.write_wait_ns = %d",
+			kv["lock.wait_ns"], kv["lock.write_wait_ns"])
 	}
 	// New() publishes v1, then CREATE + INSERT publish one each.
 	if kv["mvcc.published"] < 3 || kv["mvcc.seq"] < 3 {

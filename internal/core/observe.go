@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"grfusion/internal/catalog"
 	"grfusion/internal/exec"
 	"grfusion/internal/metrics"
 	"grfusion/internal/sql"
@@ -211,19 +212,20 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 	add("Execution: rows=%d time=%v", len(rows), elapsed.Round(time.Microsecond))
 	add("Counters: edges_traversed=%d paths_emitted=%d",
 		atomic.LoadInt64(&ec.EdgesTraversed), ec.PathsEmitted)
+	addCSR := func(gv *catalog.GraphView) {
+		builds, buildNS, hits, misses, bytes := gv.CSRStats()
+		add("CSR[%s]: builds=%d build_time=%v hits=%d misses=%d bytes=%d",
+			gv.Name, builds, time.Duration(buildNS).Round(time.Microsecond),
+			hits, misses, bytes)
+	}
 	root.Walk(func(n *exec.Instrumented) {
 		if as, ok := n.Op.(*exec.AnalyticsScan); ok {
 			runs, iters, td, bu := as.Actuals()
 			e.metrics.AnalyticsRuns.Add(runs)
 			e.metrics.AnalyticsIters.Add(iters)
-			add("Analytics[%s.%s]: runs=%d iters=%d topdown_levels=%d bottomup_levels=%d layout=%s",
-				as.GV.Name, as.Fn, runs, iters, td, bu, as.Layout)
-			if as.Layout == exec.LayoutCSR {
-				builds, buildNS, hits, misses, bytes := as.GV.CSRStats()
-				add("CSR[%s]: builds=%d build_time=%v hits=%d misses=%d bytes=%d",
-					as.GV.Name, builds, time.Duration(buildNS).Round(time.Microsecond),
-					hits, misses, bytes)
-			}
+			add("Analytics[%s.%s]: runs=%d iters=%d topdown_levels=%d bottomup_levels=%d",
+				as.GV.Name, as.Fn, runs, iters, td, bu)
+			addCSR(as.GV)
 			return
 		}
 		pj, ok := n.Op.(*exec.PathProbeJoin)
@@ -231,12 +233,7 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 			return
 		}
 		gv := pj.Spec.GV
-		if pj.Spec.Layout == exec.LayoutCSR {
-			builds, buildNS, hits, misses, bytes := gv.CSRStats()
-			add("CSR[%s]: builds=%d build_time=%v hits=%d misses=%d bytes=%d",
-				gv.Name, builds, time.Duration(buildNS).Round(time.Microsecond),
-				hits, misses, bytes)
-		}
+		addCSR(gv)
 		topo := gv.G
 		if pj.Spec.At != nil {
 			topo = pj.Spec.At.G

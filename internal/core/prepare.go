@@ -222,9 +222,7 @@ func (p *Prepared) QueryContext(ctx context.Context, params ...types.Value) (res
 			res, err = nil, fmt.Errorf("%w: %v", ErrQueryPanic, r)
 		}
 	}()
-	lw := time.Now()
 	st := p.e.pin()
-	p.e.metrics.LockReadWaitNS.Add(time.Since(lw).Nanoseconds())
 	defer p.e.unpin(st)
 	// Mirror execStmt: an execution whose deadline elapsed (or that was
 	// canceled) before it pinned aborts before touching the plan.

@@ -19,11 +19,10 @@ import (
 //	SELECT * FROM GV.LABEL_PROPAGATION(10) LP
 //	SELECT * FROM GV.DEGREE_CENTRALITY() DC
 //
-// The operator is a leaf: it runs the kernel at Open (over the CSR
-// snapshot or the pointer reference, by the planner's layout choice) and
-// streams the result as an ordinary relation — one row per vertex in
-// ascending identifier order, an ID column plus the function's metric
-// columns — so results join and filter against table attributes.
+// The operator is a leaf: it runs the kernel at Open over the view's CSR
+// snapshot and streams the result as an ordinary relation — one row per
+// vertex in ascending identifier order, an ID column plus the function's
+// metric columns — so results join and filter against table attributes.
 
 // AnalyticsFunc identifies one analytics table-valued function.
 type AnalyticsFunc uint8
@@ -118,7 +117,6 @@ type AnalyticsScan struct {
 	Alias  string
 	Fn     AnalyticsFunc
 	Args   []expr.Expr // constant arguments (literals or parameters)
-	Layout Layout
 	Filter expr.Expr
 
 	// At, when set, runs the kernel over a pinned version of the view's
@@ -135,9 +133,8 @@ type AnalyticsScan struct {
 
 // NewAnalyticsScan creates the operator.
 func NewAnalyticsScan(gv *catalog.GraphView, alias string, fn AnalyticsFunc,
-	args []expr.Expr, layout Layout, filter expr.Expr) *AnalyticsScan {
-	return &AnalyticsScan{GV: gv, Alias: alias, Fn: fn, Args: args,
-		Layout: layout, Filter: filter,
+	args []expr.Expr, filter expr.Expr) *AnalyticsScan {
+	return &AnalyticsScan{GV: gv, Alias: alias, Fn: fn, Args: args, Filter: filter,
 		schema: AnalyticsSchema(fn).WithQualifier(alias)}
 }
 
@@ -161,7 +158,6 @@ func (s *AnalyticsScan) Explain() string {
 	if s.Filter != nil {
 		fmt.Fprintf(&sb, " filter=%s", s.Filter)
 	}
-	fmt.Fprintf(&sb, " layout=%s", s.Layout)
 	return sb.String()
 }
 
@@ -247,76 +243,35 @@ func (s *AnalyticsScan) Open(ctx *Context) (Iterator, error) {
 	if at == nil {
 		at = s.GV.Live()
 	}
-	it := &analyticsIter{ctx: ctx, s: s}
+	// Fetch (or lazily build) the CSR snapshot of the bound topology
+	// version at execution time — same pinning discipline as PathScan.
+	c := at.CSR()
+	it := &analyticsIter{ctx: ctx, s: s, csr: c, a: c.NewAnalytics(), hasScratch: true}
 	s.runs.Add(1)
-	if s.Layout == LayoutCSR {
-		// Fetch (or lazily build) the CSR snapshot of the bound topology
-		// version at execution time — same pinning discipline as PathScan.
-		c := at.CSR()
-		it.csr = c
-		it.n = c.NumVertices()
-		a := c.NewAnalytics()
-		it.a, it.hasScratch = a, true
-		var err error
-		switch s.Fn {
-		case AnalyticsPageRank:
-			var iters int
-			it.ranks, iters, err = a.PageRank(ctx.Done(), workers, damping, prIters, pageRankEps)
-			s.iters.Add(int64(iters))
-			atomic.AddInt64(&ctx.EdgesTraversed, int64(iters)*int64(c.NumEdges()))
-		case AnalyticsComponents:
-			var stats graph.ComponentsStats
-			it.ints, stats, err = a.Components(ctx.Done(), workers)
-			s.iters.Add(int64(stats.Levels))
-			s.topDown.Add(int64(stats.TopDown))
-			s.bottomUp.Add(int64(stats.BottomUp))
-			atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(c.NumEdges()))
-		case AnalyticsLabelProp:
-			var iters int
-			it.ints, iters, err = a.LabelProp(ctx.Done(), workers, lpIters)
-			s.iters.Add(int64(iters))
-			atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(iters)*int64(c.NumEdges()))
-		case AnalyticsDegree:
-			it.ints, it.ints2 = a.Degrees()
-		}
-		if err != nil {
-			it.Close()
-			return nil, mapStopped(ctx, err)
-		}
-		return it, nil
-	}
-
-	// Pointer layout: the single-threaded reference over the bound
-	// topology — always correct, no snapshot build, the right call for
-	// small graphs and the oracle's layout-invariance baseline.
-	g := at.G
-	g.Vertices(func(v *graph.Vertex) bool {
-		it.ids = append(it.ids, v.ID)
-		return true
-	})
-	it.n = len(it.ids)
 	var err error
 	switch s.Fn {
 	case AnalyticsPageRank:
 		var iters int
-		it.fmap, iters, err = graph.RefPageRank(ctx.Done(), g, damping, prIters, pageRankEps)
+		it.ranks, iters, err = it.a.PageRank(ctx.Done(), workers, damping, prIters, pageRankEps)
 		s.iters.Add(int64(iters))
-		atomic.AddInt64(&ctx.EdgesTraversed, int64(iters)*int64(g.NumEdges()))
+		atomic.AddInt64(&ctx.EdgesTraversed, int64(iters)*int64(c.NumEdges()))
 	case AnalyticsComponents:
-		var levels int
-		it.imap, levels, err = graph.RefComponents(ctx.Done(), g)
-		s.iters.Add(int64(levels))
-		s.topDown.Add(int64(levels))
-		atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(g.NumEdges()))
+		var stats graph.ComponentsStats
+		it.ints, stats, err = it.a.Components(ctx.Done(), workers)
+		s.iters.Add(int64(stats.Levels))
+		s.topDown.Add(int64(stats.TopDown))
+		s.bottomUp.Add(int64(stats.BottomUp))
+		atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(c.NumEdges()))
 	case AnalyticsLabelProp:
 		var iters int
-		it.imap, iters, err = graph.RefLabelProp(ctx.Done(), g, lpIters)
+		it.ints, iters, err = it.a.LabelProp(ctx.Done(), workers, lpIters)
 		s.iters.Add(int64(iters))
-		atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(iters)*int64(g.NumEdges()))
+		atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(iters)*int64(c.NumEdges()))
 	case AnalyticsDegree:
-		it.imap, it.imap2 = graph.RefDegrees(g)
+		it.ints, it.ints2 = it.a.Degrees()
 	}
 	if err != nil {
+		it.Close()
 		return nil, mapStopped(ctx, err)
 	}
 	return it, nil
@@ -333,56 +288,38 @@ func mapStopped(ctx *Context, err error) error {
 	return err
 }
 
-// analyticsIter streams the result relation in ascending vertex-ID order.
+// analyticsIter streams the result relation in ascending vertex-ID order
+// (the snapshot's dense numbering).
 type analyticsIter struct {
 	ctx *Context
 	s   *AnalyticsScan
-	n   int
 	i   int
 
-	// CSR layout: dense kernel outputs plus the pooled scratch to release.
+	// Dense kernel outputs plus the pooled scratch to release.
 	csr        *graph.CSR
 	a          graph.Analytics
 	hasScratch bool
 	ranks      []float64
 	ints       []int64
 	ints2      []int64
-
-	// Pointer layout: reference outputs keyed by vertex identifier.
-	ids   []int64
-	fmap  map[int64]float64
-	imap  map[int64]int64
-	imap2 map[int64]int64
 }
 
 func (it *analyticsIter) Next() (types.Row, error) {
-	for it.i < it.n {
+	for it.i < it.csr.NumVertices() {
 		if err := it.ctx.CheckCancel(); err != nil {
 			return nil, err
 		}
 		i := it.i
 		it.i++
+		id := types.NewInt(it.csr.VertexID(i))
 		var row types.Row
-		if it.csr != nil {
-			id := it.csr.VertexID(i)
-			switch it.s.Fn {
-			case AnalyticsPageRank:
-				row = types.Row{types.NewInt(id), types.NewFloat(it.ranks[i])}
-			case AnalyticsDegree:
-				row = types.Row{types.NewInt(id), types.NewInt(it.ints[i]), types.NewInt(it.ints2[i])}
-			default:
-				row = types.Row{types.NewInt(id), types.NewInt(it.ints[i])}
-			}
-		} else {
-			id := it.ids[i]
-			switch it.s.Fn {
-			case AnalyticsPageRank:
-				row = types.Row{types.NewInt(id), types.NewFloat(it.fmap[id])}
-			case AnalyticsDegree:
-				row = types.Row{types.NewInt(id), types.NewInt(it.imap[id]), types.NewInt(it.imap2[id])}
-			default:
-				row = types.Row{types.NewInt(id), types.NewInt(it.imap[id])}
-			}
+		switch it.s.Fn {
+		case AnalyticsPageRank:
+			row = types.Row{id, types.NewFloat(it.ranks[i])}
+		case AnalyticsDegree:
+			row = types.Row{id, types.NewInt(it.ints[i]), types.NewInt(it.ints2[i])}
+		default:
+			row = types.Row{id, types.NewInt(it.ints[i])}
 		}
 		if it.s.Filter != nil {
 			ok, err := expr.EvalBool(it.s.Filter, &expr.Env{Row: row, Params: it.ctx.Params})

@@ -39,34 +39,6 @@ func (p Phys) String() string {
 	}
 }
 
-// Layout selects the topology representation a PathScan traverses: the
-// live pointer topology, or the immutable CSR read snapshot with its
-// index-based zero-allocation kernels. The two are observationally
-// identical (the differential oracle enforces it); layout is purely a
-// physical choice, like Phys.
-type Layout uint8
-
-// Topology layouts.
-const (
-	// LayoutPtr walks the live adjacency lists — always correct, no build
-	// cost, the right call for small graphs and the oracle's reference.
-	LayoutPtr Layout = iota
-	// LayoutCSR traverses the view's cached CSR snapshot (rebuilt lazily
-	// after DML), trading one build for allocation-free traversal.
-	LayoutCSR
-)
-
-func (l Layout) String() string {
-	switch l {
-	case LayoutPtr:
-		return "ptr"
-	case LayoutCSR:
-		return "csr"
-	default:
-		return fmt.Sprintf("Layout(%d)", uint8(l))
-	}
-}
-
 // ElemFilter is one pushed-down per-position predicate over the path's
 // edges or vertexes (§6.2), e.g. PS.Edges[0..*].StartDate > '2000-01-01'.
 // The non-path side (Other / List) is bound to the OUTER schema and
@@ -161,7 +133,6 @@ type PathScanSpec struct {
 	At *catalog.GraphViewAt
 
 	Phys   Phys
-	Layout Layout
 	Policy graph.VisitPolicy
 	// CycleClose allows the path to close back onto its start vertex and
 	// binds the traversal target to the start (triangle-style patterns).
@@ -255,7 +226,6 @@ func (p *PathProbeJoin) Explain() string {
 	if p.Spec.Parallel {
 		sb.WriteString(" parallel")
 	}
-	fmt.Fprintf(&sb, " layout=%s", p.Spec.Layout)
 	if p.Residual != nil {
 		fmt.Fprintf(&sb, " residual=%s", p.Residual)
 	}
@@ -317,14 +287,12 @@ func (p *PathProbeJoin) Open(ctx *Context) (Iterator, error) {
 			it.weightPos = pos
 		}
 	}
-	if p.Spec.Layout == LayoutCSR {
-		// Fetch (or lazily build) the CSR snapshot at execution time — never
-		// at plan time, where the topology the query will actually see is not
-		// yet bound. The snapshot is taken from the bound version's topology
-		// instance, so a pinned reader traverses exactly what it pinned even
-		// while writers advance the live view.
-		it.csr = it.at.CSR()
-	}
+	// Fetch (or lazily build) the CSR snapshot at execution time — never at
+	// plan time, where the topology the query will actually see is not yet
+	// bound. The snapshot is taken from the bound version's topology
+	// instance, so a pinned reader traverses exactly what it pinned even
+	// while writers advance the live view.
+	it.csr = it.at.CSR()
 	return it, nil
 }
 
@@ -344,8 +312,7 @@ type pathProbeIter struct {
 	boundPos  []int
 	weightPos int
 
-	// csr is the immutable snapshot traversed under LayoutCSR; nil means
-	// the pointer kernels walk the live topology.
+	// csr is the immutable snapshot of at.G every kernel traverses.
 	csr *graph.CSR
 
 	outerRow types.Row
@@ -731,28 +698,13 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 			}
 			return v.AsFloat(), true
 		}
-		k := spec.KPaths
-		if it.csr != nil {
-			sp := graph.NewCSRShortest(it.csr, gspec, weight, k)
-			run.iter = sp
-			run.spErr = sp.Err
-		} else {
-			sp := graph.NewShortest(it.at.G, gspec, weight, k)
-			run.iter = sp
-			run.spErr = sp.Err
-		}
+		sp := graph.NewCSRShortest(it.csr, gspec, weight, spec.KPaths)
+		run.iter = sp
+		run.spErr = sp.Err
 	case PhysBFS:
-		if it.csr != nil {
-			run.iter = graph.NewCSRBFS(it.csr, gspec)
-		} else {
-			run.iter = graph.NewBFS(it.at.G, gspec)
-		}
+		run.iter = graph.NewCSRBFS(it.csr, gspec)
 	default:
-		if it.csr != nil {
-			run.iter = graph.NewCSRDFS(it.csr, gspec)
-		} else {
-			run.iter = graph.NewDFS(it.at.G, gspec)
-		}
+		run.iter = graph.NewCSRDFS(it.csr, gspec)
 	}
 	return run
 }

@@ -659,12 +659,12 @@ func (a Analytics) Degrees() (outDeg, inDeg []int64) {
 // --- Naive pointer-graph references -------------------------------------
 //
 // The Ref* functions are the single-threaded reference implementations
-// over the live pointer topology. They serve three callers: the
-// differential oracle (cross-checking the CSR kernels), the analytics
-// bench's naive baseline, and the executor's ptr-layout path — walking
+// over the pointer topology. They serve the differential oracle and tests
+// (cross-checking the CSR kernels the executor runs) and the analytics
+// bench's naive baseline; nothing on the execution path calls them. Walking
 // vertexes in ascending-ID order and adjacency lists in list order, they
-// reduce floats in exactly the order the CSR kernels do, so ptr and csr
-// layouts return bit-identical rows over the same topology.
+// reduce floats in exactly the order the CSR kernels do, so a reference and
+// its kernel return bit-identical rows over the same topology.
 
 // refDegPR is the PageRank degree of v on the pointer graph, mirroring
 // CSR.prDegree (undirected counts Out plus non-self-loop In, the traversal

@@ -9,6 +9,10 @@ import (
 // (§6.3): a lazy Dijkstra that emits settled shortest paths in cost order,
 // and a best-first enumeration of the k shortest *simple* paths between two
 // endpoints for TOP-k queries (Listing 6).
+//
+// Like traverse.go these are the pointer-topology reference kernels: the
+// executor runs NewCSRShortest, and NewShortest / ShortestPath are what the
+// oracle, the workload generators and tests compare it against.
 
 // WeightFunc returns the traversal weight of edge e taken from `from` to
 // `to` at path position pos. Returning ok=false excludes the edge (the

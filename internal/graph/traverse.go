@@ -1,10 +1,16 @@
 package graph
 
-// This file implements the traversal kernels behind the paper's physical
-// path operators (§5.1.2, §6.3): depth-first (DFScan) and breadth-first
-// (BFScan) simple-path enumeration. Both are *lazy*: they implement the
-// iterator model so a parent operator that stops pulling (e.g. LIMIT 1 in
-// a reachability query) stops the traversal.
+// This file implements the pointer-topology traversal kernels of the
+// paper's physical path operators (§5.1.2, §6.3): depth-first (DFScan) and
+// breadth-first (BFScan) simple-path enumeration. Both are *lazy*: they
+// implement the iterator model so a parent operator that stops pulling
+// (e.g. LIMIT 1 in a reachability query) stops the traversal.
+//
+// These are the reference kernels. The executor traverses the CSR snapshot
+// (csr_kernels.go) only; NewDFS, NewBFS and Reachable define the semantics
+// those kernels must reproduce path for path, and are called by the
+// differential oracle, the workload generators and tests — never from the
+// execution path (CI greps for it).
 
 // VisitPolicy controls how often a vertex may be visited during one
 // traversal.

@@ -164,11 +164,9 @@ type Metrics struct {
 	// control (they never started executing).
 	ShedAdmissions Counter
 
-	// LockReadWaitNS / LockWriteWaitNS split statement lock-wait time by
-	// side: read-only statements (version pin — effectively zero under
-	// MVCC) and mutating statements (the exclusive engine lock). The
-	// historical combined `lock.wait_ns` key is emitted as their sum.
-	LockReadWaitNS  Counter
+	// LockWriteWaitNS is the time mutating statements waited for the
+	// exclusive engine lock. Readers pin a version lock-free and never
+	// wait, so the historical `lock.wait_ns` key reports the same value.
 	LockWriteWaitNS Counter
 
 	// MVCC version lifecycle: versions published by mutating statements,
@@ -259,8 +257,8 @@ type GraphViewStats struct {
 	// statistics have been computed (or they were invalidated).
 	StatsAgeNS int64
 	// CSR snapshot cache gauges: lifetime build count and cumulative build
-	// time, cache hits/misses observed by CSR-layout scans, and the
-	// approximate resident size of the cached snapshot.
+	// time, cache hits/misses observed by scans, and the approximate
+	// resident size of the cached snapshot.
 	CSRBuilds  int64
 	CSRBuildNS int64
 	CSRHits    int64
@@ -294,9 +292,8 @@ func (m *Metrics) Snapshot(views []GraphViewStats) []KV {
 		KV{"latency.p99_us", m.Latency.QuantileUS(0.99)},
 		KV{"latency.max_us", m.Latency.MaxUS()},
 		KV{"admission.shed", m.ShedAdmissions.Value()},
-		KV{"lock.read_wait_ns", m.LockReadWaitNS.Value()},
 		KV{"lock.write_wait_ns", m.LockWriteWaitNS.Value()},
-		KV{"lock.wait_ns", m.LockReadWaitNS.Value() + m.LockWriteWaitNS.Value()},
+		KV{"lock.wait_ns", m.LockWriteWaitNS.Value()},
 		KV{"mvcc.published", m.MVCCPublished.Value()},
 		KV{"mvcc.versions_live", m.MVCCVersionsLive.Value()},
 		KV{"mvcc.seq", m.MVCCSeq.Value()},

@@ -7,14 +7,12 @@ import (
 	"grfusion/internal/core"
 	"grfusion/internal/datagen"
 	"grfusion/internal/graph"
-	"grfusion/internal/plan"
 )
 
 // checkAnalytics is the whole-graph analytics differential: every analytics
 // table-valued function is cross-checked against the naive pure-Go
-// references over an independently rebuilt topology, the two physical
-// layouts (ptr and csr) must return byte-identical relations, and so must
-// any worker-pool size.
+// references over an independently rebuilt topology, and any worker-pool
+// size must return byte-identical relations.
 //
 // Integer-valued results (components, labels, degrees) are compared
 // exactly: the component rule (smallest vertex id) and the label update
@@ -105,37 +103,24 @@ func (sc *scenario) checkAnalytics(eng *core.Engine, st *datagen.GraphState) *Vi
 		}
 	}
 
-	// Layout invariance: ptr and csr must return byte-identical relations
-	// (the kernels share reduction order with the references by
-	// construction), and so must any worker count on the parallel CSR path.
+	// Worker invariance: the parallel kernels must return byte-identical
+	// relations at any worker count.
 	for _, call := range []string{
 		fmt.Sprintf("PAGERANK(%v, %d)", damping, prIters),
 		"CONNECTED_COMPONENTS()",
 		fmt.Sprintf("LABEL_PROPAGATION(%d)", lpIters),
 		"DEGREE_CENTRALITY()",
 	} {
-		eng.SetPlanOptions(plan.Options{ForceLayout: "ptr"})
-		resPtr, errPtr := eng.Execute(q(call))
-		eng.SetPlanOptions(plan.Options{ForceLayout: "csr"})
 		eng.SetWorkers(1)
-		resCSR1, errCSR1 := eng.Execute(q(call))
+		res1, err1 := eng.Execute(q(call))
 		eng.SetWorkers(4)
-		resCSR4, errCSR4 := eng.Execute(q(call))
-		eng.SetPlanOptions(plan.Options{})
+		res4, err4 := eng.Execute(q(call))
 		eng.SetWorkers(sc.workers)
-		if errPtr != nil || errCSR1 != nil || errCSR4 != nil {
-			return violationf("analytics-layout", "%s: ptr=%v csr1=%v csr4=%v",
-				call, errPtr, errCSR1, errCSR4)
+		if err1 != nil || err4 != nil {
+			return violationf("analytics-workers", "%s: w1=%v w4=%v", call, err1, err4)
 		}
-		rPtr := renderRows(resPtr, false)
-		rCSR1 := renderRows(resCSR1, false)
-		rCSR4 := renderRows(resCSR4, false)
-		if !sameRows(rPtr, rCSR1) {
-			return violationf("analytics-layout",
-				"%s: ptr and csr layouts disagree (%d vs %d rows)", call, len(rPtr), len(rCSR1))
-		}
-		if !sameRows(rCSR1, rCSR4) {
-			return violationf("analytics-layout",
+		if !sameRows(renderRows(res1, false), renderRows(res4, false)) {
+			return violationf("analytics-workers",
 				"%s: results differ between 1 and 4 workers", call)
 		}
 	}

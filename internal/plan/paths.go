@@ -213,7 +213,6 @@ func (p *Planner) attachPathScan(s *sql.Select, tree exec.Operator, fi *fromInfo
 	if err := p.choosePhysical(s, fi, &spec); err != nil {
 		return nil, err
 	}
-	spec.Layout = p.chooseLayout(fi)
 
 	// Multi-source scans — no start binding, so the traversal fans out of
 	// every vertex — are marked parallelizable: the per-source traversals
@@ -286,32 +285,6 @@ func (p *Planner) choosePhysical(s *sql.Select, fi *fromInfo, spec *exec.PathSca
 	}
 	spec.Phys = exec.PhysDFS
 	return nil
-}
-
-// csrMinSize is the topology size (vertexes + edges) above which a
-// PathScan traverses the CSR snapshot instead of the pointer topology.
-// Below it the dense renumbering cannot pay for its build: a snapshot of
-// a hundred-odd elements rebuilds in microseconds but also traverses in
-// microseconds, so the pointer kernels keep the tiny-graph fast path and
-// the planner stays deterministic for EXPLAIN goldens over toy data.
-const csrMinSize = 256
-
-// chooseLayout picks the topology layout for one PathScan. The choice is
-// purely physical — both layouts emit byte-identical results (enforced by
-// the differential oracle) — so the rule only weighs snapshot build cost
-// against traversal savings.
-func (p *Planner) chooseLayout(fi *fromInfo) exec.Layout {
-	switch strings.ToLower(p.Opts.ForceLayout) {
-	case "csr":
-		return exec.LayoutCSR
-	case "ptr":
-		return exec.LayoutPtr
-	}
-	g := fi.topo()
-	if g.NumVertices()+g.NumEdges() >= csrMinSize {
-		return exec.LayoutCSR
-	}
-	return exec.LayoutPtr
 }
 
 // topo returns the topology instance this item's plan reads: the pinned

@@ -32,11 +32,6 @@ type Options struct {
 	// ForceTraversal overrides the physical operator chosen for PathScans
 	// without an explicit hint: "bfs", "dfs", or "" for the cost rule.
 	ForceTraversal string
-	// ForceLayout overrides the topology layout chosen for PathScans:
-	// "csr", "ptr", or "" for the size rule (CSR once the topology is big
-	// enough to amortize a snapshot build). Benchmarks and the
-	// differential oracle use it to pin both layouts over the same data.
-	ForceLayout string
 	// MaterializeJoins wraps every join output in a temp-table barrier,
 	// reproducing VoltDB's materialize-per-fragment execution model. The
 	// SQLGraph baseline runs in this mode (§7.2's intermediate-memory
@@ -352,7 +347,7 @@ func (p *Planner) buildScan(fi *fromInfo, conj []expr.Expr,
 			return nil, err
 		}
 		fn, _ := exec.AnalyticsFuncByName(fi.item.Func)
-		as := exec.NewAnalyticsScan(fi.gv, fi.alias, fn, fi.item.Args, p.chooseLayout(fi), f)
+		as := exec.NewAnalyticsScan(fi.gv, fi.alias, fn, fi.item.Args, f)
 		as.At = fi.at
 		return as, nil
 	}
