@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz bench metrics analytics mvcc wire oracle chaos diskchaos recover durbench fmt vet clean
+.PHONY: all build test benchcheck race fuzz bench metrics analytics mvcc wire oracle chaos diskchaos recover durbench fmt vet clean
 
 all: build test
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The nested benchmark module imports internal/core, server, wire and graph
+# directly, and `./...` from the root does not descend into it: a refactor
+# can break it with build and test green.
+benchcheck:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # The merge gate: every package under the race detector.
 race:

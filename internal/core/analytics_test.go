@@ -132,6 +132,20 @@ func TestAnalyticsExplainAnalyzeAndMetrics(t *testing.T) {
 	if iters := metricValue(e, "analytics.iterations"); iters <= 0 {
 		t.Errorf("analytics.iterations = %d, want > 0", iters)
 	}
+	// A prepared TVF query counts one run per execution of its cached plan.
+	pr, err := e.Prepare(`SELECT * FROM Ladder.DEGREE_CENTRALITY() D LIMIT 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs1 := metricValue(e, "analytics.runs")
+	for i := 0; i < 3; i++ {
+		if _, err := pr.Query(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := metricValue(e, "analytics.runs") - runs1; got != 3 {
+		t.Errorf("analytics.runs delta over 3 prepared executions = %d, want 3", got)
+	}
 }
 
 func TestAnalyticsCancellation(t *testing.T) {

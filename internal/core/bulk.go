@@ -198,47 +198,18 @@ func (b *BulkLoad) Append(rows []types.Row) (int, error) {
 				b.table, len(r), b.width)
 		}
 	}
-	var walLSN uint64
+	var text string
+	var params []types.Value
 	if e.dur.log != nil {
-		params := make([]types.Value, 0, len(rows)*b.width)
+		text = b.textFor(len(rows))
+		params = make([]types.Value, 0, len(rows)*b.width)
 		for _, r := range rows {
 			params = append(params, r...)
 		}
-		rec, err := e.walRecordLocked(b.stmt, b.textFor(len(rows)), params)
-		if err != nil {
-			return 0, err
-		}
-		if walLSN, err = e.walAppendLocked(rec); err != nil {
-			return 0, err
-		}
 	}
-	// Presize the undo journal: letting append double its way up would
-	// re-zero a fresh, larger array a dozen times per batch.
-	tx := &txn{e: e, journal: make([]undoOp, 0, len(rows))}
-	var err error
-	if b.identity {
-		for _, r := range rows {
-			if _, err = tx.insertRow(b.t, r); err != nil {
-				break
-			}
-		}
-	} else {
-		width := b.t.Schema().Len()
-		for _, r := range rows {
-			row := make(types.Row, width)
-			for i, v := range r {
-				row[b.positions[i]] = v
-			}
-			if _, err = tx.insertRow(b.t, row); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		err = tx.abort(err)
-	}
-	e.finishWALLocked(walLSN, err)
-	if err != nil {
+	if _, err := e.commitLocked(b.stmt, text, params, func() (*Result, error) {
+		return nil, b.insertBatch(rows)
+	}); err != nil {
 		return 0, err
 	}
 	b.applied += len(rows)
@@ -246,6 +217,28 @@ func (b *BulkLoad) Append(rows []types.Row) (int, error) {
 	e.metrics.BulkBatches.Inc()
 	e.metrics.BulkRows.Add(int64(len(rows)))
 	return len(rows), nil
+}
+
+// insertBatch inserts one batch as an implicit transaction, undoing the
+// whole batch on the first failing row.
+func (b *BulkLoad) insertBatch(rows []types.Row) error {
+	// Presize the undo journal: letting append double its way up would
+	// re-zero a fresh, larger array a dozen times per batch.
+	tx := &txn{e: b.e, journal: make([]undoOp, 0, len(rows))}
+	width := b.t.Schema().Len()
+	for _, r := range rows {
+		row := r
+		if !b.identity {
+			row = make(types.Row, width)
+			for i, v := range r {
+				row[b.positions[i]] = v
+			}
+		}
+		if _, err := tx.insertRow(b.t, row); err != nil {
+			return tx.abort(err)
+		}
+	}
+	return nil
 }
 
 // Rows returns the number of rows applied so far.

@@ -310,4 +310,13 @@ func TestBulkLoadDurableReplay(t *testing.T) {
 	if got := stateSig(t, e2); got != want {
 		t.Fatalf("recovered state diverges:\nwant %s\ngot  %s", want, got)
 	}
+	// Replay runs the statement path, so every replayed record is counted
+	// by kind whether it was logged with parameters (the 4 applied
+	// batches) or as plain text (the 3 set-up statements).
+	if got := metricValue(e2, "statements.insert"); got != 4 {
+		t.Errorf("statements.insert after replay = %d, want 4", got)
+	}
+	if got := metricValue(e2, "statements.ddl"); got != 3 {
+		t.Errorf("statements.ddl after replay = %d, want 3", got)
+	}
 }

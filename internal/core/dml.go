@@ -208,9 +208,7 @@ func (tx *txn) abort(err error) error {
 	return err
 }
 
-func (e *Engine) runInsert(s *sql.Insert) (*Result, error) { return e.runInsertParams(s, nil) }
-
-func (e *Engine) runInsertParams(s *sql.Insert, params types.Row) (*Result, error) {
+func (e *Engine) runInsert(s *sql.Insert, params types.Row) (*Result, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("unknown table %q", s.Table)
@@ -294,9 +292,7 @@ func matchRows(t *storage.Table, where expr.Expr, params types.Row) ([]storage.R
 	return ids, evalErr
 }
 
-func (e *Engine) runUpdate(s *sql.Update) (*Result, error) { return e.runUpdateParams(s, nil) }
-
-func (e *Engine) runUpdateParams(s *sql.Update, params types.Row) (*Result, error) {
+func (e *Engine) runUpdate(s *sql.Update, params types.Row) (*Result, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("unknown table %q", s.Table)
@@ -395,9 +391,7 @@ func (tx *txn) fixEdgeReferences(t *storage.Table, oldRow, newRow types.Row) err
 	return nil
 }
 
-func (e *Engine) runDelete(s *sql.Delete) (*Result, error) { return e.runDeleteParams(s, nil) }
-
-func (e *Engine) runDeleteParams(s *sql.Delete, params types.Row) (*Result, error) {
+func (e *Engine) runDelete(s *sql.Delete, params types.Row) (*Result, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("unknown table %q", s.Table)

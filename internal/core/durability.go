@@ -263,26 +263,14 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 				wal.ErrCorruptWAL, rec.LSN, rec.Table, next, depth, rec.NextSlot, rec.FreeDepth)
 		}
 	}
-	if rec.Params != nil {
-		pd, err := e.PrepareDML(rec.SQL)
-		if err != nil {
-			return fmt.Errorf("%w: record %d does not prepare: %v", wal.ErrCorruptWAL, rec.LSN, err)
-		}
-		_, err = pd.Exec(rec.Params...)
-		return err
-	}
-	_, err = e.execStmt(context.Background(), stmt, rec.SQL)
+	_, err = e.execStmt(context.Background(), stmt, rec.SQL, rec.Params, nil)
 	return err
 }
 
 // walRecordLocked builds the log record for a mutating statement: the SQL
 // text, the bound parameters of a prepared execution, and the target
 // table's pre-apply allocation pin. Requires the write lock.
-func (e *Engine) walRecordLocked(stmt sql.Statement, text string, params []types.Value) (*wal.Record, error) {
-	if text == "" {
-		return nil, errors.New("durable engine requires statement text to log " +
-			"(use Execute/ExecuteScript or prepared statements instead of ExecuteStmt)")
-	}
+func (e *Engine) walRecordLocked(stmt sql.Statement, text string, params []types.Value) *wal.Record {
 	rec := &wal.Record{SQL: text, Params: params}
 	var target string
 	switch s := stmt.(type) {
@@ -301,7 +289,7 @@ func (e *Engine) walRecordLocked(stmt sql.Statement, text string, params []types
 			rec.Table, rec.NextSlot, rec.FreeDepth = t.Name(), uint64(next), uint32(depth)
 		}
 	}
-	return rec, nil
+	return rec
 }
 
 // walAppendLocked logs rec ahead of applying it. On failure nothing has
@@ -309,8 +297,8 @@ func (e *Engine) walRecordLocked(stmt sql.Statement, text string, params []types
 // cleanly. Requires the write lock.
 //
 // This is also the engine's disk-fault choke point: every mutating
-// statement on a durable engine passes through here (Execute and prepared
-// DML alike), so the degraded-mode gate, the disk-space watermarks, and
+// statement on a durable engine passes through here (its one caller is
+// commitLocked), so the degraded-mode gate, the disk-space watermarks, and
 // the degrade triggers all live in one place. A transient injected write
 // fault aborts only its own statement — the log rolled back cleanly and
 // stays usable; the engine degrades only when the log itself is unusable

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"grfusion/internal/graph"
-	"grfusion/internal/sql"
 	"grfusion/internal/types"
 	"grfusion/internal/wal"
 )
@@ -488,28 +487,6 @@ func TestSetDurabilityTunables(t *testing.T) {
 	}
 	if _, err := plain.Execute("SET CHECKPOINT_EVERY = 10"); err == nil || !strings.Contains(err.Error(), "not durable") {
 		t.Fatalf("SET CHECKPOINT_EVERY on non-durable engine: %v", err)
-	}
-}
-
-func TestDurableRequiresStatementText(t *testing.T) {
-	dir := t.TempDir()
-	e, _ := openDur(t, dir, Options{})
-	defer e.Close()
-	mustExecAll(t, e, "CREATE TABLE t (id BIGINT)")
-	stmt, err := sql.Parse("INSERT INTO t VALUES (1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ExecuteStmt(stmt); err == nil || !strings.Contains(err.Error(), "statement text") {
-		t.Fatalf("textless mutation on durable engine: %v", err)
-	}
-	// Reads without text are fine.
-	sel, err := sql.Parse("SELECT id FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ExecuteStmt(sel); err != nil {
-		t.Fatalf("textless read: %v", err)
 	}
 }
 

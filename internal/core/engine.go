@@ -133,8 +133,8 @@ type Engine struct {
 	workers  atomic.Int64
 
 	// queryTimeoutNS is the per-statement deadline in nanoseconds (0 =
-	// none). It is atomic, not guarded by mu: ExecuteStmtContext reads it
-	// before queueing for the statement lock, so the deadline clock covers
+	// none). It is atomic, not guarded by mu: execStmt reads it before
+	// queueing for the statement lock, so the deadline clock covers
 	// lock-wait time too.
 	queryTimeoutNS atomic.Int64
 
@@ -225,7 +225,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, query string) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return e.execStmt(ctx, stmt, query)
+	return e.execStmt(ctx, stmt, query, nil, nil)
 }
 
 // ExecuteScript runs a semicolon-separated script, stopping at the first
@@ -248,7 +248,7 @@ func (e *Engine) ExecuteScriptContext(ctx context.Context, script string) ([]*Re
 		if err := ctxErr(ctx); err != nil {
 			return out, err
 		}
-		r, err := e.execStmt(ctx, s, texts[i])
+		r, err := e.execStmt(ctx, s, texts[i], nil, nil)
 		if err != nil {
 			return out, err
 		}
@@ -257,32 +257,26 @@ func (e *Engine) ExecuteScriptContext(ctx context.Context, script string) ([]*Re
 	return out, nil
 }
 
-// ExecuteStmt runs one parsed statement under the engine's MVCC protocol:
-// read-only statements (as classified by plan.ReadOnly) pin the current
-// published version and run lock-free, everything else serializes under
-// the exclusive lock and publishes a new version on success.
-func (e *Engine) ExecuteStmt(stmt sql.Statement) (*Result, error) {
-	return e.ExecuteStmtContext(context.Background(), stmt)
-}
-
-// ExecuteStmtContext is ExecuteStmt with a managed lifecycle:
+// execStmt is the statement path: the one body every surface that runs a
+// statement goes through — Execute/ExecuteScript (text), Prepared.Query
+// (cache set: its per-version plan cache), PreparedDML.Exec (params),
+// Explain, and WAL replay. Read-only statements (as classified by
+// plan.ReadOnly) pin the current published version and run lock-free;
+// everything else serializes under the exclusive lock and publishes a new
+// version on success. Around both arms:
 //
 //   - ctx's deadline/cancellation — tightened by the engine's QUERY_TIMEOUT
 //     when one is set — aborts cooperative operators and traversal kernels
 //     with ErrTimeout/ErrCanceled. The deadline clock starts before the
 //     statement queues for the execution lock, so lock-wait counts too.
+//   - Every execution lands in the by-kind counter, the latency histogram,
+//     the by-sentinel error counters and the slow-query log (text is the
+//     statement's SQL, which the log prefers over a synthesized name).
 //   - A panicking operator is recovered into ErrQueryPanic (stack logged
 //     via the standard logger) instead of taking down the process. For
 //     mutating statements the undo journal is not replayed across a panic,
 //     so the error also warns that state may be partially applied.
-func (e *Engine) ExecuteStmtContext(ctx context.Context, stmt sql.Statement) (res *Result, err error) {
-	return e.execStmt(ctx, stmt, "")
-}
-
-// execStmt is the shared statement body behind ExecuteContext and
-// ExecuteStmtContext. text is the statement's SQL when the caller has it
-// (the slow-query log prefers it over a synthesized description).
-func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, text string) (res *Result, err error) {
+func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, text string, params []types.Value, cache *Prepared) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -311,27 +305,33 @@ func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, text string) 
 			}
 		}
 	}()
-	if readOnly {
-		st := e.pin()
-		defer e.unpin(st)
-		// A statement whose deadline elapsed (or that was canceled) before
-		// it pinned aborts before planning anything — mirrors the write
-		// path's post-lock check, so an already-dead reader never starts.
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		switch s := stmt.(type) {
-		case *sql.Select:
-			res, prof, err = e.runSelect(ctx, s, st)
-			return res, err
-		case *sql.Explain:
-			return e.runExplain(ctx, s, st)
-		case *sql.Show:
-			return e.runShow(s, st)
-		}
-		// plan.ReadOnly and this switch must stay in sync.
-		return nil, fmt.Errorf("internal: unhandled read-only statement %T", stmt)
+	if !readOnly {
+		return e.write(ctx, stmt, text, params)
 	}
+	st := e.pin()
+	defer e.unpin(st)
+	// A statement whose deadline elapsed (or that was canceled) before it
+	// pinned aborts before planning anything — mirrors the write body's
+	// post-lock check, so an already-dead reader never starts.
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	switch s := stmt.(type) {
+	case *sql.Select:
+		res, prof, err = e.runSelect(ctx, s, st, params, cache)
+		return res, err
+	case *sql.Explain:
+		return e.runExplain(ctx, s, st)
+	case *sql.Show:
+		return e.runShow(s, st)
+	}
+	// plan.ReadOnly and this switch must stay in sync.
+	return nil, fmt.Errorf("internal: unhandled read-only statement %T", stmt)
+}
+
+// write is the write body of the statement path: queue for the exclusive
+// lock, commit, publish.
+func (e *Engine) write(ctx context.Context, stmt sql.Statement, text string, params []types.Value) (*Result, error) {
 	lw := time.Now()
 	e.mu.Lock()
 	e.metrics.LockWriteWaitNS.Add(time.Since(lw).Nanoseconds())
@@ -341,39 +341,44 @@ func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, text string) 
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	// Log before apply: on a durable engine the statement is in the WAL
-	// (synced per policy) before any state changes. If logging fails the
-	// statement aborts untouched; if applying fails the record is rolled
-	// back so the log mirrors applied history exactly (finishWALLocked).
-	var walLSN uint64
-	if e.dur.log != nil {
-		if _, isSet := stmt.(*sql.Set); !isSet {
-			rec, rerr := e.walRecordLocked(stmt, text, nil)
-			if rerr != nil {
-				return nil, rerr
-			}
-			if walLSN, rerr = e.walAppendLocked(rec); rerr != nil {
-				return nil, rerr
-			}
-		}
+	// SET is a runtime tunable, not state: never logged, no new version.
+	if s, ok := stmt.(*sql.Set); ok {
+		return e.runSet(s)
 	}
-	res, err = e.applyLocked(stmt)
-	e.finishWALLocked(walLSN, err)
+	res, err := e.commitLocked(stmt, text, params, func() (*Result, error) {
+		return e.applyLocked(stmt, params)
+	})
 	if err == nil {
 		// Publish the new version so subsequent readers see this
-		// statement's effects. SET is a runtime tunable, not state — no
-		// new version. A failed statement publishes nothing: its undo
-		// journal restored the live objects and readers keep the previous
-		// version.
-		if _, isSet := stmt.(*sql.Set); !isSet {
-			e.publishLocked()
-		}
+		// statement's effects. A failed statement publishes nothing: its
+		// undo journal restored the live objects and readers keep the
+		// previous version.
+		e.publishLocked()
 	}
 	return res, err
 }
 
+// commitLocked is the log → apply → settle core of every write, under the
+// write lock (write takes it per statement, BulkLoad holds it across its
+// batches). Log before apply: on a durable engine the statement is in the
+// WAL (synced per policy) before any state changes. If logging fails the
+// statement aborts untouched; if applying fails the record is rolled back
+// so the log mirrors applied history exactly (finishWALLocked).
+func (e *Engine) commitLocked(stmt sql.Statement, text string, params []types.Value, apply func() (*Result, error)) (*Result, error) {
+	var lsn uint64
+	if e.dur.log != nil {
+		var err error
+		if lsn, err = e.walAppendLocked(e.walRecordLocked(stmt, text, params)); err != nil {
+			return nil, err
+		}
+	}
+	res, err := apply()
+	e.finishWALLocked(lsn, err)
+	return res, err
+}
+
 // applyLocked dispatches a mutating statement under the write lock.
-func (e *Engine) applyLocked(stmt sql.Statement) (*Result, error) {
+func (e *Engine) applyLocked(stmt sql.Statement, params []types.Value) (*Result, error) {
 	switch stmt.(type) {
 	case *sql.CreateTable, *sql.CreateGraphView, *sql.CreateMatView,
 		*sql.DropMatView, *sql.DropTable, *sql.DropGraphView:
@@ -410,16 +415,28 @@ func (e *Engine) applyLocked(stmt sql.Statement) (*Result, error) {
 	case *sql.TruncateTable:
 		return e.truncateTable(s)
 	case *sql.Insert:
-		return e.runInsert(s)
+		return e.runInsert(s, params)
 	case *sql.Update:
-		return e.runUpdate(s)
+		return e.runUpdate(s, params)
 	case *sql.Delete:
-		return e.runDelete(s)
-	case *sql.Set:
-		return e.runSet(s)
+		return e.runDelete(s, params)
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", stmt)
 	}
+}
+
+// planner returns a planner bound to a pinned version.
+func (e *Engine) planner(st *dbState) *plan.Planner {
+	return &plan.Planner{Cat: st.cat, Opts: e.planOptions(), Pin: st}
+}
+
+// execContext builds the per-execution operator context.
+func (e *Engine) execContext(ctx context.Context, params []types.Value) *exec.Context {
+	ec := exec.NewContext(e.opts.MemLimit)
+	ec.Workers = e.workerCount()
+	ec.Params = params
+	ec.Bind(ctx)
+	return ec
 }
 
 // Explain returns the physical plan of a SELECT as indented text.
@@ -432,22 +449,23 @@ func (e *Engine) Explain(query string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("EXPLAIN supports SELECT statements only")
 	}
-	st := e.pin()
-	defer e.unpin(st)
-	p := &plan.Planner{Cat: st.cat, Opts: e.planOptions(), Pin: st}
-	op, err := p.PlanSelect(s)
+	res, err := e.execStmt(context.Background(), &sql.Explain{Query: s}, query, nil, nil)
 	if err != nil {
 		return "", err
 	}
-	return exec.Explain(op), nil
+	var sb strings.Builder
+	for _, row := range res.Rows {
+		sb.WriteString(row[0].S)
+		sb.WriteByte('\n')
+	}
+	return sb.String(), nil
 }
 
 // runExplain plans the inner SELECT and renders the QEP, one line per row.
 // With ANALYZE the plan is also executed through the instrumentation layer
 // and every line carries the actual row counts and timings (observe.go).
 func (e *Engine) runExplain(ctx context.Context, s *sql.Explain, st *dbState) (*Result, error) {
-	p := &plan.Planner{Cat: st.cat, Opts: e.planOptions(), Pin: st}
-	op, err := p.PlanSelect(s.Query)
+	op, err := e.planner(st).PlanSelect(s.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -461,13 +479,22 @@ func (e *Engine) runExplain(ctx context.Context, s *sql.Explain, st *dbState) (*
 	return res, nil
 }
 
-// runSelect plans and executes a SELECT. When the slow-query log is armed
-// the plan runs through the instrumentation layer and the instrumented
-// root is returned so the statement observer can report top operators;
-// otherwise the plan runs bare and the middle return is nil.
-func (e *Engine) runSelect(ctx context.Context, s *sql.Select, st *dbState) (*Result, *exec.Instrumented, error) {
-	p := &plan.Planner{Cat: st.cat, Opts: e.planOptions(), Pin: st}
-	op, err := p.PlanSelect(s)
+// runSelect plans and executes a SELECT against the pinned version; a
+// prepared execution passes its plan cache, an ad hoc one plans fresh.
+// When the slow-query log is armed the plan runs through the
+// instrumentation layer and the instrumented root is returned so the
+// statement observer can report top operators; otherwise the plan runs
+// bare and the middle return is nil.
+func (e *Engine) runSelect(ctx context.Context, s *sql.Select, st *dbState, params []types.Value, cache *Prepared) (*Result, *exec.Instrumented, error) {
+	var op exec.Operator
+	var cols []string
+	var err error
+	if cache != nil {
+		op, err = cache.planFor(st)
+		cols = cache.cols
+	} else if op, err = e.planner(st).PlanSelect(s); err == nil {
+		cols = columnNames(op)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -477,19 +504,22 @@ func (e *Engine) runSelect(ctx context.Context, s *sql.Select, st *dbState) (*Re
 		prof = exec.Instrument(op)
 		run = prof
 	}
-	ec := exec.NewContext(e.opts.MemLimit)
-	ec.Workers = e.workerCount()
-	ec.Bind(ctx)
+	ec := e.execContext(ctx, params)
 	rows, err := exec.Collect(ec, run)
-	e.observeAnalytics(op)
+	e.observeAnalytics(ec)
 	if err != nil {
 		return nil, prof, err
 	}
+	return &Result{Columns: cols, Rows: rows}, prof, nil
+}
+
+// columnNames lists a plan's output column names.
+func columnNames(op exec.Operator) []string {
 	cols := make([]string, op.Schema().Len())
 	for i, c := range op.Schema().Columns {
 		cols[i] = c.Name
 	}
-	return &Result{Columns: cols, Rows: rows}, prof, nil
+	return cols
 }
 
 // runSet applies a SET tunable. QUERY_TIMEOUT sets the per-statement

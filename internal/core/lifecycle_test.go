@@ -122,6 +122,43 @@ func TestCancelledContextSkipsWriteStatements(t *testing.T) {
 	}
 }
 
+// TestPreparedWriteHonorsDeadline queues a prepared insert behind an open
+// bulk load for longer than QUERY_TIMEOUT: like the ad hoc insert beside
+// it, it must abort with ErrTimeout once it gets the lock, untouched.
+func TestPreparedWriteHonorsDeadline(t *testing.T) {
+	e := cyclicEngine(t, 4, Options{QueryTimeout: 20 * time.Millisecond})
+	ins, err := e.PrepareDML(`INSERT INTO V VALUES (?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl, err := e.BeginBulk("V", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	go func() { _, err := ins.Exec(types.NewInt(98)); errs <- err }()
+	go func() { _, err := e.Execute(`INSERT INTO V VALUES (99)`); errs <- err }()
+	time.Sleep(100 * time.Millisecond)
+	if _, err := bl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, ErrTimeout) {
+			t.Errorf("queued insert: err = %v, want ErrTimeout", err)
+		}
+	}
+	e.SetQueryTimeout(0)
+	if r := mustExec(t, e, `SELECT COUNT(*) FROM V`); r.Rows[0][0].I != 4 {
+		t.Fatalf("expired write mutated state: %v", r.Rows[0])
+	}
+	// An explicit caller deadline works the same way.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ins.ExecContext(ctx, types.NewInt(98)); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("ExecContext on a canceled context: err = %v, want ErrCanceled", err)
+	}
+}
+
 func TestPanicIsolationTypedError(t *testing.T) {
 	e := New(Options{})
 	mustExec(t, e, `CREATE TABLE Boom (a BIGINT)`)

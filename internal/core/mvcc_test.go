@@ -252,7 +252,7 @@ func TestReadOnlyDispatchComplete(t *testing.T) {
 		}
 		seen[reflect.TypeOf(stmt)] = true
 		ro := plan.ReadOnly(stmt)
-		res, err := e.ExecuteStmt(stmt)
+		res, err := e.Execute(q)
 		if err != nil {
 			if strings.Contains(err.Error(), "unhandled read-only statement") {
 				t.Fatalf("%q (ReadOnly=%v): executor dispatch is missing an arm: %v", q, ro, err)

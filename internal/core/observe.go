@@ -118,29 +118,14 @@ func (e *Engine) observeStatement(kind int, text string, d time.Duration, err er
 	log.Print(sb.String())
 }
 
-// observeAnalytics folds the analytics actuals of a finished plan into the
-// registry. Plans are per-statement, so the operators' counters equal the
-// statement's work; it runs even after errors, counting kernels that ran
-// before the failure.
-func (e *Engine) observeAnalytics(op exec.Operator) {
-	walkOperators(op, func(o exec.Operator) {
-		if as, ok := o.(*exec.AnalyticsScan); ok {
-			runs, iters, _, _ := as.Actuals()
-			e.metrics.AnalyticsRuns.Add(runs)
-			e.metrics.AnalyticsIters.Add(iters)
-		}
-	})
-}
-
-// walkOperators visits every operator of a bare (uninstrumented) plan tree
-// in preorder.
-func walkOperators(op exec.Operator, fn func(exec.Operator)) {
-	if op == nil {
-		return
-	}
-	fn(op)
-	for _, c := range op.Children() {
-		walkOperators(c, fn)
+// observeAnalytics folds the analytics kernels one execution ran into the
+// registry. The counts come from the per-execution context, not the plan's
+// operators, so a cached prepared plan is counted once per execution; it
+// runs even after errors, counting kernels that ran before the failure.
+func (e *Engine) observeAnalytics(ec *exec.Context) {
+	if runs := atomic.LoadInt64(&ec.AnalyticsRuns); runs > 0 {
+		e.metrics.AnalyticsRuns.Add(runs)
+		e.metrics.AnalyticsIters.Add(atomic.LoadInt64(&ec.AnalyticsIters))
 	}
 }
 
@@ -191,12 +176,11 @@ func (e *Engine) MetricsSnapshot() []metrics.KV {
 // against the pinned version, so running it lock-free is sound).
 func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Result, error) {
 	root := exec.Instrument(op)
-	ec := exec.NewContext(e.opts.MemLimit)
-	ec.Workers = e.workerCount()
-	ec.Bind(ctx)
+	ec := e.execContext(ctx, nil)
 	start := time.Now()
 	rows, err := exec.Collect(ec, root)
 	elapsed := time.Since(start)
+	e.observeAnalytics(ec)
 	if err != nil {
 		return nil, err
 	}
@@ -221,8 +205,6 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 	root.Walk(func(n *exec.Instrumented) {
 		if as, ok := n.Op.(*exec.AnalyticsScan); ok {
 			runs, iters, td, bu := as.Actuals()
-			e.metrics.AnalyticsRuns.Add(runs)
-			e.metrics.AnalyticsIters.Add(iters)
 			add("Analytics[%s.%s]: runs=%d iters=%d topdown_levels=%d bottomup_levels=%d",
 				as.GV.Name, as.Fn, runs, iters, td, bu)
 			addCSR(as.GV)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"log"
 	"strings"
 	"testing"
 	"time"
+
+	"grfusion/internal/types"
 )
 
 // planLines flattens a one-column plan result into a single string.
@@ -34,7 +37,7 @@ func metricValue(e *Engine, name string) int64 {
 func TestMetricsAccuracy(t *testing.T) {
 	e := socialEngine(t)
 	base := map[string]int64{}
-	for _, k := range []string{"statements.select", "statements.insert", "statements.explain", "statements.show", "statements.set", "errors.other", "latency.count"} {
+	for _, k := range []string{"statements.select", "statements.insert", "statements.update", "statements.delete", "statements.explain", "statements.show", "statements.set", "errors.other", "latency.count"} {
 		base[k] = metricValue(e, k)
 	}
 
@@ -50,14 +53,43 @@ func TestMetricsAccuracy(t *testing.T) {
 		t.Fatal("bad query succeeded")
 	}
 
+	// Prepared executions are counted exactly like ad hoc ones.
+	sel, err := e.Prepare(`SELECT COUNT(*) FROM Users WHERE uid = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sel.Query(types.NewInt(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prepared := func(q string, wantErr bool, params ...types.Value) {
+		t.Helper()
+		p, err := e.PrepareDML(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Exec(params...); (err != nil) != wantErr {
+			t.Fatalf("%s: err = %v, want error = %v", q, err, wantErr)
+		}
+	}
+	for i := int64(102); i < 105; i++ {
+		prepared(`INSERT INTO Users VALUES (?, 'C', '2000', 'Lawyer')`, false, types.NewInt(i))
+	}
+	prepared(`INSERT INTO Users VALUES (?, 'C', '2000', 'Lawyer')`, true, types.NewInt(102)) // duplicate key
+	prepared(`UPDATE Users SET job = ? WHERE uid = 102`, false, types.NewString("Judge"))
+	prepared(`DELETE FROM Users WHERE uid = ?`, false, types.NewInt(103))
+
 	want := map[string]int64{
-		"statements.select":  6, // 5 successes + the failed SELECT (counted by kind regardless of outcome)
-		"statements.insert":  2,
+		"statements.select":  8, // 5 successes + the failed SELECT (counted by kind regardless of outcome) + 2 prepared
+		"statements.insert":  6, // 2 ad hoc + 3 prepared + the failed prepared one
+		"statements.update":  1,
+		"statements.delete":  1,
 		"statements.explain": 1,
 		"statements.show":    1,
 		"statements.set":     1,
-		"errors.other":       1,
-		"latency.count":      11, // every statement above, including the failed one
+		"errors.other":       2,
+		"latency.count":      19, // every statement above, including the failed ones
 	}
 	for name, delta := range want {
 		if got := metricValue(e, name) - base[name]; got != delta {
@@ -226,6 +258,25 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Errorf("slow_queries delta = %d, want >= 1", got)
 	}
 
+	// A prepared write is logged too, under its statement text.
+	upd, err := e.PrepareDML(`UPDATE Users SET job = ? WHERE uid = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	log.SetOutput(&buf)
+	_, err = upd.Exec(types.NewString("Surgeon"))
+	log.SetOutput(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "slow query") || !strings.Contains(out, "UPDATE Users SET job = ?") {
+		t.Errorf("slow-query log missing the prepared write:\n%s", out)
+	}
+	if got := metricValue(e, "slow_queries") - before; got < 2 {
+		t.Errorf("slow_queries delta = %d, want >= 2", got)
+	}
+
 	// Disarmed again: nothing further is logged.
 	e.SetSlowQuery(0)
 	buf.Reset()
@@ -242,6 +293,28 @@ func TestErrorSentinelCounters(t *testing.T) {
 	mustExec(t, e, `SET QUERY_TIMEOUT = 1`)
 	defer mustExec(t, e, `SET QUERY_TIMEOUT = 0`)
 	before := metricValue(e, "errors.timeout")
+	// A prepared write that outwaits the deadline behind a bulk load is
+	// counted under the same sentinel as an ad hoc statement.
+	ins, err := e.PrepareDML(`INSERT INTO Users VALUES (?, 'T', '2000', 'Lawyer')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl, err := e.BeginBulk("Users", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan error, 1)
+	go func() { _, err := ins.Exec(types.NewInt(200)); queued <- err }()
+	time.Sleep(20 * time.Millisecond)
+	if _, err := bl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-queued; !errors.Is(err, ErrTimeout) {
+		t.Fatalf("queued prepared insert: err = %v, want ErrTimeout", err)
+	}
+	if got := metricValue(e, "errors.timeout") - before; got != 1 {
+		t.Errorf("errors.timeout delta after the prepared write = %d, want 1", got)
+	}
 	// An unbounded all-pairs traversal cannot finish in 1ms.
 	deadline := time.Now().Add(5 * time.Second)
 	var timedOut bool
@@ -255,7 +328,7 @@ func TestErrorSentinelCounters(t *testing.T) {
 	if !timedOut {
 		t.Skip("query never exceeded the 1ms deadline on this machine")
 	}
-	if got := metricValue(e, "errors.timeout") - before; got < 1 {
-		t.Errorf("errors.timeout delta = %d, want >= 1", got)
+	if got := metricValue(e, "errors.timeout") - before; got < 2 {
+		t.Errorf("errors.timeout delta = %d, want >= 2", got)
 	}
 }

@@ -3,15 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"log"
-	"runtime/debug"
 	"sync"
-	"time"
 
 	"grfusion/internal/exec"
 	"grfusion/internal/expr"
-	"grfusion/internal/metrics"
-	"grfusion/internal/plan"
 	"grfusion/internal/sql"
 	"grfusion/internal/types"
 )
@@ -55,16 +50,11 @@ func (e *Engine) Prepare(query string) (*Prepared, error) {
 	}
 	st := e.pin()
 	defer e.unpin(st)
-	p := &plan.Planner{Cat: st.cat, Opts: e.planOptions(), Pin: st}
-	op, err := p.PlanSelect(s)
+	op, err := e.planner(st).PlanSelect(s)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]string, op.Schema().Len())
-	for i, c := range op.Schema().Columns {
-		cols[i] = c.Name
-	}
-	return &Prepared{e: e, s: s, cols: cols, nparams: countParams(s), seq: st.seq, op: op}, nil
+	return &Prepared{e: e, s: s, cols: columnNames(op), nparams: countParams(s), seq: st.seq, op: op}, nil
 }
 
 // planFor returns the operator tree for the pinned version, reusing the
@@ -72,16 +62,14 @@ func (e *Engine) Prepare(query string) (*Prepared, error) {
 func (p *Prepared) planFor(st *dbState) (exec.Operator, error) {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
-	if p.op != nil && p.seq == st.seq {
-		return p.op, nil
+	if p.op == nil || p.seq != st.seq {
+		op, err := p.e.planner(st).PlanSelect(p.s)
+		if err != nil {
+			return nil, err
+		}
+		p.seq, p.op = st.seq, op
 	}
-	pl := &plan.Planner{Cat: st.cat, Opts: p.e.planOptions(), Pin: st}
-	op, err := pl.PlanSelect(p.s)
-	if err != nil {
-		return nil, err
-	}
-	p.seq, p.op = st.seq, op
-	return op, nil
+	return p.op, nil
 }
 
 // PreparedDML is a parsed, parameterized INSERT/UPDATE/DELETE — the write
@@ -130,40 +118,18 @@ func (p *PreparedDML) NumParams() int { return p.nparams }
 // durable engine the statement template and its bound parameters are
 // logged before applying, like any other mutation.
 func (p *PreparedDML) Exec(params ...types.Value) (*Result, error) {
+	return p.ExecContext(context.Background(), params...)
+}
+
+// ExecContext is Exec under a cancellation context; like every write it
+// runs the statement path (execStmt), so the deadline covers the wait for
+// the write lock and the execution is observed like an ad hoc one.
+func (p *PreparedDML) ExecContext(ctx context.Context, params ...types.Value) (*Result, error) {
 	if len(params) != p.nparams {
 		return nil, fmt.Errorf("prepared statement expects %d parameter(s), got %d",
 			p.nparams, len(params))
 	}
-	e := p.e
-	lw := time.Now()
-	e.mu.Lock()
-	e.metrics.LockWriteWaitNS.Add(time.Since(lw).Nanoseconds())
-	defer e.mu.Unlock()
-	var walLSN uint64
-	if e.dur.log != nil {
-		rec, err := e.walRecordLocked(p.stmt, p.text, params)
-		if err != nil {
-			return nil, err
-		}
-		if walLSN, err = e.walAppendLocked(rec); err != nil {
-			return nil, err
-		}
-	}
-	var res *Result
-	var err error
-	switch s := p.stmt.(type) {
-	case *sql.Insert:
-		res, err = e.runInsertParams(s, types.Row(params))
-	case *sql.Update:
-		res, err = e.runUpdateParams(s, types.Row(params))
-	default:
-		res, err = e.runDeleteParams(p.stmt.(*sql.Delete), types.Row(params))
-	}
-	e.finishWALLocked(walLSN, err)
-	if err == nil {
-		e.publishLocked()
-	}
-	return res, err
+	return p.e.execStmt(ctx, p.stmt, p.text, params, nil)
 }
 
 func maxParams(cur int, e expr.Expr) int {
@@ -192,61 +158,15 @@ func (p *Prepared) Query(params ...types.Value) (*Result, error) {
 	return p.QueryContext(context.Background(), params...)
 }
 
-// QueryContext is Query under a cancellation context: the context's
-// deadline or cancellation — tightened by the engine's QUERY_TIMEOUT when
-// one is set — aborts the execution with ErrTimeout/ErrCanceled. A
-// recovered operator panic surfaces as ErrQueryPanic.
-func (p *Prepared) QueryContext(ctx context.Context, params ...types.Value) (res *Result, err error) {
+// QueryContext is Query under a cancellation context. It runs the
+// statement path (execStmt) like an ad hoc SELECT — same deadline,
+// accounting and panic isolation — adding only its per-version plan cache.
+func (p *Prepared) QueryContext(ctx context.Context, params ...types.Value) (*Result, error) {
 	if len(params) != p.nparams {
 		return nil, fmt.Errorf("prepared statement expects %d parameter(s), got %d",
 			p.nparams, len(params))
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d := p.e.QueryTimeout(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	// Prepared executions count as SELECTs; when the slow-query log is
-	// armed the plan runs instrumented so the log can name top operators.
-	var prof *exec.Instrumented
-	start := time.Now()
-	defer func() {
-		p.e.observeStatement(metrics.StmtSelect, "<prepared query>", time.Since(start), err, prof)
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			log.Printf("core: recovered query panic: %v\n%s", r, debug.Stack())
-			res, err = nil, fmt.Errorf("%w: %v", ErrQueryPanic, r)
-		}
-	}()
-	st := p.e.pin()
-	defer p.e.unpin(st)
-	// Mirror execStmt: an execution whose deadline elapsed (or that was
-	// canceled) before it pinned aborts before touching the plan.
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	op, err := p.planFor(st)
-	if err != nil {
-		return nil, err
-	}
-	run := op
-	if p.e.slowQueryNS.Load() > 0 {
-		prof = exec.Instrument(op)
-		run = prof
-	}
-	ec := exec.NewContext(p.e.opts.MemLimit)
-	ec.Workers = p.e.workerCount()
-	ec.Params = types.Row(params)
-	ec.Bind(ctx)
-	rows, err := exec.Collect(ec, run)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: p.cols, Rows: rows}, nil
+	return p.e.execStmt(ctx, p.s, "<prepared query>", params, p)
 }
 
 // countParams counts the distinct `?` placeholders of a SELECT (the parser

@@ -248,28 +248,28 @@ func (s *AnalyticsScan) Open(ctx *Context) (Iterator, error) {
 	c := at.CSR()
 	it := &analyticsIter{ctx: ctx, s: s, csr: c, a: c.NewAnalytics(), hasScratch: true}
 	s.runs.Add(1)
+	atomic.AddInt64(&ctx.AnalyticsRuns, 1)
+	var iters int // kernel iterations (BFS levels for components)
 	var err error
 	switch s.Fn {
 	case AnalyticsPageRank:
-		var iters int
 		it.ranks, iters, err = it.a.PageRank(ctx.Done(), workers, damping, prIters, pageRankEps)
-		s.iters.Add(int64(iters))
 		atomic.AddInt64(&ctx.EdgesTraversed, int64(iters)*int64(c.NumEdges()))
 	case AnalyticsComponents:
 		var stats graph.ComponentsStats
 		it.ints, stats, err = it.a.Components(ctx.Done(), workers)
-		s.iters.Add(int64(stats.Levels))
+		iters = stats.Levels
 		s.topDown.Add(int64(stats.TopDown))
 		s.bottomUp.Add(int64(stats.BottomUp))
 		atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(c.NumEdges()))
 	case AnalyticsLabelProp:
-		var iters int
 		it.ints, iters, err = it.a.LabelProp(ctx.Done(), workers, lpIters)
-		s.iters.Add(int64(iters))
 		atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(iters)*int64(c.NumEdges()))
 	case AnalyticsDegree:
 		it.ints, it.ints2 = it.a.Degrees()
 	}
+	s.iters.Add(int64(iters))
+	atomic.AddInt64(&ctx.AnalyticsIters, int64(iters))
 	if err != nil {
 		it.Close()
 		return nil, mapStopped(ctx, err)

@@ -40,10 +40,15 @@ type Context struct {
 
 	// Counters. EdgesTraversed is updated with atomic adds (traversal
 	// workers flush their local counts into it); read it only after the
-	// query completes, or via atomic loads.
+	// query completes, or via atomic loads. AnalyticsRuns/AnalyticsIters
+	// count the analytics kernels this execution ran (atomic adds, like
+	// EdgesTraversed); the plan's own actuals accumulate across executions
+	// of a cached plan, these do not.
 	RowsEmitted    int64
 	EdgesTraversed int64
 	PathsEmitted   int64
+	AnalyticsRuns  int64
+	AnalyticsIters int64
 }
 
 // NewContext creates an execution context with the given memory budget.

@@ -2,10 +2,10 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
-	"runtime/debug"
 	"strings"
 	"time"
 
@@ -39,12 +39,9 @@ type binItem struct {
 	err error
 }
 
-// preparedEntry is one server-side prepared statement; exactly one of
-// sel/dml is set.
-type preparedEntry struct {
-	sel *core.Prepared
-	dml *core.PreparedDML
-}
+// preparedFn executes one server-side prepared statement: the QueryContext
+// of a core.Prepared or the ExecContext of a core.PreparedDML.
+type preparedFn func(context.Context, ...types.Value) (*core.Result, error)
 
 // copyState is an open COPY bulk load.
 type copyState struct {
@@ -113,7 +110,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, v byte) {
 		}
 	}()
 
-	st := &binConn{s: s, prepared: make(map[uint64]preparedEntry)}
+	st := &binConn{s: s, prepared: make(map[uint64]preparedFn)}
 	// Whatever ends this connection — clean close, write failure, drain —
 	// an open bulk load must be closed so the engine write lock and the
 	// admission token it holds are released.
@@ -161,7 +158,11 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, v byte) {
 			}
 			continue
 		}
-		if err := st.dispatch(bw, it.kind, it.payload); err != nil {
+		var werr error
+		if ee := s.guard(func() { werr = st.dispatch(bw, it.kind, it.payload) }); ee != nil {
+			werr = st.sendError(bw, ee)
+		}
+		if werr != nil {
 			return
 		}
 	}
@@ -170,7 +171,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, v byte) {
 // binConn is the per-connection binary protocol state.
 type binConn struct {
 	s        *Server
-	prepared map[uint64]preparedEntry
+	prepared map[uint64]preparedFn
 	nextID   uint64
 	copy     *copyState
 }
@@ -192,27 +193,17 @@ func (c *binConn) abandonCopy() {
 // dispatch executes one frame and writes its response (if the kind has
 // one) to bw. The returned error is terminal for the connection; protocol
 // and statement errors are reported in-band as MsgError frames.
-func (c *binConn) dispatch(bw *bufio.Writer, kind byte, payload []byte) (err error) {
-	// Panic isolation, mirroring serveLine: one poisoned statement becomes
-	// an error response, not a dead server.
-	defer func() {
-		if r := recover(); r != nil {
-			c.s.logf("server: recovered statement panic: %v\n%s", r, debug.Stack())
-			p := wire.AppendError(nil, fmt.Sprintf("internal error: statement aborted by panic: %v", r), false, false)
-			err = wire.WriteFrame(bw, wire.MsgError, p)
-		}
-	}()
+func (c *binConn) dispatch(bw *bufio.Writer, kind byte, payload []byte) error {
 	switch kind {
 	case wire.MsgQuery:
 		query, timeoutMS, derr := wire.DecodeQuery(payload)
 		if derr != nil {
 			return c.sendError(bw, &execError{msg: fmt.Sprintf("bad request: %v", derr)})
 		}
-		res, ee := c.s.executeCore(query, timeoutMS)
-		if ee != nil {
-			return c.sendError(bw, ee)
-		}
-		return c.sendResult(bw, &wire.Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected})
+		res, ee := c.s.run(timeoutMS, func(ctx context.Context) (*core.Result, error) {
+			return c.s.eng.ExecuteContext(ctx, query)
+		})
+		return c.reply(bw, res, ee)
 
 	case wire.MsgCommand:
 		cmd, rest, derr := wire.DecodeString(payload)
@@ -220,10 +211,7 @@ func (c *binConn) dispatch(bw *bufio.Writer, kind byte, payload []byte) (err err
 			return c.sendError(bw, &execError{msg: "bad request: malformed command payload"})
 		}
 		res, ee := c.s.commandCore(cmd)
-		if ee != nil {
-			return c.sendError(bw, ee)
-		}
-		return c.sendResult(bw, res)
+		return c.reply(bw, res, ee)
 
 	case wire.MsgPrepare:
 		return c.prepare(bw, payload)
@@ -240,7 +228,7 @@ func (c *binConn) dispatch(bw *bufio.Writer, kind byte, payload []byte) (err err
 			return c.sendError(bw, &execError{msg: fmt.Sprintf("unknown prepared statement id %d", id)})
 		}
 		delete(c.prepared, id)
-		return c.sendResult(bw, &wire.Result{})
+		return c.sendResult(bw, &core.Result{})
 
 	case wire.MsgCopyBegin:
 		return c.copyBegin(bw, payload)
@@ -259,8 +247,17 @@ func (c *binConn) dispatch(bw *bufio.Writer, kind byte, payload []byte) (err err
 	}
 }
 
-func (c *binConn) sendResult(bw *bufio.Writer, r *wire.Result) error {
-	return wire.WriteFrame(bw, wire.MsgResult, wire.AppendResult(nil, r))
+// reply writes the outcome of a statement or command: its result frame, or
+// its error frame.
+func (c *binConn) reply(bw *bufio.Writer, res *core.Result, ee *execError) error {
+	if ee != nil {
+		return c.sendError(bw, ee)
+	}
+	return c.sendResult(bw, res)
+}
+
+func (c *binConn) sendResult(bw *bufio.Writer, r *core.Result) error {
+	return wire.WriteFrame(bw, wire.MsgResult, wire.AppendResult(nil, (*wire.Result)(r)))
 }
 
 func (c *binConn) sendError(bw *bufio.Writer, ee *execError) error {
@@ -272,22 +269,22 @@ func (c *binConn) prepare(bw *bufio.Writer, payload []byte) error {
 	if derr != nil || len(rest) != 0 {
 		return c.sendError(bw, &execError{msg: "bad request: malformed prepare payload"})
 	}
-	var entry preparedEntry
+	var entry preparedFn
 	var pkind byte
 	var nparams int
 	var cols []string
 	if f := strings.Fields(query); len(f) > 0 && strings.EqualFold(f[0], "select") {
 		p, err := c.s.eng.Prepare(query)
 		if err != nil {
-			return c.sendError(bw, &execError{msg: err.Error()})
+			return c.sendError(bw, execErr(err))
 		}
-		entry.sel, pkind, nparams, cols = p, wire.PreparedSelect, p.NumParams(), p.Columns()
+		entry, pkind, nparams, cols = p.QueryContext, wire.PreparedSelect, p.NumParams(), p.Columns()
 	} else {
 		p, err := c.s.eng.PrepareDML(query)
 		if err != nil {
-			return c.sendError(bw, &execError{msg: err.Error()})
+			return c.sendError(bw, execErr(err))
 		}
-		entry.dml, pkind, nparams = p, wire.PreparedDML, p.NumParams()
+		entry, pkind, nparams = p.ExecContext, wire.PreparedDML, p.NumParams()
 	}
 	c.nextID++
 	c.prepared[c.nextID] = entry
@@ -303,24 +300,10 @@ func (c *binConn) execPrepared(bw *bufio.Writer, payload []byte) error {
 	if !ok {
 		return c.sendError(bw, &execError{msg: fmt.Sprintf("unknown prepared statement id %d", id)})
 	}
-	release, ee := c.s.admit()
-	if ee != nil {
-		return c.sendError(bw, ee)
-	}
-	defer release()
-	var res *core.Result
-	var err error
-	if entry.sel != nil {
-		ctx, cancel := c.s.stmtContext(timeoutMS)
-		res, err = entry.sel.QueryContext(ctx, params...)
-		cancel()
-	} else {
-		res, err = entry.dml.Exec(params...)
-	}
-	if err != nil {
-		return c.sendError(bw, &execError{msg: err.Error(), degraded: errors.Is(err, core.ErrDegraded)})
-	}
-	return c.sendResult(bw, &wire.Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected})
+	res, ee := c.s.run(timeoutMS, func(ctx context.Context) (*core.Result, error) {
+		return entry(ctx, params...)
+	})
+	return c.reply(bw, res, ee)
 }
 
 func (c *binConn) copyBegin(bw *bufio.Writer, payload []byte) error {
@@ -340,7 +323,7 @@ func (c *binConn) copyBegin(bw *bufio.Writer, payload []byte) error {
 	bl, err := c.s.eng.BeginBulk(table, cols, expectRows)
 	if err != nil {
 		release()
-		return c.sendError(bw, &execError{msg: err.Error(), degraded: errors.Is(err, core.ErrDegraded)})
+		return c.sendError(bw, execErr(err))
 	}
 	width := len(cols)
 	if width == 0 {
@@ -348,7 +331,7 @@ func (c *binConn) copyBegin(bw *bufio.Writer, payload []byte) error {
 	}
 	c.copy = &copyState{bl: bl, width: width, release: release}
 	// Ack with an empty result; the client streams MsgCopyData after this.
-	return c.sendResult(bw, &wire.Result{})
+	return c.sendResult(bw, &core.Result{})
 }
 
 func (c *binConn) copyData(payload []byte) {
@@ -379,36 +362,11 @@ func (c *binConn) copyEnd(bw *bufio.Writer) error {
 	c.copy = nil
 	defer cs.release()
 	if cs.failErr != nil {
-		return c.sendError(bw, &execError{
-			msg:      fmt.Sprintf("bulk load failed after %d row(s): %v", cs.applied, cs.failErr),
-			degraded: errors.Is(cs.failErr, core.ErrDegraded),
-		})
+		return c.sendError(bw, execErr(fmt.Errorf("bulk load failed after %d row(s): %w", cs.applied, cs.failErr)))
 	}
 	res, err := cs.bl.Close()
 	if err != nil {
-		return c.sendError(bw, &execError{msg: err.Error(), degraded: errors.Is(err, core.ErrDegraded)})
+		return c.sendError(bw, execErr(err))
 	}
-	return c.sendResult(bw, &wire.Result{Affected: res.Affected})
-}
-
-// commandCore serves protocol commands in their typed form. Like the JSON
-// path these never consume an admission token — observability must answer
-// while the server sheds statements.
-func (s *Server) commandCore(cmd string) (*wire.Result, *execError) {
-	switch strings.ToLower(cmd) {
-	case "metrics":
-		out := &wire.Result{Columns: []string{"name", "value"}}
-		for _, kv := range s.eng.MetricsSnapshot() {
-			out.Rows = append(out.Rows, types.Row{types.NewString(kv.Name), types.NewInt(kv.Value)})
-		}
-		return out, nil
-	case "health":
-		out := &wire.Result{Columns: []string{"name", "value"}}
-		for _, p := range s.eng.Health().Pairs() {
-			out.Rows = append(out.Rows, types.Row{types.NewString(p[0]), types.NewString(p[1])})
-		}
-		return out, nil
-	default:
-		return nil, &execError{msg: fmt.Sprintf("unknown command %q (supported: metrics, health)", cmd)}
-	}
+	return c.sendResult(bw, res)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -15,6 +16,7 @@ import (
 	"grfusion/internal/core"
 	"grfusion/internal/exec"
 	"grfusion/internal/faultnet"
+	"grfusion/internal/types"
 )
 
 // quietLogger swallows expected operational noise (panic stacks, accept
@@ -423,5 +425,62 @@ func TestRequestTimeoutMSFieldIsHonored(t *testing.T) {
 	}
 	if !strings.Contains(line, "timeout") {
 		t.Fatalf("response: %s", line)
+	}
+}
+
+// TestPreparedWriteDeadlineOverWire queues a prepared insert behind an
+// open COPY (which holds the engine's write lock) for longer than its
+// deadline — first the request's timeout_ms, then the server's
+// QueryTimeout. The insert must come back as a typed timeout response on
+// a connection that stays usable, and must not apply.
+func TestPreparedWriteDeadlineOverWire(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		request time.Duration
+	}{
+		{name: "timeout_ms", cfg: Config{Logger: quietLogger()}, request: 20 * time.Millisecond},
+		{name: "QueryTimeout", cfg: Config{QueryTimeout: 20 * time.Millisecond, Logger: quietLogger()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addr := startServerWith(t, tc.cfg)
+			dial := func() *Client {
+				c, err := DialWith(addr, Options{Protocol: ProtoBinary})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				return c
+			}
+			loader, writer := dial(), dial()
+			if _, err := writer.Exec(`CREATE TABLE T (a BIGINT PRIMARY KEY)`); err != nil {
+				t.Fatal(err)
+			}
+			ins, err := writer.Prepare(`INSERT INTO T VALUES (?)`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ci, err := loader.CopyIn("T", nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queued := make(chan error, 1)
+			go func() { _, err := ins.ExecTimeout(tc.request, types.NewInt(1)); queued <- err }()
+			time.Sleep(100 * time.Millisecond)
+			if _, err := ci.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var se *ServerError
+			if err := <-queued; !errors.As(err, &se) || !strings.Contains(se.Msg, "timeout") {
+				t.Fatalf("queued prepared insert: err = %v, want a server timeout error", err)
+			}
+			res, err := writer.Exec(`SELECT COUNT(*) FROM T`)
+			if err != nil {
+				t.Fatalf("connection unusable after the timeout: %v", err)
+			}
+			if res.Rows[0][0].I != 0 {
+				t.Fatalf("expired prepared insert applied: %v", res.Rows[0])
+			}
+		})
 	}
 }

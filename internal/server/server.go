@@ -42,7 +42,6 @@ import (
 	"log"
 	"net"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -381,60 +380,47 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 		if len(line) == 0 {
 			continue
 		}
-		resp := s.serveLine(line)
+		var resp Response
+		if ee := s.guard(func() { resp = s.serveLine(line) }); ee != nil {
+			resp = errorResponse(ee)
+		}
 		if !send(&resp) {
 			return
 		}
 	}
 }
 
-// serveLine decodes and executes one request line, converting a panic
-// anywhere in the statement path into an error response so one poisoned
-// query cannot take down the server.
-func (s *Server) serveLine(line []byte) (resp Response) {
+// guard runs one request's handler for either codec. A panic anywhere under
+// it comes back as the error response to send, so one poisoned statement
+// cannot take down the server (or even its own connection).
+func (s *Server) guard(handler func()) (ee *execError) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.logf("server: recovered statement panic: %v\n%s", r, debug.Stack())
-			resp = Response{Error: fmt.Sprintf("internal error: statement aborted by panic: %v", r)}
+			ee = &execError{msg: fmt.Sprintf("internal error: statement aborted by panic: %v", r)}
 		}
 	}()
+	handler()
+	return nil
+}
+
+// serveLine decodes and executes one request line.
+func (s *Server) serveLine(line []byte) Response {
 	var req Request
 	if err := json.Unmarshal(line, &req); err != nil {
 		return Response{Error: fmt.Sprintf("bad request: %v", err)}
 	}
+	var res *core.Result
+	var ee *execError
 	if req.Cmd != "" {
-		return s.command(&req)
+		res, ee = s.commandCore(req.Cmd)
+	} else {
+		res, ee = s.run(req.TimeoutMS, func(ctx context.Context) (*core.Result, error) {
+			return s.eng.ExecuteContext(ctx, req.Query)
+		})
 	}
-	return s.execute(&req)
-}
-
-// command serves protocol commands. These never consume an admission
-// token: "metrics" in particular must stay answerable while the server is
-// shedding statements, or the operator loses exactly the signal that
-// explains the overload.
-func (s *Server) command(req *Request) Response {
-	switch strings.ToLower(req.Cmd) {
-	case "metrics":
-		out := Response{Columns: []string{"name", "value"}}
-		for _, kv := range s.eng.MetricsSnapshot() {
-			out.Rows = append(out.Rows, []any{kv.Name, json.Number(strconv.FormatInt(kv.Value, 10))})
-		}
-		return out
-	case "health":
-		out := Response{Columns: []string{"name", "value"}}
-		for _, p := range s.eng.Health().Pairs() {
-			out.Rows = append(out.Rows, []any{p[0], p[1]})
-		}
-		return out
-	default:
-		return Response{Error: fmt.Sprintf("unknown command %q (supported: metrics, health)", req.Cmd)}
-	}
-}
-
-func (s *Server) execute(req *Request) Response {
-	res, ee := s.executeCore(req.Query, req.TimeoutMS)
 	if ee != nil {
-		return Response{Error: ee.msg, Retryable: ee.retryable, Degraded: ee.degraded}
+		return errorResponse(ee)
 	}
 	out := Response{Columns: res.Columns, Affected: res.Affected}
 	for _, row := range res.Rows {
@@ -447,12 +433,42 @@ func (s *Server) execute(req *Request) Response {
 	return out
 }
 
+// commandCore serves protocol commands. These never consume an admission
+// token: "metrics" in particular must stay answerable while the server is
+// shedding statements, or the operator loses exactly the signal that
+// explains the overload.
+func (s *Server) commandCore(cmd string) (*core.Result, *execError) {
+	out := &core.Result{Columns: []string{"name", "value"}}
+	switch strings.ToLower(cmd) {
+	case "metrics":
+		for _, kv := range s.eng.MetricsSnapshot() {
+			out.Rows = append(out.Rows, types.Row{types.NewString(kv.Name), types.NewInt(kv.Value)})
+		}
+	case "health":
+		for _, p := range s.eng.Health().Pairs() {
+			out.Rows = append(out.Rows, types.Row{types.NewString(p[0]), types.NewString(p[1])})
+		}
+	default:
+		return nil, &execError{msg: fmt.Sprintf("unknown command %q (supported: metrics, health)", cmd)}
+	}
+	return out, nil
+}
+
 // execError is a failed statement plus its protocol flags, shared by the
 // JSON and binary encodings of the error.
 type execError struct {
 	msg       string
 	retryable bool
 	degraded  bool
+}
+
+// execErr classifies an engine error for the wire.
+func execErr(err error) *execError {
+	return &execError{msg: err.Error(), degraded: errors.Is(err, core.ErrDegraded)}
+}
+
+func errorResponse(ee *execError) Response {
+	return Response{Error: ee.msg, Retryable: ee.retryable, Degraded: ee.degraded}
 }
 
 // admit takes an admission token, or returns the shed error. release is
@@ -476,23 +492,20 @@ func (s *Server) admit() (release func(), ee *execError) {
 // stmtContext derives the statement context: the server's QueryTimeout
 // tightened by the client's timeout_ms.
 func (s *Server) stmtContext(timeoutMS int64) (context.Context, context.CancelFunc) {
-	ctx, cancel := s.baseCtx, context.CancelFunc(func() {})
-	if s.cfg.QueryTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
+	d := s.cfg.QueryTimeout
+	if t := time.Duration(timeoutMS) * time.Millisecond; t > 0 && (d <= 0 || t < d) {
+		d = t
 	}
-	if timeoutMS > 0 {
-		prev := cancel
-		var c2 context.CancelFunc
-		ctx, c2 = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
-		cancel = func() { c2(); prev() }
+	if d <= 0 {
+		return s.baseCtx, func() {}
 	}
-	return ctx, cancel
+	return context.WithTimeout(s.baseCtx, d)
 }
 
-// executeCore runs one statement under admission control and the
-// statement deadline, returning the engine result in its typed form (the
-// JSON and binary paths encode it differently).
-func (s *Server) executeCore(query string, timeoutMS int64) (*core.Result, *execError) {
+// run is the request core behind every statement on either codec — a JSON
+// query, binary MsgQuery, binary MsgExecPrepared: admission, the statement
+// deadline, the execution itself, error classification.
+func (s *Server) run(timeoutMS int64, stmt func(context.Context) (*core.Result, error)) (*core.Result, *execError) {
 	// Admission control: shed instead of queueing — a shed statement never
 	// started, so the client can retry safely.
 	release, ee := s.admit()
@@ -502,9 +515,9 @@ func (s *Server) executeCore(query string, timeoutMS int64) (*core.Result, *exec
 	defer release()
 	ctx, cancel := s.stmtContext(timeoutMS)
 	defer cancel()
-	res, err := s.eng.ExecuteContext(ctx, query)
+	res, err := stmt(ctx)
 	if err != nil {
-		return nil, &execError{msg: err.Error(), degraded: errors.Is(err, core.ErrDegraded)}
+		return nil, execErr(err)
 	}
 	return res, nil
 }
