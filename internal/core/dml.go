@@ -6,6 +6,7 @@ import (
 
 	"grfusion/internal/catalog"
 	"grfusion/internal/expr"
+	"grfusion/internal/plan"
 	"grfusion/internal/sql"
 	"grfusion/internal/storage"
 	"grfusion/internal/types"
@@ -256,40 +257,33 @@ func (e *Engine) runInsert(s *sql.Insert, params types.Row) (*Result, error) {
 	return &Result{Affected: len(s.Rows)}, nil
 }
 
-// matchRows evaluates a WHERE clause over a table, returning matching ids.
-// Point predicates on the primary key or an indexed column avoid the scan
-// (the hot path of prepared point DML, VoltDB's bread and butter).
-func matchRows(t *storage.Table, where expr.Expr, params types.Row) ([]storage.RowID, error) {
-	var bound expr.Expr
-	if where != nil {
-		var err error
-		bound, err = expr.NewBinder(t.Schema()).Bind(where.Clone())
+// targetRows resolves a DML WHERE clause to the ids of the rows it selects,
+// reaching them the way a SELECT leaf would (plan.ChooseAccess picks the
+// index, exec.Access.RowIDs reads it) over the live table, which the writer
+// owns. Point predicates on the primary key or an indexed column avoid the
+// scan (the hot path of prepared point DML, VoltDB's bread and butter).
+func targetRows(t *storage.Table, where expr.Expr, params types.Row) ([]storage.RowID, error) {
+	acc, rest := plan.ChooseAccess(t, t.Schema(), expr.SplitConjuncts(where))
+	ids, err := acc.RowIDs(t, t, params)
+	if err != nil || len(rest) == 0 {
+		return ids, err
+	}
+	filter, err := expr.NewBinder(t.Schema()).Bind(expr.JoinConjuncts(rest).Clone())
+	if err != nil {
+		return nil, err
+	}
+	match := ids[:0]
+	for _, id := range ids {
+		row, _ := t.Get(id)
+		ok, err := expr.EvalBool(filter, &expr.Env{Row: row, Params: params})
 		if err != nil {
 			return nil, err
 		}
-		if ids, ok, err := pointLookup(t, bound, params); err != nil {
-			return nil, err
-		} else if ok {
-			return ids, nil
+		if ok {
+			match = append(match, id)
 		}
 	}
-	var ids []storage.RowID
-	var evalErr error
-	t.Scan(func(id storage.RowID, row types.Row) bool {
-		if bound != nil {
-			ok, err := expr.EvalBool(bound, &expr.Env{Row: row, Params: params})
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	return ids, evalErr
+	return match, nil
 }
 
 func (e *Engine) runUpdate(s *sql.Update, params types.Row) (*Result, error) {
@@ -318,7 +312,7 @@ func (e *Engine) runUpdate(s *sql.Update, params types.Row) (*Result, error) {
 		}
 		sets[i] = setOp{pos: pos, ex: be}
 	}
-	ids, err := matchRows(t, s.Where, params)
+	ids, err := targetRows(t, s.Where, params)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +393,7 @@ func (e *Engine) runDelete(s *sql.Delete, params types.Row) (*Result, error) {
 	if e.cat.IsMatViewTable(s.Table) {
 		return nil, fmt.Errorf("materialized view %s is read-only; modify its base table", s.Table)
 	}
-	ids, err := matchRows(t, s.Where, params)
+	ids, err := targetRows(t, s.Where, params)
 	if err != nil {
 		return nil, err
 	}
@@ -415,48 +409,4 @@ func (e *Engine) runDelete(s *sql.Delete, params types.Row) (*Result, error) {
 		n++
 	}
 	return &Result{Affected: n}, nil
-}
-
-// pointLookup serves `col = constant` predicates from the primary key or a
-// hash index. It reports ok=false when the predicate has another shape.
-func pointLookup(t *storage.Table, bound expr.Expr, params types.Row) ([]storage.RowID, bool, error) {
-	be, isBin := bound.(*expr.BinaryExpr)
-	if !isBin || be.Op != expr.OpEq {
-		return nil, false, nil
-	}
-	col, val := pointSides(be.L, be.R)
-	if col == nil {
-		col, val = pointSides(be.R, be.L)
-	}
-	if col == nil {
-		return nil, false, nil
-	}
-	v, err := expr.Eval(val, &expr.Env{Params: params})
-	if err != nil {
-		return nil, false, err
-	}
-	pk := t.PrimaryKeyColumns()
-	if len(pk) == 1 && pk[0] == col.Idx {
-		id := t.LookupPK(types.Row{v})
-		if id == storage.InvalidRowID {
-			return nil, true, nil
-		}
-		return []storage.RowID{id}, true, nil
-	}
-	if ix, ok := t.FindIndexOn([]int{col.Idx}, false); ok {
-		return append([]storage.RowID(nil), ix.Lookup(types.Row{v})...), true, nil
-	}
-	return nil, false, nil
-}
-
-func pointSides(a, b expr.Expr) (*expr.ColumnRef, expr.Expr) {
-	col, ok := a.(*expr.ColumnRef)
-	if !ok || col.Idx < 0 {
-		return nil, nil
-	}
-	switch b.(type) {
-	case *expr.Literal, *expr.Param:
-		return col, b
-	}
-	return nil, nil
 }

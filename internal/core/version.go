@@ -34,9 +34,10 @@ import (
 //   - Tables alias their row slab into a TableSnap (storage/snapshot.go);
 //     the first in-place overwrite of a shared slot copies the slab, and
 //     appends stay invisible past the snapshot's length clamp.
-//   - Live indexes may run ahead of a pinned snapshot; pinned index scans
-//     verify the table version around the probe and fall back to a
-//     filtered snapshot scan when it moved (exec/scan.go).
+//   - Live indexes, the primary key included, may run ahead of a pinned
+//     snapshot; TableSnap.Probe verifies the table version around the
+//     index read and falls back to filtering the snapshot when it moved
+//     (storage/snapshot.go).
 //   - Graph-view topologies are marked shared at publish; the first
 //     maintenance op afterwards clones the graph (catalog.ensurePrivateG),
 //     so a pinned GraphViewAt keeps the exact topology it pinned.

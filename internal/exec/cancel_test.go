@@ -167,7 +167,7 @@ func TestCancelAbortsRelationalPipelines(t *testing.T) {
 	cancel()
 	a := newTable(t, "a", 64)
 	b := newTable(t, "b", 64)
-	sa, sb := NewSeqScan(a, "a", nil), NewSeqScan(b, "b", nil)
+	sa, sb := NewTableScan(a, "a", Access{}, nil), NewTableScan(b, "b", Access{}, nil)
 	for name, op := range map[string]Operator{
 		"seqscan": sa,
 		"nlj":     NewNestedLoopJoin(sa, sb, nil),

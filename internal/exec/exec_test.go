@@ -64,12 +64,12 @@ func TestSingleton(t *testing.T) {
 
 func TestSeqScanWithFilter(t *testing.T) {
 	tb := newTable(t, "t", 10)
-	scan := NewSeqScan(tb, "t", nil)
+	scan := NewTableScan(tb, "t", Access{}, nil)
 	if got := len(collect(t, scan)); got != 10 {
 		t.Fatalf("unfiltered: %d", got)
 	}
 	pred := &expr.BinaryExpr{Op: expr.OpGe, L: col(t, scan.Schema(), "t", "val"), R: intLit(50)}
-	rows := collect(t, NewSeqScan(tb, "t", pred))
+	rows := collect(t, NewTableScan(tb, "t", Access{}, pred))
 	if len(rows) != 5 {
 		t.Fatalf("filtered: %d", len(rows))
 	}
@@ -81,7 +81,9 @@ func TestIndexScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := NewIndexScan(tb, "t", ix, []expr.Expr{&expr.Literal{Val: types.NewString("g1")}}, nil)
+	g1 := &expr.Literal{Val: types.NewString("g1")}
+	point := Access{Index: ix, Lo: g1, Hi: g1, LoInc: true, HiInc: true}
+	scan := NewTableScan(tb, "t", point, nil)
 	rows := collect(t, scan)
 	if len(rows) != 3 {
 		t.Fatalf("index rows: %d", len(rows))
@@ -93,7 +95,7 @@ func TestIndexScan(t *testing.T) {
 	}
 	// With an extra residual filter.
 	pred := &expr.BinaryExpr{Op: expr.OpGt, L: col(t, scan.Schema(), "t", "id"), R: intLit(1)}
-	rows = collect(t, NewIndexScan(tb, "t", ix, []expr.Expr{&expr.Literal{Val: types.NewString("g1")}}, pred))
+	rows = collect(t, NewTableScan(tb, "t", point, pred))
 	if len(rows) != 2 {
 		t.Fatalf("index+filter rows: %d", len(rows))
 	}
@@ -101,7 +103,7 @@ func TestIndexScan(t *testing.T) {
 
 func TestProjectAndLimit(t *testing.T) {
 	tb := newTable(t, "t", 6)
-	scan := NewSeqScan(tb, "t", nil)
+	scan := NewTableScan(tb, "t", Access{}, nil)
 	proj := NewProject(scan,
 		[]expr.Expr{&expr.BinaryExpr{Op: expr.OpAdd, L: col(t, scan.Schema(), "t", "id"), R: intLit(100)}},
 		types.NewSchema(types.Column{Name: "x", Type: types.KindInt}))
@@ -120,7 +122,7 @@ func TestProjectAndLimit(t *testing.T) {
 
 func TestSortAscDescStable(t *testing.T) {
 	tb := newTable(t, "t", 7)
-	scan := NewSeqScan(tb, "t", nil)
+	scan := NewTableScan(tb, "t", Access{}, nil)
 	rows := collect(t, NewSort(scan, []SortKey{
 		{E: col(t, scan.Schema(), "t", "grp")},
 		{E: col(t, scan.Schema(), "t", "id"), Desc: true},
@@ -140,7 +142,7 @@ func TestSortAscDescStable(t *testing.T) {
 
 func TestDistinctOp(t *testing.T) {
 	tb := newTable(t, "t", 9)
-	scan := NewSeqScan(tb, "t", nil)
+	scan := NewTableScan(tb, "t", Access{}, nil)
 	proj := NewProject(scan, []expr.Expr{col(t, scan.Schema(), "t", "grp")},
 		types.NewSchema(types.Column{Name: "grp", Type: types.KindString}))
 	rows := collect(t, NewDistinct(proj))
@@ -152,8 +154,8 @@ func TestDistinctOp(t *testing.T) {
 func TestHashJoinBasics(t *testing.T) {
 	a := newTable(t, "a", 6)
 	b := newTable(t, "b", 4)
-	sa := NewSeqScan(a, "a", nil)
-	sb := NewSeqScan(b, "b", nil)
+	sa := NewTableScan(a, "a", Access{}, nil)
+	sb := NewTableScan(b, "b", Access{}, nil)
 	j := NewHashJoin(sa, sb,
 		[]expr.Expr{col(t, sa.Schema(), "a", "id")},
 		[]expr.Expr{col(t, sb.Schema(), "b", "id")}, nil)
@@ -183,7 +185,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 		types.Column{Qualifier: "b", Name: "k", Type: types.KindInt}), nil)
 	b.Insert(types.Row{types.Null()})
 	b.Insert(types.Row{types.NewInt(1)})
-	sa, sb := NewSeqScan(a, "a", nil), NewSeqScan(b, "b", nil)
+	sa, sb := NewTableScan(a, "a", Access{}, nil), NewTableScan(b, "b", Access{}, nil)
 	j := NewHashJoin(sa, sb,
 		[]expr.Expr{col(t, sa.Schema(), "a", "k")},
 		[]expr.Expr{col(t, sb.Schema(), "b", "k")}, nil)
@@ -196,7 +198,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 func TestNestedLoopJoinCross(t *testing.T) {
 	a := newTable(t, "a", 3)
 	b := newTable(t, "b", 4)
-	j := NewNestedLoopJoin(NewSeqScan(a, "a", nil), NewSeqScan(b, "b", nil), nil)
+	j := NewNestedLoopJoin(NewTableScan(a, "a", Access{}, nil), NewTableScan(b, "b", Access{}, nil), nil)
 	if got := len(collect(t, j)); got != 12 {
 		t.Fatalf("cross rows: %d", got)
 	}
@@ -205,7 +207,7 @@ func TestNestedLoopJoinCross(t *testing.T) {
 func TestMemoryAccounting(t *testing.T) {
 	a := newTable(t, "a", 50)
 	b := newTable(t, "b", 50)
-	j := NewNestedLoopJoin(NewSeqScan(a, "a", nil), NewSeqScan(b, "b", nil), nil)
+	j := NewNestedLoopJoin(NewTableScan(a, "a", Access{}, nil), NewTableScan(b, "b", Access{}, nil), nil)
 	ctx := NewContext(128) // tiny budget
 	if _, err := Collect(ctx, j); err == nil || !strings.Contains(err.Error(), "memory limit") {
 		t.Fatalf("expected memory abort, got %v", err)
@@ -222,7 +224,7 @@ func TestMemoryAccounting(t *testing.T) {
 
 func TestMaterializeOp(t *testing.T) {
 	tb := newTable(t, "t", 5)
-	m := NewMaterialize(NewSeqScan(tb, "t", nil))
+	m := NewMaterialize(NewTableScan(tb, "t", Access{}, nil))
 	rows := collect(t, m)
 	if len(rows) != 5 {
 		t.Fatalf("materialize rows: %d", len(rows))
@@ -235,7 +237,7 @@ func TestMaterializeOp(t *testing.T) {
 
 func TestHashAggregateGroups(t *testing.T) {
 	tb := newTable(t, "t", 9)
-	scan := NewSeqScan(tb, "t", nil)
+	scan := NewTableScan(tb, "t", Access{}, nil)
 	agg := NewHashAggregate(scan,
 		[]expr.Expr{col(t, scan.Schema(), "t", "grp")},
 		[]AggSpec{
@@ -261,7 +263,7 @@ func TestHashAggregateGroups(t *testing.T) {
 
 func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 	tb := newTable(t, "t", 0)
-	scan := NewSeqScan(tb, "t", nil)
+	scan := NewTableScan(tb, "t", Access{}, nil)
 	agg := NewHashAggregate(scan, nil,
 		[]AggSpec{{Name: "COUNT"}},
 		types.NewSchema(types.Column{Name: "n", Type: types.KindInt}))
@@ -273,7 +275,7 @@ func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 
 func TestExplainTreeRendering(t *testing.T) {
 	tb := newTable(t, "t", 3)
-	scan := NewSeqScan(tb, "t", nil)
+	scan := NewTableScan(tb, "t", Access{}, nil)
 	lim := NewLimit(NewFilter(scan, &expr.Literal{Val: types.NewBool(true)}), 1, 0)
 	out := Explain(lim)
 	if !strings.Contains(out, "Limit") || !strings.Contains(out, "  Filter") ||
@@ -428,14 +430,14 @@ func TestIndexRangeScanOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// [30, 60) → vals 30, 40, 50.
-	rs := NewIndexRangeScan(tb, "t", ix, intLit(30), intLit(60), true, false, nil)
+	rs := NewTableScan(tb, "t", Access{Index: ix, Lo: intLit(30), Hi: intLit(60), LoInc: true}, nil)
 	rows := collect(t, rs)
 	if len(rows) != 3 || rows[0][2].I != 30 || rows[2][2].I != 50 {
 		t.Fatalf("range rows: %v", rows)
 	}
 	// Open-ended low bound with residual filter.
 	pred := &expr.BinaryExpr{Op: expr.OpGt, L: col(t, rs.Schema(), "t", "id"), R: intLit(7)}
-	rs = NewIndexRangeScan(tb, "t", ix, nil, nil, false, false, pred)
+	rs = NewTableScan(tb, "t", Access{Index: ix}, pred)
 	if got := len(collect(t, rs)); got != 2 {
 		t.Fatalf("filtered range rows: %d", got)
 	}
@@ -443,7 +445,7 @@ func TestIndexRangeScanOp(t *testing.T) {
 		t.Errorf("explain: %s", rs.Explain())
 	}
 	// Exclusive bounds.
-	rs = NewIndexRangeScan(tb, "t", ix, intLit(30), intLit(60), false, false, nil)
+	rs = NewTableScan(tb, "t", Access{Index: ix, Lo: intLit(30), Hi: intLit(60)}, nil)
 	if got := len(collect(t, rs)); got != 2 {
 		t.Fatalf("exclusive range rows: %d", got)
 	}
@@ -452,9 +454,9 @@ func TestIndexRangeScanOp(t *testing.T) {
 func TestExplainStringsCoverOperators(t *testing.T) {
 	tb := newTable(t, "t", 2)
 	gv := graphFixture(t)
-	sa := NewSeqScan(tb, "t", nil)
+	sa := NewTableScan(tb, "t", Access{}, nil)
 	ops := []Operator{
-		NewHashJoin(sa, NewSeqScan(tb, "u", nil),
+		NewHashJoin(sa, NewTableScan(tb, "u", Access{}, nil),
 			[]expr.Expr{col(t, sa.Schema(), "t", "id")},
 			[]expr.Expr{col(t, sa.Schema(), "t", "id")},
 			&expr.Literal{Val: types.NewBool(true)}),

@@ -103,8 +103,8 @@ func instrument(op Operator) *Instrumented {
 		c.Outer = w
 		return &Instrumented{Op: &c, children: []Operator{w}}
 	default:
-		// Leaves (SeqScan, IndexScan, IndexRangeScan, VertexScan, EdgeScan,
-		// Singleton) and any operator this switch does not know: wrap as-is.
+		// Leaves (TableScan, VertexScan, EdgeScan, Singleton) and any
+		// operator this switch does not know: wrap as-is.
 		// An unknown inner node still executes correctly — its subtree just
 		// is not individually timed.
 		return &Instrumented{Op: op, children: op.Children()}

@@ -63,11 +63,75 @@ func debugScanHooks(name string) {
 	}
 }
 
-// SeqScan scans a table, optionally filtering. The filter is bound against
-// the scan's output schema.
-type SeqScan struct {
+// Access is how a table predicate reaches its rows: through Index — a point
+// probe when Lo and Hi are the same expression, else a range whose nil side
+// is open — or, with a nil Index, by visiting every row. The bounds apply
+// to the index's leading column and are execution-time constants (literals
+// or `?` parameters). plan.ChooseAccess builds it, for SELECT, UPDATE and
+// DELETE alike.
+type Access struct {
+	Index        *storage.Index
+	Lo, Hi       expr.Expr
+	LoInc, HiInc bool
+}
+
+func (a Access) point() bool { return a.Lo != nil && a.Lo == a.Hi }
+
+// RowIDs returns the ids of the rows a reaches in rows, a view of t, with
+// the bounds evaluated once. This is the one place a predicate's constants
+// meet an index, so it is where predicate semantics are kept over index-key
+// semantics: a bound that is NULL or not comparable with the column matches
+// no row (an index would find the NULL-keyed rows, or order the bound by
+// its kind tag), and an open low end stops short of the NULL keys, which
+// sort first but satisfy no comparison.
+func (a Access) RowIDs(t *storage.Table, rows storage.RowView, params types.Row) ([]storage.RowID, error) {
+	if a.Index == nil {
+		ids := make([]storage.RowID, 0, rows.Len())
+		rows.Scan(func(id storage.RowID, _ types.Row) bool {
+			ids = append(ids, id)
+			return true
+		})
+		return ids, nil
+	}
+	col := t.Schema().Columns[a.Index.Columns()[0]]
+	env := &expr.Env{Params: params}
+	// bound evaluates one end; ok=false when it can match no row.
+	bound := func(e expr.Expr, inc bool) (b storage.Bound, ok bool, err error) {
+		v, err := expr.Eval(e, env)
+		if err != nil {
+			return b, false, fmt.Errorf("index bound: %v", err)
+		}
+		return storage.Bound{Key: types.Row{v}, Inclusive: inc}, !v.IsNull() && types.Comparable(v.Kind, col.Type), nil
+	}
+	var lo, hi storage.Bound
+	var ok bool
+	var err error
+	switch {
+	case a.Lo != nil:
+		if lo, ok, err = bound(a.Lo, a.LoInc); !ok {
+			return nil, err
+		}
+	case a.Hi != nil:
+		lo.Key = types.Row{types.Null()} // exclusive: start above the NULL keys
+	}
+	switch {
+	case a.point():
+		hi = lo
+	case a.Hi != nil:
+		if hi, ok, err = bound(a.Hi, a.HiInc); !ok {
+			return nil, err
+		}
+	}
+	return rows.Probe(a.Index, lo, hi), nil
+}
+
+// TableScan is the one relational leaf: it reaches a table's rows through
+// Access and applies the residual Filter, which is bound against the
+// scan's output schema.
+type TableScan struct {
 	Table  *storage.Table
 	Alias  string
+	Access Access
 	Filter expr.Expr
 
 	// Rows is the row view the scan reads: a pinned immutable snapshot on
@@ -78,28 +142,44 @@ type SeqScan struct {
 	schema *types.Schema
 }
 
-// NewSeqScan creates a sequential scan over table under the given range
-// variable.
-func NewSeqScan(t *storage.Table, alias string, filter expr.Expr) *SeqScan {
-	return &SeqScan{Table: t, Alias: alias, Filter: filter,
+// NewTableScan creates a scan over table under the given range variable.
+func NewTableScan(t *storage.Table, alias string, acc Access, filter expr.Expr) *TableScan {
+	return &TableScan{Table: t, Alias: alias, Access: acc, Filter: filter,
 		schema: t.Schema().WithQualifier(alias)}
 }
 
-func (s *SeqScan) rows() storage.RowView {
-	if s.Rows != nil {
-		return s.Rows
-	}
-	return s.Table
-}
-
 // Schema implements Operator.
-func (s *SeqScan) Schema() *types.Schema { return s.schema }
+func (s *TableScan) Schema() *types.Schema { return s.schema }
 
-// Explain implements Operator.
-func (s *SeqScan) Explain() string {
-	out := fmt.Sprintf("SeqScan %s", s.Table.Name())
-	if s.Alias != "" && s.Alias != s.Table.Name() {
-		out += " AS " + s.Alias
+// Explain implements Operator: a SeqScan, IndexScan (point) or
+// IndexRangeScan line, by access.
+func (s *TableScan) Explain() string {
+	a := s.Access
+	var out string
+	switch {
+	case a.Index == nil:
+		out = fmt.Sprintf("SeqScan %s", s.Table.Name())
+		if s.Alias != "" && s.Alias != s.Table.Name() {
+			out += " AS " + s.Alias
+		}
+	case a.point():
+		out = fmt.Sprintf("IndexScan %s using %s", s.Table.Name(), a.Index.Name())
+	default:
+		out = fmt.Sprintf("IndexRangeScan %s using %s", s.Table.Name(), a.Index.Name())
+		if a.Lo != nil {
+			op := ">"
+			if a.LoInc {
+				op = ">="
+			}
+			out += fmt.Sprintf(" %s %s", op, a.Lo)
+		}
+		if a.Hi != nil {
+			op := "<"
+			if a.HiInc {
+				op = "<="
+			}
+			out += fmt.Sprintf(" %s %s", op, a.Hi)
+		}
 	}
 	if s.Filter != nil {
 		out += fmt.Sprintf(" filter=%s", s.Filter)
@@ -108,174 +188,33 @@ func (s *SeqScan) Explain() string {
 }
 
 // Children implements Operator.
-func (s *SeqScan) Children() []Operator { return nil }
+func (s *TableScan) Children() []Operator { return nil }
 
-// Open implements Operator.
-func (s *SeqScan) Open(ctx *Context) (Iterator, error) {
+// Open implements Operator. It materializes the candidate row ids up
+// front: the row view is stable for the statement's lifetime (pinned
+// snapshots are immutable, live-table scans run with the engine lock held).
+func (s *TableScan) Open(ctx *Context) (Iterator, error) {
 	debugScanHooks(s.Table.Name())
-	// Materialize the matching row ids up front. The row view is stable
-	// for the statement's lifetime: pinned snapshots are immutable, and
-	// live-table scans run with the engine lock held.
-	rows := s.rows()
-	var ids []storage.RowID
-	rows.Scan(func(id storage.RowID, row types.Row) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return &seqScanIter{ctx: ctx, s: s, rows: rows, ids: ids}, nil
-}
-
-type seqScanIter struct {
-	ctx  *Context
-	s    *SeqScan
-	rows storage.RowView
-	ids  []storage.RowID
-	i    int
-}
-
-func (it *seqScanIter) Next() (types.Row, error) {
-	for it.i < len(it.ids) {
-		if err := it.ctx.CheckCancel(); err != nil {
-			return nil, err
-		}
-		row, ok := it.rows.Get(it.ids[it.i])
-		it.i++
-		if !ok {
-			continue
-		}
-		if it.s.Filter != nil {
-			ok, err := expr.EvalBool(it.s.Filter, &expr.Env{Row: row, Params: it.ctx.Params})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		it.ctx.RowsEmitted++
-		return row, nil
-	}
-	return nil, nil
-}
-func (it *seqScanIter) Close() {}
-
-// IndexScan fetches rows whose indexed columns equal the given key
-// expressions (evaluated once at Open; they must be constant).
-type IndexScan struct {
-	Table  *storage.Table
-	Alias  string
-	Index  *storage.Index
-	Keys   []expr.Expr // one per indexed column, constant
-	Filter expr.Expr
-
-	// Rows, when set, is the pinned snapshot the scan resolves rows
-	// against. The index itself is live (indexes are not versioned), so a
-	// pinned scan re-checks the table version around the index read and
-	// falls back to filtering the snapshot when a writer raced it; see
-	// Open.
-	Rows storage.RowView
-
-	schema *types.Schema
-}
-
-// NewIndexScan creates an index point-lookup scan.
-func NewIndexScan(t *storage.Table, alias string, ix *storage.Index, keys []expr.Expr, filter expr.Expr) *IndexScan {
-	return &IndexScan{Table: t, Alias: alias, Index: ix, Keys: keys, Filter: filter,
-		schema: t.Schema().WithQualifier(alias)}
-}
-
-// Schema implements Operator.
-func (s *IndexScan) Schema() *types.Schema { return s.schema }
-
-// Explain implements Operator.
-func (s *IndexScan) Explain() string {
-	out := fmt.Sprintf("IndexScan %s using %s", s.Table.Name(), s.Index.Name())
-	if s.Filter != nil {
-		out += fmt.Sprintf(" filter=%s", s.Filter)
-	}
-	return out
-}
-
-// Children implements Operator.
-func (s *IndexScan) Children() []Operator { return nil }
-
-// Open implements Operator.
-//
-// On a pinned snapshot the scan consults the LIVE index under a
-// double-check of the table's mutation version: mutators bump the version
-// before touching the index, so if the version equals the snapshot's both
-// before and after the index read, the index content matched the snapshot
-// exactly. Any mismatch means a writer is (or was) in flight, and the
-// scan degrades to filtering the snapshot by key — same rows, no index.
-func (s *IndexScan) Open(ctx *Context) (Iterator, error) {
-	key := make(types.Row, len(s.Keys))
-	for i, e := range s.Keys {
-		v, err := expr.Eval(e, &expr.Env{Params: ctx.Params})
-		if err != nil {
-			return nil, fmt.Errorf("index key: %v", err)
-		}
-		key[i] = v
-	}
 	rows := storage.RowView(s.Table)
 	if s.Rows != nil {
 		rows = s.Rows
 	}
-	if snap, ok := rows.(*storage.TableSnap); ok {
-		v := snap.LiveVersion()
-		if v != snap.Version() {
-			return &indexScanIter{ctx: ctx, s: s, rows: snap, ids: indexFallbackIDs(snap, s.Index, key)}, nil
-		}
-		ids := s.Index.Lookup(key)
-		if snap.LiveVersion() != v {
-			ids = indexFallbackIDs(snap, s.Index, key)
-		}
-		return &indexScanIter{ctx: ctx, s: s, rows: snap, ids: ids}, nil
+	ids, err := s.Access.RowIDs(s.Table, rows, ctx.Params)
+	if err != nil {
+		return nil, err
 	}
-	ids := s.Index.Lookup(key)
-	return &indexScanIter{ctx: ctx, s: s, rows: rows, ids: ids}, nil
+	return &tableScanIter{ctx: ctx, filter: s.Filter, rows: rows, ids: ids}, nil
 }
 
-// indexFallbackIDs computes an index point lookup by scanning a pinned
-// snapshot, mirroring the index's own key-equality semantics (string keys
-// for hash indexes, types.Compare for ordered ones).
-func indexFallbackIDs(snap *storage.TableSnap, ix *storage.Index, key types.Row) []storage.RowID {
-	cols := ix.Columns()
-	keyIdx := make([]int, len(key))
-	for i := range key {
-		keyIdx[i] = i
-	}
-	var keyStr string
-	if !ix.Ordered() {
-		keyStr = types.KeyOf(key, keyIdx)
-	}
-	var ids []storage.RowID
-	snap.Scan(func(id storage.RowID, row types.Row) bool {
-		if ix.Ordered() {
-			probe := make(types.Row, len(cols))
-			for i, c := range cols {
-				probe[i] = row[c]
-			}
-			if storage.ComparePrefix(probe, key) != 0 {
-				return true
-			}
-		} else if types.KeyOf(row, cols) != keyStr {
-			return true
-		}
-		ids = append(ids, id)
-		return true
-	})
-	return ids
+type tableScanIter struct {
+	ctx    *Context
+	filter expr.Expr
+	rows   storage.RowView
+	ids    []storage.RowID
+	i      int
 }
 
-type indexScanIter struct {
-	ctx  *Context
-	s    *IndexScan
-	rows storage.RowView
-	ids  []storage.RowID
-	i    int
-}
-
-func (it *indexScanIter) Next() (types.Row, error) {
+func (it *tableScanIter) Next() (types.Row, error) {
 	for it.i < len(it.ids) {
 		if err := it.ctx.CheckCancel(); err != nil {
 			return nil, err
@@ -285,8 +224,8 @@ func (it *indexScanIter) Next() (types.Row, error) {
 		if !ok {
 			continue
 		}
-		if it.s.Filter != nil {
-			ok, err := expr.EvalBool(it.s.Filter, &expr.Env{Row: row, Params: it.ctx.Params})
+		if it.filter != nil {
+			ok, err := expr.EvalBool(it.filter, &expr.Env{Row: row, Params: it.ctx.Params})
 			if err != nil {
 				return nil, err
 			}
@@ -299,7 +238,7 @@ func (it *indexScanIter) Next() (types.Row, error) {
 	}
 	return nil, nil
 }
-func (it *indexScanIter) Close() {}
+func (it *tableScanIter) Close() {}
 
 // VertexScan iterates the vertexes of a graph view as extended tuples
 // (attributes + FanOut/FanIn), the paper's VertexScan operator (§5.1.1).

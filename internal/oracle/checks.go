@@ -349,7 +349,8 @@ func (sc *scenario) checkMaintenance(eng *core.Engine, st *datagen.GraphState) *
 	return nil
 }
 
-// checkRelational verifies the base tables agree with the model row counts.
+// checkRelational verifies the base tables agree with the model: row counts,
+// and one edge tuple read back by primary key.
 func (sc *scenario) checkRelational(eng *core.Engine, st *datagen.GraphState) *Violation {
 	nv, err := scalarInt(eng, fmt.Sprintf("SELECT COUNT(*) FROM %s", sc.vt))
 	if err != nil {
@@ -364,6 +365,25 @@ func (sc *scenario) checkRelational(eng *core.Engine, st *datagen.GraphState) *V
 	}
 	if int(ne) != len(st.Edges) {
 		return violationf("relational-count", "%s has %d rows, model has %d edges", sc.et, ne, len(st.Edges))
+	}
+	// One point probe through the primary key — the access path of every
+	// point statement — for a key the model holds and for one it does not.
+	if ids := st.EdgeIDs(); len(ids) > 0 {
+		e := st.Edges[ids[len(ids)/2]]
+		for _, p := range []struct {
+			id   int64
+			want []string
+		}{{e.ID, []string{fmt.Sprintf("%d|%d", e.Src, e.Dst)}}, {ids[len(ids)-1] + 1, []string{}}} {
+			q := fmt.Sprintf("SELECT %s, %s FROM %s WHERE %s = %d",
+				sc.eCols["src"], sc.eCols["dst"], sc.et, sc.eCols["eid"], p.id)
+			res, err := eng.Execute(q)
+			if err != nil {
+				return violationf("relational-point", "engine %q: %v", q, err)
+			}
+			if got := renderRows(res, true); !sameRows(got, p.want) {
+				return violationf("relational-point", "%q: engine %v, model %v", q, got, p.want)
+			}
+		}
 	}
 	return nil
 }

@@ -303,8 +303,8 @@ func (p *Planner) resolveFrom(items []sql.FromItem) ([]fromInfo, error) {
 	return infos, nil
 }
 
-// buildScan plans one relational leaf, choosing an index point lookup when
-// an equality-with-constant predicate matches an index.
+// buildScan plans one relational leaf; a table's access path is
+// ChooseAccess's.
 func (p *Planner) buildScan(fi *fromInfo, conj []expr.Expr,
 	binderFor func(*types.Schema) *expr.Binder) (exec.Operator, error) {
 
@@ -352,123 +352,108 @@ func (p *Planner) buildScan(fi *fromInfo, conj []expr.Expr,
 		return as, nil
 	}
 
-	// Table: try an index point lookup on `col = literal`.
-	resolveCol := func(col *expr.ColumnRef) (int, bool) {
-		pos, err := fi.schema.Resolve(col.Qualifier, col.Name)
-		return pos, err == nil
-	}
-	for i, c := range conj {
-		be, ok := c.(*expr.BinaryExpr)
-		if !ok || be.Op != expr.OpEq {
-			continue
-		}
-		col, lit := asColLiteral(be.L, be.R)
-		if col == nil {
-			col, lit = asColLiteral(be.R, be.L)
-		}
-		if col == nil {
-			continue
-		}
-		pos, ok := resolveCol(col)
-		if !ok {
-			continue
-		}
-		ix, ok := fi.table.FindIndexOn([]int{pos}, false)
-		if !ok {
-			continue
-		}
-		rest := make([]expr.Expr, 0, len(conj)-1)
-		rest = append(rest, conj[:i]...)
-		rest = append(rest, conj[i+1:]...)
-		f, err := bindLocal(rest)
-		if err != nil {
-			return nil, err
-		}
-		is := exec.NewIndexScan(fi.table, fi.alias, ix, []expr.Expr{lit}, f)
-		is.Rows = p.pinRows(fi.table)
-		return is, nil
-	}
-
-	// Range predicates over an ordered index: accumulate the bounds of the
-	// first column that has both an ordered index and at least one usable
-	// comparison, and scan the remainder as a residual filter.
-	type rangeBounds struct {
-		lo, hi       expr.Expr
-		loInc, hiInc bool
-		used         []int
-	}
-	byCol := map[int]*rangeBounds{}
-	for i, c := range conj {
-		be, ok := c.(*expr.BinaryExpr)
-		if !ok || !isRangeOp(be.Op) {
-			continue
-		}
-		col, lit := asColLiteral(be.L, be.R)
-		op := be.Op
-		if col == nil {
-			if col, lit = asColLiteral(be.R, be.L); col != nil {
-				op = flipOp(op)
-			}
-		}
-		if col == nil {
-			continue
-		}
-		pos, ok := resolveCol(col)
-		if !ok {
-			continue
-		}
-		rb := byCol[pos]
-		if rb == nil {
-			rb = &rangeBounds{}
-			byCol[pos] = rb
-		}
-		// Keep one bound per side (the first; further constraints stay in
-		// the residual filter, which preserves correctness).
-		switch op {
-		case expr.OpGt, expr.OpGe:
-			if rb.lo == nil {
-				rb.lo, rb.loInc = lit, op == expr.OpGe
-				rb.used = append(rb.used, i)
-			}
-		case expr.OpLt, expr.OpLe:
-			if rb.hi == nil {
-				rb.hi, rb.hiInc = lit, op == expr.OpLe
-				rb.used = append(rb.used, i)
-			}
-		}
-	}
-	for pos, rb := range byCol {
-		ix, ok := fi.table.FindIndexOn([]int{pos}, true)
-		if !ok || !ix.Ordered() {
-			continue
-		}
-		usedSet := map[int]bool{}
-		for _, u := range rb.used {
-			usedSet[u] = true
-		}
-		var rest []expr.Expr
-		for i, c := range conj {
-			if !usedSet[i] {
-				rest = append(rest, c)
-			}
-		}
-		f, err := bindLocal(rest)
-		if err != nil {
-			return nil, err
-		}
-		rs := exec.NewIndexRangeScan(fi.table, fi.alias, ix,
-			rb.lo, rb.hi, rb.loInc, rb.hiInc, f)
-		rs.Rows = p.pinRows(fi.table)
-		return rs, nil
-	}
-
-	f, err := bindLocal(conj)
+	acc, rest := ChooseAccess(fi.table, fi.schema, conj)
+	f, err := bindLocal(rest)
 	if err != nil {
 		return nil, err
 	}
-	ss := exec.NewSeqScan(fi.table, fi.alias, f)
-	ss.Rows = p.pinRows(fi.table)
-	return ss, nil
+	ts := exec.NewTableScan(fi.table, fi.alias, acc, f)
+	ts.Rows = p.pinRows(fi.table)
+	return ts, nil
+}
+
+// ChooseAccess decides which index of t, if any, serves a conjunction over
+// its columns (resolved through schema, t's columns under the statement's
+// range variable), and returns the conjuncts left over for a residual
+// filter. It is the only place an index is chosen — SELECT leaves and
+// UPDATE/DELETE targets both come here — and the rule is: the first
+// `col = constant` on a column with any single-column index (the primary
+// key, then hash, then ordered) is a point probe; else the first column
+// compared against constants that has an ordered index is a range probe,
+// taking one bound per side (further bounds stay residual); else every row
+// is visited.
+func ChooseAccess(t *storage.Table, schema *types.Schema, conj []expr.Expr) (exec.Access, []expr.Expr) {
+	find := func(pos int, ordered bool) *storage.Index {
+		ix, _ := t.FindIndexOn([]int{pos}, ordered)
+		return ix
+	}
+	type colRange struct {
+		pos  int
+		acc  exec.Access
+		used []int
+	}
+	var ranges []*colRange // in order of first appearance
+	for i, c := range conj {
+		pos, op, lit, ok := colOpConst(schema, c)
+		if !ok {
+			continue
+		}
+		if op == expr.OpEq {
+			if ix := find(pos, false); ix != nil {
+				return exec.Access{Index: ix, Lo: lit, Hi: lit, LoInc: true, HiInc: true}, without(conj, i)
+			}
+			continue
+		}
+		var r *colRange
+		for _, have := range ranges {
+			if have.pos == pos {
+				r = have
+			}
+		}
+		if r == nil {
+			r = &colRange{pos: pos}
+			ranges = append(ranges, r)
+		}
+		switch {
+		case (op == expr.OpGt || op == expr.OpGe) && r.acc.Lo == nil:
+			r.acc.Lo, r.acc.LoInc = lit, op == expr.OpGe
+			r.used = append(r.used, i)
+		case (op == expr.OpLt || op == expr.OpLe) && r.acc.Hi == nil:
+			r.acc.Hi, r.acc.HiInc = lit, op == expr.OpLe
+			r.used = append(r.used, i)
+		}
+	}
+	for _, r := range ranges {
+		if r.acc.Index = find(r.pos, true); r.acc.Index != nil {
+			return r.acc, without(conj, r.used...)
+		}
+	}
+	return exec.Access{}, conj
+}
+
+// colOpConst recognizes `column op constant` (or its mirror image, with
+// op flipped) for the five operators an index can serve, resolving the
+// column to its position in schema.
+func colOpConst(schema *types.Schema, c expr.Expr) (pos int, op expr.BinOp, lit expr.Expr, ok bool) {
+	be, isBin := c.(*expr.BinaryExpr)
+	if !isBin || (be.Op != expr.OpEq && !isRangeOp(be.Op)) {
+		return 0, 0, nil, false
+	}
+	op = be.Op
+	col, lit := asColLiteral(be.L, be.R)
+	if col == nil {
+		col, lit = asColLiteral(be.R, be.L)
+		op = flipOp(op)
+	}
+	if col == nil {
+		return 0, 0, nil, false
+	}
+	pos, err := schema.Resolve(col.Qualifier, col.Name)
+	return pos, op, lit, err == nil
+}
+
+// without returns conj minus the conjuncts at the given (ascending)
+// positions.
+func without(conj []expr.Expr, drop ...int) []expr.Expr {
+	rest := make([]expr.Expr, 0, len(conj)-len(drop))
+	for i, c := range conj {
+		if len(drop) > 0 && drop[0] == i {
+			drop = drop[1:]
+			continue
+		}
+		rest = append(rest, c)
+	}
+	return rest
 }
 
 func isRangeOp(op expr.BinOp) bool {

@@ -216,3 +216,122 @@ func TestOrderedIndexSortedInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestPrimaryKeyIsTheBuiltInIndex(t *testing.T) {
+	tb := usersTable(t)
+	a := mustInsert(t, tb, types.NewInt(7), types.NewString("a"), types.NewInt(30))
+	mustInsert(t, tb, types.NewInt(8), types.NewString("b"), types.NewInt(31))
+	if _, err := tb.CreateIndex("uid_hash", []int{0}, false); err != nil {
+		t.Fatal(err)
+	}
+	pk, ok := tb.FindIndexOn([]int{0}, false)
+	if !ok || pk.Name() != "primary key" || pk.Ordered() {
+		t.Fatalf("point request on the key column: %v, %v; want the primary key", pk, ok)
+	}
+	if got := pk.Lookup(types.Row{types.NewInt(7)}); len(got) != 1 || got[0] != a {
+		t.Errorf("primary-key lookup = %v, want [%d]", got, a)
+	}
+	if got := pk.Lookup(types.Row{types.NewInt(9)}); got != nil {
+		t.Errorf("primary-key lookup of an absent key = %v", got)
+	}
+	if pk.Len() != tb.Len() {
+		t.Errorf("primary key holds %d keys for %d rows", pk.Len(), tb.Len())
+	}
+	if ix, ok := tb.FindIndexOn([]int{0}, true); ok {
+		t.Errorf("range request served by %s; the primary key is not ordered", ix.Name())
+	}
+	// Built in: not listed (so never checkpointed), not addressable by name.
+	if got := tb.Indexes(); len(got) != 1 || got[0].Name != "uid_hash" {
+		t.Errorf("Indexes() = %+v, want only uid_hash", got)
+	}
+	if _, ok := tb.Index(pk.Name()); ok {
+		t.Error("primary key reachable through Index(name)")
+	}
+	if tb.DropIndex(pk.Name()) {
+		t.Error("primary key dropped")
+	}
+	// The registry is kept in order at CREATE/DROP time; resolving an access
+	// path is on the per-execution path of every point statement.
+	cols := []int{0}
+	if n := testing.AllocsPerRun(100, func() { tb.FindIndexOn(cols, false); tb.FindIndexOn(cols, true) }); n != 0 {
+		t.Errorf("FindIndexOn allocates %.0f times per call pair", n)
+	}
+}
+
+// TestProbeLiveAndPinned is the direct test of the pinned-reader index
+// protocol: a snapshot probe equals the live probe while the table is idle,
+// and keeps returning exactly the snapshot's rows — through the primary key,
+// a hash index and an ordered index — after a writer inserts a row with the
+// probed key, re-keys one and deletes one, which is when it must leave the
+// live index for the snapshot filter.
+func TestProbeLiveAndPinned(t *testing.T) {
+	tb := usersTable(t)
+	hash, _ := tb.CreateIndex("age_hash", []int{2}, false)
+	ord, _ := tb.CreateIndex("age_ord", []int{2}, true)
+	pk, _ := tb.FindIndexOn([]int{0}, false)
+	var ids [6]RowID
+	for i := range ids {
+		ids[i] = mustInsert(t, tb, types.NewInt(int64(i)), types.NewString("u"), types.NewInt(int64(30+i/2)))
+	}
+	point := func(v int64) (Bound, Bound) {
+		b := Bound{Key: types.Row{types.NewInt(v)}, Inclusive: true}
+		return b, b
+	}
+	probes := []struct {
+		name   string
+		ix     *Index
+		lo, hi Bound
+		pinned []RowID
+		live   []RowID // after the writes below
+	}{
+		{name: "pk", ix: pk, pinned: []RowID{ids[2]}, live: []RowID{ids[0]}},
+		{name: "hash", ix: hash, pinned: []RowID{ids[2], ids[3]}, live: []RowID{ids[3]}},
+		{name: "ordered point", ix: ord, pinned: []RowID{ids[2], ids[3]}, live: []RowID{ids[3]}},
+		{name: "ordered range", ix: ord, lo: Bound{Key: types.Row{types.NewInt(31)}, Inclusive: true},
+			hi: Bound{Key: types.Row{types.NewInt(32)}}, pinned: []RowID{ids[2], ids[3]}, live: []RowID{ids[3]}},
+	}
+	probes[0].lo, probes[0].hi = point(2)
+	probes[1].lo, probes[1].hi = point(31)
+	probes[2].lo, probes[2].hi = point(31)
+	same := func(got, want []RowID) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		seen := map[RowID]bool{}
+		for _, id := range got {
+			seen[id] = true
+		}
+		for _, id := range want {
+			if !seen[id] {
+				return false
+			}
+		}
+		return true
+	}
+
+	snap := tb.Snapshot()
+	for _, p := range probes {
+		if got := snap.Probe(p.ix, p.lo, p.hi); !same(got, p.pinned) {
+			t.Errorf("%s: idle snapshot probe = %v, want %v", p.name, got, p.pinned)
+		}
+		if got := tb.Probe(p.ix, p.lo, p.hi); !same(got, p.pinned) {
+			t.Errorf("%s: idle live probe = %v, want %v", p.name, got, p.pinned)
+		}
+	}
+	// Delete uid 2 (age 31); re-key uid 0 to uid 2 with age 40, reusing
+	// neither the slot nor the age. The live indexes now disagree with snap.
+	if err := tb.Delete(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Update(ids[0], types.Row{types.NewInt(2), types.NewString("u"), types.NewInt(40)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range probes {
+		if got := snap.Probe(p.ix, p.lo, p.hi); !same(got, p.pinned) {
+			t.Errorf("%s: pinned probe after writes = %v, want %v", p.name, got, p.pinned)
+		}
+		if got := tb.Probe(p.ix, p.lo, p.hi); !same(got, p.live) {
+			t.Errorf("%s: live probe after writes = %v, want %v", p.name, got, p.live)
+		}
+	}
+}

@@ -65,45 +65,38 @@ func intKeyOf(v types.Value) (k int64, isNull bool, ok bool) {
 	}
 }
 
+// lookupInt is the fast path's lookup of one key value.
+func (pk *pkIndex) lookupInt(v types.Value) (RowID, bool) {
+	k, isNull, ok := intKeyOf(v)
+	switch {
+	case !ok:
+		return InvalidRowID, false
+	case isNull:
+		return pk.nullID, pk.nullID != InvalidRowID
+	}
+	id, ok := pk.ints[k]
+	return id, ok
+}
+
 // lookupRow returns the slot holding row's key, if any.
 func (pk *pkIndex) lookupRow(row types.Row) (RowID, bool) {
 	if pk.intKey {
-		k, isNull, ok := intKeyOf(row[pk.cols[0]])
-		if !ok {
-			return InvalidRowID, false
-		}
-		if isNull {
-			return pk.nullID, pk.nullID != InvalidRowID
-		}
-		id, ok := pk.ints[k]
-		return id, ok
+		return pk.lookupInt(row[pk.cols[0]])
 	}
 	id, ok := pk.str[types.KeyOf(row, pk.cols)]
 	return id, ok
 }
 
 // lookupKey is lookupRow over a bare key tuple (values in key-column
-// order, as passed to Table.LookupPK).
+// order, as passed to Table.LookupPK and Index.Lookup).
 func (pk *pkIndex) lookupKey(key types.Row) (RowID, bool) {
 	if len(key) != len(pk.cols) {
 		return InvalidRowID, false
 	}
 	if pk.intKey {
-		k, isNull, ok := intKeyOf(key[0])
-		if !ok {
-			return InvalidRowID, false
-		}
-		if isNull {
-			return pk.nullID, pk.nullID != InvalidRowID
-		}
-		id, ok := pk.ints[k]
-		return id, ok
+		return pk.lookupInt(key[0])
 	}
-	idx := make([]int, len(key))
-	for i := range key {
-		idx[i] = i
-	}
-	id, ok := pk.str[types.KeyOf(key, idx)]
+	id, ok := pk.str[keyString(key)]
 	return id, ok
 }
 
@@ -179,4 +172,15 @@ func (pk *pkIndex) reserve(n int) {
 		grown[k] = v
 	}
 	pk.str = grown
+}
+
+// len returns the number of keys held.
+func (pk *pkIndex) len() int {
+	if !pk.intKey {
+		return len(pk.str)
+	}
+	if pk.nullID != InvalidRowID {
+		return len(pk.ints) + 1
+	}
+	return len(pk.ints)
 }

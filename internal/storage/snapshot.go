@@ -15,6 +15,11 @@ type RowView interface {
 	Scan(fn func(id RowID, row types.Row) bool)
 	// Len returns the number of live tuples.
 	Len() int
+	// Probe returns the ids of the tuples whose ix key lies within
+	// [lo, hi], as of the view. A point probe is the closed range lo = hi,
+	// the only kind a hash index or the primary key serves. ix must belong
+	// to the viewed table.
+	Probe(ix *Index, lo, hi Bound) []RowID
 }
 
 var (
@@ -69,16 +74,37 @@ func (t *Table) ensurePrivate(i int) {
 	t.sharedLen = 0
 }
 
-// Table returns the table the snapshot was taken from.
-func (s *TableSnap) Table() *Table { return s.t }
+// Probe implements RowView on the live table: the index is current.
+func (t *Table) Probe(ix *Index, lo, hi Bound) []RowID { return ix.probe(lo, hi) }
 
-// Version returns the table version the snapshot captured.
-func (s *TableSnap) Version() uint64 { return s.version }
-
-// LiveVersion returns the current version of the underlying table. Pinned
-// index scans compare it against Version to detect concurrent mutation
-// and fall back to a snapshot scan.
-func (s *TableSnap) LiveVersion() uint64 { return s.t.version.Load() }
+// Probe implements RowView as of the snapshot. Indexes are not versioned,
+// so it reads the LIVE index under a double-check of the table's mutation
+// version: mutators bump the version before touching any index, so if the
+// version equals the snapshot's both before and after the read, the index
+// content matched the snapshot exactly. Any mismatch means a writer is (or
+// was) in flight, and the probe degrades to filtering the snapshot by the
+// same bounds — same rows, in slot order rather than key order (no
+// consumer is promised an order), no index.
+func (s *TableSnap) Probe(ix *Index, lo, hi Bound) []RowID {
+	if s.t.version.Load() == s.version {
+		ids := ix.probe(lo, hi)
+		if s.t.version.Load() == s.version {
+			return ids
+		}
+	}
+	var ids []RowID
+	key := make(types.Row, len(ix.cols))
+	s.Scan(func(id RowID, row types.Row) bool {
+		for i, c := range ix.cols {
+			key[i] = row[c]
+		}
+		if within(key, lo, hi) {
+			ids = append(ids, id)
+		}
+		return true
+	})
+	return ids
+}
 
 // Get returns the tuple in the given slot as of the snapshot.
 func (s *TableSnap) Get(id RowID) (types.Row, bool) {

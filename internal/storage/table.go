@@ -31,8 +31,9 @@ const InvalidRowID RowID = 0
 // serializes all writers (VoltDB's single-threaded partition execution
 // model). Readers that run without the engine lock never touch the live
 // row array — they pin an immutable TableSnap — so the only live state
-// they share with writers is the version counter (atomic), the secondary
-// indexes (per-index RWMutex), and the index registry (idxMu).
+// they share with writers is the version counter (atomic), the indexes —
+// the primary key included — (per-index RWMutex), and the index registry
+// (idxMu).
 type Table struct {
 	name   string
 	schema *types.Schema
@@ -49,13 +50,15 @@ type Table struct {
 	snap      *TableSnap
 	sharedLen int
 
-	pkCols []int // column indexes of the primary key; empty if none
-	pk     *pkIndex
+	pkCols []int  // column indexes of the primary key; empty if none
+	pk     *Index // the built-in unique index over pkCols; nil if none
 
-	// idxMu guards the indexes registry: lock-free readers resolve access
-	// paths (FindIndexOn) concurrently with CREATE/DROP INDEX.
+	// indexes registers the secondary indexes, sorted by lower-cased name
+	// so that every walk — maintenance, FindIndexOn, Indexes — is
+	// deterministic without sorting. idxMu guards it: lock-free readers
+	// resolve access paths (FindIndexOn) concurrently with CREATE/DROP INDEX.
 	idxMu   sync.RWMutex
-	indexes map[string]*Index
+	indexes []*Index
 
 	// version counts mutations; cursors use it to detect invalidation and
 	// pinned index scans use it to detect concurrent writes. Mutators bump
@@ -73,14 +76,9 @@ func NewTable(name string, schema *types.Schema, pkCols []int) (*Table, error) {
 			return nil, fmt.Errorf("table %s: primary key column index %d out of range", name, c)
 		}
 	}
-	t := &Table{
-		name:    name,
-		schema:  schema,
-		pkCols:  append([]int(nil), pkCols...),
-		indexes: make(map[string]*Index),
-	}
+	t := &Table{name: name, schema: schema, pkCols: append([]int(nil), pkCols...)}
 	if len(pkCols) > 0 {
-		t.pk = newPKIndex(schema, t.pkCols)
+		t.pk = newPrimaryKey(schema, t.pkCols)
 	}
 	return t, nil
 }
@@ -127,7 +125,9 @@ func (t *Table) Reserve(n int) {
 		t.sharedLen = 0
 	}
 	if t.pk != nil {
-		t.pk.reserve(n)
+		t.pk.mu.Lock()
+		t.pk.unique.reserve(n)
+		t.pk.mu.Unlock()
 	}
 }
 
@@ -157,7 +157,7 @@ func (t *Table) Insert(row types.Row) (RowID, error) {
 		return InvalidRowID, err
 	}
 	if t.pk != nil {
-		if _, dup := t.pk.lookupRow(row); dup {
+		if _, dup := t.pk.unique.lookupRow(row); dup {
 			return InvalidRowID, fmt.Errorf("table %s: duplicate primary key %s",
 				t.name, describeKey(row, t.pkCols))
 		}
@@ -203,10 +203,9 @@ func (t *Table) LookupPK(key types.Row) RowID {
 	if t.pk == nil {
 		return InvalidRowID
 	}
-	id, ok := t.pk.lookupKey(key)
-	if !ok {
-		return InvalidRowID
-	}
+	t.pk.mu.RLock()
+	defer t.pk.mu.RUnlock()
+	id, _ := t.pk.unique.lookupKey(key) // a miss yields InvalidRowID
 	return id
 }
 
@@ -222,16 +221,16 @@ func (t *Table) Update(id RowID, row types.Row) error {
 		return err
 	}
 	keyMoved := false
-	if t.pk != nil && !t.pk.sameKey(old, row) {
+	if t.pk != nil && !t.pk.unique.sameKey(old, row) {
 		keyMoved = true
-		if _, dup := t.pk.lookupRow(row); dup {
+		if _, dup := t.pk.unique.lookupRow(row); dup {
 			return fmt.Errorf("table %s: duplicate primary key %s",
 				t.name, describeKey(row, t.pkCols))
 		}
 	}
 	t.version.Add(1)
 	if keyMoved {
-		t.pk.remove(old)
+		t.pk.remove(old, id)
 		t.pk.insert(row, id)
 	}
 	for _, ix := range t.indexes {
@@ -253,7 +252,7 @@ func (t *Table) Delete(id RowID) error {
 	}
 	t.version.Add(1)
 	if t.pk != nil {
-		t.pk.remove(old)
+		t.pk.remove(old, id)
 	}
 	for _, ix := range t.indexes {
 		ix.remove(old, id)
@@ -330,7 +329,7 @@ func (t *Table) RestoreSlots(rows []types.Row, free []RowID) error {
 			return err
 		}
 		if t.pk != nil {
-			if _, dup := t.pk.lookupRow(row); dup {
+			if _, dup := t.pk.unique.lookupRow(row); dup {
 				return fmt.Errorf("table %s: duplicate primary key %s",
 					t.name, describeKey(row, t.pkCols))
 			}
@@ -414,12 +413,22 @@ func describeKey(row types.Row, cols []int) string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
+// indexPos returns the registry position of the index named name (or where
+// it would be inserted) and whether it is present.
+func (t *Table) indexPos(name string) (int, bool) {
+	lname := strings.ToLower(name)
+	i := sort.Search(len(t.indexes), func(i int) bool {
+		return strings.ToLower(t.indexes[i].name) >= lname
+	})
+	return i, i < len(t.indexes) && strings.ToLower(t.indexes[i].name) == lname
+}
+
 // CreateIndex builds a secondary index named name over the given column
 // positions. ordered selects a sorted index supporting range scans;
 // otherwise a hash index is built. Building scans the current contents.
 func (t *Table) CreateIndex(name string, cols []int, ordered bool) (*Index, error) {
-	lname := strings.ToLower(name)
-	if _, dup := t.indexes[lname]; dup {
+	pos, dup := t.indexPos(name)
+	if dup {
 		return nil, fmt.Errorf("table %s: index %s already exists", t.name, name)
 	}
 	for _, c := range cols {
@@ -433,18 +442,21 @@ func (t *Table) CreateIndex(name string, cols []int, ordered bool) (*Index, erro
 		return true
 	})
 	t.idxMu.Lock()
-	t.indexes[lname] = ix
+	t.indexes = append(t.indexes, nil)
+	copy(t.indexes[pos+1:], t.indexes[pos:])
+	t.indexes[pos] = ix
 	t.idxMu.Unlock()
 	return ix, nil
 }
 
 // DropIndex removes the named index, reporting whether it existed.
 func (t *Table) DropIndex(name string) bool {
-	lname := strings.ToLower(name)
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	_, ok := t.indexes[lname]
-	delete(t.indexes, lname)
+	pos, ok := t.indexPos(name)
+	if ok {
+		t.indexes = append(t.indexes[:pos], t.indexes[pos+1:]...)
+	}
 	return ok
 }
 
@@ -460,55 +472,46 @@ type IndexInfo struct {
 func (t *Table) Indexes() []IndexInfo {
 	t.idxMu.RLock()
 	defer t.idxMu.RUnlock()
-	names := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]IndexInfo, 0, len(names))
-	for _, n := range names {
-		ix := t.indexes[n]
+	out := make([]IndexInfo, 0, len(t.indexes))
+	for _, ix := range t.indexes {
 		out = append(out, IndexInfo{Name: ix.name, Cols: append([]int(nil), ix.cols...), Ordered: ix.ordered})
 	}
 	return out
 }
 
-// Index returns the named index, if present.
+// Index returns the named secondary index, if present.
 func (t *Table) Index(name string) (*Index, bool) {
 	t.idxMu.RLock()
 	defer t.idxMu.RUnlock()
-	ix, ok := t.indexes[strings.ToLower(name)]
-	return ix, ok
+	if pos, ok := t.indexPos(name); ok {
+		return t.indexes[pos], true
+	}
+	return nil, false
 }
 
-// FindIndexOn returns an index whose leading columns are exactly cols, and
-// whether it supports range scans. Hash indexes are preferred for point
-// lookups (ordered=false request); ordered indexes for range requests.
+// FindIndexOn returns an index whose columns are exactly cols. A point
+// request (needOrdered=false) prefers the primary key, then a hash index,
+// and settles for an ordered index, which serves point lookups too; a
+// range request takes only an ordered index.
 func (t *Table) FindIndexOn(cols []int, needOrdered bool) (*Index, bool) {
+	if !needOrdered && t.pk != nil && sameCols(t.pk.cols, cols) {
+		return t.pk, true
+	}
 	t.idxMu.RLock()
 	defer t.idxMu.RUnlock()
-	names := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic choice
 	var fallback *Index
-	for _, n := range names {
-		ix := t.indexes[n]
+	for _, ix := range t.indexes {
 		if !sameCols(ix.cols, cols) {
 			continue
 		}
 		if ix.ordered == needOrdered {
 			return ix, true
 		}
-		fallback = ix
+		if !needOrdered {
+			fallback = ix
+		}
 	}
-	if fallback != nil && !needOrdered {
-		// A hash lookup was requested but only an ordered index exists;
-		// an ordered index can serve point lookups too.
-		return fallback, true
-	}
-	return nil, false
+	return fallback, fallback != nil
 }
 
 func sameCols(a, b []int) bool {
