@@ -92,7 +92,7 @@ mvcc:
 # wire, COPY ingest, pool, and frame-corruption tests under the race
 # detector, then the wire benchmark with its regression gate — the run
 # fails if pipelined point-query throughput drops under 3x the JSON
-# round-trip rate, if COPY ingest drops under 20x per-statement inserts
+# round-trip rate, if COPY ingest drops under 4x per-statement inserts
 # or under the committed absolute floor (halved on a one-core host), or
 # if either ratio collapses vs BENCH_wire_baseline.json.
 wire:

@@ -9,6 +9,7 @@ package grfusion
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"grfusion/internal/bench"
@@ -154,6 +155,69 @@ func BenchmarkInsertWithViewMaintenance(b *testing.B) {
 		id := 1_000_000 + i
 		db.MustExec(fmt.Sprintf("INSERT INTO Friends VALUES (%d, %d, %d, 2020)", id, i%1000, (i+13)%1000))
 		db.MustExec(fmt.Sprintf("DELETE FROM Friends WHERE fid = %d", id))
+	}
+}
+
+// topologyDB builds a directed graph view over ne random edges among ne/5
+// vertices, the shape of the layered benchmark's graph. The tables are
+// loaded before the view exists, so the view starts from one fresh build.
+func topologyDB(b *testing.B, ne int) *DB {
+	b.Helper()
+	nv := ne / 5
+	db := Open(Config{})
+	db.MustExec(`CREATE TABLE V (vid BIGINT PRIMARY KEY)`)
+	db.MustExec(`CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT)`)
+	insertAll := func(n int, table string, row func(i int) string) {
+		for i := 0; i < n; i += 1000 {
+			var sb strings.Builder
+			sb.WriteString("INSERT INTO " + table + " VALUES ")
+			for j := i; j < n && j < i+1000; j++ {
+				if j > i {
+					sb.WriteString(", ")
+				}
+				sb.WriteString(row(j))
+			}
+			db.MustExec(sb.String())
+		}
+	}
+	insertAll(nv, "V", func(i int) string { return fmt.Sprintf("(%d)", i) })
+	insertAll(ne, "E", func(i int) string {
+		return fmt.Sprintf("(%d, %d, %d)", i, (i*7919)%nv, (i*104729+13)%nv)
+	})
+	db.MustExec(`CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = vid) FROM V
+		EDGES(ID = eid, FROM = src, TO = dst) FROM E`)
+	return db
+}
+
+// BenchmarkTopologyWrite is one prepared edge INSERT plus one DELETE of the
+// same edge through a graph view. Every statement publishes a version, so
+// each write is the first topology change after a publish: its cost must
+// not grow with the size of the view.
+func BenchmarkTopologyWrite(b *testing.B) {
+	for _, ne := range []int{20_000, 100_000} {
+		b.Run(fmt.Sprintf("E=%dk", ne/1000), func(b *testing.B) {
+			db := topologyDB(b, ne)
+			ins, err := db.PrepareDML(`INSERT INTO E VALUES (?, ?, ?)`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			del, err := db.PrepareDML(`DELETE FROM E WHERE eid = ?`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nv := ne / 5
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := ne + i
+				if r, err := ins.Exec(id, i%nv, (i*31+1)%nv); err != nil || r.Affected != 1 {
+					b.Fatalf("insert: %v, %v", r, err)
+				}
+				if r, err := del.Exec(id); err != nil || r.Affected != 1 {
+					b.Fatalf("delete: %v, %v", r, err)
+				}
+			}
+		})
 	}
 }
 

@@ -144,8 +144,8 @@ func TestLoadGRFusionView(t *testing.T) {
 	if !ok {
 		t.Fatal("view missing")
 	}
-	if gv.G.NumVertices() != len(d.Vertices) || gv.G.NumEdges() != len(d.Edges) {
-		t.Errorf("topology: %d/%d", gv.G.NumVertices(), gv.G.NumEdges())
+	if gv.Version().NumVertices() != len(d.Vertices) || gv.Version().NumEdges() != len(d.Edges) {
+		t.Errorf("topology: %d/%d", gv.Version().NumVertices(), gv.Version().NumEdges())
 	}
 }
 

@@ -417,7 +417,7 @@ func Table3(cfg Config) []Row {
 		gv, _ := eng.Catalog().GraphView(name)
 		vt, _ := eng.Catalog().Table(name + "_v")
 		et, _ := eng.Catalog().Table(name + "_e")
-		topo := float64(gv.G.ApproxBytes())
+		topo := float64(gv.Version().ApproxBytes())
 		rel := float64(vt.ApproxBytes() + et.ApproxBytes())
 		rows = append(rows,
 			Row{Experiment: "table3", Dataset: name, System: "grfusion", Param: "-", Metric: "build_ms", Value: buildMS},

@@ -23,9 +23,9 @@ import (
 // materially: the committed acceptance bound is traversal read p99 under
 // storm within 2x of the no-writer baseline. The analytics TVF reads ride
 // along in the mix and their p99 is reported too, but not gated at 2x: a
-// topology write invalidates the CSR cache, so under continuous churn every
-// TVF read legitimately pays a fresh CSR build — that is the price of
-// analytics over the latest snapshot, not a reader stall. The rows land in
+// whole-graph TVF walks every vertex the churn touched through the
+// topology's delta, so its cost moves with the writes — that is the price
+// of analytics over the latest version, not a reader stall. The rows land in
 // BENCH_concurrency.json and CheckConcurrencyBaseline turns them into a
 // regression gate.
 
@@ -204,7 +204,7 @@ func mvccStorm(cfg Config) []Row {
 		return Row{Experiment: "concurrency", Dataset: d.Name, System: "grfusion",
 			Param: param, Metric: metric, Value: v, Note: note}
 	}
-	const tvfNote = "informational: TVF reads pay a per-version CSR build under topology churn; not gated"
+	const tvfNote = "informational: TVF reads walk the topology delta the churn grows; not gated"
 	return []Row{
 		row("mixed nowriter", "read_p50_ms", quantileMS(best.base, 0.50), ""),
 		row("mixed nowriter", "read_p99_ms", quantileMS(best.base, 0.99), ""),

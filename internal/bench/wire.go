@@ -202,7 +202,7 @@ func wireBench(cfg Config) []Row {
 	// --- bulk ingest into the graph-view edge table ---------------------
 	// Per-statement lane: prepared INSERT, one round trip per edge. Every
 	// statement publishes a version, so this also pays the engine's
-	// per-publish graph maintenance — exactly what a naive loader pays.
+	// per-publish costs — exactly what a naive loader pays.
 	perStmtRate := 0.0
 	{
 		c, err := dial(server.ProtoBinary)
@@ -231,8 +231,7 @@ func wireBench(cfg Config) []Row {
 	}
 
 	// COPY lane: the streaming bulk path — batched frames, batch-atomic
-	// application, one MVCC publish and one graph clone for the whole
-	// load.
+	// application, one MVCC publish for the whole load.
 	{
 		ne := scaled(500_000, cfg.Scale)
 		c, err := dial(server.ProtoBinary)
@@ -300,8 +299,11 @@ func WireBench(cfg Config) []Row { return wireBench(cfg) }
 // Acceptance floors for the wire experiment's machine-independent
 // ratios. Pipelining must buy at least 3x over JSON round trips (the
 // protocol's reason to exist), and the COPY stream must beat naive
-// per-statement loading by a wide margin (it removes per-row round
-// trips, per-row publishes, and per-publish graph clones).
+// per-statement loading (it removes per-row round trips, per-row
+// publishes and the table copy each publish costs the next write). A
+// per-statement topology write is O(1) since graph views keep a delta
+// instead of cloning per publish, so the margin is round trips and
+// publishes alone: about 9x here, where the clone once made it ~1500x.
 // wireReps is how many timed passes each point lane runs; the reported
 // rate is their median.
 const wireReps = 5
@@ -321,7 +323,7 @@ func median(s []float64) float64 {
 
 const (
 	wirePipelineFloor    = 3.0
-	wireCopySpeedupFloor = 20.0
+	wireCopySpeedupFloor = 4.0
 	// wireIngestFloor is the absolute COPY ingest floor (edges/sec) carried
 	// in the committed baseline. A multi-core host must sustain it
 	// outright; a one-core host (client, server, and engine time-sharing

@@ -63,10 +63,10 @@ func socialFixture(t *testing.T) (*Catalog, *storage.Table, *storage.Table, *Gra
 
 func TestGraphViewBuild(t *testing.T) {
 	_, _, _, gv := socialFixture(t)
-	if gv.G.NumVertices() != 3 || gv.G.NumEdges() != 2 {
-		t.Fatalf("topology: %d vertices %d edges", gv.G.NumVertices(), gv.G.NumEdges())
+	if gv.Version().NumVertices() != 3 || gv.Version().NumEdges() != 2 {
+		t.Fatalf("topology: %d vertices %d edges", gv.Version().NumVertices(), gv.Version().NumEdges())
 	}
-	v := gv.G.Vertex(2)
+	v := gv.Version().Vertex(2)
 	if v == nil {
 		t.Fatal("missing vertex 2")
 	}
@@ -82,7 +82,7 @@ func TestGraphViewBuild(t *testing.T) {
 	if row[2].I != 2 || row[3].I != 2 {
 		t.Errorf("fan props: %v", row)
 	}
-	e := gv.G.Edge(10)
+	e := gv.Version().Graph().Edge(10)
 	erow, err := gv.EdgeRow(e)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestGraphViewBuild(t *testing.T) {
 
 func TestGraphViewAttrAccess(t *testing.T) {
 	_, _, _, gv := socialFixture(t)
-	v := gv.G.Vertex(1)
+	v := gv.Version().Vertex(1)
 	got, err := gv.VertexAttrValue(v, "lstname")
 	if err != nil || got.S != "u" {
 		t.Errorf("lstname = %v, %v", got, err)
@@ -106,7 +106,7 @@ func TestGraphViewAttrAccess(t *testing.T) {
 	if _, err := gv.VertexAttrValue(v, "nope"); err == nil {
 		t.Error("unknown vertex attr accepted")
 	}
-	e := gv.G.Edge(10)
+	e := gv.Version().Graph().Edge(10)
 	got, err = gv.EdgeAttrValue(e, "sdate")
 	if err != nil || got.S != "d" {
 		t.Errorf("sdate = %v, %v", got, err)
@@ -237,7 +237,7 @@ func TestOnInsertMaintainsTopology(t *testing.T) {
 	if err := gv.OnInsert("Users", id, row); err != nil {
 		t.Fatal(err)
 	}
-	if gv.G.Vertex(4) == nil {
+	if gv.Version().Vertex(4) == nil {
 		t.Fatal("vertex not added")
 	}
 	eid, err := rels.Insert(types.Row{types.NewInt(12), types.NewInt(4), types.NewInt(1), types.NewString("d")})
@@ -248,7 +248,7 @@ func TestOnInsertMaintainsTopology(t *testing.T) {
 	if err := gv.OnInsert("Relationships", eid, erow); err != nil {
 		t.Fatal(err)
 	}
-	if gv.G.Edge(12) == nil {
+	if gv.Version().Graph().Edge(12) == nil {
 		t.Fatal("edge not added")
 	}
 	// Insert referencing a missing endpoint errors.
@@ -271,13 +271,13 @@ func TestOnDeleteAndIncidentEdges(t *testing.T) {
 	if err := gv.OnDelete("Relationships", types.Row{types.NewInt(10), types.NewInt(1), types.NewInt(2), types.NewString("d")}); err != nil {
 		t.Fatal(err)
 	}
-	if gv.G.Edge(10) != nil {
+	if gv.Version().Graph().Edge(10) != nil {
 		t.Error("edge not removed")
 	}
 	if err := gv.OnDelete("Users", types.Row{types.NewInt(1), types.NewString("u"), types.NewString("2000")}); err != nil {
 		t.Fatal(err)
 	}
-	if gv.G.Vertex(1) != nil {
+	if gv.Version().Vertex(1) != nil {
 		t.Error("vertex not removed")
 	}
 }
@@ -290,7 +290,7 @@ func TestOnUpdateRenamesAndRewires(t *testing.T) {
 	if err := gv.OnUpdate("Users", 3, oldRow, newRow); err != nil {
 		t.Fatal(err)
 	}
-	if gv.G.Vertex(3) != nil || gv.G.Vertex(30) == nil {
+	if gv.Version().Vertex(3) != nil || gv.Version().Vertex(30) == nil {
 		t.Error("vertex rename failed")
 	}
 	// Edge endpoint change rewires.
@@ -299,7 +299,7 @@ func TestOnUpdateRenamesAndRewires(t *testing.T) {
 	if err := gv.OnUpdate("Relationships", 1, oldE, newE); err != nil {
 		t.Fatal(err)
 	}
-	e := gv.G.Edge(10)
+	e := gv.Version().Graph().Edge(10)
 	if e == nil || e.To.ID != 30 {
 		t.Error("edge rewire failed")
 	}
@@ -308,7 +308,7 @@ func TestOnUpdateRenamesAndRewires(t *testing.T) {
 		types.Row{types.NewInt(10), types.NewInt(1), types.NewInt(30), types.NewString("later")}); err != nil {
 		t.Fatal(err)
 	}
-	if gv.G.NumEdges() != 2 {
+	if gv.Version().NumEdges() != 2 {
 		t.Error("attr update disturbed topology")
 	}
 }
@@ -414,7 +414,7 @@ func TestComputeStats(t *testing.T) {
 	if gv.Stats() != nil {
 		t.Fatal("stats before publish")
 	}
-	st := gv.ComputeStats(time.Now())
+	st := gv.ComputeStats(gv.Version(), time.Now())
 	gv.SetStats(st)
 	if got := gv.Stats(); got != st {
 		t.Fatal("publish/load mismatch")

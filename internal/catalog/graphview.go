@@ -40,6 +40,11 @@ const (
 
 // GraphView is a materialized graph view: the catalog definition, the
 // native topology, and the exposed Vertex/Edge schemas (§3).
+//
+// The topology is a graph.Topology — an immutable CSR main plus an
+// append-only delta — that the §3.3 hooks below maintain inside the
+// mutating statement. Readers never touch it: the engine binds an O(1)
+// version of it (Version) into every published state.
 type GraphView struct {
 	Name     string
 	Directed bool
@@ -58,8 +63,9 @@ type GraphView struct {
 	eFromPos   int
 	eToPos     int
 
-	// G is the singleton native topology (§3.2).
-	G *graph.Graph
+	// topo is the singleton native topology (§3.2). Writer-side state,
+	// guarded by the engine write lock.
+	topo *graph.Topology
 
 	vSchema, eSchema *types.Schema
 
@@ -73,22 +79,10 @@ type GraphView struct {
 	// predate heavy DML (see FreshStats).
 	maintOps atomic.Int64
 
-	// CSR snapshot counters. The cache itself lives on each graph.Graph
-	// instance (graph.CSRSnapshot), so readers pinned to different
-	// topology versions each retain their own snapshot instead of
-	// thrashing one shared slot; the view aggregates build/hit counters
-	// across versions and remembers the latest snapshot's size.
-	csrBuilds  atomic.Int64
-	csrBuildNS atomic.Int64
-	csrHits    atomic.Int64
-	csrMisses  atomic.Int64
-	csrBytes   atomic.Int64
-
-	// sharedG marks the live topology as aliased by a published engine
-	// version: the first maintenance mutation after publish clones it
-	// (ensurePrivateG) so pinned readers never observe the change.
-	// Writer-side state guarded by the engine write lock.
-	sharedG bool
+	// csrHits and csrMisses count traversal reads (GraphViewAt.CSR) of a
+	// version whose delta was empty and of one that had to walk a delta.
+	csrHits   atomic.Int64
+	csrMisses atomic.Int64
 }
 
 // NewGraphView validates a definition against its source tables and builds
@@ -189,49 +183,61 @@ func (gv *GraphView) buildSchemas() {
 }
 
 func (gv *GraphView) build() error {
-	g, err := gv.RebuildTopology()
+	t, err := gv.buildTopology()
 	if err != nil {
 		return err
 	}
-	gv.G = g
+	gv.topo = t
 	return nil
 }
 
-// RebuildTopology reconstructs a fresh topology from the current contents
-// of the relational sources with the same single pass CREATE GRAPH VIEW
-// uses (§3.2), without touching the live topology. The differential-testing
-// oracle diffs the result against the incrementally maintained G to verify
-// the §3.3 online-maintenance invariant: maintained topology ≡ rebuilt
-// topology after any DML history.
-func (gv *GraphView) RebuildTopology() (*graph.Graph, error) {
-	g := graph.New(gv.Name, gv.Directed)
+// buildTopology lays out a fresh topology from the current contents of the
+// relational sources in a single pass over each (§3.2).
+func (gv *GraphView) buildTopology() (*graph.Topology, error) {
+	b := graph.NewBuilder(gv.Name, gv.Directed, gv.vtab.Len(), gv.etab.Len())
 	var err error
 	gv.vtab.Scan(func(id storage.RowID, row types.Row) bool {
 		var vid int64
 		vid, err = intAttr(row, gv.vIDPos, "vertex ID")
 		if err == nil {
-			_, err = g.AddVertex(vid, uint64(id))
+			err = b.AddVertex(vid, uint64(id))
 		}
 		return err == nil
 	})
+	if err == nil {
+		gv.etab.Scan(func(id storage.RowID, row types.Row) bool {
+			err = gv.addEdgeFromRow(b.AddEdge, id, row)
+			return err == nil
+		})
+	}
+	var t *graph.Topology
+	if err == nil {
+		t, err = b.Build()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("graph view %s: %v", gv.Name, err)
 	}
-	gv.etab.Scan(func(id storage.RowID, row types.Row) bool {
-		err = addEdgeFromRowInto(g, gv, id, row)
-		return err == nil
-	})
+	return t, nil
+}
+
+// RebuildTopology reconstructs a fresh topology from the current contents
+// of the relational sources with the same single pass CREATE GRAPH VIEW
+// uses, without touching the maintained one, and materializes it. The
+// differential-testing oracle diffs the result against the incrementally
+// maintained topology to verify the §3.3 online-maintenance invariant:
+// maintained topology ≡ rebuilt topology after any DML history.
+func (gv *GraphView) RebuildTopology() (*graph.Graph, error) {
+	t, err := gv.buildTopology()
 	if err != nil {
-		return nil, fmt.Errorf("graph view %s: %v", gv.Name, err)
+		return nil, err
 	}
-	return g, nil
+	return t.Version().Graph(), nil
 }
 
-func (gv *GraphView) addEdgeFromRow(id storage.RowID, row types.Row) error {
-	return addEdgeFromRowInto(gv.G, gv, id, row)
-}
-
-func addEdgeFromRowInto(g *graph.Graph, gv *GraphView, id storage.RowID, row types.Row) error {
+// addEdgeFromRow reads an edge tuple's identifier and endpoints and hands
+// them to add (a Builder's or the Topology's AddEdge).
+func (gv *GraphView) addEdgeFromRow(add func(id, from, to int64, tuple uint64) error,
+	id storage.RowID, row types.Row) error {
 	eid, err := intAttr(row, gv.eIDPos, "edge ID")
 	if err != nil {
 		return err
@@ -244,8 +250,7 @@ func addEdgeFromRowInto(g *graph.Graph, gv *GraphView, id storage.RowID, row typ
 	if err != nil {
 		return err
 	}
-	_, err = g.AddEdge(eid, from, to, uint64(id))
-	return err
+	return add(eid, from, to, uint64(id))
 }
 
 func intAttr(row types.Row, pos int, what string) (int64, error) {
@@ -256,77 +261,37 @@ func intAttr(row types.Row, pos int, what string) (int64, error) {
 	return v.I, nil
 }
 
-// CSR returns a CSR snapshot of the current live topology, building (and
-// caching) one if the graph's cache is missing or stale. Writer-side
-// callers hold the engine lock; lock-free readers use a pinned
-// GraphViewAt's CSR instead. The snapshot itself is immutable and safe to
-// traverse from any number of goroutines.
-func (gv *GraphView) CSR() *graph.CSR { return gv.CSRFor(gv.G) }
+// Version binds the topology's current state as an immutable version in
+// O(1) — what the engine publishes. Writer side: callers hold the engine
+// write lock.
+func (gv *GraphView) Version() *graph.CSR { return gv.topo.Version() }
 
-// CSRFor returns a CSR snapshot of the given topology instance (live or a
-// pinned version), folding cache hits, builds, and the snapshot size into
-// this view's counters.
-func (gv *GraphView) CSRFor(g *graph.Graph) *graph.CSR {
-	c := g.CSRSnapshot(func(hit bool, buildNS int64) {
-		if hit {
-			gv.csrHits.Add(1)
-			return
-		}
-		gv.csrMisses.Add(1)
-		gv.csrBuilds.Add(1)
-		gv.csrBuildNS.Add(buildNS)
-	})
-	gv.csrBytes.Store(c.ApproxBytes())
-	return c
-}
+// MergeTopology folds the topology's delta into a fresh main now instead
+// of at its size threshold (a no-op on an empty delta). Writer side.
+func (gv *GraphView) MergeTopology() { gv.topo.Merge() }
 
-// CSRStats reports the snapshot cache counters and the most recently
-// returned snapshot's approximate size (0 before the first build), for
-// SHOW METRICS. All sources are atomics, so it is safe anywhere.
-func (gv *GraphView) CSRStats() (builds, buildNS, hits, misses, bytes int64) {
-	return gv.csrBuilds.Load(), gv.csrBuildNS.Load(),
-		gv.csrHits.Load(), gv.csrMisses.Load(), gv.csrBytes.Load()
-}
+// SettleTopology folds the delta into a fresh main if it has outgrown its
+// size threshold; the engine calls it before binding every version it
+// publishes. Writer side.
+func (gv *GraphView) SettleTopology() { gv.topo.Settle() }
 
-// MarkShared flags the live topology as aliased by a published engine
-// version: the next maintenance mutation clones it first (copy-on-write)
-// so pinned readers keep a stable graph. Callers hold the engine write
-// lock.
-func (gv *GraphView) MarkShared() { gv.sharedG = true }
-
-// ensurePrivateG clones the live topology before the first maintenance
-// mutation after a publish.
-func (gv *GraphView) ensurePrivateG() {
-	if !gv.sharedG {
-		return
-	}
-	gv.G = gv.G.Clone()
-	gv.sharedG = false
-}
-
-// ReserveFor presizes the view's topology for about n further rows
-// landing in the named source table (vertexes or edges side). It takes a
-// private copy of the graph first, so a bulk load immediately after a
-// publish pays its one unavoidable clone here, already sized for the
-// incoming stream. Callers hold the engine write lock, like any
-// maintenance hook.
+// ReserveFor presizes the topology delta for about n further rows landing
+// in the named source table, when it is the edge source — a bulk load's
+// row-count hint. Writer side.
 func (gv *GraphView) ReserveFor(table string, n int) {
-	if n <= 0 {
-		return
+	if gv.IsEdgeSource(table) {
+		gv.topo.ReserveEdges(n)
 	}
-	isV, isE := gv.IsVertexSource(table), gv.IsEdgeSource(table)
-	if !isV && !isE {
-		return
-	}
-	gv.ensurePrivateG()
-	var nv, ne int
-	if isV {
-		nv = n
-	}
-	if isE {
-		ne = n
-	}
-	gv.G.Reserve(nv, ne)
+}
+
+// CSRStats reports, for SHOW METRICS and EXPLAIN ANALYZE: how many CSR
+// mains were laid out (creation plus merges) and in how long; how many
+// traversal reads found an empty delta (hits) or walked one (misses); and
+// the current main's approximate size. All sources are atomics, so it is
+// safe anywhere.
+func (gv *GraphView) CSRStats() (builds, buildNS, hits, misses, bytes int64) {
+	builds, buildNS, bytes = gv.topo.Stats()
+	return builds, buildNS, gv.csrHits.Load(), gv.csrMisses.Load(), bytes
 }
 
 // VertexTable returns the vertexes relational-source.
@@ -345,7 +310,7 @@ func (gv *GraphView) EdgeSchema() *types.Schema { return gv.eSchema }
 // VertexRow materializes the extended tuple of a vertex by dereferencing
 // its tuple pointer into the vertexes relational-source.
 func (gv *GraphView) VertexRow(v *graph.Vertex) (types.Row, error) {
-	return vertexRowOf(gv, gv.G, gv.vtab, v)
+	return gv.Live().VertexRow(v)
 }
 
 // EdgeRow materializes the extended tuple of an edge.
@@ -356,7 +321,7 @@ func (gv *GraphView) EdgeRow(e *graph.Edge) (types.Row, error) {
 // VertexAttrValue reads one declared vertex attribute (by exposed name)
 // through the tuple pointer; it also serves the FanOut/FanIn properties.
 func (gv *GraphView) VertexAttrValue(v *graph.Vertex, name string) (types.Value, error) {
-	return vertexAttrValueOf(gv, gv.G, gv.vtab, v, name)
+	return gv.Live().VertexAttrValue(v, name)
 }
 
 // EdgeAttrValue reads one declared edge attribute through the tuple pointer.
@@ -465,21 +430,11 @@ type EdgeRef struct {
 }
 
 // IncidentEdges returns the edges incident to the vertex with the given
-// identifier, or nil if the vertex is absent.
+// identifier (each once), or nil if the vertex is absent.
 func (gv *GraphView) IncidentEdges(vertexID int64) []EdgeRef {
-	v := gv.G.Vertex(vertexID)
-	if v == nil {
-		return nil
-	}
 	var out []EdgeRef
-	seen := make(map[int64]bool)
-	for _, list := range [][]*graph.Edge{v.Out, v.In} {
-		for _, e := range list {
-			if !seen[e.ID] {
-				seen[e.ID] = true
-				out = append(out, EdgeRef{EdgeID: e.ID, Tuple: storage.RowID(e.Tuple)})
-			}
-		}
+	for _, e := range gv.topo.IncidentEdges(vertexID) {
+		out = append(out, EdgeRef{EdgeID: e.ID, Tuple: storage.RowID(e.Tuple)})
 	}
 	return out
 }
@@ -488,19 +443,18 @@ func (gv *GraphView) IncidentEdges(vertexID int64) []EdgeRef {
 func (gv *GraphView) OnInsert(table string, id storage.RowID, row types.Row) error {
 	if gv.IsVertexSource(table) || gv.IsEdgeSource(table) {
 		gv.maintOps.Add(1)
-		gv.ensurePrivateG()
 	}
 	if gv.IsVertexSource(table) {
 		vid, err := intAttr(row, gv.vIDPos, "vertex ID")
 		if err != nil {
 			return fmt.Errorf("graph view %s: %v", gv.Name, err)
 		}
-		if _, err := gv.G.AddVertex(vid, uint64(id)); err != nil {
+		if err := gv.topo.AddVertex(vid, uint64(id)); err != nil {
 			return err
 		}
 	}
 	if gv.IsEdgeSource(table) {
-		if err := gv.addEdgeFromRow(id, row); err != nil {
+		if err := gv.addEdgeFromRow(gv.topo.AddEdge, id, row); err != nil {
 			return fmt.Errorf("graph view %s: %v", gv.Name, err)
 		}
 	}
@@ -521,36 +475,32 @@ var DebugSkipEdgeDelete bool
 func (gv *GraphView) OnDelete(table string, row types.Row) error {
 	if gv.IsVertexSource(table) || gv.IsEdgeSource(table) {
 		gv.maintOps.Add(1)
-		gv.ensurePrivateG()
 	}
 	if gv.IsEdgeSource(table) && !DebugSkipEdgeDelete {
 		eid, err := intAttr(row, gv.eIDPos, "edge ID")
 		if err != nil {
 			return fmt.Errorf("graph view %s: %v", gv.Name, err)
 		}
-		gv.G.RemoveEdge(eid) // absent is fine: may already be cascaded
+		gv.topo.RemoveEdge(eid) // absent is fine: may already be cascaded
 	}
 	if gv.IsVertexSource(table) {
 		vid, err := intAttr(row, gv.vIDPos, "vertex ID")
 		if err != nil {
 			return fmt.Errorf("graph view %s: %v", gv.Name, err)
 		}
-		gv.G.RemoveVertex(vid)
+		gv.topo.RemoveVertex(vid)
 	}
 	return nil
 }
 
 // OnUpdate maintains the topology after a tuple of table changes in place.
 // Identifier updates rename the graph element (§3.3.1); endpoint updates
-// rewire the edge.
+// rewire the edge. Attribute-only updates leave the topology — and its
+// delta — untouched.
 func (gv *GraphView) OnUpdate(table string, id storage.RowID, oldRow, newRow types.Row) error {
 	if gv.IsVertexSource(table) || gv.IsEdgeSource(table) {
 		gv.maintOps.Add(1)
 	}
-	// The copy-on-write clone (ensurePrivateG) happens only on an actual
-	// topology change: attribute-only updates leave the graph — and its
-	// cached CSR snapshot — untouched, so pinned readers and the CSR
-	// cache survive pure attribute churn.
 	if gv.IsVertexSource(table) {
 		oldID, err := intAttr(oldRow, gv.vIDPos, "vertex ID")
 		if err != nil {
@@ -561,8 +511,7 @@ func (gv *GraphView) OnUpdate(table string, id storage.RowID, oldRow, newRow typ
 			return err
 		}
 		if oldID != newID {
-			gv.ensurePrivateG()
-			if err := gv.G.RenameVertex(oldID, newID); err != nil {
+			if err := gv.topo.RenameVertex(oldID, newID); err != nil {
 				return fmt.Errorf("graph view %s: %v", gv.Name, err)
 			}
 		}
@@ -577,8 +526,7 @@ func (gv *GraphView) OnUpdate(table string, id storage.RowID, oldRow, newRow typ
 			return err
 		}
 		if oldID != newID {
-			gv.ensurePrivateG()
-			if err := gv.G.RenameEdge(oldID, newID); err != nil {
+			if err := gv.topo.RenameEdge(oldID, newID); err != nil {
 				return fmt.Errorf("graph view %s: %v", gv.Name, err)
 			}
 		}
@@ -593,13 +541,12 @@ func (gv *GraphView) OnUpdate(table string, id storage.RowID, oldRow, newRow typ
 			return err
 		}
 		if oldFrom != newFrom || oldTo != newTo {
-			gv.ensurePrivateG()
-			gv.G.RemoveEdge(newID)
-			if _, err := gv.G.AddEdge(newID, newFrom, newTo, uint64(id)); err != nil {
+			gv.topo.RemoveEdge(newID)
+			if err := gv.topo.AddEdge(newID, newFrom, newTo, uint64(id)); err != nil {
 				// Rejected rewire (e.g. dangling endpoint): restore the old
 				// embedding so the aborted statement leaves the topology
-				// exactly as it was.
-				if _, rerr := gv.G.AddEdge(newID, oldFrom, oldTo, uint64(id)); rerr != nil {
+				// with exactly the elements it had.
+				if rerr := gv.topo.AddEdge(newID, oldFrom, oldTo, uint64(id)); rerr != nil {
 					return fmt.Errorf("graph view %s: %v (topology restore also failed: %v)",
 						gv.Name, err, rerr)
 				}

@@ -10,32 +10,41 @@ import (
 )
 
 // GraphViewAt is a graph view bound to one engine version: a topology
-// instance plus row views of the relational sources. A pinned reader
-// holds a GraphViewAt whose G/V/E are immutable snapshots, so every
+// version plus row views of the relational sources. A pinned reader
+// holds a GraphViewAt whose Topo/V/E are immutable, so every traversal,
 // tuple-pointer dereference and fan-out read resolves against the version
 // it pinned, regardless of concurrent writers; the writer side uses Live,
-// which binds the live topology and tables. It implements the same
-// attribute-accessor surface as GraphView (expr.GraphAccessor).
+// which binds the current topology and the live tables. It implements the
+// same attribute-accessor surface as GraphView (expr.GraphAccessor).
 type GraphViewAt struct {
-	GV *GraphView
-	G  *graph.Graph
-	V  storage.RowView
-	E  storage.RowView
+	GV   *GraphView
+	Topo *graph.CSR
+	V    storage.RowView
+	E    storage.RowView
 }
 
-// At binds the view to an explicit topology instance and source row views.
-func (gv *GraphView) At(g *graph.Graph, v, e storage.RowView) *GraphViewAt {
-	return &GraphViewAt{GV: gv, G: g, V: v, E: e}
+// At binds the view to an explicit topology version and source row views.
+func (gv *GraphView) At(c *graph.CSR, v, e storage.RowView) *GraphViewAt {
+	return &GraphViewAt{GV: gv, Topo: c, V: v, E: e}
 }
 
-// Live binds the view to its live topology and source tables. Callers
-// must hold the engine lock (either side), as with any live access.
+// Live binds the view to its current topology and the live source
+// tables. Writer side: callers hold the engine write lock.
 func (gv *GraphView) Live() *GraphViewAt {
-	return gv.At(gv.G, gv.vtab, gv.etab)
+	return gv.At(gv.Version(), gv.vtab, gv.etab)
 }
 
-// CSR returns a CSR snapshot of the bound topology version.
-func (at *GraphViewAt) CSR() *graph.CSR { return at.GV.CSRFor(at.G) }
+// CSR returns the bound topology version for a traversal, counting the
+// read as a hit when the version's delta is empty and a miss when the
+// traversal has to walk one.
+func (at *GraphViewAt) CSR() *graph.CSR {
+	if at.Topo.DeltaLen() == 0 {
+		at.GV.csrHits.Add(1)
+	} else {
+		at.GV.csrMisses.Add(1)
+	}
+	return at.Topo
+}
 
 // VertexSchema returns the exposed schema of GV.VERTEXES.
 func (at *GraphViewAt) VertexSchema() *types.Schema { return at.GV.vSchema }
@@ -46,7 +55,7 @@ func (at *GraphViewAt) EdgeSchema() *types.Schema { return at.GV.eSchema }
 // VertexRow materializes the extended tuple of a vertex against the bound
 // version.
 func (at *GraphViewAt) VertexRow(v *graph.Vertex) (types.Row, error) {
-	return vertexRowOf(at.GV, at.G, at.V, v)
+	return vertexRowOf(at.GV, at.Topo, at.V, v)
 }
 
 // EdgeRow materializes the extended tuple of an edge against the bound
@@ -58,7 +67,7 @@ func (at *GraphViewAt) EdgeRow(e *graph.Edge) (types.Row, error) {
 // VertexAttrValue reads one vertex attribute or property against the
 // bound version.
 func (at *GraphViewAt) VertexAttrValue(v *graph.Vertex, name string) (types.Value, error) {
-	return vertexAttrValueOf(at.GV, at.G, at.V, v, name)
+	return vertexAttrValueOf(at.GV, at.Topo, at.V, v, name)
 }
 
 // EdgeAttrValue reads one edge attribute against the bound version.
@@ -88,7 +97,7 @@ func (at *GraphViewAt) VertexAttrSourcePos(name string) (int, bool) {
 // --- Version-parameterized accessors shared by GraphView (live) and
 // --- GraphViewAt (pinned).
 
-func vertexRowOf(gv *GraphView, g *graph.Graph, src storage.RowView, v *graph.Vertex) (types.Row, error) {
+func vertexRowOf(gv *GraphView, g *graph.CSR, src storage.RowView, v *graph.Vertex) (types.Row, error) {
 	row, ok := src.Get(storage.RowID(v.Tuple))
 	if !ok {
 		return nil, fmt.Errorf("graph view %s: dangling tuple pointer for vertex %d", gv.Name, v.ID)
@@ -115,7 +124,7 @@ func edgeRowOf(gv *GraphView, src storage.RowView, e *graph.Edge) (types.Row, er
 	return out, nil
 }
 
-func vertexAttrValueOf(gv *GraphView, g *graph.Graph, src storage.RowView, v *graph.Vertex, name string) (types.Value, error) {
+func vertexAttrValueOf(gv *GraphView, g *graph.CSR, src storage.RowView, v *graph.Vertex, name string) (types.Value, error) {
 	switch strings.ToUpper(name) {
 	case PropFanOut:
 		return types.NewInt(int64(g.FanOut(v))), nil

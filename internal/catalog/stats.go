@@ -28,18 +28,19 @@ type GraphStats struct {
 	MaintOps int64
 }
 
-// ComputeStats walks the topology and builds a fresh statistics object.
-// It is O(V) and intended for the background refresher, not per query.
-func (gv *GraphView) ComputeStats(now time.Time) *GraphStats {
+// ComputeStats walks a version of the topology and builds a fresh
+// statistics object. It is O(V) and intended for the background
+// refresher, not per query.
+func (gv *GraphView) ComputeStats(c *graph.CSR, now time.Time) *GraphStats {
 	st := &GraphStats{
-		AvgFanOut: gv.G.AvgFanOut(),
-		Vertices:  gv.G.NumVertices(),
-		Edges:     gv.G.NumEdges(),
+		AvgFanOut: c.AvgFanOut(),
+		Vertices:  c.NumVertices(),
+		Edges:     c.NumEdges(),
 		UpdatedAt: now,
 		MaintOps:  gv.maintOps.Load(),
 	}
-	gv.G.Vertices(func(v *graph.Vertex) bool {
-		if d := gv.G.FanOut(v); d > st.MaxFanOut {
+	c.Vertices(func(v *graph.Vertex) bool {
+		if d := c.FanOut(v); d > st.MaxFanOut {
 			st.MaxFanOut = d
 		}
 		return true

@@ -15,7 +15,7 @@ import (
 func TestFreshStatsDriftsStale(t *testing.T) {
 	_, users, _, gv := socialFixture(t)
 
-	gv.SetStats(gv.ComputeStats(time.Now()))
+	gv.SetStats(gv.ComputeStats(gv.Version(), time.Now()))
 	if gv.FreshStats() == nil {
 		t.Fatal("freshly computed statistics reported stale")
 	}
@@ -55,7 +55,7 @@ func TestFreshStatsDriftsStale(t *testing.T) {
 	}
 
 	// A refresh re-arms freshness at the new maintenance count.
-	gv.SetStats(gv.ComputeStats(time.Now()))
+	gv.SetStats(gv.ComputeStats(gv.Version(), time.Now()))
 	if gv.FreshStats() == nil {
 		t.Fatal("refresh did not restore freshness")
 	}
@@ -65,7 +65,7 @@ func TestFreshStatsDriftsStale(t *testing.T) {
 // path): after invalidation both accessors return nil until a new refresh.
 func TestInvalidateStats(t *testing.T) {
 	_, _, _, gv := socialFixture(t)
-	gv.SetStats(gv.ComputeStats(time.Now()))
+	gv.SetStats(gv.ComputeStats(gv.Version(), time.Now()))
 	gv.InvalidateStats()
 	if gv.Stats() != nil || gv.FreshStats() != nil {
 		t.Fatal("invalidated statistics still published")

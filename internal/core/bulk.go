@@ -15,13 +15,11 @@ import (
 // BulkLoad is the engine half of the COPY-style streaming ingest path: an
 // exclusive write transaction that accepts pre-decoded row batches and
 // publishes ONE new MVCC version at the end, no matter how many batches
-// streamed in. That single deferred publish is what makes bulk graph
-// ingest fast: publishing marks every graph view shared (version.go), so
-// the first topology change after each publish must clone the whole graph
-// (catalog.ensurePrivateG). Per-statement ingest therefore clones the
-// graph once per batch — quadratic in load size, measured at ~6.5k
-// edges/s — while BulkLoad pays one clone for the entire stream and then
-// appends to private adjacency in place.
+// streamed in, so no batch pays a publish (table snapshots, version
+// registry) or the first-write-after-publish table copy that follows one.
+// Graph-view maintenance is the same either way — each row appends to the
+// view's topology delta (graph/topology.go) — and the one publish at Close
+// folds the delta into a new main if it outgrew the last one.
 //
 // Semantics are batch-atomic, not load-atomic, mirroring durability:
 // every Append is logged to the WAL (when durable) and applied as one

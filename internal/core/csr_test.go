@@ -126,7 +126,8 @@ func checkAgainstReference(t *testing.T, e *Engine, view string, spPairs [][2]in
 // TestCSREdgeSizes runs every traversal operator and analytics TVF on the
 // degenerate and tiny views that used to bypass the CSR kernels, and on a
 // view that grows across the retired 256-element planner threshold between
-// two reads.
+// two reads — the second read walking the growth in the topology's delta,
+// with no new main laid out.
 func TestCSREdgeSizes(t *testing.T) {
 	// ladder(n) has 3n-3 topology elements: n = 86 is 255, one short of
 	// the old threshold.
@@ -179,19 +180,24 @@ func TestCSREdgeSizes(t *testing.T) {
 				return
 			}
 			builds := metricValue(e, "graphview.G.csr_builds")
+			misses := metricValue(e, "graphview.G.csr_misses")
 			mustExec(t, e, tc.grow)
 			checkAgainstReference(t, e, "G", tc.spPairs)
-			if b := metricValue(e, "graphview.G.csr_builds"); b != builds+1 {
-				t.Errorf("csr_builds went %d -> %d across one topology insert, want one rebuild", builds, b)
+			if b := metricValue(e, "graphview.G.csr_builds"); b != builds {
+				t.Errorf("csr_builds went %d -> %d across one topology insert, want no new main", builds, b)
+			}
+			if m := metricValue(e, "graphview.G.csr_misses"); m <= misses {
+				t.Errorf("csr_misses stayed %d: the reads after the insert did not walk the delta", m)
 			}
 		})
 	}
 }
 
-// TestCSRSnapshotStaleness proves post-DML queries never read a stale CSR
-// snapshot: every topology mutation invalidates the cached snapshot, the
-// next query rebuilds it, and the answers always reflect the current
-// relational state.
+// TestCSRSnapshotStaleness proves post-DML queries never read a stale
+// topology: every mutation lands in the delta the next version binds, so
+// the answers always reflect the current relational state without laying
+// out a new main — until a merge folds the delta in, after which reads hit
+// the bare main again.
 func TestCSRSnapshotStaleness(t *testing.T) {
 	const n = 200
 	e := ladderEngine(t, n, 0)
@@ -206,49 +212,56 @@ func TestCSRSnapshotStaleness(t *testing.T) {
 	if !reachable() {
 		t.Fatal("ladder end should be reachable from vertex 0")
 	}
-	if b := metricValue(e, "graphview.Ladder.csr_builds"); b != 1 {
-		t.Fatalf("after first query: csr_builds = %d, want 1", b)
+	builds := func() int64 { return metricValue(e, "graphview.Ladder.csr_builds") }
+	if b := builds(); b != 1 {
+		t.Fatalf("after first query: csr_builds = %d, want 1 (the view's creation)", b)
 	}
 
-	// A repeat query on an unchanged topology must hit the cache.
+	// A repeat query on an unchanged topology reads the bare main.
 	if !reachable() {
 		t.Fatal("repeat query changed its answer")
 	}
-	if b := metricValue(e, "graphview.Ladder.csr_builds"); b != 1 {
-		t.Errorf("repeat query rebuilt the snapshot: csr_builds = %d, want 1", b)
-	}
-	if h := metricValue(e, "graphview.Ladder.csr_hits"); h < 1 {
-		t.Errorf("repeat query did not hit the cache: csr_hits = %d", h)
+	if h := metricValue(e, "graphview.Ladder.csr_hits"); h < 2 {
+		t.Errorf("reads of a delta-free version are not hits: csr_hits = %d", h)
 	}
 
 	// Disconnect the last vertex: the next query must see the deletion.
 	mustExec(t, e, fmt.Sprintf("DELETE FROM E WHERE dst = %d", n-1))
 	if reachable() {
-		t.Fatal("stale snapshot: deleted edges still traversed")
+		t.Fatal("stale topology: deleted edges still traversed")
 	}
-	if b := metricValue(e, "graphview.Ladder.csr_builds"); b != 2 {
-		t.Errorf("post-DELETE query should rebuild: csr_builds = %d, want 2", b)
+	if m := metricValue(e, "graphview.Ladder.csr_misses"); m != 1 {
+		t.Errorf("post-DELETE read should walk the delta: csr_misses = %d, want 1", m)
 	}
 
 	// Reconnect it: the next query must see the insertion.
 	mustExec(t, e, fmt.Sprintf("INSERT INTO E VALUES (9999, %d, %d, 1.5)", n-2, n-1))
 	if !reachable() {
-		t.Fatal("stale snapshot: inserted edge not traversed")
-	}
-	if b := metricValue(e, "graphview.Ladder.csr_builds"); b != 3 {
-		t.Errorf("post-INSERT query should rebuild: csr_builds = %d, want 3", b)
+		t.Fatal("stale topology: inserted edge not traversed")
 	}
 
-	// An attribute UPDATE that does not touch topology must not invalidate.
+	// An attribute UPDATE does not touch the topology.
 	mustExec(t, e, "UPDATE V SET name = 'renamed' WHERE vid = 0")
 	if !reachable() {
 		t.Fatal("attribute update broke reachability")
 	}
-	if b := metricValue(e, "graphview.Ladder.csr_builds"); b != 3 {
-		t.Errorf("attribute-only UPDATE invalidated the snapshot: csr_builds = %d, want 3", b)
+	if b := builds(); b != 1 {
+		t.Errorf("DML laid out a new main: csr_builds = %d, want 1", b)
 	}
 
-	// EXPLAIN ANALYZE surfaces the snapshot cache state for CSR scans.
+	// A merge lays out one new main; answers and the canonical order hold.
+	if err := e.MergeGraphView("Ladder"); err != nil {
+		t.Fatal(err)
+	}
+	hits := metricValue(e, "graphview.Ladder.csr_hits")
+	if !reachable() {
+		t.Fatal("merge lost the inserted edge")
+	}
+	if b, h := builds(), metricValue(e, "graphview.Ladder.csr_hits"); b != 2 || h != hits+1 {
+		t.Errorf("after a merge: csr_builds = %d (want 2), hits %d -> %d (want +1)", b, hits, h)
+	}
+
+	// EXPLAIN ANALYZE surfaces the topology counters for CSR scans.
 	p := planText(mustExec(t, e, "EXPLAIN ANALYZE "+reach))
 	if !strings.Contains(p, "CSR[Ladder]:") {
 		t.Errorf("EXPLAIN ANALYZE missing CSR cache line:\n%s", p)

@@ -131,9 +131,9 @@ func (ri *RecoveryInfo) String() string {
 // Open creates an engine, recovering durable state when
 // opts.Durability.Dir is set: it loads the latest checkpoint, replays the
 // WAL tail (skipping records the checkpoint already covers), truncates a
-// torn final record at the last valid frame, rebuilds graph views and
-// their CSR snapshots from the recovered relations (§3.3 — topology is
-// derived state and is never logged), and attaches the WAL so subsequent
+// torn final record at the last valid frame, rebuilds graph views from
+// the recovered relations (§3.3 — topology is derived state and is never
+// logged), and attaches the WAL so subsequent
 // mutating statements are logged before they apply.
 //
 // A WAL or checkpoint that is unusable (not just torn) fails with an
@@ -223,13 +223,6 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 	}
 	if e.health.healMax < e.health.healBase {
 		e.health.healMax = e.health.healBase
-	}
-	// Rebuild the derived per-view CSR snapshots so the first traversal
-	// after recovery does not pay the build.
-	for _, name := range e.cat.GraphViews() {
-		if gv, ok := e.cat.GraphView(name); ok {
-			gv.CSR()
-		}
 	}
 	// Publish the recovered state as one version: snapshot restore and
 	// WAL replay happened behind the write lock (replayed statements each

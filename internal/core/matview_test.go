@@ -90,22 +90,22 @@ func TestGraphViewOverMatView(t *testing.T) {
 			EDGES(ID = kid, FROM = a, TO = b) FROM Knows;
 	`)
 	gv, _ := e.Catalog().GraphView("ActiveGraph")
-	if gv.G.NumVertices() != 3 {
-		t.Fatalf("initial vertices: %d", gv.G.NumVertices())
+	if gv.Version().NumVertices() != 3 {
+		t.Fatalf("initial vertices: %d", gv.Version().NumVertices())
 	}
 	// A new active person becomes a vertex through the view chain.
 	mustExec(t, e, `INSERT INTO People VALUES (5, 'e', true)`)
-	if gv.G.Vertex(5) == nil {
+	if gv.Version().Vertex(5) == nil {
 		t.Fatal("insert did not flow base -> matview -> topology")
 	}
 	// Deactivating a person removes the vertex (and would cascade edges).
 	mustExec(t, e, `UPDATE People SET active = false WHERE pid = 5`)
-	if gv.G.Vertex(5) != nil {
+	if gv.Version().Vertex(5) != nil {
 		t.Fatal("leave-update did not remove the vertex")
 	}
 	// An inactive person inserted does not appear.
 	mustExec(t, e, `INSERT INTO People VALUES (6, 'f', false)`)
-	if gv.G.Vertex(6) != nil {
+	if gv.Version().Vertex(6) != nil {
 		t.Fatal("inactive person entered the graph")
 	}
 	// Traversal works over the maintained chain.

@@ -140,19 +140,19 @@ func TestVersionedGraphViewPin(t *testing.T) {
 		t.Fatal("missing graph view")
 	}
 	at := st.GraphView(gv)
-	v0, e0 := at.G.NumVertices(), at.G.NumEdges()
+	v0, e0 := at.Topo.NumVertices(), at.Topo.NumEdges()
 	rows0 := st.Table(gv.VertexTable()).Len()
 	seq0 := e.VersionSeq()
 
 	mustExec(t, e, `INSERT INTO V VALUES (100, 'new')`)
 	mustExec(t, e, `INSERT INTO E VALUES (9999, 0, 100, 1.5)`)
 
-	if got := gv.G.NumVertices(); got != v0+1 {
+	if got := gv.Version().NumVertices(); got != v0+1 {
 		t.Fatalf("live vertices = %d, want %d", got, v0+1)
 	}
-	if at.G.NumVertices() != v0 || at.G.NumEdges() != e0 {
+	if at.Topo.NumVertices() != v0 || at.Topo.NumEdges() != e0 {
 		t.Fatalf("pinned topology moved: %d/%d, want %d/%d",
-			at.G.NumVertices(), at.G.NumEdges(), v0, e0)
+			at.Topo.NumVertices(), at.Topo.NumEdges(), v0, e0)
 	}
 	if got := st.Table(gv.VertexTable()).Len(); got != rows0 {
 		t.Fatalf("pinned vertex rows = %d, want %d", got, rows0)
@@ -163,7 +163,7 @@ func TestVersionedGraphViewPin(t *testing.T) {
 	// The current version binds the advanced topology.
 	cur := e.pin()
 	defer e.unpin(cur)
-	if got := cur.GraphView(gv).G.NumVertices(); got != v0+1 {
+	if got := cur.GraphView(gv).Topo.NumVertices(); got != v0+1 {
 		t.Fatalf("current version vertices = %d, want %d", got, v0+1)
 	}
 }

@@ -131,8 +131,8 @@ func (e *Engine) observeAnalytics(ec *exec.Context) {
 
 // viewStatsAt gathers the per-graph-view gauges for a metrics snapshot
 // against a pinned version: topology sizes come from the version's bound
-// graph (never mutated after publish), while the lifetime counters
-// (maintenance ops, CSR cache, statistics age) are the view's atomics.
+// topology (immutable), while the lifetime counters (maintenance ops, CSR
+// builds and reads, statistics age) are the view's atomics.
 func (e *Engine) viewStatsAt(st *dbState) []metrics.GraphViewStats {
 	now := time.Now()
 	var out []metrics.GraphViewStats
@@ -141,7 +141,7 @@ func (e *Engine) viewStatsAt(st *dbState) []metrics.GraphViewStats {
 		if !ok {
 			continue
 		}
-		g := st.GraphView(gv).G
+		g := st.GraphView(gv).Topo
 		vs := metrics.GraphViewStats{
 			Name:       name,
 			Vertices:   int64(g.NumVertices()),
@@ -216,14 +216,10 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 		}
 		gv := pj.Spec.GV
 		addCSR(gv)
-		topo := gv.G
-		if pj.Spec.At != nil {
-			topo = pj.Spec.At.G
-		}
 		st := gv.Stats()
 		if st == nil {
 			add("Stats[%s]: none published; optimizer used live avg_fanout=%.2f",
-				gv.Name, topo.AvgFanOut())
+				gv.Name, pj.Spec.At.Topo.AvgFanOut())
 			return
 		}
 		state := "fresh"

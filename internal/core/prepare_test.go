@@ -112,7 +112,7 @@ func TestSnapshotRestoreEngine(t *testing.T) {
 		t.Fatalf("restored users: %v", render(r))
 	}
 	gv, ok := e2.Catalog().GraphView("SocialNetwork")
-	if !ok || gv.G.NumVertices() != 5 || gv.G.NumEdges() != 5 {
+	if !ok || gv.Version().NumVertices() != 5 || gv.Version().NumEdges() != 5 {
 		t.Fatalf("restored topology: %v", gv)
 	}
 	// The restored index is live (plans use it).
@@ -158,7 +158,7 @@ func TestPrepareDML(t *testing.T) {
 	}
 	// Prepared insert maintains graph views too.
 	gv, _ := e.Catalog().GraphView("SocialNetwork")
-	if gv.G.Vertex(11) == nil {
+	if gv.Version().Vertex(11) == nil {
 		t.Fatal("prepared insert skipped view maintenance")
 	}
 	upd, err := e.PrepareDML(`UPDATE Users SET job = ? WHERE uid = ?`)
@@ -180,7 +180,7 @@ func TestPrepareDML(t *testing.T) {
 	if err != nil || res.Affected != 1 {
 		t.Fatalf("delete: %+v %v", res, err)
 	}
-	if gv.G.Vertex(12) != nil {
+	if gv.Version().Vertex(12) != nil {
 		t.Fatal("prepared delete skipped view maintenance")
 	}
 	// Arity enforcement and statement-kind rejection.

@@ -8,10 +8,11 @@ import (
 
 // This file holds the engine hooks the differential-testing oracle
 // (internal/oracle) drives: forcing a graph-view rebuild for the §3.3
-// maintenance oracle and resizing the traversal worker pool for the
-// worker-count metamorphic relation. Both are ordinary public API — they
-// take the statement locks like any statement — but exist for testing, not
-// for applications.
+// maintenance oracle, materializing the maintained topology for the
+// reference kernels, forcing a topology merge, and resizing the traversal
+// worker pool for the worker-count metamorphic relation. All are ordinary
+// public API — they take the statement locks or pin a version like any
+// statement — but exist for testing, not for applications.
 
 // RebuildGraphView reconstructs the named graph view's topology from the
 // current contents of its relational sources and returns the fresh graph
@@ -32,17 +33,36 @@ func (e *Engine) RebuildGraphView(name string) (*graph.Graph, error) {
 	return gv.RebuildTopology()
 }
 
-// GraphTopology returns the live, incrementally maintained topology of the
-// named graph view, for direct structural comparison against a rebuild.
-// Callers must not mutate it and must not retain it across DML.
+// GraphTopology materializes the incrementally maintained topology of the
+// named graph view, as of the current version, into a pointer graph whose
+// adjacency lists follow the canonical order the engine's kernels walk —
+// for structural comparison against a rebuild and for the pointer
+// reference kernels. Repeated calls on an unchanged version return the
+// same graph; callers must not mutate it.
 func (e *Engine) GraphTopology(name string) (*graph.Graph, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	gv, ok := e.cat.GraphView(name)
+	st := e.pin()
+	defer e.unpin(st)
+	gv, ok := st.cat.GraphView(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown graph view %q", name)
 	}
-	return gv.G, nil
+	return st.GraphView(gv).Topo.Graph(), nil
+}
+
+// MergeGraphView folds the named view's topology delta into a fresh CSR
+// main now rather than at its size threshold, and publishes a version
+// bound to it. Answers do not change: a merge preserves the topology and
+// its adjacency order.
+func (e *Engine) MergeGraphView(name string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	gv, ok := e.cat.GraphView(name)
+	if !ok {
+		return fmt.Errorf("unknown graph view %q", name)
+	}
+	gv.MergeTopology()
+	e.publishLocked()
+	return nil
 }
 
 // SetWorkers resizes the multi-source traversal worker pool (see

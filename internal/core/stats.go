@@ -16,12 +16,12 @@ import (
 //
 // Concurrency audit (the refresher is the one long-lived goroutine that
 // touches engine state): a refresh only *reads* catalog and topology —
-// ComputeStats walks the graph, and publication goes through
-// GraphView.SetStats, an atomic-pointer store that racing readers observe
-// via the matching atomic load in GraphView.Stats. It therefore runs under
+// ComputeStats walks the published topology version, and publication goes
+// through GraphView.SetStats, an atomic-pointer store that racing readers
+// observe via the matching atomic load in GraphView.Stats. It runs under
 // the engine's *shared* lock, concurrent with queries, and never blocks
-// them; DML/DDL (which do mutate the topology the walk reads) are excluded
-// by the write lock. The statsMu below guards only the refresher's own
+// them; DML/DDL are excluded by the write lock, so the published version
+// it reads is the current one. The statsMu below guards only the refresher's own
 // lifecycle fields (statsStop/statsDone) — every Start/Close path takes it
 // before touching them.
 
@@ -35,12 +35,13 @@ func (e *Engine) RefreshStatistics() {
 
 func (e *Engine) refreshStatsLocked() {
 	now := time.Now()
+	st := e.state.Load() // the head: writers are excluded
 	for _, name := range e.cat.GraphViews() {
 		gv, ok := e.cat.GraphView(name)
 		if !ok {
 			continue
 		}
-		gv.SetStats(gv.ComputeStats(now))
+		gv.SetStats(gv.ComputeStats(st.GraphView(gv).Topo, now))
 		e.metrics.StatsRefreshes.Inc()
 	}
 }

@@ -24,10 +24,10 @@ import (
 //
 // Reclamation is epoch-like but delegated to the garbage collector: a
 // superseded state is unreachable from the engine once no reader pins it,
-// so its snapshots and any cloned topology are collected naturally. The
-// engine keeps a small writer-guarded registry of potentially-live states
-// purely to drive the mvcc.versions_live gauge; it is pruned at every
-// publish.
+// so its snapshots and any superseded topology main are collected
+// naturally. The engine keeps a small writer-guarded registry of
+// potentially-live states purely to drive the mvcc.versions_live gauge; it
+// is pruned at every publish.
 //
 // The copy-on-write protocol the snapshots rely on:
 //
@@ -38,9 +38,11 @@ import (
 //     snapshot; TableSnap.Probe verifies the table version around the
 //     index read and falls back to filtering the snapshot when it moved
 //     (storage/snapshot.go).
-//   - Graph-view topologies are marked shared at publish; the first
-//     maintenance op afterwards clones the graph (catalog.ensurePrivateG),
-//     so a pinned GraphViewAt keeps the exact topology it pinned.
+//   - Graph-view topologies are an immutable CSR main plus an append-only
+//     delta (graph/topology.go); maintenance only appends, publish binds
+//     (main, delta length) in O(1) after folding a delta that outgrew its
+//     threshold into a new main, and a pinned GraphViewAt never sees an
+//     event past its length — no topology is ever copied.
 //   - DDL clones the catalog registry before mutating it.
 
 // dbState is one published engine version. All fields but pins are
@@ -101,8 +103,11 @@ func (e *Engine) publishLocked() {
 	}
 	for _, name := range e.cat.GraphViews() {
 		if gv, ok := e.cat.GraphView(name); ok {
-			gv.MarkShared()
-			st.ats[gv] = gv.At(gv.G, st.Table(gv.VertexTable()), st.Table(gv.EdgeTable()))
+			// However many changes the statement made, no published version
+			// carries a delta past its merge threshold. O(1) unless a merge
+			// is due, which the delta's size amortizes.
+			gv.SettleTopology()
+			st.ats[gv] = gv.At(gv.Version(), st.Table(gv.VertexTable()), st.Table(gv.EdgeTable()))
 		}
 	}
 	e.state.Store(st)

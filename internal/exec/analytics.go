@@ -19,10 +19,11 @@ import (
 //	SELECT * FROM GV.LABEL_PROPAGATION(10) LP
 //	SELECT * FROM GV.DEGREE_CENTRALITY() DC
 //
-// The operator is a leaf: it runs the kernel at Open over the view's CSR
-// snapshot and streams the result as an ordinary relation — one row per
-// vertex in ascending identifier order, an ID column plus the function's
-// metric columns — so results join and filter against table attributes.
+// The operator is a leaf: it runs the kernel at Open over the view's bound
+// topology version and streams the result as an ordinary relation — one
+// row per vertex in ascending identifier order, an ID column plus the
+// function's metric columns — so results join and filter against table
+// attributes.
 
 // AnalyticsFunc identifies one analytics table-valued function.
 type AnalyticsFunc uint8
@@ -243,8 +244,8 @@ func (s *AnalyticsScan) Open(ctx *Context) (Iterator, error) {
 	if at == nil {
 		at = s.GV.Live()
 	}
-	// Fetch (or lazily build) the CSR snapshot of the bound topology
-	// version at execution time — same pinning discipline as PathScan.
+	// Read the bound topology version at execution time — same pinning
+	// discipline as PathScan.
 	c := at.CSR()
 	it := &analyticsIter{ctx: ctx, s: s, csr: c, a: c.NewAnalytics(), hasScratch: true}
 	s.runs.Add(1)
@@ -289,7 +290,7 @@ func mapStopped(ctx *Context, err error) error {
 }
 
 // analyticsIter streams the result relation in ascending vertex-ID order
-// (the snapshot's dense numbering).
+// (the kernels' result order).
 type analyticsIter struct {
 	ctx *Context
 	s   *AnalyticsScan
@@ -311,7 +312,7 @@ func (it *analyticsIter) Next() (types.Row, error) {
 		}
 		i := it.i
 		it.i++
-		id := types.NewInt(it.csr.VertexID(i))
+		id := types.NewInt(it.a.VertexID(i))
 		var row types.Row
 		switch it.s.Fn {
 		case AnalyticsPageRank:

@@ -287,11 +287,10 @@ func (p *PathProbeJoin) Open(ctx *Context) (Iterator, error) {
 			it.weightPos = pos
 		}
 	}
-	// Fetch (or lazily build) the CSR snapshot at execution time — never at
-	// plan time, where the topology the query will actually see is not yet
-	// bound. The snapshot is taken from the bound version's topology
-	// instance, so a pinned reader traverses exactly what it pinned even
-	// while writers advance the live view.
+	// Take the topology version at execution time — never at plan time,
+	// where the version the query will actually see is not yet bound. A
+	// pinned reader traverses exactly the version it pinned even while
+	// writers append to the view's delta.
 	it.csr = it.at.CSR()
 	return it, nil
 }
@@ -312,7 +311,7 @@ type pathProbeIter struct {
 	boundPos  []int
 	weightPos int
 
-	// csr is the immutable snapshot of at.G every kernel traverses.
+	// csr is the topology version (at.Topo) every kernel traverses.
 	csr *graph.CSR
 
 	outerRow types.Row
@@ -514,7 +513,7 @@ func (it *pathProbeIter) drainSource(start *graph.Vertex) ([]*graph.Path, error)
 // current outer row: start vertexes, target, and filter constants.
 func (it *pathProbeIter) bindProbe() error {
 	spec := &it.p.Spec
-	g := it.at.G
+	g := it.csr
 	it.starts = it.starts[:0]
 	it.si = 0
 	it.target = nil

@@ -286,7 +286,7 @@ func (s *VertexScan) Children() []Operator { return nil }
 func (s *VertexScan) Open(ctx *Context) (Iterator, error) {
 	at := s.at()
 	var verts []*graph.Vertex
-	at.G.Vertices(func(v *graph.Vertex) bool {
+	at.Topo.Vertices(func(v *graph.Vertex) bool {
 		verts = append(verts, v)
 		return true
 	})
@@ -373,7 +373,7 @@ func (s *EdgeScan) Children() []Operator { return nil }
 func (s *EdgeScan) Open(ctx *Context) (Iterator, error) {
 	at := s.at()
 	var edges []*graph.Edge
-	at.G.Edges(func(e *graph.Edge) bool {
+	at.Topo.Edges(func(e *graph.Edge) bool {
 		edges = append(edges, e)
 		return true
 	})

@@ -3,7 +3,7 @@ package graph
 // This file implements the whole-graph analytics kernels behind the
 // GV.PAGERANK / GV.CONNECTED_COMPONENTS / GV.LABEL_PROPAGATION /
 // GV.DEGREE_CENTRALITY table-valued functions: vertex-centric algorithms
-// over the CSR snapshot's flat arrays, the workload GraphGen runs
+// over a CSR version's flat arrays, the workload GraphGen runs
 // in-engine so results join back against relational attributes.
 //
 // Parallelism model. Every kernel splits the vertex range into fixed
@@ -21,8 +21,14 @@ package graph
 //
 // Under those rules the parallel kernels are bit-identical to their
 // sequential selves at any worker count, and also to the Ref* pointer-graph
-// references below, because the CSR adjacency arrays mirror the pointer
-// lists' order exactly (see csr.go's determinism contract).
+// references below over a version's materialization (CSR.Graph), because
+// both walk the canonical adjacency order csr.go defines.
+//
+// A version with a delta numbers its vertexes densely out of identifier
+// order (delta vertexes come last) with tombstoned holes: the kernels keep
+// per-vertex state by dense index, skip dead vertexes, reduce and emit in
+// identifier order (analyticsScratch.order), and read a touched vertex's
+// arcs through the delta; untouched vertexes keep the main's tight loops.
 //
 // Cancellation threads through like every other kernel: the done channel
 // is polled between chunks and levels, and a halted run returns ErrStopped
@@ -62,18 +68,31 @@ type ComponentsStats struct {
 
 // analyticsScratch is the pooled per-run state of the analytics kernels:
 // rank/label double buffers, the frontier and visited bitmaps, per-chunk
-// partial counters, and per-worker neighbor-label buffers. One scratch
-// serves one run at a time; Release returns it to the snapshot's pool, so
-// steady-state analytics allocate nothing.
+// partial counters, per-worker neighbor buffers, and the result order. One
+// scratch serves one run at a time; Release returns it to the main's pool,
+// so steady-state analytics allocate nothing.
 type analyticsScratch struct {
 	rank, rank2 []float64
 	lbl, lbl2   []int64
+	deg         []int32 // PageRank degree per dense vertex
 
-	visited, cur, next []uint32 // bitmaps, one bit per vertex
+	visited, cur, next []uint32 // bitmaps, one bit per dense vertex
 
 	cnt1, cnt2 []int64 // per-chunk integer partials
 
 	nbufs [][]int64 // per-worker label multiset buffers
+	abufs []arcBuf  // per-worker arcs of touched vertexes
+
+	// Kernel state is indexed by dense vertex, which a version with a
+	// delta numbers out of identifier order and with tombstoned holes.
+	// order then lists the live vertexes in ascending identifier order
+	// (the results' row order and every float reduction's order) and
+	// outF/outI hold the results compacted into it; ordered is false when
+	// the dense numbering is that order already (no delta).
+	ordered bool
+	order   []int32
+	outF    []float64
+	outI    []int64
 
 	// Preallocated chunk runners: runChunks takes an interface instead of
 	// a closure so a steady-state run performs zero allocations (a closure
@@ -84,28 +103,72 @@ type analyticsScratch struct {
 	lp lpRun
 }
 
-// Analytics is a handle on one pooled analytics run over a CSR snapshot.
-// The slices returned by its kernels live in the pooled scratch: they stay
+// Analytics is a handle on one pooled analytics run over a version. The
+// slices returned by its kernels live in the pooled scratch: they stay
 // valid until Release, after which the pool may hand the memory to the
-// next run.
+// next run. Results are indexed by position in ascending vertex
+// identifier order (see VertexID).
 type Analytics struct {
 	c *CSR
 	s *analyticsScratch
 }
 
-// NewAnalytics takes an analytics scratch from the snapshot's pool. The
+// NewAnalytics takes an analytics scratch from the main's pool. The
 // returned handle is a value so steady-state runs allocate nothing.
 func (c *CSR) NewAnalytics() Analytics {
-	return Analytics{c: c, s: c.apool.Get().(*analyticsScratch)}
+	s := c.m.apool.Get().(*analyticsScratch)
+	s.ordered = c.n != 0
+	if s.ordered {
+		s.order = c.liveVertices(s.order[:0])
+	}
+	return Analytics{c: c, s: s}
 }
 
 // Release returns the scratch to the pool, invalidating every slice the
 // handle's kernels returned.
-func (a Analytics) Release() { a.c.apool.Put(a.s) }
+func (a Analytics) Release() { a.c.m.apool.Put(a.s) }
 
-// VertexID maps a dense vertex index to the vertex identifier, letting the
-// executor turn kernel outputs (indexed by dense position) into rows.
-func (c *CSR) VertexID(i int) int64 { return c.vids[i] }
+// VertexID maps a result position to the vertex identifier, letting the
+// executor turn kernel outputs into rows.
+func (a Analytics) VertexID(i int) int64 { return a.c.vertexID(a.s.at(i)) }
+
+// at returns the dense index of the vertex at result position p.
+func (s *analyticsScratch) at(p int) int32 {
+	if s.ordered {
+		return s.order[p]
+	}
+	return int32(p)
+}
+
+// compactF/compactI lay a dense result out in result order.
+func (s *analyticsScratch) compactF(dense []float64, nv int) []float64 {
+	if !s.ordered {
+		return dense
+	}
+	s.outF = sizeF64(s.outF, nv)
+	for p := range s.outF {
+		s.outF[p] = dense[s.order[p]]
+	}
+	return s.outF
+}
+
+func (s *analyticsScratch) compactI(dense []int64, nv int) []int64 {
+	if !s.ordered {
+		return dense
+	}
+	s.outI = sizeI64(s.outI, nv)
+	for p := range s.outI {
+		s.outI[p] = dense[s.order[p]]
+	}
+	return s.outI
+}
+
+// workerBufs sizes the per-worker arc buffers.
+func (s *analyticsScratch) workerBufs(workers int) {
+	if n := max(workers, 1); len(s.abufs) < n {
+		s.abufs = append(s.abufs, make([]arcBuf, n-len(s.abufs))...)
+	}
+}
 
 // stoppedCh reports whether the cancellation signal has fired.
 func stoppedCh(done <-chan struct{}) bool {
@@ -256,87 +319,124 @@ func orBit(words []uint32, i int32) {
 // prDegree returns the degree PageRank divides a vertex's rank by: the
 // out-degree for directed graphs, the traversal-view degree (every
 // incident edge, self-loops once) for undirected ones.
-func (c *CSR) prDegree(v int32) int32 {
-	if c.directed {
-		return c.outOff[v+1] - c.outOff[v]
+func (c *view) prDegree(v int32) int32 {
+	m := c.m
+	if c.clean(v) {
+		if m.directed {
+			return m.outOff[v+1] - m.outOff[v]
+		}
+		return m.adjOff[v+1] - m.adjOff[v]
 	}
-	return c.adjOff[v+1] - c.adjOff[v]
+	n := c.countArcs(v, false, false)
+	if !m.directed {
+		n += c.countArcs(v, true, true)
+	}
+	return n
+}
+
+// prArcs returns the neighbors v pulls rank from: its in arcs for directed
+// graphs, its traversal view for undirected ones.
+func (c *view) prArcs(v int32, b *arcBuf) []int32 {
+	m := c.m
+	if c.clean(v) {
+		if m.directed {
+			return m.inAdj[m.inOff[v]:m.inOff[v+1]]
+		}
+		return m.adjTo[m.adjOff[v]:m.adjOff[v+1]]
+	}
+	b.reset()
+	if m.directed {
+		c.appendArcs(b, v, true, false)
+	} else {
+		c.appendArcs(b, v, false, false)
+		c.appendArcs(b, v, true, true)
+	}
+	return b.to
 }
 
 // prRun is the parallel pull phase of one PageRank iteration.
 type prRun struct {
 	c           *CSR
+	s           *analyticsScratch
 	rank, rank2 []float64
 	base        float64
 	damping     float64
 }
 
-func (r *prRun) runChunk(_, lo, hi int) {
-	c := r.c
-	rank, rank2 := r.rank, r.rank2
-	if c.directed {
-		for v := int32(lo); v < int32(hi); v++ {
-			sum := 0.0
-			for i := c.inOff[v]; i < c.inOff[v+1]; i++ {
-				u := c.inAdj[i]
-				sum += rank[u] / float64(c.outOff[u+1]-c.outOff[u])
-			}
-			rank2[v] = r.base + r.damping*sum
+func (r *prRun) runChunk(worker, lo, hi int) {
+	c, deg, rank, rank2 := r.c, r.s.deg, r.rank, r.rank2
+	b := &r.s.abufs[worker]
+	off, adj := c.m.inOff, c.m.inAdj
+	if !c.m.directed {
+		off, adj = c.m.adjOff, c.m.adjTo
+	}
+	for v := int32(lo); v < int32(hi); v++ {
+		var nbrs []int32
+		switch { // the main-only case inline: this loop is the kernel
+		case c.n == 0:
+			nbrs = adj[off[v]:off[v+1]]
+		case c.deadV(v):
+			rank2[v] = 0
+			continue
+		default:
+			nbrs = c.prArcs(v, b)
 		}
-	} else {
-		for v := int32(lo); v < int32(hi); v++ {
-			sum := 0.0
-			for i := c.adjOff[v]; i < c.adjOff[v+1]; i++ {
-				u := c.adjTo[i]
-				sum += rank[u] / float64(c.adjOff[u+1]-c.adjOff[u])
-			}
-			rank2[v] = r.base + r.damping*sum
+		sum := 0.0
+		for _, u := range nbrs {
+			sum += rank[u] / float64(deg[u])
 		}
+		rank2[v] = r.base + r.damping*sum
 	}
 }
 
 // PageRank runs synchronous pull-based PageRank with dangling-mass
 // redistribution: maxIters iterations, stopping early when the L1 delta
 // between iterations drops to eps or below (eps <= 0 disables the early
-// stop). It returns the per-vertex ranks (indexed by dense vertex index,
-// valid until Release) and the number of iterations actually run.
+// stop). It returns the per-vertex ranks (in result order, valid until
+// Release) and the number of iterations actually run.
 func (a Analytics) PageRank(done <-chan struct{}, workers int, damping float64, maxIters int, eps float64) ([]float64, int, error) {
 	c, s := a.c, a.s
-	nv := len(c.verts)
+	nv, n := c.nv, c.denseV()
 	if nv == 0 {
 		return nil, 0, nil
 	}
-	s.rank = sizeF64(s.rank, nv)
-	s.rank2 = sizeF64(s.rank2, nv)
+	s.workerBufs(workers)
+	s.rank = sizeF64(s.rank, n)
+	s.rank2 = sizeF64(s.rank2, n)
+	s.deg = sizeI32(s.deg, n)
 	rank, rank2 := s.rank, s.rank2
 	init := 1 / float64(nv)
-	for i := range rank {
-		rank[i] = init
+	for v := int32(0); v < int32(n); v++ {
+		rank[v], s.deg[v] = init, c.prDegree(v)
+		if c.deadV(v) {
+			rank[v] = 0
+		}
 	}
-	n := float64(nv)
+	nf := float64(nv)
 	iters := 0
 	for it := 0; it < maxIters; it++ {
 		if stoppedCh(done) {
 			return nil, iters, ErrStopped
 		}
-		// Sequential pre-pass, ascending: the dangling mass is a
+		// Sequential pre-pass in identifier order: the dangling mass is a
 		// floating-point reduction, so its summation order must not depend
-		// on chunking or workers.
+		// on chunking, workers or the dense numbering.
 		dangling := 0.0
-		for v := int32(0); v < int32(nv); v++ {
-			if c.prDegree(v) == 0 {
+		for p := 0; p < nv; p++ {
+			if v := s.at(p); s.deg[v] == 0 {
 				dangling += rank[v]
 			}
 		}
-		s.pr = prRun{c: c, rank: rank, rank2: rank2,
-			base: (1-damping)/n + damping*dangling/n, damping: damping}
-		err := runChunks(done, workers, nv, &s.pr)
+		s.pr = prRun{c: c, s: s, rank: rank, rank2: rank2,
+			base: (1-damping)/nf + damping*dangling/nf, damping: damping}
+		err := runChunks(done, workers, n, &s.pr)
 		if err != nil {
 			return nil, iters, err
 		}
-		// Sequential convergence delta, ascending, same reasoning.
+		// Sequential convergence delta, same order, same reasoning.
 		delta := 0.0
-		for v := 0; v < nv; v++ {
+		for p := 0; p < nv; p++ {
+			v := s.at(p)
 			d := rank2[v] - rank[v]
 			if d < 0 {
 				d = -d
@@ -350,13 +450,13 @@ func (a Analytics) PageRank(done <-chan struct{}, workers int, damping float64, 
 		}
 	}
 	s.rank, s.rank2 = rank, rank2
-	return rank, iters, nil
+	return s.compactF(rank, nv), iters, nil
 }
 
 // wccDegree is the undirected degree Components uses for its direction
 // heuristic: out + in, i.e. every incident edge arc.
-func (c *CSR) wccDegree(v int32) int64 {
-	return int64(c.outOff[v+1] - c.outOff[v] + c.inOff[v+1] - c.inOff[v])
+func (c *view) wccDegree(v int32) int64 {
+	return int64(c.degree(v, false) + c.degree(v, true))
 }
 
 // wccTopDown is a top-down BFS level: expand the frontier's out+in arcs,
@@ -371,33 +471,29 @@ type wccTopDown struct {
 	label              int64
 }
 
-func (r *wccTopDown) runChunk(_, lo, hi int) {
+func (r *wccTopDown) runChunk(worker, lo, hi int) {
 	c := r.c
+	b := &r.s.abufs[worker]
 	ci := lo / analyticsChunk
 	var nV, nE int64
+	claim := func(nbrs []int32) {
+		for _, u := range nbrs {
+			if claimBit(r.visited, u) {
+				r.comp[u] = r.label
+				orBit(r.next, u)
+				nV++
+				nE += c.wccDegree(u)
+			}
+		}
+	}
 	for w := lo >> 5; w < (hi+31)>>5; w++ {
 		bm := r.cur[w]
 		for bm != 0 {
 			v := int32(w<<5) + int32(bits.TrailingZeros32(bm))
 			bm &= bm - 1
-			for i := c.outOff[v]; i < c.outOff[v+1]; i++ {
-				u := c.outAdj[i]
-				if claimBit(r.visited, u) {
-					r.comp[u] = r.label
-					orBit(r.next, u)
-					nV++
-					nE += c.wccDegree(u)
-				}
-			}
-			for i := c.inOff[v]; i < c.inOff[v+1]; i++ {
-				u := c.inAdj[i]
-				if claimBit(r.visited, u) {
-					r.comp[u] = r.label
-					orBit(r.next, u)
-					nV++
-					nE += c.wccDegree(u)
-				}
-			}
+			first, second := c.bothArcs(v, b)
+			claim(first)
+			claim(second)
 		}
 	}
 	r.s.cnt1[ci], r.s.cnt2[ci] = nV, nE
@@ -414,22 +510,24 @@ type wccBottomUp struct {
 	label              int64
 }
 
-func (r *wccBottomUp) runChunk(_, lo, hi int) {
+func (r *wccBottomUp) runChunk(worker, lo, hi int) {
 	c := r.c
+	b := &r.s.abufs[worker]
 	ci := lo / analyticsChunk
 	var nV, nE int64
+	inFrontier := func(nbrs []int32) bool {
+		for _, u := range nbrs {
+			if testBit(r.cur, u) {
+				return true
+			}
+		}
+		return false
+	}
 	for v := int32(lo); v < int32(hi); v++ {
 		if testBit(r.visited, v) {
 			continue
 		}
-		joined := false
-		for i := c.outOff[v]; i < c.outOff[v+1] && !joined; i++ {
-			joined = testBit(r.cur, c.outAdj[i])
-		}
-		for i := c.inOff[v]; i < c.inOff[v+1] && !joined; i++ {
-			joined = testBit(r.cur, c.inAdj[i])
-		}
-		if joined {
+		if first, second := c.bothArcs(v, b); inFrontier(first) || inFrontier(second) {
 			setBit(r.visited, v)
 			setBit(r.next, v)
 			r.comp[v] = r.label
@@ -444,46 +542,58 @@ func (r *wccBottomUp) runChunk(_, lo, hi int) {
 // smallest vertex identifier in its component. Each component is explored
 // by a parallel level-synchronous BFS over out+in adjacency that switches
 // between top-down and bottom-up frontier expansion with the GAP
-// heuristic. The labels slice is indexed by dense vertex index and valid
-// until Release.
+// heuristic. The labels slice is in result order and valid until Release.
 func (a Analytics) Components(done <-chan struct{}, workers int) ([]int64, ComponentsStats, error) {
 	c, s := a.c, a.s
-	nv := len(c.verts)
+	nv, n := c.nv, c.denseV()
 	var stats ComponentsStats
 	if nv == 0 {
 		return nil, stats, nil
 	}
-	s.lbl = sizeI64(s.lbl, nv)
+	s.workerBufs(workers)
+	s.lbl = sizeI64(s.lbl, n)
 	comp := s.lbl
-	nwords := (nv + 31) / 32
+	nwords := (n + 31) / 32
 	s.visited = sizeU32(s.visited, nwords)
 	s.cur = sizeU32(s.cur, nwords)
 	s.next = sizeU32(s.next, nwords)
 	visited, cur, next := s.visited, s.cur, s.next
 	zeroU32(visited)
-	nchunks := numChunks(nv)
+	if s.ordered {
+		for v := int32(0); v < int32(n); v++ {
+			if c.deadV(v) {
+				setBit(visited, v) // never a root, never claimed
+			}
+		}
+	}
+	nchunks := numChunks(n)
 	s.cnt1 = sizeI64(s.cnt1, nchunks)
 	s.cnt2 = sizeI64(s.cnt2, nchunks)
 
 	// remaining counts the edge arcs incident to still-unvisited vertexes,
-	// the denominator of the top-down → bottom-up switch.
-	remaining := int64(c.outOff[nv]) + int64(c.inOff[nv])
+	// the denominator of the top-down → bottom-up switch: one out and one
+	// in arc per live edge.
+	remaining := 2 * int64(c.ne)
 
-	for r := int32(0); r < int32(nv); r++ {
+	// Roots in identifier order, so each component's first root is its
+	// smallest identifier.
+	for p := 0; p < nv; p++ {
+		r := s.at(p)
 		if testBit(visited, r) {
 			continue
 		}
 		stats.Components++
-		label := c.vids[r]
+		label := c.vertexID(r)
 		setBit(visited, r)
 		comp[r] = label
-		remaining -= c.wccDegree(r)
-		if c.wccDegree(r) == 0 {
+		deg := c.wccDegree(r)
+		remaining -= deg
+		if deg == 0 {
 			continue // isolated vertex: no BFS to run
 		}
 		zeroU32(cur)
 		setBit(cur, r)
-		frontV, frontE := int64(1), c.wccDegree(r)
+		frontV, frontE := int64(1), deg
 		topDown := true
 		for frontV > 0 {
 			if stoppedCh(done) {
@@ -507,12 +617,12 @@ func (a Analytics) Components(done <-chan struct{}, workers int) ([]int64, Compo
 				stats.TopDown++
 				s.td = wccTopDown{c: c, s: s, cur: cur, next: next,
 					visited: visited, comp: comp, label: label}
-				err = runChunks(done, workers, nv, &s.td)
+				err = runChunks(done, workers, n, &s.td)
 			} else {
 				stats.BottomUp++
 				s.bu = wccBottomUp{c: c, s: s, cur: cur, next: next,
 					visited: visited, comp: comp, label: label}
-				err = runChunks(done, workers, nv, &s.bu)
+				err = runChunks(done, workers, n, &s.bu)
 			}
 			if err != nil {
 				return nil, stats, err
@@ -527,7 +637,7 @@ func (a Analytics) Components(done <-chan struct{}, workers int) ([]int64, Compo
 		}
 	}
 	s.cur, s.next = cur, next
-	return comp, stats, nil
+	return s.compactI(comp, nv), stats, nil
 }
 
 // lpRun is the parallel phase of one label-propagation iteration.
@@ -540,15 +650,20 @@ type lpRun struct {
 func (r *lpRun) runChunk(worker, lo, hi int) {
 	c := r.c
 	ci := lo / analyticsChunk
-	buf := r.s.nbufs[worker]
+	buf, b := r.s.nbufs[worker], &r.s.abufs[worker]
 	var changed int64
 	for v := int32(lo); v < int32(hi); v++ {
-		buf = buf[:0]
-		for i := c.outOff[v]; i < c.outOff[v+1]; i++ {
-			buf = append(buf, r.lbl[c.outAdj[i]])
+		if c.deadV(v) {
+			r.lbl2[v] = r.lbl[v]
+			continue
 		}
-		for i := c.inOff[v]; i < c.inOff[v+1]; i++ {
-			buf = append(buf, r.lbl[c.inAdj[i]])
+		first, second := c.bothArcs(v, b)
+		buf = buf[:0]
+		for _, u := range first {
+			buf = append(buf, r.lbl[u])
+		}
+		for _, u := range second {
+			buf = append(buf, r.lbl[u])
 		}
 		nl := mostFrequentLabel(buf, r.lbl[v])
 		r.lbl2[v] = nl
@@ -565,18 +680,22 @@ func (r *lpRun) runChunk(worker, lo, hi int) {
 // label among its out+in neighbors (smallest label on ties), until a
 // fixpoint or maxIters. Synchronous updates read the previous iteration's
 // labels only, so the result is independent of evaluation order. The
-// labels slice is indexed by dense vertex index and valid until Release.
+// labels slice is in result order and valid until Release.
 func (a Analytics) LabelProp(done <-chan struct{}, workers, maxIters int) ([]int64, int, error) {
 	c, s := a.c, a.s
-	nv := len(c.verts)
+	nv, n := c.nv, c.denseV()
 	if nv == 0 {
 		return nil, 0, nil
 	}
-	s.lbl = sizeI64(s.lbl, nv)
-	s.lbl2 = sizeI64(s.lbl2, nv)
+	s.workerBufs(workers)
+	s.lbl = sizeI64(s.lbl, n)
+	s.lbl2 = sizeI64(s.lbl2, n)
 	lbl, lbl2 := s.lbl, s.lbl2
-	copy(lbl, c.vids)
-	nchunks := numChunks(nv)
+	copy(lbl, c.m.vids)
+	for v := len(c.m.vids); v < n; v++ {
+		lbl[v] = c.vertexID(int32(v))
+	}
+	nchunks := numChunks(n)
 	s.cnt1 = sizeI64(s.cnt1, nchunks)
 	if workers < 1 {
 		workers = 1
@@ -590,7 +709,7 @@ func (a Analytics) LabelProp(done <-chan struct{}, workers, maxIters int) ([]int
 			return nil, iters, ErrStopped
 		}
 		s.lp = lpRun{c: c, s: s, lbl: lbl, lbl2: lbl2}
-		err := runChunks(done, workers, nv, &s.lp)
+		err := runChunks(done, workers, n, &s.lp)
 		if err != nil {
 			return nil, iters, err
 		}
@@ -605,7 +724,7 @@ func (a Analytics) LabelProp(done <-chan struct{}, workers, maxIters int) ([]int
 		}
 	}
 	s.lbl, s.lbl2 = lbl, lbl2
-	return lbl, iters, nil
+	return s.compactI(lbl, nv), iters, nil
 }
 
 // mostFrequentLabel picks the most frequent value of buf (smallest value on
@@ -636,21 +755,27 @@ func mostFrequentLabel(buf []int64, own int64) int64 {
 
 // Degrees fills the per-vertex degree columns of DEGREE_CENTRALITY with
 // the graph's FanOut/FanIn semantics: out/in degree for directed graphs,
-// the full incident degree for undirected ones. The slices are indexed by
-// dense vertex index and valid until Release.
+// the full incident degree for undirected ones. The slices are in result
+// order and valid until Release.
 func (a Analytics) Degrees() (outDeg, inDeg []int64) {
 	c, s := a.c, a.s
-	nv := len(c.verts)
+	nv := c.nv
 	s.lbl = sizeI64(s.lbl, nv)
 	s.lbl2 = sizeI64(s.lbl2, nv)
 	outDeg, inDeg = s.lbl, s.lbl2
-	for v := int32(0); v < int32(nv); v++ {
-		o := int64(c.outOff[v+1] - c.outOff[v])
-		i := int64(c.inOff[v+1] - c.inOff[v])
-		if c.directed {
-			outDeg[v], inDeg[v] = o, i
+	m := c.m
+	for p := 0; p < nv; p++ {
+		var o, i int64
+		if v := int32(p); !s.ordered { // the main alone: read its offsets
+			o, i = int64(m.outOff[v+1]-m.outOff[v]), int64(m.inOff[v+1]-m.inOff[v])
 		} else {
-			outDeg[v], inDeg[v] = o+i, o+i
+			v = s.order[p]
+			o, i = int64(c.degree(v, false)), int64(c.degree(v, true))
+		}
+		if m.directed {
+			outDeg[p], inDeg[p] = o, i
+		} else {
+			outDeg[p], inDeg[p] = o+i, o+i
 		}
 	}
 	return outDeg, inDeg

@@ -2,19 +2,22 @@ package graph
 
 import "fmt"
 
-// Index-form traversal kernels over a CSR snapshot. Each mirrors its
+// Index-form traversal kernels over a CSR version. Each mirrors its
 // pointer twin (dfsIter/bfsIter/spIter) decision for decision — same
 // expansion order, same filter/prune call points, same emission
-// conditions — so the two families produce byte-identical path sequences
-// and the pointer kernels remain the differential oracle's reference.
+// conditions — so over a version and its materialization (CSR.Graph) the
+// two families produce byte-identical path sequences and the pointer
+// kernels remain the differential oracle's reference.
 //
 // What changes is the machinery: visited sets are epoch-stamped uint32
 // slabs instead of maps, traversal trees live in pooled arenas of int32
 // nodes instead of heap-allocated pnode chains, and the working state
 // (stack frames, FIFO, priority queue, scratch paths, the iterator
-// structs themselves) all comes from the snapshot's sync.Pool. Steady
-// state a traversal allocates only the paths it actually emits — and
-// Step lets existence/count consumers skip even that.
+// structs themselves) all comes from the main's sync.Pool. Steady state a
+// traversal allocates only the paths it actually emits — and Step lets
+// existence/count consumers skip even that. Every expansion reads a
+// vertex's arcs through view.adjacency: main windows for an untouched
+// vertex, the live main + delta arcs for a touched one.
 
 // CSRIterator is the interface of the CSR kernels: a PathIterator whose
 // scratch can be stepped without materialization and must be released.
@@ -23,7 +26,7 @@ type CSRIterator interface {
 	// Step advances to the next result without materializing a Path.
 	// Interleaving Step and Next is allowed; each advances once.
 	Step() bool
-	// Release returns the traversal's scratch to the snapshot's pool.
+	// Release returns the traversal's scratch to the main's pool.
 	// The iterator (and, for shortest-path, its Err) must not be used
 	// afterwards; Release is idempotent.
 	Release()
@@ -37,16 +40,18 @@ func csrOkEdge(c *CSR, s *Spec, pos int, ei, from, to int32) bool {
 	if s.FilterEdge == nil {
 		return true
 	}
-	return s.FilterEdge(pos, c.edges[ei], c.verts[from], c.verts[to])
+	return s.FilterEdge(pos, c.edge(ei), c.vert(from), c.vert(to))
 }
 
 // ---------------------------------------------------------------- DFScan
 
-// csrFrame is one DFS stack frame: a cursor over v's adjacency window.
+// csrFrame is one DFS stack frame: a cursor over v's arcs. A touched
+// vertex's arcs sit in the scratch arc buffer from mark on.
 type csrFrame struct {
-	v    int32
-	next int32
-	end  int32
+	v        int32
+	next     int32
+	mark     int32
+	to, edge []int32
 }
 
 type csrDFSIter struct {
@@ -66,7 +71,7 @@ type csrDFSIter struct {
 	halt         stopper
 }
 
-// NewCSRDFS creates a depth-first traversal over the snapshot (DFScan).
+// NewCSRDFS creates a depth-first traversal over the version (DFScan).
 func NewCSRDFS(c *CSR, spec Spec) CSRIterator {
 	s := c.getScratch()
 	it := &s.dfs
@@ -111,16 +116,19 @@ func (it *csrDFSIter) pushFrame(vi int32) {
 	}
 	f := &s.dstack[it.depth]
 	it.depth++
-	f.v = vi
-	f.next, f.end = it.c.adjOff[vi], it.c.adjOff[vi+1]
+	f.v, f.next, f.mark = vi, 0, int32(len(s.arcs.to))
 	if it.spec.MaxLen > 0 && len(s.pathE) >= it.spec.MaxLen {
-		f.next = f.end // at the length bound: nothing to expand
+		f.to, f.edge = nil, nil // at the length bound: nothing to expand
+		return
 	}
+	f.to, f.edge = it.c.adjacency(vi, &s.arcs)
 }
 
 func (it *csrDFSIter) popFrame() {
 	s := it.s
 	it.depth--
+	mark := s.dstack[it.depth].mark
+	s.arcs.to, s.arcs.edge = s.arcs.to[:mark], s.arcs.edge[:mark]
 	s.pathV = s.pathV[:len(s.pathV)-1]
 	if len(s.pathE) > 0 {
 		s.pathE = s.pathE[:len(s.pathE)-1]
@@ -147,13 +155,13 @@ func (it *csrDFSIter) step() bool {
 			break
 		}
 		f := &s.dstack[it.depth-1]
-		if f.next >= f.end {
+		if int(f.next) >= len(f.to) {
 			it.popFrame()
 			continue
 		}
 		ai := f.next
 		f.next++
-		ei, toI := c.adjEdge[ai], c.adjTo[ai]
+		ei, toI := f.edge[ai], f.to[ai]
 		pos := len(s.pathE)
 		depth := pos + 1
 
@@ -185,7 +193,7 @@ func (it *csrDFSIter) step() bool {
 		if !csrOkEdge(c, &it.spec, pos, ei, f.v, toI) {
 			continue
 		}
-		if it.spec.FilterVertex != nil && !it.spec.FilterVertex(depth, c.verts[toI]) {
+		if it.spec.FilterVertex != nil && !it.spec.FilterVertex(depth, c.vert(toI)) {
 			continue
 		}
 		s.pathE = append(s.pathE, ei)
@@ -233,7 +241,7 @@ func (it *csrDFSIter) Release() {
 	it.released, it.done = true, true
 	s := it.s
 	it.s = nil
-	it.c.pool.Put(s)
+	it.c.putScratch(s)
 }
 
 // ---------------------------------------------------------------- BFScan
@@ -247,10 +255,10 @@ type csrBFSIter struct {
 
 	qHead int
 	// In-progress expansion: arena index of the node at the logical queue
-	// head plus a cursor over its adjacency window.
-	cur   int32
-	aNext int32
-	aEnd  int32
+	// head plus a cursor over its arcs.
+	cur        int32
+	aNext      int32
+	aTo, aEdge []int32
 
 	pendingRoot bool
 	// Emission descriptor filled by step.
@@ -262,7 +270,7 @@ type csrBFSIter struct {
 	halt      stopper
 }
 
-// NewCSRBFS creates a breadth-first traversal over the snapshot (BFScan).
+// NewCSRBFS creates a breadth-first traversal over the version (BFScan).
 func NewCSRBFS(c *CSR, spec Spec) CSRIterator {
 	s := c.getScratch()
 	it := &s.bfs
@@ -310,20 +318,21 @@ func (it *csrBFSIter) step() bool {
 				continue
 			}
 			it.cur = ni
-			v := s.nodes[ni].v
-			it.aNext, it.aEnd = c.adjOff[v], c.adjOff[v+1]
+			s.arcs.reset()
+			it.aNext = 0
+			it.aTo, it.aEdge = c.adjacency(s.nodes[ni].v, &s.arcs)
 		}
 		cur := it.cur
 		n := s.nodes[cur] // copy: the arena may grow during expansion
 		pos := int(n.depth)
-		for it.aNext < it.aEnd {
+		for int(it.aNext) < len(it.aTo) {
 			if it.halt.stop() {
 				it.done = true
 				return false
 			}
 			ai := it.aNext
 			it.aNext++
-			ei, toI := c.adjEdge[ai], c.adjTo[ai]
+			ei, toI := it.aEdge[ai], it.aTo[ai]
 			// Final-depth fast path: see the DFS counterpart.
 			if it.spec.MaxLen > 0 && pos+1 == it.spec.MaxLen &&
 				it.targetIdx != noTarget && toI != it.targetIdx {
@@ -351,7 +360,7 @@ func (it *csrBFSIter) step() bool {
 			if !csrOkEdge(c, &it.spec, pos, ei, n.v, toI) {
 				continue
 			}
-			if it.spec.FilterVertex != nil && !it.spec.FilterVertex(pos+1, c.verts[toI]) {
+			if it.spec.FilterVertex != nil && !it.spec.FilterVertex(pos+1, c.vert(toI)) {
 				continue
 			}
 			// Prune consults the refilled scratch path before the candidate
@@ -397,7 +406,7 @@ func (it *csrBFSIter) Release() {
 	it.released, it.done = true, true
 	s := it.s
 	it.s = nil
-	it.c.pool.Put(s)
+	it.c.putScratch(s)
 }
 
 // ---------------------------------------------------------------- SPScan
@@ -418,7 +427,7 @@ type csrSPIter struct {
 	halt      stopper
 }
 
-// NewCSRShortest creates a lazy shortest-path traversal over the snapshot
+// NewCSRShortest creates a lazy shortest-path traversal over the version
 // (SPScan); semantics match NewShortest, including the per-vertex settle
 // cap k and the negative-weight error surfaced through Err.
 func NewCSRShortest(c *CSR, spec Spec, weight WeightFunc, k int) *csrSPIter {
@@ -469,8 +478,10 @@ func (it *csrSPIter) step() bool {
 		// exactly like the pointer kernel.
 		if it.spec.MaxLen <= 0 || int(n.depth) < it.spec.MaxLen {
 			pos := int(n.depth)
-			for ai := c.adjOff[end]; ai < c.adjOff[end+1]; ai++ {
-				ei, toI := c.adjEdge[ai], c.adjTo[ai]
+			s.arcs.reset()
+			tos, edges := c.adjacency(end, &s.arcs)
+			for ai, toI := range tos {
+				ei := edges[ai]
 				if s.spChainContains(ni, toI) {
 					continue // simple paths only
 				}
@@ -480,16 +491,16 @@ func (it *csrSPIter) step() bool {
 				if !csrOkEdge(c, &it.spec, pos, ei, end, toI) {
 					continue
 				}
-				if it.spec.FilterVertex != nil && !it.spec.FilterVertex(pos+1, c.verts[toI]) {
+				if it.spec.FilterVertex != nil && !it.spec.FilterVertex(pos+1, c.vert(toI)) {
 					continue
 				}
-				w, ok := it.weight(pos, c.edges[ei], c.verts[end], c.verts[toI])
+				w, ok := it.weight(pos, c.edge(ei), c.vert(end), c.vert(toI))
 				if !ok {
 					continue
 				}
 				if w < 0 {
 					it.err = fmt.Errorf("graph %s: negative weight %g on edge %d; SPScan requires non-negative weights",
-						c.g.Name(), w, c.edges[ei].ID)
+						c.m.name, w, c.edge(ei).ID)
 					break
 				}
 				if it.spec.Prune != nil {
@@ -535,11 +546,11 @@ func (it *csrSPIter) Release() {
 	it.released, it.done = true, true
 	s := it.s
 	it.s = nil
-	it.c.pool.Put(s)
+	it.c.putScratch(s)
 }
 
 // CSRReachable reports whether target is reachable from start within
-// maxLen edges over the snapshot — the index-form twin of Reachable.
+// maxLen edges over the version — the index-form twin of Reachable.
 func CSRReachable(c *CSR, start, target *Vertex, maxLen int) bool {
 	if start == nil || target == nil {
 		return false

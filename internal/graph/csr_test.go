@@ -76,9 +76,6 @@ func TestCSRDifferential(t *testing.T) {
 			ne := nv * 3
 			g := randTopology(t, seed, nv, ne, directed)
 			c := BuildCSR(g)
-			if !c.Fresh(g) {
-				t.Fatal("snapshot stale immediately after build")
-			}
 			starts := []*Vertex{g.Vertex(0), g.Vertex(int64(nv / 2))}
 			targets := []*Vertex{nil, g.Vertex(int64(nv - 1))}
 
@@ -154,31 +151,38 @@ func TestCSRReachableDifferential(t *testing.T) {
 	}
 }
 
-// TestCSRFreshness pins the snapshot invalidation contract: any topology
-// mutation makes an existing snapshot stale, and a snapshot of a
-// different graph object never reads as fresh.
+// TestCSRFreshness pins the version contract that replaced snapshot
+// invalidation: a version bound before a mutation never observes it, and
+// the next version does — across inserts, deletes, renames and a merge.
 func TestCSRFreshness(t *testing.T) {
-	g := randTopology(t, 7, 10, 20, true)
-	c := BuildCSR(g)
-	if !c.Fresh(g) {
-		t.Fatal("fresh snapshot reported stale")
+	topo := topologyOf(t, randTopology(t, 7, 10, 20, true))
+	v0 := topo.Version()
+	if again := topo.Version(); again != v0 {
+		t.Fatal("rebinding an unchanged topology made a new version")
 	}
-	other := New("other", true)
-	if c.Fresh(other) {
-		t.Fatal("snapshot fresh against a different graph")
-	}
-	if _, err := g.AddVertex(99, 99); err != nil {
-		t.Fatal(err)
-	}
-	if c.Fresh(g) {
-		t.Fatal("snapshot fresh after AddVertex")
-	}
-	c = BuildCSR(g)
-	if !g.RemoveEdge(1) {
+	sig0 := topoSig(v0.Graph())
+	mustNil(t, topo.AddVertex(99, 99))
+	mustNil(t, topo.AddEdge(100, 99, 0, 100))
+	if !topo.RemoveEdge(1) {
 		t.Fatal("RemoveEdge(1) = false")
 	}
-	if c.Fresh(g) {
-		t.Fatal("snapshot fresh after RemoveEdge")
+	mustNil(t, topo.RenameVertex(3, 33))
+	v1 := topo.Version()
+	if v1 == v0 || v1.Vertex(99) == nil || v1.Vertex(3) != nil || v1.Vertex(33) == nil || v1.Graph().Edge(1) != nil {
+		t.Fatal("new version misses the mutations")
+	}
+	topo.Merge()
+	if _, ok := topo.RemoveVertex(99); !ok {
+		t.Fatal("RemoveVertex(99) = false")
+	}
+	if got := topoSig(v0.Graph()); got != sig0 {
+		t.Fatalf("old version observed later mutations:\n%s\nwant\n%s", got, sig0)
+	}
+	if v0.Vertex(3) == nil || v0.Vertex(99) != nil || v0.Graph().Edge(1) == nil {
+		t.Fatal("old version's lookups moved")
+	}
+	if topo.Version().Vertex(99) != nil {
+		t.Fatal("head still has vertex 99")
 	}
 }
 

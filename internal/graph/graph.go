@@ -1,14 +1,21 @@
 // Package graph implements the native in-memory graph structure that backs
 // GRFusion's graph views (§3 of the paper).
 //
-// A Graph stores only the *topology*: vertexes, edges, and adjacency lists.
-// Vertex and edge attributes stay in their relational sources; each element
-// carries a tuple pointer (a storage RowID) so attributes are reachable in
-// O(1), and the id → element hash maps give the reverse O(1) navigation
-// from the relational store into the graph (§3.2). The topology therefore
-// acts as a traversal index over the relational data.
+// A topology stores only vertexes, edges and adjacency. Vertex and edge
+// attributes stay in their relational sources; each element carries a
+// tuple pointer (a storage RowID) so attributes are reachable in O(1), and
+// identifier lookups give the reverse O(1) navigation from the relational
+// store into the graph (§3.2). The topology therefore acts as a traversal
+// index over the relational data.
 //
-// Graphs are not internally synchronized; the engine serializes access.
+// The engine maintains each view as a Topology (topology.go): an immutable
+// int32 CSR main plus an append-only delta, read through O(1) versions
+// (CSR). Graph, in this file, is the pointer-based reference topology: the
+// differential oracle, the tests and the benchmark build one directly or
+// materialize one from a version (CSR.Graph), and the pointer kernels of
+// traverse.go and shortest.go walk it. The engine never maintains one.
+//
+// Graphs are not internally synchronized.
 package graph
 
 import (
@@ -16,7 +23,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Vertex is one node of a graph view's topology.
@@ -25,7 +31,9 @@ type Vertex struct {
 	ID int64
 	// Tuple is the tuple pointer (RowID) into the vertexes relational-source.
 	Tuple uint64
-	// Out and In are the adjacency lists of outgoing and incoming edges.
+	// Out and In are the adjacency lists of outgoing and incoming edges,
+	// maintained by Graph only: the records a Topology hands out leave
+	// them empty and keep adjacency in the CSR.
 	Out []*Edge
 	In  []*Edge
 }
@@ -60,7 +68,8 @@ func (e *Edge) Other(v *Vertex) *Vertex {
 	}
 }
 
-// Graph is the materialized topology of a graph view.
+// Graph is a pointer-based topology: the reference the oracle's kernels
+// walk, and what CSR.Graph materializes a version into.
 type Graph struct {
 	name     string
 	directed bool
@@ -68,46 +77,13 @@ type Graph struct {
 	vertices map[int64]*Vertex
 	edges    map[int64]*Edge
 
-	// version counts topology mutations (vertex/edge add, remove, rename).
-	// Immutable derived structures — the sorted iteration-order caches
-	// below and the CSR read snapshot — record the version they were built
-	// at and are discarded when it moves.
-	version atomic.Uint64
-
 	// vertOrder/edgeOrder cache the ascending-ID iteration order served by
-	// Vertices/Edges, so VERTEXES/EDGES scans stop paying O(n log n) per
-	// statement. Built lazily under orderMu (concurrent readers share one
-	// build); mutators drop them by storing nil.
+	// Vertices/Edges, so repeated scans stop paying O(n log n). Built lazily
+	// under orderMu (concurrent readers share one build); mutators drop them
+	// by storing nil.
 	vertOrder atomic.Pointer[[]*Vertex]
 	edgeOrder atomic.Pointer[[]*Edge]
 	orderMu   sync.Mutex
-
-	// csr caches the immutable CSR read snapshot of this topology instance.
-	// Keeping the cache on the Graph (not the view) means a pinned old
-	// topology version retains its own CSR: readers on different versions
-	// never thrash one shared slot. Built lazily under csrMu.
-	csr   atomic.Pointer[CSR]
-	csrMu sync.Mutex
-}
-
-// Reserve presizes the vertex and edge maps for about nv and ne further
-// insertions, so a bulk load pays one map build instead of a cascade of
-// incremental rehashes (each of which re-zeroes a fresh, larger table).
-func (g *Graph) Reserve(nv, ne int) {
-	if nv > 0 {
-		grown := make(map[int64]*Vertex, len(g.vertices)+nv)
-		for id, v := range g.vertices {
-			grown[id] = v
-		}
-		g.vertices = grown
-	}
-	if ne > 0 {
-		grown := make(map[int64]*Edge, len(g.edges)+ne)
-		for id, e := range g.edges {
-			grown[id] = e
-		}
-		g.edges = grown
-	}
 }
 
 // mutation kinds for topologyChanged.
@@ -116,12 +92,8 @@ const (
 	changedEdges
 )
 
-// topologyChanged bumps the version and drops the affected order caches.
-// Callers are the mutators, which the engine runs exclusively; the atomic
-// stores keep the invalidation visible to the concurrent readers that
-// follow.
+// topologyChanged drops the order caches a mutation invalidates.
 func (g *Graph) topologyChanged(what int) {
-	g.version.Add(1)
 	if what&changedVertices != 0 {
 		g.vertOrder.Store(nil)
 	}
@@ -129,10 +101,6 @@ func (g *Graph) topologyChanged(what int) {
 		g.edgeOrder.Store(nil)
 	}
 }
-
-// Version returns the topology mutation counter. Derived read structures
-// (the CSR snapshot) pair it with the Graph identity to detect staleness.
-func (g *Graph) Version() uint64 { return g.version.Load() }
 
 // New creates an empty graph topology.
 func New(name string, directed bool) *Graph {
@@ -394,41 +362,12 @@ func (g *Graph) Edges(fn func(*Edge) bool) {
 	}
 }
 
-// CSRSnapshot returns a CSR read snapshot of the current topology,
-// building one if the cached snapshot is stale. onEvent, when non-nil, is
-// invoked once per call with whether the cache hit and, on a miss, the
-// build time in nanoseconds (callers hang their metrics counters on it).
-// Safe for concurrent readers; concurrent builds are collapsed by csrMu.
-func (g *Graph) CSRSnapshot(onEvent func(hit bool, buildNS int64)) *CSR {
-	if c := g.csr.Load(); c != nil && c.Fresh(g) {
-		if onEvent != nil {
-			onEvent(true, 0)
-		}
-		return c
-	}
-	g.csrMu.Lock()
-	defer g.csrMu.Unlock()
-	if c := g.csr.Load(); c != nil && c.Fresh(g) {
-		if onEvent != nil {
-			onEvent(true, 0)
-		}
-		return c
-	}
-	start := time.Now()
-	c := BuildCSR(g)
-	g.csr.Store(c)
-	if onEvent != nil {
-		onEvent(false, time.Since(start).Nanoseconds())
-	}
-	return c
-}
-
 // Clone returns a deep copy of the topology sharing no mutable state with
 // the receiver: fresh Vertex/Edge structs (mutators edit IDs and adjacency
-// positions in place) and rebuilt adjacency lists preserving order, so a
-// pinned reader of the original never observes the copy's mutations. The
-// version counter carries over; derived caches (iteration order, CSR) are
-// not copied and rebuild lazily per instance.
+// positions in place) and rebuilt adjacency lists preserving order. The
+// iteration-order caches are not copied and rebuild lazily per instance.
+// The engine never clones (its versions share an immutable main); tests
+// and the benchmark do.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		name:     g.name,
@@ -464,7 +403,6 @@ func (g *Graph) Clone() *Graph {
 			}
 		}
 	}
-	ng.version.Store(g.version.Load())
 	return ng
 }
 

@@ -185,34 +185,6 @@ func TestIterationOrderCache(t *testing.T) {
 	check([]int64{0, 3, 5}, nil)
 }
 
-// TestVersionAdvances pins the topology version counter that derived read
-// structures (order caches, CSR snapshots) key their freshness on.
-func TestVersionAdvances(t *testing.T) {
-	g := New("ver", true)
-	last := g.Version()
-	bump := func(what string) {
-		t.Helper()
-		if v := g.Version(); v <= last {
-			t.Fatalf("%s did not advance version (still %d)", what, v)
-		}
-		last = g.Version()
-	}
-	g.AddVertex(1, 1)
-	bump("AddVertex")
-	g.AddVertex(2, 2)
-	bump("AddVertex")
-	g.AddEdge(1, 1, 2, 1)
-	bump("AddEdge")
-	g.RenameVertex(2, 3)
-	bump("RenameVertex")
-	g.RenameEdge(1, 4)
-	bump("RenameEdge")
-	g.RemoveEdge(4)
-	bump("RemoveEdge")
-	g.RemoveVertex(3)
-	bump("RemoveVertex")
-}
-
 // TestBFSPruneAllocs is the allocs-per-op guard for the bfsIter.Prune fix:
 // rejecting every candidate expansion over a 10k-leaf hub must not
 // materialize 10k paths. The whole traversal is allowed a small constant

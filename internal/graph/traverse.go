@@ -6,7 +6,7 @@ package graph
 // implement the iterator model so a parent operator that stops pulling
 // (e.g. LIMIT 1 in a reachability query) stops the traversal.
 //
-// These are the reference kernels. The executor traverses the CSR snapshot
+// These are the reference kernels. The executor traverses CSR versions
 // (csr_kernels.go) only; NewDFS, NewBFS and Reachable define the semantics
 // those kernels must reproduce path for path, and are called by the
 // differential oracle, the workload generators and tests — never from the

@@ -256,9 +256,11 @@ type GraphViewStats struct {
 	// StatsAgeNS is the age of the published §6.3 statistics, -1 when no
 	// statistics have been computed (or they were invalidated).
 	StatsAgeNS int64
-	// CSR snapshot cache gauges: lifetime build count and cumulative build
-	// time, cache hits/misses observed by scans, and the approximate
-	// resident size of the cached snapshot.
+	// CSR topology gauges: how many mains were laid out (the view's
+	// creation plus every merge of its delta) and their cumulative layout
+	// time; traversal reads of a version with an empty delta (hits) and
+	// of one that walked a delta (misses); the current main's approximate
+	// resident size.
 	CSRBuilds  int64
 	CSRBuildNS int64
 	CSRHits    int64

@@ -191,8 +191,9 @@ func plannedKernel(t *testing.T, eng *core.Engine, q string) string {
 // the CSR kernels, and after every batch each probe's rows must equal,
 // in order, what graph.NewDFS / NewBFS / NewShortest — the pointer
 // reference kernels the engine no longer calls — produce over the same
-// topology. Every mutation batch invalidates the cached snapshot, so a
-// stale-snapshot read shows up as a divergence.
+// topology, materialized in the canonical adjacency order the kernels
+// walk. Every mutation batch lands in the view's delta, so a read that
+// missed part of it shows up as a divergence.
 func TestKernelReference(t *testing.T) {
 	cfg := Config{Seed: 777, Workers: 2}.defaults()
 	for round := 0; round < 8; round++ {
@@ -246,8 +247,8 @@ func TestKernelReference(t *testing.T) {
 			compare(b)
 		}
 
-		// The engine must have answered from CSR snapshots, rebuilding after
-		// the batches that changed the topology.
+		// The engine must have answered from a CSR main, and from the delta
+		// after the batches that changed the topology.
 		for _, key := range []string{"csr_builds", "csr_misses"} {
 			if n := metricOf(eng, "graphview."+sc.gv+"."+key); n <= 0 {
 				t.Errorf("round %d: %s = %d, want > 0", round, key, n)
@@ -256,10 +257,63 @@ func TestKernelReference(t *testing.T) {
 	}
 }
 
+// TestMergePreservesProbeOrder: folding a view's delta into a new CSR main
+// changes no answer. After every DML batch of TestKernelReference's
+// scenarios, each probe emits the same rows in the same order immediately
+// before and immediately after a forced merge.
+func TestMergePreservesProbeOrder(t *testing.T) {
+	cfg := Config{Seed: 778, Workers: 2}.defaults()
+	for round := 0; round < 6; round++ {
+		roundSeed := RoundSeed(cfg.Seed, round)
+		sc := buildScenario(cfg, roundSeed)
+		eng, err := sc.newEngine()
+		if err != nil {
+			t.Fatalf("round %d: engine: %v", round, err)
+		}
+		st := datagen.NewGraphState(sc.initial)
+		opRNG := rand.New(rand.NewSource(roundSeed + 1))
+		for b := 1; b <= sc.batches; b++ {
+			for j := 0; j < sc.opsPerBatch; j++ {
+				m := st.Mutate(opRNG)
+				if _, err := eng.Execute(sc.mutationSQL(m)); err == nil {
+					st.Apply(m)
+				}
+			}
+			probes := sc.referenceProbes(rand.New(rand.NewSource(checkSeed(roundSeed, b))), st)
+			run := func() [][]string {
+				var out [][]string
+				for _, p := range probes {
+					res, err := eng.Execute(p.sql)
+					if err != nil {
+						t.Fatalf("round %d batch %d: %q: %v", round, b, p.sql, err)
+					}
+					out = append(out, renderRows(res, false))
+				}
+				return out
+			}
+			before := run()
+			builds := metricOf(eng, "graphview."+sc.gv+".csr_builds")
+			if err := eng.MergeGraphView(sc.gv); err != nil {
+				t.Fatal(err)
+			}
+			after := run()
+			for i, p := range probes {
+				if !sameRows(before[i], after[i]) {
+					t.Fatalf("round %d batch %d: %q changed across a merge:\n before: %v\n after:  %v",
+						round, b, p.sql, before[i], after[i])
+				}
+			}
+			if n := metricOf(eng, "graphview."+sc.gv+".csr_builds"); n > builds+1 {
+				t.Fatalf("round %d batch %d: one merge laid out %d mains", round, b, n-builds)
+			}
+		}
+	}
+}
+
 // TestOracleRunsCSRKernels proves the main differential exercises the
 // kernels production runs: oracle scenarios are tiny (10–31 vertices), and
 // one pass of the PathScan batteries over a fresh scenario — no analytics
-// TVF involved — must already have built a CSR snapshot and hit its cache.
+// TVF involved — must already have read the view's CSR main.
 func TestOracleRunsCSRKernels(t *testing.T) {
 	cfg := Config{Seed: 42}.defaults()
 	sc := buildScenario(cfg, RoundSeed(cfg.Seed, 0))

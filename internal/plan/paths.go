@@ -287,13 +287,13 @@ func (p *Planner) choosePhysical(s *sql.Select, fi *fromInfo, spec *exec.PathSca
 	return nil
 }
 
-// topo returns the topology instance this item's plan reads: the pinned
-// version when the planner carries a pin, else the live graph.
-func (fi *fromInfo) topo() *graph.Graph {
+// topo returns the topology version this item's plan reads: the pinned
+// version when the planner carries a pin, else the current one.
+func (fi *fromInfo) topo() *graph.CSR {
 	if fi.at != nil {
-		return fi.at.G
+		return fi.at.Topo
 	}
-	return fi.gv.G
+	return fi.gv.Version()
 }
 
 func topK(s *sql.Select) int {
