@@ -1,13 +1,19 @@
-// Command grbench runs the paper-reproduction experiments and prints the
-// rows/series each table and figure of the evaluation reports.
+// Command grbench runs the paper-reproduction experiments, prints the
+// rows/series each table and figure of the evaluation reports, and checks
+// them against the claim table (internal/bench/gate.go): every violated
+// gate row is printed as a "GATE FAIL" line and the exit status is 1.
 //
 // Usage:
 //
 //	grbench -list
 //	grbench -exp fig7 -scale 1.0 -queries 10
-//	grbench -exp all -scale 0.5
+//	grbench -exp all                 # make gate
 //	grbench -experiment oracle -seed 42 -duration 30s
 //	grbench -experiment recovery -seed 42 -duration 30s
+//
+// The gate thresholds hold at the default scale and query count; other
+// settings still run every gate, so a violation there is a finding about
+// that configuration.
 //
 // The oracle experiment runs the differential/metamorphic correctness
 // harness (internal/oracle) instead of a benchmark: randomized DML + PATHS
@@ -21,8 +27,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,7 +40,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table2, fig7, fig8, fig9, fig10, table3, fig11, ablation, concurrency, observability, analytics, durability, oracle, recovery, all)")
+		exp      = flag.String("exp", "all", "experiment id (see -list), all, oracle or recovery")
 		expAlias = flag.String("experiment", "", "alias for -exp")
 		scale    = flag.Float64("scale", 1.0, "dataset scale multiplier")
 		queries  = flag.Int("queries", 10, "query instances averaged per data point")
@@ -43,35 +51,29 @@ func main() {
 		rounds   = flag.Int("rounds", 0, "oracle: exact round count (0 = run until -duration)")
 		workers  = flag.Int("workers", 2, "oracle: engine worker-pool size")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		jsonOut  = flag.String("json", "", "also write rows with run metadata to this JSON file (e.g. BENCH_concurrency.json)")
-		baseline = flag.String("baseline", "", "analytics/concurrency/wire: regression-gate this run against a committed baseline JSON (exit 1 on >10% speedup loss, steady-state allocations, a storm read-p99 ratio past the MVCC ceiling, or a wire throughput ratio under its floor)")
 	)
 	flag.Parse()
 	if *expAlias != "" {
 		*exp = *expAlias
 	}
 
-	if *list {
-		ids := make([]string, 0, len(bench.Experiments))
-		for id := range bench.Experiments {
-			ids = append(ids, id)
+	run, ids := bench.All, make([]string, 0, len(bench.Experiments))
+	for _, e := range bench.Experiments {
+		ids = append(ids, e.ID)
+		if e.ID == *exp {
+			run = e.Run
 		}
-		sort.Strings(ids)
-		fmt.Println("experiments:", strings.Join(ids, ", "), "(or: all, oracle)")
+	}
+	if *list {
+		fmt.Println("experiments:", strings.Join(ids, ", "), "(or: all, oracle, recovery)")
 		return
 	}
-
 	if *exp == "oracle" || *exp == "recovery" {
 		os.Exit(runOracle(*exp, *seed, *rounds, *duration, *workers))
 	}
-
-	var check gate
-	if *baseline != "" {
-		var err error
-		if check, err = gateFor(*exp); err != nil {
-			fmt.Fprintf(os.Stderr, "grbench: %v\n", err)
-			os.Exit(2)
-		}
+	if *exp != "all" && !slices.Contains(ids, *exp) {
+		fmt.Fprintf(os.Stderr, "grbench: unknown experiment %q (use -list)\n", *exp)
+		os.Exit(2)
 	}
 
 	cfg := bench.Config{
@@ -82,52 +84,25 @@ func main() {
 		MemLimit:    *mem,
 	}
 	start := time.Now()
-	var rows []bench.Row
-	if *exp == "all" {
-		rows = bench.All(cfg)
-	} else {
-		fn, ok := bench.Experiments[*exp]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "grbench: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
-		}
-		rows = fn(cfg)
-	}
+	rows := run(cfg)
 	fmt.Print(bench.Format(rows))
 	fmt.Printf("\n%d data points in %s (scale=%g, queries=%d, seed=%d)\n",
 		len(rows), time.Since(start).Round(time.Millisecond), *scale, *queries, *seed)
-	if *jsonOut != "" {
-		if err := bench.WriteJSONFile(*jsonOut, *exp, cfg, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "grbench: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-	if check != nil {
-		if err := check(*baseline, rows, 0.10); err != nil {
-			fmt.Fprintf(os.Stderr, "grbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s gate: no regression vs %s\n", *exp, *baseline)
-	}
+	os.Exit(gate(os.Stdout, os.Stderr, rows, runtime.GOMAXPROCS(0)))
 }
 
-// gate checks one experiment's fresh rows against its committed baseline.
-type gate func(baselinePath string, rows []bench.Row, tolerance float64) error
-
-// gateFor returns the regression gate of an experiment. Asking for one on
-// an experiment that has none is a usage error: falling through to some
-// other experiment's gate would compare against the wrong rows.
-func gateFor(exp string) (gate, error) {
-	switch exp {
-	case "analytics":
-		return bench.CheckAnalyticsBaseline, nil
-	case "concurrency":
-		return bench.CheckConcurrencyBaseline, nil
-	case "wire":
-		return bench.CheckWireBaseline, nil
+// gate checks a run's rows against the claim table, writes one "GATE FAIL"
+// line per violated row to stderr, and returns the process exit code.
+func gate(stdout, stderr io.Writer, rows []bench.Row, cores int) int {
+	errs := bench.Check(rows, cores)
+	for _, err := range errs {
+		fmt.Fprintf(stderr, "GATE FAIL %v\n", err)
 	}
-	return nil, fmt.Errorf("-baseline: experiment %q has no regression gate (gated experiments: analytics, concurrency, wire)", exp)
+	if len(errs) > 0 {
+		return 1
+	}
+	fmt.Fprintln(stdout, "gate: every claim holds")
+	return 0
 }
 
 // runOracle drives the correctness harness (mode "oracle" for the live

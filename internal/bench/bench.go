@@ -1,7 +1,9 @@
 // Package bench is the experiment harness: one entry point per table and
 // figure of the paper's evaluation (§7), each returning the rows/series
-// the paper reports. cmd/grbench prints them; bench_test.go wraps them in
-// testing.B benchmarks.
+// the paper reports, plus the engine's own ratio experiments, and the one
+// gate table (gate.go) that turns the claims into checks. cmd/grbench
+// prints the rows and checks them; bench_test.go wraps the paper
+// experiments in testing.B benchmarks.
 package bench
 
 import (
@@ -11,7 +13,6 @@ import (
 
 	"grfusion/internal/core"
 	"grfusion/internal/datagen"
-	"grfusion/internal/graph"
 	"grfusion/internal/plan"
 )
 
@@ -52,13 +53,13 @@ func (c Config) Defaults() Config {
 
 // Row is one reported data point.
 type Row struct {
-	Experiment string  `json:"experiment"` // e.g. "fig7"
-	Dataset    string  `json:"dataset"`    // e.g. "road"
-	System     string  `json:"system"`     // e.g. "grfusion"
-	Param      string  `json:"param"`      // e.g. "len=4"
-	Metric     string  `json:"metric"`     // e.g. "avg_ms"
-	Value      float64 `json:"value"`      // the measurement
-	Note       string  `json:"note,omitempty"`
+	Experiment string  // e.g. "fig7"
+	Dataset    string  // e.g. "road"
+	System     string  // e.g. "grfusion"
+	Param      string  // e.g. "len=4"
+	Metric     string  // e.g. "avg_ms"
+	Value      float64 // the measurement
+	Note       string  // context; "ABORT: …" or "SKIP: …" when nothing was measured
 }
 
 // Format renders rows as an aligned text table grouped the way the paper's
@@ -109,29 +110,39 @@ func LoadGRFusion(d *datagen.Dataset, opts plan.Options) (*core.Engine, error) {
 // concurrency experiments can size the traversal worker pool.
 func LoadGRFusionEngine(d *datagen.Dataset, opts core.Options) (*core.Engine, error) {
 	eng := core.New(opts)
-	dir := "DIRECTED"
-	if !d.Directed {
-		dir = "UNDIRECTED"
+	if err := loadTables(eng, d); err != nil {
+		return nil, err
 	}
+	if _, err := eng.Execute(viewDDL(d)); err != nil {
+		return nil, err
+	}
+	return eng, nil
+}
+
+// loadTables creates the dataset's vertex and edge tables and fills them.
+func loadTables(eng *core.Engine, d *datagen.Dataset) error {
 	ddl := fmt.Sprintf(`
 		CREATE TABLE %s_v (vid BIGINT PRIMARY KEY, name VARCHAR);
 		CREATE TABLE %s_e (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT, w DOUBLE, sel BIGINT, lbl VARCHAR);
 	`, d.Name, d.Name)
 	if _, err := eng.ExecuteScript(ddl); err != nil {
-		return nil, err
+		return err
 	}
-	if err := bulkLoad(eng, d); err != nil {
-		return nil, err
+	return bulkLoad(eng, d)
+}
+
+// viewDDL is the CREATE GRAPH VIEW over the dataset's tables; the view
+// name equals the dataset name.
+func viewDDL(d *datagen.Dataset) string {
+	dir := "DIRECTED"
+	if !d.Directed {
+		dir = "UNDIRECTED"
 	}
-	view := fmt.Sprintf(`
+	return fmt.Sprintf(`
 		CREATE %s GRAPH VIEW %s
 		VERTEXES(ID = vid, name = name) FROM %s_v
 		EDGES(ID = eid, FROM = src, TO = dst, w = w, sel = sel, lbl = lbl) FROM %s_e`,
 		dir, d.Name, d.Name, d.Name)
-	if _, err := eng.Execute(view); err != nil {
-		return nil, err
-	}
-	return eng, nil
 }
 
 // bulkLoad inserts the dataset in batched INSERT statements.
@@ -179,7 +190,7 @@ func bulkLoad(eng *core.Engine, d *datagen.Dataset) error {
 	return flush()
 }
 
-// timeIt measures fn averaged over the pairs it is handed, in
+// timeAvgMS measures fn averaged over the pairs it is handed, in
 // milliseconds. fn errors abort the measurement and surface in the note.
 func timeAvgMS(n int, fn func(i int) error) (float64, string) {
 	if n == 0 {
@@ -192,6 +203,13 @@ func timeAvgMS(n int, fn func(i int) error) (float64, string) {
 		}
 	}
 	return float64(time.Since(start).Microseconds()) / float64(n) / 1000, ""
+}
+
+// timedRow reports fn's average over the n pairs it is handed
+// (timeAvgMS) as one avg_ms row.
+func timedRow(exp, dataset, system, param string, n int, fn func(i int) error) Row {
+	ms, note := timeAvgMS(n, fn)
+	return Row{Experiment: exp, Dataset: dataset, System: system, Param: param, Metric: "avg_ms", Value: ms, Note: note}
 }
 
 func firstLine(s string) string {
@@ -220,9 +238,4 @@ func Table2(cfg Config) []Row {
 		)
 	}
 	return rows
-}
-
-// pairsForLength returns query endpoint pairs at exact BFS distance l.
-func pairsForLength(g *graph.Graph, l, n int, seed int64) []datagen.Pair {
-	return datagen.PairsAtDistance(g, l, n, seed)
 }

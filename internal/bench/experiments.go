@@ -53,6 +53,18 @@ func projectedWalks(d *datagen.Dataset, hops int) float64 {
 
 const walkBudget = 2e6
 
+// graphStores loads d into the map-based (neo4j-like) and the serializing
+// (titan-like) property-graph stores.
+func graphStores(d *datagen.Dataset) (neo, titan graphstore.GraphDB) {
+	neo, titan = graphstore.New(d.Directed), graphstore.NewSerialized(d.Directed)
+	for _, db := range []graphstore.GraphDB{neo, titan} {
+		if err := graphstore.Load(db, d); err != nil {
+			panic(err)
+		}
+	}
+	return neo, titan
+}
+
 // Fig7 reproduces the unconstrained-reachability experiment (§7.2 /
 // Figure 7): average query time versus result path length, per dataset,
 // for GRFusion (BFScan, predicate pushdown disabled per §7.1), SQLGraph in
@@ -83,14 +95,7 @@ func Fig7(cfg Config) []Row {
 		if err != nil {
 			panic(err)
 		}
-		neo := graphstore.New(d.Directed)
-		titan := graphstore.NewSerialized(d.Directed)
-		if err := graphstore.Load(neo, d); err != nil {
-			panic(err)
-		}
-		if err := graphstore.Load(titan, d); err != nil {
-			panic(err)
-		}
+		neo, titan := graphStores(d)
 
 		reach, err := prepareReach(eng, d.Name, false)
 		if err != nil {
@@ -98,57 +103,42 @@ func Fig7(cfg Config) []Row {
 		}
 		matDead := false
 		for _, l := range Fig7Lengths {
-			pairs := pairsForLength(g, l, cfg.Queries, cfg.Seed+int64(l))
+			pairs := datagen.PairsAtDistance(g, l, cfg.Queries, cfg.Seed+int64(l))
 			if len(pairs) == 0 {
 				continue
 			}
-			param := lenParam(l)
-
-			ms, note := timeAvgMS(len(pairs), func(i int) error {
+			param, n := lenParam(l), len(pairs)
+			rows = append(rows, timedRow("fig7", name, "grfusion", param, n, func(i int) error {
 				_, err := reach.Query(types.NewInt(pairs[i].Src), types.NewInt(pairs[i].Dst))
 				return err
-			})
-			rows = append(rows, Row{Experiment: "fig7", Dataset: name, System: "grfusion",
-				Param: param, Metric: "avg_ms", Value: ms, Note: note})
-
+			}))
 			if !matDead && l <= cfg.MaxJoinHops {
-				ms, note = timeAvgMS(len(pairs), func(i int) error {
+				r := timedRow("fig7", name, "sqlgraph-mat", param, n, func(i int) error {
 					_, err := sgMat.Reachable(pairs[i].Src, pairs[i].Dst, l, -1)
 					return err
 				})
-				rows = append(rows, Row{Experiment: "fig7", Dataset: name, System: "sqlgraph-mat",
-					Param: param, Metric: "avg_ms", Value: ms, Note: note})
-				if note != "" {
-					matDead = true // the paper stops reporting after the abort
-				}
+				rows = append(rows, r)
+				matDead = r.Note != "" // the paper stops reporting after the abort
 			}
-
 			if l <= cfg.MaxJoinHops && projectedWalks(d, l) <= walkBudget {
-				ms, note = timeAvgMS(len(pairs), func(i int) error {
+				rows = append(rows, timedRow("fig7", name, "sqlgraph-pipe", param, n, func(i int) error {
 					_, err := sgPipe.Reachable(pairs[i].Src, pairs[i].Dst, l, -1)
 					return err
-				})
-				rows = append(rows, Row{Experiment: "fig7", Dataset: name, System: "sqlgraph-pipe",
-					Param: param, Metric: "avg_ms", Value: ms, Note: note})
+				}))
 			} else if l <= cfg.MaxJoinHops {
 				rows = append(rows, Row{Experiment: "fig7", Dataset: name, System: "sqlgraph-pipe",
 					Param: param, Metric: "avg_ms", Value: 0,
 					Note: "SKIP: projected walk explosion (paper: 5h timeout)"})
 			}
-
-			ms, note = timeAvgMS(len(pairs), func(i int) error {
-				graphstore.Reachable(neo, pairs[i].Src, pairs[i].Dst, 0, nil)
-				return nil
-			})
-			rows = append(rows, Row{Experiment: "fig7", Dataset: name, System: "neo4j-like",
-				Param: param, Metric: "avg_ms", Value: ms, Note: note})
-
-			ms, note = timeAvgMS(len(pairs), func(i int) error {
-				graphstore.Reachable(titan, pairs[i].Src, pairs[i].Dst, 0, nil)
-				return nil
-			})
-			rows = append(rows, Row{Experiment: "fig7", Dataset: name, System: "titan-like",
-				Param: param, Metric: "avg_ms", Value: ms, Note: note})
+			rows = append(rows,
+				timedRow("fig7", name, "neo4j-like", param, n, func(i int) error {
+					graphstore.Reachable(neo, pairs[i].Src, pairs[i].Dst, 0, nil)
+					return nil
+				}),
+				timedRow("fig7", name, "titan-like", param, n, func(i int) error {
+					graphstore.Reachable(titan, pairs[i].Src, pairs[i].Dst, 0, nil)
+					return nil
+				}))
 		}
 	}
 	return rows
@@ -165,7 +155,7 @@ func Fig8(cfg Config) []Row {
 	for _, name := range DatasetNames {
 		d := ds[name]
 		g := d.Build()
-		pairs := pairsForLength(g, depth, cfg.Queries, cfg.Seed+100)
+		pairs := datagen.PairsAtDistance(g, depth, cfg.Queries, cfg.Seed+100)
 		if len(pairs) == 0 {
 			continue
 		}
@@ -181,42 +171,30 @@ func Fig8(cfg Config) []Row {
 		if err != nil {
 			panic(err)
 		}
-		neo := graphstore.New(d.Directed)
-		titan := graphstore.NewSerialized(d.Directed)
-		graphstore.Load(neo, d)
-		graphstore.Load(titan, d)
+		neo, titan := graphStores(d)
 
 		for _, sel := range SelSweep {
-			param := selParam(sel)
-			ms, note := timeAvgMS(len(pairs), func(i int) error {
+			param, n := selParam(sel), len(pairs)
+			rows = append(rows, timedRow("fig8", name, "grfusion", param, n, func(i int) error {
 				_, err := reach.Query(types.NewInt(pairs[i].Src), types.NewInt(pairs[i].Dst), types.NewInt(int64(sel)))
 				return err
-			})
-			rows = append(rows, Row{Experiment: "fig8", Dataset: name, System: "grfusion",
-				Param: param, Metric: "avg_ms", Value: ms, Note: note})
-
+			}))
 			if projectedWalks(d, depth) <= walkBudget {
-				ms, note = timeAvgMS(len(pairs), func(i int) error {
+				rows = append(rows, timedRow("fig8", name, "sqlgraph-pipe", param, n, func(i int) error {
 					_, err := sgPipe.Reachable(pairs[i].Src, pairs[i].Dst, depth, sel)
 					return err
-				})
-				rows = append(rows, Row{Experiment: "fig8", Dataset: name, System: "sqlgraph-pipe",
-					Param: param, Metric: "avg_ms", Value: ms, Note: note})
+				}))
 			}
-
 			f := storeFilter(sel)
-			ms, _ = timeAvgMS(len(pairs), func(i int) error {
-				graphstore.Reachable(neo, pairs[i].Src, pairs[i].Dst, 0, f)
-				return nil
-			})
-			rows = append(rows, Row{Experiment: "fig8", Dataset: name, System: "neo4j-like",
-				Param: param, Metric: "avg_ms", Value: ms})
-			ms, _ = timeAvgMS(len(pairs), func(i int) error {
-				graphstore.Reachable(titan, pairs[i].Src, pairs[i].Dst, 0, f)
-				return nil
-			})
-			rows = append(rows, Row{Experiment: "fig8", Dataset: name, System: "titan-like",
-				Param: param, Metric: "avg_ms", Value: ms})
+			rows = append(rows,
+				timedRow("fig8", name, "neo4j-like", param, n, func(i int) error {
+					graphstore.Reachable(neo, pairs[i].Src, pairs[i].Dst, 0, f)
+					return nil
+				}),
+				timedRow("fig8", name, "titan-like", param, n, func(i int) error {
+					graphstore.Reachable(titan, pairs[i].Src, pairs[i].Dst, 0, f)
+					return nil
+				}))
 		}
 	}
 	return rows
@@ -257,49 +235,37 @@ func Fig9(cfg Config) []Row {
 		if err != nil {
 			panic(err)
 		}
-		neo := graphstore.New(d.Directed)
-		titan := graphstore.NewSerialized(d.Directed)
-		graphstore.Load(neo, d)
-		graphstore.Load(titan, d)
+		neo, titan := graphStores(d)
 
 		for _, sel := range sweep {
-			param := selParam(sel)
+			param, n := selParam(sel), len(pairs)
 			selArg := sel
 			if sel >= 100 {
 				selArg = -1
 			}
-			ms, note := timeAvgMS(len(pairs), func(i int) error {
-				var err error
-				if selArg >= 0 {
-					_, err = spSel.Query(types.NewInt(pairs[i].Src), types.NewInt(pairs[i].Dst), types.NewInt(int64(selArg)))
-				} else {
-					_, err = spPlain.Query(types.NewInt(pairs[i].Src), types.NewInt(pairs[i].Dst))
-				}
-				return err
-			})
-			rows = append(rows, Row{Experiment: "fig9", Dataset: name, System: "grfusion",
-				Param: param, Metric: "avg_ms", Value: ms, Note: note})
-
-			ms, note = timeAvgMS(len(pairs), func(i int) error {
-				_, _, err := gr.ShortestPath(pairs[i].Src, pairs[i].Dst, selArg)
-				return err
-			})
-			rows = append(rows, Row{Experiment: "fig9", Dataset: name, System: "grail",
-				Param: param, Metric: "avg_ms", Value: ms, Note: note})
-
 			f := storeFilter(selArg)
-			ms, _ = timeAvgMS(len(pairs), func(i int) error {
-				graphstore.ShortestPath(neo, pairs[i].Src, pairs[i].Dst, "w", f)
-				return nil
-			})
-			rows = append(rows, Row{Experiment: "fig9", Dataset: name, System: "neo4j-like",
-				Param: param, Metric: "avg_ms", Value: ms})
-			ms, _ = timeAvgMS(len(pairs), func(i int) error {
-				graphstore.ShortestPath(titan, pairs[i].Src, pairs[i].Dst, "w", f)
-				return nil
-			})
-			rows = append(rows, Row{Experiment: "fig9", Dataset: name, System: "titan-like",
-				Param: param, Metric: "avg_ms", Value: ms})
+			rows = append(rows,
+				timedRow("fig9", name, "grfusion", param, n, func(i int) error {
+					var err error
+					if selArg >= 0 {
+						_, err = spSel.Query(types.NewInt(pairs[i].Src), types.NewInt(pairs[i].Dst), types.NewInt(int64(selArg)))
+					} else {
+						_, err = spPlain.Query(types.NewInt(pairs[i].Src), types.NewInt(pairs[i].Dst))
+					}
+					return err
+				}),
+				timedRow("fig9", name, "grail", param, n, func(i int) error {
+					_, _, err := gr.ShortestPath(pairs[i].Src, pairs[i].Dst, selArg)
+					return err
+				}),
+				timedRow("fig9", name, "neo4j-like", param, n, func(i int) error {
+					graphstore.ShortestPath(neo, pairs[i].Src, pairs[i].Dst, "w", f)
+					return nil
+				}),
+				timedRow("fig9", name, "titan-like", param, n, func(i int) error {
+					graphstore.ShortestPath(titan, pairs[i].Src, pairs[i].Dst, "w", f)
+					return nil
+				}))
 		}
 	}
 	return rows
@@ -322,10 +288,7 @@ func Fig10(cfg Config) []Row {
 		if err != nil {
 			panic(err)
 		}
-		neo := graphstore.New(d.Directed)
-		titan := graphstore.NewSerialized(d.Directed)
-		graphstore.Load(neo, d)
-		graphstore.Load(titan, d)
+		neo, titan := graphStores(d)
 
 		for _, sel := range SelSweep {
 			param := selParam(sel)
@@ -390,26 +353,11 @@ func Table3(cfg Config) []Row {
 	for _, name := range DatasetNames {
 		d := ds[name]
 		eng := core.New(core.Options{})
-		ddl := fmt.Sprintf(`
-			CREATE TABLE %s_v (vid BIGINT PRIMARY KEY, name VARCHAR);
-			CREATE TABLE %s_e (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT, w DOUBLE, sel BIGINT, lbl VARCHAR);
-		`, name, name)
-		if _, err := eng.ExecuteScript(ddl); err != nil {
+		if err := loadTables(eng, d); err != nil {
 			panic(err)
-		}
-		if err := bulkLoad(eng, d); err != nil {
-			panic(err)
-		}
-		dir := "DIRECTED"
-		if !d.Directed {
-			dir = "UNDIRECTED"
 		}
 		start := time.Now()
-		if _, err := eng.Execute(fmt.Sprintf(`
-			CREATE %s GRAPH VIEW %s
-			VERTEXES(ID = vid, name = name) FROM %s_v
-			EDGES(ID = eid, FROM = src, TO = dst, w = w, sel = sel, lbl = lbl) FROM %s_e`,
-			dir, name, name, name)); err != nil {
+		if _, err := eng.Execute(viewDDL(d)); err != nil {
 			panic(err)
 		}
 		buildMS := float64(time.Since(start).Microseconds()) / 1000
@@ -436,71 +384,33 @@ func Table3(cfg Config) []Row {
 func Fig11(cfg Config) []Row {
 	cfg = cfg.Defaults()
 	const batch = 200
+	param := fmt.Sprintf("batch=%d", batch)
 	var rows []Row
 	ds := Datasets(cfg)
 	for _, name := range DatasetNames {
 		d := ds[name]
-
-		perOpMS := map[string]float64{}
-		run := func(system string, withView bool) {
-			var eng *core.Engine
-			var err error
-			if withView {
-				eng, err = LoadGRFusion(d, plan.Options{})
-			} else {
-				eng = core.New(core.Options{})
-				ddl := fmt.Sprintf(`
-					CREATE TABLE %s_v (vid BIGINT PRIMARY KEY, name VARCHAR);
-					CREATE TABLE %s_e (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT, w DOUBLE, sel BIGINT, lbl VARCHAR);
-				`, name, name)
-				if _, err2 := eng.ExecuteScript(ddl); err2 == nil {
-					err = bulkLoad(eng, d)
-				} else {
-					err = err2
-				}
-			}
-			if err != nil {
-				panic(err)
-			}
-			base := int64(len(d.Edges)) + 1000
-			nv := int64(len(d.Vertices))
-			// Prepared DML: the VoltDB procedure model, so the measurement
-			// is the mutation + maintenance, not statement parsing.
-			ins, err := eng.PrepareDML(fmt.Sprintf(
-				"INSERT INTO %s_e VALUES (?, ?, ?, 1.0, ?, 'A')", name))
-			if err != nil {
-				panic(err)
-			}
-			del, err := eng.PrepareDML(fmt.Sprintf("DELETE FROM %s_e WHERE eid = ?", name))
-			if err != nil {
-				panic(err)
-			}
-			start := time.Now()
-			for i := int64(0); i < batch; i++ {
-				src := i % nv
-				dst := (i*7 + 3) % nv
-				if _, err := ins.Exec(types.NewInt(base+i), types.NewInt(src),
-					types.NewInt(dst), types.NewInt(i%100)); err != nil {
-					panic(err)
-				}
-			}
-			for i := int64(0); i < batch; i++ {
-				if _, err := del.Exec(types.NewInt(base + i)); err != nil {
-					panic(err)
-				}
-			}
-			perOp := float64(time.Since(start).Microseconds()) / 1000 / (2 * batch)
-			perOpMS[system] = perOp
-			rows = append(rows, Row{Experiment: "fig11", Dataset: name, System: system,
-				Param: fmt.Sprintf("batch=%d", batch), Metric: "ms_per_op", Value: perOp})
+		bare := core.New(core.Options{})
+		if err := loadTables(bare, d); err != nil {
+			panic(err)
 		}
-		run("table-only", false)
-		run("grfusion-view", true)
+		view, err := LoadGRFusion(d, plan.Options{})
+		if err != nil {
+			panic(err)
+		}
+		systems := []string{"table-only", "grfusion-view"}
+		best := fastest(5, dmlBatch(bare, d, batch), dmlBatch(view, d, batch))
+		for i, system := range systems {
+			rows = append(rows, Row{Experiment: "fig11", Dataset: name, System: system,
+				Param: param, Metric: "ms_per_op", Value: best[i]})
+		}
 		// Incremental maintenance cost in isolation: the view-engine delta
-		// over the bare-table engine (statement overhead cancels out).
+		// over the bare-table engine (statement overhead cancels out). Each
+		// side is its fastest of interleaved batches. While both sides are
+		// dominated by the edge table's copy-on-write of its row array, the
+		// difference sits inside their spread and can read negative
+		// (EXPERIMENTS.md, Figure 11).
 		rows = append(rows, Row{Experiment: "fig11", Dataset: name, System: "grfusion-view",
-			Param: fmt.Sprintf("batch=%d", batch), Metric: "maint_overhead_ms_per_op",
-			Value: perOpMS["grfusion-view"] - perOpMS["table-only"]})
+			Param: param, Metric: "maint_overhead_ms_per_op", Value: best[1] - best[0]})
 
 		// Native Graph-Core: any source update invalidates the extracted
 		// graph (Figure 1(b)); a fresh query needs a full re-extraction,
@@ -512,10 +422,60 @@ func Fig11(cfg Config) []Row {
 		}
 		full := float64(time.Since(start).Microseconds()) / 1000
 		rows = append(rows, Row{Experiment: "fig11", Dataset: name, System: "graphcore-reextract",
-			Param: fmt.Sprintf("batch=%d", batch), Metric: "full_reextract_ms", Value: full,
+			Param: param, Metric: "full_reextract_ms", Value: full,
 			Note: "paid per update batch before the graph is queryable again"})
 	}
 	return rows
+}
+
+// dmlBatch prepares the Fig 11 edge DML on eng and returns a run that
+// inserts batch edges, deletes them again and reports ms per statement.
+// Prepared DML is the VoltDB procedure model, so the measurement is the
+// mutation plus maintenance, not statement parsing.
+func dmlBatch(eng *core.Engine, d *datagen.Dataset, batch int64) func() float64 {
+	ins, err := eng.PrepareDML(fmt.Sprintf("INSERT INTO %s_e VALUES (?, ?, ?, 1.0, ?, 'A')", d.Name))
+	if err != nil {
+		panic(err)
+	}
+	del, err := eng.PrepareDML(fmt.Sprintf("DELETE FROM %s_e WHERE eid = ?", d.Name))
+	if err != nil {
+		panic(err)
+	}
+	base := int64(len(d.Edges)) + 1000
+	nv := int64(len(d.Vertices))
+	return func() float64 {
+		start := time.Now()
+		for i := int64(0); i < batch; i++ {
+			if _, err := ins.Exec(types.NewInt(base+i), types.NewInt(i%nv),
+				types.NewInt((i*7+3)%nv), types.NewInt(i%100)); err != nil {
+				panic(err)
+			}
+		}
+		for i := int64(0); i < batch; i++ {
+			if _, err := del.Exec(types.NewInt(base + i)); err != nil {
+				panic(err)
+			}
+		}
+		return float64(time.Since(start).Microseconds()) / 1000 / float64(2*batch)
+	}
+}
+
+// fastest runs each of runs reps times, interleaved in rotating order so
+// drift hits all of them alike, and returns each one's fastest result.
+// Every run does the same work each time, so interference can only slow
+// it down: the minimum is its cost.
+func fastest(reps int, runs ...func() float64) []float64 {
+	best := make([]float64, len(runs))
+	for i := range best {
+		best[i] = math.Inf(1)
+	}
+	for r := 0; r < reps; r++ {
+		for j := range runs {
+			i := (r + j) % len(runs)
+			best[i] = math.Min(best[i], runs[i]())
+		}
+	}
+	return best
 }
 
 // Ablation benchmarks the design choices DESIGN.md calls out: §6.2
@@ -532,26 +492,27 @@ func Ablation(cfg Config) []Row {
 	// traversal is a pure optimization over residual filtering.
 	for _, name := range []string{"dblp", "road"} {
 		d := ds[name]
-		for _, mode := range []struct {
-			system string
-			opts   plan.Options
-		}{
-			{"pushdown-on", plan.Options{}},
-			{"pushdown-off", plan.Options{DisablePushdown: true}},
-		} {
-			eng, err := LoadGRFusion(d, mode.opts)
+		q := fmt.Sprintf(`SELECT COUNT(P) FROM %s.Paths P
+			WHERE P.Length = 3 AND P.Edges[0..*].sel < 10
+			AND P.Edges[2].EndVertex = P.Edges[0].StartVertex`, d.Name)
+		systems := []string{"pushdown-on", "pushdown-off"}
+		var runs []func() float64
+		for _, opts := range []plan.Options{{}, {DisablePushdown: true}} {
+			eng, err := LoadGRFusion(d, opts)
 			if err != nil {
 				panic(err)
 			}
-			q := fmt.Sprintf(`SELECT COUNT(P) FROM %s.Paths P
-				WHERE P.Length = 3 AND P.Edges[0..*].sel < 10
-				AND P.Edges[2].EndVertex = P.Edges[0].StartVertex`, d.Name)
-			ms, note := timeAvgMS(3, func(int) error {
-				_, err := eng.Execute(q)
-				return err
+			runs = append(runs, func() float64 {
+				start := time.Now()
+				if _, err := eng.Execute(q); err != nil {
+					panic(err)
+				}
+				return float64(time.Since(start).Microseconds()) / 1000
 			})
-			rows = append(rows, Row{Experiment: "ablation", Dataset: name, System: mode.system,
-				Param: "triangles sel=10", Metric: "ms", Value: ms, Note: note})
+		}
+		for i, ms := range fastest(5, runs...) {
+			rows = append(rows, Row{Experiment: "ablation", Dataset: name, System: systems[i],
+				Param: "triangles sel=10", Metric: "ms", Value: ms})
 		}
 	}
 
@@ -559,7 +520,7 @@ func Ablation(cfg Config) []Row {
 	for _, name := range []string{"road", "twitter"} {
 		d := ds[name]
 		g := d.Build()
-		pairs := pairsForLength(g, 6, cfg.Queries, cfg.Seed+400)
+		pairs := datagen.PairsAtDistance(g, 6, cfg.Queries, cfg.Seed+400)
 		if len(pairs) == 0 {
 			continue
 		}
@@ -589,7 +550,7 @@ func Ablation(cfg Config) []Row {
 	for _, name := range []string{"road"} {
 		d := ds[name]
 		g := d.Build()
-		pairs := pairsForLength(g, 4, cfg.Queries, cfg.Seed+500)
+		pairs := datagen.PairsAtDistance(g, 4, cfg.Queries, cfg.Seed+500)
 		if len(pairs) == 0 {
 			continue
 		}
@@ -615,40 +576,34 @@ func Ablation(cfg Config) []Row {
 	return rows
 }
 
+// Experiment is one registered experiment.
+type Experiment struct {
+	ID  string
+	Run func(Config) []Row
+}
+
+// Experiments lists every experiment in paper order, for cmd/grbench:
+// the paper's tables and figures, then the engine's ratio experiments
+// whose rows Gates checks.
+var Experiments = []Experiment{
+	{"table2", Table2},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"table3", Table3},
+	{"fig11", Fig11},
+	{"ablation", Ablation},
+	{"concurrency", mvccStorm},
+	{"observability", Observability},
+	{"wire", wireBench},
+}
+
 // All runs every experiment in paper order.
 func All(cfg Config) []Row {
 	var rows []Row
-	rows = append(rows, Table2(cfg)...)
-	rows = append(rows, Fig7(cfg)...)
-	rows = append(rows, Fig8(cfg)...)
-	rows = append(rows, Fig9(cfg)...)
-	rows = append(rows, Fig10(cfg)...)
-	rows = append(rows, Table3(cfg)...)
-	rows = append(rows, Fig11(cfg)...)
-	rows = append(rows, Ablation(cfg)...)
-	rows = append(rows, Concurrency(cfg)...)
-	rows = append(rows, Observability(cfg)...)
-	rows = append(rows, AnalyticsBench(cfg)...)
-	rows = append(rows, DurabilityBench(cfg)...)
-	rows = append(rows, DiskFaultBench(cfg)...)
-	rows = append(rows, WireBench(cfg)...)
+	for _, e := range Experiments {
+		rows = append(rows, e.Run(cfg)...)
+	}
 	return rows
-}
-
-// Experiments maps experiment ids to their runners, for cmd/grbench.
-var Experiments = map[string]func(Config) []Row{
-	"table2":        Table2,
-	"fig7":          Fig7,
-	"fig8":          Fig8,
-	"fig9":          Fig9,
-	"fig10":         Fig10,
-	"table3":        Table3,
-	"fig11":         Fig11,
-	"ablation":      Ablation,
-	"concurrency":   Concurrency,
-	"observability": Observability,
-	"analytics":     AnalyticsBench,
-	"durability":    DurabilityBench,
-	"diskfault":     DiskFaultBench,
-	"wire":          WireBench,
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -45,19 +43,6 @@ func TestMVCCStormMixedWorkload(t *testing.T) {
 	}
 }
 
-func TestQuantileMS(t *testing.T) {
-	lat := []float64{5, 1, 3, 2, 4}
-	if got := quantileMS(lat, 0.5); got != 3 {
-		t.Errorf("p50 = %g, want 3", got)
-	}
-	if got := quantileMS(lat, 0.99); got != 5 {
-		t.Errorf("p99 = %g, want 5", got)
-	}
-	if got := quantileMS(nil, 0.5); got != 0 {
-		t.Errorf("empty = %g, want 0", got)
-	}
-}
-
 // stormRows builds a plausible mixed-workload row set with the given ratio.
 func stormRows(ratio float64) []Row {
 	mk := func(param, metric string, v float64) Row {
@@ -74,52 +59,50 @@ func stormRows(ratio float64) []Row {
 	}
 }
 
+// TestCheckConcurrencyBaseline runs the claim table's storm row over a
+// concurrency run: the p99 ratio ceiling is 2x (4x on one core), a run
+// without the ratio row or with an aborted storm measurement fails, and no
+// committed baseline file is read.
 func TestCheckConcurrencyBaseline(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "base.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(f, "concurrency", tiny(), stormRows(1.2)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	if err := CheckConcurrencyBaseline(path, stormRows(1.5), 0.10); err != nil {
-		t.Errorf("ratio 1.5 under 2x ceiling should pass: %v", err)
-	}
-	if err := CheckConcurrencyBaseline(path, stormRows(2.5), 0.10); err == nil {
-		t.Error("ratio 2.5 past the 2x ceiling should fail")
-	} else if !strings.Contains(err.Error(), "ceiling") {
-		t.Errorf("unexpected error: %v", err)
-	}
-	if err := CheckConcurrencyBaseline(path, stormRows(1.5)[:4], 0.10); err == nil {
-		t.Error("run without a p99_ratio row should fail")
-	}
 	aborted := stormRows(1.5)
 	aborted[3].Note = "ABORT: boom"
-	if err := CheckConcurrencyBaseline(path, aborted, 0.10); err == nil {
-		t.Error("aborted storm measurement should fail the gate")
+	for _, tc := range []struct {
+		name  string
+		rows  []Row
+		cores int
+		want  string // substring of the one expected error; "" = the run passes
+	}{
+		{"under the 2x ceiling", stormRows(1.5), 2, ""},
+		{"past the 2x ceiling", stormRows(2.5), 2, "mixed p99_ratio: value = 2.5, want <= 2"},
+		{"one core doubles the ceiling", stormRows(2.5), 1, ""},
+		{"past the one-core ceiling", stormRows(4.5), 1, "mixed p99_ratio: value = 4.5, want <= 4"},
+		{"no p99_ratio row", stormRows(1.5)[:4], 2, "gate matches no row"},
+		{"aborted storm measurement", aborted, 2, `mixed storm read_p99_ms: note "ABORT: boom"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := Check(tc.rows, tc.cores)
+			if tc.want == "" {
+				if len(errs) != 0 {
+					t.Fatalf("want the run to pass, got %v", errs)
+				}
+				return
+			}
+			if len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.want) {
+				t.Fatalf("want one error containing %q, got %v", tc.want, errs)
+			}
+		})
 	}
-	if err := CheckConcurrencyBaseline(filepath.Join(dir, "missing.json"), stormRows(1.5), 0.10); err == nil {
-		t.Error("missing baseline file should fail")
-	}
+}
 
-	// A committed ratio above the hard ceiling raises the bound by
-	// tolerance instead of instantly failing every future run.
-	f2, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+func TestQuantileMS(t *testing.T) {
+	lat := []float64{5, 1, 3, 2, 4}
+	if got := quantileMS(lat, 0.5); got != 3 {
+		t.Errorf("p50 = %g, want 3", got)
 	}
-	if err := WriteJSON(f2, "concurrency", tiny(), stormRows(2.4)); err != nil {
-		t.Fatal(err)
+	if got := quantileMS(lat, 0.99); got != 5 {
+		t.Errorf("p99 = %g, want 5", got)
 	}
-	f2.Close()
-	if err := CheckConcurrencyBaseline(path, stormRows(2.5), 0.10); err != nil {
-		t.Errorf("ratio 2.5 under committed 2.4*1.1 should pass: %v", err)
-	}
-	if err := CheckConcurrencyBaseline(path, stormRows(2.7), 0.10); err == nil {
-		t.Error("ratio 2.7 past committed 2.4*1.1 should fail")
+	if got := quantileMS(nil, 0.5); got != 0 {
+		t.Errorf("empty = %g, want 0", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"grfusion/internal/datagen"
 	"grfusion/internal/plan"
 	"grfusion/internal/types"
 )
@@ -54,7 +55,7 @@ func Observability(cfg Config) []Row {
 		if err != nil {
 			panic(err)
 		}
-		pairs := pairsForLength(g, 4, cfg.Queries, cfg.Seed+77)
+		pairs := datagen.PairsAtDistance(g, 4, cfg.Queries, cfg.Seed+77)
 		if len(pairs) == 0 {
 			continue
 		}

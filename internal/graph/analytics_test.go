@@ -258,9 +258,9 @@ func TestAnalyticsCancellation(t *testing.T) {
 	}
 }
 
-// TestAnalyticsZeroAlloc pins the zero-allocation contract the bench gate
-// enforces: steady-state components and degree runs (workers = 1, warm
-// scratch pool) must not allocate.
+// TestAnalyticsZeroAlloc is the zero-allocation contract: steady-state
+// components and degree runs (workers = 1, warm scratch pool) must not
+// allocate.
 func TestAnalyticsZeroAlloc(t *testing.T) {
 	g := analyticsTestGraph(t, 2000, 6000, 3, true)
 	c := BuildCSR(g)
