@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test benchcheck race fuzz gate oracle chaos diskchaos recover fmt vet clean
+.PHONY: all build test benchcheck race fuzz gate oracle chaos recover fmt vet clean
 
 all: build test
 
@@ -37,27 +37,20 @@ oracle:
 chaos:
 	GRF_SOAK=30 $(GO) test -race -v -run 'TestChaos' -timeout 8m ./internal/server
 
-# Disk-fault chaos soak: a durable engine endures a 30s seeded storm of
-# injected WAL write/sync/truncate failures and disk-full windows,
-# degrading to read-only and self-healing each cycle, with reads checked
-# differentially against a non-durable reference and a kill-and-recover
-# finale — under the race detector. The degraded-write retry-policy and
-# health-surface agreement tests ride along. CI runs the same budget.
-diskchaos:
-	GRF_SOAK=30 $(GO) test -race -v -timeout 8m \
-		-run 'TestDiskFault|TestDegradedMode|TestDiskFull|TestDegradedWrite|TestHealthSurfaces' \
-		./internal/core ./internal/server
-
-# Kill-and-recover battery: the focused durability/recovery tests, a 20s
-# kill-and-recover chaos soak (injected WAL faults, checkpoint crash
-# windows, torn tails, differential against a non-durable reference), a
-# WAL-replay fuzz budget, and the crash-recovery oracle. CI's recovery job
-# runs the same battery.
+# Durability battery: the WAL and fault-injector tests; the focused
+# recovery, checkpoint crash-window (a power cut at every op of one
+# checkpoint), degraded-mode and health tests, the server's degraded-write
+# and health-surface tests included; a 30s durability soak (one seeded
+# faultfs under calm, EIO drizzle, outages and power cuts, each cycle
+# killed or shut down and recovered against a non-durable reference); a
+# WAL-replay fuzz budget; and the crash-recovery oracle. CI's recovery job
+# runs the same battery with 90s fuzz and oracle budgets.
 recover:
-	$(GO) test -race -v ./internal/wal
-	GRF_SOAK=20 $(GO) test -race -v -timeout 8m \
-		-run 'Recovery|Durab|Checkpoint|WAL|Replay|Alloc|UndoInsert|Snapshot' \
+	$(GO) test -race -v ./internal/wal ./internal/faultfs
+	GRF_SOAK=30 $(GO) test -race -v -timeout 8m \
+		-run 'Recovery|Durab|Checkpoint|WAL|Replay|Alloc|UndoInsert|Snapshot|Degraded|DiskFull|Health' \
 		./internal/core ./internal/storage
+	$(GO) test -race -v -run 'TestDegradedWrite|TestHealthSurfaces' ./internal/server
 	$(GO) test -race -run='^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./internal/core
 	$(GO) run ./cmd/grbench -experiment recovery -seed 42 -duration 30s
 

@@ -2,11 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -261,205 +257,4 @@ INSERT INTO knows VALUES (1, 1, 2, 5);
 	if got := stateSig(t, re); got != sig {
 		t.Fatalf("recovered state diverged:\n got %s\nwant %s", got, sig)
 	}
-}
-
-// TestDiskFaultSoak is the disk-fault chaos soak: a durable engine runs a
-// seeded random DML workload over a faultfs whose weather keeps changing —
-// transient EIO storms, a fully broken log, a disk running out of space —
-// with tiny heal backoffs so the engine cycles degraded → healed many
-// times. Reads during degraded windows are checked differentially against
-// a non-durable reference engine fed only the acknowledged statements;
-// rejected writes must be classified ErrDegraded; background reader and
-// health-poller goroutines run throughout (the -race payoff); and the soak
-// ends with a kill-and-recover proving zero acknowledged writes were lost.
-//
-// GRF_SOAK extends the duration (seconds), as in the CI diskchaos lane.
-func TestDiskFaultSoak(t *testing.T) {
-	duration := 1200 * time.Millisecond
-	if s := os.Getenv("GRF_SOAK"); s != "" {
-		var secs int
-		if _, err := fmt.Sscanf(s, "%d", &secs); err == nil && secs > 0 {
-			duration = time.Duration(secs) * time.Second
-		}
-	}
-	const seed = 20260811
-	rng := rand.New(rand.NewSource(seed))
-	ffs := faultfs.NewFaulty(nil, seed+1)
-	dir := t.TempDir()
-
-	ref := New(Options{})
-	defer ref.Close()
-	mustExecAll(t, ref, durSetup)
-
-	var opts Options
-	opts.Durability = Durability{
-		Dir: dir, Fsync: wal.FsyncAlways, FS: ffs,
-		CheckpointEvery: 16,
-		HealBase:        time.Millisecond, HealMax: 8 * time.Millisecond,
-	}
-	eng, _, err := Open(opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	mustExecAll(t, eng, durSetup)
-
-	// Background readers: a query loop and a health poller, exercising the
-	// lock-free health surface and shared-lock reads concurrently with
-	// writes, degradations and heals.
-	stopBG := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stopBG:
-				return
-			default:
-			}
-			eng.Execute("SELECT COUNT(*) FROM people")
-			eng.Execute("SELECT src, dst FROM knows WHERE w > 3")
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stopBG:
-				return
-			default:
-			}
-			eng.Health()
-			eng.Execute("SHOW HEALTH")
-		}
-	}()
-
-	randomStmt := func() string {
-		id := rng.Intn(60)
-		switch rng.Intn(5) {
-		case 0:
-			return fmt.Sprintf("INSERT INTO people VALUES (%d, 'p%d')", id, id)
-		case 1:
-			return fmt.Sprintf("UPDATE people SET name = 'u%d' WHERE id = %d", rng.Intn(100), id)
-		case 2:
-			return fmt.Sprintf("DELETE FROM people WHERE id = %d", id)
-		case 3:
-			return fmt.Sprintf("INSERT INTO knows VALUES (%d, %d, %d, %d)", id, rng.Intn(60), rng.Intn(60), rng.Intn(9))
-		default:
-			return fmt.Sprintf("DELETE FROM knows WHERE id = %d", id)
-		}
-	}
-
-	// exec mirrors an acknowledged statement into the reference engine.
-	exec := func(q string) (acked bool, err error) {
-		if _, err = eng.Execute(q); err != nil {
-			return false, err
-		}
-		if _, rerr := ref.Execute(q); rerr != nil {
-			t.Fatalf("reference rejected acknowledged statement %q: %v", q, rerr)
-		}
-		return true, nil
-	}
-
-	const sel = "SELECT id, name FROM people"
-	var stmts, acked, degradedWrites, cycles int
-	deadline := time.Now().Add(duration)
-	for time.Now().Before(deadline) {
-		cycles++
-		// Calm-weather work, with an occasional transient EIO drizzle that
-		// aborts statements but must never degrade the engine.
-		drizzle := rng.Intn(3) == 0
-		if drizzle {
-			ffs.SetRate(faultfs.OpWrite, 0.2)
-			ffs.SetRate(faultfs.OpSync, 0.2)
-		}
-		for i, n := 0, 20+rng.Intn(30); i < n; i++ {
-			stmts++
-			if ok, _ := exec(randomStmt()); ok {
-				acked++
-			}
-		}
-		if drizzle {
-			ffs.Calm()
-			if h := eng.Health(); h.State != StateHealthy {
-				t.Fatalf("transient fault drizzle degraded the engine: %q", h.Reason)
-			}
-		}
-
-		// Raise a storm that takes the durability path down entirely.
-		if rng.Intn(2) == 0 {
-			ffs.SetRate(faultfs.OpWrite, 1)    // break the log: write fails...
-			ffs.SetRate(faultfs.OpTruncate, 1) // ...and rollback cannot clean up
-		} else {
-			ffs.SetFree(int64(rng.Intn(64))) // the disk fills up
-		}
-		sawDegraded := false
-		for i := 0; i < 50 && !sawDegraded; i++ {
-			stmts++
-			ok, err := exec(randomStmt()) // a small frame may still fit the budget
-			if ok {
-				acked++
-			}
-			sawDegraded = errors.Is(err, ErrDegraded)
-		}
-		if !sawDegraded {
-			t.Fatal("storm did not degrade the engine within 50 statements")
-		}
-		degradedWrites++
-
-		// Degraded window: rejected writes are typed, reads still serve
-		// exactly the acknowledged history.
-		if _, err := eng.Execute(randomStmt()); !errors.Is(err, ErrDegraded) {
-			t.Fatalf("degraded write: err = %v, want ErrDegraded", err)
-		}
-		degradedWrites++
-		if ds, rs := querySig(t, eng, sel), querySig(t, ref, sel); ds != rs {
-			t.Fatalf("degraded reads diverged from acknowledged history\n engine: %s\n ref:    %s", ds, rs)
-		}
-
-		// Skies clear; the engine must heal and take writes again.
-		ffs.Calm()
-		ffs.SetFree(-1)
-		waitState(t, eng, StateHealthy, 10*time.Second)
-	}
-
-	// Clear the skies and let the engine heal for the finale.
-	ffs.Calm()
-	ffs.SetFree(-1)
-	waitState(t, eng, StateHealthy, 10*time.Second)
-	for i := 0; i < 5; i++ {
-		q := fmt.Sprintf("INSERT INTO people VALUES (%d, 'final%d')", 100+i, i)
-		if _, err := eng.Execute(q); err != nil {
-			t.Fatalf("post-heal write %d: %v", i, err)
-		}
-		if _, err := ref.Execute(q); err != nil {
-			t.Fatalf("reference post-heal write %d: %v", i, err)
-		}
-	}
-	close(stopBG)
-	wg.Wait()
-
-	if ds, rs := stateSig(t, eng), stateSig(t, ref); ds != rs {
-		t.Fatalf("final state diverged from reference\nengine:\n%s\nreference:\n%s", ds, rs)
-	}
-
-	// Kill-and-recover: FsyncAlways ran the whole soak, so recovery must
-	// reproduce every acknowledged write — including those between heals.
-	eng.Kill()
-	re, info, err := Open(opts)
-	if err != nil {
-		t.Fatalf("recovery after soak: %v", err)
-	}
-	defer re.Close()
-	if info.ReplayErrors != 0 {
-		t.Fatalf("recovery replayed %d records with %d errors", info.Replayed, info.ReplayErrors)
-	}
-	if ds, rs := stateSig(t, re), stateSig(t, ref); ds != rs {
-		t.Fatalf("recovered state diverged from reference\nrecovered:\n%s\nreference:\n%s", ds, rs)
-	}
-	if h := re.Health(); h.State != StateHealthy {
-		t.Fatalf("recovered engine health = %v, want healthy", h.State)
-	}
-	t.Logf("disk-fault soak: %d cycles, %d statements (%d acked, %d degraded rejections), %d heals",
-		cycles, stmts, acked, degradedWrites, metricsMap(eng)["durability.heals"])
 }

@@ -57,16 +57,10 @@ type Durability struct {
 	HealBase time.Duration
 	HealMax  time.Duration
 
-	// FS is the storage layer the WAL and checkpoints write through;
-	// nil means the real filesystem. The disk-fault chaos tests pass a
-	// faultfs.Faulty here.
+	// FS is the storage layer the WAL and checkpoints are written and read
+	// through; nil means the real filesystem. Tests pass a faultfs.Faulty
+	// here to inject disk faults and power cuts.
 	FS faultfs.FS
-
-	// FaultHook injects WAL file-operation failures ("write", "sync",
-	// "rotate"); CrashHook simulates crashes inside the checkpoint's
-	// atomic-rename protocol. Test hooks; leave nil in production.
-	FaultHook func(op string) error
-	CrashHook wal.CrashFunc
 }
 
 // WAL/checkpoint file names inside Durability.Dir.
@@ -82,10 +76,9 @@ const defaultCheckpointEvery = 4096
 // durState is the engine's durability runtime, guarded by the engine
 // write lock (the Log has its own internal lock for the sync goroutine).
 type durState struct {
-	log   *wal.Log
-	dir   string
-	fs    faultfs.FS
-	crash wal.CrashFunc
+	log *wal.Log
+	dir string
+	fs  faultfs.FS
 	// every / sinceCkpt drive automatic checkpoints.
 	every     int
 	sinceCkpt int
@@ -147,33 +140,26 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
 		return nil, nil, err
 	}
+	fs := d.FS
+	if fs == nil {
+		fs = faultfs.OS
+	}
 	info := &RecoveryInfo{}
 	// Phase 1: load the newest checkpoint, if any.
-	ckptPath := filepath.Join(d.Dir, checkpointFile)
-	if f, err := os.Open(ckptPath); err == nil {
-		lsn, rerr := func() (uint64, error) {
-			defer f.Close()
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return e.restoreLocked(f)
-		}()
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("%w: checkpoint %s: %v", wal.ErrCorruptWAL, ckptPath, rerr)
-		}
-		info.CheckpointLoaded, info.CheckpointLSN = true, lsn
-	} else if !os.IsNotExist(err) {
+	loaded, lsn, err := e.loadCheckpoint(fs, filepath.Join(d.Dir, checkpointFile))
+	if err != nil {
 		return nil, nil, err
 	}
+	info.CheckpointLoaded, info.CheckpointLSN = loaded, lsn
 	// Phase 2: open the WAL — this scans it and truncates any torn tail —
 	// and replay the records the checkpoint does not cover. The log is
 	// not attached to the engine yet, so replayed statements are not
 	// re-logged.
 	lg, scan, err := wal.Open(filepath.Join(d.Dir, walFile), wal.Options{
-		Fsync:     d.Fsync,
-		Interval:  d.FsyncInterval,
-		FaultHook: d.FaultHook,
-		FS:        d.FS,
-		OnSync:    func() { e.metrics.WALFsyncs.Inc() },
+		Fsync:    d.Fsync,
+		Interval: d.FsyncInterval,
+		FS:       fs,
+		OnSync:   func() { e.metrics.WALFsyncs.Inc() },
 		OnAppend: func(n int) {
 			e.metrics.WALAppends.Inc()
 			e.metrics.WALAppendBytes.Add(int64(n))
@@ -202,12 +188,8 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 	lg.EnsureLSN(info.CheckpointLSN)
 	info.LastLSN = lg.LastLSN()
 	e.mu.Lock()
-	fs := d.FS
-	if fs == nil {
-		fs = faultfs.OS
-	}
 	e.dur = durState{
-		log: lg, dir: d.Dir, fs: fs, crash: d.CrashHook,
+		log: lg, dir: d.Dir, fs: fs,
 		every: d.CheckpointEvery, softFree: d.SoftFreeBytes, hardFree: d.HardFreeBytes,
 	}
 	if e.dur.every == 0 {
@@ -232,6 +214,47 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 	e.mu.Unlock()
 	e.metrics.WALRecoveries.Inc()
 	return e, info, nil
+}
+
+// loadCheckpoint restores the checkpoint at path, read through fsys like
+// every other durable byte. A missing file means there is none. An open or
+// read error names the path and wraps its cause; a file that does not
+// decode is ErrCorruptWAL.
+func (e *Engine) loadCheckpoint(fsys faultfs.FS, path string) (loaded bool, lsn uint64, err error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, 0, nil
+	}
+	if err != nil {
+		return false, 0, fmt.Errorf("checkpoint %s: %w", path, err)
+	}
+	defer f.Close()
+	r := &readErrs{r: f}
+	e.mu.Lock()
+	lsn, err = e.restoreLocked(r)
+	e.mu.Unlock()
+	switch {
+	case r.err != nil:
+		return false, 0, fmt.Errorf("checkpoint %s: %w", path, r.err)
+	case err != nil:
+		return false, 0, fmt.Errorf("%w: checkpoint %s: %v", wal.ErrCorruptWAL, path, err)
+	}
+	return true, lsn, nil
+}
+
+// readErrs keeps the first read error of r, so a failing disk is told
+// apart from a file that does not decode.
+type readErrs struct {
+	r   io.Reader
+	err error
+}
+
+func (r *readErrs) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	if err != nil && err != io.EOF && r.err == nil {
+		r.err = err
+	}
+	return n, err
 }
 
 // replayRecord re-executes one logged statement during recovery. The
@@ -417,7 +440,7 @@ func (e *Engine) checkpointLocked() error {
 	path := filepath.Join(e.dur.dir, checkpointFile)
 	err := wal.WriteFileAtomicFS(e.dur.fs, path, func(w io.Writer) error {
 		return e.encodeSnapshotLocked(w, lsn)
-	}, e.dur.crash)
+	})
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}

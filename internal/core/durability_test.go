@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 
+	"grfusion/internal/faultfs"
 	"grfusion/internal/graph"
 	"grfusion/internal/types"
 	"grfusion/internal/wal"
@@ -403,36 +406,99 @@ func TestPreparedDMLRecovery(t *testing.T) {
 	}
 }
 
+// TestCheckpointCrashWindows cuts the power at every eligible op of one
+// Checkpoint — the temp file's open, writes, sync and rename, then the WAL
+// rotate's open, write, sync and rename — and proves every cut recovers to
+// the pre-checkpoint state with no replay error. Each cut is named for the
+// last step that completed before it.
 func TestCheckpointCrashWindows(t *testing.T) {
-	for _, pt := range []wal.CrashPoint{wal.CrashAfterTemp, wal.CrashAfterSync, wal.CrashAfterRename} {
-		t.Run(string(pt), func(t *testing.T) {
-			dir := t.TempDir()
-			boom := errors.New("injected crash")
-			armed := false
-			opts := Options{}
-			opts.Durability.CrashHook = func(p wal.CrashPoint) error {
-				if armed && p == pt {
-					return boom
-				}
-				return nil
-			}
-			e, _ := openDur(t, dir, opts)
-			mustExecAll(t, e, durSetup)
-			seedRows(t, e, 5)
-			want := stateSig(t, e)
-			armed = true
-			if err := e.Checkpoint(); !errors.Is(err, boom) {
-				t.Fatalf("checkpoint with crash at %s: %v", pt, err)
+	ffs := faultfs.NewFaulty(nil, 1)
+	var opts Options
+	opts.Durability.FS = ffs
+	setup := func(t *testing.T) (*Engine, string, string) {
+		dir := t.TempDir()
+		e, _ := openDur(t, dir, opts)
+		mustExecAll(t, e, durSetup)
+		seedRows(t, e, 5)
+		return e, dir, stateSig(t, e)
+	}
+
+	// Map the protocol: fail each op in turn with a one-shot fault, which
+	// leaves the engine usable, until a checkpoint gets through.
+	type step struct {
+		phase string // "temp" (the checkpoint file) or "rotate" (the WAL)
+		op    faultfs.Op
+	}
+	var steps []step
+	e, _, _ := setup(t)
+	for k := int64(1); ; k++ {
+		ffs.Arm(k, syscall.EIO)
+		err := e.Checkpoint()
+		if err == nil {
+			break
+		}
+		var inj *faultfs.InjectedError
+		if !errors.As(err, &inj) {
+			t.Fatalf("checkpoint with op %d failed: %v", k, err)
+		}
+		phase := "temp"
+		if strings.Contains(err.Error(), "wal rotate") {
+			phase = "rotate"
+		}
+		steps = append(steps, step{phase, inj.Op})
+	}
+	ffs.Calm()
+	e.Close()
+
+	past := map[faultfs.Op]string{faultfs.OpOpen: "created", faultfs.OpWrite: "written", faultfs.OpSync: "synced"}
+	names := make([]string, len(steps))
+	names[0] = "start"
+	for k := 1; k < len(steps); k++ {
+		prev := steps[k-1]
+		switch {
+		case prev.op == faultfs.OpRename:
+			names[k] = "renamed" // the checkpoint is in place, the WAL not yet rotated
+		case prev.op == faultfs.OpWrite && steps[k].op == faultfs.OpWrite:
+			names[k] = prev.phase + "-partial"
+		default:
+			names[k] = prev.phase + "-" + past[prev.op]
+		}
+	}
+	t.Logf("one checkpoint makes %d eligible ops; cut after: %s", len(steps), strings.Join(names, ", "))
+	rotateCuts := 0
+	for _, s := range steps {
+		if s.phase == "rotate" {
+			rotateCuts++
+		}
+	}
+	if len(steps) < 8 || rotateCuts == 0 {
+		t.Fatalf("checkpoint swept %d ops (%d in the WAL rotate), want >= 8 with the rotate among them", len(steps), rotateCuts)
+	}
+	for _, old := range []string{"temp-written", "temp-synced", "renamed"} {
+		if !slices.Contains(names, old) {
+			t.Fatalf("crash window %q not among the cuts %v", old, names)
+		}
+	}
+
+	for k, s := range steps {
+		t.Run(names[k], func(t *testing.T) {
+			e, dir, want := setup(t)
+			ffs.ArmCrash(int64(k + 1))
+			err := e.Checkpoint()
+			var inj *faultfs.InjectedError
+			if !errors.As(err, &inj) || inj.Op != s.op {
+				t.Fatalf("cut at %s %s: checkpoint err = %v", s.phase, s.op, err)
 			}
 			e.Kill()
+			ffs.Calm()
 
-			r, info := openDur(t, dir, Options{})
+			r, info := openDur(t, dir, opts)
 			defer r.Close()
 			if info.ReplayErrors != 0 {
-				t.Fatalf("recovery after crash at %s: %+v", pt, info)
+				t.Fatalf("recovery after a cut at %s %s: %+v", s.phase, s.op, info)
 			}
 			if got := stateSig(t, r); got != want {
-				t.Fatalf("crash at %s lost state:\n got %s\nwant %s", pt, got, want)
+				t.Fatalf("cut at %s %s lost state:\n got %s\nwant %s", s.phase, s.op, got, want)
 			}
 		})
 	}
@@ -540,6 +606,42 @@ func TestRecoveryCorruptCheckpoint(t *testing.T) {
 	opts.Durability.Dir = dir
 	if _, _, err := Open(opts); !errors.Is(err, wal.ErrCorruptWAL) {
 		t.Fatalf("corrupt checkpoint: %v, want ErrCorruptWAL", err)
+	}
+}
+
+// TestCheckpointLoadThroughFS proves recovery reads the checkpoint through
+// Durability.FS like every other durable byte: an injected open fault
+// reaches it and is reported as a disk error naming the file, not as
+// corruption, and a clean recovery opens exactly the checkpoint and the WAL.
+func TestCheckpointLoadThroughFS(t *testing.T) {
+	dir := t.TempDir()
+	e, _ := openDur(t, dir, Options{})
+	mustExecAll(t, e, durSetup)
+	seedRows(t, e, 3)
+	want := stateSig(t, e)
+	if err := e.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	ffs := faultfs.NewFaulty(nil, 1)
+	opts := Options{Durability: Durability{Dir: dir, FS: ffs}}
+	ffs.Arm(1, syscall.EIO)
+	_, _, err := Open(opts)
+	if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), checkpointFile) || errors.Is(err, wal.ErrCorruptWAL) {
+		t.Fatalf("Open with the checkpoint open failing: %v, want an EIO naming %s", err, checkpointFile)
+	}
+
+	opens := ffs.Count(faultfs.OpOpen)
+	r, info := openDur(t, dir, opts)
+	defer r.Close()
+	if got := ffs.Count(faultfs.OpOpen) - opens; got != 2 {
+		t.Fatalf("clean recovery made %d opens through the FS, want 2 (checkpoint, WAL)", got)
+	}
+	if !info.CheckpointLoaded {
+		t.Fatalf("checkpoint not loaded: %+v", info)
+	}
+	if got := stateSig(t, r); got != want {
+		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
 	}
 }
 

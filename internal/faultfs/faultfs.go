@@ -3,7 +3,9 @@
 // uses OS, a zero-cost passthrough to the real filesystem; the chaos and
 // robustness tests wrap it in a Faulty that deterministically injects EIO,
 // ENOSPC, short writes, fsync failures and latency from a seeded schedule,
-// and that can model a disk running out of space with a free-byte budget.
+// models a disk running out of space with a free-byte budget, and cuts the
+// power at any operation. It is the only storage fault injector: every
+// durable byte the engine writes or reads back goes through it.
 //
 // The surface is exactly the set of operations internal/wal performs:
 // open, write (append), sync, truncate, rename (rotate + atomic
@@ -30,6 +32,12 @@ const (
 	OpSync     Op = "sync"
 	OpTruncate Op = "truncate"
 	OpRename   Op = "rename"
+
+	// Remove and SyncDir only clean up or harden what the eligible ops did.
+	// They are never counted, armed or rate-failed; they fail only once a
+	// power cut has landed.
+	OpRemove  Op = "remove"
+	OpSyncDir Op = "syncdir"
 )
 
 // File is the subset of *os.File the WAL uses.
@@ -99,10 +107,10 @@ func (e *InjectedError) Unwrap() error { return e.Err }
 // configuration methods are safe for concurrent use with file operations.
 //
 // Fault-eligible operations (open, write, sync, truncate, rename) are
-// counted; Arm schedules a one-shot failure at an exact count, SetRate
-// sets a steady per-op failure probability, and SetFree models a disk
-// with a fixed budget of free bytes (writes beyond it are cut short with
-// ENOSPC, exactly like a full filesystem).
+// counted; Arm schedules a one-shot failure at an exact count, ArmCrash a
+// power cut at one, SetRate sets a steady per-op failure probability, and
+// SetFree models a disk with a fixed budget of free bytes (writes beyond
+// it are cut short with ENOSPC, exactly like a full filesystem).
 type Faulty struct {
 	inner FS
 
@@ -123,6 +131,10 @@ type Faulty struct {
 	armAt    int64
 	armErr   error
 	armShort int
+
+	// Power cut: from the crashAt-th eligible op on, every operation fails
+	// (0 = no cut armed).
+	crashAt int64
 
 	// Free-byte budget; active when trackFree. Writes consume it.
 	free      int64
@@ -189,6 +201,17 @@ func (f *Faulty) Arm(n int64, err error) {
 	f.armShort = -1
 }
 
+// ArmCrash cuts the power at the nth eligible operation from now (n = 1
+// means the very next): that operation fails with EIO, and so does every
+// later one — the uncounted Remove and SyncDir included — as if the
+// process had died there. Bytes written before the cut stay, as they do
+// when a process is killed. Calm restores power; Ops keeps counting.
+func (f *Faulty) ArmCrash(n int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.crashAt = f.opCount + n
+}
+
 // ArmShortWrite schedules a one-shot short write: the next write persists
 // only the first n bytes and returns (n, err). With err == nil this is a
 // silent short write — the pathological case where the kernel reports
@@ -212,7 +235,8 @@ func (f *Faulty) SetFree(n int64) {
 }
 
 // Calm clears every fault: rates, one-shot schedule, latency, torn-write
-// mode. The free-byte budget is capacity, not a fault, and stays.
+// mode, and a power cut (armed or landed). The free-byte budget is
+// capacity, not a fault, and stays.
 func (f *Faulty) Calm() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -220,6 +244,7 @@ func (f *Faulty) Calm() {
 	f.latency = 0
 	f.shortRate = 0
 	f.armAt, f.armErr, f.armShort = 0, nil, -1
+	f.crashAt = 0
 }
 
 // Count returns how many operations of kind op have been attempted.
@@ -245,6 +270,9 @@ func (f *Faulty) decide(op Op, n int) (delay time.Duration, short int, err error
 	defer f.mu.Unlock()
 	f.opCount++
 	f.counts[op]++
+	if err := f.deadLocked(op); err != nil {
+		return 0, -1, err
+	}
 	delay, short = f.latency, -1
 
 	// One-shot schedule first: exact-count arm, or armed short write.
@@ -277,6 +305,21 @@ func (f *Faulty) decide(op Op, n int) (delay time.Duration, short int, err error
 		return delay, int(f.free), &InjectedError{Op: op, Err: syscall.ENOSPC}
 	}
 	return delay, -1, nil
+}
+
+// deadLocked returns the power-cut error once a cut has landed.
+func (f *Faulty) deadLocked(op Op) error {
+	if f.crashAt > 0 && f.opCount >= f.crashAt {
+		return &InjectedError{Op: op, Err: syscall.EIO}
+	}
+	return nil
+}
+
+// dead is deadLocked for the operations that are not counted.
+func (f *Faulty) dead(op Op) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.deadLocked(op)
 }
 
 // consume charges n written bytes against the free-byte budget.
@@ -317,12 +360,24 @@ func (f *Faulty) Rename(oldpath, newpath string) error {
 	return f.inner.Rename(oldpath, newpath)
 }
 
-// Remove passes through unfaulted: it only runs in error-cleanup paths,
-// and keeping it out of the schedule keeps Arm's op indices stable.
-func (f *Faulty) Remove(name string) error { return f.inner.Remove(name) }
+// Remove is not counted: it only runs in error-cleanup paths, and keeping
+// it out of the schedule keeps Arm's op indices stable. It fails only after
+// a power cut, so a cut leaves behind the temp files a real crash would.
+func (f *Faulty) Remove(name string) error {
+	if err := f.dead(OpRemove); err != nil {
+		return err
+	}
+	return f.inner.Remove(name)
+}
 
-// SyncDir passes through unfaulted (it is best-effort everywhere).
-func (f *Faulty) SyncDir(dir string) error { return f.inner.SyncDir(dir) }
+// SyncDir is not counted (it is best-effort everywhere); like Remove it
+// fails only after a power cut.
+func (f *Faulty) SyncDir(dir string) error {
+	if err := f.dead(OpSyncDir); err != nil {
+		return err
+	}
+	return f.inner.SyncDir(dir)
+}
 
 // Free reports the remaining budget when one is set, else the inner
 // filesystem's answer.

@@ -78,6 +78,58 @@ func TestArmFiresAtExactOpCount(t *testing.T) {
 	}
 }
 
+// TestArmCrashCutsPowerAtOpCount checks the power cut: the ops before the
+// armed one succeed, the armed op and every later one fail with EIO — the
+// uncounted Remove and SyncDir included — until Calm restores power, and
+// the op counter never stops.
+func TestArmCrashCutsPowerAtOpCount(t *testing.T) {
+	fs := NewFaulty(OS, 1)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	f := openRW(t, fs, path) // op 1: open
+	fs.ArmCrash(2)           // op 2 = write ok, op 3 = sync is the cut
+
+	if _, err := f.Write([]byte("kept")); err != nil {
+		t.Fatalf("op before the cut failed: %v", err)
+	}
+	if err := f.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("cut op: err = %v, want EIO", err)
+	}
+	after := map[string]error{}
+	_, after["write"] = f.Write([]byte("lost"))
+	after["sync"] = f.Sync()
+	after["truncate"] = f.Truncate(0)
+	_, after["open"] = fs.OpenFile(filepath.Join(dir, "g"), os.O_CREATE|os.O_RDWR, 0o644)
+	after["rename"] = fs.Rename(path, filepath.Join(dir, "h"))
+	after["remove"] = fs.Remove(path)
+	after["syncdir"] = fs.SyncDir(dir)
+	for op, err := range after {
+		if !errors.Is(err, syscall.EIO) {
+			t.Errorf("%s after the cut: err = %v, want EIO", op, err)
+		}
+	}
+	if got := fs.Ops(); got != 8 {
+		t.Fatalf("Ops() = %d, want 8 (open, write, sync, write, sync, truncate, open, rename)", got)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "kept" {
+		t.Fatalf("on-disk bytes %q, %v; want only the write before the cut", data, err)
+	}
+
+	fs.Calm()
+	if _, err := f.Write([]byte("!")); err != nil {
+		t.Fatalf("write after Calm: %v", err)
+	}
+	if err := fs.SyncDir(dir); err != nil {
+		t.Fatalf("SyncDir after Calm: %v", err)
+	}
+	if err := fs.Remove(path); err != nil {
+		t.Fatalf("Remove after Calm: %v", err)
+	}
+	if got := fs.Ops(); got != 9 {
+		t.Fatalf("Ops() = %d after Calm, want 9", got)
+	}
+}
+
 // TestFreeBudgetCutsWritesShort models the full disk: writes consume the
 // budget, the one that does not fit persists only the remaining bytes
 // and fails with ENOSPC, and Calm does not refill capacity.

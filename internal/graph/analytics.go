@@ -193,7 +193,7 @@ type chunkRunner interface{ runChunk(worker, lo, hi int) }
 
 // runChunks applies fn to every 1024-vertex chunk of [0, n). With one
 // worker the chunks run inline on the caller with no goroutines and no
-// allocation — the zero-alloc configuration the bench gate measures.
+// allocation — the zero-alloc configuration TestAnalyticsZeroAlloc pins.
 func runChunks(done <-chan struct{}, workers, n int, fn chunkRunner) error {
 	if n == 0 {
 		return nil

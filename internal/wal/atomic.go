@@ -9,47 +9,22 @@ import (
 	"grfusion/internal/faultfs"
 )
 
-// CrashPoint names a stage of the atomic-write protocol; the chaos tests
-// inject crashes between stages to prove every window is safe.
-type CrashPoint string
-
-const (
-	// CrashAfterTemp fires after the temp file's contents are written but
-	// before fsync.
-	CrashAfterTemp CrashPoint = "temp-written"
-	// CrashAfterSync fires after the temp file is fsynced but before the
-	// rename.
-	CrashAfterSync CrashPoint = "temp-synced"
-	// CrashAfterRename fires after the rename but before the directory
-	// fsync.
-	CrashAfterRename CrashPoint = "renamed"
-)
-
-// CrashFunc is consulted at each CrashPoint; returning a non-nil error
-// simulates the process dying right there: WriteFileAtomicCrash returns
-// immediately, leaving the filesystem exactly as a crash would.
-type CrashFunc func(p CrashPoint) error
-
 // WriteFileAtomic durably replaces path with the bytes produced by write:
 // temp file in the same directory, fsync, atomic rename, directory fsync.
 // A crash at any point leaves either the old complete file or the new
 // complete file — never a torn mix. On error the previous file is intact
-// and the temp file is removed.
+// and the temp file is removed; a crash may leave the temp file behind,
+// and the next write truncates and replaces it.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	return WriteFileAtomicFS(faultfs.OS, path, write, nil)
-}
-
-// WriteFileAtomicCrash is WriteFileAtomic with crash injection (tests
-// pass a CrashFunc; production passes nil).
-func WriteFileAtomicCrash(path string, write func(io.Writer) error, crash CrashFunc) error {
-	return WriteFileAtomicFS(faultfs.OS, path, write, crash)
+	return WriteFileAtomicFS(faultfs.OS, path, write)
 }
 
 // WriteFileAtomicFS is the full protocol over an injectable storage layer
 // (fsys nil means the real filesystem): the checkpoint writer passes the
-// engine's faultfs so disk faults reach every stage — temp-file creation,
-// the buffered content writes, the fsync, and the rename.
-func WriteFileAtomicFS(fsys faultfs.FS, path string, write func(io.Writer) error, crash CrashFunc) error {
+// engine's faultfs so disk faults and power cuts reach every stage —
+// temp-file creation, the buffered content writes, the fsync, and the
+// rename.
+func WriteFileAtomicFS(fsys faultfs.FS, path string, write func(io.Writer) error) error {
 	if fsys == nil {
 		fsys = faultfs.OS
 	}
@@ -70,31 +45,15 @@ func WriteFileAtomicFS(fsys faultfs.FS, path string, write func(io.Writer) error
 	if err := bw.Flush(); err != nil {
 		return fail(err)
 	}
-	if crash != nil {
-		if err := crash(CrashAfterTemp); err != nil {
-			f.Close() // simulated death: temp file left behind, target untouched
-			return err
-		}
-	}
 	if err := f.Sync(); err != nil {
 		return fail(err)
 	}
 	if err := f.Close(); err != nil {
 		return fail(err)
 	}
-	if crash != nil {
-		if err := crash(CrashAfterSync); err != nil {
-			return err
-		}
-	}
 	if err := fsys.Rename(tmp, path); err != nil {
 		fsys.Remove(tmp)
 		return err
-	}
-	if crash != nil {
-		if err := crash(CrashAfterRename); err != nil {
-			return err
-		}
 	}
 	fsys.SyncDir(filepath.Dir(path))
 	return nil

@@ -209,10 +209,12 @@ func TestRotateENOSPCEveryPoint(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomicENOSPCEveryPoint injects ENOSPC at every eligible
-// point of the atomic-write protocol and proves the target file is intact
-// (old content, byte for byte) and the temp file removed after each
-// failure, then that a clean write still replaces the content.
+// TestWriteFileAtomicENOSPCEveryPoint injects two fault kinds at every
+// eligible point of the atomic-write protocol — ENOSPC, and a power cut
+// that fails that op and everything after it, cleanup included. After
+// either the target keeps its old content byte for byte; ENOSPC removes
+// the temp file, a cut may leave it behind. A clean write then replaces
+// both.
 func TestWriteFileAtomicENOSPCEveryPoint(t *testing.T) {
 	ffs := faultfs.NewFaulty(nil, 1)
 	dir := t.TempDir()
@@ -222,7 +224,7 @@ func TestWriteFileAtomicENOSPCEveryPoint(t *testing.T) {
 		return WriteFileAtomicFS(ffs, path, func(w io.Writer) error {
 			_, err := w.Write(content)
 			return err
-		}, nil)
+		})
 	}
 	before := ffs.Ops()
 	if err := put(old); err != nil {
@@ -233,7 +235,7 @@ func TestWriteFileAtomicENOSPCEveryPoint(t *testing.T) {
 		t.Fatalf("atomic write performed only %d eligible ops; fault points missing", perWrite)
 	}
 
-	check := func(k int64, err error) {
+	check := func(k int64, err error, tmpMayRemain bool) {
 		t.Helper()
 		if err == nil {
 			t.Fatalf("atomic write with fault at op %d succeeded", k)
@@ -245,20 +247,9 @@ func TestWriteFileAtomicENOSPCEveryPoint(t *testing.T) {
 		if string(got) != string(old) {
 			t.Fatalf("target corrupted after failed write at op %d: %q", k, got)
 		}
-		if _, serr := os.Stat(path + ".tmp"); !errors.Is(serr, os.ErrNotExist) {
+		if _, serr := os.Stat(path + ".tmp"); !tmpMayRemain && !errors.Is(serr, os.ErrNotExist) {
 			t.Fatalf("failed write left tmp file (stat err %v)", serr)
 		}
-	}
-
-	for k := int64(1); k <= perWrite; k++ {
-		t.Run(fmt.Sprintf("enospc-at-op-%d", k), func(t *testing.T) {
-			ffs.Arm(k, syscall.ENOSPC)
-			err := put([]byte("replacement that must not land"))
-			if !errors.Is(err, syscall.ENOSPC) {
-				t.Fatalf("error = %v, want ENOSPC", err)
-			}
-			check(k, err)
-		})
 	}
 
 	// A silent short write through bufio surfaces as io.ErrShortWrite and
@@ -269,10 +260,33 @@ func TestWriteFileAtomicENOSPCEveryPoint(t *testing.T) {
 		if !errors.Is(err, io.ErrShortWrite) {
 			t.Fatalf("error = %v, want io.ErrShortWrite", err)
 		}
-		check(-1, err)
+		check(-1, err, false)
 	})
 
-	ffs.Calm()
+	for k := int64(1); k <= perWrite; k++ {
+		t.Run(fmt.Sprintf("enospc-at-op-%d", k), func(t *testing.T) {
+			ffs.Arm(k, syscall.ENOSPC)
+			err := put([]byte("replacement that must not land"))
+			if !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("error = %v, want ENOSPC", err)
+			}
+			check(k, err, false)
+		})
+		t.Run(fmt.Sprintf("cut-at-op-%d", k), func(t *testing.T) {
+			ffs.ArmCrash(k)
+			defer ffs.Calm()
+			err := put([]byte("replacement that must not land"))
+			if !errors.Is(err, syscall.EIO) {
+				t.Fatalf("error = %v, want EIO", err)
+			}
+			check(k, err, true)
+		})
+	}
+
+	// The last cut, at the rename, left the temp file behind.
+	if _, err := os.Stat(path + ".tmp"); err != nil {
+		t.Fatalf("a cut at the rename left no temp file: %v", err)
+	}
 	fresh := []byte("the new complete checkpoint")
 	if err := put(fresh); err != nil {
 		t.Fatalf("atomic write after faults cleared: %v", err)
@@ -280,5 +294,8 @@ func TestWriteFileAtomicENOSPCEveryPoint(t *testing.T) {
 	got, err := os.ReadFile(path)
 	if err != nil || string(got) != string(fresh) {
 		t.Fatalf("final content = %q, %v; want %q", got, err, fresh)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("clean write kept the stale temp file (stat err %v)", err)
 	}
 }

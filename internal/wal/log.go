@@ -90,13 +90,9 @@ type Options struct {
 	// (metrics: a logged statement failed to apply and its record was
 	// removed again).
 	OnRollback func()
-	// FaultHook, when set, is consulted before file operations; returning
-	// a non-nil error injects that failure. op is one of "write", "sync",
-	// "rotate". Tests only.
-	FaultHook func(op string) error
 	// FS is the storage layer the log operates on; nil means the real
-	// filesystem (faultfs.OS). The chaos tests pass a faultfs.Faulty to
-	// inject EIO/ENOSPC/short writes/fsync failures beneath the log.
+	// filesystem (faultfs.OS). Tests pass a faultfs.Faulty to inject
+	// EIO/ENOSPC/short writes/fsync failures/power cuts beneath the log.
 	FS faultfs.FS
 }
 
@@ -299,9 +295,6 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	}
 	rec.LSN = l.nextLSN
 	frame := AppendFrame(nil, rec)
-	if err := l.fault("write"); err != nil {
-		return 0, fmt.Errorf("wal append: %w", err)
-	}
 	// A short write — n < len(frame) — can come back with err == nil from
 	// a pathological filesystem. Treating it as success would let size
 	// accounting and OnAppend drift from what is actually on disk, so it
@@ -410,9 +403,6 @@ func (l *Log) rollbackLocked(cause error) {
 
 // syncAfterAppendLocked syncs for the FsyncAlways path.
 func (l *Log) syncAfterAppendLocked() error {
-	if err := l.fault("sync"); err != nil {
-		return err
-	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
@@ -433,9 +423,6 @@ func (l *Log) Sync() error {
 func (l *Log) syncLocked() error {
 	if l.closed || !l.dirty {
 		return nil
-	}
-	if err := l.fault("sync"); err != nil {
-		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return err
@@ -458,9 +445,6 @@ func (l *Log) Rotate() error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
-	}
-	if err := l.fault("rotate"); err != nil {
-		return fmt.Errorf("wal rotate: %w", err)
 	}
 	tmp := l.path + ".tmp"
 	nf, err := l.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -528,11 +512,4 @@ func (l *Log) Abandon() {
 	l.stopIntervalLocked()
 	l.closed = true
 	l.f.Close()
-}
-
-func (l *Log) fault(op string) error {
-	if l.opts.FaultHook == nil {
-		return nil
-	}
-	return l.opts.FaultHook(op)
 }

