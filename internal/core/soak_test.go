@@ -56,6 +56,26 @@ var weatherNames = [numWeathers]string{"calm", "drizzle", "outage", "power cut"}
 // GRF_SOAK sets the duration in seconds (the CI recovery lane runs 30);
 // the default keeps `go test ./...` fast.
 func TestDurabilitySoak(t *testing.T) {
+	durabilitySoak(t, calm, drizzle, outage, powerCut)
+}
+
+// TestRecoverySoak is the durability soak's crash half: calm stretches and
+// power cuts only, so every cycle exercises fsync retuning, a graceful
+// shutdown that replays nothing or a kill, and tuple-pointer-exact recovery.
+func TestRecoverySoak(t *testing.T) {
+	durabilitySoak(t, calm, powerCut)
+}
+
+// TestDiskFaultSoak is the durability soak's disk-fault half: EIO drizzle
+// and outages only, with readers racing every degradation and heal, each
+// cycle ending in a shutdown or a kill and a recovery.
+func TestDiskFaultSoak(t *testing.T) {
+	durabilitySoak(t, drizzle, outage)
+}
+
+// durabilitySoak runs the soak described at TestDurabilitySoak, drawing
+// each stretch's weather from weathers.
+func durabilitySoak(t *testing.T, weathers ...weather) {
 	duration := 2 * time.Second
 	if s := os.Getenv("GRF_SOAK"); s != "" {
 		var secs int
@@ -216,7 +236,7 @@ func TestDurabilitySoak(t *testing.T) {
 		stopReaders := startReaders(eng)
 		cut, doubt := false, ""
 		for s, ns := 0, 1+rng.Intn(3); s < ns && !cut; s++ {
-			w := weather(rng.Intn(int(numWeathers)))
+			w := weathers[rng.Intn(len(weathers))]
 			seen[w]++
 			switch w {
 			case calm:
@@ -351,8 +371,8 @@ func TestDurabilitySoak(t *testing.T) {
 		weatherNames[outage], seen[outage], weatherNames[powerCut], seen[powerCut],
 		heals, graceful, kills, torn, cuts, doubtKept, doubtDropped, replay)
 	if os.Getenv("GRF_SOAK") != "" {
-		for w, n := range seen {
-			if n < 5 {
+		for _, w := range weathers {
+			if n := seen[w]; n < 5 {
 				t.Errorf("%s weather drawn %d times, want >= 5", weatherNames[w], n)
 			}
 		}
