@@ -5,7 +5,7 @@
 // Usage:
 //
 //	grfusion-server [-addr 127.0.0.1:21212] [-restore snap.gob] [-script init.sql]
-//	                [-mem bytes] [-stats 30s] [-workers N]
+//	                [-mem bytes] [-workers N]
 //	                [-query-timeout 0] [-max-concurrent 0] [-idle-timeout 0]
 //	                [-drain-timeout 10s] [-slow-query 0]
 //	                [-metrics-addr 127.0.0.1:21213]
@@ -58,7 +58,6 @@ func main() {
 		restore = flag.String("restore", "", "restore a snapshot before serving")
 		script  = flag.String("script", "", "run a SQL script before serving")
 		mem     = flag.Int64("mem", 0, "intermediate-memory budget per statement (bytes)")
-		stats   = flag.Duration("stats", 0, "graph-view statistics refresh interval (0 = disabled)")
 		workers = flag.Int("workers", 0, "traversal worker pool per multi-source path query (<=1 = sequential)")
 
 		queryTimeout  = flag.Duration("query-timeout", 0, "per-statement execution deadline (0 = none; SET QUERY_TIMEOUT adjusts at runtime)")
@@ -135,10 +134,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "grfusion-server: ran %s\n", *script)
-	}
-	if *stats > 0 {
-		eng.StartStatistics(*stats)
-		defer eng.Close()
 	}
 	srv := server.NewWith(eng, server.Config{
 		MaxConcurrent: *maxConcurrent,

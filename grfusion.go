@@ -69,13 +69,6 @@ type Config struct {
 	DisablePushdown bool
 	// DisableLengthInference turns off path-length inference (§6.1).
 	DisableLengthInference bool
-	// ForceTraversal overrides physical traversal selection for unhinted
-	// path scans: "bfs", "dfs", or "" for the cost-based rule (§6.3).
-	ForceTraversal string
-	// StatsInterval enables the background graph-view statistics refresher
-	// (§6.3 of the paper) with the given period; zero disables it. Call
-	// Close to stop the refresher.
-	StatsInterval time.Duration
 	// QueryTimeout bounds each statement's wall clock; statements that
 	// exceed it abort with ErrTimeout. Zero disables it. Adjustable at
 	// runtime with SET QUERY_TIMEOUT = <milliseconds>.
@@ -160,7 +153,6 @@ func options(cfg Config) (core.Options, error) {
 		Plan: plan.Options{
 			DisablePushdown:        cfg.DisablePushdown,
 			DisableLengthInference: cfg.DisableLengthInference,
-			ForceTraversal:         cfg.ForceTraversal,
 		},
 	}
 	opts.Durability.Dir = cfg.WALDir
@@ -192,11 +184,7 @@ func Open(cfg Config) *DB {
 	if err != nil {
 		panic("grfusion: " + err.Error())
 	}
-	db := &DB{engine: core.New(opts)}
-	if cfg.StatsInterval > 0 {
-		db.engine.StartStatistics(cfg.StatsInterval)
-	}
-	return db
+	return &DB{engine: core.New(opts)}
 }
 
 // OpenDurable opens a database backed by a write-ahead log in
@@ -217,11 +205,7 @@ func OpenDurable(cfg Config) (*DB, *RecoveryInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	db := &DB{engine: eng, recovery: info}
-	if cfg.StatsInterval > 0 {
-		db.engine.StartStatistics(cfg.StatsInterval)
-	}
-	return db, info, nil
+	return &DB{engine: eng, recovery: info}, info, nil
 }
 
 // Recovery returns what OpenDurable recovered, nil for an in-memory
@@ -242,7 +226,7 @@ func (db *DB) Health() Health { return db.engine.Health() }
 // close. On an in-memory database it is Close.
 func (db *DB) Shutdown() error { return db.engine.Shutdown() }
 
-// Close stops background work (the statistics refresher) and, on a
+// Close stops background work (the self-healing prober) and, on a
 // durable database, syncs and closes the WAL without a final checkpoint.
 // An in-memory database remains usable afterwards; a durable one keeps
 // serving reads but rejects further mutations.

@@ -210,7 +210,7 @@ func TestMemLimitConfig(t *testing.T) {
 }
 
 func TestConfigDisablePushdownStillCorrect(t *testing.T) {
-	run := func(cfg Config) int {
+	run := func(cfg Config, hint string) int {
 		db := Open(cfg)
 		if err := db.ExecScript(`
 			CREATE TABLE N (nid BIGINT PRIMARY KEY);
@@ -222,15 +222,15 @@ func TestConfigDisablePushdownStillCorrect(t *testing.T) {
 		`); err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Query(`SELECT COUNT(P) FROM G.Paths P WHERE P.StartVertex.Id = 1 AND P.Edges[0..*].w < 10`)
+		res, err := db.Query(`SELECT COUNT(P) FROM G.Paths P ` + hint + ` WHERE P.StartVertex.Id = 1 AND P.Edges[0..*].w < 10`)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return int(res.Rows[0][0].I)
 	}
-	a := run(Config{})
-	b := run(Config{DisablePushdown: true})
-	c := run(Config{ForceTraversal: "bfs"})
+	a := run(Config{}, "")
+	b := run(Config{DisablePushdown: true}, "")
+	c := run(Config{}, "HINT(BFS)")
 	if a != b || a != c {
 		t.Fatalf("configs disagree: %d %d %d", a, b, c)
 	}

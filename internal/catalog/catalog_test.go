@@ -3,7 +3,6 @@ package catalog
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"grfusion/internal/storage"
 	"grfusion/internal/types"
@@ -407,25 +406,6 @@ func TestMatViewRegistry(t *testing.T) {
 		t.Error("double drop accepted")
 	}
 	_ = gv
-}
-
-func TestComputeStats(t *testing.T) {
-	_, _, _, gv := socialFixture(t)
-	if gv.Stats() != nil {
-		t.Fatal("stats before publish")
-	}
-	st := gv.ComputeStats(gv.Version(), time.Now())
-	gv.SetStats(st)
-	if got := gv.Stats(); got != st {
-		t.Fatal("publish/load mismatch")
-	}
-	if st.Vertices != 3 || st.Edges != 2 {
-		t.Errorf("counts: %+v", st)
-	}
-	// Undirected degree of vertex 2 is 2 (edges 10, 11) — the maximum.
-	if st.MaxFanOut != 2 {
-		t.Errorf("max fan-out: %d", st.MaxFanOut)
-	}
 }
 
 func TestAttrSourcePositions(t *testing.T) {

@@ -69,14 +69,8 @@ type GraphView struct {
 
 	vSchema, eSchema *types.Schema
 
-	// stats holds the §6.3 statistics object, published by the engine's
-	// background refresher when statistics are enabled.
-	stats atomic.Pointer[GraphStats]
-
 	// maintOps counts incremental §3.3 maintenance operations applied to
-	// the topology since the view was built. A statistics object remembers
-	// the count it was computed at, so readers can detect statistics that
-	// predate heavy DML (see FreshStats).
+	// the topology since the view was built (SHOW METRICS maint_ops).
 	maintOps atomic.Int64
 
 	// csrHits and csrMisses count traversal reads (GraphViewAt.CSR) of a
@@ -183,7 +177,7 @@ func (gv *GraphView) buildSchemas() {
 }
 
 func (gv *GraphView) build() error {
-	t, err := gv.buildTopology()
+	t, err := gv.buildTopology(gv.vtab, gv.etab)
 	if err != nil {
 		return err
 	}
@@ -191,12 +185,13 @@ func (gv *GraphView) build() error {
 	return nil
 }
 
-// buildTopology lays out a fresh topology from the current contents of the
-// relational sources in a single pass over each (§3.2).
-func (gv *GraphView) buildTopology() (*graph.Topology, error) {
-	b := graph.NewBuilder(gv.Name, gv.Directed, gv.vtab.Len(), gv.etab.Len())
+// buildTopology lays out a fresh topology from the rows of v and e — the
+// live source tables at CREATE GRAPH VIEW, a pinned version's snapshots
+// for a rebuild — in a single pass over each (§3.2).
+func (gv *GraphView) buildTopology(v, e storage.RowView) (*graph.Topology, error) {
+	b := graph.NewBuilder(gv.Name, gv.Directed, v.Len(), e.Len())
 	var err error
-	gv.vtab.Scan(func(id storage.RowID, row types.Row) bool {
+	v.Scan(func(id storage.RowID, row types.Row) bool {
 		var vid int64
 		vid, err = intAttr(row, gv.vIDPos, "vertex ID")
 		if err == nil {
@@ -205,7 +200,7 @@ func (gv *GraphView) buildTopology() (*graph.Topology, error) {
 		return err == nil
 	})
 	if err == nil {
-		gv.etab.Scan(func(id storage.RowID, row types.Row) bool {
+		e.Scan(func(id storage.RowID, row types.Row) bool {
 			err = gv.addEdgeFromRow(b.AddEdge, id, row)
 			return err == nil
 		})
@@ -220,14 +215,14 @@ func (gv *GraphView) buildTopology() (*graph.Topology, error) {
 	return t, nil
 }
 
-// RebuildTopology reconstructs a fresh topology from the current contents
-// of the relational sources with the same single pass CREATE GRAPH VIEW
-// uses, without touching the maintained one, and materializes it. The
+// RebuildTopology reconstructs a fresh topology from the source rows of
+// one version (v and e) with the same single pass CREATE GRAPH VIEW uses,
+// without touching the maintained one, and materializes it. The
 // differential-testing oracle diffs the result against the incrementally
 // maintained topology to verify the §3.3 online-maintenance invariant:
 // maintained topology ≡ rebuilt topology after any DML history.
-func (gv *GraphView) RebuildTopology() (*graph.Graph, error) {
-	t, err := gv.buildTopology()
+func (gv *GraphView) RebuildTopology(v, e storage.RowView) (*graph.Graph, error) {
+	t, err := gv.buildTopology(v, e)
 	if err != nil {
 		return nil, err
 	}
@@ -293,6 +288,10 @@ func (gv *GraphView) CSRStats() (builds, buildNS, hits, misses, bytes int64) {
 	builds, buildNS, bytes = gv.topo.Stats()
 	return builds, buildNS, gv.csrHits.Load(), gv.csrMisses.Load(), bytes
 }
+
+// MaintOps reports how many incremental maintenance operations have been
+// applied to the topology since the view was built.
+func (gv *GraphView) MaintOps() int64 { return gv.maintOps.Load() }
 
 // VertexTable returns the vertexes relational-source.
 func (gv *GraphView) VertexTable() *storage.Table { return gv.vtab }

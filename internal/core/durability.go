@@ -452,17 +452,13 @@ func (e *Engine) checkpointLocked() error {
 	return nil
 }
 
-// Durable reports whether the engine has a WAL attached.
-func (e *Engine) Durable() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.dur.log != nil
-}
+// Durable reports whether the engine has a WAL attached. Lock-free.
+func (e *Engine) Durable() bool { return e.health.durable.Load() }
 
 // WALFsyncPolicy returns the current fsync policy of a durable engine.
+// Lock-free: Open attaches the log before it returns the engine, and the
+// log guards its policy itself.
 func (e *Engine) WALFsyncPolicy() (wal.FsyncPolicy, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	if e.dur.log == nil {
 		return 0, false
 	}
@@ -484,17 +480,28 @@ func (e *Engine) Shutdown() error {
 	return err
 }
 
+// Close stops the background healer and, on a durable engine, syncs and
+// closes the WAL without a final checkpoint (use Shutdown for
+// checkpoint-on-exit). A non-durable engine remains usable for statements
+// afterwards; a durable one keeps serving reads but rejects further
+// mutations.
+func (e *Engine) Close() {
+	e.stopHealer()
+	if e.dur.log != nil {
+		if err := e.dur.log.Close(); err != nil {
+			log.Printf("core: close wal: %v", err)
+		}
+	}
+}
+
 // Kill simulates a crash for the recovery tests: the WAL file descriptor
 // is dropped with no sync, no checkpoint and no cleanup — whatever the OS
 // already has is what recovery will see. The engine must not be used
 // afterwards; recover with Open.
 func (e *Engine) Kill() {
 	e.stopHealer()
-	e.mu.Lock()
-	lg := e.dur.log
-	e.mu.Unlock()
-	if lg != nil {
-		lg.Abandon()
+	if e.dur.log != nil {
+		e.dur.log.Abandon()
 	}
 	e.Close()
 }

@@ -106,15 +106,12 @@ type Options struct {
 
 // Engine is one in-memory database instance.
 type Engine struct {
-	// mu is the writer-serialization lock: mutating statements hold it
-	// exclusively. Everything reachable from the catalog — tables,
-	// indexes, graph-view topologies — is only mutated under it.
-	// Read-only statements do NOT take mu: they pin the current published
-	// version (see version.go and state below). A handful of maintenance
-	// readers that must see the live objects (statistics refresh, the
-	// oracle's topology hooks, snapshot encoding) still take the read
-	// side purely to exclude writers.
-	mu   sync.RWMutex
+	// mu is the writer lock: mutating statements, checkpoints and
+	// snapshots hold it. Everything reachable from the catalog — tables,
+	// indexes, graph-view topologies — is only mutated under it. No reader
+	// takes it: readers pin the current published version (see version.go
+	// and state below).
+	mu   sync.Mutex
 	cat  *catalog.Catalog
 	opts Options
 
@@ -145,14 +142,10 @@ type Engine struct {
 	// metrics is the engine-wide observability registry (see observe.go).
 	metrics metrics.Metrics
 
-	// Statistics-thread lifecycle (see stats.go).
-	statsMu   sync.Mutex
-	statsStop chan struct{}
-	statsDone chan struct{}
-
 	// dur is the durability runtime (durability.go): non-nil dur.log means
-	// every mutating statement is logged before it applies. Guarded by mu's
-	// write side, like the catalog.
+	// every mutating statement is logged before it applies. Guarded by mu,
+	// like the catalog, except dur.log itself: Open sets it once before
+	// returning the engine, so it may be read without the lock.
 	dur durState
 
 	// health is the disk-fault tolerance state machine (health.go):

@@ -25,8 +25,8 @@ import (
 //	healing ──(probe fails)──▶ degraded          (backoff doubles, capped)
 //	healing ──(probe succeeds)──▶ healthy
 //
-// While degraded, reads/EXPLAIN/SHOW/analytics keep serving under the
-// shared lock exactly as before — they never touch the WAL — and every
+// While degraded, reads/EXPLAIN/SHOW/analytics keep serving on pinned
+// versions exactly as before — they never touch the WAL — and every
 // mutating statement fails fast with ErrDegraded before logging anything.
 // Because the engine logs before it applies, the in-memory state is
 // precisely the acknowledged history, so healing can always re-establish

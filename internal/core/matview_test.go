@@ -2,8 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"grfusion/internal/wal"
 )
 
 // matViewEngine sets up Users plus a materialized view of its lawyers.
@@ -210,6 +216,26 @@ func TestMatViewSnapshotRoundTrip(t *testing.T) {
 	r = mustExec(t, e2, `SELECT COUNT(*) FROM Lawyers`)
 	if r.Rows[0][0].I != 3 {
 		t.Fatalf("restored maintenance: %v", render(r))
+	}
+}
+
+// TestSnapshotRestoreRejectsNonMatViewDefinition feeds Restore and Open a
+// snapshot whose materialized-view entry parses as another statement: both
+// must fail with an error, and Open's must be ErrCorruptWAL, not a panic.
+func TestSnapshotRestoreRejectsNonMatViewDefinition(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&snapDB{Version: 2, MatViews: []string{"SELECT 1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(Options{}).Restore(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("Restore accepted a SELECT as a materialized view definition")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointFile), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(Options{Durability: Durability{Dir: dir}}); !errors.Is(err, wal.ErrCorruptWAL) {
+		t.Fatalf("Open on the same checkpoint: %v, want ErrCorruptWAL", err)
 	}
 }
 

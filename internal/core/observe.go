@@ -132,9 +132,8 @@ func (e *Engine) observeAnalytics(ec *exec.Context) {
 // viewStatsAt gathers the per-graph-view gauges for a metrics snapshot
 // against a pinned version: topology sizes come from the version's bound
 // topology (immutable), while the lifetime counters (maintenance ops, CSR
-// builds and reads, statistics age) are the view's atomics.
+// builds and reads) are the view's atomics.
 func (e *Engine) viewStatsAt(st *dbState) []metrics.GraphViewStats {
-	now := time.Now()
 	var out []metrics.GraphViewStats
 	for _, name := range st.cat.GraphViews() {
 		gv, ok := st.cat.GraphView(name)
@@ -143,14 +142,10 @@ func (e *Engine) viewStatsAt(st *dbState) []metrics.GraphViewStats {
 		}
 		g := st.GraphView(gv).Topo
 		vs := metrics.GraphViewStats{
-			Name:       name,
-			Vertices:   int64(g.NumVertices()),
-			Edges:      int64(g.NumEdges()),
-			MaintOps:   gv.MaintOps(),
-			StatsAgeNS: -1,
-		}
-		if st := gv.Stats(); st != nil {
-			vs.StatsAgeNS = now.Sub(st.UpdatedAt).Nanoseconds()
+			Name:     name,
+			Vertices: int64(g.NumVertices()),
+			Edges:    int64(g.NumEdges()),
+			MaintOps: gv.MaintOps(),
 		}
 		vs.CSRBuilds, vs.CSRBuildNS, vs.CSRHits, vs.CSRMisses, vs.CSRBytes = gv.CSRStats()
 		out = append(out, vs)
@@ -171,7 +166,8 @@ func (e *Engine) MetricsSnapshot() []metrics.KV {
 // runExplainAnalyze executes the planned SELECT through the
 // instrumentation layer, discards its rows, and renders the annotated
 // operator tree plus execution summary lines: totals, traversal counters,
-// and for every PathScan the §6.3 statistics the optimizer consulted.
+// and for every PathScan the §6.3 statistics of the version it ran on —
+// the fan-out the optimizer's BFS/DFS choice read.
 // Callers hold a version pin (EXPLAIN is read-only; the plan was built
 // against the pinned version, so running it lock-free is sound).
 func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Result, error) {
@@ -214,21 +210,10 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 		if !ok {
 			return
 		}
-		gv := pj.Spec.GV
-		addCSR(gv)
-		st := gv.Stats()
-		if st == nil {
-			add("Stats[%s]: none published; optimizer used live avg_fanout=%.2f",
-				gv.Name, pj.Spec.At.Topo.AvgFanOut())
-			return
-		}
-		state := "fresh"
-		if gv.FreshStats() == nil {
-			state = "stale, optimizer fell back to live avg_fanout"
-		}
-		add("Stats[%s]: avg_fanout=%.2f max_fanout=%d vertices=%d edges=%d age=%v (%s)",
-			gv.Name, st.AvgFanOut, st.MaxFanOut, st.Vertices, st.Edges,
-			time.Since(st.UpdatedAt).Round(time.Millisecond), state)
+		addCSR(pj.Spec.GV)
+		topo := pj.Spec.At.Topo
+		add("Stats[%s]: avg_fanout=%.2f vertices=%d edges=%d",
+			pj.Spec.GV.Name, topo.AvgFanOut(), topo.NumVertices(), topo.NumEdges())
 	})
 	return res, nil
 }

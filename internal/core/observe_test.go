@@ -115,16 +115,6 @@ func TestShowMetricsStatement(t *testing.T) {
 	if v, ok := found["graphview.SocialNetwork.vertices"]; !ok || v != 5 {
 		t.Errorf("graphview.SocialNetwork.vertices = %d (present=%v), want 5", v, ok)
 	}
-	if v, ok := found["graphview.SocialNetwork.stats_age_ns"]; !ok || v != -1 {
-		t.Errorf("stats_age_ns = %d (present=%v), want -1 before any refresh", v, ok)
-	}
-	e.RefreshStatistics()
-	if v := metricValue(e, "graphview.SocialNetwork.stats_age_ns"); v < 0 {
-		t.Errorf("stats_age_ns = %d after refresh, want >= 0", v)
-	}
-	if v := metricValue(e, "graph.stats_refreshes"); v != 1 {
-		t.Errorf("graph.stats_refreshes = %d, want 1", v)
-	}
 }
 
 // TestExplainAnalyzePathOperators is the golden coverage the ISSUE asks
@@ -192,41 +182,21 @@ func TestExplainAnalyzePathOperators(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeStatsLine checks the §6.3 line reports the fan-out
+// and counts of the version the operator ran on, and follows DML.
 func TestExplainAnalyzeStatsLine(t *testing.T) {
 	e := socialEngine(t)
 	q := `EXPLAIN ANALYZE SELECT COUNT(*) FROM SocialNetwork.Paths PS
 		WHERE PS.StartVertex.Id = 1 AND PS.Length <= 2`
 	text := planLines(t, mustExec(t, e, q))
-	if !strings.Contains(text, "Stats[SocialNetwork]: none published") {
-		t.Errorf("want no-stats line before refresh:\n%s", text)
+	if !strings.Contains(text, "Stats[SocialNetwork]: avg_fanout=2.00 vertices=5 edges=5\n") {
+		t.Errorf("want the built view's statistics:\n%s", text)
 	}
-	e.RefreshStatistics()
+	mustExec(t, e, `INSERT INTO Users VALUES (6, 'Lee', '1999', 'Nurse')`)
+	mustExec(t, e, `INSERT INTO Relationships VALUES (15, 5, 6, '2005-01-01', false), (16, 2, 6, '2006-01-01', false)`)
 	text = planLines(t, mustExec(t, e, q))
-	if !strings.Contains(text, "Stats[SocialNetwork]: avg_fanout=") || !strings.Contains(text, "(fresh)") {
-		t.Errorf("want fresh stats line after refresh:\n%s", text)
-	}
-}
-
-// TestRebuildInvalidatesStats is the §6.3 staleness regression at the
-// engine level: RebuildGraphView must withdraw published statistics.
-func TestRebuildInvalidatesStats(t *testing.T) {
-	e := socialEngine(t)
-	e.RefreshStatistics()
-	gv, ok := e.Catalog().GraphView("SocialNetwork")
-	if !ok {
-		t.Fatal("no graph view")
-	}
-	if gv.Stats() == nil {
-		t.Fatal("refresh did not publish statistics")
-	}
-	if _, err := e.RebuildGraphView("SocialNetwork"); err != nil {
-		t.Fatal(err)
-	}
-	if gv.Stats() != nil {
-		t.Fatal("RebuildGraphView left stale statistics published")
-	}
-	if v := metricValue(e, "graphview.SocialNetwork.stats_age_ns"); v != -1 {
-		t.Errorf("stats_age_ns = %d after invalidation, want -1", v)
+	if !strings.Contains(text, "Stats[SocialNetwork]: avg_fanout=2.33 vertices=6 edges=7\n") {
+		t.Errorf("want the statistics of the version after DML:\n%s", text)
 	}
 }
 

@@ -11,26 +11,24 @@ import (
 // maintenance oracle, materializing the maintained topology for the
 // reference kernels, forcing a topology merge, and resizing the traversal
 // worker pool for the worker-count metamorphic relation. All are ordinary
-// public API — they take the statement locks or pin a version like any
-// statement — but exist for testing, not for applications.
+// public API — readers pin a version and writers take the engine lock like
+// any statement — but exist for testing, not for applications.
 
 // RebuildGraphView reconstructs the named graph view's topology from the
-// current contents of its relational sources and returns the fresh graph
+// relational sources of the current version and returns the fresh graph
 // WITHOUT replacing the live, incrementally maintained topology. The §3.3
 // maintenance invariant says the two must be identical after any DML
-// history; the oracle diffs them after every randomized DML batch.
+// history; the oracle diffs them after every randomized DML batch. Like
+// any reader it pins a version, so it never waits behind a writer.
 func (e *Engine) RebuildGraphView(name string) (*graph.Graph, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	gv, ok := e.cat.GraphView(name)
+	st := e.pin()
+	defer e.unpin(st)
+	gv, ok := st.cat.GraphView(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown graph view %q", name)
 	}
-	// Statistics computed before the rebuild describe a topology that may
-	// no longer match the sources; withdraw them rather than let the §6.3
-	// BFS/DFS choice run on counts from a dead graph.
-	gv.InvalidateStats()
-	return gv.RebuildTopology()
+	at := st.GraphView(gv)
+	return gv.RebuildTopology(at.V, at.E)
 }
 
 // GraphTopology materializes the incrementally maintained topology of the

@@ -79,12 +79,12 @@ type snapDB struct {
 // are always written as v2 so recovery preserves tuple pointers.
 const snapshotVersion = 2
 
-// Snapshot writes a consistent image of the database to w. It is a pure
-// read: it holds the shared lock, so queries keep running while the image
-// is written and only writers are held off.
+// Snapshot writes a consistent image of the database to w. It holds the
+// writer lock, so writers wait while the image is written; readers pin
+// versions and keep running.
 func (e *Engine) Snapshot(w io.Writer) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var lsn uint64
 	if e.dur.log != nil {
 		lsn = e.dur.log.LastLSN()
@@ -92,7 +92,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return e.encodeSnapshotLocked(w, lsn)
 }
 
-// encodeSnapshotLocked serializes the database under either lock side.
+// encodeSnapshotLocked serializes the database under the writer lock.
 // lsn is embedded so checkpoint recovery knows which WAL records the
 // image already contains.
 func (e *Engine) encodeSnapshotLocked(w io.Writer, lsn uint64) error {
@@ -187,22 +187,31 @@ func (e *Engine) restoreLocked(r io.Reader) (uint64, error) {
 	}
 	// Materialized views may depend on each other; retry until a full pass
 	// makes no progress (then the snapshot is inconsistent).
-	pending := append([]string(nil), db.MatViews...)
+	var pending []*sql.CreateMatView
+	for _, def := range db.MatViews {
+		stmt, err := sql.Parse(def)
+		if err != nil {
+			return 0, fmt.Errorf("restore materialized view: %v", err)
+		}
+		cm, ok := stmt.(*sql.CreateMatView)
+		if !ok {
+			return 0, fmt.Errorf("restore materialized view: %q does not create one", def)
+		}
+		pending = append(pending, cm)
+	}
 	for len(pending) > 0 {
-		var next []string
-		for _, def := range pending {
-			stmt, err := sql.Parse(def)
-			if err != nil {
-				return 0, fmt.Errorf("restore materialized view: %v", err)
-			}
-			if _, err := e.createMatView(stmt.(*sql.CreateMatView)); err != nil {
-				next = append(next, def)
+		var next []*sql.CreateMatView
+		var firstErr error
+		for _, cm := range pending {
+			if _, err := e.createMatView(cm); err != nil {
+				next = append(next, cm)
+				if firstErr == nil {
+					firstErr = err
+				}
 			}
 		}
 		if len(next) == len(pending) {
-			stmt, _ := sql.Parse(next[0])
-			_, err := e.createMatView(stmt.(*sql.CreateMatView))
-			return 0, fmt.Errorf("restore materialized view: %v", err)
+			return 0, fmt.Errorf("restore materialized view: %v", firstErr)
 		}
 		pending = next
 	}

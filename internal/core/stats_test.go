@@ -2,91 +2,19 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestRefreshStatistics(t *testing.T) {
-	e := socialEngine(t)
-	gv, _ := e.Catalog().GraphView("SocialNetwork")
-	if gv.Stats() != nil {
-		t.Fatal("stats published before any refresh")
-	}
-	e.RefreshStatistics()
-	st := gv.Stats()
-	if st == nil {
-		t.Fatal("stats not published")
-	}
-	if st.Vertices != 5 || st.Edges != 5 {
-		t.Errorf("counts: %+v", st)
-	}
-	// Undirected: avg fan-out is 2|E|/|V| = 2.
-	if st.AvgFanOut != 2 {
-		t.Errorf("avg fan-out: %g", st.AvgFanOut)
-	}
-	// Vertex 3 touches edges 11, 12, 14 -> max degree 3.
-	if st.MaxFanOut != 3 {
-		t.Errorf("max fan-out: %d", st.MaxFanOut)
-	}
-	if st.UpdatedAt.IsZero() {
-		t.Error("missing timestamp")
-	}
-}
-
-func TestStatisticsThreadRefreshes(t *testing.T) {
-	e := socialEngine(t)
-	e.StartStatistics(2 * time.Millisecond)
-	defer e.Close()
-	gv, _ := e.Catalog().GraphView("SocialNetwork")
-	if gv.Stats() == nil {
-		t.Fatal("StartStatistics did not refresh immediately")
-	}
-	// Mutate the topology and wait for the backend thread to notice.
-	mustExec(t, e, `DELETE FROM Relationships WHERE relid = 14`)
-	deadline := time.After(2 * time.Second)
-	for {
-		if st := gv.Stats(); st != nil && st.Edges == 4 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("backend thread never refreshed")
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	// Close stops the thread; further mutations are no longer picked up.
-	e.Close()
-	mustExec(t, e, `DELETE FROM Relationships WHERE relid = 13`)
-	time.Sleep(10 * time.Millisecond)
-	if st := gv.Stats(); st.Edges != 4 {
-		t.Errorf("refresher still running after Close: %+v", st)
-	}
-	// Close is idempotent.
-	e.Close()
-}
-
-func TestStartStatisticsRestart(t *testing.T) {
-	e := socialEngine(t)
-	e.StartStatistics(time.Hour)
-	e.StartStatistics(time.Hour) // restart must not leak or deadlock
-	e.Close()
-	// Zero interval is a no-op.
-	e.StartStatistics(0)
-	e.Close()
-}
-
 // TestStatsHammerDuringConcurrentReads is the -race regression test for
-// the statistics refresher: a fast-ticking backend thread recomputes and
-// publishes GraphStats (under the shared lock, via the atomic stats
-// pointer) while reader goroutines plan and execute traversals that
-// consult those statistics and a writer mutates the topology. Any missing
-// synchronization between the refresher, the planner's Stats() reads, and
-// graph-view maintenance surfaces here under -race.
+// the §6.3 statistic: reader goroutines plan traversals whose BFS/DFS
+// choice reads the average fan-out of their pinned version, and render it
+// in EXPLAIN ANALYZE, while a writer grows and shrinks the topology. Each
+// Stats line must report the counts of a version the writer published.
 func TestStatsHammerDuringConcurrentReads(t *testing.T) {
 	e := socialEngine(t)
-	e.StartStatistics(time.Millisecond)
-	defer e.Close()
 
 	stop := make(chan struct{})
 	errs := make(chan error, 8)
@@ -102,12 +30,24 @@ func TestStatsHammerDuringConcurrentReads(t *testing.T) {
 				default:
 				}
 				// Unbounded multi-source scan: the planner's physical
-				// choice reads the published statistics object.
+				// choice reads the pinned version's fan-out.
 				if _, err := e.Execute(`SELECT PS FROM SocialNetwork.Paths PS WHERE PS.Length <= 2`); err != nil {
 					errs <- err
 					return
 				}
-				e.RefreshStatistics() // synchronous refresh racing the ticker
+				r, err := e.Execute(`EXPLAIN ANALYZE SELECT COUNT(*) FROM SocialNetwork.Paths PS
+					WHERE PS.StartVertex.Id = 1 AND PS.Length <= 2`)
+				if err != nil {
+					errs <- err
+					return
+				}
+				text := planLines(t, r)
+				// The writer toggles one edge: 5 or 6 edges over 5 vertexes.
+				if !strings.Contains(text, "Stats[SocialNetwork]: avg_fanout=2.00 vertices=5 edges=5") &&
+					!strings.Contains(text, "Stats[SocialNetwork]: avg_fanout=2.40 vertices=5 edges=6") {
+					errs <- fmt.Errorf("Stats line of no published version:\n%s", text)
+					return
+				}
 			}
 		}()
 	}

@@ -247,8 +247,9 @@ func (c *view) NumEdges() int { return c.ne }
 // its main (0: the main alone).
 func (c *view) DeltaLen() int { return int(c.n) }
 
-// AvgFanOut returns the average fan-out statistic the optimizer keeps per
-// graph view (§6.3) to choose between BFS and DFS physical operators.
+// AvgFanOut returns the version's average fan-out, the §6.3 statistic the
+// optimizer reads to choose between BFS and DFS physical operators. It is
+// O(1) from the version's exact vertex and edge counts.
 func (c *view) AvgFanOut() float64 {
 	if c.nv == 0 {
 		return 0

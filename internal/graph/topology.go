@@ -37,7 +37,8 @@ import (
 
 // mergeFloor is the smallest delta (in events) that triggers a merge; on
 // top of it a merge waits for one event per mergeFraction main elements.
-// The same proportion as the optimizer's statistics drift limit.
+// A merge lays out all V+E elements, so waiting for (V+E)/8 events makes
+// its cost O(1) per event while no traversal walks a longer delta.
 const (
 	mergeFloor    = 64
 	mergeFraction = 8

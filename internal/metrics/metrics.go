@@ -165,8 +165,7 @@ type Metrics struct {
 	ShedAdmissions Counter
 
 	// LockWriteWaitNS is the time mutating statements waited for the
-	// exclusive engine lock. Readers pin a version lock-free and never
-	// wait, so the historical `lock.wait_ns` key reports the same value.
+	// engine's writer lock. Readers pin a version and never wait.
 	LockWriteWaitNS Counter
 
 	// MVCC version lifecycle: versions published by mutating statements,
@@ -179,9 +178,6 @@ type Metrics struct {
 
 	// SlowQueries counts statements that crossed the slow-query threshold.
 	SlowQueries Counter
-
-	// StatsRefreshes counts graph-statistics recomputations (§6.3).
-	StatsRefreshes Counter
 
 	// AnalyticsRuns counts whole-graph analytics kernel executions
 	// (PAGERANK, CONNECTED_COMPONENTS, LABEL_PROPAGATION,
@@ -253,9 +249,6 @@ type GraphViewStats struct {
 	Vertices int64
 	Edges    int64
 	MaintOps int64
-	// StatsAgeNS is the age of the published §6.3 statistics, -1 when no
-	// statistics have been computed (or they were invalidated).
-	StatsAgeNS int64
 	// CSR topology gauges: how many mains were laid out (the view's
 	// creation plus every merge of its delta) and their cumulative layout
 	// time; traversal reads of a version with an empty delta (hits) and
@@ -295,13 +288,11 @@ func (m *Metrics) Snapshot(views []GraphViewStats) []KV {
 		KV{"latency.max_us", m.Latency.MaxUS()},
 		KV{"admission.shed", m.ShedAdmissions.Value()},
 		KV{"lock.write_wait_ns", m.LockWriteWaitNS.Value()},
-		KV{"lock.wait_ns", m.LockWriteWaitNS.Value()},
 		KV{"mvcc.published", m.MVCCPublished.Value()},
 		KV{"mvcc.versions_live", m.MVCCVersionsLive.Value()},
 		KV{"mvcc.seq", m.MVCCSeq.Value()},
 		KV{"mvcc.pinned_readers", m.MVCCPinnedReaders.Value()},
 		KV{"graph.maint_ops", maintTotal},
-		KV{"graph.stats_refreshes", m.StatsRefreshes.Value()},
 		KV{"analytics.runs", m.AnalyticsRuns.Value()},
 		KV{"analytics.iterations", m.AnalyticsIters.Value()},
 		KV{"slow_queries", m.SlowQueries.Value()},
@@ -325,7 +316,6 @@ func (m *Metrics) Snapshot(views []GraphViewStats) []KV {
 			KV{p + "vertices", gv.Vertices},
 			KV{p + "edges", gv.Edges},
 			KV{p + "maint_ops", gv.MaintOps},
-			KV{p + "stats_age_ns", gv.StatsAgeNS},
 			KV{p + "csr_builds", gv.CSRBuilds},
 			KV{p + "csr_build_ns", gv.CSRBuildNS},
 			KV{p + "csr_hits", gv.CSRHits},

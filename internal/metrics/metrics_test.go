@@ -71,7 +71,7 @@ func TestSnapshotShapes(t *testing.T) {
 	m.CountError(999) // clamps to other
 	m.ShedAdmissions.Inc()
 
-	kvs := m.Snapshot([]GraphViewStats{{Name: "g", Vertices: 10, Edges: 20, MaintOps: 3, StatsAgeNS: -1}})
+	kvs := m.Snapshot([]GraphViewStats{{Name: "g", Vertices: 10, Edges: 20, MaintOps: 3}})
 	got := map[string]int64{}
 	for i, kv := range kvs {
 		got[kv.Name] = kv.Value
@@ -80,18 +80,17 @@ func TestSnapshotShapes(t *testing.T) {
 		}
 	}
 	want := map[string]int64{
-		"statements.select":        1,
-		"statements.insert":        1,
-		"statements.other":         1,
-		"statements.total":         3,
-		"errors.timeout":           1,
-		"errors.other":             1,
-		"admission.shed":           1,
-		"latency.count":            3,
-		"graphview.g.vertices":     10,
-		"graphview.g.edges":        20,
-		"graphview.g.maint_ops":    3,
-		"graphview.g.stats_age_ns": -1,
+		"statements.select":     1,
+		"statements.insert":     1,
+		"statements.other":      1,
+		"statements.total":      3,
+		"errors.timeout":        1,
+		"errors.other":          1,
+		"admission.shed":        1,
+		"latency.count":         3,
+		"graphview.g.vertices":  10,
+		"graphview.g.edges":     20,
+		"graphview.g.maint_ops": 3,
 	}
 	for k, v := range want {
 		if got[k] != v {

@@ -245,14 +245,6 @@ func (p *Planner) choosePhysical(s *sql.Select, fi *fromInfo, spec *exec.PathSca
 		spec.Phys = exec.PhysBFS
 		return nil
 	}
-	switch strings.ToLower(p.Opts.ForceTraversal) {
-	case "bfs":
-		spec.Phys = exec.PhysBFS
-		return nil
-	case "dfs":
-		spec.Phys = exec.PhysDFS
-		return nil
-	}
 	// Pattern-matching traversals (all simple paths) favor DFS: its stack
 	// is bounded by the path length while a BFS queue holds whole levels.
 	if spec.Policy == graph.VisitPerPath {
@@ -266,17 +258,12 @@ func (p *Planner) choosePhysical(s *sql.Select, fi *fromInfo, spec *exec.PathSca
 		return nil
 	}
 	// The paper's memory rule: a DFS stack holds about F·L vertexes, a BFS
-	// queue about F^L; prefer BFS only when F^L < F·L. F comes from the
-	// published statistics object when the backend refresher is running
-	// (§6.3), otherwise from the live O(1) average.
+	// queue about F^L; prefer BFS only when F^L < F·L. F is the §6.3
+	// average fan-out of the version the plan reads: every topology
+	// version carries exact vertex and edge counts, so it is O(1) and
+	// never stale.
 	if spec.MaxLen > 0 {
 		f := fi.topo().AvgFanOut()
-		// FreshStats (not Stats) so statistics that predate a rebuild or
-		// heavy DML cannot steer the choice; stale objects fall back to
-		// the live average.
-		if st := fi.gv.FreshStats(); st != nil {
-			f = st.AvgFanOut
-		}
 		l := float64(spec.MaxLen)
 		if math.Pow(f, l) < f*l {
 			spec.Phys = exec.PhysBFS

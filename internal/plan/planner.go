@@ -29,9 +29,6 @@ type Options struct {
 	DisablePushdown bool
 	// DisableLengthInference turns off §6.1 path-length inference.
 	DisableLengthInference bool
-	// ForceTraversal overrides the physical operator chosen for PathScans
-	// without an explicit hint: "bfs", "dfs", or "" for the cost rule.
-	ForceTraversal string
 	// MaterializeJoins wraps every join output in a temp-table barrier,
 	// reproducing VoltDB's materialize-per-fragment execution model. The
 	// SQLGraph baseline runs in this mode (§7.2's intermediate-memory

@@ -294,23 +294,6 @@ func TestShortestPathHint(t *testing.T) {
 	}
 }
 
-func TestForceTraversalOption(t *testing.T) {
-	cat := fixture(t)
-	for force, want := range map[string]exec.Phys{"bfs": exec.PhysBFS, "dfs": exec.PhysDFS} {
-		op := planFor(t, cat, Options{ForceTraversal: force},
-			"SELECT PS FROM Social.Paths PS WHERE PS.StartVertex.Id = 1 AND PS.Length = 2")
-		if pp := findPathScan(op); pp.Spec.Phys != want {
-			t.Errorf("force=%s: phys %v", force, pp.Spec.Phys)
-		}
-	}
-	// A hint beats the option.
-	op := planFor(t, cat, Options{ForceTraversal: "bfs"},
-		"SELECT PS FROM Social.Paths PS HINT(DFS) WHERE PS.StartVertex.Id = 1 AND PS.Length = 2")
-	if pp := findPathScan(op); pp.Spec.Phys != exec.PhysDFS {
-		t.Errorf("hint overridden by option")
-	}
-}
-
 func TestMemoryRuleSelectsBFSForTinyFanOut(t *testing.T) {
 	// F^L < F·L only for F < some small bound; a chain has F ≈ 1.
 	cat := catalog.New()
