@@ -64,8 +64,10 @@ type Config struct {
 	// in bytes (hash tables, sort buffers, materialized join inputs).
 	// Zero means unlimited.
 	MemLimit int64
-	// DisablePushdown turns off pushing path predicates into traversals
-	// (§6.2 of the paper); used by the paper's ablation experiments.
+	// DisablePushdown turns off pushing path predicates into all-paths
+	// traversals (§6.2 of the paper); used by the paper's ablation
+	// experiments. Visit-once traversals push regardless, since there the
+	// predicates pick the traversed sub-graph.
 	DisablePushdown bool
 	// DisableLengthInference turns off path-length inference (§6.1).
 	DisableLengthInference bool

@@ -2,6 +2,8 @@ package grfusion
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -210,7 +212,7 @@ func TestMemLimitConfig(t *testing.T) {
 }
 
 func TestConfigDisablePushdownStillCorrect(t *testing.T) {
-	run := func(cfg Config, hint string) int {
+	run := func(cfg Config, q string) string {
 		db := Open(cfg)
 		if err := db.ExecScript(`
 			CREATE TABLE N (nid BIGINT PRIMARY KEY);
@@ -222,17 +224,62 @@ func TestConfigDisablePushdownStillCorrect(t *testing.T) {
 		`); err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Query(`SELECT COUNT(P) FROM G.Paths P ` + hint + ` WHERE P.StartVertex.Id = 1 AND P.Edges[0..*].w < 10`)
+		res, err := db.Query(q)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", q, err)
 		}
-		return int(res.Rows[0][0].I)
+		rows := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			rows[i] = fmt.Sprint(r)
+		}
+		sort.Strings(rows) // BFS and DFS emit in different orders
+		return strings.Join(rows, " ")
 	}
-	a := run(Config{}, "")
-	b := run(Config{DisablePushdown: true}, "")
-	c := run(Config{}, "HINT(BFS)")
-	if a != b || a != c {
-		t.Fatalf("configs disagree: %d %d %d", a, b, c)
+	// Each query reads one resolved attribute reference. Pushed, the
+	// traversal reads it; with pushdown off, the residual filter above the
+	// scan does (per-path scans keep their element filters residual); a
+	// forced BFS reads it in another kernel. All three must agree. hint
+	// fills the query's %s; bfs, when set, replaces the forced-BFS query.
+	for _, tc := range []struct{ name, q, hint, bfs string }{
+		{name: "edge filter", hint: "",
+			q: `SELECT COUNT(P) FROM G.Paths P %s WHERE P.StartVertex.Id = 1 AND P.Edges[0..*].w < 10`},
+		{name: "FanOut vertex filter", hint: "ALLPATHS",
+			q: `SELECT P.PathString FROM G.Paths P %s WHERE P.StartVertex.Id = 1 AND P.Vertexes[0..*].FanOut >= 1`},
+		{name: "SUM bound", hint: "",
+			q: `SELECT P.PathString, SUM(P.Edges.w) FROM G.Paths P %s WHERE P.StartVertex.Id = 1 AND SUM(P.Edges.w) < 12`},
+		{name: "SUM bound, all paths", hint: "ALLPATHS",
+			q: `SELECT P.PathString, SUM(P.Edges.w) FROM G.Paths P %s WHERE P.StartVertex.Id = 1 AND SUM(P.Edges.w) < 12`},
+		{name: "SHORTESTPATH weight",
+			q: `SELECT TOP 2 P.PathString, SUM(P.Edges.w) FROM G.Paths P HINT(SHORTESTPATH(w))
+				WHERE P.StartVertex.Id = 1 AND P.EndVertex.Id = 4`,
+			bfs: `SELECT P.PathString, SUM(P.Edges.w) AS s FROM G.Paths P HINT(BFS, ALLPATHS)
+				WHERE P.StartVertex.Id = 1 AND P.EndVertex.Id = 4 ORDER BY s LIMIT 2`},
+	} {
+		with := func(hints ...string) string {
+			if !strings.Contains(tc.q, "%s") {
+				return tc.q
+			}
+			var hs []string
+			for _, h := range append(hints, tc.hint) {
+				if h != "" {
+					hs = append(hs, h)
+				}
+			}
+			if len(hs) == 0 {
+				return fmt.Sprintf(tc.q, "")
+			}
+			return fmt.Sprintf(tc.q, "HINT("+strings.Join(hs, ", ")+")")
+		}
+		bfs := tc.bfs
+		if bfs == "" {
+			bfs = with("BFS")
+		}
+		on := run(Config{}, with())
+		off := run(Config{DisablePushdown: true}, with())
+		forced := run(Config{}, bfs)
+		if on != off || on != forced || on == "" {
+			t.Errorf("%s: pushdown on %s, off %s, BFS %s", tc.name, on, off, forced)
+		}
 	}
 }
 

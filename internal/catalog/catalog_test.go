@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"grfusion/internal/expr"
 	"grfusion/internal/storage"
 	"grfusion/internal/types"
 )
@@ -69,7 +70,7 @@ func TestGraphViewBuild(t *testing.T) {
 	if v == nil {
 		t.Fatal("missing vertex 2")
 	}
-	row, err := gv.VertexRow(v)
+	row, err := gv.Live().VertexRow(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestGraphViewBuild(t *testing.T) {
 		t.Errorf("fan props: %v", row)
 	}
 	e := gv.Version().Graph().Edge(10)
-	erow, err := gv.EdgeRow(e)
+	erow, err := gv.Live().EdgeRow(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,37 +94,59 @@ func TestGraphViewBuild(t *testing.T) {
 
 func TestGraphViewAttrAccess(t *testing.T) {
 	_, _, _, gv := socialFixture(t)
-	v := gv.Version().Vertex(1)
-	got, err := gv.VertexAttrValue(v, "lstname")
+	at := gv.Live()
+	read := func(elem expr.ElemKind, id int64, name string) (types.Value, error) {
+		ref, err := at.ResolveAttr(elem, name)
+		if err != nil {
+			return types.Null(), err
+		}
+		if elem == expr.ElemVertexes {
+			return at.VertexAttr(at.Topo.Vertex(id), ref)
+		}
+		return at.EdgeAttr(at.Topo.Graph().Edge(id), ref)
+	}
+	got, err := read(expr.ElemVertexes, 1, "lstname")
 	if err != nil || got.S != "u" {
 		t.Errorf("lstname = %v, %v", got, err)
 	}
-	got, err = gv.VertexAttrValue(v, "fanout")
+	got, err = read(expr.ElemVertexes, 1, "fanout")
 	if err != nil || got.I != 1 {
 		t.Errorf("fanout = %v, %v", got, err)
 	}
-	if _, err := gv.VertexAttrValue(v, "nope"); err == nil {
+	if _, err := read(expr.ElemVertexes, 1, "nope"); err == nil {
 		t.Error("unknown vertex attr accepted")
 	}
-	e := gv.Version().Graph().Edge(10)
-	got, err = gv.EdgeAttrValue(e, "sdate")
+	got, err = read(expr.ElemEdges, 10, "sdate")
 	if err != nil || got.S != "d" {
 		t.Errorf("sdate = %v, %v", got, err)
 	}
-	if _, err := gv.EdgeAttrValue(e, "nope"); err == nil {
+	if _, err := read(expr.ElemEdges, 10, "nope"); err == nil {
 		t.Error("unknown edge attr accepted")
 	}
-	if !gv.HasVertexAttr("FANIN") || !gv.HasVertexAttr("lstname") || gv.HasVertexAttr("zz") {
-		t.Error("HasVertexAttr wrong")
+	// The one by-name reader agrees with the resolved one.
+	if got, err := gv.EdgeAttrValue(gv.Version().Graph().Edge(10), "SDATE"); err != nil || got.S != "d" {
+		t.Errorf("EdgeAttrValue(sdate) = %v, %v", got, err)
 	}
-	if !gv.HasEdgeAttr("sdate") || gv.HasEdgeAttr("zz") {
-		t.Error("HasEdgeAttr wrong")
+	if _, err := gv.EdgeAttrValue(gv.Version().Graph().Edge(10), "nope"); err == nil {
+		t.Error("EdgeAttrValue accepted an unknown attr")
 	}
-	if k, ok := gv.VertexAttrKind("lstname"); !ok || k != types.KindString {
-		t.Error("VertexAttrKind wrong")
+	// FanIn/FanOut are vertex properties only.
+	if _, err := gv.ResolveAttr(expr.ElemEdges, "FANIN"); err == nil {
+		t.Error("FANIN resolved as an edge attribute")
 	}
-	if k, ok := gv.EdgeAttrKind("ID"); !ok || k != types.KindInt {
-		t.Error("EdgeAttrKind wrong")
+	for _, tc := range []struct {
+		elem expr.ElemKind
+		name string
+		kind types.Kind
+	}{
+		{expr.ElemVertexes, "FANIN", types.KindInt},
+		{expr.ElemVertexes, "lstname", types.KindString},
+		{expr.ElemEdges, "ID", types.KindInt},
+		{expr.ElemEdges, "sdate", types.KindString},
+	} {
+		if ref, err := gv.ResolveAttr(tc.elem, tc.name); err != nil || ref.Kind != tc.kind {
+			t.Errorf("ResolveAttr(%s) kind = %v, %v; want %v", tc.name, ref.Kind, err, tc.kind)
+		}
 	}
 }
 
@@ -152,6 +175,27 @@ func TestGraphViewValidation(t *testing.T) {
 		[]AttrMap{{Name: "ID", Source: "uid"}},
 		[]AttrMap{{Name: "ID", Source: "relid"}}); err == nil {
 		t.Error("missing FROM/TO accepted")
+	}
+	// Exposed names are unique per element kind, case-insensitively, and
+	// FanOut/FanIn are reserved for the computed vertex properties.
+	edges := []AttrMap{{Name: "ID", Source: "relid"}, {Name: "FROM", Source: "uid1"}, {Name: "TO", Source: "uid2"}}
+	for name, tc := range map[string]struct{ v, e []AttrMap }{
+		"vertex attr named FanOut": {v: []AttrMap{{Name: "ID", Source: "uid"}, {Name: "FanOut", Source: "uid"}}, e: edges},
+		"vertex attr named fanin":  {v: []AttrMap{{Name: "ID", Source: "uid"}, {Name: "fanin", Source: "lname"}}, e: edges},
+		"duplicate vertex attr": {v: []AttrMap{{Name: "ID", Source: "uid"}, {Name: "x", Source: "lname"},
+			{Name: "X", Source: "uid"}}, e: edges},
+		"duplicate vertex ID": {v: []AttrMap{{Name: "ID", Source: "uid"}, {Name: "id", Source: "uid"}}, e: edges},
+		"duplicate edge attr": {v: []AttrMap{{Name: "ID", Source: "uid"}},
+			e: append(append([]AttrMap(nil), edges...), AttrMap{Name: "w", Source: "sdate"}, AttrMap{Name: "w", Source: "relid"})},
+	} {
+		if _, err := NewGraphView("g7", true, users, rels, tc.v, tc.e); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// A FanOut edge attribute is legal: edges have no computed properties.
+	if _, err := NewGraphView("g8", true, users, rels, []AttrMap{{Name: "ID", Source: "uid"}},
+		append(append([]AttrMap(nil), edges...), AttrMap{Name: "FanOut", Source: "relid"})); err != nil {
+		t.Errorf("edge attr named FanOut rejected: %v", err)
 	}
 	// Edge referencing a missing vertex fails the build.
 	if _, err := rels.Insert(types.Row{types.NewInt(99), types.NewInt(1), types.NewInt(42), types.NewString("d")}); err != nil {
@@ -410,17 +454,17 @@ func TestMatViewRegistry(t *testing.T) {
 
 func TestAttrSourcePositions(t *testing.T) {
 	_, _, _, gv := socialFixture(t)
-	if pos, ok := gv.EdgeAttrSourcePos("sdate"); !ok || pos != 3 {
-		t.Errorf("sdate pos: %d %v", pos, ok)
+	if ref, err := gv.ResolveAttr(expr.ElemEdges, "sdate"); err != nil || ref.Src != expr.AttrColumn || ref.Pos != 3 {
+		t.Errorf("sdate ref: %+v %v", ref, err)
 	}
-	if _, ok := gv.EdgeAttrSourcePos("ghost"); ok {
+	if _, err := gv.ResolveAttr(expr.ElemEdges, "ghost"); err == nil {
 		t.Error("ghost edge attr resolved")
 	}
-	if pos, ok := gv.VertexAttrSourcePos("lstname"); !ok || pos != 1 {
-		t.Errorf("lstname pos: %d %v", pos, ok)
+	if ref, err := gv.ResolveAttr(expr.ElemVertexes, "lstname"); err != nil || ref.Src != expr.AttrColumn || ref.Pos != 1 {
+		t.Errorf("lstname ref: %+v %v", ref, err)
 	}
 	// Computed properties have no source column.
-	if _, ok := gv.VertexAttrSourcePos("FANOUT"); ok {
-		t.Error("FANOUT has a source position")
+	if ref, err := gv.ResolveAttr(expr.ElemVertexes, "FANOUT"); err != nil || ref.Src != expr.AttrFanOut {
+		t.Errorf("FANOUT ref: %+v %v", ref, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"grfusion/internal/expr"
 	"grfusion/internal/graph"
 	"grfusion/internal/storage"
 	"grfusion/internal/types"
@@ -109,28 +110,45 @@ func NewGraphView(name string, directed bool, vtab, etab *storage.Table,
 	return gv, nil
 }
 
+// resolveAttrs resolves every declared attribute to its source column and
+// rejects a definition whose exposed names collide: two attributes of one
+// element kind with the same name (case-insensitively), or a vertex
+// attribute named after a computed property. NewGraphView is the one
+// constructor, so CREATE GRAPH VIEW, checkpoint restore and WAL replay all
+// pass through here.
 func (gv *GraphView) resolveAttrs() error {
-	resolve := func(t *storage.Table, attrs []AttrMap, kindMust map[string]bool) error {
+	resolve := func(t *storage.Table, attrs []AttrMap, kindMust, reserved map[string]bool) error {
+		seen := map[string]bool{}
 		for i := range attrs {
 			a := &attrs[i]
+			up := strings.ToUpper(a.Name)
+			switch {
+			case reserved[up]:
+				return fmt.Errorf("graph view %s: %s is a computed vertex property and cannot name an attribute",
+					gv.Name, a.Name)
+			case seen[up]:
+				return fmt.Errorf("graph view %s: attribute %s is declared twice", gv.Name, a.Name)
+			}
+			seen[up] = true
 			p, err := t.Schema().Resolve("", a.Source)
 			if err != nil {
 				return fmt.Errorf("graph view %s: attribute %s: %v", gv.Name, a.Name, err)
 			}
 			a.pos = p
 			a.kind = t.Schema().Columns[p].Type
-			if kindMust[strings.ToUpper(a.Name)] && a.kind != types.KindInt {
+			if kindMust[up] && a.kind != types.KindInt {
 				return fmt.Errorf("graph view %s: attribute %s must map to a BIGINT column, got %s",
 					gv.Name, a.Name, a.kind)
 			}
 		}
 		return nil
 	}
-	if err := resolve(gv.vtab, gv.VertexAttrs, map[string]bool{AttrID: true}); err != nil {
+	if err := resolve(gv.vtab, gv.VertexAttrs, map[string]bool{AttrID: true},
+		map[string]bool{PropFanOut: true, PropFanIn: true}); err != nil {
 		return err
 	}
 	if err := resolve(gv.etab, gv.EdgeAttrs,
-		map[string]bool{AttrID: true, AttrFrom: true, AttrTo: true}); err != nil {
+		map[string]bool{AttrID: true, AttrFrom: true, AttrTo: true}, nil); err != nil {
 		return err
 	}
 	for i := range gv.VertexAttrs {
@@ -306,104 +324,39 @@ func (gv *GraphView) VertexSchema() *types.Schema { return gv.vSchema }
 // EdgeSchema returns the exposed schema of GV.EDGES.
 func (gv *GraphView) EdgeSchema() *types.Schema { return gv.eSchema }
 
-// VertexRow materializes the extended tuple of a vertex by dereferencing
-// its tuple pointer into the vertexes relational-source.
-func (gv *GraphView) VertexRow(v *graph.Vertex) (types.Row, error) {
-	return gv.Live().VertexRow(v)
+// ResolveAttr resolves an attribute name of the view's vertexes or edges,
+// case-insensitively, to a reference read in O(1) per element: a declared
+// attribute's source column, or for vertexes the FanOut/FanIn property
+// (§5.2). Plans resolve every attribute they read here once, at bind or
+// plan time.
+func (gv *GraphView) ResolveAttr(elem expr.ElemKind, name string) (expr.AttrRef, error) {
+	attrs, what := gv.EdgeAttrs, "edge"
+	if elem == expr.ElemVertexes {
+		attrs, what = gv.VertexAttrs, "vertex"
+		switch up := strings.ToUpper(name); up {
+		case PropFanOut:
+			return expr.AttrRef{Name: up, Src: expr.AttrFanOut, Pos: -1, Kind: types.KindInt}, nil
+		case PropFanIn:
+			return expr.AttrRef{Name: up, Src: expr.AttrFanIn, Pos: -1, Kind: types.KindInt}, nil
+		}
+	}
+	for _, a := range attrs {
+		if strings.EqualFold(a.Name, name) {
+			return expr.AttrRef{Name: a.Name, Pos: a.pos, Kind: a.kind}, nil
+		}
+	}
+	return expr.AttrRef{}, fmt.Errorf("graph view %s: unknown %s attribute %q", gv.Name, what, name)
 }
 
-// EdgeRow materializes the extended tuple of an edge.
-func (gv *GraphView) EdgeRow(e *graph.Edge) (types.Row, error) {
-	return edgeRowOf(gv, gv.etab, e)
-}
-
-// VertexAttrValue reads one declared vertex attribute (by exposed name)
-// through the tuple pointer; it also serves the FanOut/FanIn properties.
-func (gv *GraphView) VertexAttrValue(v *graph.Vertex, name string) (types.Value, error) {
-	return gv.Live().VertexAttrValue(v, name)
-}
-
-// EdgeAttrValue reads one declared edge attribute through the tuple pointer.
+// EdgeAttrValue reads one edge attribute by name from the live view. The
+// engine never reads by name; this stays for the layered benchmark's
+// kernel twin (benchmark/twin.go), whose filters and weights call it.
 func (gv *GraphView) EdgeAttrValue(e *graph.Edge, name string) (types.Value, error) {
-	return edgeAttrValueOf(gv, gv.etab, e, name)
-}
-
-// EdgeAttrSourcePos resolves a declared edge attribute to its column
-// position within the edges relational-source, letting hot traversal
-// filters dereference tuple pointers directly instead of re-resolving the
-// attribute name per edge.
-func (gv *GraphView) EdgeAttrSourcePos(name string) (int, bool) {
-	for _, a := range gv.EdgeAttrs {
-		if strings.EqualFold(a.Name, name) {
-			return a.pos, true
-		}
+	ref, err := gv.ResolveAttr(expr.ElemEdges, name)
+	if err != nil {
+		return types.Null(), err
 	}
-	return -1, false
-}
-
-// VertexAttrSourcePos resolves a declared vertex attribute to its source
-// column position. The computed FanIn/FanOut properties have no source
-// column and report ok=false; use VertexAttrValue for those.
-func (gv *GraphView) VertexAttrSourcePos(name string) (int, bool) {
-	up := strings.ToUpper(name)
-	if up == PropFanOut || up == PropFanIn {
-		return -1, false
-	}
-	for _, a := range gv.VertexAttrs {
-		if strings.EqualFold(a.Name, name) {
-			return a.pos, true
-		}
-	}
-	return -1, false
-}
-
-// HasVertexAttr reports whether name is a declared vertex attribute or
-// vertex property.
-func (gv *GraphView) HasVertexAttr(name string) bool {
-	up := strings.ToUpper(name)
-	if up == PropFanOut || up == PropFanIn {
-		return true
-	}
-	for _, a := range gv.VertexAttrs {
-		if strings.EqualFold(a.Name, name) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasEdgeAttr reports whether name is a declared edge attribute.
-func (gv *GraphView) HasEdgeAttr(name string) bool {
-	for _, a := range gv.EdgeAttrs {
-		if strings.EqualFold(a.Name, name) {
-			return true
-		}
-	}
-	return false
-}
-
-// EdgeAttrKind returns the kind of a declared edge attribute.
-func (gv *GraphView) EdgeAttrKind(name string) (types.Kind, bool) {
-	for _, a := range gv.EdgeAttrs {
-		if strings.EqualFold(a.Name, name) {
-			return a.kind, true
-		}
-	}
-	return types.KindNull, false
-}
-
-// VertexAttrKind returns the kind of a declared vertex attribute/property.
-func (gv *GraphView) VertexAttrKind(name string) (types.Kind, bool) {
-	up := strings.ToUpper(name)
-	if up == PropFanOut || up == PropFanIn {
-		return types.KindInt, true
-	}
-	for _, a := range gv.VertexAttrs {
-		if strings.EqualFold(a.Name, name) {
-			return a.kind, true
-		}
-	}
-	return types.KindNull, false
+	return gv.edgeAttr(gv.etab, e, ref)
 }
 
 // --- Online maintenance hooks (§3.3), invoked by the engine inside the

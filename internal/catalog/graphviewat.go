@@ -2,8 +2,8 @@ package catalog
 
 import (
 	"fmt"
-	"strings"
 
+	"grfusion/internal/expr"
 	"grfusion/internal/graph"
 	"grfusion/internal/storage"
 	"grfusion/internal/types"
@@ -14,14 +14,16 @@ import (
 // holds a GraphViewAt whose Topo/V/E are immutable, so every traversal,
 // tuple-pointer dereference and fan-out read resolves against the version
 // it pinned, regardless of concurrent writers; the writer side uses Live,
-// which binds the current topology and the live tables. It implements the
-// same attribute-accessor surface as GraphView (expr.GraphAccessor).
+// which binds the current topology and the live tables. It is the one
+// implementation of expr.GraphAccessor.
 type GraphViewAt struct {
 	GV   *GraphView
 	Topo *graph.CSR
 	V    storage.RowView
 	E    storage.RowView
 }
+
+var _ expr.GraphAccessor = (*GraphViewAt)(nil)
 
 // At binds the view to an explicit topology version and source row views.
 func (gv *GraphView) At(c *graph.CSR, v, e storage.RowView) *GraphViewAt {
@@ -46,76 +48,56 @@ func (at *GraphViewAt) CSR() *graph.CSR {
 	return at.Topo
 }
 
-// VertexSchema returns the exposed schema of GV.VERTEXES.
-func (at *GraphViewAt) VertexSchema() *types.Schema { return at.GV.vSchema }
-
-// EdgeSchema returns the exposed schema of GV.EDGES.
-func (at *GraphViewAt) EdgeSchema() *types.Schema { return at.GV.eSchema }
-
-// VertexRow materializes the extended tuple of a vertex against the bound
-// version.
-func (at *GraphViewAt) VertexRow(v *graph.Vertex) (types.Row, error) {
-	return vertexRowOf(at.GV, at.Topo, at.V, v)
+// ResolveAttr implements expr.GraphAccessor; attribute metadata is the
+// same in every version.
+func (at *GraphViewAt) ResolveAttr(elem expr.ElemKind, name string) (expr.AttrRef, error) {
+	return at.GV.ResolveAttr(elem, name)
 }
 
-// EdgeRow materializes the extended tuple of an edge against the bound
-// version.
-func (at *GraphViewAt) EdgeRow(e *graph.Edge) (types.Row, error) {
-	return edgeRowOf(at.GV, at.E, e)
-}
-
-// VertexAttrValue reads one vertex attribute or property against the
+// VertexAttr reads a resolved vertex attribute or property against the
 // bound version.
-func (at *GraphViewAt) VertexAttrValue(v *graph.Vertex, name string) (types.Value, error) {
-	return vertexAttrValueOf(at.GV, at.Topo, at.V, v, name)
+func (at *GraphViewAt) VertexAttr(v *graph.Vertex, ref expr.AttrRef) (types.Value, error) {
+	switch ref.Src {
+	case expr.AttrFanOut:
+		return types.NewInt(int64(at.Topo.FanOut(v))), nil
+	case expr.AttrFanIn:
+		return types.NewInt(int64(at.Topo.FanIn(v))), nil
+	}
+	if row, ok := at.V.Get(storage.RowID(v.Tuple)); ok {
+		return row[ref.Pos], nil
+	}
+	return types.Null(), at.GV.dangling("vertex", v.ID)
 }
 
-// EdgeAttrValue reads one edge attribute against the bound version.
-func (at *GraphViewAt) EdgeAttrValue(e *graph.Edge, name string) (types.Value, error) {
-	return edgeAttrValueOf(at.GV, at.E, e, name)
+// EdgeAttr reads a resolved edge attribute against the bound version.
+func (at *GraphViewAt) EdgeAttr(e *graph.Edge, ref expr.AttrRef) (types.Value, error) {
+	return at.GV.edgeAttr(at.E, e, ref)
 }
 
-// HasVertexAttr reports whether name is a declared vertex attribute or
-// property (pure metadata; identical across versions).
-func (at *GraphViewAt) HasVertexAttr(name string) bool { return at.GV.HasVertexAttr(name) }
-
-// HasEdgeAttr reports whether name is a declared edge attribute.
-func (at *GraphViewAt) HasEdgeAttr(name string) bool { return at.GV.HasEdgeAttr(name) }
-
-// EdgeAttrSourcePos resolves a declared edge attribute to its source
-// column position.
-func (at *GraphViewAt) EdgeAttrSourcePos(name string) (int, bool) {
-	return at.GV.EdgeAttrSourcePos(name)
-}
-
-// VertexAttrSourcePos resolves a declared vertex attribute to its source
-// column position.
-func (at *GraphViewAt) VertexAttrSourcePos(name string) (int, bool) {
-	return at.GV.VertexAttrSourcePos(name)
-}
-
-// --- Version-parameterized accessors shared by GraphView (live) and
-// --- GraphViewAt (pinned).
-
-func vertexRowOf(gv *GraphView, g *graph.CSR, src storage.RowView, v *graph.Vertex) (types.Row, error) {
-	row, ok := src.Get(storage.RowID(v.Tuple))
+// VertexRow materializes the extended tuple of a vertex — its declared
+// attributes, then FanOut and FanIn — against the bound version.
+func (at *GraphViewAt) VertexRow(v *graph.Vertex) (types.Row, error) {
+	gv := at.GV
+	row, ok := at.V.Get(storage.RowID(v.Tuple))
 	if !ok {
-		return nil, fmt.Errorf("graph view %s: dangling tuple pointer for vertex %d", gv.Name, v.ID)
+		return nil, gv.dangling("vertex", v.ID)
 	}
 	out := make(types.Row, 0, len(gv.VertexAttrs)+2)
 	for _, a := range gv.VertexAttrs {
 		out = append(out, row[a.pos])
 	}
-	out = append(out,
-		types.NewInt(int64(g.FanOut(v))),
-		types.NewInt(int64(g.FanIn(v))))
-	return out, nil
+	return append(out,
+		types.NewInt(int64(at.Topo.FanOut(v))),
+		types.NewInt(int64(at.Topo.FanIn(v)))), nil
 }
 
-func edgeRowOf(gv *GraphView, src storage.RowView, e *graph.Edge) (types.Row, error) {
-	row, ok := src.Get(storage.RowID(e.Tuple))
+// EdgeRow materializes the extended tuple of an edge against the bound
+// version.
+func (at *GraphViewAt) EdgeRow(e *graph.Edge) (types.Row, error) {
+	gv := at.GV
+	row, ok := at.E.Get(storage.RowID(e.Tuple))
 	if !ok {
-		return nil, fmt.Errorf("graph view %s: dangling tuple pointer for edge %d", gv.Name, e.ID)
+		return nil, gv.dangling("edge", e.ID)
 	}
 	out := make(types.Row, 0, len(gv.EdgeAttrs))
 	for _, a := range gv.EdgeAttrs {
@@ -124,34 +106,15 @@ func edgeRowOf(gv *GraphView, src storage.RowView, e *graph.Edge) (types.Row, er
 	return out, nil
 }
 
-func vertexAttrValueOf(gv *GraphView, g *graph.CSR, src storage.RowView, v *graph.Vertex, name string) (types.Value, error) {
-	switch strings.ToUpper(name) {
-	case PropFanOut:
-		return types.NewInt(int64(g.FanOut(v))), nil
-	case PropFanIn:
-		return types.NewInt(int64(g.FanIn(v))), nil
+// edgeAttr reads a resolved edge attribute from the edges source view src.
+func (gv *GraphView) edgeAttr(src storage.RowView, e *graph.Edge, ref expr.AttrRef) (types.Value, error) {
+	if row, ok := src.Get(storage.RowID(e.Tuple)); ok {
+		return row[ref.Pos], nil
 	}
-	for _, a := range gv.VertexAttrs {
-		if strings.EqualFold(a.Name, name) {
-			row, ok := src.Get(storage.RowID(v.Tuple))
-			if !ok {
-				return types.Null(), fmt.Errorf("graph view %s: dangling tuple pointer for vertex %d", gv.Name, v.ID)
-			}
-			return row[a.pos], nil
-		}
-	}
-	return types.Null(), fmt.Errorf("graph view %s: unknown vertex attribute %q", gv.Name, name)
+	return types.Null(), gv.dangling("edge", e.ID)
 }
 
-func edgeAttrValueOf(gv *GraphView, src storage.RowView, e *graph.Edge, name string) (types.Value, error) {
-	for _, a := range gv.EdgeAttrs {
-		if strings.EqualFold(a.Name, name) {
-			row, ok := src.Get(storage.RowID(e.Tuple))
-			if !ok {
-				return types.Null(), fmt.Errorf("graph view %s: dangling tuple pointer for edge %d", gv.Name, e.ID)
-			}
-			return row[a.pos], nil
-		}
-	}
-	return types.Null(), fmt.Errorf("graph view %s: unknown edge attribute %q", gv.Name, name)
+// dangling reports a tuple pointer with no row behind it.
+func (gv *GraphView) dangling(what string, id int64) error {
+	return fmt.Errorf("graph view %s: dangling tuple pointer for %s %d", gv.Name, what, id)
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"grfusion/internal/plan"
+	"grfusion/internal/sql"
 	"grfusion/internal/types"
 )
 
@@ -296,6 +298,49 @@ func TestShortestPathListing6(t *testing.T) {
 	}
 }
 
+// TestPinnedPlanPathAttrKinds checks that the plan the engine runs — built
+// against a pinned version — types path attributes by their source columns
+// and agrees column for column with a live plan of the same query.
+func TestPinnedPlanPathAttrKinds(t *testing.T) {
+	e := New(Options{})
+	mustScript(t, e, `
+		CREATE TABLE Nodes (nid BIGINT PRIMARY KEY, addr VARCHAR);
+		CREATE TABLE Roads (rid BIGINT PRIMARY KEY, a BIGINT, b BIGINT, dist DOUBLE);
+		INSERT INTO Nodes VALUES (1,'Address 1'),(2,'Address 2');
+		INSERT INTO Roads VALUES (1, 1, 2, 1.5);
+		CREATE UNDIRECTED GRAPH VIEW RoadNetwork
+			VERTEXES(ID = nid, Address = addr) FROM Nodes
+			EDGES(ID = rid, FROM = a, TO = b, Distance = dist) FROM Roads;
+	`)
+	const q = `SELECT PS.Edges[0].Distance, PS.StartVertex.Id, PS.EndVertex.Address,
+		PS.EndVertex.FanOut, PS.Vertexes[1].fanin, PS.Edges[0].ID
+		FROM RoadNetwork.Paths PS WHERE PS.StartVertex.Id = 1`
+	want := []types.Kind{types.KindFloat, types.KindInt, types.KindString,
+		types.KindInt, types.KindInt, types.KindInt}
+	kinds := func(p *plan.Planner) []types.Kind {
+		t.Helper()
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := p.PlanSelect(stmt.(*sql.Select))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []types.Kind
+		for _, c := range op.Schema().Columns {
+			out = append(out, c.Type)
+		}
+		return out
+	}
+	st := e.pin()
+	defer e.unpin(st)
+	pinned, live := kinds(e.planner(st)), kinds(plan.New(e.Catalog()))
+	if fmt.Sprint(pinned) != fmt.Sprint(want) || fmt.Sprint(live) != fmt.Sprint(want) {
+		t.Errorf("result kinds: pinned %v, live %v, want %v", pinned, live, want)
+	}
+}
+
 func TestPathAggregatePredicate(t *testing.T) {
 	e := New(Options{})
 	mustScript(t, e, `
@@ -446,6 +491,18 @@ func TestDDLErrorsAndShow(t *testing.T) {
 	}
 	if _, err := e.Execute(`TRUNCATE TABLE Relationships`); err == nil {
 		t.Error("truncate of graph-view source accepted")
+	}
+	// Attribute names a scan or a path expression could not tell apart: a
+	// vertex attribute shadowing FanOut/FanIn, or a name declared twice.
+	for _, view := range []string{
+		`VERTEXES(ID = uid, FanOut = uid) FROM Users EDGES(ID = relid, FROM = uid1, TO = uid2) FROM Relationships`,
+		`VERTEXES(ID = uid, fanin = uid) FROM Users EDGES(ID = relid, FROM = uid1, TO = uid2) FROM Relationships`,
+		`VERTEXES(ID = uid, x = lname, X = dob) FROM Users EDGES(ID = relid, FROM = uid1, TO = uid2) FROM Relationships`,
+		`VERTEXES(ID = uid) FROM Users EDGES(ID = relid, FROM = uid1, TO = uid2, w = sdate, w = relid) FROM Relationships`,
+	} {
+		if _, err := e.Execute(`CREATE DIRECTED GRAPH VIEW G1 ` + view); err == nil {
+			t.Errorf("graph view accepted: %s", view)
+		}
 	}
 	mustExec(t, e, `DROP GRAPH VIEW SocialNetwork`)
 	mustExec(t, e, `TRUNCATE TABLE Relationships`)

@@ -202,18 +202,18 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 		if as, ok := n.Op.(*exec.AnalyticsScan); ok {
 			runs, iters, td, bu := as.Actuals()
 			add("Analytics[%s.%s]: runs=%d iters=%d topdown_levels=%d bottomup_levels=%d",
-				as.GV.Name, as.Fn, runs, iters, td, bu)
-			addCSR(as.GV)
+				as.At.GV.Name, as.Fn, runs, iters, td, bu)
+			addCSR(as.At.GV)
 			return
 		}
 		pj, ok := n.Op.(*exec.PathProbeJoin)
 		if !ok {
 			return
 		}
-		addCSR(pj.Spec.GV)
-		topo := pj.Spec.At.Topo
+		at := pj.Spec.At
+		addCSR(at.GV)
 		add("Stats[%s]: avg_fanout=%.2f vertices=%d edges=%d",
-			pj.Spec.GV.Name, topo.AvgFanOut(), topo.NumVertices(), topo.NumEdges())
+			at.GV.Name, at.Topo.AvgFanOut(), at.Topo.NumVertices(), at.Topo.NumEdges())
 	})
 	return res, nil
 }

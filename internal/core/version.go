@@ -59,9 +59,6 @@ type dbState struct {
 
 var _ plan.Pin = (*dbState)(nil)
 
-// Seq implements plan.Pin.
-func (st *dbState) Seq() uint64 { return st.seq }
-
 // Table implements plan.Pin: the pinned row view of t. An unknown table
 // (not in this version's catalog) falls back to the live object; pinned
 // plans resolve names through st.cat, so the fallback is never reached by

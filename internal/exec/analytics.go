@@ -114,15 +114,12 @@ func AnalyticsSchema(f AnalyticsFunc) *types.Schema {
 // AnalyticsScan runs one analytics function over a graph view and streams
 // the result relation.
 type AnalyticsScan struct {
-	GV     *catalog.GraphView
+	// At is the view version the kernel runs over.
+	At     *catalog.GraphViewAt
 	Alias  string
 	Fn     AnalyticsFunc
 	Args   []expr.Expr // constant arguments (literals or parameters)
 	Filter expr.Expr
-
-	// At, when set, runs the kernel over a pinned version of the view's
-	// topology; nil runs over the live view.
-	At *catalog.GraphViewAt
 
 	schema *types.Schema
 
@@ -133,9 +130,9 @@ type AnalyticsScan struct {
 }
 
 // NewAnalyticsScan creates the operator.
-func NewAnalyticsScan(gv *catalog.GraphView, alias string, fn AnalyticsFunc,
+func NewAnalyticsScan(at *catalog.GraphViewAt, alias string, fn AnalyticsFunc,
 	args []expr.Expr, filter expr.Expr) *AnalyticsScan {
-	return &AnalyticsScan{GV: gv, Alias: alias, Fn: fn, Args: args, Filter: filter,
+	return &AnalyticsScan{At: at, Alias: alias, Fn: fn, Args: args, Filter: filter,
 		schema: AnalyticsSchema(fn).WithQualifier(alias)}
 }
 
@@ -148,7 +145,7 @@ func (s *AnalyticsScan) Children() []Operator { return nil }
 // Explain implements Operator.
 func (s *AnalyticsScan) Explain() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "AnalyticsScan %s.%s(", s.GV.Name, s.Fn)
+	fmt.Fprintf(&sb, "AnalyticsScan %s.%s(", s.At.GV.Name, s.Fn)
 	for i, a := range s.Args {
 		if i > 0 {
 			sb.WriteString(", ")
@@ -240,13 +237,9 @@ func (s *AnalyticsScan) Open(ctx *Context) (Iterator, error) {
 		workers = 1
 	}
 
-	at := s.At
-	if at == nil {
-		at = s.GV.Live()
-	}
 	// Read the bound topology version at execution time — same pinning
 	// discipline as PathScan.
-	c := at.CSR()
+	c := s.At.CSR()
 	it := &analyticsIter{ctx: ctx, s: s, csr: c, a: c.NewAnalytics(), hasScratch: true}
 	s.runs.Add(1)
 	atomic.AddInt64(&ctx.AnalyticsRuns, 1)

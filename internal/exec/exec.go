@@ -1,9 +1,10 @@
 // Package exec implements the physical operators of GRFusion's query
 // engine. Operators follow the Volcano iterator model (§5.1): Open yields a
-// pull-based Iterator, and graph operators (VertexScan, EdgeScan, and the
-// PathScan family) sit at the leaves of the same pipelines as the
-// relational operators, emitting extended tuples that relational operators
-// consume without knowing their graph origin (§5.2).
+// pull-based Iterator, and graph operators (ElemScan — the paper's
+// VertexScan and EdgeScan — and the PathScan family) sit at the leaves of
+// the same pipelines as the relational operators, emitting extended tuples
+// that relational operators consume without knowing their graph origin
+// (§5.2).
 package exec
 
 import (

@@ -64,12 +64,12 @@ func TestSingleton(t *testing.T) {
 
 func TestSeqScanWithFilter(t *testing.T) {
 	tb := newTable(t, "t", 10)
-	scan := NewTableScan(tb, "t", Access{}, nil)
+	scan := NewTableScan(tb, tb, "t", Access{}, nil)
 	if got := len(collect(t, scan)); got != 10 {
 		t.Fatalf("unfiltered: %d", got)
 	}
 	pred := &expr.BinaryExpr{Op: expr.OpGe, L: col(t, scan.Schema(), "t", "val"), R: intLit(50)}
-	rows := collect(t, NewTableScan(tb, "t", Access{}, pred))
+	rows := collect(t, NewTableScan(tb, tb, "t", Access{}, pred))
 	if len(rows) != 5 {
 		t.Fatalf("filtered: %d", len(rows))
 	}
@@ -83,7 +83,7 @@ func TestIndexScan(t *testing.T) {
 	}
 	g1 := &expr.Literal{Val: types.NewString("g1")}
 	point := Access{Index: ix, Lo: g1, Hi: g1, LoInc: true, HiInc: true}
-	scan := NewTableScan(tb, "t", point, nil)
+	scan := NewTableScan(tb, tb, "t", point, nil)
 	rows := collect(t, scan)
 	if len(rows) != 3 {
 		t.Fatalf("index rows: %d", len(rows))
@@ -95,7 +95,7 @@ func TestIndexScan(t *testing.T) {
 	}
 	// With an extra residual filter.
 	pred := &expr.BinaryExpr{Op: expr.OpGt, L: col(t, scan.Schema(), "t", "id"), R: intLit(1)}
-	rows = collect(t, NewTableScan(tb, "t", point, pred))
+	rows = collect(t, NewTableScan(tb, tb, "t", point, pred))
 	if len(rows) != 2 {
 		t.Fatalf("index+filter rows: %d", len(rows))
 	}
@@ -103,7 +103,7 @@ func TestIndexScan(t *testing.T) {
 
 func TestProjectAndLimit(t *testing.T) {
 	tb := newTable(t, "t", 6)
-	scan := NewTableScan(tb, "t", Access{}, nil)
+	scan := NewTableScan(tb, tb, "t", Access{}, nil)
 	proj := NewProject(scan,
 		[]expr.Expr{&expr.BinaryExpr{Op: expr.OpAdd, L: col(t, scan.Schema(), "t", "id"), R: intLit(100)}},
 		types.NewSchema(types.Column{Name: "x", Type: types.KindInt}))
@@ -122,7 +122,7 @@ func TestProjectAndLimit(t *testing.T) {
 
 func TestSortAscDescStable(t *testing.T) {
 	tb := newTable(t, "t", 7)
-	scan := NewTableScan(tb, "t", Access{}, nil)
+	scan := NewTableScan(tb, tb, "t", Access{}, nil)
 	rows := collect(t, NewSort(scan, []SortKey{
 		{E: col(t, scan.Schema(), "t", "grp")},
 		{E: col(t, scan.Schema(), "t", "id"), Desc: true},
@@ -142,7 +142,7 @@ func TestSortAscDescStable(t *testing.T) {
 
 func TestDistinctOp(t *testing.T) {
 	tb := newTable(t, "t", 9)
-	scan := NewTableScan(tb, "t", Access{}, nil)
+	scan := NewTableScan(tb, tb, "t", Access{}, nil)
 	proj := NewProject(scan, []expr.Expr{col(t, scan.Schema(), "t", "grp")},
 		types.NewSchema(types.Column{Name: "grp", Type: types.KindString}))
 	rows := collect(t, NewDistinct(proj))
@@ -154,8 +154,8 @@ func TestDistinctOp(t *testing.T) {
 func TestHashJoinBasics(t *testing.T) {
 	a := newTable(t, "a", 6)
 	b := newTable(t, "b", 4)
-	sa := NewTableScan(a, "a", Access{}, nil)
-	sb := NewTableScan(b, "b", Access{}, nil)
+	sa := NewTableScan(a, a, "a", Access{}, nil)
+	sb := NewTableScan(b, b, "b", Access{}, nil)
 	j := NewHashJoin(sa, sb,
 		[]expr.Expr{col(t, sa.Schema(), "a", "id")},
 		[]expr.Expr{col(t, sb.Schema(), "b", "id")}, nil)
@@ -185,7 +185,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 		types.Column{Qualifier: "b", Name: "k", Type: types.KindInt}), nil)
 	b.Insert(types.Row{types.Null()})
 	b.Insert(types.Row{types.NewInt(1)})
-	sa, sb := NewTableScan(a, "a", Access{}, nil), NewTableScan(b, "b", Access{}, nil)
+	sa, sb := NewTableScan(a, a, "a", Access{}, nil), NewTableScan(b, b, "b", Access{}, nil)
 	j := NewHashJoin(sa, sb,
 		[]expr.Expr{col(t, sa.Schema(), "a", "k")},
 		[]expr.Expr{col(t, sb.Schema(), "b", "k")}, nil)
@@ -198,7 +198,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 func TestNestedLoopJoinCross(t *testing.T) {
 	a := newTable(t, "a", 3)
 	b := newTable(t, "b", 4)
-	j := NewNestedLoopJoin(NewTableScan(a, "a", Access{}, nil), NewTableScan(b, "b", Access{}, nil), nil)
+	j := NewNestedLoopJoin(NewTableScan(a, a, "a", Access{}, nil), NewTableScan(b, b, "b", Access{}, nil), nil)
 	if got := len(collect(t, j)); got != 12 {
 		t.Fatalf("cross rows: %d", got)
 	}
@@ -207,7 +207,7 @@ func TestNestedLoopJoinCross(t *testing.T) {
 func TestMemoryAccounting(t *testing.T) {
 	a := newTable(t, "a", 50)
 	b := newTable(t, "b", 50)
-	j := NewNestedLoopJoin(NewTableScan(a, "a", Access{}, nil), NewTableScan(b, "b", Access{}, nil), nil)
+	j := NewNestedLoopJoin(NewTableScan(a, a, "a", Access{}, nil), NewTableScan(b, b, "b", Access{}, nil), nil)
 	ctx := NewContext(128) // tiny budget
 	if _, err := Collect(ctx, j); err == nil || !strings.Contains(err.Error(), "memory limit") {
 		t.Fatalf("expected memory abort, got %v", err)
@@ -224,7 +224,7 @@ func TestMemoryAccounting(t *testing.T) {
 
 func TestMaterializeOp(t *testing.T) {
 	tb := newTable(t, "t", 5)
-	m := NewMaterialize(NewTableScan(tb, "t", Access{}, nil))
+	m := NewMaterialize(NewTableScan(tb, tb, "t", Access{}, nil))
 	rows := collect(t, m)
 	if len(rows) != 5 {
 		t.Fatalf("materialize rows: %d", len(rows))
@@ -237,7 +237,7 @@ func TestMaterializeOp(t *testing.T) {
 
 func TestHashAggregateGroups(t *testing.T) {
 	tb := newTable(t, "t", 9)
-	scan := NewTableScan(tb, "t", Access{}, nil)
+	scan := NewTableScan(tb, tb, "t", Access{}, nil)
 	agg := NewHashAggregate(scan,
 		[]expr.Expr{col(t, scan.Schema(), "t", "grp")},
 		[]AggSpec{
@@ -263,7 +263,7 @@ func TestHashAggregateGroups(t *testing.T) {
 
 func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 	tb := newTable(t, "t", 0)
-	scan := NewTableScan(tb, "t", Access{}, nil)
+	scan := NewTableScan(tb, tb, "t", Access{}, nil)
 	agg := NewHashAggregate(scan, nil,
 		[]AggSpec{{Name: "COUNT"}},
 		types.NewSchema(types.Column{Name: "n", Type: types.KindInt}))
@@ -275,7 +275,7 @@ func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 
 func TestExplainTreeRendering(t *testing.T) {
 	tb := newTable(t, "t", 3)
-	scan := NewTableScan(tb, "t", Access{}, nil)
+	scan := NewTableScan(tb, tb, "t", Access{}, nil)
 	lim := NewLimit(NewFilter(scan, &expr.Literal{Val: types.NewBool(true)}), 1, 0)
 	out := Explain(lim)
 	if !strings.Contains(out, "Limit") || !strings.Contains(out, "  Filter") ||
@@ -315,9 +315,19 @@ func graphFixture(t *testing.T) *catalog.GraphView {
 	return gv
 }
 
+// attrRef resolves a fixture attribute as the planner would.
+func attrRef(t *testing.T, gv *catalog.GraphView, elem expr.ElemKind, name string) expr.AttrRef {
+	t.Helper()
+	ref, err := gv.ResolveAttr(elem, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 func TestVertexAndEdgeScanOps(t *testing.T) {
 	gv := graphFixture(t)
-	vs := NewVertexScan(gv, "VS", nil)
+	vs := NewElemScan(gv.Live(), expr.ElemVertexes, "VS", nil)
 	rows := collect(t, vs)
 	if len(rows) != 4 {
 		t.Fatalf("vertex rows: %d", len(rows))
@@ -326,7 +336,7 @@ func TestVertexAndEdgeScanOps(t *testing.T) {
 	if len(rows[0]) != 4 || rows[0][0].I != 1 || rows[0][2].I != 2 {
 		t.Fatalf("vertex row: %v", rows[0])
 	}
-	es := NewEdgeScan(gv, "ES", nil)
+	es := NewElemScan(gv.Live(), expr.ElemEdges, "ES", nil)
 	erows := collect(t, es)
 	if len(erows) != 4 || len(erows[0]) != 4 {
 		t.Fatalf("edge rows: %v", erows)
@@ -336,7 +346,7 @@ func TestVertexAndEdgeScanOps(t *testing.T) {
 func TestPathProbeJoinStandalone(t *testing.T) {
 	gv := graphFixture(t)
 	spec := PathScanSpec{
-		GV: gv, Alias: "P", Phys: PhysDFS, MinLen: 1, MaxLen: 3, KPaths: 1,
+		At: gv.Live(), Alias: "P", Phys: PhysDFS, MinLen: 1, MaxLen: 3, KPaths: 1,
 		StartExpr: intLit(1),
 	}
 	pp := NewPathProbeJoin(Singleton{}, spec, nil)
@@ -355,10 +365,10 @@ func TestPathProbeJoinStandalone(t *testing.T) {
 func TestPathProbeJoinOuterProbes(t *testing.T) {
 	gv := graphFixture(t)
 	// Outer: vertex scan restricted to id 1 and 2; each probes a traversal.
-	vs := NewVertexScan(gv, "VS", &expr.BinaryExpr{Op: expr.OpLe,
+	vs := NewElemScan(gv.Live(), expr.ElemVertexes, "VS", &expr.BinaryExpr{Op: expr.OpLe,
 		L: col(t, gv.VertexSchema().WithQualifier("VS"), "VS", "ID"), R: intLit(2)})
 	spec := PathScanSpec{
-		GV: gv, Alias: "P", Phys: PhysBFS, MinLen: 1, MaxLen: 1, KPaths: 1,
+		At: gv.Live(), Alias: "P", Phys: PhysBFS, MinLen: 1, MaxLen: 1, KPaths: 1,
 		StartExpr: col(t, vs.Schema(), "VS", "ID"),
 	}
 	pp := NewPathProbeJoin(vs, spec, nil)
@@ -372,7 +382,7 @@ func TestPathProbeJoinOuterProbes(t *testing.T) {
 func TestPathProbeJoinSPWithKPaths(t *testing.T) {
 	gv := graphFixture(t)
 	spec := PathScanSpec{
-		GV: gv, Alias: "P", Phys: PhysSP, MinLen: 1, WeightAttr: "w", KPaths: 2,
+		At: gv.Live(), Alias: "P", Phys: PhysSP, MinLen: 1, WeightAttr: "w", Weight: attrRef(t, gv, expr.ElemEdges, "w"), KPaths: 2,
 		StartExpr: intLit(1), EndExpr: intLit(4),
 	}
 	pp := NewPathProbeJoin(Singleton{}, spec, nil)
@@ -391,11 +401,11 @@ func TestPathProbeEdgeFilterPushdown(t *testing.T) {
 	gv := graphFixture(t)
 	// Filter w < 5 on every position kills the 1->4 shortcut.
 	spec := PathScanSpec{
-		GV: gv, Alias: "P", Phys: PhysDFS, MinLen: 1, MaxLen: 1, KPaths: 1,
+		At: gv.Live(), Alias: "P", Phys: PhysDFS, MinLen: 1, MaxLen: 1, KPaths: 1,
 		StartExpr: intLit(1),
 		EdgeFilters: []ElemFilter{{
 			Elem: expr.ElemEdges, Rng: expr.Rng{Start: 0, Wildcard: true},
-			Attr: "w", Op: expr.OpLt, Other: intLit(5),
+			Attr: "w", Ref: attrRef(t, gv, expr.ElemEdges, "w"), Op: expr.OpLt, Other: intLit(5),
 		}},
 	}
 	rows := collect(t, NewPathProbeJoin(Singleton{}, spec, nil))
@@ -407,7 +417,7 @@ func TestPathProbeEdgeFilterPushdown(t *testing.T) {
 func TestContextCounters(t *testing.T) {
 	gv := graphFixture(t)
 	spec := PathScanSpec{
-		GV: gv, Alias: "P", Phys: PhysBFS, MinLen: 1, KPaths: 1,
+		At: gv.Live(), Alias: "P", Phys: PhysBFS, MinLen: 1, KPaths: 1,
 		StartExpr: intLit(1),
 	}
 	ctx := NewContext(0)
@@ -430,14 +440,14 @@ func TestIndexRangeScanOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// [30, 60) → vals 30, 40, 50.
-	rs := NewTableScan(tb, "t", Access{Index: ix, Lo: intLit(30), Hi: intLit(60), LoInc: true}, nil)
+	rs := NewTableScan(tb, tb, "t", Access{Index: ix, Lo: intLit(30), Hi: intLit(60), LoInc: true}, nil)
 	rows := collect(t, rs)
 	if len(rows) != 3 || rows[0][2].I != 30 || rows[2][2].I != 50 {
 		t.Fatalf("range rows: %v", rows)
 	}
 	// Open-ended low bound with residual filter.
 	pred := &expr.BinaryExpr{Op: expr.OpGt, L: col(t, rs.Schema(), "t", "id"), R: intLit(7)}
-	rs = NewTableScan(tb, "t", Access{Index: ix}, pred)
+	rs = NewTableScan(tb, tb, "t", Access{Index: ix}, pred)
 	if got := len(collect(t, rs)); got != 2 {
 		t.Fatalf("filtered range rows: %d", got)
 	}
@@ -445,7 +455,7 @@ func TestIndexRangeScanOp(t *testing.T) {
 		t.Errorf("explain: %s", rs.Explain())
 	}
 	// Exclusive bounds.
-	rs = NewTableScan(tb, "t", Access{Index: ix, Lo: intLit(30), Hi: intLit(60)}, nil)
+	rs = NewTableScan(tb, tb, "t", Access{Index: ix, Lo: intLit(30), Hi: intLit(60)}, nil)
 	if got := len(collect(t, rs)); got != 2 {
 		t.Fatalf("exclusive range rows: %d", got)
 	}
@@ -454,9 +464,9 @@ func TestIndexRangeScanOp(t *testing.T) {
 func TestExplainStringsCoverOperators(t *testing.T) {
 	tb := newTable(t, "t", 2)
 	gv := graphFixture(t)
-	sa := NewTableScan(tb, "t", Access{}, nil)
+	sa := NewTableScan(tb, tb, "t", Access{}, nil)
 	ops := []Operator{
-		NewHashJoin(sa, NewTableScan(tb, "u", Access{}, nil),
+		NewHashJoin(sa, NewTableScan(tb, tb, "u", Access{}, nil),
 			[]expr.Expr{col(t, sa.Schema(), "t", "id")},
 			[]expr.Expr{col(t, sa.Schema(), "t", "id")},
 			&expr.Literal{Val: types.NewBool(true)}),
@@ -467,11 +477,11 @@ func TestExplainStringsCoverOperators(t *testing.T) {
 			[]AggSpec{{Name: "COUNT"}, {Name: "SUM", Arg: col(t, sa.Schema(), "t", "val")}},
 			types.NewSchema(types.Column{Name: "g"}, types.Column{Name: "n"}, types.Column{Name: "s"})),
 		NewPathProbeJoin(Singleton{}, PathScanSpec{
-			GV: gv, Alias: "P", Phys: PhysSP, MinLen: 1, MaxLen: 3, WeightAttr: "w",
+			At: gv.Live(), Alias: "P", Phys: PhysSP, MinLen: 1, MaxLen: 3, WeightAttr: "w",
 			KPaths: 2, StartExpr: intLit(1), EndExpr: intLit(4), CycleClose: true,
 			Policy:      graph.VisitPerPath,
 			EdgeFilters: []ElemFilter{{Elem: expr.ElemEdges, Attr: "w", Op: expr.OpLt, Other: intLit(5)}},
-			AggBounds:   []AggBound{{Agg: "SUM", Attr: "w", Op: expr.OpLt, Bound: intLit(9)}},
+			AggBounds:   []AggBound{{Agg: "SUM", Op: expr.OpLt, Bound: intLit(9)}},
 		}, &expr.Literal{Val: types.NewBool(true)}),
 	}
 	for _, op := range ops {
@@ -499,9 +509,9 @@ func TestPathProbeAggBoundPrunes(t *testing.T) {
 	// SUM(w) < 3 admits only the first hop (w=1) and the second (1+1=2);
 	// the third hop (sum 3) and the shortcut (10) are pruned.
 	spec := PathScanSpec{
-		GV: gv, Alias: "P", Phys: PhysDFS, MinLen: 1, KPaths: 1,
+		At: gv.Live(), Alias: "P", Phys: PhysDFS, MinLen: 1, KPaths: 1,
 		StartExpr: intLit(1),
-		AggBounds: []AggBound{{Agg: "SUM", Elem: expr.ElemEdges, Attr: "w",
+		AggBounds: []AggBound{{Agg: "SUM", Elem: expr.ElemEdges, Ref: attrRef(t, gv, expr.ElemEdges, "w"),
 			Op: expr.OpLt, Bound: intLit(3)}},
 	}
 	rows := collect(t, NewPathProbeJoin(Singleton{}, spec, nil))
@@ -521,11 +531,11 @@ func TestPathProbeVertexFilterAndIn(t *testing.T) {
 	gv := graphFixture(t)
 	// Vertex filter: only vertices named v1..v3 pass (blocks v4).
 	spec := PathScanSpec{
-		GV: gv, Alias: "P", Phys: PhysBFS, MinLen: 1, KPaths: 1,
+		At: gv.Live(), Alias: "P", Phys: PhysBFS, MinLen: 1, KPaths: 1,
 		StartExpr: intLit(1),
 		VertexFilters: []ElemFilter{{
 			Elem: expr.ElemVertexes, Rng: expr.Rng{Start: 0, Wildcard: true},
-			Attr: "name", IsIn: true,
+			Attr: "name", Ref: attrRef(t, gv, expr.ElemVertexes, "name"), IsIn: true,
 			List: []expr.Expr{
 				&expr.Literal{Val: types.NewString("v1")},
 				&expr.Literal{Val: types.NewString("v2")},
@@ -543,13 +553,13 @@ func TestPathProbeVertexFilterAndIn(t *testing.T) {
 func TestPathProbeMissingEndpoints(t *testing.T) {
 	gv := graphFixture(t)
 	// Unknown start: no paths, no error.
-	spec := PathScanSpec{GV: gv, Alias: "P", Phys: PhysDFS, MinLen: 1, KPaths: 1,
+	spec := PathScanSpec{At: gv.Live(), Alias: "P", Phys: PhysDFS, MinLen: 1, KPaths: 1,
 		StartExpr: intLit(99)}
 	if got := len(collect(t, NewPathProbeJoin(Singleton{}, spec, nil))); got != 0 {
 		t.Fatalf("missing start: %d rows", got)
 	}
 	// Unknown target short-circuits the whole probe.
-	spec = PathScanSpec{GV: gv, Alias: "P", Phys: PhysBFS, MinLen: 1, KPaths: 1,
+	spec = PathScanSpec{At: gv.Live(), Alias: "P", Phys: PhysBFS, MinLen: 1, KPaths: 1,
 		StartExpr: intLit(1), EndExpr: intLit(99)}
 	if got := len(collect(t, NewPathProbeJoin(Singleton{}, spec, nil))); got != 0 {
 		t.Fatalf("missing target: %d rows", got)
@@ -558,12 +568,12 @@ func TestPathProbeMissingEndpoints(t *testing.T) {
 
 func TestPathProbeResidualFilter(t *testing.T) {
 	gv := graphFixture(t)
-	spec := PathScanSpec{GV: gv, Alias: "P", Phys: PhysDFS, MinLen: 1, MaxLen: 2, KPaths: 1,
+	spec := PathScanSpec{At: gv.Live(), Alias: "P", Phys: PhysDFS, MinLen: 1, MaxLen: 2, KPaths: 1,
 		StartExpr: intLit(1)}
 	pp := NewPathProbeJoin(Singleton{}, spec, nil)
 	// Residual over the path column: only length-2 paths.
 	residual, err := expr.NewBinder(pp.Schema()).
-		WithPath("P", expr.PathBinding{Col: 0, Acc: gv}).
+		WithPath("P", expr.PathBinding{Col: 0, Acc: gv.Live()}).
 		Bind(&expr.BinaryExpr{Op: expr.OpEq,
 			L: &expr.PathProperty{Alias: "P", Prop: expr.PropLength},
 			R: intLit(2)})

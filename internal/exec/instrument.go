@@ -103,7 +103,7 @@ func instrument(op Operator) *Instrumented {
 		c.Outer = w
 		return &Instrumented{Op: &c, children: []Operator{w}}
 	default:
-		// Leaves (TableScan, VertexScan, EdgeScan, Singleton) and any
+		// Leaves (TableScan, ElemScan, Singleton) and any
 		// operator this switch does not know: wrap as-is.
 		// An unknown inner node still executes correctly — its subtree just
 		// is not individually timed.

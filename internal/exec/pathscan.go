@@ -9,7 +9,6 @@ import (
 	"grfusion/internal/catalog"
 	"grfusion/internal/expr"
 	"grfusion/internal/graph"
-	"grfusion/internal/storage"
 	"grfusion/internal/types"
 )
 
@@ -46,7 +45,8 @@ func (p Phys) String() string {
 type ElemFilter struct {
 	Elem expr.ElemKind
 	Rng  expr.Rng
-	Attr string
+	Attr string       // as written, for EXPLAIN
+	Ref  expr.AttrRef // Attr, resolved at plan time
 
 	// Comparison form: elem Op Other (or Other Op elem when Flipped).
 	Op      expr.BinOp
@@ -117,7 +117,7 @@ func (f *ElemFilter) String() string {
 type AggBound struct {
 	Agg  string // SUM or COUNT
 	Elem expr.ElemKind
-	Attr string // empty for COUNT(PS.Edges)
+	Ref  expr.AttrRef // the summed attribute; unused by COUNT
 	Op   expr.BinOp
 	// Bound is evaluated against the outer row once per probe.
 	Bound expr.Expr
@@ -125,12 +125,10 @@ type AggBound struct {
 
 // PathScanSpec is the optimizer's full description of one PathScan.
 type PathScanSpec struct {
-	GV    *catalog.GraphView
+	// At is the view version every traversal and tuple dereference reads
+	// (topology instance + source-table row views).
+	At    *catalog.GraphViewAt
 	Alias string
-
-	// At, when set, pins the traversal to one engine version (topology
-	// instance + source-table snapshots); nil traverses the live view.
-	At *catalog.GraphViewAt
 
 	Phys   Phys
 	Policy graph.VisitPolicy
@@ -151,9 +149,11 @@ type PathScanSpec struct {
 	// order either way, so the knob never changes query output.
 	Parallel bool
 
-	// WeightAttr is the SPScan weight attribute; KPaths is the number of
-	// shortest simple paths to enumerate per (start, target) pair.
+	// WeightAttr is the SPScan weight attribute as written and Weight its
+	// resolved reference; KPaths is the number of shortest simple paths to
+	// enumerate per (start, target) pair.
 	WeightAttr string
+	Weight     expr.AttrRef
 	KPaths     int
 
 	EdgeFilters   []ElemFilter
@@ -193,7 +193,7 @@ func (p *PathProbeJoin) Schema() *types.Schema { return p.schema }
 // Explain implements Operator.
 func (p *PathProbeJoin) Explain() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "PathScan[%s] %s", p.Spec.Phys, p.Spec.GV.Name)
+	fmt.Fprintf(&sb, "PathScan[%s] %s", p.Spec.Phys, p.Spec.At.GV.Name)
 	fmt.Fprintf(&sb, " len=[%d,%d]", p.Spec.MinLen, p.Spec.MaxLen)
 	if p.Spec.StartExpr != nil {
 		fmt.Fprintf(&sb, " start=%s", p.Spec.StartExpr)
@@ -241,58 +241,9 @@ func (p *PathProbeJoin) Open(ctx *Context) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &pathProbeIter{ctx: ctx, p: p, outer: outer, at: p.Spec.At}
-	if it.at == nil {
-		it.at = p.Spec.GV.Live()
-	}
-	// Resolve pushed-filter attributes to source-column positions once so
-	// the per-edge hot path is a tuple-pointer dereference plus an index,
-	// not a name lookup (§3.2's O(1) linkage, made literal).
-	gv := p.Spec.GV
-	it.edgePos = make([]int, len(p.Spec.EdgeFilters))
-	for i := range p.Spec.EdgeFilters {
-		pos, ok := gv.EdgeAttrSourcePos(p.Spec.EdgeFilters[i].Attr)
-		if !ok {
-			pos = -1
-		}
-		it.edgePos[i] = pos
-	}
-	it.vertPos = make([]int, len(p.Spec.VertexFilters))
-	for i := range p.Spec.VertexFilters {
-		pos, ok := gv.VertexAttrSourcePos(p.Spec.VertexFilters[i].Attr)
-		if !ok {
-			pos = -1 // FanIn/FanOut: computed via the accessor
-		}
-		it.vertPos[i] = pos
-	}
-	it.boundPos = make([]int, len(p.Spec.AggBounds))
-	for i := range p.Spec.AggBounds {
-		pos := -1
-		if b := &p.Spec.AggBounds[i]; b.Attr != "" {
-			var ok bool
-			if b.Elem == expr.ElemVertexes {
-				pos, ok = gv.VertexAttrSourcePos(b.Attr)
-			} else {
-				pos, ok = gv.EdgeAttrSourcePos(b.Attr)
-			}
-			if !ok {
-				pos = -1
-			}
-		}
-		it.boundPos[i] = pos
-	}
-	it.weightPos = -1
-	if p.Spec.Phys == PhysSP {
-		if pos, ok := gv.EdgeAttrSourcePos(p.Spec.WeightAttr); ok {
-			it.weightPos = pos
-		}
-	}
-	// Take the topology version at execution time — never at plan time,
-	// where the version the query will actually see is not yet bound. A
-	// pinned reader traverses exactly the version it pinned even while
-	// writers append to the view's delta.
-	it.csr = it.at.CSR()
-	return it, nil
+	// Every kernel of this execution traverses the bound version; a pinned
+	// reader sees exactly it even while writers append to the view's delta.
+	return &pathProbeIter{ctx: ctx, p: p, outer: outer, at: p.Spec.At, csr: p.Spec.At.CSR()}, nil
 }
 
 type pathProbeIter struct {
@@ -300,16 +251,9 @@ type pathProbeIter struct {
 	p     *PathProbeJoin
 	outer Iterator
 
-	// at is the version binding every topology walk and tuple dereference
-	// resolves against (Spec.At, or the live view when unpinned).
+	// at is Spec.At, the version binding every topology walk and tuple
+	// dereference resolves against.
 	at *catalog.GraphViewAt
-
-	// Resolved source-column positions of pushed filters (-1 = use the
-	// accessor path, e.g. for computed FanIn/FanOut properties).
-	edgePos   []int
-	vertPos   []int
-	boundPos  []int
-	weightPos int
 
 	// csr is the topology version (at.Topo) every kernel traverses.
 	csr *graph.CSR
@@ -327,7 +271,7 @@ type pathProbeIter struct {
 // Isolating that state per run is what makes the parallel path sound —
 // every worker owns exactly one run at a time, while the enclosing
 // pathProbeIter only holds state that is read-only for the probe's
-// duration (spec, resolved positions, bound constants).
+// duration (spec, resolved references, bound constants).
 type probeRun struct {
 	ctx     *Context
 	iter    graph.PathIterator
@@ -615,11 +559,10 @@ func (it *pathProbeIter) evalFilter(f *ElemFilter, v types.Value, other types.Va
 
 // newRun instantiates the traversal kernel for one start vertex. The
 // returned run owns all mutable traversal state; the closures it installs
-// only read from it (spec, resolved positions, per-probe constants), so
+// only read from it (spec, resolved references, per-probe constants), so
 // runs for different starts may execute on different goroutines.
 func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 	spec := &it.p.Spec
-	gv := spec.GV
 	run := &probeRun{ctx: it.ctx}
 
 	target := it.target
@@ -642,7 +585,7 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 			if !f.contains(pos) {
 				continue
 			}
-			v, err := it.edgeAttr(e, it.edgePos[i], f.Attr)
+			v, err := it.at.EdgeAttr(e, f.Ref)
 			if err != nil {
 				run.evalErr = err
 				return false
@@ -660,7 +603,7 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 				if !f.contains(pos) {
 					continue
 				}
-				val, err := it.vertexAttr(v, it.vertPos[i], f.Attr)
+				val, err := it.at.VertexAttr(v, f.Ref)
 				if err != nil {
 					run.evalErr = err
 					return false
@@ -685,14 +628,14 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 	switch spec.Phys {
 	case PhysSP:
 		weight := func(pos int, e *graph.Edge, from, to *graph.Vertex) (float64, bool) {
-			v, err := it.edgeAttr(e, it.weightPos, spec.WeightAttr)
+			v, err := it.at.EdgeAttr(e, spec.Weight)
 			if err != nil {
 				run.evalErr = err
 				return 0, false
 			}
 			if !v.IsNumeric() {
 				run.evalErr = fmt.Errorf("SPScan weight attribute %s.%s is not numeric (kind %s)",
-					gv.Name, spec.WeightAttr, v.Kind)
+					it.at.GV.Name, spec.WeightAttr, v.Kind)
 				return 0, false
 			}
 			return v.AsFloat(), true
@@ -730,14 +673,13 @@ func (it *pathProbeIter) checkBound(bi int, bound types.Value, p *graph.Path, er
 		if b.Elem == expr.ElemVertexes {
 			n = len(p.Verts)
 		}
-		pos := it.boundPos[bi]
 		for i := 0; i < n; i++ {
 			var v types.Value
 			var err error
 			if b.Elem == expr.ElemVertexes {
-				v, err = it.vertexAttr(p.Verts[i], pos, b.Attr)
+				v, err = it.at.VertexAttr(p.Verts[i], b.Ref)
 			} else {
-				v, err = it.edgeAttr(p.Edges[i], pos, b.Attr)
+				v, err = it.at.EdgeAttr(p.Edges[i], b.Ref)
 			}
 			if err != nil {
 				*errp = err
@@ -763,32 +705,4 @@ func (it *pathProbeIter) checkBound(bi int, bound types.Value, p *graph.Path, er
 	default:
 		return true
 	}
-}
-
-// edgeAttr reads one edge attribute, via the resolved source-column
-// position when available (the hot path) or the accessor otherwise.
-func (it *pathProbeIter) edgeAttr(e *graph.Edge, pos int, attr string) (types.Value, error) {
-	if pos >= 0 {
-		row, ok := it.at.E.Get(storage.RowID(e.Tuple))
-		if !ok {
-			return types.Null(), fmt.Errorf("graph view %s: dangling tuple pointer for edge %d",
-				it.p.Spec.GV.Name, e.ID)
-		}
-		return row[pos], nil
-	}
-	return it.at.EdgeAttrValue(e, attr)
-}
-
-// vertexAttr reads one vertex attribute analogously; computed properties
-// (FanIn/FanOut) take the accessor path.
-func (it *pathProbeIter) vertexAttr(v *graph.Vertex, pos int, attr string) (types.Value, error) {
-	if pos >= 0 {
-		row, ok := it.at.V.Get(storage.RowID(v.Tuple))
-		if !ok {
-			return types.Null(), fmt.Errorf("graph view %s: dangling tuple pointer for vertex %d",
-				it.p.Spec.GV.Name, v.ID)
-		}
-		return row[pos], nil
-	}
-	return it.at.VertexAttrValue(v, attr)
 }

@@ -6,7 +6,6 @@ import (
 
 	"grfusion/internal/catalog"
 	"grfusion/internal/expr"
-	"grfusion/internal/graph"
 	"grfusion/internal/storage"
 	"grfusion/internal/types"
 )
@@ -134,17 +133,17 @@ type TableScan struct {
 	Access Access
 	Filter expr.Expr
 
-	// Rows is the row view the scan reads: a pinned immutable snapshot on
-	// the lock-free read path, or nil to read the live table (writer-side
-	// plans and directly constructed operators).
+	// Rows is the row view of Table the scan reads: the snapshot of the
+	// version the plan pinned, or the table itself for a live binding.
 	Rows storage.RowView
 
 	schema *types.Schema
 }
 
-// NewTableScan creates a scan over table under the given range variable.
-func NewTableScan(t *storage.Table, alias string, acc Access, filter expr.Expr) *TableScan {
-	return &TableScan{Table: t, Alias: alias, Access: acc, Filter: filter,
+// NewTableScan creates a scan over rows, a view of table t, under the
+// given range variable.
+func NewTableScan(t *storage.Table, rows storage.RowView, alias string, acc Access, filter expr.Expr) *TableScan {
+	return &TableScan{Table: t, Rows: rows, Alias: alias, Access: acc, Filter: filter,
 		schema: t.Schema().WithQualifier(alias)}
 }
 
@@ -195,15 +194,11 @@ func (s *TableScan) Children() []Operator { return nil }
 // snapshots are immutable, live-table scans run with the engine lock held).
 func (s *TableScan) Open(ctx *Context) (Iterator, error) {
 	debugScanHooks(s.Table.Name())
-	rows := storage.RowView(s.Table)
-	if s.Rows != nil {
-		rows = s.Rows
-	}
-	ids, err := s.Access.RowIDs(s.Table, rows, ctx.Params)
+	ids, err := s.Access.RowIDs(s.Table, s.Rows, ctx.Params)
 	if err != nil {
 		return nil, err
 	}
-	return &tableScanIter{ctx: ctx, filter: s.Filter, rows: rows, ids: ids}, nil
+	return &tableScanIter{ctx: ctx, filter: s.Filter, rows: s.Rows, ids: ids}, nil
 }
 
 type tableScanIter struct {
@@ -240,39 +235,40 @@ func (it *tableScanIter) Next() (types.Row, error) {
 }
 func (it *tableScanIter) Close() {}
 
-// VertexScan iterates the vertexes of a graph view as extended tuples
-// (attributes + FanOut/FanIn), the paper's VertexScan operator (§5.1.1).
-type VertexScan struct {
-	GV     *catalog.GraphView
+// ElemScan iterates the vertexes or the edges of a graph view version as
+// extended tuples: the paper's VertexScan (declared attributes plus
+// FanOut/FanIn) and EdgeScan operators (§5.1.1), and EXPLAIN prints them
+// under those names. The element kind picks the enumerator and the row
+// builder.
+type ElemScan struct {
+	At     *catalog.GraphViewAt
+	Elem   expr.ElemKind
 	Alias  string
 	Filter expr.Expr
-
-	// At, when set, binds the scan to a pinned version of the view
-	// (topology + source snapshots); nil scans the live view.
-	At *catalog.GraphViewAt
 
 	schema *types.Schema
 }
 
-// NewVertexScan creates a vertex scan over the graph view.
-func NewVertexScan(gv *catalog.GraphView, alias string, filter expr.Expr) *VertexScan {
-	return &VertexScan{GV: gv, Alias: alias, Filter: filter,
-		schema: gv.VertexSchema().WithQualifier(alias)}
-}
-
-func (s *VertexScan) at() *catalog.GraphViewAt {
-	if s.At != nil {
-		return s.At
+// NewElemScan creates a vertex or edge scan over the bound view version.
+func NewElemScan(at *catalog.GraphViewAt, elem expr.ElemKind, alias string, filter expr.Expr) *ElemScan {
+	schema := at.GV.EdgeSchema()
+	if elem == expr.ElemVertexes {
+		schema = at.GV.VertexSchema()
 	}
-	return s.GV.Live()
+	return &ElemScan{At: at, Elem: elem, Alias: alias, Filter: filter,
+		schema: schema.WithQualifier(alias)}
 }
 
 // Schema implements Operator.
-func (s *VertexScan) Schema() *types.Schema { return s.schema }
+func (s *ElemScan) Schema() *types.Schema { return s.schema }
 
 // Explain implements Operator.
-func (s *VertexScan) Explain() string {
-	out := fmt.Sprintf("VertexScan %s", s.GV.Name)
+func (s *ElemScan) Explain() string {
+	name := "EdgeScan"
+	if s.Elem == expr.ElemVertexes {
+		name = "VertexScan"
+	}
+	out := fmt.Sprintf("%s %s", name, s.At.GV.Name)
 	if s.Filter != nil {
 		out += fmt.Sprintf(" filter=%s", s.Filter)
 	}
@@ -280,40 +276,51 @@ func (s *VertexScan) Explain() string {
 }
 
 // Children implements Operator.
-func (s *VertexScan) Children() []Operator { return nil }
+func (s *ElemScan) Children() []Operator { return nil }
 
-// Open implements Operator.
-func (s *VertexScan) Open(ctx *Context) (Iterator, error) {
-	at := s.at()
-	var verts []*graph.Vertex
-	at.Topo.Vertices(func(v *graph.Vertex) bool {
-		verts = append(verts, v)
+// Open implements Operator: it lists the version's elements up front and
+// builds each extended tuple as the iterator reaches it.
+func (s *ElemScan) Open(ctx *Context) (Iterator, error) {
+	it := &elemScanIter{ctx: ctx, filter: s.Filter}
+	if s.Elem == expr.ElemVertexes {
+		verts := listAll(s.At.Topo.Vertices)
+		it.n, it.row = len(verts), func(i int) (types.Row, error) { return s.At.VertexRow(verts[i]) }
+	} else {
+		edges := listAll(s.At.Topo.Edges)
+		it.n, it.row = len(edges), func(i int) (types.Row, error) { return s.At.EdgeRow(edges[i]) }
+	}
+	return it, nil
+}
+
+// listAll collects every element an enumerator yields.
+func listAll[T any](each func(func(T) bool)) []T {
+	var out []T
+	each(func(x T) bool {
+		out = append(out, x)
 		return true
 	})
-	return &vertexScanIter{ctx: ctx, s: s, at: at, verts: verts}, nil
+	return out
 }
 
-type vertexScanIter struct {
-	ctx   *Context
-	s     *VertexScan
-	at    *catalog.GraphViewAt
-	verts []*graph.Vertex
-	i     int
+type elemScanIter struct {
+	ctx    *Context
+	filter expr.Expr
+	n, i   int
+	row    func(i int) (types.Row, error) // the i-th element's extended tuple
 }
 
-func (it *vertexScanIter) Next() (types.Row, error) {
-	for it.i < len(it.verts) {
+func (it *elemScanIter) Next() (types.Row, error) {
+	for it.i < it.n {
 		if err := it.ctx.CheckCancel(); err != nil {
 			return nil, err
 		}
-		v := it.verts[it.i]
+		row, err := it.row(it.i)
 		it.i++
-		row, err := it.at.VertexRow(v)
 		if err != nil {
 			return nil, err
 		}
-		if it.s.Filter != nil {
-			ok, err := expr.EvalBool(it.s.Filter, &expr.Env{Row: row, Params: it.ctx.Params})
+		if it.filter != nil {
+			ok, err := expr.EvalBool(it.filter, &expr.Env{Row: row, Params: it.ctx.Params})
 			if err != nil {
 				return nil, err
 			}
@@ -326,91 +333,4 @@ func (it *vertexScanIter) Next() (types.Row, error) {
 	}
 	return nil, nil
 }
-func (it *vertexScanIter) Close() {}
-
-// EdgeScan iterates the edges of a graph view as extended tuples, the
-// paper's EdgeScan operator (§5.1.1).
-type EdgeScan struct {
-	GV     *catalog.GraphView
-	Alias  string
-	Filter expr.Expr
-
-	// At, when set, binds the scan to a pinned version of the view.
-	At *catalog.GraphViewAt
-
-	schema *types.Schema
-}
-
-// NewEdgeScan creates an edge scan over the graph view.
-func NewEdgeScan(gv *catalog.GraphView, alias string, filter expr.Expr) *EdgeScan {
-	return &EdgeScan{GV: gv, Alias: alias, Filter: filter,
-		schema: gv.EdgeSchema().WithQualifier(alias)}
-}
-
-func (s *EdgeScan) at() *catalog.GraphViewAt {
-	if s.At != nil {
-		return s.At
-	}
-	return s.GV.Live()
-}
-
-// Schema implements Operator.
-func (s *EdgeScan) Schema() *types.Schema { return s.schema }
-
-// Explain implements Operator.
-func (s *EdgeScan) Explain() string {
-	out := fmt.Sprintf("EdgeScan %s", s.GV.Name)
-	if s.Filter != nil {
-		out += fmt.Sprintf(" filter=%s", s.Filter)
-	}
-	return out
-}
-
-// Children implements Operator.
-func (s *EdgeScan) Children() []Operator { return nil }
-
-// Open implements Operator.
-func (s *EdgeScan) Open(ctx *Context) (Iterator, error) {
-	at := s.at()
-	var edges []*graph.Edge
-	at.Topo.Edges(func(e *graph.Edge) bool {
-		edges = append(edges, e)
-		return true
-	})
-	return &edgeScanIter{ctx: ctx, s: s, at: at, edges: edges}, nil
-}
-
-type edgeScanIter struct {
-	ctx   *Context
-	s     *EdgeScan
-	at    *catalog.GraphViewAt
-	edges []*graph.Edge
-	i     int
-}
-
-func (it *edgeScanIter) Next() (types.Row, error) {
-	for it.i < len(it.edges) {
-		if err := it.ctx.CheckCancel(); err != nil {
-			return nil, err
-		}
-		e := it.edges[it.i]
-		it.i++
-		row, err := it.at.EdgeRow(e)
-		if err != nil {
-			return nil, err
-		}
-		if it.s.Filter != nil {
-			ok, err := expr.EvalBool(it.s.Filter, &expr.Env{Row: row, Params: it.ctx.Params})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		it.ctx.RowsEmitted++
-		return row, nil
-	}
-	return nil, nil
-}
-func (it *edgeScanIter) Close() {}
+func (it *elemScanIter) Close() {}

@@ -338,13 +338,43 @@ func (r *RawRef) Clone() Expr {
 
 // --- Bound path nodes -----------------------------------------------------
 
-// GraphAccessor dereferences vertex/edge attributes through the graph
-// view's tuple pointers. *catalog.GraphView implements it.
+// AttrSource says where a resolved graph-view attribute is read from.
+type AttrSource uint8
+
+// Attribute sources: a declared attribute lives in a column of its
+// element's relational source (§3); FanOut and FanIn are computed from the
+// topology (§5.2).
+const (
+	AttrColumn AttrSource = iota
+	AttrFanOut
+	AttrFanIn
+)
+
+// AttrRef is a graph-view attribute reference resolved once, at bind or
+// plan time, so reading it per element is a tuple-pointer dereference plus
+// an index (or a degree read), never a name lookup.
+type AttrRef struct {
+	// Name is the attribute's declared name.
+	Name string
+	// Src is AttrColumn for a declared attribute, else the computed
+	// property.
+	Src AttrSource
+	// Pos is the column position in the relational source (AttrColumn).
+	Pos int
+	// Kind is the attribute's value kind.
+	Kind types.Kind
+}
+
+// GraphAccessor resolves a path's graph-view attribute names and reads the
+// resolved references through the view's tuple pointers.
+// *catalog.GraphViewAt implements it.
 type GraphAccessor interface {
-	VertexAttrValue(v *graph.Vertex, name string) (types.Value, error)
-	EdgeAttrValue(e *graph.Edge, name string) (types.Value, error)
-	HasVertexAttr(name string) bool
-	HasEdgeAttr(name string) bool
+	// ResolveAttr resolves name among the vertex or edge attributes.
+	ResolveAttr(elem ElemKind, name string) (AttrRef, error)
+	// VertexAttr reads a resolved vertex attribute or property.
+	VertexAttr(v *graph.Vertex, ref AttrRef) (types.Value, error)
+	// EdgeAttr reads a resolved edge attribute.
+	EdgeAttr(e *graph.Edge, ref AttrRef) (types.Value, error)
 }
 
 // PathValueRef is a bare reference to a path range variable (SELECT PS).
@@ -392,6 +422,7 @@ type PathVertexAttr struct {
 	Alias string
 	End   bool // false = StartVertex, true = EndVertex
 	Attr  string
+	Ref   AttrRef // Attr, resolved at bind time
 	Col   int
 	Acc   GraphAccessor
 }
@@ -460,7 +491,8 @@ type PathElemAttr struct {
 	Alias string
 	Elem  ElemKind
 	Rng   Rng
-	Attr  string
+	Attr  string  // empty for a bare element list (COUNT(PS.Edges))
+	Ref   AttrRef // Attr, resolved at bind time
 	Col   int
 	Acc   GraphAccessor
 }

@@ -174,9 +174,11 @@ func (b *Binder) bindPathRef(r *RawRef, pb PathBinding) (Expr, error) {
 		}
 		n := &PathVertexAttr{Alias: alias, End: up == "ENDVERTEX", Attr: parts[2].Name,
 			Col: pb.Col, Acc: pb.Acc}
-		if !pb.Acc.HasVertexAttr(n.Attr) {
+		ref, err := pb.Acc.ResolveAttr(ElemVertexes, n.Attr)
+		if err != nil {
 			return nil, fmt.Errorf("unknown vertex attribute %q in %s", n.Attr, r)
 		}
+		n.Ref = ref
 		return n, nil
 
 	case up == "EDGES" || up == "VERTEXES":
@@ -198,12 +200,15 @@ func (b *Binder) bindPathRef(r *RawRef, pb PathBinding) (Expr, error) {
 		}
 		n := &PathElemAttr{Alias: alias, Elem: elemKindOf(up), Rng: rng, Attr: attr,
 			Col: pb.Col, Acc: pb.Acc}
-		if n.Elem == ElemEdges && !pb.Acc.HasEdgeAttr(attr) {
-			return nil, fmt.Errorf("unknown edge attribute %q in %s", attr, r)
+		ref, err := pb.Acc.ResolveAttr(n.Elem, attr)
+		if err != nil {
+			what := "edge"
+			if n.Elem == ElemVertexes {
+				what = "vertex"
+			}
+			return nil, fmt.Errorf("unknown %s attribute %q in %s", what, attr, r)
 		}
-		if n.Elem == ElemVertexes && !pb.Acc.HasVertexAttr(attr) {
-			return nil, fmt.Errorf("unknown vertex attribute %q in %s", attr, r)
-		}
+		n.Ref = ref
 		return n, nil
 	}
 	return nil, fmt.Errorf("unknown path reference %s", r)

@@ -88,7 +88,7 @@ func Eval(e Expr, env *Env) (types.Value, error) {
 		if n.End {
 			v = p.End()
 		}
-		return n.Acc.VertexAttrValue(v, n.Attr)
+		return n.Acc.VertexAttr(v, n.Ref)
 	case *PathEndpointID:
 		p, err := pathAt(env.Row, n.Col)
 		if err != nil {
@@ -151,9 +151,9 @@ func (n *PathElemAttr) elemCount(p *graph.Path) int {
 
 func (n *PathElemAttr) elemValue(p *graph.Path, i int) (types.Value, error) {
 	if n.Elem == ElemVertexes {
-		return n.Acc.VertexAttrValue(p.Verts[i], n.Attr)
+		return n.Acc.VertexAttr(p.Verts[i], n.Ref)
 	}
-	return n.Acc.EdgeAttrValue(p.Edges[i], n.Attr)
+	return n.Acc.EdgeAttr(p.Edges[i], n.Ref)
 }
 
 // quantifiedPositions returns the element positions a quantified range

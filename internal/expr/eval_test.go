@@ -11,51 +11,39 @@ import (
 )
 
 // fakeAcc serves vertex/edge attributes from in-memory maps, standing in
-// for a catalog.GraphView in unit tests.
+// for a catalog.GraphViewAt in unit tests. A resolved reference carries the
+// map key.
 type fakeAcc struct {
 	vattrs map[int64]map[string]types.Value
 	eattrs map[int64]map[string]types.Value
 }
 
-func (a *fakeAcc) VertexAttrValue(v *graph.Vertex, name string) (types.Value, error) {
-	m := a.vattrs[v.ID]
-	for k, val := range m {
-		if strings.EqualFold(k, name) {
-			return val, nil
-		}
+func (a *fakeAcc) ResolveAttr(elem ElemKind, name string) (AttrRef, error) {
+	attrs := a.eattrs
+	if elem == ElemVertexes {
+		attrs = a.vattrs
 	}
-	return types.Null(), fmt.Errorf("no vertex attr %s", name)
-}
-func (a *fakeAcc) EdgeAttrValue(e *graph.Edge, name string) (types.Value, error) {
-	m := a.eattrs[e.ID]
-	for k, val := range m {
-		if strings.EqualFold(k, name) {
-			return val, nil
-		}
-	}
-	return types.Null(), fmt.Errorf("no edge attr %s", name)
-}
-func (a *fakeAcc) HasVertexAttr(name string) bool {
-	for _, m := range a.vattrs {
-		for k := range m {
+	for _, m := range attrs {
+		for k, v := range m {
 			if strings.EqualFold(k, name) {
-				return true
+				return AttrRef{Name: k, Kind: v.Kind}, nil
 			}
 		}
 		break
 	}
-	return false
+	return AttrRef{}, fmt.Errorf("no attr %s", name)
 }
-func (a *fakeAcc) HasEdgeAttr(name string) bool {
-	for _, m := range a.eattrs {
-		for k := range m {
-			if strings.EqualFold(k, name) {
-				return true
-			}
-		}
-		break
+func (a *fakeAcc) VertexAttr(v *graph.Vertex, ref AttrRef) (types.Value, error) {
+	if val, ok := a.vattrs[v.ID][ref.Name]; ok {
+		return val, nil
 	}
-	return false
+	return types.Null(), fmt.Errorf("no vertex attr %s", ref.Name)
+}
+func (a *fakeAcc) EdgeAttr(e *graph.Edge, ref AttrRef) (types.Value, error) {
+	if val, ok := a.eattrs[e.ID][ref.Name]; ok {
+		return val, nil
+	}
+	return types.Null(), fmt.Errorf("no edge attr %s", ref.Name)
 }
 
 // fixture: path 1 -[10]-> 2 -[11]-> 3 with edge weights 4, 6 and vertex

@@ -30,7 +30,6 @@ func (p *Planner) attachPathScan(s *sql.Select, tree exec.Operator, fi *fromInfo
 	outerBinder := func() *expr.Binder { return binderFor(tree.Schema()) }
 
 	spec := exec.PathScanSpec{
-		GV:     fi.gv,
 		At:     fi.at,
 		Alias:  fi.alias,
 		MinLen: 1,
@@ -52,11 +51,12 @@ func (p *Planner) attachPathScan(s *sql.Select, tree exec.Operator, fi *fromInfo
 	refsAlias := func(e expr.Expr) bool { return expr.Qualifiers(e)[alias] }
 
 	// Under the default visit-once exploration (§5.1.2), per-position
-	// filters define WHICH sub-graph is traversed — applying them as
-	// residuals over the unfiltered traversal tree would change results,
-	// not just cost. They are therefore always pushed for VisitGlobal
-	// scans; DisablePushdown only affects per-path scans (where pushing is
-	// a pure optimization) and aggregate bounds. Note the policy for this
+	// filters and aggregate bounds define WHICH sub-graph is traversed —
+	// a pruned path leaves its vertex free for another path to reach, so
+	// applying them as residuals over the unfiltered traversal tree would
+	// change results, not just cost. They are therefore always pushed for
+	// VisitGlobal scans; DisablePushdown only affects per-path scans
+	// (where pushing is a pure optimization). Note the policy for this
 	// decision is known here: cycle detection (pass 1 below) and the
 	// ALLPATHS hint (applied above) both select VisitPerPath.
 
@@ -142,7 +142,7 @@ func (p *Planner) attachPathScan(s *sql.Select, tree exec.Operator, fi *fromInfo
 				continue
 			}
 			// Monotone aggregate bounds (pushed AND kept as residual).
-			if ab, boundRaw, ok := aggBound(b, rawBE, alias, refsAlias); ok && !p.Opts.DisablePushdown {
+			if ab, boundRaw, ok := aggBound(b, rawBE, alias, refsAlias); ok && pushElems {
 				be2, err := outerBinder().Bind(boundRaw.Clone())
 				if err != nil {
 					return nil, err
@@ -230,12 +230,13 @@ func (p *Planner) choosePhysical(s *sql.Select, fi *fromInfo, spec *exec.PathSca
 	}
 	switch fi.item.Hint.Kind {
 	case sql.HintShortestPath:
-		if !fi.gv.HasEdgeAttr(fi.item.Hint.WeightAttr) {
+		w, err := fi.at.ResolveAttr(expr.ElemEdges, fi.item.Hint.WeightAttr)
+		if err != nil {
 			return fmt.Errorf("graph view %s has no edge attribute %q for SHORTESTPATH",
-				fi.gv.Name, fi.item.Hint.WeightAttr)
+				fi.at.GV.Name, fi.item.Hint.WeightAttr)
 		}
 		spec.Phys = exec.PhysSP
-		spec.WeightAttr = fi.item.Hint.WeightAttr
+		spec.WeightAttr, spec.Weight = fi.item.Hint.WeightAttr, w
 		spec.KPaths = topK(s)
 		return nil
 	case sql.HintDFS:
@@ -263,7 +264,7 @@ func (p *Planner) choosePhysical(s *sql.Select, fi *fromInfo, spec *exec.PathSca
 	// version carries exact vertex and edge counts, so it is O(1) and
 	// never stale.
 	if spec.MaxLen > 0 {
-		f := fi.topo().AvgFanOut()
+		f := fi.at.Topo.AvgFanOut()
 		l := float64(spec.MaxLen)
 		if math.Pow(f, l) < f*l {
 			spec.Phys = exec.PhysBFS
@@ -272,15 +273,6 @@ func (p *Planner) choosePhysical(s *sql.Select, fi *fromInfo, spec *exec.PathSca
 	}
 	spec.Phys = exec.PhysDFS
 	return nil
-}
-
-// topo returns the topology version this item's plan reads: the pinned
-// version when the planner carries a pin, else the current one.
-func (fi *fromInfo) topo() *graph.CSR {
-	if fi.at != nil {
-		return fi.at.Topo
-	}
-	return fi.gv.Version()
 }
 
 func topK(s *sql.Select) int {
@@ -435,12 +427,12 @@ func rngMinimum(r expr.Rng, elem expr.ElemKind) int {
 func elemFilter(b, raw *expr.BinaryExpr, alias string, refsAlias func(expr.Expr) bool) (exec.ElemFilter, expr.Expr, int, bool) {
 	if pe, ok := b.L.(*expr.PathElemAttr); ok &&
 		strings.EqualFold(pe.Alias, alias) && !pe.Rng.All && !refsAlias(b.R) {
-		f := exec.ElemFilter{Elem: pe.Elem, Rng: pe.Rng, Attr: pe.Attr, Op: b.Op}
+		f := exec.ElemFilter{Elem: pe.Elem, Rng: pe.Rng, Attr: pe.Attr, Ref: pe.Ref, Op: b.Op}
 		return f, raw.R, rngMinimum(pe.Rng, pe.Elem), true
 	}
 	if pe, ok := b.R.(*expr.PathElemAttr); ok &&
 		strings.EqualFold(pe.Alias, alias) && !pe.Rng.All && !refsAlias(b.L) {
-		f := exec.ElemFilter{Elem: pe.Elem, Rng: pe.Rng, Attr: pe.Attr, Op: b.Op, Flipped: true}
+		f := exec.ElemFilter{Elem: pe.Elem, Rng: pe.Rng, Attr: pe.Attr, Ref: pe.Ref, Op: b.Op, Flipped: true}
 		return f, raw.L, rngMinimum(pe.Rng, pe.Elem), true
 	}
 	return exec.ElemFilter{}, nil, 0, false
@@ -458,7 +450,7 @@ func elemInFilter(b *expr.InExpr, raw *expr.InExpr, alias string, refsAlias func
 			return exec.ElemFilter{}, nil, 0, false
 		}
 	}
-	f := exec.ElemFilter{Elem: pe.Elem, Rng: pe.Rng, Attr: pe.Attr, IsIn: true, InNeg: b.Neg}
+	f := exec.ElemFilter{Elem: pe.Elem, Rng: pe.Rng, Attr: pe.Attr, Ref: pe.Ref, IsIn: true, InNeg: b.Neg}
 	return f, raw.List, rngMinimum(pe.Rng, pe.Elem), true
 }
 
@@ -475,10 +467,10 @@ func aggBound(b, raw *expr.BinaryExpr, alias string, refsAlias func(expr.Expr) b
 			return exec.AggBound{}, false
 		}
 		pe, ok := fc.Args[0].(*expr.PathElemAttr)
-		if !ok || !pe.Rng.All || !strings.EqualFold(pe.Alias, alias) {
+		if !ok || !pe.Rng.All || !strings.EqualFold(pe.Alias, alias) || (name == "SUM" && pe.Attr == "") {
 			return exec.AggBound{}, false
 		}
-		return exec.AggBound{Agg: name, Elem: pe.Elem, Attr: pe.Attr}, true
+		return exec.AggBound{Agg: name, Elem: pe.Elem, Ref: pe.Ref}, true
 	}
 	if ab, ok := match(b.L); ok && !refsAlias(b.R) && (b.Op == expr.OpLt || b.Op == expr.OpLe) {
 		ab.Op = b.Op

@@ -22,10 +22,11 @@ import (
 // Options control optimizer behaviour; the zero value enables everything
 // (the defaults the paper runs with outside ablations).
 type Options struct {
-	// DisablePushdown keeps path predicates as residual filters above the
-	// PathScan instead of pushing them into the traversal (§7.1 disables
-	// pushdown to isolate the graph-view benefit in the reachability
-	// experiments).
+	// DisablePushdown keeps the path predicates of per-path (ALLPATHS)
+	// scans as residual filters above the PathScan instead of pushing them
+	// into the traversal (§7.1 disables pushdown to isolate the graph-view
+	// benefit in the reachability experiments). Visit-once scans push
+	// regardless: there the predicates pick the traversed sub-graph.
 	DisablePushdown bool
 	// DisableLengthInference turns off §6.1 path-length inference.
 	DisableLengthInference bool
@@ -36,47 +37,37 @@ type Options struct {
 	MaterializeJoins bool
 }
 
-// Pin exposes one immutable engine version to the planner: the row view of
-// each table and the topology binding of each graph view as of that
-// version. A plan built with a Pin reads only pinned state at execution
-// time, so it runs without the engine lock while writers publish newer
-// versions. A nil Pin plans against the live objects (the writer side and
-// single-threaded embedders).
+// Pin binds a plan's scans to one state of the database: the row view of
+// each table and the binding of each graph view. The engine's pinned
+// versions are Pins, so a plan built against one reads only immutable state
+// at execution time and runs without the engine lock while writers publish
+// newer versions; New binds to the live objects instead.
 type Pin interface {
-	// Seq identifies the pinned version (monotonically increasing).
-	Seq() uint64
-	// Table returns the pinned row view of t.
+	// Table returns the row view of t the plan reads.
 	Table(t *storage.Table) storage.RowView
-	// GraphView returns the pinned binding of gv.
+	// GraphView returns the binding of gv the plan reads.
 	GraphView(gv *catalog.GraphView) *catalog.GraphViewAt
 }
+
+// livePin binds plans to the live objects: each table's current rows and
+// each graph view's version at plan time. Callers serialize against
+// writers themselves (single-threaded embedders, tools, tests).
+type livePin struct{}
+
+func (livePin) Table(t *storage.Table) storage.RowView { return t }
+
+func (livePin) GraphView(gv *catalog.GraphView) *catalog.GraphViewAt { return gv.Live() }
 
 // Planner builds QEPs against a catalog.
 type Planner struct {
 	Cat  *catalog.Catalog
 	Opts Options
-	// Pin, when set, binds every scan in the plan to one engine version.
+	// Pin binds every scan in the plan; it must be set.
 	Pin Pin
 }
 
-// New creates a planner with default options.
-func New(cat *catalog.Catalog) *Planner { return &Planner{Cat: cat} }
-
-// pinRows returns the pinned row view of t, or nil when planning live.
-func (p *Planner) pinRows(t *storage.Table) storage.RowView {
-	if p.Pin == nil {
-		return nil
-	}
-	return p.Pin.Table(t)
-}
-
-// pinView returns the pinned binding of gv, or nil when planning live.
-func (p *Planner) pinView(gv *catalog.GraphView) *catalog.GraphViewAt {
-	if p.Pin == nil {
-		return nil
-	}
-	return p.Pin.GraphView(gv)
-}
+// New creates a planner with default options over the live objects.
+func New(cat *catalog.Catalog) *Planner { return &Planner{Cat: cat, Pin: livePin{}} }
 
 // fromKind classifies a FROM item.
 type fromKind uint8
@@ -94,18 +85,8 @@ type fromInfo struct {
 	alias  string // display alias
 	kind   fromKind
 	table  *storage.Table
-	gv     *catalog.GraphView
-	at     *catalog.GraphViewAt // pinned binding of gv (nil when planning live)
+	at     *catalog.GraphViewAt // the plan's binding of a graph-view item
 	schema *types.Schema
-}
-
-// acc returns the attribute accessor plans should dereference the view
-// through: the pinned binding when present, else the live view.
-func (fi *fromInfo) acc() expr.GraphAccessor {
-	if fi.at != nil {
-		return fi.at
-	}
-	return fi.gv
 }
 
 // PlanSelect compiles a SELECT into an executable operator tree.
@@ -116,15 +97,14 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 		return nil, err
 	}
 	// Global schema + path bindings, used to classify predicates. Path
-	// attribute dereferences go through the pinned accessor when planning
-	// against a pinned version.
+	// attributes resolve and read through the plan's view binding.
 	global := types.NewSchema()
 	accByAlias := map[string]expr.GraphAccessor{}
 	for i := range infos {
 		fi := &infos[i]
 		global = global.Concat(fi.schema)
 		if fi.kind == kindPaths {
-			accByAlias[strings.ToLower(fi.alias)] = fi.acc()
+			accByAlias[strings.ToLower(fi.alias)] = fi.at
 		}
 	}
 	binderFor := func(schema *types.Schema) *expr.Binder {
@@ -263,8 +243,7 @@ func (p *Planner) resolveFrom(items []sql.FromItem) ([]fromInfo, error) {
 			if !ok {
 				return nil, fmt.Errorf("unknown graph view %q", item.Name)
 			}
-			fi.gv = gv
-			fi.at = p.pinView(gv)
+			fi.at = p.Pin.GraphView(gv)
 			switch item.Member {
 			case sql.MemberVertexes:
 				fi.kind = kindVertexes
@@ -321,32 +300,19 @@ func (p *Planner) buildScan(fi *fromInfo, conj []expr.Expr,
 		return expr.JoinConjuncts(bound), nil
 	}
 
-	switch fi.kind {
-	case kindVertexes:
+	if fi.kind != kindTable {
 		f, err := bindLocal(conj)
 		if err != nil {
 			return nil, err
 		}
-		vs := exec.NewVertexScan(fi.gv, fi.alias, f)
-		vs.At = fi.at
-		return vs, nil
-	case kindEdges:
-		f, err := bindLocal(conj)
-		if err != nil {
-			return nil, err
-		}
-		es := exec.NewEdgeScan(fi.gv, fi.alias, f)
-		es.At = fi.at
-		return es, nil
-	case kindAnalytics:
-		f, err := bindLocal(conj)
-		if err != nil {
-			return nil, err
+		switch fi.kind {
+		case kindVertexes:
+			return exec.NewElemScan(fi.at, expr.ElemVertexes, fi.alias, f), nil
+		case kindEdges:
+			return exec.NewElemScan(fi.at, expr.ElemEdges, fi.alias, f), nil
 		}
 		fn, _ := exec.AnalyticsFuncByName(fi.item.Func)
-		as := exec.NewAnalyticsScan(fi.gv, fi.alias, fn, fi.item.Args, f)
-		as.At = fi.at
-		return as, nil
+		return exec.NewAnalyticsScan(fi.at, fi.alias, fn, fi.item.Args, f), nil
 	}
 
 	acc, rest := ChooseAccess(fi.table, fi.schema, conj)
@@ -354,9 +320,7 @@ func (p *Planner) buildScan(fi *fromInfo, conj []expr.Expr,
 	if err != nil {
 		return nil, err
 	}
-	ts := exec.NewTableScan(fi.table, fi.alias, acc, f)
-	ts.Rows = p.pinRows(fi.table)
-	return ts, nil
+	return exec.NewTableScan(fi.table, p.Pin.Table(fi.table), fi.alias, acc, f), nil
 }
 
 // ChooseAccess decides which index of t, if any, serves a conjunction over

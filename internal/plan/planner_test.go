@@ -69,7 +69,8 @@ func planFor(t *testing.T, cat *catalog.Catalog, opts Options, q string) exec.Op
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	p := &Planner{Cat: cat, Opts: opts}
+	p := New(cat)
+	p.Opts = opts
 	op, err := p.PlanSelect(stmt.(*sql.Select))
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
@@ -83,7 +84,7 @@ func planErr(t *testing.T, cat *catalog.Catalog, q string) error {
 	if err != nil {
 		return err
 	}
-	p := &Planner{Cat: cat}
+	p := New(cat)
 	_, err = p.PlanSelect(stmt.(*sql.Select))
 	if err == nil {
 		t.Fatalf("plan %q succeeded unexpectedly", q)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"grfusion/internal/catalog"
 	"grfusion/internal/exec"
 	"grfusion/internal/expr"
 	"grfusion/internal/sql"
@@ -410,20 +409,10 @@ func inferKind(e expr.Expr, schema *types.Schema) types.Kind {
 	case *expr.PathEndpointID:
 		return types.KindInt
 	case *expr.PathVertexAttr:
-		if acc, ok := n.Acc.(*catalog.GraphView); ok {
-			if k, ok := acc.VertexAttrKind(n.Attr); ok {
-				return k
-			}
-		}
+		return n.Ref.Kind
 	case *expr.PathElemAttr:
-		if acc, ok := n.Acc.(*catalog.GraphView); ok {
-			if n.Elem == expr.ElemVertexes {
-				if k, ok := acc.VertexAttrKind(n.Attr); ok {
-					return k
-				}
-			} else if k, ok := acc.EdgeAttrKind(n.Attr); ok {
-				return k
-			}
+		if n.Attr != "" {
+			return n.Ref.Kind
 		}
 	case *expr.BinaryExpr:
 		if n.Op.IsComparison() || n.Op == expr.OpAnd || n.Op == expr.OpOr {
