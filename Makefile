@@ -1,5 +1,10 @@
 GO ?= go
 
+# The oracle's seed and the wall-clock budget of the oracle, recovery and
+# WAL-replay fuzz runs. CI passes its run id and a longer budget.
+SEED ?= 42
+BUDGET ?= 30s
+
 .PHONY: all build test benchcheck race fuzz gate oracle chaos recover fmt vet clean
 
 all: build test
@@ -7,6 +12,8 @@ all: build test
 build:
 	$(GO) build ./...
 
+# Every package's tests, the architecture rule table (internal/archtest)
+# included.
 test:
 	$(GO) test ./...
 
@@ -20,20 +27,20 @@ benchcheck:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke over the SQL parser (CI runs the same budget).
+# Short fuzz smoke over the SQL parser.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/sql
 
 # Differential/metamorphic correctness oracle: randomized graph-view
-# workloads cross-checked against independent baselines. On a violation it
-# writes ORACLE_repro.sql and prints a one-line seed repro. CI runs the
-# same harness under -race with a wall-clock budget.
+# workloads cross-checked against independent baselines, under the race
+# detector. On a violation it writes ORACLE_repro.sql and prints a
+# one-line seed repro.
 oracle:
-	$(GO) run ./cmd/grbench -experiment oracle -seed 42 -duration 30s
+	$(GO) run -race ./cmd/grbench -experiment oracle -seed $(SEED) -duration $(BUDGET)
 
 # Network-fault chaos soak: the server endures a 30s storm of injected
 # delays, truncated writes, resets, accept errors, panics, and deadline
-# aborts under the race detector. CI runs the same budget.
+# aborts under the race detector.
 chaos:
 	GRF_SOAK=30 $(GO) test -race -v -run 'TestChaos' -timeout 8m ./internal/server
 
@@ -43,16 +50,16 @@ chaos:
 # and health-surface tests included; a 30s durability soak (one seeded
 # faultfs under calm, EIO drizzle, outages and power cuts, each cycle
 # killed or shut down and recovered against a non-durable reference); a
-# WAL-replay fuzz budget; and the crash-recovery oracle. CI's recovery job
-# runs the same battery with 90s fuzz and oracle budgets.
+# WAL-replay fuzz budget; and the crash-recovery oracle. All of it runs
+# under the race detector.
 recover:
 	$(GO) test -race -v ./internal/wal ./internal/faultfs
 	GRF_SOAK=30 $(GO) test -race -v -timeout 8m \
 		-run 'Recovery|Durab|Checkpoint|WAL|Replay|Alloc|UndoInsert|Snapshot|Degraded|DiskFull|Health' \
 		./internal/core ./internal/storage
 	$(GO) test -race -v -run 'TestDegradedWrite|TestHealthSurfaces' ./internal/server
-	$(GO) test -race -run='^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./internal/core
-	$(GO) run ./cmd/grbench -experiment recovery -seed 42 -duration 30s
+	$(GO) test -race -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(BUDGET) ./internal/core
+	$(GO) run -race ./cmd/grbench -experiment recovery -seed $(SEED) -duration $(BUDGET)
 
 # The claim gate: every experiment, then every row of the claim table in
 # internal/bench/gate.go (the paper's shape claims plus the engine's ratio

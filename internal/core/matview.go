@@ -74,8 +74,8 @@ func (e *Engine) createMatView(s *sql.CreateMatView) (*Result, error) {
 		return nil, fmt.Errorf("materialized view %s: empty select list", s.Name)
 	}
 
-	// Bind and validate the predicate: deterministic, parameter-free,
-	// aggregate-free, over base columns only.
+	// Bind and validate the predicate: deterministic, aggregate-free, over
+	// base columns only (the parser rejects parameters).
 	var pred expr.Expr
 	if s.Where != nil {
 		var err error
@@ -83,22 +83,15 @@ func (e *Engine) createMatView(s *sql.CreateMatView) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("materialized view %s: %v", s.Name, err)
 		}
-		bad := ""
+		aggregate := false
 		expr.Walk(pred, func(n expr.Expr) bool {
-			switch x := n.(type) {
-			case *expr.FuncCall:
-				if x.IsAggregate() {
-					bad = "aggregates"
-					return false
-				}
-			case *expr.Param:
-				bad = "parameters"
-				return false
+			if f, ok := n.(*expr.FuncCall); ok && f.IsAggregate() {
+				aggregate = true
 			}
-			return true
+			return !aggregate
 		})
-		if bad != "" {
-			return nil, fmt.Errorf("materialized view %s: %s are not allowed in the WHERE clause", s.Name, bad)
+		if aggregate {
+			return nil, fmt.Errorf("materialized view %s: aggregates are not allowed in the WHERE clause", s.Name)
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"grfusion/internal/exec"
-	"grfusion/internal/expr"
 	"grfusion/internal/sql"
 	"grfusion/internal/types"
 )
@@ -40,7 +39,7 @@ type Prepared struct {
 
 // Prepare parses and plans a SELECT containing `?` placeholders.
 func (e *Engine) Prepare(query string) (*Prepared, error) {
-	stmt, err := sql.Parse(query)
+	stmt, nparams, err := sql.ParseWithParams(query)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +53,7 @@ func (e *Engine) Prepare(query string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{e: e, s: s, cols: columnNames(op), nparams: countParams(s), seq: st.seq, op: op}, nil
+	return &Prepared{e: e, s: s, cols: columnNames(op), nparams: nparams, seq: st.seq, op: op}, nil
 }
 
 // planFor returns the operator tree for the pinned version, reusing the
@@ -86,29 +85,16 @@ type PreparedDML struct {
 // PrepareDML parses an INSERT, UPDATE or DELETE containing `?`
 // placeholders.
 func (e *Engine) PrepareDML(query string) (*PreparedDML, error) {
-	stmt, err := sql.Parse(query)
+	stmt, nparams, err := sql.ParseWithParams(query)
 	if err != nil {
 		return nil, err
 	}
-	var n int
-	switch s := stmt.(type) {
-	case *sql.Insert:
-		for _, row := range s.Rows {
-			for _, ex := range row {
-				n = maxParams(n, ex)
-			}
-		}
-	case *sql.Update:
-		for _, sc := range s.Sets {
-			n = maxParams(n, sc.E)
-		}
-		n = maxParams(n, s.Where)
-	case *sql.Delete:
-		n = maxParams(n, s.Where)
+	switch stmt.(type) {
+	case *sql.Insert, *sql.Update, *sql.Delete:
 	default:
 		return nil, fmt.Errorf("PrepareDML supports INSERT/UPDATE/DELETE, got %T", stmt)
 	}
-	return &PreparedDML{e: e, stmt: stmt, text: query, nparams: n}, nil
+	return &PreparedDML{e: e, stmt: stmt, text: query, nparams: nparams}, nil
 }
 
 // NumParams returns the number of `?` placeholders.
@@ -130,16 +116,6 @@ func (p *PreparedDML) ExecContext(ctx context.Context, params ...types.Value) (*
 			p.nparams, len(params))
 	}
 	return p.e.execStmt(ctx, p.stmt, p.text, params, nil)
-}
-
-func maxParams(cur int, e expr.Expr) int {
-	expr.Walk(e, func(n expr.Expr) bool {
-		if prm, ok := n.(*expr.Param); ok && prm.Idx+1 > cur {
-			cur = prm.Idx + 1
-		}
-		return true
-	})
-	return cur
 }
 
 // NumParams returns the number of `?` placeholders in the statement.
@@ -167,32 +143,4 @@ func (p *Prepared) QueryContext(ctx context.Context, params ...types.Value) (*Re
 			p.nparams, len(params))
 	}
 	return p.e.execStmt(ctx, p.s, "<prepared query>", params, p)
-}
-
-// countParams counts the distinct `?` placeholders of a SELECT (the parser
-// numbers them in lexical order).
-func countParams(s *sql.Select) int {
-	max := 0
-	count := func(e expr.Expr) {
-		expr.Walk(e, func(n expr.Expr) bool {
-			if prm, ok := n.(*expr.Param); ok && prm.Idx+1 > max {
-				max = prm.Idx + 1
-			}
-			return true
-		})
-	}
-	for _, it := range s.Items {
-		if it.Expr != nil {
-			count(it.Expr)
-		}
-	}
-	count(s.Where)
-	for _, g := range s.GroupBy {
-		count(g)
-	}
-	count(s.Having)
-	for _, o := range s.OrderBy {
-		count(o.E)
-	}
-	return max
 }

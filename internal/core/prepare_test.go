@@ -31,6 +31,26 @@ func TestPrepareAndReuse(t *testing.T) {
 	if _, err := p.Query(types.NewInt(1), types.NewInt(2)); err == nil {
 		t.Error("extra params accepted")
 	}
+	// Every `?` counts wherever it sits, an analytics table function's
+	// argument included.
+	for q, args := range map[string][]types.Value{
+		`SELECT ?, lname FROM Users WHERE uid = ? ORDER BY lname`: {types.NewInt(7), types.NewInt(1)},
+		`SELECT * FROM SocialNetwork.PAGERANK(?, 20)`:             {types.NewFloat(0.85)},
+		`SELECT * FROM SocialNetwork.PAGERANK(?, ?) WHERE ID = ?`: {types.NewFloat(0.85), types.NewInt(20), types.NewInt(3)},
+	} {
+		p, err := e.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.NumParams() != len(args) {
+			t.Errorf("%s: %d params, want %d", q, p.NumParams(), len(args))
+		}
+		if r, err := p.Query(args...); err != nil {
+			t.Errorf("%s: %v", q, err)
+		} else if len(r.Rows) == 0 {
+			t.Errorf("%s: no rows", q)
+		}
+	}
 }
 
 func TestPreparePathQueryWithParams(t *testing.T) {

@@ -11,14 +11,22 @@ import (
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
 func Parse(input string) (Statement, error) {
-	stmts, err := ParseAll(input)
+	stmt, _, err := ParseWithParams(input)
+	return stmt, err
+}
+
+// ParseWithParams is Parse that also returns the statement's number of
+// `?` placeholders, wherever they occur: the parser numbers them 0..n-1
+// in lexical order, so n is the count a prepared statement binds.
+func ParseWithParams(input string) (Statement, int, error) {
+	stmts, _, n, err := parseScript(input)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(stmts) != 1 {
-		return nil, fmt.Errorf("expected exactly one statement, got %d", len(stmts))
+		return nil, 0, fmt.Errorf("expected exactly one statement, got %d", len(stmts))
 	}
-	return stmts[0], nil
+	return stmts[0], n, nil
 }
 
 // ParseAll parses a semicolon-separated script.
@@ -32,9 +40,16 @@ func ParseAll(input string) ([]Statement, error) {
 // ';' stripped), for callers that log or echo statements individually —
 // the durable engine records each script statement in its WAL.
 func ParseAllWithText(input string) ([]Statement, []string, error) {
+	stmts, texts, _, err := parseScript(input)
+	return stmts, texts, err
+}
+
+// parseScript parses a semicolon-separated script into its statements,
+// their source texts and the number of `?` placeholders in the script.
+func parseScript(input string) ([]Statement, []string, int, error) {
 	toks, err := Lex(input)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	p := &parser{toks: toks}
 	var out []Statement
@@ -48,17 +63,17 @@ func ParseAllWithText(input string) ([]Statement, []string, error) {
 		start := p.peek().Pos
 		s, err := p.parseStatement()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		// The next token is the ';' (or EOF, whose Pos is len(input)):
 		// everything between start and it is this statement's source.
 		out = append(out, s)
 		texts = append(texts, strings.TrimSpace(input[start:p.peek().Pos]))
 		if !p.acceptSymbol(";") && p.peek().Kind != TokEOF {
-			return nil, nil, p.errf("expected ';' or end of input, found %s", p.peek())
+			return nil, nil, 0, p.errf("expected ';' or end of input, found %s", p.peek())
 		}
 	}
-	return out, texts, nil
+	return out, texts, p.params, nil
 }
 
 type parser struct {
@@ -364,6 +379,7 @@ func (p *parser) parseCreateMatView() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	params := p.params
 	if err := p.expectKeyword("AS"); err != nil {
 		return nil, err
 	}
@@ -391,6 +407,11 @@ func (p *parser) parseCreateMatView() (Statement, error) {
 		if mv.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
+	}
+	// A view's definition is re-evaluated on every base-table write, never
+	// bound to arguments: it takes no `?`.
+	if p.params != params {
+		return nil, fmt.Errorf("materialized view %s: parameters are not allowed", name)
 	}
 	return mv, nil
 }

@@ -524,6 +524,7 @@ func TestCreateMatViewParse(t *testing.T) {
 	for _, bad := range []string{
 		`CREATE MATERIALIZED VIEW v AS SELECT FROM t`,
 		`CREATE MATERIALIZED VIEW v SELECT a FROM t`,
+		`CREATE MATERIALIZED VIEW v AS SELECT a FROM t WHERE a = ?`,
 		`DROP MATERIALIZED v`,
 	} {
 		if _, err := Parse(bad); err == nil {

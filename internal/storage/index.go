@@ -112,14 +112,19 @@ func (ix *Index) insert(row types.Row, id RowID) {
 		return
 	}
 	key := ix.keyOf(row)
-	e := indexEntry{key: key, id: id}
-	pos := sort.Search(len(ix.entries), func(i int) bool {
+	pos := ix.search(key, id)
+	ix.entries = append(ix.entries, indexEntry{})
+	copy(ix.entries[pos+1:], ix.entries[pos:])
+	ix.entries[pos] = indexEntry{key: key, id: id}
+}
+
+// search returns the position of the ordered entry (key, id), or where it
+// would be inserted.
+func (ix *Index) search(key types.Row, id RowID) int {
+	return sort.Search(len(ix.entries), func(i int) bool {
 		c := compareKeys(ix.entries[i].key, key)
 		return c > 0 || (c == 0 && ix.entries[i].id >= id)
 	})
-	ix.entries = append(ix.entries, indexEntry{})
-	copy(ix.entries[pos+1:], ix.entries[pos:])
-	ix.entries[pos] = e
 }
 
 func (ix *Index) remove(row types.Row, id RowID) {
@@ -147,13 +152,43 @@ func (ix *Index) remove(row types.Row, id RowID) {
 		return
 	}
 	key := ix.keyOf(row)
-	pos := sort.Search(len(ix.entries), func(i int) bool {
-		c := compareKeys(ix.entries[i].key, key)
-		return c > 0 || (c == 0 && ix.entries[i].id >= id)
-	})
+	pos := ix.search(key, id)
 	if pos < len(ix.entries) && ix.entries[pos].id == id && compareKeys(ix.entries[pos].key, key) == 0 {
 		ix.entries = append(ix.entries[:pos], ix.entries[pos+1:]...)
 	}
+}
+
+// update moves id's entry from tuple old to its replacement row. An
+// unchanged key keeps its entry where it is, so a hash bucket keeps its
+// order and an ordered index shifts nothing; an ordered entry's key is
+// re-pointed at row, since a single-column key aliases its tuple (keyOf)
+// and would otherwise keep the replaced tuple alive.
+func (ix *Index) update(old, row types.Row, id RowID) {
+	if !ix.sameKey(old, row) {
+		ix.remove(old, id)
+		ix.insert(row, id)
+		return
+	}
+	if ix.ordered {
+		key := ix.keyOf(row)
+		ix.mu.Lock()
+		ix.entries[ix.search(key, id)].key = key
+		ix.mu.Unlock()
+	}
+}
+
+// sameKey reports whether rows a and b file under the same key of a
+// secondary index.
+func (ix *Index) sameKey(a, b types.Row) bool {
+	if !ix.ordered {
+		return types.KeyOf(a, ix.cols) == types.KeyOf(b, ix.cols)
+	}
+	for _, c := range ix.cols {
+		if types.Compare(a[c], b[c]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (ix *Index) clear() {

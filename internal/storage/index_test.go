@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,39 @@ func TestHashIndexMaintainedByUpdateDelete(t *testing.T) {
 	}
 	if ix.Len() != 0 {
 		t.Error("stale index entry after delete")
+	}
+
+	// An update that leaves the key alone leaves the entry alone: the
+	// probe order of equal keys survives an unrelated column's update.
+	var ids []RowID
+	for i := int64(1); i <= 3; i++ {
+		ids = append(ids, mustInsert(t, tb, types.NewInt(i), types.NewString("x"), types.NewInt(30)))
+	}
+	before := ix.Lookup(types.Row{types.NewInt(30)})
+	if err := tb.Update(ids[0], types.Row{types.NewInt(1), types.NewString("y"), types.NewInt(30)}); err != nil {
+		t.Fatal(err)
+	}
+	if after := ix.Lookup(types.Row{types.NewInt(30)}); !reflect.DeepEqual(after, before) {
+		t.Errorf("lookup(30) = %v after a non-key update, was %v", after, before)
+	}
+}
+
+// TestOrderedIndexUnchangedKeyUpdate checks that an update leaving an
+// ordered index's key alone keeps the entry in place and re-points its
+// key at the new tuple, so the index holds no replaced tuple alive.
+func TestOrderedIndexUnchangedKeyUpdate(t *testing.T) {
+	tb, ix := indexedTable(t, true)
+	a := mustInsert(t, tb, types.NewInt(1), types.NewString("a"), types.NewInt(30))
+	b := mustInsert(t, tb, types.NewInt(2), types.NewString("b"), types.NewInt(30))
+	row := types.Row{types.NewInt(1), types.NewString("z"), types.NewInt(30)}
+	if err := tb.Update(a, row); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Lookup(types.Row{types.NewInt(30)}); !reflect.DeepEqual(got, []RowID{a, b}) {
+		t.Fatalf("lookup(30) = %v, want [%d %d]", got, a, b)
+	}
+	if e := ix.entries[0]; e.id != a || &e.key[0] != &row[2] {
+		t.Errorf("entry %d still keys the replaced tuple", e.id)
 	}
 }
 

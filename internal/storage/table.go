@@ -220,9 +220,8 @@ func (t *Table) Update(id RowID, row types.Row) error {
 	if err := t.checkRow(row); err != nil {
 		return err
 	}
-	keyMoved := false
-	if t.pk != nil && !t.pk.unique.sameKey(old, row) {
-		keyMoved = true
+	keyMoved := t.pk != nil && !t.pk.unique.sameKey(old, row)
+	if keyMoved {
 		if _, dup := t.pk.unique.lookupRow(row); dup {
 			return fmt.Errorf("table %s: duplicate primary key %s",
 				t.name, describeKey(row, t.pkCols))
@@ -233,13 +232,10 @@ func (t *Table) Update(id RowID, row types.Row) error {
 		t.pk.remove(old, id)
 		t.pk.insert(row, id)
 	}
-	for _, ix := range t.indexes {
-		ix.remove(old, id)
-	}
 	t.ensurePrivate(int(id - 1))
 	t.rows[id-1] = row
 	for _, ix := range t.indexes {
-		ix.insert(row, id)
+		ix.update(old, row, id)
 	}
 	return nil
 }
