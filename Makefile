@@ -5,7 +5,7 @@ GO ?= go
 SEED ?= 42
 BUDGET ?= 30s
 
-.PHONY: all build test benchcheck race fuzz gate oracle chaos recover fmt vet clean
+.PHONY: all build test benchcheck race fuzz gate oracle chaos recover fmt fmtcheck vet clean
 
 all: build test
 
@@ -69,6 +69,10 @@ gate:
 
 fmt:
 	gofmt -l -w .
+
+# Fails listing every file gofmt would change.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -73,6 +73,7 @@ func TestDegradedModeAndHeal(t *testing.T) {
 	opts.Durability = Durability{
 		Dir: dir, Fsync: wal.FsyncAlways, FS: ffs,
 		CheckpointEvery: -1,
+		HardFreeBytes:   16 << 10,
 		HealBase:        time.Millisecond, HealMax: 8 * time.Millisecond,
 	}
 	eng, _, err := Open(opts)
@@ -117,14 +118,24 @@ INSERT INTO knows VALUES (1, 1, 2, 5);
 		t.Fatalf("SHOW HEALTH while degraded = %v", rows)
 	}
 
-	// Further writes fail fast — before touching the disk at all.
-	opsBefore := ffs.Ops()
+	// Further writes fail fast — before touching the disk at all. The
+	// background healer's probes touch it too, so park the healer first:
+	// with free space under the hard watermark a probe stops at its
+	// disk-space gate, before any file op, and the first rejected write
+	// waits (for the writer lock) until a probe already past the gate is
+	// done.
+	ffs.SetFree(0)
 	if _, err := eng.Execute("DELETE FROM people WHERE id = 1"); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("second degraded write: err = %v, want ErrDegraded", err)
+	}
+	opsBefore := ffs.Ops()
+	if _, err := eng.Execute("DELETE FROM people WHERE id = 2"); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("third degraded write: err = %v, want ErrDegraded", err)
 	}
 	if got := ffs.Ops(); got != opsBefore {
 		t.Fatalf("degraded write touched the disk: %d ops, want %d", got, opsBefore)
 	}
+	ffs.SetFree(-1)
 	m := metricsMap(eng)
 	if m["durability.degraded"] != 1 {
 		t.Fatalf("durability.degraded = %d, want 1", m["durability.degraded"])

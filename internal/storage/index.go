@@ -102,20 +102,89 @@ func keyString(key types.Row) string {
 func (ix *Index) insert(row types.Row, id RowID) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.unique != nil {
+	switch {
+	case ix.unique != nil:
 		ix.unique.insert(row, id)
-		return
+	case !ix.ordered:
+		ix.hashInsert(types.KeyOf(row, ix.cols), id)
+	default:
+		ix.orderedInsert(ix.keyOf(row), id)
 	}
+}
+
+func (ix *Index) remove(row types.Row, id RowID) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	switch {
+	case ix.unique != nil:
+		ix.unique.remove(row)
+	case !ix.ordered:
+		ix.hashRemove(types.KeyOf(row, ix.cols), id)
+	default:
+		ix.orderedRemove(ix.keyOf(row), id)
+	}
+}
+
+// update moves id's entry of a secondary index from tuple old to its
+// replacement row, building each key once. An unchanged key keeps its
+// entry where it is, so a hash bucket keeps its order and an ordered index
+// shifts nothing; an ordered entry's key is re-pointed at row, since a
+// single-column key aliases its tuple (keyOf) and would otherwise keep the
+// replaced tuple alive.
+func (ix *Index) update(old, row types.Row, id RowID) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if !ix.ordered {
-		ks := types.KeyOf(row, ix.cols)
-		ix.hash[ks] = append(ix.hash[ks], id)
+		from, to := types.KeyOf(old, ix.cols), types.KeyOf(row, ix.cols)
+		if from != to {
+			ix.hashRemove(from, id)
+			ix.hashInsert(to, id)
+		}
 		return
 	}
 	key := ix.keyOf(row)
+	for _, c := range ix.cols {
+		if types.Compare(old[c], row[c]) != 0 {
+			ix.orderedRemove(ix.keyOf(old), id)
+			ix.orderedInsert(key, id)
+			return
+		}
+	}
+	ix.entries[ix.search(key, id)].key = key
+}
+
+func (ix *Index) hashInsert(ks string, id RowID) {
+	ix.hash[ks] = append(ix.hash[ks], id)
+}
+
+func (ix *Index) hashRemove(ks string, id RowID) {
+	ids := ix.hash[ks]
+	for i, x := range ids {
+		if x == id {
+			ids[i] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
+			break
+		}
+	}
+	if len(ids) == 0 {
+		delete(ix.hash, ks)
+	} else {
+		ix.hash[ks] = ids
+	}
+}
+
+func (ix *Index) orderedInsert(key types.Row, id RowID) {
 	pos := ix.search(key, id)
 	ix.entries = append(ix.entries, indexEntry{})
 	copy(ix.entries[pos+1:], ix.entries[pos:])
 	ix.entries[pos] = indexEntry{key: key, id: id}
+}
+
+func (ix *Index) orderedRemove(key types.Row, id RowID) {
+	pos := ix.search(key, id)
+	if pos < len(ix.entries) && ix.entries[pos].id == id && compareKeys(ix.entries[pos].key, key) == 0 {
+		ix.entries = append(ix.entries[:pos], ix.entries[pos+1:]...)
+	}
 }
 
 // search returns the position of the ordered entry (key, id), or where it
@@ -125,70 +194,6 @@ func (ix *Index) search(key types.Row, id RowID) int {
 		c := compareKeys(ix.entries[i].key, key)
 		return c > 0 || (c == 0 && ix.entries[i].id >= id)
 	})
-}
-
-func (ix *Index) remove(row types.Row, id RowID) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.unique != nil {
-		ix.unique.remove(row)
-		return
-	}
-	if !ix.ordered {
-		ks := types.KeyOf(row, ix.cols)
-		ids := ix.hash[ks]
-		for i, x := range ids {
-			if x == id {
-				ids[i] = ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-				break
-			}
-		}
-		if len(ids) == 0 {
-			delete(ix.hash, ks)
-		} else {
-			ix.hash[ks] = ids
-		}
-		return
-	}
-	key := ix.keyOf(row)
-	pos := ix.search(key, id)
-	if pos < len(ix.entries) && ix.entries[pos].id == id && compareKeys(ix.entries[pos].key, key) == 0 {
-		ix.entries = append(ix.entries[:pos], ix.entries[pos+1:]...)
-	}
-}
-
-// update moves id's entry from tuple old to its replacement row. An
-// unchanged key keeps its entry where it is, so a hash bucket keeps its
-// order and an ordered index shifts nothing; an ordered entry's key is
-// re-pointed at row, since a single-column key aliases its tuple (keyOf)
-// and would otherwise keep the replaced tuple alive.
-func (ix *Index) update(old, row types.Row, id RowID) {
-	if !ix.sameKey(old, row) {
-		ix.remove(old, id)
-		ix.insert(row, id)
-		return
-	}
-	if ix.ordered {
-		key := ix.keyOf(row)
-		ix.mu.Lock()
-		ix.entries[ix.search(key, id)].key = key
-		ix.mu.Unlock()
-	}
-}
-
-// sameKey reports whether rows a and b file under the same key of a
-// secondary index.
-func (ix *Index) sameKey(a, b types.Row) bool {
-	if !ix.ordered {
-		return types.KeyOf(a, ix.cols) == types.KeyOf(b, ix.cols)
-	}
-	for _, c := range ix.cols {
-		if types.Compare(a[c], b[c]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (ix *Index) clear() {
