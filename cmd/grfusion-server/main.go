@@ -21,7 +21,7 @@
 // -slow-query arms the engine's slow-query log at the given threshold.
 //
 // -wal makes the server durable: every mutating statement is logged to a
-// write-ahead log in the directory before it applies, checkpoints bound
+// write-ahead log in the directory once it applies, checkpoints bound
 // recovery time, and startup recovers whatever a previous process
 // (crashed or not) left there.
 //

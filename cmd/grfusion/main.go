@@ -19,7 +19,7 @@
 //	grfusion -connect 127.0.0.1:21212      # talk to a grfusion-server
 //
 // With -wal the session is durable: every mutating statement is logged
-// before it applies, and on startup the database recovers whatever a
+// once it applies, and on startup the database recovers whatever a
 // previous session (crashed or not) left in the directory.
 package main
 

@@ -83,7 +83,7 @@ type Config struct {
 	// tail. Requires OpenDurable; Open rejects a Config with WALDir set.
 	WALDir string
 	// WALFsync selects the log's fsync policy: "always" (default — every
-	// logged statement is synced before it applies), "interval"
+	// logged statement is synced before it is acknowledged), "interval"
 	// (background sync every WALFsyncInterval), or "off" (the OS decides).
 	// Adjustable at runtime with SET WAL_FSYNC = <policy>.
 	WALFsync string

@@ -42,7 +42,16 @@ var rules = []rule{
 		paths: []string{"internal/core"},
 		match: call(`finishWALLocked`),
 		want:  1,
-		why:   "every write settles its WAL record through commitLocked: a second caller is a second copy of the write path",
+		why:   "every logged write counts toward the automatic checkpoint through commitLocked: a second caller is a second copy of the write path",
+	},
+	{
+		id:    "wal-holds-applied-statements",
+		since: "Apply, then log",
+		paths: []string{"internal", "cmd"},
+		files: goFiles,
+		match: word(`RollbackLast|OnRollback|WALRollbacks|ReplayErrors|wal\.rollbacks|wal_rollbacks`),
+		why: "a statement applies before its record is appended, and its transaction's journal undoes it if the append fails: " +
+			"the log holds only statements that applied, so nothing rolls a record back and recovery tolerates no replay error",
 	},
 	{
 		id:    "exec-names-no-snapshot-protocol",

@@ -22,8 +22,8 @@ import (
 // folds the delta into a new main if it outgrew the last one.
 //
 // Semantics are batch-atomic, not load-atomic, mirroring durability:
-// every Append is logged to the WAL (when durable) and applied as one
-// implicit transaction — a failed batch rolls back only itself, earlier
+// every Append is applied as one implicit transaction and then logged to
+// the WAL (when durable) — a failed batch rolls back only itself, earlier
 // batches stay. Crash recovery mid-load replays exactly the batches that
 // were logged, so the live engine keeps them too; an aborted stream ends
 // with the same prefix a crash at that point would have reconstructed.
@@ -175,13 +175,13 @@ func (b *BulkLoad) textFor(n int) string {
 	return s
 }
 
-// Append applies one batch atomically: WAL-logged first (durable
-// engines), then inserted with full graph-view and materialized-view
-// maintenance, like any INSERT — except no expression evaluation runs and
-// nothing publishes. Values are stored as given (the table coerces types
-// in place), so the batch slices must not be reused by the caller. On
-// error the batch is rolled back — journal inverses replayed, WAL record
-// removed — and the load remains usable for further batches.
+// Append applies one batch atomically: inserted with full graph-view and
+// materialized-view maintenance, like any INSERT — except no expression
+// evaluation runs and nothing publishes — then WAL-logged (durable
+// engines). Values are stored as given (the table coerces types in place),
+// so the batch slices must not be reused by the caller. On error, in the
+// batch or in its WAL append, the batch is rolled back (journal inverses
+// replayed) and the load remains usable for further batches.
 func (b *BulkLoad) Append(rows []types.Row) (int, error) {
 	if b.closed {
 		return 0, fmt.Errorf("bulk load into %s is closed", b.table)
@@ -205,8 +205,8 @@ func (b *BulkLoad) Append(rows []types.Row) (int, error) {
 			params = append(params, r...)
 		}
 	}
-	if _, err := e.commitLocked(b.stmt, text, params, func() (*Result, error) {
-		return nil, b.insertBatch(rows)
+	if _, err := e.commitLocked(b.stmt, text, params, func(tx *txn) (*Result, error) {
+		return nil, b.insertBatch(tx, rows)
 	}); err != nil {
 		return 0, err
 	}
@@ -217,12 +217,12 @@ func (b *BulkLoad) Append(rows []types.Row) (int, error) {
 	return len(rows), nil
 }
 
-// insertBatch inserts one batch as an implicit transaction, undoing the
-// whole batch on the first failing row.
-func (b *BulkLoad) insertBatch(rows []types.Row) error {
+// insertBatch inserts one batch inside tx, stopping at the first failing
+// row; commitLocked then undoes the whole batch.
+func (b *BulkLoad) insertBatch(tx *txn, rows []types.Row) error {
 	// Presize the undo journal: letting append double its way up would
 	// re-zero a fresh, larger array a dozen times per batch.
-	tx := &txn{e: b.e, journal: make([]undoOp, 0, len(rows))}
+	tx.journal = make([]undoOp, 0, len(rows))
 	width := b.t.Schema().Len()
 	for _, r := range rows {
 		row := r
@@ -233,7 +233,7 @@ func (b *BulkLoad) insertBatch(rows []types.Row) error {
 			}
 		}
 		if _, err := tx.insertRow(b.t, row); err != nil {
-			return tx.abort(err)
+			return err
 		}
 	}
 	return nil

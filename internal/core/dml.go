@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"grfusion/internal/catalog"
@@ -12,11 +13,14 @@ import (
 	"grfusion/internal/types"
 )
 
-// DML runs inside an implicit transaction: every storage mutation and its
-// graph-view maintenance (§3.3) either all apply or are all undone. The
-// undo journal exploits the row store's LIFO free list: replaying inverses
-// in reverse order restores every tuple to its original slot, keeping
-// tuple pointers held by graph views valid.
+// Every mutating statement runs inside one implicit transaction, opened by
+// commitLocked: every storage mutation and its graph-view maintenance
+// (§3.3) either all apply or are all undone — when the statement fails, or
+// when the WAL refuses its record. The undo journal exploits the row
+// store's LIFO free list: replaying inverses in reverse order restores
+// every tuple to its original slot, keeping tuple pointers held by graph
+// views valid. DDL journals the catalog registry it replaced, and CREATE
+// INDEX the index it built.
 
 type undoKind uint8
 
@@ -27,6 +31,10 @@ const (
 	// undoMapSet/undoMapDel reverse materialized-view row-map mutations.
 	undoMapSet
 	undoMapDel
+	// undoCatalog restores the catalog registry a DDL statement replaced.
+	undoCatalog
+	// undoCreateIndex drops the index CREATE INDEX built.
+	undoCreateIndex
 )
 
 type undoOp struct {
@@ -42,6 +50,9 @@ type undoOp struct {
 	// Materialized-view map entries (undoMapSet/undoMapDel).
 	mv     *catalog.MatView
 	viewID storage.RowID
+
+	cat   *catalog.Catalog // undoCatalog: the registry to restore
+	index string           // undoCreateIndex: the index to drop
 }
 
 type txn struct {
@@ -158,6 +169,13 @@ func (tx *txn) updateRow(t *storage.Table, id storage.RowID, newRow types.Row) e
 	return tx.maintainMatViewsUpdate(t, id, stored)
 }
 
+// setCatalog installs cat as the engine's catalog registry, journaling the
+// one it replaces.
+func (tx *txn) setCatalog(cat *catalog.Catalog) {
+	tx.journal = append(tx.journal, undoOp{kind: undoCatalog, cat: tx.e.cat})
+	tx.e.cat = cat
+}
+
 // rollback undoes the journal in reverse order.
 func (tx *txn) rollback() error {
 	for i := len(tx.journal) - 1; i >= 0; i-- {
@@ -196,6 +214,10 @@ func (tx *txn) rollback() error {
 			op.mv.MapDelete(op.id)
 		case undoMapDel:
 			op.mv.MapSet(op.id, op.viewID)
+		case undoCatalog:
+			tx.e.cat = op.cat
+		case undoCreateIndex:
+			op.table.DropIndex(op.index)
 		}
 	}
 	tx.journal = nil
@@ -209,7 +231,7 @@ func (tx *txn) abort(err error) error {
 	return err
 }
 
-func (e *Engine) runInsert(s *sql.Insert, params types.Row) (*Result, error) {
+func (e *Engine) runInsert(tx *txn, s *sql.Insert, params types.Row) (*Result, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("unknown table %q", s.Table)
@@ -235,23 +257,22 @@ func (e *Engine) runInsert(s *sql.Insert, params types.Row) (*Result, error) {
 			positions[i] = idx
 		}
 	}
-	tx := &txn{e: e}
 	env := &expr.Env{Params: params}
 	for _, exprs := range s.Rows {
 		if len(exprs) != len(positions) {
-			return nil, tx.abort(fmt.Errorf("INSERT into %s: %d values for %d columns",
-				s.Table, len(exprs), len(positions)))
+			return nil, fmt.Errorf("INSERT into %s: %d values for %d columns",
+				s.Table, len(exprs), len(positions))
 		}
 		row := make(types.Row, schema.Len())
 		for i, ex := range exprs {
 			v, err := expr.Eval(ex, env)
 			if err != nil {
-				return nil, tx.abort(fmt.Errorf("INSERT into %s: %v", s.Table, err))
+				return nil, fmt.Errorf("INSERT into %s: %v", s.Table, err)
 			}
 			row[positions[i]] = v
 		}
 		if _, err := tx.insertRow(t, row); err != nil {
-			return nil, tx.abort(err)
+			return nil, err
 		}
 	}
 	return &Result{Affected: len(s.Rows)}, nil
@@ -286,7 +307,7 @@ func targetRows(t *storage.Table, where expr.Expr, params types.Row) ([]storage.
 	return match, nil
 }
 
-func (e *Engine) runUpdate(s *sql.Update, params types.Row) (*Result, error) {
+func (e *Engine) runUpdate(tx *txn, s *sql.Update, params types.Row) (*Result, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("unknown table %q", s.Table)
@@ -316,7 +337,6 @@ func (e *Engine) runUpdate(s *sql.Update, params types.Row) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx := &txn{e: e}
 	for _, id := range ids {
 		oldRow, ok := t.Get(id)
 		if !ok {
@@ -327,16 +347,22 @@ func (e *Engine) runUpdate(s *sql.Update, params types.Row) (*Result, error) {
 		for _, so := range sets {
 			v, err := expr.Eval(so.ex, env)
 			if err != nil {
-				return nil, tx.abort(err)
+				return nil, err
 			}
 			newRow[so.pos] = v
 		}
+		at := len(tx.journal)
 		if err := tx.updateRow(t, id, newRow); err != nil {
-			return nil, tx.abort(err)
+			return nil, err
 		}
 		if err := tx.fixEdgeReferences(t, oldRow, newRow); err != nil {
-			return nil, tx.abort(err)
+			return nil, err
 		}
+		// A renamed vertex carries its topology edges along, so undo must
+		// rename it back before it restores the edge tuples that name it:
+		// journal the vertex's own update behind their fixes.
+		v := tx.journal[at]
+		tx.journal = append(slices.Delete(tx.journal, at, at+1), v)
 	}
 	return &Result{Affected: len(ids)}, nil
 }
@@ -385,7 +411,7 @@ func (tx *txn) fixEdgeReferences(t *storage.Table, oldRow, newRow types.Row) err
 	return nil
 }
 
-func (e *Engine) runDelete(s *sql.Delete, params types.Row) (*Result, error) {
+func (e *Engine) runDelete(tx *txn, s *sql.Delete, params types.Row) (*Result, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("unknown table %q", s.Table)
@@ -397,14 +423,13 @@ func (e *Engine) runDelete(s *sql.Delete, params types.Row) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx := &txn{e: e}
 	n := 0
 	for _, id := range ids {
 		if _, live := t.Get(id); !live {
 			continue // already cascaded away by an earlier delete
 		}
 		if err := tx.deleteRow(t, id); err != nil {
-			return nil, tx.abort(err)
+			return nil, err
 		}
 		n++
 	}

@@ -25,8 +25,8 @@ import (
 type Durability struct {
 	// Dir enables durability: the engine keeps its WAL (wal.log) and its
 	// checkpoint (checkpoint.gob) in this directory, logs every mutating
-	// statement before applying it, and Open recovers state from these
-	// files on startup. Empty disables durability.
+	// statement once it applied, and Open recovers state from these files
+	// on startup. Empty disables durability.
 	Dir string
 	// Fsync is the WAL sync policy: FsyncAlways (default — no
 	// acknowledged write is ever lost), FsyncInterval (background sync,
@@ -52,7 +52,7 @@ type Durability struct {
 	SoftFreeBytes int64
 	HardFreeBytes int64
 
-	// HealBase / HealMax bound the self-healing probe's capped
+	// HealBase / HealMax bound the self-healing retry's capped
 	// exponential backoff once the engine degrades (defaults 25ms / 2s).
 	HealBase time.Duration
 	HealMax  time.Duration
@@ -93,11 +93,8 @@ type RecoveryInfo struct {
 	// CheckpointLSN is the LSN embedded in it.
 	CheckpointLoaded bool
 	CheckpointLSN    uint64
-	// Replayed counts WAL records re-executed past the checkpoint;
-	// ReplayErrors counts those whose statement failed (deterministic
-	// failures that also failed before the crash).
-	Replayed     int
-	ReplayErrors int
+	// Replayed counts WAL records re-executed past the checkpoint.
+	Replayed int
 	// TornTail is true when the WAL ended in a torn/corrupt record that
 	// was truncated at the last valid frame.
 	TornTail bool
@@ -117,8 +114,7 @@ func (ri *RecoveryInfo) String() string {
 	if ri.TornTail {
 		torn = ", torn tail truncated"
 	}
-	return fmt.Sprintf("%s, %d replayed (%d failed)%s, lsn %d",
-		ck, ri.Replayed, ri.ReplayErrors, torn, ri.LastLSN)
+	return fmt.Sprintf("%s, %d replayed%s, lsn %d", ck, ri.Replayed, torn, ri.LastLSN)
 }
 
 // Open creates an engine, recovering durable state when
@@ -126,11 +122,11 @@ func (ri *RecoveryInfo) String() string {
 // WAL tail (skipping records the checkpoint already covers), truncates a
 // torn final record at the last valid frame, rebuilds graph views from
 // the recovered relations (§3.3 — topology is derived state and is never
-// logged), and attaches the WAL so subsequent
-// mutating statements are logged before they apply.
+// logged), and attaches the WAL so subsequent mutating statements are
+// logged as they apply.
 //
-// A WAL or checkpoint that is unusable (not just torn) fails with an
-// error matching wal.ErrCorruptWAL.
+// A WAL or checkpoint that is unusable (not just torn), and a record that
+// fails on replay, fail with an error matching wal.ErrCorruptWAL.
 func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 	e := New(opts)
 	d := opts.Durability
@@ -164,7 +160,6 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 			e.metrics.WALAppends.Inc()
 			e.metrics.WALAppendBytes.Add(int64(n))
 		},
-		OnRollback: func() { e.metrics.WALRollbacks.Inc() },
 	})
 	if err != nil {
 		return nil, nil, err
@@ -175,11 +170,8 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 			continue // the checkpoint already contains this statement
 		}
 		if err := e.replayRecord(rec); err != nil {
-			if errors.Is(err, wal.ErrCorruptWAL) {
-				lg.Close()
-				return nil, nil, err
-			}
-			info.ReplayErrors++
+			lg.Close()
+			return nil, nil, err
 		}
 		info.Replayed++
 	}
@@ -257,12 +249,12 @@ func (r *readErrs) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// replayRecord re-executes one logged statement during recovery. The
-// engine is deterministic, so a record either applies exactly as it did
-// before the crash or fails exactly as it did before the crash; the
-// allocation pin detects any divergence (a WAL that does not belong to
-// this checkpoint) and surfaces it as corruption rather than silently
-// rebuilding a different database.
+// replayRecord re-executes one logged statement during recovery. Every
+// record in the log applied before the crash and the engine is
+// deterministic, so it applies again exactly as it did. The allocation
+// pin and the statement's own success check that: a divergence (a WAL
+// that does not belong to this checkpoint) surfaces as corruption naming
+// the record, rather than silently rebuilding a different database.
 func (e *Engine) replayRecord(rec *wal.Record) error {
 	stmt, err := sql.Parse(rec.SQL)
 	if err != nil {
@@ -279,8 +271,10 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 				wal.ErrCorruptWAL, rec.LSN, rec.Table, next, depth, rec.NextSlot, rec.FreeDepth)
 		}
 	}
-	_, err = e.execStmt(context.Background(), stmt, rec.SQL, rec.Params, nil)
-	return err
+	if _, err := e.execStmt(context.Background(), stmt, rec.SQL, rec.Params, nil); err != nil {
+		return fmt.Errorf("%w: record %d failed on replay: %v", wal.ErrCorruptWAL, rec.LSN, err)
+	}
+	return nil
 }
 
 // walRecordLocked builds the log record for a mutating statement: the SQL
@@ -308,37 +302,27 @@ func (e *Engine) walRecordLocked(stmt sql.Statement, text string, params []types
 	return rec
 }
 
-// walAppendLocked logs rec ahead of applying it. On failure nothing has
-// been applied and nothing survives in the log: the statement aborts
-// cleanly. Requires the write lock.
+// walAppendLocked logs the record of a statement that applied (synced per
+// policy). On failure the log holds nothing of it — Append truncates a
+// partial frame — and commitLocked undoes the statement. Requires the
+// write lock.
 //
-// This is also the engine's disk-fault choke point: every mutating
-// statement on a durable engine passes through here (its one caller is
-// commitLocked), so the degraded-mode gate, the disk-space watermarks, and
-// the degrade triggers all live in one place. A transient injected write
-// fault aborts only its own statement — the log rolled back cleanly and
-// stays usable; the engine degrades only when the log itself is unusable
-// (rollback truncation failed, file may end mid-frame) or the disk is out
-// of space.
-func (e *Engine) walAppendLocked(rec *wal.Record) (uint64, error) {
-	if e.health.isDegraded() {
-		e.metrics.DegradedWrites.Inc()
-		reason := e.Health().Reason
-		return 0, fmt.Errorf("%w (%s); reads still serve, retry writes after heal", ErrDegraded, reason)
-	}
-	if err := e.checkDiskSpaceLocked(); err != nil {
-		return 0, err
-	}
-	lsn, err := e.dur.log.Append(rec)
-	if err != nil {
+// With walGateLocked this is the engine's disk-fault choke point: every
+// mutating statement on a durable engine passes through both (their one
+// caller is commitLocked). A transient injected write fault aborts only
+// its own statement and the log stays usable; the engine degrades only
+// when the log itself is unusable (its truncate failed, so the file may
+// end mid-frame) or the disk is out of space.
+func (e *Engine) walAppendLocked(rec *wal.Record) error {
+	if _, err := e.dur.log.Append(rec); err != nil {
 		if reason := degradeReason(err, e.dur.log.Broken()); reason != "" {
 			e.degradeLocked(reason)
 			e.metrics.DegradedWrites.Inc()
-			return 0, fmt.Errorf("statement aborted, not logged: %w: %v", ErrDegraded, err)
+			return fmt.Errorf("statement aborted, not logged: %w: %v", ErrDegraded, err)
 		}
-		return 0, fmt.Errorf("statement aborted, not logged: %w", err)
+		return fmt.Errorf("statement aborted, not logged: %w", err)
 	}
-	return lsn, nil
+	return nil
 }
 
 // degradeReason classifies a failed append: "" means transient (abort the
@@ -353,13 +337,20 @@ func degradeReason(err, broken error) string {
 	return ""
 }
 
-// checkDiskSpaceLocked enforces the disk-space watermarks before an
-// append. Under the soft watermark it reclaims WAL space with a
-// checkpoint + rotation (the snapshot replaces an arbitrarily long log
-// with one bounded by live data); under the hard watermark it degrades
-// the engine rather than consume the disk's last bytes. Requires the
-// write lock.
-func (e *Engine) checkDiskSpaceLocked() error {
+// walGateLocked admits a write on a durable engine before it applies: a
+// degraded engine refuses it, and the disk-space watermarks are enforced.
+// Under the soft watermark it reclaims WAL space with a checkpoint +
+// rotation (the snapshot replaces an arbitrarily long log with one bounded
+// by live data); under the hard watermark it degrades the engine rather
+// than consume the disk's last bytes. It runs before apply because that
+// checkpoint images memory: taken after apply, it would hold a statement
+// the log does not, and replay would apply it twice. Requires the write
+// lock.
+func (e *Engine) walGateLocked() error {
+	if e.health.isDegraded() {
+		e.metrics.DegradedWrites.Inc()
+		return fmt.Errorf("%w (%s); reads still serve, retry writes after heal", ErrDegraded, e.Health().Reason)
+	}
 	d := &e.dur
 	if d.softFree <= 0 && d.hardFree <= 0 {
 		return nil
@@ -381,33 +372,17 @@ func (e *Engine) checkDiskSpaceLocked() error {
 				e.metrics.DegradedWrites.Inc()
 				return fmt.Errorf("%w: %v", ErrDegraded, err)
 			}
-			// Any other checkpoint failure: the append below may still
+			// Any other checkpoint failure: the append may still
 			// succeed; let it decide the statement's fate.
 		}
 	}
 	return nil
 }
 
-// finishWALLocked settles the WAL after the statement body ran. A
-// statement that failed to apply rolled itself back (the undo journal),
-// so its record is removed from the log to keep disk and memory
-// describing the same history; a statement that applied counts toward the
-// automatic checkpoint threshold. Requires the write lock.
-func (e *Engine) finishWALLocked(lsn uint64, applyErr error) {
-	if lsn == 0 {
-		return
-	}
-	if applyErr != nil {
-		if err := e.dur.log.RollbackLast(lsn); err != nil {
-			// The record stays; replay will re-run the statement into the
-			// same deterministic failure, so recovery stays correct.
-			log.Printf("core: wal rollback of LSN %d: %v", lsn, err)
-			if b := e.dur.log.Broken(); b != nil {
-				e.degradeLocked("wal unusable after failed statement rollback: " + b.Error())
-			}
-		}
-		return
-	}
+// finishWALLocked counts a logged statement toward the automatic
+// checkpoint threshold and takes the checkpoint once it is reached.
+// Requires the write lock.
+func (e *Engine) finishWALLocked() {
 	e.dur.sinceCkpt++
 	if e.dur.every > 0 && e.dur.sinceCkpt >= e.dur.every {
 		if err := e.checkpointLocked(); err != nil {

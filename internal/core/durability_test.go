@@ -10,6 +10,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"grfusion/internal/faultfs"
 	"grfusion/internal/graph"
@@ -130,7 +131,7 @@ func TestRecoveryWALOnly(t *testing.T) {
 	if info2.CheckpointLoaded {
 		t.Fatalf("no checkpoint was written, but one loaded: %+v", info2)
 	}
-	if info2.Replayed == 0 || info2.ReplayErrors != 0 {
+	if info2.Replayed == 0 {
 		t.Fatalf("recovery: %+v", info2)
 	}
 	if got := stateSig(t, r); got != want {
@@ -237,9 +238,6 @@ func TestRecoveryTornTail(t *testing.T) {
 			if cut.bytes < 0 && !info.TornTail {
 				t.Fatalf("mid-frame cut not reported as torn: %+v", info)
 			}
-			if info.ReplayErrors != 0 {
-				t.Fatalf("replay errors: %+v", info)
-			}
 			// The victim insert is gone; everything before it recovered,
 			// with graph views identical to a from-scratch rebuild
 			// (stateSig asserts that).
@@ -304,27 +302,34 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 	}
 }
 
+// TestFailedStatementsNotReplayed proves a statement that fails to apply
+// never reaches the disk: it applies before it is logged, so its failure
+// costs no file op at all, and recovery replays only what applied.
 func TestFailedStatementsNotReplayed(t *testing.T) {
 	dir := t.TempDir()
-	e, _ := openDur(t, dir, Options{})
+	ffs := faultfs.NewFaulty(nil, 1)
+	opts := Options{Durability: Durability{FS: ffs}}
+	e, _ := openDur(t, dir, opts)
 	mustExecAll(t, e, durSetup)
 	seedRows(t, e, 3)
-	// Duplicate PK: logged ahead of apply, rolled back out of the log
-	// when the apply fails.
+	ops := ffs.Ops()
 	if _, err := e.Execute("INSERT INTO people VALUES (1, 'dup')"); err == nil {
 		t.Fatal("duplicate insert succeeded")
 	}
 	if _, err := e.Execute("INSERT INTO nosuch VALUES (1)"); err == nil {
 		t.Fatal("insert into missing table succeeded")
 	}
+	if got := ffs.Ops() - ops; got != 0 {
+		t.Fatalf("two failed statements made %d file ops, want 0", got)
+	}
 	mustExecAll(t, e, "INSERT INTO people VALUES (42, 'after')")
 	want := stateSig(t, e)
 	e.Kill()
 
-	r, info := openDur(t, dir, Options{})
+	r, info := openDur(t, dir, opts)
 	defer r.Close()
-	if info.ReplayErrors != 0 {
-		t.Fatalf("failed statements leaked into the WAL: %+v", info)
+	if info.Replayed != 3+5+1 {
+		t.Fatalf("recovery replayed %d records, want the 9 statements that applied (%s)", info.Replayed, info)
 	}
 	if got := stateSig(t, r); got != want {
 		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
@@ -359,13 +364,125 @@ func TestAbortedInsertLeavesNoAllocatorTrace(t *testing.T) {
 	want := stateSig(t, e)
 	e.Kill()
 
-	r, info := openDur(t, dir, Options{})
+	r, _ := openDur(t, dir, Options{})
 	defer r.Close()
-	if info.ReplayErrors != 0 {
-		t.Fatalf("recovery after aborted insert: %+v", info)
-	}
 	if got := stateSig(t, r); got != want {
 		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// undoSig extends stateSig with everything a failed statement must leave
+// as it found it: every table's rows, allocator state and index
+// definitions, and the catalog's table, graph-view and materialized-view
+// lists.
+func undoSig(t *testing.T, e *Engine) string {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString(stateSig(t, e))
+	for _, name := range e.cat.Tables() {
+		tab, _ := e.cat.Table(name)
+		next, depth := tab.AllocState()
+		fmt.Fprintf(&sb, "\n--\n%s alloc (%d,%d) indexes %v\n%s", name, next, depth, tab.Indexes(),
+			querySig(t, e, "SELECT * FROM "+name))
+	}
+	for _, what := range []string{"TABLES", "GRAPH VIEWS", "MATERIALIZED VIEWS"} {
+		fmt.Fprintf(&sb, "\n--\n%s: %s", what, querySig(t, e, "SHOW "+what))
+	}
+	return sb.String()
+}
+
+// TestWALAppendFailureUndoesStatement fails the WAL write of every kind of
+// mutating statement once it applied: the statement must fail without
+// degrading the engine, and its transaction's undo journal must leave the
+// database exactly as it was — rows, allocator state, indexes, graph
+// topology and catalog. The next statement succeeds, and a crash recovers
+// the same database.
+func TestWALAppendFailureUndoesStatement(t *testing.T) {
+	exec := func(q string) func(*Engine) error {
+		return func(e *Engine) error {
+			_, err := e.Execute(q)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*Engine) error
+	}{
+		{"insert vertex", exec("INSERT INTO people VALUES (100, 'new')")},
+		{"insert edge", exec("INSERT INTO knows VALUES (100, 1, 4, 7)")},
+		{"update attribute", exec("UPDATE people SET name = 'renamed' WHERE id = 2")},
+		{"update id rewire", exec("UPDATE people SET id = 200 WHERE id = 2")},
+		{"cascading vertex delete", exec("DELETE FROM people WHERE id = 3")},
+		{"prepared DML", func(e *Engine) error {
+			ins, err := e.PrepareDML("INSERT INTO people VALUES (?, ?)")
+			if err != nil {
+				return err
+			}
+			_, err = ins.Exec(types.NewInt(101), types.NewString("prepared"))
+			return err
+		}},
+		{"COPY batch", func(e *Engine) error {
+			b, err := e.BeginBulk("knows", nil, 2)
+			if err != nil {
+				return err
+			}
+			_, err = b.Append([]types.Row{
+				{types.NewInt(102), types.NewInt(1), types.NewInt(5), types.NewInt(1)},
+				{types.NewInt(103), types.NewInt(5), types.NewInt(1), types.NewInt(2)},
+			})
+			b.Close()
+			return err
+		}},
+		{"create table", exec("CREATE TABLE extra (k BIGINT PRIMARY KEY)")},
+		{"create index", exec("CREATE INDEX people_name ON people (name)")},
+		{"create graph view", exec("CREATE GRAPH VIEW net3 VERTEXES (ID = id) FROM people EDGES (ID = id, FROM = src, TO = dst) FROM knows")},
+		{"create materialized view", exec("CREATE MATERIALIZED VIEW light AS SELECT id, w FROM knows WHERE w < 30")},
+		{"drop table", exec("DROP TABLE misc")},
+		{"drop graph view", exec("DROP GRAPH VIEW net2")},
+		{"drop materialized view", exec("DROP MATERIALIZED VIEW named")},
+		{"truncate", exec("TRUNCATE TABLE misc")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := faultfs.NewFaulty(nil, 1)
+			opts := Options{Durability: Durability{FS: ffs}}
+			e, _ := openDur(t, dir, opts)
+			defer e.Close()
+			mustExecAll(t, e, durSetup)
+			seedRows(t, e, 5)
+			mustExecAll(t, e, `
+CREATE TABLE misc (k BIGINT PRIMARY KEY, v VARCHAR);
+INSERT INTO misc VALUES (1, 'a'), (2, 'b');
+CREATE INDEX misc_v ON misc (v);
+CREATE MATERIALIZED VIEW named AS SELECT id, name FROM people WHERE id > 1;
+CREATE GRAPH VIEW net2 VERTEXES (ID = id) FROM people EDGES (ID = id, FROM = src, TO = dst) FROM knows;
+`)
+			before := undoSig(t, e)
+
+			ffs.Arm(1, syscall.EIO) // the statement's WAL write
+			err := tc.run(e)
+			var inj *faultfs.InjectedError
+			if !errors.As(err, &inj) || inj.Op != faultfs.OpWrite {
+				t.Fatalf("statement with its WAL write failing: err = %v, want the injected write fault", err)
+			}
+			if h := e.Health(); h.State != StateHealthy {
+				t.Fatalf("a failed WAL write degraded the engine: %s", h.Reason)
+			}
+			if got := undoSig(t, e); got != before {
+				t.Fatalf("the failed statement left a trace:\n got %s\nwant %s", got, before)
+			}
+
+			if err := tc.run(e); err != nil {
+				t.Fatalf("the statement after the fault: %v", err)
+			}
+			want := undoSig(t, e)
+			e.Kill()
+			r, _ := openDur(t, dir, opts)
+			defer r.Close()
+			if got := undoSig(t, r); got != want {
+				t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 
@@ -382,7 +499,7 @@ func TestPreparedDMLRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A failing prepared execution must also be rolled out of the log.
+	// A failing prepared execution must not reach the log either.
 	if _, err := ins.Exec(types.NewInt(1), types.NewString("dup")); err == nil {
 		t.Fatal("duplicate prepared insert succeeded")
 	}
@@ -396,11 +513,8 @@ func TestPreparedDMLRecovery(t *testing.T) {
 	want := querySig(t, e, "SELECT id, name FROM people")
 	e.Kill()
 
-	r, info := openDur(t, dir, Options{})
+	r, _ := openDur(t, dir, Options{})
 	defer r.Close()
-	if info.ReplayErrors != 0 {
-		t.Fatalf("recovery: %+v", info)
-	}
 	if got := querySig(t, r, "SELECT id, name FROM people"); got != want {
 		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
 	}
@@ -409,98 +523,121 @@ func TestPreparedDMLRecovery(t *testing.T) {
 // TestCheckpointCrashWindows cuts the power at every eligible op of one
 // Checkpoint — the temp file's open, writes, sync and rename, then the WAL
 // rotate's open, write, sync and rename — and proves every cut recovers to
-// the pre-checkpoint state with no replay error. Each cut is named for the
-// last step that completed before it.
+// the acknowledged state. Each cut is named for the last step that
+// completed before it. A heal attempt of a degraded engine is the second
+// driver, its cuts prefixed "heal-": recovery must also keep the
+// configured QUERY_TIMEOUT, though the engine ran with another one.
 func TestCheckpointCrashWindows(t *testing.T) {
 	ffs := faultfs.NewFaulty(nil, 1)
-	var opts Options
-	opts.Durability.FS = ffs
-	setup := func(t *testing.T) (*Engine, string, string) {
-		dir := t.TempDir()
-		e, _ := openDur(t, dir, opts)
-		mustExecAll(t, e, durSetup)
-		seedRows(t, e, 5)
-		return e, dir, stateSig(t, e)
+	opts := Options{QueryTimeout: 5 * time.Second, Durability: Durability{
+		FS: ffs, HardFreeBytes: 1, HealBase: time.Hour, HealMax: time.Hour}}
+	heal := func(e *Engine) error {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.healAttemptLocked()
 	}
+	for _, d := range []struct {
+		name, prefix string
+		run          func(*Engine) error
+	}{{"checkpoint", "", (*Engine).Checkpoint}, {"heal", "heal-", heal}} {
+		setup := func(t *testing.T) (*Engine, string, string) {
+			dir := t.TempDir()
+			e, _ := openDur(t, dir, opts)
+			mustExecAll(t, e, durSetup)
+			seedRows(t, e, 5)
+			want := stateSig(t, e)
+			if d.prefix == "heal-" {
+				// A runtime timeout the restarted engine must not inherit,
+				// then a write the full disk refuses: the engine degrades.
+				mustExecAll(t, e, "SET QUERY_TIMEOUT = 0")
+				ffs.SetFree(0)
+				if _, err := e.Execute("INSERT INTO people VALUES (99, 'refused')"); !errors.Is(err, ErrDegraded) {
+					t.Fatalf("write under the hard watermark: %v, want ErrDegraded", err)
+				}
+				ffs.SetFree(-1)
+			}
+			return e, dir, want
+		}
 
-	// Map the protocol: fail each op in turn with a one-shot fault, which
-	// leaves the engine usable, until a checkpoint gets through.
-	type step struct {
-		phase string // "temp" (the checkpoint file) or "rotate" (the WAL)
-		op    faultfs.Op
-	}
-	var steps []step
-	e, _, _ := setup(t)
-	for k := int64(1); ; k++ {
-		ffs.Arm(k, syscall.EIO)
-		err := e.Checkpoint()
-		if err == nil {
-			break
+		// Map the protocol: fail each op in turn with a one-shot fault,
+		// which leaves the engine usable, until the driver gets through.
+		type step struct {
+			phase string // "temp" (the checkpoint file) or "rotate" (the WAL)
+			op    faultfs.Op
 		}
-		var inj *faultfs.InjectedError
-		if !errors.As(err, &inj) {
-			t.Fatalf("checkpoint with op %d failed: %v", k, err)
-		}
-		phase := "temp"
-		if strings.Contains(err.Error(), "wal rotate") {
-			phase = "rotate"
-		}
-		steps = append(steps, step{phase, inj.Op})
-	}
-	ffs.Calm()
-	e.Close()
-
-	past := map[faultfs.Op]string{faultfs.OpOpen: "created", faultfs.OpWrite: "written", faultfs.OpSync: "synced"}
-	names := make([]string, len(steps))
-	names[0] = "start"
-	for k := 1; k < len(steps); k++ {
-		prev := steps[k-1]
-		switch {
-		case prev.op == faultfs.OpRename:
-			names[k] = "renamed" // the checkpoint is in place, the WAL not yet rotated
-		case prev.op == faultfs.OpWrite && steps[k].op == faultfs.OpWrite:
-			names[k] = prev.phase + "-partial"
-		default:
-			names[k] = prev.phase + "-" + past[prev.op]
-		}
-	}
-	t.Logf("one checkpoint makes %d eligible ops; cut after: %s", len(steps), strings.Join(names, ", "))
-	rotateCuts := 0
-	for _, s := range steps {
-		if s.phase == "rotate" {
-			rotateCuts++
-		}
-	}
-	if len(steps) < 8 || rotateCuts == 0 {
-		t.Fatalf("checkpoint swept %d ops (%d in the WAL rotate), want >= 8 with the rotate among them", len(steps), rotateCuts)
-	}
-	for _, old := range []string{"temp-written", "temp-synced", "renamed"} {
-		if !slices.Contains(names, old) {
-			t.Fatalf("crash window %q not among the cuts %v", old, names)
-		}
-	}
-
-	for k, s := range steps {
-		t.Run(names[k], func(t *testing.T) {
-			e, dir, want := setup(t)
-			ffs.ArmCrash(int64(k + 1))
-			err := e.Checkpoint()
+		var steps []step
+		e, _, _ := setup(t)
+		for k := int64(1); ; k++ {
+			ffs.Arm(k, syscall.EIO)
+			err := d.run(e)
+			if err == nil {
+				break
+			}
 			var inj *faultfs.InjectedError
-			if !errors.As(err, &inj) || inj.Op != s.op {
-				t.Fatalf("cut at %s %s: checkpoint err = %v", s.phase, s.op, err)
+			if !errors.As(err, &inj) {
+				t.Fatalf("%s with op %d failed: %v", d.name, k, err)
 			}
-			e.Kill()
-			ffs.Calm()
+			phase := "temp"
+			if strings.Contains(err.Error(), "wal rotate") {
+				phase = "rotate"
+			}
+			steps = append(steps, step{phase, inj.Op})
+		}
+		ffs.Calm()
+		e.Close()
 
-			r, info := openDur(t, dir, opts)
-			defer r.Close()
-			if info.ReplayErrors != 0 {
-				t.Fatalf("recovery after a cut at %s %s: %+v", s.phase, s.op, info)
+		past := map[faultfs.Op]string{faultfs.OpOpen: "created", faultfs.OpWrite: "written", faultfs.OpSync: "synced"}
+		names := make([]string, len(steps))
+		names[0] = "start"
+		for k := 1; k < len(steps); k++ {
+			prev := steps[k-1]
+			switch {
+			case prev.op == faultfs.OpRename:
+				names[k] = "renamed" // the checkpoint is in place, the WAL not yet rotated
+			case prev.op == faultfs.OpWrite && steps[k].op == faultfs.OpWrite:
+				names[k] = prev.phase + "-partial"
+			default:
+				names[k] = prev.phase + "-" + past[prev.op]
 			}
-			if got := stateSig(t, r); got != want {
-				t.Fatalf("cut at %s %s lost state:\n got %s\nwant %s", s.phase, s.op, got, want)
+		}
+		t.Logf("one %s makes %d eligible ops; cut after: %s", d.name, len(steps), strings.Join(names, ", "))
+		rotateCuts := 0
+		for _, s := range steps {
+			if s.phase == "rotate" {
+				rotateCuts++
 			}
-		})
+		}
+		if len(steps) < 8 || rotateCuts == 0 {
+			t.Fatalf("%s swept %d ops (%d in the WAL rotate), want >= 8 with the rotate among them", d.name, len(steps), rotateCuts)
+		}
+		for _, old := range []string{"temp-written", "temp-synced", "renamed"} {
+			if !slices.Contains(names, old) {
+				t.Fatalf("crash window %q not among the cuts %v", old, names)
+			}
+		}
+
+		for k, s := range steps {
+			t.Run(d.prefix+names[k], func(t *testing.T) {
+				e, dir, want := setup(t)
+				ffs.ArmCrash(int64(k + 1))
+				err := d.run(e)
+				var inj *faultfs.InjectedError
+				if !errors.As(err, &inj) || inj.Op != s.op {
+					t.Fatalf("cut at %s %s: %s err = %v", s.phase, s.op, d.name, err)
+				}
+				e.Kill()
+				ffs.Calm()
+
+				r, _ := openDur(t, dir, opts)
+				defer r.Close()
+				if got := stateSig(t, r); got != want {
+					t.Fatalf("cut at %s %s lost state:\n got %s\nwant %s", s.phase, s.op, got, want)
+				}
+				if got := r.QueryTimeout(); got != opts.QueryTimeout {
+					t.Fatalf("cut at %s %s: recovered QUERY_TIMEOUT %v, want the configured %v", s.phase, s.op, got, opts.QueryTimeout)
+				}
+			})
+		}
 	}
 }
 
@@ -556,39 +693,74 @@ func TestSetDurabilityTunables(t *testing.T) {
 	}
 }
 
+// TestRecoveryRejectsForeignWAL feeds recovery logs it must refuse with
+// typed corruption rather than silently rebuild a wrong database: a WAL
+// whose records do not match the checkpoint (a fresh checkpoint against a
+// WAL from a different history), and a CRC-valid record that fails on
+// replay — every record in a log applied once, so one that fails means
+// recovery diverged from what clients were acknowledged.
 func TestRecoveryRejectsForeignWAL(t *testing.T) {
-	// A WAL whose records do not match the checkpoint (here: a fresh
-	// checkpoint against a WAL from a different history) must fail with
-	// typed corruption, not silently rebuild a wrong database.
-	dirA := t.TempDir()
-	a, _ := openDur(t, dirA, Options{})
-	mustExecAll(t, a, durSetup)
-	seedRows(t, a, 4)
-	a.Kill()
+	for _, tc := range []struct {
+		name  string
+		graft func(t *testing.T, dir string)
+		want  string // in the error
+	}{
+		{"foreign log", func(t *testing.T, dir string) {
+			dirA := t.TempDir()
+			a, _ := openDur(t, dirA, Options{})
+			mustExecAll(t, a, durSetup)
+			seedRows(t, a, 4)
+			a.Kill()
 
-	dirB := t.TempDir()
-	b, _ := openDur(t, dirB, Options{})
-	mustExecAll(t, b, durSetup)
-	seedRows(t, b, 2) // different allocation history
-	mustExecAll(t, b, "DELETE FROM people WHERE id = 1")
-	if err := b.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	b.Kill()
+			b, _ := openDur(t, dir, Options{})
+			mustExecAll(t, b, durSetup)
+			seedRows(t, b, 2) // different allocation history
+			mustExecAll(t, b, "DELETE FROM people WHERE id = 1")
+			if err := b.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			b.Kill()
 
-	// Graft A's WAL (full history) onto B's checkpoint.
-	data, err := os.ReadFile(filepath.Join(dirA, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dirB, "wal.log"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{}
-	opts.Durability.Dir = dirB
-	_, _, err = Open(opts)
-	if err == nil || !errors.Is(err, wal.ErrCorruptWAL) {
-		t.Fatalf("foreign WAL accepted: %v", err)
+			// Graft A's WAL (full history) onto B's checkpoint.
+			data, err := os.ReadFile(filepath.Join(dirA, walFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, walFile), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "divergence"},
+		{"record that fails", func(t *testing.T, dir string) {
+			a, _ := openDur(t, dir, Options{})
+			mustExecAll(t, a, durSetup)
+			seedRows(t, a, 2)
+			people, _ := a.cat.Table("people")
+			next, depth := people.AllocState()
+			a.Kill()
+
+			// A duplicate key, with the allocation pin it would carry.
+			lg, _, err := wal.Open(filepath.Join(dir, walFile), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lg.Close()
+			if _, err := lg.Append(&wal.Record{SQL: "INSERT INTO people VALUES (1, 'dup')",
+				Table: "people", NextSlot: uint64(next), FreeDepth: uint32(depth)}); err != nil {
+				t.Fatal(err)
+			}
+		}, "record 7 failed on replay"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.graft(t, dir)
+			e, info, err := Open(Options{Durability: Durability{Dir: dir}})
+			if !errors.Is(err, wal.ErrCorruptWAL) || !strings.Contains(err.Error(), tc.want) {
+				if e != nil {
+					e.Close()
+				}
+				t.Fatalf("recovery: %v (%s), want ErrCorruptWAL with %q", err, info, tc.want)
+			}
+		})
 	}
 }
 

@@ -55,8 +55,8 @@ var (
 	ErrQueryPanic = errors.New("query aborted by internal panic")
 	// ErrDegraded reports a mutating statement rejected because the
 	// engine is in degraded read-only mode (health.go): the durability
-	// path is failing, reads keep serving, and a background probe is
-	// healing. Not retryable — distinct from admission shedding.
+	// path is failing, reads keep serving, and a background healer is
+	// retrying. Not retryable — distinct from admission shedding.
 	ErrDegraded = exec.ErrDegraded
 )
 
@@ -143,13 +143,13 @@ type Engine struct {
 	metrics metrics.Metrics
 
 	// dur is the durability runtime (durability.go): non-nil dur.log means
-	// every mutating statement is logged before it applies. Guarded by mu,
+	// every mutating statement is logged once it applied. Guarded by mu,
 	// like the catalog, except dur.log itself: Open sets it once before
 	// returning the engine, so it may be read without the lock.
 	dur durState
 
 	// health is the disk-fault tolerance state machine (health.go):
-	// degraded read-only mode, the self-healing prober, and the snapshot
+	// degraded read-only mode, the self-healing retry loop, and the snapshot
 	// behind SHOW HEALTH / the wire health command / healthz+readyz.
 	health healthState
 }
@@ -338,8 +338,8 @@ func (e *Engine) write(ctx context.Context, stmt sql.Statement, text string, par
 	if s, ok := stmt.(*sql.Set); ok {
 		return e.runSet(s)
 	}
-	res, err := e.commitLocked(stmt, text, params, func() (*Result, error) {
-		return e.applyLocked(stmt, params)
+	res, err := e.commitLocked(stmt, text, params, func(tx *txn) (*Result, error) {
+		return e.applyLocked(tx, stmt, params)
 	})
 	if err == nil {
 		// Publish the new version so subsequent readers see this
@@ -351,41 +351,56 @@ func (e *Engine) write(ctx context.Context, stmt sql.Statement, text string, par
 	return res, err
 }
 
-// commitLocked is the log → apply → settle core of every write, under the
-// write lock (write takes it per statement, BulkLoad holds it across its
-// batches). Log before apply: on a durable engine the statement is in the
-// WAL (synced per policy) before any state changes. If logging fails the
-// statement aborts untouched; if applying fails the record is rolled back
-// so the log mirrors applied history exactly (finishWALLocked).
-func (e *Engine) commitLocked(stmt sql.Statement, text string, params []types.Value, apply func() (*Result, error)) (*Result, error) {
-	var lsn uint64
+// commitLocked is the apply → log core of every write, under the write
+// lock (write takes it per statement, BulkLoad holds it across its
+// batches), and the one place a statement's transaction opens. On a
+// durable engine the gate (degraded mode, disk watermarks) runs and the
+// record with its allocation pin is built first; then the statement
+// applies; only then is its record appended (synced per policy). If apply
+// or append fails, the same undo journal restores the live objects, so a
+// failed statement leaves nothing in memory or on disk and every record in
+// the log is one that applied.
+func (e *Engine) commitLocked(stmt sql.Statement, text string, params []types.Value, apply func(*txn) (*Result, error)) (*Result, error) {
+	var rec *wal.Record
 	if e.dur.log != nil {
-		var err error
-		if lsn, err = e.walAppendLocked(e.walRecordLocked(stmt, text, params)); err != nil {
+		if err := e.walGateLocked(); err != nil {
 			return nil, err
 		}
+		rec = e.walRecordLocked(stmt, text, params)
 	}
-	res, err := apply()
-	e.finishWALLocked(lsn, err)
-	return res, err
+	tx := &txn{e: e}
+	res, err := apply(tx)
+	if err == nil && rec != nil {
+		err = e.walAppendLocked(rec)
+	}
+	if err != nil {
+		return nil, tx.abort(err)
+	}
+	if rec != nil {
+		e.finishWALLocked()
+	}
+	return res, nil
 }
 
-// applyLocked dispatches a mutating statement under the write lock.
-func (e *Engine) applyLocked(stmt sql.Statement, params []types.Value) (*Result, error) {
+// applyLocked dispatches a mutating statement under the write lock, inside
+// tx.
+func (e *Engine) applyLocked(tx *txn, stmt sql.Statement, params []types.Value) (*Result, error) {
 	switch stmt.(type) {
 	case *sql.CreateTable, *sql.CreateGraphView, *sql.CreateMatView,
-		*sql.DropMatView, *sql.DropTable, *sql.DropGraphView:
+		*sql.DropMatView, *sql.DropTable, *sql.DropGraphView, *sql.TruncateTable:
 		// DDL rewrites the catalog registry. Clone it first (COW): every
 		// published version holds the catalog pointer it was built with,
 		// so the registry a pinned reader resolves names through must
-		// never change underneath it.
-		e.cat = e.cat.Clone()
+		// never change underneath it. These statements change no object
+		// the previous registry holds, so restoring its pointer undoes
+		// them.
+		tx.setCatalog(e.cat.Clone())
 	}
 	switch s := stmt.(type) {
 	case *sql.CreateTable:
 		return e.createTable(s)
 	case *sql.CreateIndex:
-		return e.createIndex(s)
+		return e.createIndex(tx, s)
 	case *sql.CreateGraphView:
 		return e.createGraphView(s)
 	case *sql.CreateMatView:
@@ -408,11 +423,11 @@ func (e *Engine) applyLocked(stmt sql.Statement, params []types.Value) (*Result,
 	case *sql.TruncateTable:
 		return e.truncateTable(s)
 	case *sql.Insert:
-		return e.runInsert(s, params)
+		return e.runInsert(tx, s, params)
 	case *sql.Update:
-		return e.runUpdate(s, params)
+		return e.runUpdate(tx, s, params)
 	case *sql.Delete:
-		return e.runDelete(s, params)
+		return e.runDelete(tx, s, params)
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", stmt)
 	}
@@ -602,7 +617,7 @@ func (e *Engine) createTable(s *sql.CreateTable) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (e *Engine) createIndex(s *sql.CreateIndex) (*Result, error) {
+func (e *Engine) createIndex(tx *txn, s *sql.CreateIndex) (*Result, error) {
 	t, ok := e.cat.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("unknown table %q", s.Table)
@@ -618,6 +633,7 @@ func (e *Engine) createIndex(s *sql.CreateIndex) (*Result, error) {
 	if _, err := t.CreateIndex(s.Name, cols, s.Ordered); err != nil {
 		return nil, err
 	}
+	tx.journal = append(tx.journal, undoOp{kind: undoCreateIndex, table: t, index: s.Name})
 	return &Result{}, nil
 }
 
@@ -664,9 +680,15 @@ func (e *Engine) truncateTable(s *sql.TruncateTable) (*Result, error) {
 		return nil, fmt.Errorf("cannot truncate %s: it is the base of materialized view %s",
 			s.Name, ds[0].Name)
 	}
-	n := t.Len()
-	t.Truncate()
-	return &Result{Affected: n}, nil
+	// Swap in an empty table of the same definition; the old one stays
+	// intact for the versions that hold it.
+	if err := e.cat.DropTable(t.Name()); err != nil {
+		return nil, err
+	}
+	if err := e.cat.CreateTable(t.Empty()); err != nil {
+		return nil, err
+	}
+	return &Result{Affected: t.Len()}, nil
 }
 
 func (e *Engine) runShow(s *sql.Show, st *dbState) (*Result, error) {

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"grfusion/internal/wal"
 )
 
 // Disk-fault tolerance (degraded read-only mode + self-healing).
@@ -21,17 +19,18 @@ import (
 // small state machine:
 //
 //	healthy ──(wal unusable | ENOSPC | hard watermark)──▶ degraded
-//	degraded ──(backoff elapsed)──▶ healing (one probe attempt)
-//	healing ──(probe fails)──▶ degraded          (backoff doubles, capped)
-//	healing ──(probe succeeds)──▶ healthy
+//	degraded ──(backoff elapsed)──▶ healing (one heal attempt)
+//	healing ──(attempt fails)──▶ degraded          (backoff doubles, capped)
+//	healing ──(attempt succeeds)──▶ healthy
 //
 // While degraded, reads/EXPLAIN/SHOW/analytics keep serving on pinned
 // versions exactly as before — they never touch the WAL — and every
-// mutating statement fails fast with ErrDegraded before logging anything.
-// Because the engine logs before it applies, the in-memory state is
-// precisely the acknowledged history, so healing can always re-establish
-// durability by checkpointing memory and rotating in a fresh log; no
-// acknowledged write is ever lost across a degrade → heal → crash cycle.
+// mutating statement fails fast with ErrDegraded before applying anything.
+// Because a statement applies before it is logged and is undone when the
+// log refuses it, the in-memory state is precisely the acknowledged
+// history, so healing can always re-establish durability by checkpointing
+// memory and rotating in a fresh log; no acknowledged write is ever lost
+// across a degrade → heal → crash cycle.
 
 // HealthState is the engine's durability health.
 type HealthState int32
@@ -41,9 +40,9 @@ const (
 	// and apply normally.
 	StateHealthy HealthState = iota
 	// StateDegraded: the WAL or disk is failing; the engine serves reads
-	// only and a background prober is attempting to heal.
+	// only and a background healer is attempting to heal.
 	StateDegraded
-	// StateHealing: a heal probe is running right now (it holds the
+	// StateHealing: a heal attempt is running right now (it holds the
 	// statement write lock, so the state is externally visible only
 	// through the health surface).
 	StateHealing
@@ -62,7 +61,7 @@ func (s HealthState) String() string {
 	}
 }
 
-// Default heal-probe backoff bounds (Durability.HealBase/HealMax override).
+// Default heal backoff bounds (Durability.HealBase/HealMax override).
 const (
 	defaultHealBase = 25 * time.Millisecond
 	defaultHealMax  = 2 * time.Second
@@ -99,7 +98,7 @@ type Health struct {
 	State   HealthState
 	Durable bool
 	// Reason is what degraded the engine; LastHealError is the most
-	// recent failed probe. Both empty while healthy.
+	// recent failed heal attempt. Both empty while healthy.
 	Reason        string
 	LastHealError string
 	// Since is when the engine degraded (zero while healthy).
@@ -108,7 +107,6 @@ type Health struct {
 	HealAttempts   int64
 	Heals          int64
 	DegradedWrites int64
-	WALRollbacks   int64
 }
 
 // Ready reports whether the engine should receive write traffic
@@ -135,12 +133,11 @@ func (h Health) Pairs() [][2]string {
 		{"heal_attempts", strconv.FormatInt(h.HealAttempts, 10)},
 		{"heals", strconv.FormatInt(h.Heals, 10)},
 		{"degraded_writes", strconv.FormatInt(h.DegradedWrites, 10)},
-		{"wal_rollbacks", strconv.FormatInt(h.WALRollbacks, 10)},
 	}
 }
 
 // Health returns the engine's current durability health. It takes no
-// engine lock, so it stays responsive while statements (or a heal probe)
+// engine lock, so it stays responsive while statements (or a heal attempt)
 // hold the write lock — exactly what a liveness endpoint needs.
 func (e *Engine) Health() Health {
 	h := &e.health
@@ -156,7 +153,6 @@ func (e *Engine) Health() Health {
 		HealAttempts:   e.metrics.HealAttempts.Value(),
 		Heals:          e.metrics.Heals.Value(),
 		DegradedWrites: e.metrics.DegradedWrites.Value(),
-		WALRollbacks:   e.metrics.WALRollbacks.Value(),
 	}
 }
 
@@ -181,7 +177,7 @@ func (e *Engine) degradeLocked(reason string) {
 }
 
 // stopHealer terminates the background healer, if any, and waits for it.
-// Callers must NOT hold the engine lock (the healer takes it per probe).
+// Callers must NOT hold the engine lock (the healer takes it per attempt).
 func (e *Engine) stopHealer() {
 	h := &e.health
 	h.mu.Lock()
@@ -194,9 +190,9 @@ func (e *Engine) stopHealer() {
 	}
 }
 
-// healLoop probes the durability path with capped exponential backoff and
-// full jitter until a probe succeeds or the engine shuts down. Jitter
-// spreads probes out so many engines degraded by the same shared-disk
+// healLoop retries the heal with capped exponential backoff and full
+// jitter until an attempt succeeds or the engine shuts down. Jitter
+// spreads attempts out so many engines degraded by the same shared-disk
 // incident do not retry in lockstep.
 func (e *Engine) healLoop(stop, done chan struct{}) {
 	defer close(done)
@@ -220,7 +216,7 @@ func (e *Engine) healLoop(stop, done chan struct{}) {
 	}
 }
 
-// tryHeal runs one probe under the write lock. Returning true ends the
+// tryHeal runs one heal attempt under the write lock. Returning true ends the
 // heal loop (healed, or nothing left to heal).
 func (e *Engine) tryHeal() bool {
 	e.mu.Lock()
@@ -247,21 +243,17 @@ func (e *Engine) tryHeal() bool {
 	return true
 }
 
-// healAttemptLocked re-establishes the durability path. Order matters:
-//
-//  1. Disk-space gate — no point churning a full disk.
-//  2. Checkpoint — the in-memory state IS the acknowledged history
-//     (log-before-apply), so atomically snapshotting it both retries any
-//     checkpoint that failed while degraded and covers every record of
-//     the old (possibly broken, possibly mid-frame) log; the rotation
-//     inside the checkpoint then swaps in a fresh empty log and clears
-//     the broken marker. A crash between snapshot and rotation is the
-//     same crash window checkpoints always had: records at or below the
-//     checkpoint LSN replay as no-ops.
-//  3. Probe round-trip — append + fsync + rollback on the fresh log
-//     proves writes actually reach stable storage before the engine
-//     re-admits mutating statements. The probe record is a SET (replays
-//     harmlessly on any engine) in case a crash strands it mid-probe.
+// healAttemptLocked re-establishes the durability path: the disk-space
+// gate (no point churning a full disk), then a checkpoint. The in-memory
+// state is exactly the acknowledged history — a statement applies before
+// it is logged and is undone if the log refuses it — so imaging it both
+// retries any checkpoint that failed while degraded and covers every
+// record of the old (possibly broken, possibly mid-frame) log. The
+// rotation inside the checkpoint swaps in a fresh log, clears the broken
+// marker, and writes and fsyncs the fresh log's header on the very handle
+// the next append uses: a heal that succeeds has proved that writes reach
+// stable storage. A crash inside it is a checkpoint crash window like any
+// other: records at or below the checkpoint LSN are skipped on replay.
 func (e *Engine) healAttemptLocked() error {
 	d := &e.dur
 	if free, ok := d.fs.Free(d.dir); ok && d.hardFree > 0 && free < d.hardFree {
@@ -269,17 +261,6 @@ func (e *Engine) healAttemptLocked() error {
 	}
 	if err := e.checkpointLocked(); err != nil {
 		return fmt.Errorf("checkpoint retry: %w", err)
-	}
-	probe := &wal.Record{SQL: fmt.Sprintf("SET QUERY_TIMEOUT = %d", e.QueryTimeout().Milliseconds())}
-	lsn, err := d.log.Append(probe)
-	if err != nil {
-		return fmt.Errorf("probe append: %w", err)
-	}
-	if err := d.log.Sync(); err != nil {
-		return fmt.Errorf("probe fsync: %w", err)
-	}
-	if err := d.log.RollbackLast(lsn); err != nil {
-		return fmt.Errorf("probe rollback: %w", err)
 	}
 	return nil
 }

@@ -102,7 +102,7 @@ func (p *PreparedDML) NumParams() int { return p.nparams }
 
 // Exec runs the prepared DML with the given parameter values. On a
 // durable engine the statement template and its bound parameters are
-// logged before applying, like any other mutation.
+// logged once the statement applied, like any other mutation.
 func (p *PreparedDML) Exec(params ...types.Value) (*Result, error) {
 	return p.ExecContext(context.Background(), params...)
 }

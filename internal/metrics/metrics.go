@@ -195,10 +195,6 @@ type Metrics struct {
 	WALCheckpoints Counter
 	WALRecoveries  Counter
 
-	// WALRollbacks counts logged statements whose record was removed
-	// again because the statement failed to apply (log-before-apply).
-	WALRollbacks Counter
-
 	// Disk-fault tolerance: DurabilityDegraded is 1 while the engine is
 	// in degraded read-only mode (or probing to leave it), 0 when the
 	// durability path is healthy. HealAttempts counts background heal
@@ -301,7 +297,6 @@ func (m *Metrics) Snapshot(views []GraphViewStats) []KV {
 		KV{"wal.fsyncs", m.WALFsyncs.Value()},
 		KV{"wal.checkpoints", m.WALCheckpoints.Value()},
 		KV{"wal.recoveries", m.WALRecoveries.Value()},
-		KV{"wal.rollbacks", m.WALRollbacks.Value()},
 		KV{"durability.degraded", m.DurabilityDegraded.Value()},
 		KV{"durability.heal_attempts", m.HealAttempts.Value()},
 		KV{"durability.heals", m.Heals.Value()},

@@ -66,16 +66,17 @@ func durOptsFor(roundSeed int64) durOpts {
 	return o
 }
 
-func (sc *scenario) openDurable(dir string, o durOpts) (*core.Engine, *core.RecoveryInfo, error) {
+func (sc *scenario) openDurable(dir string, o durOpts) (*core.Engine, error) {
 	opts := core.Options{Workers: sc.workers}
 	opts.Durability = core.Durability{Dir: dir, Fsync: o.fsync, CheckpointEvery: o.every}
-	return core.Open(opts)
+	eng, _, err := core.Open(opts)
+	return eng, err
 }
 
 // newDurableEngine opens a fresh durable engine in dir and loads the
 // scenario schema and initial graph.
 func (sc *scenario) newDurableEngine(dir string, o durOpts) (*core.Engine, error) {
-	eng, _, err := sc.openDurable(dir, o)
+	eng, err := sc.openDurable(dir, o)
 	if err != nil {
 		return nil, err
 	}
@@ -90,10 +91,10 @@ func (sc *scenario) newDurableEngine(dir string, o durOpts) (*core.Engine, error
 
 // killRecover simulates the crash/restart cycle: kill the engine (no
 // sync, no checkpoint), recover a new one from the directory.
-func (sc *scenario) killRecover(eng *core.Engine, dir string, o durOpts) (*core.Engine, *core.RecoveryInfo, error) {
+func (sc *scenario) killRecover(eng *core.Engine, dir string, o durOpts) (*core.Engine, error) {
 	if o.ckpt {
 		if err := eng.Checkpoint(); err != nil {
-			return nil, nil, fmt.Errorf("checkpoint before kill: %v", err)
+			return nil, fmt.Errorf("checkpoint before kill: %v", err)
 		}
 	}
 	eng.Kill()
@@ -101,17 +102,10 @@ func (sc *scenario) killRecover(eng *core.Engine, dir string, o durOpts) (*core.
 }
 
 // checkRecovered runs the state battery against a just-recovered engine.
+// A record that fails on replay already failed Open ("recovery-open").
 // Check families carry a "recovery-" prefix so a failure is attributable
 // to the crash/recover cycle rather than to live maintenance.
-func (sc *scenario) checkRecovered(eng *core.Engine, info *core.RecoveryInfo, st *datagen.GraphState) *Violation {
-	// The WAL only ever holds statements that applied successfully (failed
-	// statements are rolled back out of the log), so a deterministic
-	// engine must replay every record cleanly.
-	if info.ReplayErrors > 0 {
-		return violationf("recovery-replay",
-			"%d of %d replayed statements failed during recovery (%s)",
-			info.ReplayErrors, info.Replayed, info)
-	}
+func (sc *scenario) checkRecovered(eng *core.Engine, st *datagen.GraphState) *Violation {
 	if v := sc.checkMaintenance(eng, st); v != nil {
 		v.Check = "recovery-" + v.Check
 		return v
@@ -197,13 +191,13 @@ func runRecoveryRound(cfg Config, roundSeed int64) (stmts, batches int, viol *Vi
 	opRNG := rand.New(rand.NewSource(roundSeed + 1))
 
 	// Cycle 0: the initial bulk load must survive a crash.
-	eng, info, rerr := sc.killRecover(eng, dir, o)
+	eng, rerr := sc.killRecover(eng, dir, o)
 	if rerr != nil {
 		v := violationf("recovery-open", "recovering initial load: %v", rerr)
 		v.Batch = 0
 		return fail(v, nil)
 	}
-	if v := sc.checkRecovered(eng, info, st); v != nil {
+	if v := sc.checkRecovered(eng, st); v != nil {
 		v.Batch = 0
 		return fail(v, nil)
 	}
@@ -232,13 +226,13 @@ func runRecoveryRound(cfg Config, roundSeed int64) (stmts, batches int, viol *Vi
 				st.Apply(m)
 			}
 		}
-		eng, info, rerr = sc.killRecover(eng, dir, o)
+		eng, rerr = sc.killRecover(eng, dir, o)
 		if rerr != nil {
 			v := violationf("recovery-open", "recovering after batch %d: %v", b, rerr)
 			v.Batch = b
 			return fail(v, ops)
 		}
-		if v := sc.checkRecovered(eng, info, st); v != nil {
+		if v := sc.checkRecovered(eng, st); v != nil {
 			v.Batch = b
 			return fail(v, ops)
 		}
@@ -249,20 +243,19 @@ func runRecoveryRound(cfg Config, roundSeed int64) (stmts, batches int, viol *Vi
 }
 
 // replayRecoveryOps replays a candidate subset against a fresh durable
-// engine in its own directory, then kills and recovers it, returning the
-// recovered engine, its RecoveryInfo and the mirrored model. Returns
-// ok=false when the harness itself cannot replay (treat as "does not
-// reproduce").
-func replayRecoveryOps(sc *scenario, o durOpts, kept []op) (*core.Engine, *core.RecoveryInfo, *datagen.GraphState, func(), bool) {
+// engine in its own directory, then kills and recovers it and returns the
+// recovery check that fails, if any: "recovery-open" when recovery refuses
+// the directory, else the state battery's. Returns ok=false when the
+// harness itself cannot replay (treat as "does not reproduce").
+func replayRecoveryOps(sc *scenario, o durOpts, kept []op) (v *Violation, ok bool) {
 	dir, err := os.MkdirTemp("", "grfusion-oracle-min-")
 	if err != nil {
-		return nil, nil, nil, nil, false
+		return nil, false
 	}
-	cleanup := func() { os.RemoveAll(dir) }
+	defer os.RemoveAll(dir)
 	eng, err := sc.newDurableEngine(dir, o)
 	if err != nil {
-		cleanup()
-		return nil, nil, nil, nil, false
+		return nil, false
 	}
 	st := datagen.NewGraphState(sc.initial)
 	for _, rec := range kept {
@@ -270,12 +263,11 @@ func replayRecoveryOps(sc *scenario, o durOpts, kept []op) (*core.Engine, *core.
 			st.Apply(rec.m)
 		}
 	}
-	eng, info, err := sc.killRecover(eng, dir, o)
-	if err != nil {
-		cleanup()
-		return nil, nil, nil, nil, false
+	if eng, err = sc.killRecover(eng, dir, o); err != nil {
+		return violationf("recovery-open", "%v", err), true
 	}
-	return eng, info, st, cleanup, true
+	defer eng.Close()
+	return sc.checkRecovered(eng, st), true
 }
 
 // minimizeRecoveryOps is minimizeOps for "recovery-*" violations: the
@@ -289,14 +281,8 @@ func minimizeRecoveryOps(sc *scenario, o durOpts, ops []op, v *Violation) []stri
 			return false
 		}
 		runs++
-		eng, info, st, cleanup, ok := replayRecoveryOps(sc, o, kept)
-		if !ok {
-			return false
-		}
-		defer cleanup()
-		defer eng.Close()
-		got := sc.checkRecovered(eng, info, st)
-		return got != nil && got.Check == check
+		got, ok := replayRecoveryOps(sc, o, kept)
+		return ok && got != nil && got.Check == check
 	}
 	if !reproduces(ops) {
 		return nil

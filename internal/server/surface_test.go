@@ -97,19 +97,16 @@ func renderRows(rows []types.Row) string {
 }
 
 // surfaceCounters reads the counters the test compares: by-kind and
-// by-sentinel statement accounting, published versions, net WAL records,
+// by-sentinel statement accounting, published versions, WAL appends,
 // analytics runs, and COPY batches.
 func surfaceCounters(eng *core.Engine) map[string]int64 {
 	out := map[string]int64{}
 	for _, kv := range eng.MetricsSnapshot() {
 		switch {
 		case strings.HasPrefix(kv.Name, "statements."), strings.HasPrefix(kv.Name, "errors."),
-			kv.Name == "mvcc.published", kv.Name == "analytics.runs", kv.Name == "bulk.batches":
+			kv.Name == "mvcc.published", kv.Name == "wal.appends", kv.Name == "analytics.runs",
+			kv.Name == "bulk.batches":
 			out[kv.Name] = kv.Value
-		case kv.Name == "wal.appends":
-			out["wal.net"] += kv.Value
-		case kv.Name == "wal.rollbacks":
-			out["wal.net"] -= kv.Value
 		}
 	}
 	return out
@@ -287,7 +284,7 @@ func TestSurfaceEquivalence(t *testing.T) {
 			if si == 0 {
 				ref, refDump = got, dump
 				// The reference itself must show the contract the others are
-				// held to: one version and one net WAL record per successful
+				// held to: one version and one WAL append per successful
 				// write, none for a failed write or a read.
 				for i, o := range got {
 					want := int64(0)
@@ -297,9 +294,9 @@ func TestSurfaceEquivalence(t *testing.T) {
 					if script[i].isSelect() && o.rows == "" {
 						t.Errorf("step %d %q: read returned no rows", i, script[i].inline())
 					}
-					if o.delta["mvcc.published"] != want || o.delta["wal.net"] != want {
-						t.Errorf("step %d %q: published %d, net WAL records %d, want %d each",
-							i, script[i].inline(), o.delta["mvcc.published"], o.delta["wal.net"], want)
+					if o.delta["mvcc.published"] != want || o.delta["wal.appends"] != want {
+						t.Errorf("step %d %q: published %d, WAL appends %d, want %d each",
+							i, script[i].inline(), o.delta["mvcc.published"], o.delta["wal.appends"], want)
 					}
 				}
 				return
@@ -313,7 +310,7 @@ func TestSurfaceEquivalence(t *testing.T) {
 					// A COPY batch is not a statement: same effect on versions
 					// and the log, counted under bulk.* instead.
 					delta := map[string]int64{}
-					for _, k := range []string{"mvcc.published", "wal.net"} {
+					for _, k := range []string{"mvcc.published", "wal.appends"} {
 						if v := want.delta[k]; v != 0 {
 							delta[k] = v
 						}

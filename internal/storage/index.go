@@ -196,18 +196,6 @@ func (ix *Index) search(key types.Row, id RowID) int {
 	})
 }
 
-func (ix *Index) clear() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	switch {
-	case ix.unique != nil:
-		ix.unique.clear()
-	case !ix.ordered:
-		ix.hash = make(map[string][]RowID)
-	}
-	ix.entries = ix.entries[:0]
-}
-
 // Lookup returns the RowIDs whose indexed columns equal key, in
 // deterministic order. The returned slice is the caller's to keep: it
 // never aliases index internals, so it stays valid across concurrent

@@ -142,16 +142,6 @@ func (pk *pkIndex) sameKey(a, b types.Row) bool {
 	return types.KeyOf(a, pk.cols) == types.KeyOf(b, pk.cols)
 }
 
-// clear resets the index to empty.
-func (pk *pkIndex) clear() {
-	if pk.intKey {
-		pk.ints = make(map[int64]RowID)
-		pk.nullID = InvalidRowID
-		return
-	}
-	pk.str = make(map[string]RowID)
-}
-
 // reserve presizes the index for about n additional keys, so a bulk load
 // does not pay incremental map growth (rehash + clear of the old buckets)
 // on every few thousand rows.

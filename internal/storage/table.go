@@ -355,25 +355,18 @@ func (t *Table) Scan(fn func(id RowID, row types.Row) bool) {
 	}
 }
 
-// Truncate removes every tuple.
-func (t *Table) Truncate() {
-	t.version.Add(1)
-	if t.sharedLen > 0 {
-		// A live snapshot aliases the backing array: reusing it would
-		// leak future inserts into the snapshot. Drop it instead.
-		t.rows = nil
-		t.sharedLen = 0
-	} else {
-		t.rows = t.rows[:0]
-	}
-	t.free = t.free[:0]
-	t.live = 0
+// Empty returns a new, empty table with t's name, schema, primary key and
+// secondary index definitions; t itself is not touched. TRUNCATE swaps it
+// in for t.
+func (t *Table) Empty() *Table {
+	nt := &Table{name: t.name, schema: t.schema, pkCols: t.pkCols}
 	if t.pk != nil {
-		t.pk.clear()
+		nt.pk = newPrimaryKey(t.schema, t.pkCols)
 	}
-	for _, ix := range t.indexes {
-		ix.clear()
+	for _, ix := range t.Indexes() {
+		nt.indexes = append(nt.indexes, newIndex(ix.Name, ix.Cols, ix.Ordered))
 	}
+	return nt
 }
 
 // ApproxBytes estimates the resident size of the table's tuples, used by

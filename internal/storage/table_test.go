@@ -195,22 +195,31 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
+func TestEmpty(t *testing.T) {
 	tb := usersTable(t)
 	mustInsert(t, tb, types.NewInt(1), types.NewString("a"), types.NewInt(1))
 	if _, err := tb.CreateIndex("ix_age", []int{2}, false); err != nil {
 		t.Fatal(err)
 	}
-	tb.Truncate()
-	if tb.Len() != 0 {
-		t.Error("truncate left rows")
+	empty := tb.Empty()
+	if empty.Len() != 0 || tb.Len() != 1 {
+		t.Errorf("Empty: %d rows, original %d, want 0 and 1", empty.Len(), tb.Len())
 	}
-	ix, _ := tb.Index("ix_age")
-	if ix.Len() != 0 {
-		t.Error("truncate left index entries")
+	if next, depth := empty.AllocState(); next != 1 || depth != 0 {
+		t.Errorf("Empty allocator = (%d,%d), want (1,0)", next, depth)
 	}
-	if _, err := tb.Insert(types.Row{types.NewInt(1), types.NewString("a"), types.NewInt(1)}); err != nil {
-		t.Errorf("reinsert after truncate: %v", err)
+	ix, ok := empty.Index("ix_age")
+	if !ok || ix.Len() != 0 {
+		t.Errorf("Empty lost the index definition or kept its entries (present %v)", ok)
+	}
+	if _, err := empty.Insert(types.Row{types.NewInt(1), types.NewString("a"), types.NewInt(1)}); err != nil {
+		t.Errorf("insert into the empty table: %v", err)
+	}
+	if _, err := empty.Insert(types.Row{types.NewInt(1), types.NewString("b"), types.NewInt(2)}); err == nil {
+		t.Error("Empty lost the primary key: duplicate accepted")
+	}
+	if ix.Len() != 1 {
+		t.Errorf("the empty table's index holds %d entries after one insert, want 1", ix.Len())
 	}
 }
 

@@ -83,66 +83,6 @@ func TestAppendShortWrite(t *testing.T) {
 	}
 }
 
-// TestRollbackLastSyncFailure proves the FsyncAlways rollback path no
-// longer swallows a failed fsync: the log stays usable, is marked dirty so
-// the next sync retries, and the rollback is still counted.
-func TestRollbackLastSyncFailure(t *testing.T) {
-	ffs := faultfs.NewFaulty(nil, 1)
-	path := filepath.Join(t.TempDir(), "wal.log")
-	var syncs, rollbacks int
-	l, _ := mustOpen(t, path, Options{
-		Fsync:      FsyncAlways,
-		FS:         ffs,
-		OnSync:     func() { syncs++ },
-		OnRollback: func() { rollbacks++ },
-	})
-	lsn, err := l.Append(&Record{SQL: "INSERT INTO t VALUES (1)"})
-	if err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	syncsAfterAppend := syncs
-
-	// RollbackLast performs truncate (eligible op 1) then sync (op 2);
-	// fail the sync only.
-	ffs.Arm(2, syscall.EIO)
-	if err := l.RollbackLast(lsn); err != nil {
-		t.Fatalf("rollback with failing sync must still succeed (record is gone): %v", err)
-	}
-	if rollbacks != 1 {
-		t.Fatalf("OnRollback fired %d times, want 1", rollbacks)
-	}
-	if syncs != syncsAfterAppend {
-		t.Fatalf("OnSync fired for a failed sync (count %d, want %d)", syncs, syncsAfterAppend)
-	}
-	if err := l.Broken(); err != nil {
-		t.Fatalf("a failed best-effort rollback sync must not break the log: %v", err)
-	}
-
-	// The failed sync left the log dirty; an explicit Sync retries it.
-	if err := l.Sync(); err != nil {
-		t.Fatalf("retry sync: %v", err)
-	}
-	if syncs != syncsAfterAppend+1 {
-		t.Fatalf("retry sync did not fire OnSync (count %d, want %d)", syncs, syncsAfterAppend+1)
-	}
-	// And a second Sync is a no-op: the dirty flag really was cleared.
-	if err := l.Sync(); err != nil {
-		t.Fatalf("idle sync: %v", err)
-	}
-	if syncs != syncsAfterAppend+1 {
-		t.Fatalf("idle sync fired OnSync; dirty flag not cleared")
-	}
-
-	// The rollback took effect on disk despite the failed sync.
-	if err := l.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	_, res := mustOpen(t, path, Options{Fsync: FsyncOff})
-	if len(res.Records) != 0 {
-		t.Fatalf("rolled-back record survived: %d records", len(res.Records))
-	}
-}
-
 // TestRotateENOSPCEveryPoint injects ENOSPC at every fault-eligible point
 // of the rotate protocol (tmp open, header write, fsync, rename) and
 // proves each failure leaves the old log fully usable, then that a clean
@@ -186,13 +126,9 @@ func TestRotateENOSPCEveryPoint(t *testing.T) {
 			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("failed rotate left tmp file (stat err %v)", err)
 			}
-			// The old log still appends and rolls back normally.
-			lsn, err := l.Append(&Record{SQL: "INSERT INTO t VALUES (3)"})
-			if err != nil {
+			// The old log still appends normally.
+			if _, err := l.Append(&Record{SQL: "INSERT INTO t VALUES (3)"}); err != nil {
 				t.Fatalf("append after failed rotate: %v", err)
-			}
-			if err := l.RollbackLast(lsn); err != nil {
-				t.Fatalf("rollback after failed rotate: %v", err)
 			}
 		})
 	}

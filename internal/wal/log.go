@@ -16,8 +16,8 @@ import (
 type FsyncPolicy uint8
 
 const (
-	// FsyncAlways syncs after every logged statement before it is applied
-	// — no acknowledged write is ever lost.
+	// FsyncAlways syncs every append before it returns — no acknowledged
+	// write is ever lost.
 	FsyncAlways FsyncPolicy = iota
 	// FsyncInterval syncs from a background ticker; a crash loses at most
 	// the last interval of acknowledged writes, but the log on disk is
@@ -86,10 +86,6 @@ type Options struct {
 	// OnAppend, when set, is called after every successful append with
 	// the frame size in bytes (metrics).
 	OnAppend func(bytes int)
-	// OnRollback, when set, is called after every successful RollbackLast
-	// (metrics: a logged statement failed to apply and its record was
-	// removed again).
-	OnRollback func()
 	// FS is the storage layer the log operates on; nil means the real
 	// filesystem (faultfs.OS). Tests pass a faultfs.Faulty to inject
 	// EIO/ENOSPC/short writes/fsync failures/power cuts beneath the log.
@@ -113,9 +109,6 @@ type Log struct {
 	// truncation; the file may end mid-frame, so further appends would
 	// write frames recovery can never reach.
 	broken error
-	// lastFrameLen is the size of the most recent append, kept so a
-	// statement that fails to apply can be rolled back (RollbackLast).
-	lastFrameLen int64
 
 	stopInterval chan struct{}
 	doneInterval chan struct{}
@@ -283,7 +276,7 @@ func (l *Log) SetPolicy(p FsyncPolicy) error {
 // Append assigns the next LSN to rec, writes its frame, and syncs per
 // policy. On any failure the frame is rolled back (truncated away) so the
 // on-disk log only ever contains acknowledged records; the caller must
-// then abort the statement without applying it. Returns the assigned LSN.
+// then undo the statement. Returns the assigned LSN.
 func (l *Log) Append(rec *Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -310,7 +303,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	if l.opts.Fsync == FsyncAlways {
 		if err := l.syncAfterAppendLocked(); err != nil {
 			// The frame hit the page cache but not stable storage; since
-			// the statement will be aborted, the record must not survive
+			// the statement will be undone, the record must not survive
 			// to replay.
 			l.rollbackLocked(err)
 			return 0, fmt.Errorf("wal sync: %w", err)
@@ -319,62 +312,11 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 		l.dirty = true
 	}
 	l.size += int64(len(frame))
-	l.lastFrameLen = int64(len(frame))
 	l.nextLSN++
 	if l.opts.OnAppend != nil {
 		l.opts.OnAppend(len(frame))
 	}
 	return rec.LSN, nil
-}
-
-// RollbackLast removes the most recently appended record if its LSN is
-// lsn. The engine calls this when a logged statement fails to apply
-// (log-before-apply ordering), keeping the on-disk log an exact record of
-// applied history. Only the newest record can be removed, and only before
-// any later append or rotation.
-func (l *Log) RollbackLast(lsn uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.broken != nil {
-		return l.broken
-	}
-	if lsn == 0 || lsn != l.nextLSN-1 || l.lastFrameLen == 0 {
-		return fmt.Errorf("wal: cannot roll back LSN %d (latest is %d)", lsn, l.nextLSN-1)
-	}
-	newSize := l.size - l.lastFrameLen
-	if err := l.f.Truncate(newSize); err != nil {
-		l.broken = fmt.Errorf("truncate during statement rollback: %v", err)
-		return l.broken
-	}
-	if _, err := l.f.Seek(newSize, 0); err != nil {
-		l.broken = fmt.Errorf("reposition during statement rollback: %v", err)
-		return l.broken
-	}
-	l.size = newSize
-	l.lastFrameLen = 0
-	l.nextLSN--
-	if l.opts.Fsync == FsyncAlways {
-		// Make the removal as durable as the append was. On failure the
-		// rollback itself succeeded — the record is gone from the file —
-		// but the truncation may not have reached stable storage yet, so
-		// mark the log dirty and let the next interval/explicit sync (or
-		// the FsyncAlways sync of the next append) retry.
-		if err := l.f.Sync(); err != nil {
-			l.dirty = true
-		} else {
-			l.dirty = false
-			if l.opts.OnSync != nil {
-				l.opts.OnSync()
-			}
-		}
-	}
-	if l.opts.OnRollback != nil {
-		l.opts.OnRollback()
-	}
-	return nil
 }
 
 // Broken returns the unrecoverable-append error that disabled the log, or
@@ -474,7 +416,6 @@ func (l *Log) Rotate() error {
 	l.size = HeaderSize
 	l.dirty = false
 	l.broken = nil
-	l.lastFrameLen = 0
 	if _, err := nf.Seek(HeaderSize, 0); err != nil {
 		return fmt.Errorf("wal rotate: %w", err)
 	}
