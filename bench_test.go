@@ -126,16 +126,39 @@ func BenchmarkPathScanFriendsOfFriends(b *testing.B) {
 	}
 }
 
+// BenchmarkShortestPathSPScan runs TOP 1 weighted shortest paths: ad hoc
+// over the 2k-user social graph, and prepared over a 20k-vertex,
+// 100k-edge view — the layered benchmark's graph size, and an in-process
+// profiling target for SPScan (-bench 'SPScan/prepared' -cpuprofile).
 func BenchmarkShortestPathSPScan(b *testing.B) {
-	db := socialDB(b, 2000, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := fmt.Sprintf(`SELECT TOP 1 PS.PathString FROM Social.Paths PS HINT(SHORTESTPATH(since))
-			WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d`, i%2000, (i+1333)%2000)
-		if _, err := db.Query(q); err != nil {
+	b.Run("adhoc", func(b *testing.B) {
+		db := socialDB(b, 2000, 3)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q := fmt.Sprintf(`SELECT TOP 1 PS.PathString FROM Social.Paths PS HINT(SHORTESTPATH(since))
+				WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d`, i%2000, (i+1333)%2000)
+			if _, err := db.Query(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		const ne = 100_000
+		db := topologyDB(b, ne)
+		stmt, err := db.Prepare(`SELECT TOP 1 SUM(PS.Edges.w), PS.Length FROM G.Paths PS
+			HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ?`)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		nv := ne / 5
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := stmt.Query(mix(3*ne+i)%nv, mix(4*ne+i)%nv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkHashJoin(b *testing.B) {
@@ -159,14 +182,15 @@ func BenchmarkInsertWithViewMaintenance(b *testing.B) {
 }
 
 // topologyDB builds a directed graph view over ne random edges among ne/5
-// vertices, the shape of the layered benchmark's graph. The tables are
-// loaded before the view exists, so the view starts from one fresh build.
+// vertices, each with a DOUBLE weight w in [1, 100), the shape of the
+// layered benchmark's graph. The tables are loaded before the view
+// exists, so the view starts from one fresh build.
 func topologyDB(b *testing.B, ne int) *DB {
 	b.Helper()
 	nv := ne / 5
 	db := Open(Config{})
 	db.MustExec(`CREATE TABLE V (vid BIGINT PRIMARY KEY)`)
-	db.MustExec(`CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT)`)
+	db.MustExec(`CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT, w DOUBLE)`)
 	insertAll := func(n int, table string, row func(i int) string) {
 		for i := 0; i < n; i += 1000 {
 			var sb strings.Builder
@@ -182,11 +206,19 @@ func topologyDB(b *testing.B, ne int) *DB {
 	}
 	insertAll(nv, "V", func(i int) string { return fmt.Sprintf("(%d)", i) })
 	insertAll(ne, "E", func(i int) string {
-		return fmt.Sprintf("(%d, %d, %d)", i, (i*7919)%nv, (i*104729+13)%nv)
+		return fmt.Sprintf("(%d, %d, %d, %d.5)", i, mix(i)%nv, mix(ne+i)%nv, 1+mix(2*ne+i)%99)
 	})
 	db.MustExec(`CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = vid) FROM V
-		EDGES(ID = eid, FROM = src, TO = dst) FROM E`)
+		EDGES(ID = eid, FROM = src, TO = dst, w = w) FROM E`)
 	return db
+}
+
+// mix scatters i over the non-negative ints (the splitmix64 finalizer).
+func mix(i int) int {
+	x := uint64(i) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return int((x ^ x>>31) >> 1)
 }
 
 // BenchmarkTopologyWrite is one prepared edge INSERT plus one DELETE of the
@@ -197,7 +229,7 @@ func BenchmarkTopologyWrite(b *testing.B) {
 	for _, ne := range []int{20_000, 100_000} {
 		b.Run(fmt.Sprintf("E=%dk", ne/1000), func(b *testing.B) {
 			db := topologyDB(b, ne)
-			ins, err := db.PrepareDML(`INSERT INTO E VALUES (?, ?, ?)`)
+			ins, err := db.PrepareDML(`INSERT INTO E VALUES (?, ?, ?, 1.5)`)
 			if err != nil {
 				b.Fatal(err)
 			}

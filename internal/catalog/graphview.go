@@ -78,6 +78,15 @@ type GraphView struct {
 	// version whose delta was empty and of one that had to walk a delta.
 	csrHits   atomic.Int64
 	csrMisses atomic.Int64
+
+	// weightColBuilds counts SPScan weight columns laid out by the view's
+	// pinned bindings (GraphViewAt.Weights).
+	weightColBuilds atomic.Int64
+
+	// last is the binding At handed out most recently, returned again
+	// while the topology version and both source views are unchanged.
+	// Writer side.
+	last *GraphViewAt
 }
 
 // NewGraphView validates a definition against its source tables and builds
@@ -306,6 +315,10 @@ func (gv *GraphView) CSRStats() (builds, buildNS, hits, misses, bytes int64) {
 	builds, buildNS, bytes = gv.topo.Stats()
 	return builds, buildNS, gv.csrHits.Load(), gv.csrMisses.Load(), bytes
 }
+
+// WeightColBuilds reports how many SPScan weight columns the view's
+// bindings have laid out. Safe anywhere.
+func (gv *GraphView) WeightColBuilds() int64 { return gv.weightColBuilds.Load() }
 
 // MaintOps reports how many incremental maintenance operations have been
 // applied to the topology since the view was built.

@@ -2,6 +2,9 @@ package catalog
 
 import (
 	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
 
 	"grfusion/internal/expr"
 	"grfusion/internal/graph"
@@ -21,19 +24,43 @@ type GraphViewAt struct {
 	Topo *graph.CSR
 	V    storage.RowView
 	E    storage.RowView
+
+	// live marks the writer's binding: its sources move under it, so it
+	// never lays out a weight column.
+	live bool
+	// relaxed counts the edges this binding's SPScans have relaxed
+	// (AddRelaxed); weights holds the columns Weights laid out, guarded by mu.
+	relaxed atomic.Int64
+	mu      sync.Mutex
+	weights []weightCol
+}
+
+// weightCol is one SPScan weight column: the edge attribute at source
+// position pos, by edge index of the bound version.
+type weightCol struct {
+	pos int
+	col []float64
 }
 
 var _ expr.GraphAccessor = (*GraphViewAt)(nil)
 
 // At binds the view to an explicit topology version and source row views.
+// While the version and both views are the ones the previous call bound,
+// it hands that binding back, so the weight columns it laid out survive
+// writes to unrelated tables. Writer side: callers hold the engine write
+// lock.
 func (gv *GraphView) At(c *graph.CSR, v, e storage.RowView) *GraphViewAt {
-	return &GraphViewAt{GV: gv, Topo: c, V: v, E: e}
+	if l := gv.last; l != nil && l.Topo == c && l.V == v && l.E == e {
+		return l
+	}
+	gv.last = &GraphViewAt{GV: gv, Topo: c, V: v, E: e}
+	return gv.last
 }
 
 // Live binds the view to its current topology and the live source
 // tables. Writer side: callers hold the engine write lock.
 func (gv *GraphView) Live() *GraphViewAt {
-	return gv.At(gv.Version(), gv.vtab, gv.etab)
+	return &GraphViewAt{GV: gv, Topo: gv.Version(), V: gv.vtab, E: gv.etab, live: true}
 }
 
 // CSR returns the bound topology version for a traversal, counting the
@@ -47,6 +74,42 @@ func (at *GraphViewAt) CSR() *graph.CSR {
 	}
 	return at.Topo
 }
+
+// Weights returns the SPScan weight column of the edge attribute ref over
+// the bound version, indexed by edge index (graph.Spec.Weights), or nil
+// while the traversal asks its weight function for every edge. A pinned
+// binding lays the column out from its own edge view, once, when its
+// SPScans have together relaxed as many edges as the version holds, so
+// the build never costs more than the traversal work already done on the
+// binding. The writer's Live binding never builds one. NaN stands for
+// every weight a column cannot hold — NULL, non-numeric, a dangling tuple
+// pointer, NaN itself — and sends the edge to the weight function, which
+// reports it exactly as without a column.
+func (at *GraphViewAt) Weights(ref expr.AttrRef) []float64 {
+	if ne := int64(at.Topo.NumEdges()); at.live || ne == 0 || at.relaxed.Load() < ne {
+		return nil
+	}
+	at.mu.Lock()
+	defer at.mu.Unlock()
+	for _, w := range at.weights {
+		if w.pos == ref.Pos {
+			return w.col
+		}
+	}
+	col := at.Topo.EdgeColumn(func(e *graph.Edge) float64 {
+		if row, ok := at.E.Get(storage.RowID(e.Tuple)); ok && row[ref.Pos].IsNumeric() {
+			return row[ref.Pos].AsFloat()
+		}
+		return math.NaN()
+	})
+	at.weights = append(at.weights, weightCol{pos: ref.Pos, col: col})
+	at.GV.weightColBuilds.Add(1)
+	return col
+}
+
+// AddRelaxed credits n edges relaxed by an SPScan over the binding toward
+// its weight column's build (Weights).
+func (at *GraphViewAt) AddRelaxed(n int64) { at.relaxed.Add(n) }
 
 // ResolveAttr implements expr.GraphAccessor; attribute metadata is the
 // same in every version.

@@ -148,6 +148,7 @@ func (e *Engine) viewStatsAt(st *dbState) []metrics.GraphViewStats {
 			MaintOps: gv.MaintOps(),
 		}
 		vs.CSRBuilds, vs.CSRBuildNS, vs.CSRHits, vs.CSRMisses, vs.CSRBytes = gv.CSRStats()
+		vs.WeightColBuilds = gv.WeightColBuilds()
 		out = append(out, vs)
 	}
 	return out

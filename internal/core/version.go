@@ -104,6 +104,9 @@ func (e *Engine) publishLocked() {
 			// carries a delta past its merge threshold. O(1) unless a merge
 			// is due, which the delta's size amortizes.
 			gv.SettleTopology()
+			// At hands back the previous binding while the version and both
+			// sources are unchanged, so a binding's SPScan weight columns
+			// outlive writes to other tables.
 			st.ats[gv] = gv.At(gv.Version(), st.Table(gv.VertexTable()), st.Table(gv.EdgeTable()))
 		}
 	}

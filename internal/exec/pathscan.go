@@ -277,8 +277,11 @@ type probeRun struct {
 	iter    graph.PathIterator
 	evalErr error        // set by filter/weight closures
 	spErr   func() error // kernel error surface (SPScan, parallel merge)
-	edges   int64        // run-local EdgesTraversed
+	edges   int64        // run-local EdgesTraversed, counted by the kernel
 	msi     *graph.MultiSourceIter
+	// credit is the binding an SPScan run credits its edges to, toward
+	// the binding's weight column (catalog.GraphViewAt.Weights).
+	credit *catalog.GraphViewAt
 }
 
 // err surfaces whichever error the run hit first.
@@ -309,6 +312,9 @@ func (r *probeRun) finish() {
 	}
 	if r.edges != 0 {
 		atomic.AddInt64(&r.ctx.EdgesTraversed, r.edges)
+		if r.credit != nil {
+			r.credit.AddRelaxed(r.edges)
+		}
 		r.edges = 0
 	}
 }
@@ -576,25 +582,27 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 		MaxLen:     spec.MaxLen,
 		Policy:     spec.Policy,
 		AllowCycle: spec.CycleClose,
+		Traversed:  &run.edges,
 		Done:       it.ctx.Done(),
 	}
-	gspec.FilterEdge = func(pos int, e *graph.Edge, from, to *graph.Vertex) bool {
-		run.edges++
-		for i := range spec.EdgeFilters {
-			f := &spec.EdgeFilters[i]
-			if !f.contains(pos) {
-				continue
+	if len(spec.EdgeFilters) > 0 {
+		gspec.FilterEdge = func(pos int, e *graph.Edge, from, to *graph.Vertex) bool {
+			for i := range spec.EdgeFilters {
+				f := &spec.EdgeFilters[i]
+				if !f.contains(pos) {
+					continue
+				}
+				v, err := it.at.EdgeAttr(e, f.Ref)
+				if err != nil {
+					run.evalErr = err
+					return false
+				}
+				if !it.evalFilter(f, v, it.consts.edgeOther[i], it.consts.edgeList[i]) {
+					return false
+				}
 			}
-			v, err := it.at.EdgeAttr(e, f.Ref)
-			if err != nil {
-				run.evalErr = err
-				return false
-			}
-			if !it.evalFilter(f, v, it.consts.edgeOther[i], it.consts.edgeList[i]) {
-				return false
-			}
+			return true
 		}
-		return true
 	}
 	if len(spec.VertexFilters) > 0 {
 		gspec.FilterVertex = func(pos int, v *graph.Vertex) bool {
@@ -640,9 +648,11 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 			}
 			return v.AsFloat(), true
 		}
+		gspec.Weights = it.at.Weights(spec.Weight)
 		sp := graph.NewCSRShortest(it.csr, gspec, weight, spec.KPaths)
 		run.iter = sp
 		run.spErr = sp.Err
+		run.credit = it.at
 	case PhysBFS:
 		run.iter = graph.NewCSRBFS(it.csr, gspec)
 	default:

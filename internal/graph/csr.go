@@ -288,6 +288,21 @@ func (c *view) edge(i int32) *Edge {
 
 func (c *view) vertexID(i int32) int64 { return c.vert(i).ID }
 
+// EdgeColumn lays out one value per edge index of the version — its
+// main's edges, then the delta edges it sees, tombstoned ones included —
+// computed by fn from each edge record. The result is what Spec.Weights
+// expects.
+func (c *view) EdgeColumn(fn func(*Edge) float64) []float64 {
+	col := make([]float64, len(c.m.edges)+len(c.dedges))
+	for i, e := range c.m.edges {
+		col[i] = fn(e)
+	}
+	for i, e := range c.dedges {
+		col[len(c.m.edges)+i] = fn(e)
+	}
+	return col
+}
+
 // stamped reports whether an event stamp counts for this version.
 func (c *view) stamped(s *uint32) bool {
 	t := atomic.LoadUint32(s)

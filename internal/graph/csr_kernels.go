@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Index-form traversal kernels over a CSR version. Each mirrors its
 // pointer twin (dfsIter/bfsIter/spIter) decision for decision — same
@@ -37,6 +40,9 @@ func csrTargetOK(targetIdx, vi int32) bool {
 }
 
 func csrOkEdge(c *CSR, s *Spec, pos int, ei, from, to int32) bool {
+	if s.Traversed != nil {
+		*s.Traversed++
+	}
 	if s.FilterEdge == nil {
 		return true
 	}
@@ -429,7 +435,8 @@ type csrSPIter struct {
 
 // NewCSRShortest creates a lazy shortest-path traversal over the version
 // (SPScan); semantics match NewShortest, including the per-vertex settle
-// cap k and the negative-weight error surfaced through Err.
+// cap k and the negative-weight error surfaced through Err. Weights come
+// from spec.Weights where it holds a number and from weight otherwise.
 func NewCSRShortest(c *CSR, spec Spec, weight WeightFunc, k int) *csrSPIter {
 	if k < 1 {
 		k = 1
@@ -482,11 +489,11 @@ func (it *csrSPIter) step() bool {
 			tos, edges := c.adjacency(end, &s.arcs)
 			for ai, toI := range tos {
 				ei := edges[ai]
-				if s.spChainContains(ni, toI) {
-					continue // simple paths only
-				}
 				if s.settled(toI) >= it.k {
 					continue
+				}
+				if s.spChainContains(ni, toI) {
+					continue // simple paths only
 				}
 				if !csrOkEdge(c, &it.spec, pos, ei, end, toI) {
 					continue
@@ -494,9 +501,15 @@ func (it *csrSPIter) step() bool {
 				if it.spec.FilterVertex != nil && !it.spec.FilterVertex(pos+1, c.vert(toI)) {
 					continue
 				}
-				w, ok := it.weight(pos, c.edge(ei), c.vert(end), c.vert(toI))
-				if !ok {
-					continue
+				w := math.NaN()
+				if int(ei) < len(it.spec.Weights) {
+					w = it.spec.Weights[ei]
+				}
+				if math.IsNaN(w) {
+					var ok bool
+					if w, ok = it.weight(pos, c.edge(ei), c.vert(end), c.vert(toI)); !ok {
+						continue
+					}
 				}
 				if w < 0 {
 					it.err = fmt.Errorf("graph %s: negative weight %g on edge %d; SPScan requires non-negative weights",

@@ -62,6 +62,15 @@ type Spec struct {
 	// The Path is the kernel's reusable scratch: it is only valid for the
 	// duration of the call and must not be retained.
 	Prune func(p *Path) bool
+	// Traversed, when non-nil, counts the edges a CSR kernel considers: it
+	// is bumped at every point FilterEdge would be consulted, whether or
+	// not one is installed, so a kernel run without a filter counts the
+	// same edges as one run with an always-true filter.
+	Traversed *int64
+	// Weights, when non-nil, is an SPScan weight column over the CSR
+	// version the kernel walks, indexed by edge index. A NaN entry defers
+	// that edge to the weight function. CSR kernels only.
+	Weights []float64
 	// Done, when non-nil, makes the traversal cooperative: the kernels poll
 	// the channel (amortized, every stopCheckMask+1 steps) and halt early
 	// once it is closed. A halted kernel simply stops emitting — the layer

@@ -255,6 +255,9 @@ type GraphViewStats struct {
 	CSRHits    int64
 	CSRMisses  int64
 	CSRBytes   int64
+	// WeightColBuilds counts the SPScan weight columns the view's pinned
+	// bindings laid out.
+	WeightColBuilds int64
 }
 
 // Snapshot renders every engine-wide counter plus the supplied per-view
@@ -316,6 +319,7 @@ func (m *Metrics) Snapshot(views []GraphViewStats) []KV {
 			KV{p + "csr_hits", gv.CSRHits},
 			KV{p + "csr_misses", gv.CSRMisses},
 			KV{p + "csr_bytes", gv.CSRBytes},
+			KV{p + "weight_col_builds", gv.WeightColBuilds},
 		)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
