@@ -126,6 +126,7 @@ func (e *Engine) observeAnalytics(ec *exec.Context) {
 	if runs := atomic.LoadInt64(&ec.AnalyticsRuns); runs > 0 {
 		e.metrics.AnalyticsRuns.Add(runs)
 		e.metrics.AnalyticsIters.Add(atomic.LoadInt64(&ec.AnalyticsIters))
+		e.metrics.AnalyticsMemoHits.Add(atomic.LoadInt64(&ec.AnalyticsMemoHits))
 	}
 }
 
@@ -201,9 +202,16 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 	}
 	root.Walk(func(n *exec.Instrumented) {
 		if as, ok := n.Op.(*exec.AnalyticsScan); ok {
-			runs, iters, td, bu := as.Actuals()
-			add("Analytics[%s.%s]: runs=%d iters=%d topdown_levels=%d bottomup_levels=%d",
-				as.At.GV.Name, as.Fn, runs, iters, td, bu)
+			runs, hits, iters, td, bu := as.Actuals()
+			memo := "miss"
+			switch {
+			case as.Fn == exec.AnalyticsDegree:
+				memo = "none"
+			case hits > 0:
+				memo = "hit"
+			}
+			add("Analytics[%s.%s]: runs=%d iters=%d topdown_levels=%d bottomup_levels=%d memo=%s",
+				as.At.GV.Name, as.Fn, runs, iters, td, bu, memo)
 			addCSR(as.At.GV)
 			return
 		}

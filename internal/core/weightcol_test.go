@@ -108,7 +108,7 @@ func TestWeightColumnMatchesClosure(t *testing.T) {
 				INSERT INTO E VALUES (100, 1, 7, 0.25, 'd'), (101, 7, 15, 0.25, 'd'), (102, 15, 20, 9.5, 'd');
 				UPDATE E SET w = 0.5 WHERE eid = 101`,
 			queries: []string{top1, top3, all}},
-		{name: "NaN", nan: true, queries: []string{top1, top3, all}},
+		{name: "NaN", nan: true, queries: []string{top1, top3, all}, wantErr: "NaN weight on edge 12"},
 		{name: "NULL", dml: `UPDATE E SET w = NULL WHERE eid = 12`,
 			queries: []string{top1, all}, wantErr: "not numeric (kind NULL)"},
 		{name: "negative", dml: `UPDATE E SET w = -1 WHERE eid = 12`,

@@ -88,6 +88,13 @@ func (a *HashAggregate) Open(ctx *Context) (Iterator, error) {
 		}
 		return g
 	}
+	// One Env and one key Builder serve every row, and with no GROUP BY
+	// the one group is found once, so such a row allocates nothing. Reset
+	// drops the Builder's buffer rather than reusing it, so the keys
+	// already taken stay intact.
+	env := &expr.Env{Params: ctx.Params}
+	var sb strings.Builder
+	var global *aggGroup // the group every row joins when there is no GROUP BY
 	for {
 		if err := ctx.CheckCancel(); err != nil {
 			return fail(err)
@@ -99,29 +106,35 @@ func (a *HashAggregate) Open(ctx *Context) (Iterator, error) {
 		if row == nil {
 			break
 		}
-		env := &expr.Env{Row: row, Params: ctx.Params}
-		vals := make(types.Row, len(a.GroupBy))
-		var sb strings.Builder
-		for i, ge := range a.GroupBy {
-			v, err := expr.Eval(ge, env)
-			if err != nil {
-				return fail(err)
+		env.Row = row
+		g := global
+		if g == nil {
+			vals := make(types.Row, len(a.GroupBy))
+			sb.Reset()
+			for i, ge := range a.GroupBy {
+				v, err := expr.Eval(ge, env)
+				if err != nil {
+					return fail(err)
+				}
+				vals[i] = v
+				v.AppendKey(&sb)
+				sb.WriteByte(0x1f)
 			}
-			vals[i] = v
-			v.AppendKey(&sb)
-			sb.WriteByte(0x1f)
-		}
-		key := sb.String()
-		g, ok := groups[key]
-		if !ok {
-			g = newGroup(vals)
-			groups[key] = g
-			order = append(order, key)
-			b := rowBytes(vals) + int64(len(key)) + 64
-			if err := ctx.Grow(b); err != nil {
-				return fail(err)
+			key := sb.String()
+			var ok bool
+			if g, ok = groups[key]; !ok {
+				g = newGroup(vals)
+				groups[key] = g
+				order = append(order, key)
+				b := rowBytes(vals) + int64(len(key)) + 64
+				if err := ctx.Grow(b); err != nil {
+					return fail(err)
+				}
+				charged += b
 			}
-			charged += b
+			if len(a.GroupBy) == 0 {
+				global = g
+			}
 		}
 		for i, s := range a.Aggs {
 			var v types.Value

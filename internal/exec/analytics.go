@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -20,7 +21,8 @@ import (
 //	SELECT * FROM GV.DEGREE_CENTRALITY() DC
 //
 // The operator is a leaf: it runs the kernel at Open over the view's bound
-// topology version and streams the result as an ordinary relation — one
+// topology version, or reads the result an earlier execution memoized on
+// that version (graph.CSR.Memo), and streams it as an ordinary relation — one
 // row per vertex in ascending identifier order, an ID column plus the
 // function's metric columns — so results join and filter against table
 // attributes.
@@ -124,9 +126,10 @@ type AnalyticsScan struct {
 	schema *types.Schema
 
 	// Actuals, surfaced by EXPLAIN ANALYZE and the metrics registry:
-	// kernel runs, iterations (BFS levels for components), and the
-	// direction split of the component BFS.
-	runs, iters, topDown, bottomUp atomic.Int64
+	// executions, those the version's memo answered, and the iterations
+	// (BFS levels for components) and component BFS direction split of
+	// the results emitted.
+	runs, memoHits, iters, topDown, bottomUp atomic.Int64
 }
 
 // NewAnalyticsScan creates the operator.
@@ -160,9 +163,10 @@ func (s *AnalyticsScan) Explain() string {
 }
 
 // Actuals reports the accumulated per-run counters for EXPLAIN ANALYZE:
-// kernel runs, iterations, and the components BFS direction split.
-func (s *AnalyticsScan) Actuals() (runs, iters, topDown, bottomUp int64) {
-	return s.runs.Load(), s.iters.Load(), s.topDown.Load(), s.bottomUp.Load()
+// executions, memo hits, iterations, and the components BFS direction
+// split.
+func (s *AnalyticsScan) Actuals() (runs, memoHits, iters, topDown, bottomUp int64) {
+	return s.runs.Load(), s.memoHits.Load(), s.iters.Load(), s.topDown.Load(), s.bottomUp.Load()
 }
 
 // argFloat evaluates a constant argument to a float.
@@ -193,9 +197,9 @@ func argInt(ctx *Context, e expr.Expr, what string) (int, error) {
 	return int(v.I), nil
 }
 
-// Open implements Operator: it runs the kernel to completion (respecting
-// the statement's cancellation signal) and returns an iterator over the
-// result relation.
+// Open implements Operator: it takes the result from the version's memo or
+// runs the kernel to completion (respecting the statement's cancellation
+// signal), and returns an iterator over the result relation.
 func (s *AnalyticsScan) Open(ctx *Context) (Iterator, error) {
 	damping, prIters, lpIters := DefaultPageRankDamping, DefaultPageRankIters, DefaultLabelPropIters
 	switch s.Fn {
@@ -240,35 +244,74 @@ func (s *AnalyticsScan) Open(ctx *Context) (Iterator, error) {
 	// Read the bound topology version at execution time — same pinning
 	// discipline as PathScan.
 	c := s.At.CSR()
-	it := &analyticsIter{ctx: ctx, s: s, csr: c, a: c.NewAnalytics(), hasScratch: true}
 	s.runs.Add(1)
 	atomic.AddInt64(&ctx.AnalyticsRuns, 1)
-	var iters int // kernel iterations (BFS levels for components)
+	it := &analyticsIter{ctx: ctx, s: s, n: c.NumVertices(), env: expr.Env{Params: ctx.Params}}
+	if s.Fn == AnalyticsDegree {
+		// O(V) and not memoized: rows come straight from the pooled
+		// scratch, which Close releases.
+		it.a, it.hasScratch = c.NewAnalytics(), true
+		it.outDeg, it.inDeg = it.a.Degrees()
+		return it, nil
+	}
+
+	// The iterative functions read the version's memo first: the version
+	// never changes, so a result computed on it once is its answer for
+	// every later execution with the same arguments.
+	var key graph.MemoKey
+	switch s.Fn {
+	case AnalyticsPageRank:
+		key = graph.MemoKey{Fn: graph.MemoPageRank, Damping: damping, Iters: prIters}
+	case AnalyticsComponents:
+		key = graph.MemoKey{Fn: graph.MemoComponents}
+	case AnalyticsLabelProp:
+		key = graph.MemoKey{Fn: graph.MemoLabelProp, Iters: lpIters}
+	}
+	res := c.Memo(key)
+	var err error
+	if res != nil {
+		s.memoHits.Add(1)
+		atomic.AddInt64(&ctx.AnalyticsMemoHits, 1)
+	} else if res, err = s.run(ctx, c, key, workers); err == nil {
+		c.SetMemo(res)
+	}
+	s.iters.Add(int64(res.Iters))
+	s.topDown.Add(int64(res.Stats.TopDown))
+	s.bottomUp.Add(int64(res.Stats.BottomUp))
+	atomic.AddInt64(&ctx.AnalyticsIters, int64(res.Iters))
+	if err != nil {
+		return nil, mapStopped(ctx, err)
+	}
+	it.res = res
+	return it, nil
+}
+
+// run runs an iterative function's kernel over the version and returns
+// its result copied out of the pooled scratch, which it releases. On an
+// error the result carries only the iterations run.
+func (s *AnalyticsScan) run(ctx *Context, c *graph.CSR, key graph.MemoKey, workers int) (*graph.AnalyticsResult, error) {
+	a := c.NewAnalytics()
+	defer a.Release()
+	res := &graph.AnalyticsResult{Key: key}
 	var err error
 	switch s.Fn {
 	case AnalyticsPageRank:
-		it.ranks, iters, err = it.a.PageRank(ctx.Done(), workers, damping, prIters, pageRankEps)
-		atomic.AddInt64(&ctx.EdgesTraversed, int64(iters)*int64(c.NumEdges()))
+		res.Ranks, res.Iters, err = a.PageRank(ctx.Done(), workers, key.Damping, key.Iters, pageRankEps)
+		atomic.AddInt64(&ctx.EdgesTraversed, int64(res.Iters)*int64(c.NumEdges()))
 	case AnalyticsComponents:
-		var stats graph.ComponentsStats
-		it.ints, stats, err = it.a.Components(ctx.Done(), workers)
-		iters = stats.Levels
-		s.topDown.Add(int64(stats.TopDown))
-		s.bottomUp.Add(int64(stats.BottomUp))
+		res.Ints, res.Stats, err = a.Components(ctx.Done(), workers)
+		res.Iters = res.Stats.Levels
 		atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(c.NumEdges()))
 	case AnalyticsLabelProp:
-		it.ints, iters, err = it.a.LabelProp(ctx.Done(), workers, lpIters)
-		atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(iters)*int64(c.NumEdges()))
-	case AnalyticsDegree:
-		it.ints, it.ints2 = it.a.Degrees()
+		res.Ints, res.Iters, err = a.LabelProp(ctx.Done(), workers, key.Iters)
+		atomic.AddInt64(&ctx.EdgesTraversed, 2*int64(res.Iters)*int64(c.NumEdges()))
 	}
-	s.iters.Add(int64(iters))
-	atomic.AddInt64(&ctx.AnalyticsIters, int64(iters))
 	if err != nil {
-		it.Close()
-		return nil, mapStopped(ctx, err)
+		return res, err
 	}
-	return it, nil
+	res.IDs = a.VertexIDs()
+	res.Ranks, res.Ints = slices.Clone(res.Ranks), slices.Clone(res.Ints)
+	return res, nil
 }
 
 // mapStopped converts a kernel's ErrStopped into the context's typed
@@ -282,48 +325,62 @@ func mapStopped(ctx *Context, err error) error {
 	return err
 }
 
+// analyticsRowsPerSlab is how many rows analyticsIter carves out of one
+// allocation.
+const analyticsRowsPerSlab = 256
+
 // analyticsIter streams the result relation in ascending vertex-ID order
 // (the kernels' result order).
 type analyticsIter struct {
-	ctx *Context
-	s   *AnalyticsScan
-	i   int
+	ctx  *Context
+	s    *AnalyticsScan
+	i, n int
+	env  expr.Env // the Filter's, reused per row
 
-	// Dense kernel outputs plus the pooled scratch to release.
-	csr        *graph.CSR
-	a          graph.Analytics
-	hasScratch bool
-	ranks      []float64
-	ints       []int64
-	ints2      []int64
+	res *graph.AnalyticsResult // the iterative functions' result
+
+	// DEGREE_CENTRALITY's degrees, in the pooled scratch to release.
+	a             graph.Analytics
+	hasScratch    bool
+	outDeg, inDeg []int64
+
+	// slab is the unused tail of the current row allocation: each row is a
+	// 3-index slice of it, so an append to one row never reaches the next.
+	slab []types.Value
 }
 
 func (it *analyticsIter) Next() (types.Row, error) {
-	for it.i < it.csr.NumVertices() {
+	width := it.s.schema.Len()
+	for it.i < it.n {
 		if err := it.ctx.CheckCancel(); err != nil {
 			return nil, err
 		}
 		i := it.i
 		it.i++
-		id := types.NewInt(it.a.VertexID(i))
-		var row types.Row
+		if len(it.slab) < width {
+			it.slab = make([]types.Value, analyticsRowsPerSlab*width)
+		}
+		row := types.Row(it.slab[:width:width])
 		switch it.s.Fn {
 		case AnalyticsPageRank:
-			row = types.Row{id, types.NewFloat(it.ranks[i])}
+			row[0], row[1] = types.NewInt(it.res.IDs[i]), types.NewFloat(it.res.Ranks[i])
 		case AnalyticsDegree:
-			row = types.Row{id, types.NewInt(it.ints[i]), types.NewInt(it.ints2[i])}
+			row[0] = types.NewInt(it.a.VertexID(i))
+			row[1], row[2] = types.NewInt(it.outDeg[i]), types.NewInt(it.inDeg[i])
 		default:
-			row = types.Row{id, types.NewInt(it.ints[i])}
+			row[0], row[1] = types.NewInt(it.res.IDs[i]), types.NewInt(it.res.Ints[i])
 		}
 		if it.s.Filter != nil {
-			ok, err := expr.EvalBool(it.s.Filter, &expr.Env{Row: row, Params: it.ctx.Params})
+			it.env.Row = row
+			ok, err := expr.EvalBool(it.s.Filter, &it.env)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
-				continue
+				continue // the row's slab space is reused
 			}
 		}
+		it.slab = it.slab[width:]
 		it.ctx.RowsEmitted++
 		return row, nil
 	}
@@ -333,7 +390,7 @@ func (it *analyticsIter) Next() (types.Row, error) {
 func (it *analyticsIter) Close() {
 	if it.hasScratch {
 		it.hasScratch = false
-		it.ranks, it.ints, it.ints2 = nil, nil, nil
+		it.outDeg, it.inDeg = nil, nil
 		it.a.Release()
 	}
 }

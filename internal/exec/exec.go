@@ -42,14 +42,16 @@ type Context struct {
 	// Counters. EdgesTraversed is updated with atomic adds (traversal
 	// workers flush their local counts into it); read it only after the
 	// query completes, or via atomic loads. AnalyticsRuns/AnalyticsIters
-	// count the analytics kernels this execution ran (atomic adds, like
+	// count the analytics scans this execution ran and their iterations,
+	// AnalyticsMemoHits those a version's memo answered (atomic adds, like
 	// EdgesTraversed); the plan's own actuals accumulate across executions
 	// of a cached plan, these do not.
-	RowsEmitted    int64
-	EdgesTraversed int64
-	PathsEmitted   int64
-	AnalyticsRuns  int64
-	AnalyticsIters int64
+	RowsEmitted       int64
+	EdgesTraversed    int64
+	PathsEmitted      int64
+	AnalyticsRuns     int64
+	AnalyticsIters    int64
+	AnalyticsMemoHits int64
 }
 
 // NewContext creates an execution context with the given memory budget.

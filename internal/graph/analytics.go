@@ -35,6 +35,7 @@ package graph
 // for the executor to map to its typed cause.
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -74,7 +75,9 @@ type ComponentsStats struct {
 type analyticsScratch struct {
 	rank, rank2 []float64
 	lbl, lbl2   []int64
-	deg         []int32 // PageRank degree per dense vertex
+	deg         []int32   // PageRank degree per dense vertex
+	contrib     []float64 // PageRank rank/degree per dense vertex, per iteration
+	dangling    []int32   // PageRank's zero-degree vertexes in identifier order
 
 	visited, cur, next []uint32 // bitmaps, one bit per dense vertex
 
@@ -128,9 +131,71 @@ func (c *CSR) NewAnalytics() Analytics {
 // handle's kernels returned.
 func (a Analytics) Release() { a.c.m.apool.Put(a.s) }
 
-// VertexID maps a result position to the vertex identifier, letting the
-// executor turn kernel outputs into rows.
+// VertexID maps a result position to the vertex identifier.
 func (a Analytics) VertexID(i int) int64 { return a.c.vertexID(a.s.at(i)) }
+
+// VertexIDs returns every vertex identifier in result order. Without a
+// delta it is the main's own identifier array, shared and read-only;
+// otherwise a fresh slice.
+func (a Analytics) VertexIDs() []int64 {
+	if !a.s.ordered {
+		return a.c.m.vids[:a.c.nv:a.c.nv]
+	}
+	ids := make([]int64, len(a.s.order))
+	for p, v := range a.s.order {
+		ids[p] = a.c.vertexID(v)
+	}
+	return ids
+}
+
+// MemoFn names the analytics functions a version memoizes: the iterative
+// ones. DEGREE_CENTRALITY is O(V) and has no slot.
+type MemoFn uint8
+
+// The memoized functions.
+const (
+	MemoPageRank MemoFn = iota
+	MemoComponents
+	MemoLabelProp
+	numMemoFns
+)
+
+// MemoKey identifies one memoizable analytics call on a version: the
+// function and every argument its result depends on. The worker count is
+// not one of them, since the kernels are bit-identical at any worker count,
+// nor is PAGERANK's early-stop threshold, which the SQL surface fixes.
+type MemoKey struct {
+	Fn      MemoFn
+	Damping float64 // PAGERANK
+	Iters   int     // PAGERANK iterations, LABEL_PROPAGATION maxIters
+}
+
+// AnalyticsResult is a kernel's output detached from the pooled scratch,
+// in result order, so it can outlive Release and be memoized. Its slices
+// are read-only.
+type AnalyticsResult struct {
+	Key   MemoKey
+	IDs   []int64   // vertex identifiers
+	Ranks []float64 // PAGERANK
+	Ints  []int64   // component or label
+	Iters int       // kernel iterations (BFS levels for components)
+	Stats ComponentsStats
+}
+
+// Memo returns the result memoized on this version for key, or nil. A
+// version never changes, so the result stays right for as long as the
+// version lives, and it dies with the version.
+func (c *CSR) Memo(key MemoKey) *AnalyticsResult {
+	if r := c.memo[key.Fn].Load(); r != nil && r.Key == key {
+		return r
+	}
+	return nil
+}
+
+// SetMemo memoizes r on this version under r.Key, replacing whatever the
+// function's slot held. Concurrent setters may race; every result for a
+// key is the same, so whichever store lands is correct.
+func (c *CSR) SetMemo(r *AnalyticsResult) { c.memo[r.Key.Fn].Store(r) }
 
 // at returns the dense index of the vertex at result position p.
 func (s *analyticsScratch) at(p int) int32 {
@@ -356,15 +421,15 @@ func (c *view) prArcs(v int32, b *arcBuf) []int32 {
 
 // prRun is the parallel pull phase of one PageRank iteration.
 type prRun struct {
-	c           *CSR
-	s           *analyticsScratch
-	rank, rank2 []float64
-	base        float64
-	damping     float64
+	c       *CSR
+	s       *analyticsScratch
+	rank2   []float64
+	base    float64
+	damping float64
 }
 
 func (r *prRun) runChunk(worker, lo, hi int) {
-	c, deg, rank, rank2 := r.c, r.s.deg, r.rank, r.rank2
+	c, contrib, rank2 := r.c, r.s.contrib, r.rank2
 	b := &r.s.abufs[worker]
 	off, adj := c.m.inOff, c.m.inAdj
 	if !c.m.directed {
@@ -383,7 +448,7 @@ func (r *prRun) runChunk(worker, lo, hi int) {
 		}
 		sum := 0.0
 		for _, u := range nbrs {
-			sum += rank[u] / float64(deg[u])
+			sum += contrib[u]
 		}
 		rank2[v] = r.base + r.damping*sum
 	}
@@ -404,12 +469,22 @@ func (a Analytics) PageRank(done <-chan struct{}, workers int, damping float64, 
 	s.rank = sizeF64(s.rank, n)
 	s.rank2 = sizeF64(s.rank2, n)
 	s.deg = sizeI32(s.deg, n)
-	rank, rank2 := s.rank, s.rank2
+	s.contrib = sizeF64(s.contrib, n)
+	rank, rank2, deg, contrib := s.rank, s.rank2, s.deg, s.contrib
 	init := 1 / float64(nv)
 	for v := int32(0); v < int32(n); v++ {
-		rank[v], s.deg[v] = init, c.prDegree(v)
+		rank[v], deg[v], contrib[v] = init, c.prDegree(v), 0
 		if c.deadV(v) {
 			rank[v] = 0
+		}
+	}
+	// The zero-degree vertexes in identifier order: the dangling mass is a
+	// floating-point reduction, so its summation order must not depend on
+	// chunking, workers or the dense numbering.
+	s.dangling = s.dangling[:0]
+	for p := 0; p < nv; p++ {
+		if v := s.at(p); deg[v] == 0 {
+			s.dangling = append(s.dangling, v)
 		}
 	}
 	nf := float64(nv)
@@ -418,30 +493,28 @@ func (a Analytics) PageRank(done <-chan struct{}, workers int, damping float64, 
 		if stoppedCh(done) {
 			return nil, iters, ErrStopped
 		}
-		// Sequential pre-pass in identifier order: the dangling mass is a
-		// floating-point reduction, so its summation order must not depend
-		// on chunking, workers or the dense numbering.
 		dangling := 0.0
-		for p := 0; p < nv; p++ {
-			if v := s.at(p); s.deg[v] == 0 {
-				dangling += rank[v]
+		for _, v := range s.dangling {
+			dangling += rank[v]
+		}
+		// Each vertex's share, once per iteration rather than once per
+		// arc; zero-degree vertexes are nobody's neighbor and keep 0.
+		for v, d := range deg {
+			if d != 0 {
+				contrib[v] = rank[v] / float64(d)
 			}
 		}
-		s.pr = prRun{c: c, s: s, rank: rank, rank2: rank2,
+		s.pr = prRun{c: c, s: s, rank2: rank2,
 			base: (1-damping)/nf + damping*dangling/nf, damping: damping}
 		err := runChunks(done, workers, n, &s.pr)
 		if err != nil {
 			return nil, iters, err
 		}
-		// Sequential convergence delta, same order, same reasoning.
+		// Sequential convergence delta in identifier order, same reasoning.
 		delta := 0.0
 		for p := 0; p < nv; p++ {
 			v := s.at(p)
-			d := rank2[v] - rank[v]
-			if d < 0 {
-				d = -d
-			}
-			delta += d
+			delta += math.Abs(rank2[v] - rank[v])
 		}
 		rank, rank2 = rank2, rank
 		iters = it + 1

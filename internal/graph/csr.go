@@ -196,6 +196,8 @@ type CSR struct {
 	view
 	// g memoizes the materialization (see Graph).
 	g atomic.Pointer[Graph]
+	// memo holds one analytics result per iterative function (see Memo).
+	memo [numMemoFns]atomic.Pointer[AnalyticsResult]
 }
 
 // view is a version's read state, kept apart from CSR so the writer can
@@ -642,13 +644,13 @@ type csrSPNode struct {
 	cost   float64
 }
 
-// csrHeapItem is one entry of the SPScan priority queue. seq preserves
-// insertion order for deterministic tie-breaking, exactly like the
-// pointer kernel's spHeap — and since (cost, seq) totally orders entries,
-// pop order is implementation-independent.
+// csrHeapItem is one entry of the SPScan priority queue. Ties on cost
+// break by node, the arena index, which is assigned in push order: the
+// pointer kernel's spHeap breaks them by its insertion sequence, and since
+// (cost, node) totally orders entries (costs are never NaN), pop order is
+// implementation-independent.
 type csrHeapItem struct {
 	cost float64
-	seq  int64
 	node int32
 }
 
@@ -656,7 +658,7 @@ func heapLess(a, b csrHeapItem) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
 	}
-	return a.seq < b.seq
+	return a.node < b.node
 }
 
 // heapPush/heapPop implement a plain binary min-heap over a value slice.
@@ -710,6 +712,10 @@ func heapPop(h []csrHeapItem) (csrHeapItem, []csrHeapItem) {
 type csrScratch struct {
 	epoch   uint32
 	visited []uint32 // visited[v] == epoch ⇒ v discovered this traversal
+	// best[v], valid iff visited[v] == epoch, is the cheapest cost queued
+	// for v so far by a k=1 SPScan (which has no other use for visited);
+	// only such a scan sizes it.
+	best []float64
 
 	// SPScan settle accounting: settledC[v] is valid iff settledE[v] == epoch.
 	settledE []uint32

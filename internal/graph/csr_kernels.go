@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Index-form traversal kernels over a CSR version. Each mirrors its
 // pointer twin (dfsIter/bfsIter/spIter) decision for decision — same
@@ -425,7 +422,6 @@ type csrSPIter struct {
 	k         int32
 	startIdx  int32
 	targetIdx int32
-	seq       int64
 	emitNode  int32
 	err       error
 	done      bool
@@ -435,8 +431,9 @@ type csrSPIter struct {
 
 // NewCSRShortest creates a lazy shortest-path traversal over the version
 // (SPScan); semantics match NewShortest, including the per-vertex settle
-// cap k and the negative-weight error surfaced through Err. Weights come
-// from spec.Weights where it holds a number and from weight otherwise.
+// cap k and the negative- or NaN-weight error surfaced through Err.
+// Weights come from spec.Weights where it holds a number and from weight
+// otherwise.
 func NewCSRShortest(c *CSR, spec Spec, weight WeightFunc, k int) *csrSPIter {
 	if k < 1 {
 		k = 1
@@ -449,13 +446,15 @@ func NewCSRShortest(c *CSR, spec Spec, weight WeightFunc, k int) *csrSPIter {
 	it.targetIdx = c.targetIndex(spec.Target)
 	s.sp = s.sp[:0]
 	s.heap = s.heap[:0]
+	if k == 1 && len(s.best) < len(s.visited) {
+		s.best = make([]float64, len(s.visited))
+	}
 	if it.startIdx < 0 || !spec.admitStart() {
 		it.done = true
 		return it
 	}
 	s.sp = append(s.sp, csrSPNode{parent: -1, edge: -1, v: it.startIdx})
-	it.seq++
-	s.heap = heapPush(s.heap, csrHeapItem{seq: it.seq, node: 0})
+	s.heap = heapPush(s.heap, csrHeapItem{node: 0})
 	return it
 }
 
@@ -492,8 +491,10 @@ func (it *csrSPIter) step() bool {
 				if s.settled(toI) >= it.k {
 					continue
 				}
-				if s.spChainContains(ni, toI) {
-					continue // simple paths only
+				// Simple paths only. At k=1 every vertex on the chain is
+				// settled, so the check above has rejected it already.
+				if it.k > 1 && s.spChainContains(ni, toI) {
+					continue
 				}
 				if !csrOkEdge(c, &it.spec, pos, ei, end, toI) {
 					continue
@@ -511,22 +512,31 @@ func (it *csrSPIter) step() bool {
 						continue
 					}
 				}
-				if w < 0 {
-					it.err = fmt.Errorf("graph %s: negative weight %g on edge %d; SPScan requires non-negative weights",
-						c.m.name, w, c.edge(ei).ID)
+				if !(w >= 0) {
+					it.err = weightError(c.m.name, w, c.edge(ei).ID)
 					break
 				}
+				cost := n.cost + w
 				if it.spec.Prune != nil {
 					s.spChainIdx(ni, ei, toI)
-					if !it.spec.Prune(c.fillPath(&s.scratch, s.pathV, s.pathE, n.cost+w)) {
+					if !it.spec.Prune(c.fillPath(&s.scratch, s.pathV, s.pathE, cost)) {
 						continue
 					}
 				}
+				// At k=1 a candidate no cheaper than one already queued for
+				// toI can never win: the earlier entry pops first (lower
+				// cost, or equal cost and lower node) and settles toI, so
+				// this one would pop as a stale entry and be skipped.
+				if it.k == 1 {
+					if s.visited[toI] == s.epoch && cost >= s.best[toI] {
+						continue
+					}
+					s.visited[toI], s.best[toI] = s.epoch, cost
+				}
 				np := int32(len(s.sp))
 				s.sp = append(s.sp, csrSPNode{parent: ni, edge: ei, v: toI,
-					depth: n.depth + 1, cost: n.cost + w})
-				it.seq++
-				s.heap = heapPush(s.heap, csrHeapItem{cost: n.cost + w, seq: it.seq, node: np})
+					depth: n.depth + 1, cost: cost})
+				s.heap = heapPush(s.heap, csrHeapItem{cost: cost, node: np})
 			}
 		}
 		if it.err != nil {

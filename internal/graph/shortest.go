@@ -3,6 +3,7 @@ package graph
 import (
 	"container/heap"
 	"fmt"
+	"math"
 )
 
 // This file implements the SPScan physical operator's traversal kernels
@@ -18,8 +19,18 @@ import (
 // `to` at path position pos. Returning ok=false excludes the edge (the
 // pushed-down edge predicates ride along here). Weights must be
 // non-negative; NewShortest reports an error through the iterator when a
-// negative weight is produced.
+// negative or NaN weight is produced.
 type WeightFunc func(pos int, e *Edge, from, to *Vertex) (w float64, ok bool)
+
+// weightError is SPScan's error for an edge weight that is negative or
+// NaN. A NaN cost would break the heap's total order: entries below it
+// stop sifting and vertexes settle at costs that are not their shortest.
+func weightError(graph string, w float64, edge int64) error {
+	if math.IsNaN(w) {
+		return fmt.Errorf("graph %s: NaN weight on edge %d; SPScan requires non-negative weights", graph, edge)
+	}
+	return fmt.Errorf("graph %s: negative weight %g on edge %d; SPScan requires non-negative weights", graph, w, edge)
+}
 
 // spItem is a heap entry holding a partial path as a traversal-tree node
 // (prefixes are shared; see pnode).
@@ -75,7 +86,7 @@ type spIter struct {
 // shortest simple paths to any fixed target.
 //
 // Spec.MinLen/MaxLen, filters and Prune apply as in DFS/BFS. Err reports a
-// negative-weight edge encountered during traversal.
+// negative- or NaN-weight edge encountered during traversal.
 func NewShortest(g *Graph, spec Spec, weight WeightFunc, k int) *spIter {
 	if k < 1 {
 		k = 1
@@ -132,9 +143,8 @@ func (it *spIter) Next() *Path {
 				if !ok {
 					return true
 				}
-				if w < 0 {
-					it.err = fmt.Errorf("graph %s: negative weight %g on edge %d; SPScan requires non-negative weights",
-						it.g.Name(), w, e.ID)
+				if !(w >= 0) {
+					it.err = weightError(it.g.Name(), w, e.ID)
 					return false
 				}
 				if it.spec.Prune != nil {

@@ -179,12 +179,15 @@ type Metrics struct {
 	// SlowQueries counts statements that crossed the slow-query threshold.
 	SlowQueries Counter
 
-	// AnalyticsRuns counts whole-graph analytics kernel executions
+	// AnalyticsRuns counts whole-graph analytics scan executions
 	// (PAGERANK, CONNECTED_COMPONENTS, LABEL_PROPAGATION,
 	// DEGREE_CENTRALITY); AnalyticsIters accumulates their iterations
-	// (BFS levels for components).
-	AnalyticsRuns  Counter
-	AnalyticsIters Counter
+	// (BFS levels for components); AnalyticsMemoHits counts the
+	// executions a topology version's memoized result answered without
+	// running the kernel.
+	AnalyticsRuns     Counter
+	AnalyticsIters    Counter
+	AnalyticsMemoHits Counter
 
 	// Durability counters: WAL records appended and their total frame
 	// bytes, fsyncs issued by the log, checkpoints taken, and recoveries
@@ -294,6 +297,7 @@ func (m *Metrics) Snapshot(views []GraphViewStats) []KV {
 		KV{"graph.maint_ops", maintTotal},
 		KV{"analytics.runs", m.AnalyticsRuns.Value()},
 		KV{"analytics.iterations", m.AnalyticsIters.Value()},
+		KV{"analytics.memo_hits", m.AnalyticsMemoHits.Value()},
 		KV{"slow_queries", m.SlowQueries.Value()},
 		KV{"wal.appends", m.WALAppends.Value()},
 		KV{"wal.bytes", m.WALAppendBytes.Value()},
