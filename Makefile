@@ -1,7 +1,8 @@
 GO ?= go
 
-# The oracle's seed and the wall-clock budget of the oracle, recovery and
-# WAL-replay fuzz runs. CI passes its run id and a longer budget.
+# The oracle's seed and the wall-clock budget of the oracle, recovery,
+# WAL-replay and checkpoint-decode fuzz runs. CI passes its run id and a
+# longer budget.
 SEED ?= 42
 BUDGET ?= 30s
 
@@ -50,8 +51,8 @@ chaos:
 # and health-surface tests included; a 30s durability soak (one seeded
 # faultfs under calm, EIO drizzle, outages and power cuts, each cycle
 # killed or shut down and recovered against a non-durable reference); a
-# WAL-replay fuzz budget; and the crash-recovery oracle. All of it runs
-# under the race detector.
+# WAL-replay and a checkpoint-decode fuzz budget; and the crash-recovery
+# oracle. All of it runs under the race detector.
 recover:
 	$(GO) test -race -v ./internal/wal ./internal/faultfs
 	GRF_SOAK=30 $(GO) test -race -v -timeout 8m \
@@ -59,6 +60,7 @@ recover:
 		./internal/core ./internal/storage
 	$(GO) test -race -v -run 'TestDegradedWrite|TestHealthSurfaces' ./internal/server
 	$(GO) test -race -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(BUDGET) ./internal/core
+	$(GO) test -race -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=$(BUDGET) ./internal/core
 	$(GO) run -race ./cmd/grbench -experiment recovery -seed $(SEED) -duration $(BUDGET)
 
 # The claim gate: every experiment, then every row of the claim table in

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	grfusion-server [-addr 127.0.0.1:21212] [-restore snap.gob] [-script init.sql]
+//	grfusion-server [-addr 127.0.0.1:21212] [-restore db.snapshot] [-script init.sql]
 //	                [-mem bytes] [-workers N]
 //	                [-query-timeout 0] [-max-concurrent 0] [-idle-timeout 0]
 //	                [-drain-timeout 10s] [-slow-query 0]

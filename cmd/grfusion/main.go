@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	grfusion [-restore snapshot.gob] [-script init.sql] [-mem bytes] [-timeout 5s]
+//	grfusion [-restore db.snapshot] [-script init.sql] [-mem bytes] [-timeout 5s]
 //	grfusion -wal /var/lib/grfusion [-wal-fsync always|interval|off] [-checkpoint-every N]
 //	grfusion -connect 127.0.0.1:21212      # talk to a grfusion-server
 //

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	grload -dataset road -scale 1.0 -sql road.sql
-//	grload -dataset twitter -snapshot twitter.gob
+//	grload -dataset twitter -snapshot twitter.snapshot
 //	grload -dataset twitter -copy localhost:5432
 package main
 

@@ -100,6 +100,22 @@ func qual(importPath, name string) matcher {
 	}
 }
 
+// imports matches the import of a package whose path matches, under any
+// name (a blank or dot import included).
+func imports(importPath string) matcher {
+	re := anchored(importPath)
+	return func(f *file) []int {
+		return f.find(func(n ast.Node) bool {
+			s, ok := n.(*ast.ImportSpec)
+			if !ok {
+				return false
+			}
+			p, err := strconv.Unquote(s.Path.Value)
+			return err == nil && re.MatchString(p)
+		})
+	}
+}
+
 // call matches a call of a function or method whose name matches.
 func call(name string) matcher {
 	re := anchored(name)

@@ -135,6 +135,14 @@ var rules = []rule{
 		why:   "a graph-view attribute is resolved once (GraphView.ResolveAttr) and read by reference, never by name",
 	},
 	{
+		id:    "no-gob",
+		since: "Checkpoints are WAL frames",
+		paths: []string{"."},
+		match: imports(`encoding/gob`),
+		why: "a checkpoint is a stream of the WAL's own CRC'd frames and value codec: no second, reflective " +
+			"encoding of the database comes back beside it",
+	},
+	{
 		id:    "one-parameter-count",
 		since: "One architecture table",
 		paths: []string{"internal/core"},

@@ -8,7 +8,8 @@ package core
 // gv.AttrValue(v, name), AttrSourcePos, HasVertexAttr, HasEdgeAttr or
 // AttrKind(name); a *expr.Param switch lives in the parser; no
 // FaultHook, CrashHook, CrashPoint, CrashFunc, WriteFileAtomicCrash or
-// chaosInjector; graph.NewBFS(g), graph.Reachable, graph.RefPageRank.
+// chaosInjector; graph.NewBFS(g), graph.Reachable, graph.RefPageRank;
+// no import "encoding/gob" and no gob.NewEncoder(w).Encode(&db).
 func (e *Engine) commitLocked(rec *Record) (err error) {
 	/* e.walAppendLocked(rec) is called once, below. */
 	lsn, err := e.walAppendLocked(rec)

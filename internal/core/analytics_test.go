@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"grfusion/internal/sql"
+	"grfusion/internal/types"
 )
 
 // TestAnalyticsDegreeCentrality pins the relational surface of the degree
@@ -148,16 +151,65 @@ func TestAnalyticsExplainAnalyzeAndMetrics(t *testing.T) {
 	}
 }
 
+// TestAnalyticsCancellation cancels each iterative function once its
+// kernel has started: the kernel polls the signal and stops.
 func TestAnalyticsCancellation(t *testing.T) {
 	e := ladderEngine(t, 300, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := e.ExecuteContext(ctx, `SELECT * FROM Ladder.PAGERANK(0.85, 50) PR`)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	for _, q := range []string{
+		`SELECT * FROM Ladder.PAGERANK(0.85, 50) PR`,
+		`SELECT * FROM Ladder.CONNECTED_COMPONENTS() CC`,
+		`SELECT * FROM Ladder.LABEL_PROPAGATION(50) LP`,
+	} {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// runSelect skips the statement path's entry check, so the
+		// cancellation reaches the kernel, which must stop before its
+		// first iteration.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		runs, iters := metricValue(e, "analytics.runs"), metricValue(e, "analytics.iterations")
+		st := e.pin()
+		_, _, err = e.runSelect(ctx, stmt.(*sql.Select), st, nil, nil)
+		e.unpin(st)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s: err = %v, want ErrCanceled", q, err)
+		}
+		if got := metricValue(e, "analytics.runs") - runs; got != 1 {
+			t.Fatalf("%s: %d kernel runs, want 1", q, got)
+		}
+		if got := metricValue(e, "analytics.iterations") - iters; got != 0 {
+			t.Fatalf("%s: the cancelled kernel ran %d iterations, want 0", q, got)
+		}
 	}
 	// The engine must stay usable afterwards.
 	if r := mustExec(t, e, `SELECT * FROM Ladder.DEGREE_CENTRALITY() D LIMIT 1`); len(r.Rows) != 1 {
 		t.Fatalf("engine unusable after cancellation")
+	}
+}
+
+// TestPageRankRejectsNaNDamping: a prepared PAGERANK given a NaN damping
+// fails the range check like any other value outside [0, 1), runs no
+// kernel, and leaves the memoized PAGERANK in place.
+func TestPageRankRejectsNaNDamping(t *testing.T) {
+	e := ladderEngine(t, 20, 1)
+	const q = `SELECT * FROM Ladder.PAGERANK(0.85, 5) PR`
+	want := rowsOf(t, e, q)
+	p, err := e.Prepare(`SELECT * FROM Ladder.PAGERANK(?, 5) PR`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := metricValue(e, "analytics.runs")
+	r, err := p.Query(types.NewFloat(math.NaN()))
+	if err == nil || !strings.Contains(err.Error(), "PAGERANK damping must be in [0, 1), got NaN") {
+		t.Fatalf("PAGERANK(NaN, 5): %v, err = %v, want the damping range error", r, err)
+	}
+	if got := metricValue(e, "analytics.runs"); got != runs {
+		t.Fatalf("PAGERANK(NaN, 5) ran %d kernels, want 0", got-runs)
+	}
+	hits := metricValue(e, "analytics.memo_hits")
+	if rowsOf(t, e, q) != want || metricValue(e, "analytics.memo_hits") != hits+1 {
+		t.Fatal("PAGERANK(0.85, 5) after the NaN call was not its memo hit")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -63,7 +62,9 @@ type Durability struct {
 	FS faultfs.FS
 }
 
-// WAL/checkpoint file names inside Durability.Dir.
+// WAL/checkpoint file names inside Durability.Dir. The checkpoint is WAL
+// frames, not encoding/gob, but keeps its name: the benchmark's device
+// trace finds checkpoints by the "checkpoint.gob" suffix.
 const (
 	walFile        = "wal.log"
 	checkpointFile = "checkpoint.gob"
@@ -141,8 +142,13 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 		fs = faultfs.OS
 	}
 	info := &RecoveryInfo{}
+	// Recovery holds the write lock throughout: no reader can exist yet,
+	// and the one publish at the end covers the checkpoint and every
+	// replayed record.
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	// Phase 1: load the newest checkpoint, if any.
-	loaded, lsn, err := e.loadCheckpoint(fs, filepath.Join(d.Dir, checkpointFile))
+	loaded, lsn, err := e.loadCheckpointLocked(fs, filepath.Join(d.Dir, checkpointFile))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -169,7 +175,7 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 		if rec.LSN <= info.CheckpointLSN {
 			continue // the checkpoint already contains this statement
 		}
-		if err := e.replayRecord(rec); err != nil {
+		if err := e.replayLocked(rec); err != nil {
 			lg.Close()
 			return nil, nil, err
 		}
@@ -179,7 +185,6 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 	// must continue the sequence from the checkpoint LSN.
 	lg.EnsureLSN(info.CheckpointLSN)
 	info.LastLSN = lg.LastLSN()
-	e.mu.Lock()
 	e.dur = durState{
 		log: lg, dir: d.Dir, fs: fs,
 		every: d.CheckpointEvery, softFree: d.SoftFreeBytes, hardFree: d.HardFreeBytes,
@@ -198,21 +203,19 @@ func Open(opts Options) (*Engine, *RecoveryInfo, error) {
 	if e.health.healMax < e.health.healBase {
 		e.health.healMax = e.health.healBase
 	}
-	// Publish the recovered state as one version: snapshot restore and
-	// WAL replay happened behind the write lock (replayed statements each
-	// published, but the checkpoint restore itself did not), so readers
-	// admitted after Open returns pin the fully recovered database.
+	// Publish the recovered state as one version, so readers admitted
+	// after Open returns pin the fully recovered database; graph-view
+	// deltas the replay built merge at this publish's settle.
 	e.publishLocked()
-	e.mu.Unlock()
 	e.metrics.WALRecoveries.Inc()
 	return e, info, nil
 }
 
-// loadCheckpoint restores the checkpoint at path, read through fsys like
-// every other durable byte. A missing file means there is none. An open or
-// read error names the path and wraps its cause; a file that does not
-// decode is ErrCorruptWAL.
-func (e *Engine) loadCheckpoint(fsys faultfs.FS, path string) (loaded bool, lsn uint64, err error) {
+// loadCheckpointLocked restores the checkpoint at path, read through fsys
+// like every other durable byte. A missing file means there is none. An
+// open or read error names the path and wraps its cause; a file that does
+// not load is ErrCorruptWAL. Requires the write lock.
+func (e *Engine) loadCheckpointLocked(fsys faultfs.FS, path string) (loaded bool, lsn uint64, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if errors.Is(err, os.ErrNotExist) {
 		return false, 0, nil
@@ -222,14 +225,12 @@ func (e *Engine) loadCheckpoint(fsys faultfs.FS, path string) (loaded bool, lsn 
 	}
 	defer f.Close()
 	r := &readErrs{r: f}
-	e.mu.Lock()
 	lsn, err = e.restoreLocked(r)
-	e.mu.Unlock()
 	switch {
 	case r.err != nil:
 		return false, 0, fmt.Errorf("checkpoint %s: %w", path, r.err)
 	case err != nil:
-		return false, 0, fmt.Errorf("%w: checkpoint %s: %v", wal.ErrCorruptWAL, path, err)
+		return false, 0, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	return true, lsn, nil
 }
@@ -249,13 +250,14 @@ func (r *readErrs) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// replayRecord re-executes one logged statement during recovery. Every
-// record in the log applied before the crash and the engine is
-// deterministic, so it applies again exactly as it did. The allocation
-// pin and the statement's own success check that: a divergence (a WAL
-// that does not belong to this checkpoint) surfaces as corruption naming
-// the record, rather than silently rebuilding a different database.
-func (e *Engine) replayRecord(rec *wal.Record) error {
+// replayLocked re-applies one logged statement during recovery, under
+// the write lock Open holds, without a publish of its own. Every record in
+// the log applied before the crash and the engine is deterministic, so it
+// applies again exactly as it did. The allocation pin and the statement's
+// own success check that: a divergence (a WAL that does not belong to this
+// checkpoint) surfaces as corruption naming the record, rather than
+// silently rebuilding a different database.
+func (e *Engine) replayLocked(rec *wal.Record) error {
 	stmt, err := sql.Parse(rec.SQL)
 	if err != nil {
 		return fmt.Errorf("%w: record %d does not parse: %v", wal.ErrCorruptWAL, rec.LSN, err)
@@ -271,7 +273,10 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 				wal.ErrCorruptWAL, rec.LSN, rec.Table, next, depth, rec.NextSlot, rec.FreeDepth)
 		}
 	}
-	if _, err := e.execStmt(context.Background(), stmt, rec.SQL, rec.Params, nil); err != nil {
+	_, err = e.commitLocked(stmt, rec.SQL, rec.Params, func(tx *txn) (*Result, error) {
+		return e.applyLocked(tx, stmt, rec.Params)
+	})
+	if err != nil {
 		return fmt.Errorf("%w: record %d failed on replay: %v", wal.ErrCorruptWAL, rec.LSN, err)
 	}
 	return nil

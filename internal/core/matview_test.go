@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -224,7 +223,13 @@ func TestMatViewSnapshotRoundTrip(t *testing.T) {
 // must fail with an error, and Open's must be ErrCorruptWAL, not a panic.
 func TestSnapshotRestoreRejectsNonMatViewDefinition(t *testing.T) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snapDB{Version: 2, MatViews: []string{"SELECT 1"}}); err != nil {
+	cw := wal.NewCheckpointWriter(&buf, 0, func(h *wal.Fields) {
+		h.Uint(0) // tables
+		h.Uint(1) // materialized views
+		h.Str("SELECT 1")
+		h.Uint(0) // graph views
+	})
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := New(Options{}).Restore(bytes.NewReader(buf.Bytes())); err == nil {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
@@ -9,75 +9,26 @@ import (
 	"grfusion/internal/sql"
 	"grfusion/internal/storage"
 	"grfusion/internal/types"
+	"grfusion/internal/wal"
 )
 
-// Snapshots serialize a whole database (schema, data, indexes, graph-view
-// definitions) with encoding/gob, giving GRFusion the same
-// snapshot-and-rebuild durability story as an in-memory store like VoltDB.
-// Graph-view topologies are not serialized: they are derived state and are
-// rebuilt from the relational sources on restore (§3.2).
-
-type snapCol struct {
-	Name string
-	Type uint8
-}
-
-type snapValue struct {
-	Kind uint8
-	B    bool
-	I    int64
-	F    float64
-	S    string
-}
-
-type snapTable struct {
-	Name    string
-	Cols    []snapCol
-	PK      []int
-	Rows    [][]snapValue
-	Indexes []storage.IndexInfo
-	// IDs[i] is the slot (RowID) of Rows[i], and Free is the LIFO free
-	// list, so restore reproduces the exact slot image: RowIDs are the
-	// tuple pointers graph views hold, and WAL replay pins the allocator
-	// state, so a checkpoint must not compact or reorder slots (v2).
-	IDs  []uint64
-	Free []uint64
-}
-
-type snapAttr struct {
-	Name   string
-	Source string
-}
-
-type snapView struct {
-	Name         string
-	Directed     bool
-	VertexSource string
-	EdgeSource   string
-	VertexAttrs  []snapAttr
-	EdgeAttrs    []snapAttr
-}
-
-type snapDB struct {
-	Version int
-	Tables  []snapTable
-	// MatViews holds the defining statements of materialized views; they
-	// are re-executed on restore (after tables, before graph views) and
-	// rebuild their contents from the restored bases.
-	MatViews []string
-	Views    []snapView
-	// LSN is the WAL position this snapshot covers: recovery skips log
-	// records at or below it. Zero for plain (non-checkpoint) snapshots.
-	// gob ignores unknown fields, so snapshots written before this field
-	// existed decode with LSN 0.
-	LSN uint64
-}
-
-// snapshotVersion 2 added slot-exact table images (snapTable.IDs/Free).
-// Version-1 snapshots (dense rows, no slot info) still restore, with
-// freshly compacted slots — fine for \save/\load archives, but checkpoints
-// are always written as v2 so recovery preserves tuple pointers.
-const snapshotVersion = 2
+// Snapshots write a whole database (schema, data, indexes, materialized-
+// and graph-view definitions) as a checkpoint: the WAL's CRC'd frames and
+// value codec (wal.CheckpointWriter), the same one format for \save/\load
+// archives and for the durable checkpoint, giving GRFusion VoltDB's
+// snapshot-plus-command-log durability. Graph-view topologies are not
+// serialized: they are derived state and are rebuilt from the relational
+// sources on restore (§3.2).
+//
+// The header frame's catalog, in order:
+//
+//	tables:      count, then per table its name; its columns as count and
+//	             (name, kind) each; its primary key as count and positions;
+//	             its indexes as count and (name, positions, ordered) each
+//	matviews:    count, then each defining statement
+//	graph views: count, then per view its name, directed, vertex source,
+//	             edge source, and vertex then edge attributes as count and
+//	             (name, source) each
 
 // Snapshot writes a consistent image of the database to w. It holds the
 // writer lock, so writers wait while the image is written; readers pin
@@ -92,51 +43,107 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return e.encodeSnapshotLocked(w, lsn)
 }
 
-// encodeSnapshotLocked serializes the database under the writer lock.
-// lsn is embedded so checkpoint recovery knows which WAL records the
-// image already contains.
+// encodeSnapshotLocked streams the database under the writer lock: the
+// catalog, then each table's slot image straight from storage (RowIDs are
+// the tuple pointers graph views hold, and WAL replay pins the allocator
+// state, so a checkpoint never compacts or reorders slots). lsn is
+// embedded so checkpoint recovery knows which WAL records the image
+// already contains.
 func (e *Engine) encodeSnapshotLocked(w io.Writer, lsn uint64) error {
-	db := snapDB{Version: snapshotVersion, LSN: lsn}
+	var tables []*storage.Table
 	for _, name := range e.cat.Tables() {
-		if e.cat.IsMatViewTable(name) {
-			continue // derived state: rebuilt by re-running the definition
+		if !e.cat.IsMatViewTable(name) { // derived: rebuilt from its definition
+			t, _ := e.cat.Table(name)
+			tables = append(tables, t)
 		}
-		t, _ := e.cat.Table(name)
-		st := snapTable{Name: t.Name(), PK: t.PrimaryKeyColumns(), Indexes: t.Indexes()}
-		for _, c := range t.Schema().Columns {
-			st.Cols = append(st.Cols, snapCol{Name: c.Name, Type: uint8(c.Type)})
-		}
-		t.Scan(func(id storage.RowID, row types.Row) bool {
-			sr := make([]snapValue, len(row))
-			for i, v := range row {
-				sr[i] = snapValue{Kind: uint8(v.Kind), B: v.B, I: v.I, F: v.F, S: v.S}
+	}
+	cw := wal.NewCheckpointWriter(w, lsn, func(h *wal.Fields) {
+		h.Uint(uint64(len(tables)))
+		for _, t := range tables {
+			h.Str(t.Name())
+			cols := t.Schema().Columns
+			h.Uint(uint64(len(cols)))
+			for _, c := range cols {
+				h.Str(c.Name)
+				h.Uint(uint64(c.Type))
 			}
-			st.Rows = append(st.Rows, sr)
-			st.IDs = append(st.IDs, uint64(id))
-			return true
+			putInts(h, t.PrimaryKeyColumns())
+			ixs := t.Indexes()
+			h.Uint(uint64(len(ixs)))
+			for _, ix := range ixs {
+				h.Str(ix.Name)
+				putInts(h, ix.Cols)
+				h.Bool(ix.Ordered)
+			}
+		}
+		mvs := e.cat.MatViews()
+		h.Uint(uint64(len(mvs)))
+		for _, name := range mvs {
+			mv, _ := e.cat.MatView(name)
+			h.Str(mv.CreateSQL)
+		}
+		gvs := e.cat.GraphViews()
+		h.Uint(uint64(len(gvs)))
+		for _, name := range gvs {
+			gv, _ := e.cat.GraphView(name)
+			h.Str(gv.Name)
+			h.Bool(gv.Directed)
+			h.Str(gv.VertexSource)
+			h.Str(gv.EdgeSource)
+			putAttrs(h, gv.VertexAttrs)
+			putAttrs(h, gv.EdgeAttrs)
+		}
+	})
+	var free []uint64
+	for _, t := range tables {
+		var err error
+		t.Scan(func(id storage.RowID, row types.Row) bool {
+			err = cw.Row(uint64(id), row)
+			return err == nil
 		})
+		if err != nil {
+			return err
+		}
+		free = free[:0]
 		for _, id := range t.FreeList() {
-			st.Free = append(st.Free, uint64(id))
+			free = append(free, uint64(id))
 		}
-		db.Tables = append(db.Tables, st)
-	}
-	for _, name := range e.cat.MatViews() {
-		mv, _ := e.cat.MatView(name)
-		db.MatViews = append(db.MatViews, mv.CreateSQL)
-	}
-	for _, name := range e.cat.GraphViews() {
-		gv, _ := e.cat.GraphView(name)
-		sv := snapView{Name: gv.Name, Directed: gv.Directed,
-			VertexSource: gv.VertexSource, EdgeSource: gv.EdgeSource}
-		for _, a := range gv.VertexAttrs {
-			sv.VertexAttrs = append(sv.VertexAttrs, snapAttr{Name: a.Name, Source: a.Source})
+		if err := cw.EndTable(free); err != nil {
+			return err
 		}
-		for _, a := range gv.EdgeAttrs {
-			sv.EdgeAttrs = append(sv.EdgeAttrs, snapAttr{Name: a.Name, Source: a.Source})
-		}
-		db.Views = append(db.Views, sv)
 	}
-	return gob.NewEncoder(w).Encode(&db)
+	return cw.Close()
+}
+
+func putInts(h *wal.Fields, xs []int) {
+	h.Uint(uint64(len(xs)))
+	for _, x := range xs {
+		h.Uint(uint64(x))
+	}
+}
+
+func getInts(h *wal.FieldReader) []int {
+	xs := make([]int, h.Count())
+	for i := range xs {
+		xs[i] = int(h.Uint())
+	}
+	return xs
+}
+
+func putAttrs(h *wal.Fields, as []catalog.AttrMap) {
+	h.Uint(uint64(len(as)))
+	for _, a := range as {
+		h.Str(a.Name)
+		h.Str(a.Source)
+	}
+}
+
+func getAttrs(h *wal.FieldReader) []catalog.AttrMap {
+	as := make([]catalog.AttrMap, h.Count())
+	for i := range as {
+		as[i] = catalog.AttrMap{Name: h.Str(), Source: h.Str()}
+	}
+	return as
 }
 
 // Restore loads a snapshot into an empty engine, rebuilding indexes and
@@ -152,34 +159,59 @@ func (e *Engine) Restore(r io.Reader) error {
 }
 
 // restoreLocked loads a snapshot under the write lock, returning the WAL
-// position it covers (recovery replays only records past it).
+// position it covers (recovery replays only records past it). Every
+// failure to load it is wal.ErrCorruptWAL: frames that do not read back,
+// or intact frames describing a database that cannot be rebuilt.
 func (e *Engine) restoreLocked(r io.Reader) (uint64, error) {
 	if len(e.cat.Tables()) > 0 || len(e.cat.GraphViews()) > 0 {
 		return 0, fmt.Errorf("restore requires an empty engine")
 	}
-	var db snapDB
-	if err := gob.NewDecoder(r).Decode(&db); err != nil {
-		return 0, fmt.Errorf("decode snapshot: %v", err)
+	lsn, err := e.readSnapshotLocked(r)
+	if err != nil && !errors.Is(err, wal.ErrCorruptWAL) {
+		err = fmt.Errorf("%w: %v", wal.ErrCorruptWAL, err)
 	}
-	if db.Version < 1 || db.Version > snapshotVersion {
-		return 0, fmt.Errorf("unsupported snapshot version %d", db.Version)
+	return lsn, err
+}
+
+// readSnapshotLocked rebuilds the catalog as the header frame lists it:
+// each table with its indexes, filled from its section of the stream;
+// then the materialized views and the graph views over the loaded rows.
+func (e *Engine) readSnapshotLocked(r io.Reader) (uint64, error) {
+	cr, err := wal.OpenCheckpoint(r)
+	if err != nil {
+		return 0, err
 	}
-	for _, st := range db.Tables {
-		cols := make([]types.Column, len(st.Cols))
-		for i, c := range st.Cols {
-			cols[i] = types.Column{Qualifier: st.Name, Name: c.Name, Type: types.Kind(c.Type)}
+	h := cr.Header()
+	tables := make([]*storage.Table, h.Count())
+	for i := range tables {
+		name := h.Str()
+		cols := make([]types.Column, h.Count())
+		for j := range cols {
+			cols[j] = types.Column{Qualifier: name, Name: h.Str(), Type: types.Kind(h.Uint())}
 		}
-		t, err := storage.NewTable(st.Name, types.NewSchema(cols...), st.PK)
+		t, err := storage.NewTable(name, types.NewSchema(cols...), getInts(h))
 		if err != nil {
 			return 0, err
 		}
-		if err := restoreRows(t, &st, db.Version); err != nil {
+		for n := h.Count(); n > 0; n-- {
+			ix, ixCols, ordered := h.Str(), getInts(h), h.Bool()
+			if _, err := t.CreateIndex(ix, ixCols, ordered); err != nil {
+				return 0, fmt.Errorf("restore index %s: %v", ix, err)
+			}
+		}
+		tables[i] = t
+	}
+	for _, t := range tables {
+		image, ids, err := cr.Table(t.Schema().Len())
+		if err != nil {
 			return 0, err
 		}
-		for _, ix := range st.Indexes {
-			if _, err := t.CreateIndex(ix.Name, ix.Cols, ix.Ordered); err != nil {
-				return 0, fmt.Errorf("restore index %s: %v", ix.Name, err)
-			}
+		free := make([]storage.RowID, len(ids))
+		for i, id := range ids {
+			free[i] = storage.RowID(id)
+		}
+		if err := t.RestoreSlots(image, free); err != nil {
+			return 0, fmt.Errorf("restore table %s: %v", t.Name(), err)
 		}
 		if err := e.cat.CreateTable(t); err != nil {
 			return 0, err
@@ -188,7 +220,8 @@ func (e *Engine) restoreLocked(r io.Reader) (uint64, error) {
 	// Materialized views may depend on each other; retry until a full pass
 	// makes no progress (then the snapshot is inconsistent).
 	var pending []*sql.CreateMatView
-	for _, def := range db.MatViews {
+	for n := h.Count(); n > 0; n-- {
+		def := h.Str()
 		stmt, err := sql.Parse(def)
 		if err != nil {
 			return 0, fmt.Errorf("restore materialized view: %v", err)
@@ -215,71 +248,24 @@ func (e *Engine) restoreLocked(r io.Reader) (uint64, error) {
 		}
 		pending = next
 	}
-	for _, sv := range db.Views {
-		vtab, ok := e.cat.Table(sv.VertexSource)
+	for n := h.Count(); n > 0; n-- {
+		name, directed, vsrc, esrc := h.Str(), h.Bool(), h.Str(), h.Str()
+		vattrs, eattrs := getAttrs(h), getAttrs(h)
+		vtab, ok := e.cat.Table(vsrc)
 		if !ok {
-			return 0, fmt.Errorf("restore view %s: missing source %s", sv.Name, sv.VertexSource)
+			return 0, fmt.Errorf("restore view %s: missing source %s", name, vsrc)
 		}
-		etab, ok := e.cat.Table(sv.EdgeSource)
+		etab, ok := e.cat.Table(esrc)
 		if !ok {
-			return 0, fmt.Errorf("restore view %s: missing source %s", sv.Name, sv.EdgeSource)
+			return 0, fmt.Errorf("restore view %s: missing source %s", name, esrc)
 		}
-		toAttrs := func(as []snapAttr) []catalog.AttrMap {
-			out := make([]catalog.AttrMap, len(as))
-			for i, a := range as {
-				out[i] = catalog.AttrMap{Name: a.Name, Source: a.Source}
-			}
-			return out
-		}
-		gv, err := catalog.NewGraphView(sv.Name, sv.Directed, vtab, etab,
-			toAttrs(sv.VertexAttrs), toAttrs(sv.EdgeAttrs))
+		gv, err := catalog.NewGraphView(name, directed, vtab, etab, vattrs, eattrs)
 		if err != nil {
-			return 0, fmt.Errorf("restore view %s: %v", sv.Name, err)
+			return 0, fmt.Errorf("restore view %s: %v", name, err)
 		}
 		if err := e.cat.RegisterGraphView(gv); err != nil {
 			return 0, err
 		}
 	}
-	return db.LSN, nil
-}
-
-// restoreRows loads one table's rows. Version-2 snapshots carry the exact
-// slot image (per-row RowIDs plus the free list) and must reproduce it;
-// version-1 snapshots predate slot info and are restored densely.
-func restoreRows(t *storage.Table, st *snapTable, version int) error {
-	decode := func(sr []snapValue) types.Row {
-		row := make(types.Row, len(sr))
-		for i, v := range sr {
-			row[i] = types.Value{Kind: types.Kind(v.Kind), B: v.B, I: v.I, F: v.F, S: v.S}
-		}
-		return row
-	}
-	if version < 2 {
-		for _, sr := range st.Rows {
-			if _, err := t.Insert(decode(sr)); err != nil {
-				return fmt.Errorf("restore table %s: %v", st.Name, err)
-			}
-		}
-		return nil
-	}
-	if len(st.IDs) != len(st.Rows) {
-		return fmt.Errorf("restore table %s: %d slot ids for %d rows", st.Name, len(st.IDs), len(st.Rows))
-	}
-	size := len(st.Rows) + len(st.Free)
-	image := make([]types.Row, size)
-	for i, sr := range st.Rows {
-		id := st.IDs[i]
-		if id < 1 || id > uint64(size) || image[id-1] != nil {
-			return fmt.Errorf("restore table %s: bad slot %d for row %d", st.Name, id, i)
-		}
-		image[id-1] = decode(sr)
-	}
-	free := make([]storage.RowID, len(st.Free))
-	for i, id := range st.Free {
-		free[i] = storage.RowID(id)
-	}
-	if err := t.RestoreSlots(image, free); err != nil {
-		return fmt.Errorf("restore table %s: %v", st.Name, err)
-	}
-	return nil
+	return cr.LSN(), cr.Close()
 }

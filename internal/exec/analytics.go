@@ -209,7 +209,7 @@ func (s *AnalyticsScan) Open(ctx *Context) (Iterator, error) {
 			if err != nil {
 				return nil, err
 			}
-			if d < 0 || d >= 1 {
+			if !(d >= 0 && d < 1) { // NaN is in no range
 				return nil, fmt.Errorf("PAGERANK damping must be in [0, 1), got %v", d)
 			}
 			damping = d

@@ -1,8 +1,8 @@
 // Package wal implements the engine's write-ahead log: an append-only,
 // length-prefixed, CRC32-checksummed record log of logical statements
 // (DML/DDL as SQL text plus bound parameters), the fsync policies that
-// govern its durability/latency trade-off, and the atomic-rename file
-// protocol checkpoints use.
+// govern its durability/latency trade-off, and the checkpoint file written
+// in the same framing through the atomic-rename file protocol.
 //
 // The log is *logical*: it records statements, not tuples. Replay is
 // deterministic because the engine's slot allocator is deterministic (a
@@ -11,7 +11,7 @@
 // rebuilding a different database. Graph views are never logged — they are
 // derived state, rebuilt from the recovered relations (§3.3).
 //
-// On-disk layout:
+// Log layout:
 //
 //	file   = header frame*
 //	header = "GRWAL" 0x00 version(u16 LE)             (8 bytes)
@@ -22,9 +22,32 @@
 // torn tail from a crash mid-append; recovery truncates the file there. A
 // file whose header is unreadable is not a WAL at all and surfaces as
 // ErrCorruptWAL.
+//
+// Checkpoint layout (the same frames; the first payload byte is the kind):
+//
+//	file   = header meta (rows* free)* end
+//	header = "GRCKP" 0x00 version(u16 LE)                  (8 bytes)
+//	meta   = 1 lsn(u64 LE) catalog
+//	rows   = 2 table(u32 LE) count(u32 LE) (slotdelta(uvarint) value*)*
+//	free   = 3 table(u32 LE) count(uvarint) slot(uvarint)*
+//	end    = 4 tables(u32 LE) rows(u64 LE)
+//	value  = kind(u8) bytes                                 (appendValue)
+//
+// catalog is the engine's schema as Fields (uvarints and length-prefixed
+// strings, written by core.Snapshot): each table's name, columns, primary
+// key and indexes, then the materialized-view definitions, then the graph
+// views. Each table's section lists its live tuples in slot order, a slot
+// as the delta from the previous one, in row frames the writer closes
+// once they hold chunkBytes; its free frame carries the LIFO free list and
+// closes the section. A checkpoint is read strictly: a bad header, a short
+// or bad-checksum frame, a frame out of order, counts that disagree with
+// the end frame, a missing end frame or bytes after it are all
+// ErrCorruptWAL naming the frame (the header frame is frame 0). A
+// checkpoint is replaced atomically, so it has no torn tail to forgive.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,11 +58,11 @@ import (
 	"grfusion/internal/types"
 )
 
-// ErrCorruptWAL reports a log (or checkpoint) file that cannot be used at
+// ErrCorruptWAL reports a log or checkpoint file that cannot be used at
 // all: a bad or truncated header, or a record whose CRC-valid payload is
-// internally inconsistent. Torn tails are NOT this error — they are the
-// expected crash artifact and are handled by truncating to the last valid
-// frame.
+// internally inconsistent. A log's torn tail is NOT this error — it is the
+// expected crash artifact and is handled by truncating to the last valid
+// frame; a checkpoint is replaced atomically, so any bad frame in it is.
 var ErrCorruptWAL = errors.New("wal: corrupt log")
 
 // Header and frame constants (pinned by TestFrameFormatGolden).
@@ -202,6 +225,27 @@ func (r *payloadReader) u64() uint64 {
 	return v
 }
 
+func (r *payloadReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b[r.i:])
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.i += n
+	return v
+}
+
+// count reads a uvarint list length whose every item takes at least one
+// byte: a length above the bytes left is corruption, not an allocation.
+func (r *payloadReader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)-r.i) {
+		r.bad = true
+		return 0
+	}
+	return int(n)
+}
+
 func (r *payloadReader) str(n int) string {
 	if n < 0 || r.i+n > len(r.b) {
 		r.bad = true
@@ -265,10 +309,45 @@ func AppendFrame(b []byte, rec *Record) []byte {
 	start := len(b)
 	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	b = encodeRecord(b, rec)
+	sealFrame(b, start)
+	return b
+}
+
+// sealFrame fills in the length and checksum of the frame that starts at
+// b[start] and runs to the end of b.
+func sealFrame(b []byte, start int) {
 	payload := b[start+frameOverhead:]
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
-	return b
+}
+
+// readFrame reads the next frame of r into buf (reused when it has room)
+// and returns its payload. At a clean end of the stream it returns io.EOF;
+// a frame cut short, claiming more than maxPayload bytes or failing its
+// checksum is an error saying which. The payload buffer grows with the
+// bytes that actually arrive, so a corrupt length prefix cannot allocate
+// more than the stream holds.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	var fh [frameOverhead]byte
+	if _, err := io.ReadFull(r, fh[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, errors.New("short frame header")
+	}
+	length := binary.LittleEndian.Uint32(fh[:4])
+	if length > maxPayload {
+		return nil, fmt.Errorf("frame length %d exceeds limit", length)
+	}
+	b := bytes.NewBuffer(buf[:0])
+	if n, _ := io.CopyN(b, r, int64(length)); n != int64(length) {
+		return nil, errors.New("short frame payload")
+	}
+	payload := b.Bytes()
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fh[4:]) {
+		return nil, errors.New("frame checksum mismatch")
+	}
+	return payload, nil
 }
 
 // ScanResult is the outcome of reading a log file.
@@ -304,30 +383,18 @@ func Scan(r io.Reader) (*ScanResult, error) {
 		return nil, err
 	}
 	res := &ScanResult{ValidBytes: HeaderSize}
-	var fh [frameOverhead]byte
+	var buf []byte
 	var lastLSN uint64
 	for {
-		if _, err := io.ReadFull(r, fh[:]); err != nil {
-			if err != io.EOF {
-				res.Torn, res.TornReason = true, "short frame header"
-			}
+		payload, err := readFrame(r, buf)
+		if err == io.EOF {
 			return res, nil
 		}
-		length := binary.LittleEndian.Uint32(fh[:4])
-		sum := binary.LittleEndian.Uint32(fh[4:])
-		if length > maxPayload {
-			res.Torn, res.TornReason = true, fmt.Sprintf("frame length %d exceeds limit", length)
+		if err != nil {
+			res.Torn, res.TornReason = true, err.Error()
 			return res, nil
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			res.Torn, res.TornReason = true, "short frame payload"
-			return res, nil
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			res.Torn, res.TornReason = true, "frame checksum mismatch"
-			return res, nil
-		}
+		buf = payload
 		rec, err := decodeRecord(payload)
 		if err != nil {
 			// The checksum matched but the payload is nonsense: this was
@@ -339,7 +406,7 @@ func Scan(r io.Reader) (*ScanResult, error) {
 		}
 		lastLSN = rec.LSN
 		res.Records = append(res.Records, rec)
-		res.ValidBytes += int64(frameOverhead) + int64(length)
+		res.ValidBytes += int64(frameOverhead) + int64(len(payload))
 	}
 }
 
