@@ -6,7 +6,7 @@ GO ?= go
 SEED ?= 42
 BUDGET ?= 30s
 
-.PHONY: all build test benchcheck race fuzz gate oracle chaos recover fmt fmtcheck vet clean
+.PHONY: all build test benchcheck benchsmoke race fuzz gate oracle chaos recover fmt fmtcheck vet clean
 
 all: build test
 
@@ -23,6 +23,11 @@ test:
 # can break it with build and test green.
 benchcheck:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# One iteration of each in-process profiling benchmark: `go test ./...`
+# never runs a benchmark body, so a broken one would otherwise go unseen.
+benchsmoke:
+	$(GO) test -run '^$$' -bench 'ShortestPathSPScan|AnalyticsPageRank|PointUpdate|TopologyWrite' -benchtime 1x .
 
 # The merge gate: every package under the race detector.
 race:

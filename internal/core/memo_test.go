@@ -183,26 +183,10 @@ func TestPreparedPageRankHitAllocs(t *testing.T) {
 	e := New(Options{Workers: 1})
 	mustScript(t, e, `CREATE TABLE V (vid BIGINT PRIMARY KEY);
 		CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT)`)
-	load := func(table string, n int, row func(i int) types.Row) {
-		bl, err := e.BeginBulk(table, nil, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([]types.Row, n)
-		for i := range rows {
-			rows[i] = row(i)
-		}
-		if _, err := bl.Append(rows); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bl.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	load("V", nv, func(i int) types.Row { return types.Row{types.NewInt(int64(i))} })
-	load("E", ne, func(i int) types.Row {
+	bulkLoad(t, e, "V", genRows(nv, func(i int) types.Row { return types.Row{types.NewInt(int64(i))} }))
+	bulkLoad(t, e, "E", genRows(ne, func(i int) types.Row {
 		return types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % nv)), types.NewInt(int64((i*7919 + 13) % nv))}
-	})
+	}))
 	mustExec(t, e, `CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = vid) FROM V EDGES(ID = eid, FROM = src, TO = dst) FROM E`)
 	p, err := e.Prepare(`SELECT MAX(PR.rank), COUNT(*) FROM G.PAGERANK(0.85, 20) PR`)
 	if err != nil {
@@ -222,6 +206,15 @@ func TestPreparedPageRankHitAllocs(t *testing.T) {
 	if metricValue(e, "analytics.memo_hits") == hits {
 		t.Fatal("the prepared executions were not memo hits")
 	}
+}
+
+// genRows returns row(0) … row(n-1).
+func genRows(n int, row func(i int) types.Row) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = row(i)
+	}
+	return rows
 }
 
 // TestAnalyticsMemoConcurrentReaders: readers racing on one version's memo

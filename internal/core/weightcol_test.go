@@ -1,10 +1,13 @@
 package core
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -397,4 +400,125 @@ func TestWeightColumnConcurrentReaders(t *testing.T) {
 	if n := gv.WeightColBuilds(); n != 1 {
 		t.Fatalf("concurrent readers laid out %d weight columns, want 1", n)
 	}
+}
+
+// TestPreparedShortestAllocs pins the cost of a prepared TOP 1
+// SHORTESTPATH over a 20k-vertex, 100k-edge view: once the binding has
+// laid out its weight column, an execution allocates a fixed handful of
+// times (the plan's cost and the emitted row), not once per queued
+// candidate — SPScan's queue comes from the pooled scratch and keeps its
+// buckets' capacity. Before that, TOP 3 and TOP 1 traversals alternate on
+// that scratch and every answer is checked against a Dijkstra over the
+// edge list: a TOP 3 stops with entries still queued, and none may leak
+// into the next traversal.
+func TestPreparedShortestAllocs(t *testing.T) {
+	const nv, ne = 20_000, 100_000
+	e := New(Options{Workers: 1})
+	mustScript(t, e, `CREATE TABLE V (vid BIGINT PRIMARY KEY);
+		CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT, w DOUBLE)`)
+	rng := rand.New(rand.NewSource(1))
+	src, dst, w := make([]int, ne), make([]int, ne), make([]float64, ne)
+	out := make([][]int, nv) // edge indexes by source vertex
+	for i := range ne {
+		src[i], dst[i], w[i] = rng.Intn(nv), rng.Intn(nv), float64(rng.Intn(99))+1.5
+		out[src[i]] = append(out[src[i]], i)
+	}
+	bulkLoad(t, e, "V", genRows(nv, func(i int) types.Row { return types.Row{types.NewInt(int64(i))} }))
+	bulkLoad(t, e, "E", genRows(ne, func(i int) types.Row {
+		return types.Row{types.NewInt(int64(i)), types.NewInt(int64(src[i])),
+			types.NewInt(int64(dst[i])), types.NewFloat(w[i])}
+	}))
+	mustExec(t, e, `CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = vid) FROM V
+		EDGES(ID = eid, FROM = src, TO = dst, w = w) FROM E`)
+
+	// dist is a lazy Dijkstra from s to t over the edge list; weights are
+	// halves, so every sum is exact whatever the order.
+	dist := func(s, t int) float64 {
+		d := make([]float64, nv)
+		for i := range d {
+			d[i] = math.Inf(1)
+		}
+		d[s] = 0
+		q := &costHeap{{0, s}}
+		for q.Len() > 0 {
+			top := heap.Pop(q).(costItem)
+			if top.v == t {
+				return top.cost
+			}
+			if top.cost > d[top.v] {
+				continue
+			}
+			for _, ei := range out[top.v] {
+				if c := top.cost + w[ei]; c < d[dst[ei]] {
+					d[dst[ei]] = c
+					heap.Push(q, costItem{c, dst[ei]})
+				}
+			}
+		}
+		return math.Inf(1)
+	}
+	prepare := func(k int) *Prepared {
+		p, err := e.Prepare(fmt.Sprintf(`SELECT TOP %d SUM(PS.Edges.w) FROM G.Paths PS
+			HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ?`, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	top1, top3 := prepare(1), prepare(3)
+	costs := func(p *Prepared, s, t int) []float64 {
+		r, err := p.Query(types.NewInt(int64(s)), types.NewInt(int64(t)))
+		if err != nil {
+			panic(err)
+		}
+		var c []float64
+		for _, row := range r.Rows {
+			c = append(c, row[0].AsFloat())
+		}
+		return c
+	}
+	for range 12 {
+		s, tgt := rng.Intn(nv), rng.Intn(nv)
+		want := dist(s, tgt)
+		c3, c1 := costs(top3, s, tgt), costs(top1, s, tgt)
+		if math.IsInf(want, 1) {
+			if len(c3)+len(c1) != 0 {
+				t.Fatalf("%d→%d is unreachable, yet TOP 3 gave %v and TOP 1 %v", s, tgt, c3, c1)
+			}
+			continue
+		}
+		if len(c1) != 1 || c1[0] != want || len(c3) == 0 || c3[0] != want || !slices.IsSorted(c3) {
+			t.Fatalf("%d→%d costs %g: TOP 3 gave %v, then TOP 1 %v", s, tgt, want, c3, c1)
+		}
+	}
+	if metricValue(e, "graphview.G.weight_col_builds") != 1 {
+		t.Fatal("the warm-up did not lay out the weight column")
+	}
+	if raceEnabled {
+		return // sync.Pool drops scratches under -race
+	}
+	s, tgt := rng.Intn(nv), rng.Intn(nv)
+	if n := testing.AllocsPerRun(20, func() { costs(top1, s, tgt) }); n > 25 {
+		t.Errorf("a prepared TOP 1 SHORTESTPATH allocates %.0f times per execution, want <= 25", n)
+	}
+}
+
+type costItem struct {
+	cost float64
+	v    int
+}
+
+// costHeap is a container/heap min-heap of costItems, the reference
+// Dijkstra's queue.
+type costHeap []costItem
+
+func (h costHeap) Len() int           { return len(h) }
+func (h costHeap) Less(i, j int) bool { return h[i].cost < h[j].cost }
+func (h costHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *costHeap) Push(x any)        { *h = append(*h, x.(costItem)) }
+func (h *costHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
