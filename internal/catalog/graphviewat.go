@@ -76,8 +76,9 @@ func (at *GraphViewAt) CSR() *graph.CSR {
 }
 
 // Weights returns the SPScan weight column of the edge attribute ref over
-// the bound version, indexed by edge index (graph.Spec.Weights), or nil
-// while the traversal asks its weight function for every edge. A pinned
+// the bound version as graph.CSR.EdgeColumn lays it out (by traversal
+// arc without a delta, by edge index with one), or nil while the
+// traversal asks its weight function for every edge. A pinned
 // binding lays the column out from its own edge view, once, when its
 // SPScans have together relaxed as many edges as the version holds, so
 // the build never costs more than the traversal work already done on the

@@ -104,10 +104,12 @@ func TestSPScanRejectsBadWeightBehindTie(t *testing.T) {
 
 // TestSPScanRejectsNaNWeight: a NaN weight is an error in both kernels,
 // whether the CSR kernel reads it from the weight closure or the weight
-// column. Accepted, a NaN cost breaks the heap's total order and vertexes
-// settle at costs that are not their shortest. Edges out of every tenth
-// vertex weigh NaN; each traversal starts at one of those with an arc to
-// another vertex, so its first expansion relaxes a NaN edge.
+// column. A NaN cost is unordered against every other cost, so no
+// (cost, node) order holds it; the same !(w >= 0) check keeps a negative
+// weight out, which is the radix queue's precondition that no key falls
+// below the last pop. Edges out of every tenth vertex weigh NaN; each
+// traversal starts at one of those with an arc to another vertex, so its
+// first expansion relaxes a NaN edge.
 func TestSPScanRejectsNaNWeight(t *testing.T) {
 	g := randTopology(t, 7, 200, 1000, true)
 	c := BuildCSR(g)
@@ -143,5 +145,56 @@ func TestSPScanRejectsNaNWeight(t *testing.T) {
 	}
 	if starts < 10 {
 		t.Fatalf("only %d starts relax a NaN edge", starts)
+	}
+}
+
+// TestEdgeColumnLayouts: SPScan reads the same weights from a column as
+// from the weight closure in both of EdgeColumn's layouts — by traversal
+// arc on a version without a delta, by edge index on one with a delta —
+// over directed and undirected views, at k=1 and k=3.
+func TestEdgeColumnLayouts(t *testing.T) {
+	weight := func(pos int, e *Edge, from, to *Vertex) (float64, bool) {
+		return float64(e.ID%17) + 0.5, true
+	}
+	byEdge := func(e *Edge) float64 { w, _ := weight(0, e, nil, nil); return w }
+	for _, directed := range []bool{true, false} {
+		topo := topologyOf(t, randTopology(t, 11, 300, 1500, directed))
+		clean := topo.Version()
+		mustNil(t, topo.AddEdge(5000, 1, 2, 5000))
+		mustNil(t, topo.AddEdge(5001, 2, 250, 5001))
+		for id := int64(1); id <= 1500; id += 13 {
+			topo.RemoveEdge(id)
+		}
+		delta := topo.Version()
+		if clean.DeltaLen() != 0 || delta.DeltaLen() == 0 {
+			t.Fatalf("delta lengths %d and %d, want 0 and > 0", clean.DeltaLen(), delta.DeltaLen())
+		}
+		for _, tc := range []struct {
+			name    string
+			c       *CSR
+			wantLen int
+		}{
+			{"no delta", clean, len(clean.m.adjEdge)},
+			{"delta", delta, len(delta.m.edges) + len(delta.dedges)},
+		} {
+			label := fmt.Sprintf("directed=%v %s", directed, tc.name)
+			col := tc.c.EdgeColumn(byEdge)
+			if len(col) != tc.wantLen {
+				t.Fatalf("%s: column holds %d values, want %d", label, len(col), tc.wantLen)
+			}
+			for start := int64(0); start < 300; start += 23 {
+				for _, k := range []int{1, 3} {
+					spec := Spec{Start: tc.c.Vertex(start)}
+					closure := NewCSRShortest(tc.c, spec, weight, k)
+					want := drainStrings(closure, 1<<20)
+					closure.Release()
+					spec.Weights = col
+					column := NewCSRShortest(tc.c, spec, weight, k)
+					got := drainStrings(column, 1<<20)
+					column.Release()
+					diffSequences(t, fmt.Sprintf("%s start %d k=%d", label, start, k), want, got)
+				}
+			}
+		}
 	}
 }
