@@ -488,10 +488,12 @@ func Ablation(cfg Config) []Row {
 	var rows []Row
 	ds := Datasets(cfg)
 
-	// Pushdown on/off. For visit-once scans pushdown is semantic (it
-	// defines the traversed sub-graph), so the ablation uses the per-path
-	// triangle pattern, where pushing the selectivity predicate into the
-	// traversal is a pure optimization over residual filtering.
+	// Pushdown on/off: the edges each configuration traverses (from one
+	// EXPLAIN ANALYZE; the gated count) and its time (reported). For
+	// visit-once scans pushdown is semantic (it defines the traversed
+	// sub-graph), so the ablation uses the per-path triangle pattern, where
+	// pushing the selectivity predicate into the traversal is a pure
+	// optimization over residual filtering.
 	for _, name := range []string{"dblp", "road"} {
 		d := ds[name]
 		q := fmt.Sprintf(`SELECT COUNT(P) FROM %s.Paths P
@@ -499,11 +501,13 @@ func Ablation(cfg Config) []Row {
 			AND P.Edges[2].EndVertex = P.Edges[0].StartVertex`, d.Name)
 		systems := []string{"pushdown-on", "pushdown-off"}
 		var runs []func() float64
-		for _, opts := range []plan.Options{{}, {DisablePushdown: true}} {
+		for i, opts := range []plan.Options{{}, {DisablePushdown: true}} {
 			eng, err := LoadGRFusion(d, opts)
 			if err != nil {
 				panic(err)
 			}
+			rows = append(rows, Row{Experiment: "ablation", Dataset: name, System: systems[i],
+				Param: "triangles sel=10", Metric: "edges_traversed", Value: edgesTraversed(eng, q)})
 			runs = append(runs, func() float64 {
 				start := time.Now()
 				if _, err := eng.Execute(q); err != nil {
@@ -616,4 +620,21 @@ func All(cfg Config) []Row {
 		rows = append(rows, e.Run(cfg)...)
 	}
 	return rows
+}
+
+// edgesTraversed runs q once under EXPLAIN ANALYZE and returns its
+// edges_traversed counter.
+func edgesTraversed(eng *core.Engine, q string) float64 {
+	res, err := eng.Execute("EXPLAIN ANALYZE " + q)
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range res.Rows {
+		var n float64
+		var paths int64
+		if _, err := fmt.Sscanf(r[0].S, "Counters: edges_traversed=%g paths_emitted=%d", &n, &paths); err == nil {
+			return n
+		}
+	}
+	panic("EXPLAIN ANALYZE printed no Counters line")
 }

@@ -210,8 +210,12 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 			case hits > 0:
 				memo = "hit"
 			}
-			add("Analytics[%s.%s]: runs=%d iters=%d topdown_levels=%d bottomup_levels=%d memo=%s",
-				as.At.GV.Name, as.Fn, runs, iters, td, bu, memo)
+			folded := ""
+			if as.Fold != nil {
+				folded = fmt.Sprintf(" folded=%d", as.Folded())
+			}
+			add("Analytics[%s.%s]: runs=%d iters=%d topdown_levels=%d bottomup_levels=%d memo=%s%s",
+				as.At.GV.Name, as.Fn, runs, iters, td, bu, memo, folded)
 			addCSR(as.At.GV)
 			return
 		}

@@ -18,6 +18,14 @@ type AggSpec struct {
 	Distinct bool
 }
 
+// String renders the aggregate call: COUNT(*), MAX(PR.rank).
+func (s AggSpec) String() string {
+	if s.Arg == nil {
+		return s.Name + "(*)"
+	}
+	return s.Name + "(" + s.Arg.String() + ")"
+}
+
 // HashAggregate groups its input by the GroupBy expressions and computes
 // the aggregates per group. Output rows are the group values followed by
 // the aggregate results, in first-seen group order. With no GroupBy
@@ -45,11 +53,7 @@ func (a *HashAggregate) Explain() string {
 		parts = append(parts, g.String())
 	}
 	for _, s := range a.Aggs {
-		if s.Arg == nil {
-			parts = append(parts, s.Name+"(*)")
-		} else {
-			parts = append(parts, s.Name+"("+s.Arg.String()+")")
-		}
+		parts = append(parts, s.String())
 	}
 	return "HashAggregate " + strings.Join(parts, ", ")
 }

@@ -26,6 +26,12 @@ import (
 // row per vertex in ascending identifier order, an ID column plus the
 // function's metric columns — so results join and filter against table
 // attributes.
+//
+// An aggregate directly above the scan — no GROUP BY, no DISTINCT, no
+// filter, only COUNT(*) and COUNT/SUM/AVG/MIN/MAX of bare result columns —
+// is folded into it instead (FoldAggregate): Open folds each aggregate over
+// the result's typed columns with AggState.AddFloats/AddInts, in the order
+// the rows would stream, and the scan returns the aggregate's one row.
 
 // AnalyticsFunc identifies one analytics table-valued function.
 type AnalyticsFunc uint8
@@ -123,6 +129,11 @@ type AnalyticsScan struct {
 	Args   []expr.Expr // constant arguments (literals or parameters)
 	Filter expr.Expr
 
+	// Fold, when set, are the aggregates the scan folds its result into:
+	// it returns their one row under the aggregate's output schema
+	// instead of the result relation.
+	Fold []AggSpec
+
 	schema *types.Schema
 
 	// Actuals, surfaced by EXPLAIN ANALYZE and the metrics registry:
@@ -130,6 +141,7 @@ type AnalyticsScan struct {
 	// (BFS levels for components) and component BFS direction split of
 	// the results emitted.
 	runs, memoHits, iters, topDown, bottomUp atomic.Int64
+	folded                                   atomic.Int64 // result rows folded
 }
 
 // NewAnalyticsScan creates the operator.
@@ -145,6 +157,29 @@ func (s *AnalyticsScan) Schema() *types.Schema { return s.schema }
 // Children implements Operator.
 func (s *AnalyticsScan) Children() []Operator { return nil }
 
+// FoldAggregate makes the scan compute aggs itself, returning one row
+// under out, and reports whether it could: the scan must have no filter,
+// and each aggregate must be COUNT(*) or a non-DISTINCT aggregate of a bare
+// result column. On false the scan is unchanged.
+func (s *AnalyticsScan) FoldAggregate(aggs []AggSpec, out *types.Schema) bool {
+	if s.Filter != nil {
+		return false
+	}
+	for _, a := range aggs {
+		if a.Distinct {
+			return false
+		}
+		if a.Arg == nil {
+			continue
+		}
+		if c, ok := a.Arg.(*expr.ColumnRef); !ok || c.Idx < 0 || c.Idx >= s.schema.Len() {
+			return false
+		}
+	}
+	s.Fold, s.schema = aggs, out
+	return true
+}
+
 // Explain implements Operator.
 func (s *AnalyticsScan) Explain() string {
 	var sb strings.Builder
@@ -159,6 +194,15 @@ func (s *AnalyticsScan) Explain() string {
 	if s.Filter != nil {
 		fmt.Fprintf(&sb, " filter=%s", s.Filter)
 	}
+	if s.Fold != nil {
+		sb.WriteString(" fold=")
+		for i, a := range s.Fold {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(a.String())
+		}
+	}
 	return sb.String()
 }
 
@@ -168,6 +212,9 @@ func (s *AnalyticsScan) Explain() string {
 func (s *AnalyticsScan) Actuals() (runs, memoHits, iters, topDown, bottomUp int64) {
 	return s.runs.Load(), s.memoHits.Load(), s.iters.Load(), s.topDown.Load(), s.bottomUp.Load()
 }
+
+// Folded reports how many result rows the scan's Fold has consumed.
+func (s *AnalyticsScan) Folded() int64 { return s.folded.Load() }
 
 // argFloat evaluates a constant argument to a float.
 func argFloat(ctx *Context, e expr.Expr, what string) (float64, error) {
@@ -199,8 +246,39 @@ func argInt(ctx *Context, e expr.Expr, what string) (int, error) {
 
 // Open implements Operator: it takes the result from the version's memo or
 // runs the kernel to completion (respecting the statement's cancellation
-// signal), and returns an iterator over the result relation.
+// signal), and returns an iterator over the result relation, or over the
+// one row of its Fold.
 func (s *AnalyticsScan) Open(ctx *Context) (Iterator, error) {
+	it, err := s.open(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if s.Fold == nil {
+		return it, nil
+	}
+	defer it.Close()
+	if err := ctx.CheckCancel(); err != nil {
+		return nil, err
+	}
+	row := make(types.Row, len(s.Fold))
+	for i, a := range s.Fold {
+		st := expr.NewAggState(a.Name)
+		col := 1 // COUNT(*): any column counts the rows, none is NULL
+		if a.Arg != nil {
+			col = a.Arg.(*expr.ColumnRef).Idx
+		}
+		if err := it.foldColumn(st, col); err != nil {
+			return nil, err
+		}
+		row[i] = st.Result()
+	}
+	s.folded.Add(int64(it.n))
+	ctx.RowsEmitted++
+	return &sliceIter{ctx: ctx, rows: []types.Row{row}}, nil
+}
+
+// open resolves the arguments and returns the iterator over the result.
+func (s *AnalyticsScan) open(ctx *Context) (*analyticsIter, error) {
 	damping, prIters, lpIters := DefaultPageRankDamping, DefaultPageRankIters, DefaultLabelPropIters
 	switch s.Fn {
 	case AnalyticsPageRank:
@@ -385,6 +463,24 @@ func (it *analyticsIter) Next() (types.Row, error) {
 		return row, nil
 	}
 	return nil, nil
+}
+
+// foldColumn folds result column j, in row order, into st.
+func (it *analyticsIter) foldColumn(st *expr.AggState, j int) error {
+	switch {
+	case j == 0 && it.res != nil:
+		return st.AddInts(it.res.IDs)
+	case j == 0:
+		return st.AddInts(it.a.VertexIDs())
+	case it.s.Fn == AnalyticsPageRank:
+		return st.AddFloats(it.res.Ranks)
+	case it.s.Fn == AnalyticsDegree && j == 1:
+		return st.AddInts(it.outDeg)
+	case it.s.Fn == AnalyticsDegree:
+		return st.AddInts(it.inDeg)
+	default:
+		return st.AddInts(it.res.Ints)
+	}
 }
 
 func (it *analyticsIter) Close() {

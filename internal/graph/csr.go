@@ -72,9 +72,13 @@ type csrMain struct {
 	adjTo   []int32
 	adjEdge []int32
 
-	bytes int64     // approximate resident size, fixed at layout
-	pool  sync.Pool // of *csrScratch
-	apool sync.Pool // of *analyticsScratch (see analytics.go)
+	bytes int64 // approximate resident size, fixed at layout
+
+	// One scratch pool per kernel family, so a BFS/DFS scratch never
+	// carries SPScan's arena, radix buckets and cost slab.
+	walkPool sync.Pool // of *csrScratch, for DFScan and BFScan
+	spPool   sync.Pool // of *csrScratch, for SPScan
+	apool    sync.Pool // of *analyticsScratch (see analytics.go)
 }
 
 // newMain lays out a main over verts (ascending identifier order, byID its
@@ -132,7 +136,8 @@ func newMain(name string, directed bool, verts []*Vertex, byID map[int64]int32,
 	if !directed {
 		m.bytes += int64(4 * (len(m.adjOff) + len(m.adjTo) + len(m.adjEdge)))
 	}
-	m.pool.New = func() any { return &csrScratch{} }
+	m.walkPool.New = func() any { return &csrScratch{} }
+	m.spPool.New = m.walkPool.New
 	m.apool.New = func() any { return &analyticsScratch{} }
 	return m
 }
@@ -752,7 +757,8 @@ type csrScratch struct {
 	// only such a scan sizes it.
 	best []float64
 
-	// SPScan settle accounting: settledC[v] is valid iff settledE[v] == epoch.
+	// SPScan settle accounting: settledC[v] is valid iff settledE[v] ==
+	// epoch. Only SPScan sizes them, like best.
 	settledE []uint32
 	settledC []int32
 
@@ -784,16 +790,14 @@ type csrScratch struct {
 	spi csrSPIter
 }
 
-// getScratch takes a scratch from the main's pool — shared by every
-// version of that main — sizes its slabs to this version's dense vertex
+// getScratch takes a scratch from pool, one of the main's (shared by every
+// version of that main), sizes its slabs to this version's dense vertex
 // space, and opens a new visited epoch.
-func (c *CSR) getScratch() *csrScratch {
-	s := c.m.pool.Get().(*csrScratch)
+func (c *CSR) getScratch(pool *sync.Pool) *csrScratch {
+	s := pool.Get().(*csrScratch)
 	if n := c.denseV(); len(s.visited) < n {
-		// Fresh zeroed slabs: no stamp in them can equal any epoch.
+		// A fresh zeroed slab: no stamp in it can equal any epoch.
 		s.visited = make([]uint32, n)
-		s.settledE = make([]uint32, n)
-		s.settledC = make([]int32, n)
 	}
 	s.arcs.reset()
 	s.epoch++
@@ -808,9 +812,6 @@ func (c *CSR) getScratch() *csrScratch {
 	}
 	return s
 }
-
-// putScratch returns a traversal's scratch to the main's pool.
-func (c *CSR) putScratch(s *csrScratch) { c.m.pool.Put(s) }
 
 // settled returns how many times vertex vi has been settled this
 // traversal (SPScan's per-vertex k cap).

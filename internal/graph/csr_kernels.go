@@ -13,7 +13,8 @@ import "math"
 // slabs instead of maps, traversal trees live in pooled arenas of int32
 // nodes instead of heap-allocated pnode chains, and the working state
 // (stack frames, FIFO, priority queue, scratch paths, the iterator
-// structs themselves) all comes from the main's sync.Pool. Steady state a
+// structs themselves) all comes from the main's pools, one per kernel
+// family (walkPool for DFS/BFS, spPool for SPScan). Steady state a
 // traversal allocates only the paths it actually emits — and Step lets
 // existence/count consumers skip even that. Every expansion reads a
 // vertex's arcs through view.adjacency: main windows for an untouched
@@ -76,7 +77,7 @@ type csrDFSIter struct {
 
 // NewCSRDFS creates a depth-first traversal over the version (DFScan).
 func NewCSRDFS(c *CSR, spec Spec) CSRIterator {
-	s := c.getScratch()
+	s := c.getScratch(&c.m.walkPool)
 	it := &s.dfs
 	*it = csrDFSIter{c: c, spec: spec, s: s, closeEdge: -1,
 		halt: stopper{done: spec.Done}}
@@ -244,7 +245,7 @@ func (it *csrDFSIter) Release() {
 	it.released, it.done = true, true
 	s := it.s
 	it.s = nil
-	it.c.putScratch(s)
+	it.c.m.walkPool.Put(s)
 }
 
 // ---------------------------------------------------------------- BFScan
@@ -275,7 +276,7 @@ type csrBFSIter struct {
 
 // NewCSRBFS creates a breadth-first traversal over the version (BFScan).
 func NewCSRBFS(c *CSR, spec Spec) CSRIterator {
-	s := c.getScratch()
+	s := c.getScratch(&c.m.walkPool)
 	it := &s.bfs
 	*it = csrBFSIter{c: c, spec: spec, s: s, cur: -1, closeEdge: -1,
 		halt: stopper{done: spec.Done}}
@@ -409,7 +410,7 @@ func (it *csrBFSIter) Release() {
 	it.released, it.done = true, true
 	s := it.s
 	it.s = nil
-	it.c.putScratch(s)
+	it.c.m.walkPool.Put(s)
 }
 
 // ---------------------------------------------------------------- SPScan
@@ -438,7 +439,7 @@ func NewCSRShortest(c *CSR, spec Spec, weight WeightFunc, k int) *csrSPIter {
 	if k < 1 {
 		k = 1
 	}
-	s := c.getScratch()
+	s := c.getScratch(&c.m.spPool)
 	it := &s.spi
 	*it = csrSPIter{c: c, spec: spec, s: s, weight: weight, k: int32(k),
 		halt: stopper{done: spec.Done}}
@@ -446,6 +447,10 @@ func NewCSRShortest(c *CSR, spec Spec, weight WeightFunc, k int) *csrSPIter {
 	it.targetIdx = c.targetIndex(spec.Target)
 	s.sp = s.sp[:0]
 	s.spq.reset()
+	if len(s.settledE) < len(s.visited) { // fresh zeroes match no epoch
+		s.settledE = make([]uint32, len(s.visited))
+		s.settledC = make([]int32, len(s.visited))
+	}
 	if k == 1 && len(s.best) < len(s.visited) {
 		s.best = make([]float64, len(s.visited))
 	}
@@ -581,7 +586,7 @@ func (it *csrSPIter) Release() {
 	it.released, it.done = true, true
 	s := it.s
 	it.s = nil
-	it.c.putScratch(s)
+	it.c.m.spPool.Put(s)
 }
 
 // CSRReachable reports whether target is reachable from start within

@@ -256,6 +256,51 @@ func TestCSRStepAllocs(t *testing.T) {
 	}
 }
 
+// TestScratchPoolPerKernel: SPScan and BFS/DFS draw scratch from separate
+// pools of one main, so a BFS or DFS that runs after an SPScan holds none
+// of SPScan's arena, radix buckets, cost slab or settle slabs.
+func TestScratchPoolPerKernel(t *testing.T) {
+	g := randTopology(t, 12, 500, 2000, true)
+	c := BuildCSR(g)
+	start := g.Vertex(0)
+	sp := NewCSRShortest(c, Spec{Start: start, MinLen: 1}, UnitWeight, 1)
+	n := 0
+	for sp.Step() {
+		n++
+	}
+	if n == 0 || cap(sp.s.sp) == 0 {
+		t.Fatal("the SPScan settled nothing: the test cannot tell the pools apart")
+	}
+	sp.Release()
+
+	walks := map[string]func() CSRIterator{
+		"bfs": func() CSRIterator { return NewCSRBFS(c, Spec{Start: start, MinLen: 1}) },
+		"dfs": func() CSRIterator { return NewCSRDFS(c, Spec{Start: start, MinLen: 1, MaxLen: 3}) },
+	}
+	for name, open := range walks {
+		it := open()
+		var s *csrScratch
+		switch w := it.(type) {
+		case *csrBFSIter:
+			s = w.s
+		case *csrDFSIter:
+			s = w.s
+		}
+		for it.Step() {
+		}
+		if cap(s.sp) != 0 || cap(s.best) != 0 || cap(s.settledE) != 0 || cap(s.settledC) != 0 {
+			t.Errorf("%s scratch holds SPScan's arena (cap %d), cost slab (cap %d) or settle slabs (cap %d, %d)",
+				name, cap(s.sp), cap(s.best), cap(s.settledE), cap(s.settledC))
+		}
+		for i, b := range s.spq.b {
+			if cap(b) != 0 {
+				t.Errorf("%s scratch holds radix bucket %d (cap %d)", name, i, cap(b))
+			}
+		}
+		it.Release()
+	}
+}
+
 // TestCSRStepNextInterleave: Step and Next advance the same cursor.
 func TestCSRStepNextInterleave(t *testing.T) {
 	g := randTopology(t, 5, 12, 30, true)

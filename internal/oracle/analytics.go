@@ -3,10 +3,13 @@ package oracle
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"grfusion/internal/core"
 	"grfusion/internal/datagen"
+	"grfusion/internal/expr"
 	"grfusion/internal/graph"
+	"grfusion/internal/types"
 )
 
 // checkAnalytics is the whole-graph analytics differential: every analytics
@@ -122,6 +125,80 @@ func (sc *scenario) checkAnalytics(eng *core.Engine, st *datagen.GraphState) *Vi
 		if !sameRows(renderRows(res1, false), renderRows(res4, false)) {
 			return violationf("analytics-workers",
 				"%s: results differ between 1 and 4 workers", call)
+		}
+	}
+	return sc.checkAnalyticsFold(eng, damping, prIters, lpIters)
+}
+
+// checkAnalyticsFold: an aggregate the planner folds into the analytics
+// scan must return, bit for bit, the fold of the function's own SELECT *
+// rows by AggState.Add in row order — the answer the row path gives — at 1
+// and 4 workers.
+func (sc *scenario) checkAnalyticsFold(eng *core.Engine, damping float64, prIters, lpIters int) *Violation {
+	defer eng.SetWorkers(sc.workers)
+	aggNames := []string{"COUNT", "SUM", "AVG", "MIN", "MAX"}
+	for _, fn := range []struct {
+		call string
+		cols []string
+	}{
+		{fmt.Sprintf("PAGERANK(%v, %d)", damping, prIters), []string{"ID", "rank"}},
+		{"CONNECTED_COMPONENTS()", []string{"ID", "component"}},
+		{fmt.Sprintf("LABEL_PROPAGATION(%d)", lpIters), []string{"ID", "label"}},
+		{"DEGREE_CENTRALITY()", []string{"ID", "out_degree", "in_degree"}},
+	} {
+		items := []string{"COUNT(*)"}
+		for _, c := range fn.cols {
+			for _, a := range aggNames {
+				items = append(items, fmt.Sprintf("%s(X.%s)", a, c))
+			}
+		}
+		folded := fmt.Sprintf("SELECT %s FROM %s.%s X", strings.Join(items, ", "), sc.gv, fn.call)
+		plan, err := eng.Execute("EXPLAIN " + folded)
+		if err != nil {
+			return violationf("analytics-fold", "%s: %v", folded, err)
+		}
+		if !strings.Contains(fmt.Sprint(plan.Rows), " fold=COUNT(*)") {
+			return violationf("analytics-fold", "%s: the planner did not fold the aggregate", fn.call)
+		}
+		for _, workers := range []int{1, 4} {
+			eng.SetWorkers(workers)
+			rows, err := eng.Execute(fmt.Sprintf("SELECT * FROM %s.%s X", sc.gv, fn.call))
+			if err != nil {
+				return violationf("analytics-fold", "%s rows: %v", fn.call, err)
+			}
+			got, err := eng.Execute(folded)
+			if err != nil {
+				return violationf("analytics-fold", "%s: %v", folded, err)
+			}
+			want := make([]types.Value, 0, len(items))
+			for col := -1; col < len(fn.cols); col++ {
+				names := aggNames
+				if col < 0 {
+					names = []string{"COUNT"} // COUNT(*)
+				}
+				for _, a := range names {
+					st := expr.NewAggState(a)
+					for _, r := range rows.Rows {
+						v := types.NewInt(1)
+						if col >= 0 {
+							v = r[col]
+						}
+						if err := st.Add(v); err != nil {
+							return violationf("analytics-fold", "%s: %v", fn.call, err)
+						}
+					}
+					want = append(want, st.Result())
+				}
+			}
+			if len(got.Rows) != 1 || len(got.Rows[0]) != len(want) {
+				return violationf("analytics-fold", "%s at %d workers: %d rows", folded, workers, len(got.Rows))
+			}
+			for i, v := range got.Rows[0] {
+				if w := want[i]; v.Kind != w.Kind || v.I != w.I || math.Float64bits(v.F) != math.Float64bits(w.F) {
+					return violationf("analytics-fold", "%s at %d workers: %s = %v, its rows fold to %v",
+						fn.call, workers, items[i], v, w)
+				}
+			}
 		}
 	}
 	return nil

@@ -219,9 +219,10 @@ func resolveOrderAgainstOutput(order []sql.OrderItem, items []selItem, out *expr
 	return keys, nil
 }
 
-// planAggregate builds the HashAggregate pipeline: group keys, aggregate
-// specs, HAVING, and rewrites the output to reference the aggregate's
-// output columns.
+// planAggregate builds the aggregation pipeline — a HashAggregate, or an
+// analytics scan that folds the aggregates itself — with group keys,
+// aggregate specs and HAVING, and rewrites the output to reference the
+// aggregate's output columns.
 func (p *Planner) planAggregate(s *sql.Select, tree exec.Operator, items []selItem,
 	boundItems []expr.Expr, boundHaving expr.Expr, childBinder *expr.Binder,
 ) (exec.Operator, []expr.Expr, error) {
@@ -379,8 +380,16 @@ func (p *Planner) planAggregate(s *sql.Select, tree exec.Operator, items []selIt
 		}
 		cols = append(cols, types.Column{Name: aggColName(i), Type: k})
 	}
-	out := exec.NewHashAggregate(tree, groups, aggs, types.NewSchema(cols...))
-	var top exec.Operator = out
+	// An ungrouped aggregate straight over an analytics function folds
+	// into the scan when it can (AnalyticsScan.FoldAggregate): the scan
+	// then returns the one row itself.
+	out := types.NewSchema(cols...)
+	var top exec.Operator
+	if as, ok := tree.(*exec.AnalyticsScan); ok && len(groups) == 0 && as.FoldAggregate(aggs, out) {
+		top = as
+	} else {
+		top = exec.NewHashAggregate(tree, groups, aggs, out)
+	}
 	if having != nil {
 		top = exec.NewFilter(top, having)
 	}
