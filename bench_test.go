@@ -161,6 +161,57 @@ func BenchmarkShortestPathSPScan(b *testing.B) {
 	})
 }
 
+// TestShortestPathTwoSidedWork pins the two-sided SPScan's work on
+// BenchmarkShortestPathSPScan/prepared's view and pairs: summed over the
+// pairs, EXPLAIN ANALYZE's edges_traversed is at least 10x lower than
+// through the one-sided kernel, which a length bound no path reaches
+// selects, and every pair costs the same both ways. The counts are a
+// function of the data, so the test is deterministic.
+func TestShortestPathTwoSidedWork(t *testing.T) {
+	const ne, pairs = 100_000, 24
+	nv := ne / 5
+	db := topologyDB(t, ne)
+	const q = `SELECT TOP 1 SUM(PS.Edges.w) FROM G.Paths PS
+		HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d`
+	analyze := func(sql string) (edges int64, cost string) {
+		t.Helper()
+		plan, err := db.Query("EXPLAIN ANALYZE " + sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range plan.Rows {
+			if _, err := fmt.Sscanf(r[0].S, "Counters: edges_traversed=%d", &edges); err == nil {
+				break
+			}
+		}
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return edges, fmt.Sprint(res.Rows)
+	}
+	var two, one int64
+	for i := 0; i < pairs; i++ {
+		src, dst := mix(3*ne+i)%nv, mix(4*ne+i)%nv
+		sql := fmt.Sprintf(q, src, dst)
+		if i == 0 {
+			if plan, err := db.Explain(sql); err != nil || !strings.Contains(plan, "sides=2") {
+				t.Fatalf("the plain query is not planned two-sided (%v):\n%s", err, plan)
+			}
+		}
+		e2, c2 := analyze(sql)
+		e1, c1 := analyze(sql + fmt.Sprintf(" AND PS.Length <= %d", nv))
+		if c2 != c1 {
+			t.Fatalf("%d→%d: two-sided %s, one-sided %s", src, dst, c2, c1)
+		}
+		two, one = two+e2, one+e1
+	}
+	t.Logf("edges_traversed over %d pairs: two-sided %d, one-sided %d (%.1fx)", pairs, two, one, float64(one)/float64(two))
+	if two == 0 || one < 10*two {
+		t.Fatalf("edges_traversed over %d pairs: two-sided %d, one-sided %d, want >= 10x fewer", pairs, two, one)
+	}
+}
+
 // BenchmarkAnalyticsPageRank runs the layered benchmark's prepared
 // PAGERANK aggregate over a 20k-vertex, 100k-edge view, which the scan
 // folds. The hit leg reads the result the version memoized on its first
@@ -267,7 +318,7 @@ func BenchmarkInsertWithViewMaintenance(b *testing.B) {
 // vertices, each with a DOUBLE weight w in [1, 100), the shape of the
 // layered benchmark's graph. The tables are loaded before the view
 // exists, so the view starts from one fresh build.
-func topologyDB(b *testing.B, ne int) *DB {
+func topologyDB(b testing.TB, ne int) *DB {
 	b.Helper()
 	nv := ne / 5
 	db := Open(Config{})

@@ -211,7 +211,7 @@ func TestAnalyticsFoldShapes(t *testing.T) {
 				"    AnalyticsScan Ladder.CONNECTED_COMPONENTS()\n"},
 		{`SELECT COUNT(DISTINCT LP.label) FROM Ladder.LABEL_PROPAGATION(10) LP`,
 			"Project __agg0\n" +
-				"  HashAggregate COUNT(LP.label)\n" +
+				"  HashAggregate COUNT(DISTINCT LP.label)\n" +
 				"    AnalyticsScan Ladder.LABEL_PROPAGATION(10)\n"},
 		{`SELECT MAX(PR.rank * 2) FROM ` + pr + ` PR`,
 			"Project __agg0\n" +

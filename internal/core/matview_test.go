@@ -280,3 +280,22 @@ func TestExplainStatement(t *testing.T) {
 		t.Error("EXPLAIN DML accepted")
 	}
 }
+
+// TestExplainShowsDistinct: a DISTINCT aggregate and a plain one are
+// different plans, so EXPLAIN prints them differently.
+func TestExplainShowsDistinct(t *testing.T) {
+	e := New(Options{})
+	mustScript(t, e, `CREATE TABLE v (id BIGINT PRIMARY KEY, g BIGINT);
+		INSERT INTO v VALUES (1, 7), (2, 7), (3, 8)`)
+	distinct := planText(mustExec(t, e, `EXPLAIN SELECT COUNT(DISTINCT v.g) FROM v`))
+	plain := planText(mustExec(t, e, `EXPLAIN SELECT COUNT(v.g) FROM v`))
+	if distinct == plain {
+		t.Fatalf("COUNT(DISTINCT v.g) and COUNT(v.g) print the same plan:\n%s", plain)
+	}
+	if !strings.Contains(distinct, "HashAggregate COUNT(DISTINCT v.g)") {
+		t.Fatalf("EXPLAIN of COUNT(DISTINCT v.g):\n%s", distinct)
+	}
+	if got := mustExec(t, e, `SELECT COUNT(DISTINCT v.g) FROM v`); got.Rows[0][0].I != 2 {
+		t.Fatalf("COUNT(DISTINCT v.g) = %v, want 2", got.Rows[0][0])
+	}
+}

@@ -343,8 +343,11 @@ func TestWeightColumnAmortized(t *testing.T) {
 		EDGES(ID = eid, FROM = src, TO = dst, w = w) FROM E`)
 	gv := mustView(t, e, "G")
 
+	// The length bound, which no path reaches, keeps the one-sided
+	// kernel: a path to vertex nv then explores everything reachable,
+	// where the two-sided kernel would stop at once.
 	sp := func(dst int) string {
-		return fmt.Sprintf(`SELECT TOP 1 PS.Length FROM G.Paths PS HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = %d`, dst)
+		return fmt.Sprintf(`SELECT TOP 1 PS.Length FROM G.Paths PS HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = %d AND PS.Length <= %d`, dst, nv+1)
 	}
 	short := analyzeEdges(t, e, sp(7919%nv+1)) // a direct neighbour of vertex 0
 	if short == 0 || short >= ne/100 {

@@ -18,10 +18,14 @@ type AggSpec struct {
 	Distinct bool
 }
 
-// String renders the aggregate call: COUNT(*), MAX(PR.rank).
+// String renders the aggregate call as the SQL reads: COUNT(*),
+// MAX(PR.rank), COUNT(DISTINCT v.g).
 func (s AggSpec) String() string {
 	if s.Arg == nil {
 		return s.Name + "(*)"
+	}
+	if s.Distinct {
+		return s.Name + "(DISTINCT " + s.Arg.String() + ")"
 	}
 	return s.Name + "(" + s.Arg.String() + ")"
 }

@@ -74,6 +74,11 @@ type csrMain struct {
 
 	bytes int64 // approximate resident size, fixed at layout
 
+	// inPos maps each in-arc of a directed main to the position of its
+	// edge among the traversal arcs; see inArcPos.
+	inPosOnce sync.Once
+	inPos     []int32
+
 	// One scratch pool per kernel family, so a BFS/DFS scratch never
 	// carries SPScan's arena, radix buckets and cost slab.
 	walkPool sync.Pool // of *csrScratch, for DFScan and BFScan
@@ -140,6 +145,25 @@ func newMain(name string, directed bool, verts []*Vertex, byID map[int64]int32,
 	m.spPool.New = m.walkPool.New
 	m.apool.New = func() any { return &analyticsScratch{} }
 	return m
+}
+
+// inArcPos returns, per in-arc of a directed main, the position of the
+// same edge among the traversal arcs (adjEdge, one arc per edge), so the
+// two-sided SPScan's backward search reads a delta-free weight column,
+// which is laid out in traversal-arc order, without a second layout. It
+// is built on first use, 4 B per edge.
+func (m *csrMain) inArcPos() []int32 {
+	m.inPosOnce.Do(func() {
+		at := make([]int32, len(m.edges))
+		for i, ei := range m.adjEdge {
+			at[ei] = int32(i)
+		}
+		m.inPos = make([]int32, len(m.inEdge))
+		for i, ei := range m.inEdge {
+			m.inPos[i] = at[ei]
+		}
+	})
+	return m.inPos
 }
 
 // bucketArcs lays out one adjacency view: every edge of order becomes an
@@ -709,13 +733,16 @@ func (q *radixQueue) push(it spQueueItem) {
 	q.occupied |= 1 << i
 }
 
-// pop removes the least entry; ok is false when the queue is empty.
-func (q *radixQueue) pop() (it spQueueItem, ok bool) {
+// peek returns the least key without removing its entry; ok is false
+// when the queue is empty. It may redistribute a bucket, which moves last
+// up to that key, so the next push must not be below it: SPScan pushes
+// into a queue only after popping from it.
+func (q *radixQueue) peek() (key uint64, ok bool) {
 	if q.head == len(q.b[0]) {
 		q.b[0], q.head = q.b[0][:0], 0
 		rest := q.occupied &^ 1
 		if rest == 0 {
-			return it, false
+			return 0, false
 		}
 		i := bits.TrailingZeros64(rest)
 		blk := q.b[i]
@@ -727,6 +754,14 @@ func (q *radixQueue) pop() (it spQueueItem, ok bool) {
 		for _, e := range blk {
 			q.push(e) // lands below i, so blk is not overwritten
 		}
+	}
+	return q.last, true
+}
+
+// pop removes the least entry; ok is false when the queue is empty.
+func (q *radixQueue) pop() (it spQueueItem, ok bool) {
+	if _, ok = q.peek(); !ok {
+		return it, false
 	}
 	it = q.b[0][q.head]
 	q.head++
@@ -768,6 +803,10 @@ type csrScratch struct {
 	sp     []csrSPNode
 	spq    radixQueue
 
+	// sides are the two-sided SPScan's forward and backward searches
+	// (csr_pair.go); only that kernel sizes them.
+	sides [2]spSide
+
 	// pathV/pathE are the index-form working path (DFS) or chain
 	// materialization buffer (BFS/SP): pathV holds len+1 vertex indexes,
 	// pathE len edge indexes.
@@ -785,9 +824,10 @@ type csrScratch struct {
 	// The kernels live in the scratch so starting a traversal performs no
 	// heap allocation. An iterator becomes invalid the moment its Release
 	// runs; the pool may hand its memory to the next traversal.
-	dfs csrDFSIter
-	bfs csrBFSIter
-	spi csrSPIter
+	dfs  csrDFSIter
+	bfs  csrBFSIter
+	spi  csrSPIter
+	pair csrPairIter
 }
 
 // getScratch takes a scratch from pool, one of the main's (shared by every
@@ -807,6 +847,9 @@ func (c *CSR) getScratch(pool *sync.Pool) *csrScratch {
 		}
 		for i := range s.settledE {
 			s.settledE[i] = 0
+		}
+		for d := range s.sides {
+			clear(s.sides[d].seen)
 		}
 		s.epoch = 1
 	}

@@ -523,18 +523,16 @@ func (sc *scenario) checkQueries(eng *core.Engine, st *datagen.GraphState, rng *
 		}
 
 		// Shortest path cost. Weights are integer-valued by construction so
-		// the four Dijkstra/Bellman-Ford variants must agree exactly.
+		// the four Dijkstra/Bellman-Ford variants must agree exactly. The
+		// engine answers twice, at 1 and at 4 workers: through the
+		// two-sided kernel the plain query plans, and through the
+		// one-sided kernel a length bound no path reaches keeps.
 		q = fmt.Sprintf(
 			"SELECT TOP 1 SUM(PS.Edges.w) FROM %s.Paths PS HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d",
 			sc.gv, src, dst)
-		res, err = eng.Execute(q)
-		if err != nil {
-			return violationf("shortest-path", "engine %q: %v", q, err)
-		}
-		engOK := len(res.Rows) > 0
-		var engCost float64
-		if engOK {
-			engCost = res.Rows[0][0].AsFloat()
+		engOK, engCost, v := sc.shortestBothSides(eng, q, len(verts))
+		if v != nil {
+			return v
 		}
 		kCost, kOK := bs.kernelShortest(src, dst)
 		sCost, _, sOK := graphstore.ShortestPath(bs.store, src, dst, "w", nil)
@@ -579,6 +577,44 @@ func (sc *scenario) checkQueries(eng *core.Engine, st *datagen.GraphState, rng *
 		}
 	}
 	return nil
+}
+
+// shortestBothSides runs the TOP 1 shortest-path query q in its
+// two-sided form and in the one-sided form a length bound of maxLen
+// selects, at 1 and at 4 workers, and requires the same existence and
+// cost from all four runs.
+func (sc *scenario) shortestBothSides(eng *core.Engine, q string, maxLen int) (ok bool, cost float64, v *Violation) {
+	defer eng.SetWorkers(sc.workers)
+	forms := []struct{ q, sides string }{
+		{q, "sides=2"},
+		{fmt.Sprintf("%s AND PS.Length <= %d", q, maxLen), "sides=1"},
+	}
+	var first string
+	for _, w := range []int{1, 4} {
+		eng.SetWorkers(w)
+		for _, f := range forms {
+			plan, err := eng.Explain(f.q)
+			if err != nil || !strings.Contains(plan, f.sides) {
+				return false, 0, violationf("shortest-path", "engine plans %q without %s (%v):\n%s", f.q, f.sides, err, plan)
+			}
+			res, err := eng.Execute(f.q)
+			if err != nil {
+				return false, 0, violationf("shortest-path", "engine %q at %d workers: %v", f.q, w, err)
+			}
+			got := "none"
+			if len(res.Rows) > 0 {
+				ok, cost = true, res.Rows[0][0].AsFloat()
+				got = fmt.Sprint(cost)
+			}
+			if first == "" {
+				first = got
+			} else if got != first {
+				return false, 0, violationf("shortest-path",
+					"%q at %d workers answers %s, the two-sided form at 1 worker %s", f.q, w, got, first)
+			}
+		}
+	}
+	return ok, cost, nil
 }
 
 // multiCount is the multi-source path count the metamorphic relations are

@@ -214,6 +214,22 @@ func (p *Planner) attachPathScan(s *sql.Select, tree exec.Operator, fi *fromInfo
 		return nil, err
 	}
 
+	// A k=1 SPScan between two bound endpoints searches from both ends
+	// when nothing reads the path on the way: no pushed filter or
+	// aggregate bound, no length bound, and no predicate over the path
+	// left for above the scan. Any of those keeps the one-sided kernel,
+	// whose settle order they may observe (DESIGN §6 note 8).
+	if spec.Phys == exec.PhysSP && spec.KPaths == 1 && spec.StartExpr != nil && spec.EndExpr != nil &&
+		spec.MinLen <= 1 && spec.MaxLen <= 0 &&
+		len(spec.EdgeFilters)+len(spec.VertexFilters)+len(spec.AggBounds) == 0 {
+		spec.TwoSided = true
+		for i := range conjBound {
+			if !used[i] && refsAlias(conjBound[i]) {
+				spec.TwoSided = false
+			}
+		}
+	}
+
 	// Multi-source scans — no start binding, so the traversal fans out of
 	// every vertex — are marked parallelizable: the per-source traversals
 	// are independent, and the ParallelPathScan merges their results in
