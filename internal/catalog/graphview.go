@@ -83,6 +83,13 @@ type GraphView struct {
 	// pinned bindings (GraphViewAt.Weights).
 	weightColBuilds atomic.Int64
 
+	// badWeights counts, per declared edge attribute (EdgeAttrs order),
+	// the live edge rows whose value there is not a weight SPScan accepts
+	// (acceptsWeight). The build and the §3.3 hooks keep it, rollbacks
+	// included, since they undo through the same hooks; At copies it into
+	// each binding (GraphViewAt.WeightsVouched). Writer side.
+	badWeights []int
+
 	// last is the binding At handed out most recently, returned again
 	// while the topology version and both source views are unchanged.
 	// Writer side.
@@ -204,7 +211,8 @@ func (gv *GraphView) buildSchemas() {
 }
 
 func (gv *GraphView) build() error {
-	t, err := gv.buildTopology(gv.vtab, gv.etab)
+	gv.badWeights = make([]int, len(gv.EdgeAttrs))
+	t, err := gv.buildTopology(gv.vtab, gv.etab, gv.badWeights)
 	if err != nil {
 		return err
 	}
@@ -214,8 +222,9 @@ func (gv *GraphView) build() error {
 
 // buildTopology lays out a fresh topology from the rows of v and e — the
 // live source tables at CREATE GRAPH VIEW, a pinned version's snapshots
-// for a rebuild — in a single pass over each (§3.2).
-func (gv *GraphView) buildTopology(v, e storage.RowView) (*graph.Topology, error) {
+// for a rebuild — in a single pass over each (§3.2), counting the edge
+// rows' bad weights into bad unless it is nil.
+func (gv *GraphView) buildTopology(v, e storage.RowView, bad []int) (*graph.Topology, error) {
 	b := graph.NewBuilder(gv.Name, gv.Directed, v.Len(), e.Len())
 	var err error
 	v.Scan(func(id storage.RowID, row types.Row) bool {
@@ -229,6 +238,9 @@ func (gv *GraphView) buildTopology(v, e storage.RowView) (*graph.Topology, error
 	if err == nil {
 		e.Scan(func(id storage.RowID, row types.Row) bool {
 			err = gv.addEdgeFromRow(b.AddEdge, id, row)
+			if err == nil && bad != nil {
+				gv.countWeights(bad, row, 1)
+			}
 			return err == nil
 		})
 	}
@@ -249,11 +261,25 @@ func (gv *GraphView) buildTopology(v, e storage.RowView) (*graph.Topology, error
 // maintained topology to verify the §3.3 online-maintenance invariant:
 // maintained topology ≡ rebuilt topology after any DML history.
 func (gv *GraphView) RebuildTopology(v, e storage.RowView) (*graph.Graph, error) {
-	t, err := gv.buildTopology(v, e)
+	t, err := gv.buildTopology(v, e, nil)
 	if err != nil {
 		return nil, err
 	}
 	return t.Version().Graph(), nil
+}
+
+// acceptsWeight reports whether SPScan takes v as an edge weight: a
+// number, not NaN, not negative.
+func acceptsWeight(v types.Value) bool { return v.IsNumeric() && v.AsFloat() >= 0 }
+
+// countWeights adds d to bad's count of every edge attribute whose value
+// in the edge row is not a weight SPScan accepts.
+func (gv *GraphView) countWeights(bad []int, row types.Row, d int) {
+	for i, a := range gv.EdgeAttrs {
+		if !acceptsWeight(row[a.pos]) {
+			bad[i] += d
+		}
+	}
 }
 
 // addEdgeFromRow reads an edge tuple's identifier and endpoints and hands
@@ -422,6 +448,7 @@ func (gv *GraphView) OnInsert(table string, id storage.RowID, row types.Row) err
 		if err := gv.addEdgeFromRow(gv.topo.AddEdge, id, row); err != nil {
 			return fmt.Errorf("graph view %s: %v", gv.Name, err)
 		}
+		gv.countWeights(gv.badWeights, row, 1)
 	}
 	return nil
 }
@@ -447,6 +474,7 @@ func (gv *GraphView) OnDelete(table string, row types.Row) error {
 			return fmt.Errorf("graph view %s: %v", gv.Name, err)
 		}
 		gv.topo.RemoveEdge(eid) // absent is fine: may already be cascaded
+		gv.countWeights(gv.badWeights, row, -1)
 	}
 	if gv.IsVertexSource(table) {
 		vid, err := intAttr(row, gv.vIDPos, "vertex ID")
@@ -518,6 +546,8 @@ func (gv *GraphView) OnUpdate(table string, id storage.RowID, oldRow, newRow typ
 				return fmt.Errorf("graph view %s: %v", gv.Name, err)
 			}
 		}
+		gv.countWeights(gv.badWeights, oldRow, -1)
+		gv.countWeights(gv.badWeights, newRow, 1)
 	}
 	return nil
 }
