@@ -102,16 +102,39 @@ func BenchmarkVertexScan(b *testing.B) {
 	}
 }
 
+// BenchmarkPathScanReachabilityBFS runs targeted reachability: ad hoc
+// over the 2k-user social graph, and prepared over a 20k-vertex,
+// 100k-edge view with the layered benchmark's reach template, an
+// in-process profiling target for the two-sided BFScan.
 func BenchmarkPathScanReachabilityBFS(b *testing.B) {
-	db := socialDB(b, 2000, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := fmt.Sprintf(`SELECT PS.PathString FROM Social.Paths PS HINT(BFS)
-			WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d LIMIT 1`, i%2000, (i+997)%2000)
-		if _, err := db.Query(q); err != nil {
+	b.Run("adhoc", func(b *testing.B) {
+		db := socialDB(b, 2000, 3)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q := fmt.Sprintf(`SELECT PS.PathString FROM Social.Paths PS HINT(BFS)
+				WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d LIMIT 1`, i%2000, (i+997)%2000)
+			if _, err := db.Query(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		const ne = 100_000
+		db := topologyDB(b, ne)
+		stmt, err := db.Prepare(`SELECT PS.PathString FROM G.Paths PS
+			WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ? LIMIT 1`)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		nv := ne / 5
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := stmt.Query(mix(3*ne+i)%nv, mix(4*ne+i)%nv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkPathScanFriendsOfFriends(b *testing.B) {
@@ -168,12 +191,29 @@ func BenchmarkShortestPathSPScan(b *testing.B) {
 // selects, and every pair costs the same both ways. The counts are a
 // function of the data, so the test is deterministic.
 func TestShortestPathTwoSidedWork(t *testing.T) {
+	checkTwoSidedWork(t, `SELECT TOP 1 SUM(PS.Edges.w) FROM G.Paths PS
+		HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d`, "")
+}
+
+// TestReachTwoSidedWork pins the two-sided BFScan's work the same way, on
+// BenchmarkPathScanReachabilityBFS/prepared's view and pairs: at least 10x
+// fewer edges_traversed than the one-sided BFScan, and every pair's path
+// has the same length both ways.
+func TestReachTwoSidedWork(t *testing.T) {
+	checkTwoSidedWork(t, `SELECT PS.Length FROM G.Paths PS
+		WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d`, " LIMIT 1")
+}
+
+// checkTwoSidedWork runs q (a format taking the two endpoints, then tail)
+// on 24 pairs of the 20k/100k view, planned two-sided and in the
+// one-sided form a length bound no path reaches keeps. Every pair must
+// answer the same rows both ways, and the two-sided form's summed
+// edges_traversed must be at least 10x lower.
+func checkTwoSidedWork(t *testing.T, q, tail string) {
 	const ne, pairs = 100_000, 24
 	nv := ne / 5
 	db := topologyDB(t, ne)
-	const q = `SELECT TOP 1 SUM(PS.Edges.w) FROM G.Paths PS
-		HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d`
-	analyze := func(sql string) (edges int64, cost string) {
+	analyze := func(sql string) (edges int64, rows string) {
 		t.Helper()
 		plan, err := db.Query("EXPLAIN ANALYZE " + sql)
 		if err != nil {
@@ -195,14 +235,14 @@ func TestShortestPathTwoSidedWork(t *testing.T) {
 		src, dst := mix(3*ne+i)%nv, mix(4*ne+i)%nv
 		sql := fmt.Sprintf(q, src, dst)
 		if i == 0 {
-			if plan, err := db.Explain(sql); err != nil || !strings.Contains(plan, "sides=2") {
+			if plan, err := db.Explain(sql + tail); err != nil || !strings.Contains(plan, "sides=2") {
 				t.Fatalf("the plain query is not planned two-sided (%v):\n%s", err, plan)
 			}
 		}
-		e2, c2 := analyze(sql)
-		e1, c1 := analyze(sql + fmt.Sprintf(" AND PS.Length <= %d", nv))
-		if c2 != c1 {
-			t.Fatalf("%d→%d: two-sided %s, one-sided %s", src, dst, c2, c1)
+		e2, r2 := analyze(sql + tail)
+		e1, r1 := analyze(sql + fmt.Sprintf(" AND PS.Length <= %d", nv) + tail)
+		if r2 != r1 {
+			t.Fatalf("%d→%d: two-sided %s, one-sided %s", src, dst, r2, r1)
 		}
 		two, one = two+e2, one+e1
 	}

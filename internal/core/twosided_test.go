@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -42,6 +44,93 @@ func TestTwoSidedPlanShapes(t *testing.T) {
 		}
 		if want := fmt.Sprintf("sides=%d", tc.sides); !strings.Contains(plan, want) {
 			t.Errorf("%s: want %s in\n%s", tc.q, want, plan)
+		}
+	}
+}
+
+// TestTwoSidedReachPlanShapes: the planner searches a visit-once BFScan
+// from both ends only when both endpoints are bound and nothing else
+// reads the path on the way, with or without LIMIT; EXPLAIN ends a
+// two-sided BFScan line with sides=2 and leaves a one-sided one without a
+// sides token.
+func TestTwoSidedReachPlanShapes(t *testing.T) {
+	e := weightEngine(t, 25)
+	const ends = `WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 20`
+	for _, tc := range []struct {
+		q   string
+		two bool
+	}{
+		{`SELECT PS.PathString FROM G.Paths PS ` + ends + ` LIMIT 1`, true},
+		{`SELECT PS.PathString FROM G.Paths PS HINT(BFS) ` + ends, true},
+		{`SELECT COUNT(*) FROM G.Paths PS ` + ends + ` AND PS.Length >= 0`, true},
+		{`SELECT COUNT(*) FROM V U, G.Paths PS WHERE PS.StartVertex.Id = U.vid AND PS.EndVertex.Id = 20`, true},
+		{`SELECT PS.PathString FROM G.Paths PS HINT(DFS) ` + ends, false},
+		{`SELECT PS.PathString FROM G.Paths PS HINT(BFS, ALLPATHS) ` + ends, false},
+		{`SELECT PS.PathString FROM G.Paths PS WHERE PS.StartVertex.Id = 0 LIMIT 1`, false},
+		{`SELECT PS.PathString FROM G.Paths PS ` + ends + ` AND PS.Length <= 30 LIMIT 1`, false},
+		{`SELECT PS.PathString FROM G.Paths PS ` + ends + ` AND PS.Length >= 2 LIMIT 1`, false},
+		{`SELECT PS.PathString FROM G.Paths PS ` + ends + ` AND PS.Edges[0..*].w < 5 LIMIT 1`, false},
+		{`SELECT PS.PathString FROM G.Paths PS ` + ends + ` AND PS.PathString <> '0' LIMIT 1`, false},
+	} {
+		plan, err := e.Explain(tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		if !strings.Contains(plan, "PathScan[") || strings.Contains(plan, "sides=2") != tc.two ||
+			strings.Contains(plan, "sides=1") {
+			t.Errorf("%s: want two-sided %v in\n%s", tc.q, tc.two, plan)
+		}
+	}
+}
+
+// pathScanActuals matches a PathScan's kernel actuals on its EXPLAIN
+// ANALYZE line.
+var pathScanActuals = regexp.MustCompile(`^\s*PathScan\[.* probes=(\d+) two_sided=(\d+)\)$`)
+
+// analyzeKernels runs EXPLAIN ANALYZE q and returns its one PathScan's
+// probes and two-sided probes.
+func analyzeKernels(t *testing.T, e *Engine, q string) (probes, twoSided int) {
+	t.Helper()
+	var lines []string
+	for _, row := range render(mustExec(t, e, "EXPLAIN ANALYZE "+q)) {
+		lines = append(lines, row[0])
+		if m := pathScanActuals.FindStringSubmatch(row[0]); m != nil {
+			probes, _ = strconv.Atoi(m[1])
+			twoSided, _ = strconv.Atoi(m[2])
+			return probes, twoSided
+		}
+	}
+	t.Fatalf("EXPLAIN ANALYZE %s: no PathScan actuals:\n%s", q, strings.Join(lines, "\n"))
+	return 0, 0
+}
+
+// TestExplainAnalyzeNamesKernel: EXPLAIN ANALYZE says how many of a
+// PathScan's probes ran a two-sided kernel. A sides=2 SPScan on a binding
+// with a bad weight runs them all one-sided, and again two-sided once the
+// weight is mended; the reach plan runs every probe two-sided, one per
+// outer row when a join drives it, and its one-sided form none.
+func TestExplainAnalyzeNamesKernel(t *testing.T) {
+	e := weightEngine(t, 25)
+	const sp = `SELECT TOP 1 SUM(PS.Edges.w) FROM G.Paths PS HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 5`
+	mustExec(t, e, `UPDATE E SET w = -1 WHERE eid = 46`) // off every path the probe reaches
+	if plan, err := e.Explain(sp); err != nil || !strings.Contains(plan, "sides=2") {
+		t.Fatalf("%s is not planned two-sided (%v):\n%s", sp, err, plan)
+	}
+	for _, tc := range []struct {
+		label, q    string
+		probes, two int
+	}{
+		{"bad weight", sp, 1, 0},
+		{"mended weight", sp, 1, 1},
+		{"reach", `SELECT PS.PathString FROM G.Paths PS WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 20 LIMIT 1`, 1, 1},
+		{"reach join", `SELECT COUNT(*) FROM V U, G.Paths PS WHERE PS.StartVertex.Id = U.vid AND PS.EndVertex.Id = 20`, 25, 25},
+		{"one-sided reach", `SELECT PS.PathString FROM G.Paths PS WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 20 AND PS.Length <= 30 LIMIT 1`, 1, 0},
+	} {
+		if tc.label == "mended weight" {
+			mustExec(t, e, `UPDATE E SET w = 1.5 WHERE eid = 46`)
+		}
+		if probes, two := analyzeKernels(t, e, tc.q); probes != tc.probes || two != tc.two {
+			t.Errorf("%s: probes=%d two_sided=%d, want %d and %d", tc.label, probes, two, tc.probes, tc.two)
 		}
 	}
 }

@@ -506,6 +506,89 @@ func TestPreparedShortestAllocs(t *testing.T) {
 	}
 }
 
+// TestPreparedReachAllocs pins the cost of a prepared targeted
+// reachability query — traverse.read's reach template — over a
+// 20k-vertex, 100k-edge view: an execution of the two-sided BFS allocates
+// a fixed handful of times (the plan's row and the emitted path), not
+// once per discovered vertex, since both sides' stamps, queues and parent
+// slabs come from the pooled scratch. Before that, the two-sided form and
+// its one-sided form (a length bound no path reaches) alternate on that
+// scratch, and every answer's length is checked against a BFS over the
+// edge list.
+func TestPreparedReachAllocs(t *testing.T) {
+	const nv, ne = 20_000, 100_000
+	e := New(Options{Workers: 1})
+	mustScript(t, e, `CREATE TABLE V (vid BIGINT PRIMARY KEY);
+		CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT)`)
+	rng := rand.New(rand.NewSource(2))
+	src, dst := make([]int, ne), make([]int, ne)
+	out := make([][]int, nv) // successors by vertex
+	for i := range ne {
+		src[i], dst[i] = rng.Intn(nv), rng.Intn(nv)
+		out[src[i]] = append(out[src[i]], dst[i])
+	}
+	bulkLoad(t, e, "V", genRows(nv, func(i int) types.Row { return types.Row{types.NewInt(int64(i))} }))
+	bulkLoad(t, e, "E", genRows(ne, func(i int) types.Row {
+		return types.Row{types.NewInt(int64(i)), types.NewInt(int64(src[i])), types.NewInt(int64(dst[i]))}
+	}))
+	mustExec(t, e, `CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = vid) FROM V
+		EDGES(ID = eid, FROM = src, TO = dst) FROM E`)
+
+	// hops is a BFS from s to t over the edge list, -1 when unreachable.
+	hops := func(s, t int) int64 {
+		d := make([]int64, nv)
+		for i := range d {
+			d[i] = -1
+		}
+		d[s] = 0
+		for q := []int{s}; len(q) > 0; q = q[1:] {
+			if q[0] == t {
+				return d[t]
+			}
+			for _, x := range out[q[0]] {
+				if d[x] < 0 {
+					d[x] = d[q[0]] + 1
+					q = append(q, x)
+				}
+			}
+		}
+		return -1
+	}
+	const reach = `SELECT PS.Length, PS.PathString FROM G.Paths PS WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ?`
+	two, err := e.Prepare(reach + ` LIMIT 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := e.Prepare(fmt.Sprintf(`%s AND PS.Length <= %d LIMIT 1`, reach, nv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	length := func(p *Prepared, s, t int) int64 {
+		r, err := p.Query(types.NewInt(int64(s)), types.NewInt(int64(t)))
+		if err != nil {
+			panic(err)
+		}
+		if len(r.Rows) == 0 {
+			return -1
+		}
+		return r.Rows[0][0].I
+	}
+	for range 12 {
+		s, tgt := rng.Intn(nv), rng.Intn(nv)
+		want := hops(s, tgt)
+		if l1, l2 := length(one, s, tgt), length(two, s, tgt); l1 != want || l2 != want {
+			t.Fatalf("%d→%d is %d hops: the one-sided form gave %d, then the two-sided form %d", s, tgt, want, l1, l2)
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops scratches under -race
+	}
+	s, tgt := rng.Intn(nv), rng.Intn(nv)
+	if n := testing.AllocsPerRun(20, func() { length(two, s, tgt) }); n > 20 {
+		t.Errorf("a prepared two-sided reach allocates %.0f times per execution, want <= 20", n)
+	}
+}
+
 type costItem struct {
 	cost float64
 	v    int

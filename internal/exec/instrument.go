@@ -100,7 +100,7 @@ func instrument(op Operator) *Instrumented {
 	case *PathProbeJoin:
 		c := *o
 		w := instrument(o.Outer)
-		c.Outer = w
+		c.Outer, c.actuals = w, new(pathActuals)
 		return &Instrumented{Op: &c, children: []Operator{w}}
 	default:
 		// Leaves (TableScan, ElemScan, Singleton) and any
@@ -119,9 +119,15 @@ func (n *Instrumented) Schema() *types.Schema { return n.Op.Schema() }
 func (n *Instrumented) Children() []Operator { return n.children }
 
 // Explain implements Operator: the wrapped operator's line plus actuals.
+// A PathScan adds its probes and how many ran a two-sided kernel.
 func (n *Instrumented) Explain() string {
-	return fmt.Sprintf("%s (actual rows=%d nexts=%d time=%s)",
-		n.Op.Explain(), n.rows, n.nexts, fmtDuration(n.CumulativeNS()))
+	var kernels string
+	if pj, ok := n.Op.(*PathProbeJoin); ok {
+		probes, two := pj.Actuals()
+		kernels = fmt.Sprintf(" probes=%d two_sided=%d", probes, two)
+	}
+	return fmt.Sprintf("%s (actual rows=%d nexts=%d time=%s%s)",
+		n.Op.Explain(), n.rows, n.nexts, fmtDuration(n.CumulativeNS()), kernels)
 }
 
 // Open implements Operator.

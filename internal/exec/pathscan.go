@@ -155,13 +155,15 @@ type PathScanSpec struct {
 	WeightAttr string
 	Weight     expr.AttrRef
 	KPaths     int
-	// TwoSided runs the SPScan as a search from both ends
-	// (graph.NewCSRShortestPair). The planner sets it for a k=1 SPScan
-	// with both endpoints bound and nothing else that reads the path on
-	// the way: no pushed filter or aggregate bound, no length bound, no
-	// residual predicate over the path. A binding whose weights are not
-	// all vouched for (catalog.GraphViewAt.WeightsVouched) runs the
-	// one-sided kernel instead, so answers and errors stay the same.
+	// TwoSided runs the scan as a search from both ends: an SPScan
+	// through graph.NewCSRShortestPair, a BFScan through
+	// graph.NewCSRReach. The planner sets it for a k=1 SPScan or a
+	// visit-once BFScan with both endpoints bound and nothing else that
+	// reads the path on the way: no cycle closure, no pushed filter or
+	// aggregate bound, no length bound, no residual predicate over the
+	// path. An SPScan on a binding whose weights are not all vouched for
+	// (catalog.GraphViewAt.WeightsVouched) runs the one-sided kernel
+	// instead, so answers and errors stay the same.
 	TwoSided bool
 
 	EdgeFilters   []ElemFilter
@@ -186,6 +188,25 @@ type PathProbeJoin struct {
 	Residual expr.Expr
 
 	schema *types.Schema
+	// actuals, set only on an instrumented copy (Instrument), counts the
+	// probes that copy ran for EXPLAIN ANALYZE.
+	actuals *pathActuals
+}
+
+// pathActuals are a PathScan's EXPLAIN ANALYZE counters: the traversals
+// it started, one per start vertex of each probe, and those that ran a
+// two-sided kernel.
+type pathActuals struct {
+	probes, twoSided atomic.Int64
+}
+
+// Actuals reports the probes an instrumented PathScan ran and how many of
+// them ran a two-sided kernel; both are 0 on a plan not instrumented.
+func (p *PathProbeJoin) Actuals() (probes, twoSided int64) {
+	if p.actuals == nil {
+		return 0, 0
+	}
+	return p.actuals.probes.Load(), p.actuals.twoSided.Load()
 }
 
 // NewPathProbeJoin creates the probe join; the output schema is the outer
@@ -228,12 +249,15 @@ func (p *PathProbeJoin) Explain() string {
 	if len(p.Spec.AggBounds) > 0 {
 		fmt.Fprintf(&sb, " aggbounds=%d", len(p.Spec.AggBounds))
 	}
-	if p.Spec.Phys == PhysSP {
+	switch {
+	case p.Spec.Phys == PhysSP:
 		sides := 1
 		if p.Spec.TwoSided {
 			sides = 2
 		}
 		fmt.Fprintf(&sb, " weight=%s k=%d sides=%d", p.Spec.WeightAttr, p.Spec.KPaths, sides)
+	case p.Spec.TwoSided:
+		sb.WriteString(" sides=2")
 	}
 	if p.Spec.Parallel {
 		sb.WriteString(" parallel")
@@ -255,8 +279,9 @@ func (p *PathProbeJoin) Open(ctx *Context) (Iterator, error) {
 	}
 	// Every kernel of this execution traverses the bound version; a pinned
 	// reader sees exactly it even while writers append to the view's delta.
+	twoSided := p.Spec.TwoSided && (p.Spec.Phys != PhysSP || p.Spec.At.WeightsVouched(p.Spec.Weight))
 	return &pathProbeIter{ctx: ctx, p: p, outer: outer, at: p.Spec.At, csr: p.Spec.At.CSR(),
-		twoSided: p.Spec.TwoSided && p.Spec.At.WeightsVouched(p.Spec.Weight)}, nil
+		twoSided: twoSided}, nil
 }
 
 type pathProbeIter struct {
@@ -270,8 +295,8 @@ type pathProbeIter struct {
 
 	// csr is the topology version (at.Topo) every kernel traverses.
 	csr *graph.CSR
-	// twoSided runs each SPScan probe with the two-sided kernel: the plan
-	// chose it and the binding vouches for every weight.
+	// twoSided runs each probe with the two-sided kernel: the plan chose
+	// it and, for an SPScan, the binding vouches for every weight.
 	twoSided bool
 
 	outerRow types.Row
@@ -292,7 +317,7 @@ type probeRun struct {
 	ctx     *Context
 	iter    graph.PathIterator
 	evalErr error        // set by filter/weight closures
-	spErr   func() error // kernel error surface (SPScan, parallel merge)
+	spErr   func() error // kernel error surface (SPScan, two-sided BFScan, parallel merge)
 	edges   int64        // run-local EdgesTraversed, counted by the kernel
 	msi     *graph.MultiSourceIter
 	// credit is the binding an SPScan run credits its edges to, toward
@@ -682,9 +707,20 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 		run.spErr = sp.Err
 		run.credit = it.at
 	case PhysBFS:
-		run.iter = graph.NewCSRBFS(it.csr, gspec)
+		if it.twoSided {
+			r := graph.NewCSRReach(it.csr, gspec)
+			run.iter, run.spErr = r, r.Err
+		} else {
+			run.iter = graph.NewCSRBFS(it.csr, gspec)
+		}
 	default:
 		run.iter = graph.NewCSRDFS(it.csr, gspec)
+	}
+	if a := it.p.actuals; a != nil {
+		a.probes.Add(1)
+		if it.twoSided {
+			a.twoSided.Add(1)
+		}
 	}
 	return run
 }

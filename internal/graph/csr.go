@@ -566,6 +566,24 @@ func (c *view) adjacency(v int32, b *arcBuf) (to, edge []int32) {
 	return b.to[lo:], b.edge[lo:]
 }
 
+// sideArcs returns v's arcs for one side of a two-sided search: the
+// traversal arcs forward, and backward too on an undirected view; the
+// in-arcs backward on a directed view — main windows for a clean vertex,
+// the live arcs appended to b for a touched one, as adjacency does.
+func (c *view) sideArcs(back bool, v int32, b *arcBuf) (to, edge []int32) {
+	m := c.m
+	if !back || !m.directed {
+		return c.adjacency(v, b)
+	}
+	if !c.clean(v) {
+		lo := len(b.to)
+		c.appendArcs(b, v, true, false)
+		return b.to[lo:], b.edge[lo:]
+	}
+	lo, hi := m.inOff[v], m.inOff[v+1]
+	return m.inAdj[lo:hi], m.inEdge[lo:hi]
+}
+
 // bothArcs returns the targets of all of v's out arcs and in arcs (the
 // weak-connectivity neighborhood the component and label kernels use):
 // two main windows for a clean vertex, one appended run of b otherwise.
@@ -807,6 +825,12 @@ type csrScratch struct {
 	// (csr_pair.go); only that kernel sizes them.
 	sides [2]spSide
 
+	// rsides are the two-sided BFScan's forward and backward searches
+	// (csr_reach.go), and reachPar/reachEdge the parent vertex and edge of
+	// each vertex one of them has seen; only that kernel sizes them.
+	rsides              [2]reachSide
+	reachPar, reachEdge []int32
+
 	// pathV/pathE are the index-form working path (DFS) or chain
 	// materialization buffer (BFS/SP): pathV holds len+1 vertex indexes,
 	// pathE len edge indexes.
@@ -824,10 +848,11 @@ type csrScratch struct {
 	// The kernels live in the scratch so starting a traversal performs no
 	// heap allocation. An iterator becomes invalid the moment its Release
 	// runs; the pool may hand its memory to the next traversal.
-	dfs  csrDFSIter
-	bfs  csrBFSIter
-	spi  csrSPIter
-	pair csrPairIter
+	dfs   csrDFSIter
+	bfs   csrBFSIter
+	spi   csrSPIter
+	pair  csrPairIter
+	reach csrReachIter
 }
 
 // getScratch takes a scratch from pool, one of the main's (shared by every
@@ -850,6 +875,7 @@ func (c *CSR) getScratch(pool *sync.Pool) *csrScratch {
 		}
 		for d := range s.sides {
 			clear(s.sides[d].seen)
+			clear(s.rsides[d].seen)
 		}
 		s.epoch = 1
 	}

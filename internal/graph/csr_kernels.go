@@ -588,18 +588,3 @@ func (it *csrSPIter) Release() {
 	it.s = nil
 	it.c.m.spPool.Put(s)
 }
-
-// CSRReachable reports whether target is reachable from start within
-// maxLen edges over the version — the index-form twin of Reachable.
-func CSRReachable(c *CSR, start, target *Vertex, maxLen int) bool {
-	if start == nil || target == nil {
-		return false
-	}
-	if start == target {
-		return true
-	}
-	it := NewCSRBFS(c, Spec{Start: start, Target: target, MinLen: 1, MaxLen: maxLen})
-	ok := it.Step()
-	it.Release()
-	return ok
-}

@@ -279,31 +279,22 @@ func (it *csrPairIter) settle(d int) error {
 	return nil
 }
 
-// arcs returns v's arcs for side d — the traversal arcs forward, and on
-// an undirected view backward too; the in-arcs backward on a directed
-// view — and, where the weight column is in arc order (a version without
-// a delta), where their weights sit in it: the run arcW for traversal
-// arcs, the positions pos for in-arcs.
+// arcs returns v's arcs for side d (view.sideArcs) and, where the weight
+// column is in arc order (a version without a delta), where their weights
+// sit in it: the run arcW for traversal arcs, the positions pos for
+// in-arcs.
 func (it *csrPairIter) arcs(d int, v int32) (to, edge []int32, arcW []float64, pos []int32) {
-	c, m, s := it.c, it.c.m, it.s
-	wc := it.spec.Weights
-	s.arcs.reset()
-	if d == 0 || !m.directed {
-		to, edge = c.adjacency(v, &s.arcs)
-		if c.n == 0 && len(wc) > 0 {
+	c, m := it.c, it.c.m
+	it.s.arcs.reset()
+	to, edge = c.sideArcs(d == 1, v, &it.s.arcs)
+	if wc := it.spec.Weights; c.n == 0 && len(wc) > 0 {
+		if d == 0 || !m.directed {
 			arcW = wc[m.adjOff[v]:m.adjOff[v+1]]
+		} else {
+			pos = m.inArcPos()[m.inOff[v]:m.inOff[v+1]]
 		}
-		return to, edge, arcW, nil
 	}
-	if !c.clean(v) {
-		c.appendArcs(&s.arcs, v, true, false)
-		return s.arcs.to, s.arcs.edge, nil, nil
-	}
-	lo, hi := m.inOff[v], m.inOff[v+1]
-	if c.n == 0 && len(wc) > 0 {
-		pos = m.inArcPos()[lo:hi]
-	}
-	return m.inAdj[lo:hi], m.inEdge[lo:hi], nil, pos
+	return to, edge, arcW, pos
 }
 
 // chain fills s.pathV/s.pathE with the cheapest meeting's path — the

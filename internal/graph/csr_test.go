@@ -130,8 +130,10 @@ func drainReleased(it CSRIterator, max int) []string {
 	return out
 }
 
-// TestCSRReachableDifferential checks the Step-based existence kernel
-// against the pointer baseline over every vertex pair.
+// TestCSRReachableDifferential checks the CSR reachability kernels against
+// the pointer baseline over every vertex pair: the two-sided BFS when the
+// length is unbounded, the one-sided BFS under a length bound (which the
+// two-sided search does not answer).
 func TestCSRReachableDifferential(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		g := randTopology(t, 42, 14, 40, directed)
@@ -140,7 +142,7 @@ func TestCSRReachableDifferential(t *testing.T) {
 			for a := int64(0); a < 14; a++ {
 				for b := int64(0); b < 14; b++ {
 					want := Reachable(g, g.Vertex(a), g.Vertex(b), maxLen)
-					got := CSRReachable(c, g.Vertex(a), g.Vertex(b), maxLen)
+					got := csrReachable(c, g.Vertex(a), g.Vertex(b), maxLen)
 					if want != got {
 						t.Fatalf("directed=%v maxLen=%d: Reachable(%d,%d)=%v but CSR says %v",
 							directed, maxLen, a, b, want, got)
@@ -149,6 +151,23 @@ func TestCSRReachableDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// csrReachable reports whether target is reachable from start within
+// maxLen edges (unbounded when maxLen <= 0) over the version, as
+// Reachable does over a Graph.
+func csrReachable(c *CSR, start, target *Vertex, maxLen int) bool {
+	if start == nil || target == nil {
+		return false
+	}
+	spec := Spec{Start: start, Target: target, MaxLen: maxLen}
+	var it CSRIterator = NewCSRReach(c, spec)
+	if maxLen > 0 {
+		it = NewCSRBFS(c, spec)
+	}
+	ok := it.Step()
+	it.Release()
+	return ok
 }
 
 // TestCSRFreshness pins the version contract that replaced snapshot
@@ -350,7 +369,8 @@ func TestCSRStepNextInterleave(t *testing.T) {
 }
 
 // BenchmarkKernelReachability compares the pointer and CSR unbounded
-// reachability kernels (the headline case: full BFS over the topology).
+// reachability kernels (the headline case: full BFS over the topology),
+// the CSR one run one-sided and from both ends.
 func BenchmarkKernelReachability(b *testing.B) {
 	g := randTopology(b, 13, 20000, 80000, true)
 	start, target := g.Vertex(0), g.Vertex(19999)
@@ -364,7 +384,15 @@ func BenchmarkKernelReachability(b *testing.B) {
 	b.Run("csr", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			CSRReachable(c, start, target, 0)
+			it := NewCSRBFS(c, Spec{Start: start, Target: target})
+			it.Step()
+			it.Release()
+		}
+	})
+	b.Run("csr-two-sided", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			csrReachable(c, start, target, 0)
 		}
 	})
 }

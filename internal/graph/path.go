@@ -41,12 +41,14 @@ func (p *Path) StepEnd(i int) *Vertex { return p.Verts[i+1] }
 // traversal order, e.g. "1-[7]->2-[9]->5".
 func (p *Path) String() string {
 	var sb strings.Builder
-	sb.WriteString(strconv.FormatInt(p.Verts[0].ID, 10))
+	var num [20]byte // an int64 in decimal, on the stack
+	sb.Grow(8 + 16*len(p.Edges))
+	sb.Write(strconv.AppendInt(num[:0], p.Verts[0].ID, 10))
 	for i, e := range p.Edges {
 		sb.WriteString("-[")
-		sb.WriteString(strconv.FormatInt(e.ID, 10))
+		sb.Write(strconv.AppendInt(num[:0], e.ID, 10))
 		sb.WriteString("]->")
-		sb.WriteString(strconv.FormatInt(p.Verts[i+1].ID, 10))
+		sb.Write(strconv.AppendInt(num[:0], p.Verts[i+1].ID, 10))
 	}
 	return sb.String()
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -464,15 +465,22 @@ func (sc *scenario) checkQueries(eng *core.Engine, st *datagen.GraphState, rng *
 			dst = st.VertexIDs()[len(verts)-1] + 1000
 		}
 
-		// Unbounded reachability.
+		// Unbounded reachability. Without a pushed predicate the plain
+		// query searches from both ends; it runs beside its one-sided
+		// form, and the path it returns must be one of the model's.
 		q := fmt.Sprintf(
-			"SELECT PS.PathString FROM %s.Paths PS WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d%s LIMIT 1",
+			"SELECT PS.PathString FROM %s.Paths PS WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d%s",
 			sc.gv, src, dst, selClause("PS", selPct))
-		res, err := eng.Execute(q)
-		if err != nil {
-			return violationf("reach", "engine %q: %v", q, err)
+		res, v := sc.bothSides(eng, "reach", q, " LIMIT 1", selPct < 0, len(verts), pathHops)
+		if v != nil {
+			return v
 		}
 		engReach := len(res.Rows) > 0
+		if engReach {
+			if err := modelPath(st, res.Rows[0][0].S, src, dst, selPct); err != nil {
+				return violationf("reach", "engine %q answers %s: %v", q, res.Rows[0][0].S, err)
+			}
+		}
 		kernReach := bs.kernelReach(src, dst, 0, selPct)
 		storeReach := graphstore.Reachable(bs.store, src, dst, 0, bs.storeFilter(selPct))
 		glReach, err := bs.gl.Reachable(src, dst, 0, selPct)
@@ -530,9 +538,18 @@ func (sc *scenario) checkQueries(eng *core.Engine, st *datagen.GraphState, rng *
 		q = fmt.Sprintf(
 			"SELECT TOP 1 SUM(PS.Edges.w) FROM %s.Paths PS HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = %d AND PS.EndVertex.Id = %d",
 			sc.gv, src, dst)
-		engOK, engCost, v := sc.shortestBothSides(eng, q, len(verts))
+		res, v = sc.bothSides(eng, "shortest-path", q, "", true, len(verts), func(r *core.Result) string {
+			if len(r.Rows) == 0 {
+				return "none"
+			}
+			return fmt.Sprint(r.Rows[0][0].AsFloat())
+		})
 		if v != nil {
 			return v
+		}
+		engOK, engCost := len(res.Rows) > 0, 0.0
+		if engOK {
+			engCost = res.Rows[0][0].AsFloat()
 		}
 		kCost, kOK := bs.kernelShortest(src, dst)
 		sCost, _, sOK := graphstore.ShortestPath(bs.store, src, dst, "w", nil)
@@ -579,42 +596,96 @@ func (sc *scenario) checkQueries(eng *core.Engine, st *datagen.GraphState, rng *
 	return nil
 }
 
-// shortestBothSides runs the TOP 1 shortest-path query q in its
-// two-sided form and in the one-sided form a length bound of maxLen
-// selects, at 1 and at 4 workers, and requires the same existence and
-// cost from all four runs.
-func (sc *scenario) shortestBothSides(eng *core.Engine, q string, maxLen int) (ok bool, cost float64, v *Violation) {
+// bothSides runs the path query q with tail appended in its planned form,
+// which searches from both ends iff twoSided, and in the one-sided form a
+// length bound of maxLen keeps, at 1 and at 4 workers. check names the
+// violation. Every run must give the same answer, as rendered by answer;
+// the planned form's result at 1 worker is returned.
+func (sc *scenario) bothSides(eng *core.Engine, check, q, tail string, twoSided bool, maxLen int,
+	answer func(*core.Result) string) (*core.Result, *Violation) {
 	defer eng.SetWorkers(sc.workers)
-	forms := []struct{ q, sides string }{
-		{q, "sides=2"},
-		{fmt.Sprintf("%s AND PS.Length <= %d", q, maxLen), "sides=1"},
+	forms := []struct {
+		q   string
+		two bool
+	}{
+		{q + tail, twoSided},
+		{fmt.Sprintf("%s AND PS.Length <= %d%s", q, maxLen, tail), false},
 	}
-	var first string
+	var first *core.Result
 	for _, w := range []int{1, 4} {
 		eng.SetWorkers(w)
 		for _, f := range forms {
 			plan, err := eng.Explain(f.q)
-			if err != nil || !strings.Contains(plan, f.sides) {
-				return false, 0, violationf("shortest-path", "engine plans %q without %s (%v):\n%s", f.q, f.sides, err, plan)
+			if err != nil || strings.Contains(plan, "sides=2") != f.two {
+				return nil, violationf(check, "engine plans %q with two sides %v, want %v (%v):\n%s",
+					f.q, !f.two, f.two, err, plan)
 			}
 			res, err := eng.Execute(f.q)
 			if err != nil {
-				return false, 0, violationf("shortest-path", "engine %q at %d workers: %v", f.q, w, err)
+				return nil, violationf(check, "engine %q at %d workers: %v", f.q, w, err)
 			}
-			got := "none"
-			if len(res.Rows) > 0 {
-				ok, cost = true, res.Rows[0][0].AsFloat()
-				got = fmt.Sprint(cost)
-			}
-			if first == "" {
-				first = got
-			} else if got != first {
-				return false, 0, violationf("shortest-path",
-					"%q at %d workers answers %s, the two-sided form at 1 worker %s", f.q, w, got, first)
+			if first == nil {
+				first = res
+			} else if got, want := answer(res), answer(first); got != want {
+				return nil, violationf(check,
+					"%q at %d workers answers %s, the planned form at 1 worker %s", f.q, w, got, want)
 			}
 		}
 	}
-	return ok, cost, nil
+	return first, nil
+}
+
+// pathHops renders a reachability result as its path's hop count, or
+// "none".
+func pathHops(r *core.Result) string {
+	if len(r.Rows) == 0 {
+		return "none"
+	}
+	return fmt.Sprint(strings.Count(r.Rows[0][0].S, "->"))
+}
+
+// modelPath checks that the PathString ps ("5-[43]->4-[97]->13") is a
+// simple src→dst path of the model whose every edge has sel < selPct (any
+// sel when selPct < 0).
+func modelPath(st *datagen.GraphState, ps string, src, dst int64, selPct int) error {
+	var verts, edges []int64
+	for _, hop := range strings.Split(ps, "->") {
+		vs, es, hasEdge := strings.Cut(hop, "-[")
+		v, err := strconv.ParseInt(vs, 10, 64)
+		if err != nil {
+			return err
+		}
+		verts = append(verts, v)
+		if hasEdge {
+			e, err := strconv.ParseInt(strings.TrimSuffix(es, "]"), 10, 64)
+			if err != nil {
+				return err
+			}
+			edges = append(edges, e)
+		}
+	}
+	if len(verts) != len(edges)+1 || verts[0] != src || verts[len(verts)-1] != dst {
+		return fmt.Errorf("not a path from %d to %d", src, dst)
+	}
+	seen := map[int64]bool{}
+	for i, v := range verts {
+		if seen[v] {
+			return fmt.Errorf("vertex %d repeats", v)
+		}
+		seen[v] = true
+		if i == len(edges) {
+			break
+		}
+		from, to := v, verts[i+1]
+		e, ok := st.Edges[edges[i]]
+		if !ok || !(e.Src == from && e.Dst == to || !st.Directed && e.Src == to && e.Dst == from) {
+			return fmt.Errorf("step %d (%d to %d over edge %d) is not an edge of the model", i, from, to, edges[i])
+		}
+		if selPct >= 0 && e.Sel >= int64(selPct) {
+			return fmt.Errorf("edge %d has sel %d, not below %d", e.ID, e.Sel, selPct)
+		}
+	}
+	return nil
 }
 
 // multiCount is the multi-source path count the metamorphic relations are

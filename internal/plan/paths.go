@@ -214,12 +214,16 @@ func (p *Planner) attachPathScan(s *sql.Select, tree exec.Operator, fi *fromInfo
 		return nil, err
 	}
 
-	// A k=1 SPScan between two bound endpoints searches from both ends
-	// when nothing reads the path on the way: no pushed filter or
-	// aggregate bound, no length bound, and no predicate over the path
-	// left for above the scan. Any of those keeps the one-sided kernel,
-	// whose settle order they may observe (DESIGN §6 note 8).
-	if spec.Phys == exec.PhysSP && spec.KPaths == 1 && spec.StartExpr != nil && spec.EndExpr != nil &&
+	// A k=1 SPScan or a visit-once BFScan between two bound endpoints
+	// searches from both ends when nothing reads the path on the way: no
+	// cycle closure, no pushed filter or aggregate bound, no length bound,
+	// and no predicate over the path left for above the scan. Any of those
+	// keeps the one-sided kernel, whose visit order they may observe
+	// (DESIGN §6 notes 8 and 9). A visit-once targeted BFScan emits at
+	// most one row, so LIMIT plays no part.
+	bothEnds := spec.Phys == exec.PhysSP && spec.KPaths == 1 ||
+		spec.Phys == exec.PhysBFS && spec.Policy == graph.VisitGlobal
+	if bothEnds && spec.StartExpr != nil && spec.EndExpr != nil && !spec.CycleClose &&
 		spec.MinLen <= 1 && spec.MaxLen <= 0 &&
 		len(spec.EdgeFilters)+len(spec.VertexFilters)+len(spec.AggBounds) == 0 {
 		spec.TwoSided = true
