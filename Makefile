@@ -33,9 +33,11 @@ benchsmoke:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke over the SQL parser.
+# Short fuzz smokes over the two parsers of outside input: the SQL parser
+# and the wire frame decoder.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/sql
+	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/wire
 
 # Differential/metamorphic correctness oracle: randomized graph-view
 # workloads cross-checked against independent baselines, under the race

@@ -1,6 +1,6 @@
 // Command grfusion-server serves a GRFusion database over TCP with the
-// newline-delimited JSON protocol of internal/server (connect with
-// `grfusion -connect addr`).
+// binary framed protocol of internal/server and internal/wire (connect
+// with `grfusion -connect addr`).
 //
 // Usage:
 //

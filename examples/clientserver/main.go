@@ -25,7 +25,7 @@ func main() {
 	defer srv.Shutdown()
 	fmt.Println("server listening on", ln.Addr())
 
-	// Client side: plain TCP, newline-delimited JSON.
+	// Client side: TCP, CRC-checked binary frames.
 	c, err := server.Dial(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)

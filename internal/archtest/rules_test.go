@@ -143,6 +143,14 @@ var rules = []rule{
 			"encoding of the database comes back beside it",
 	},
 	{
+		id:    "one-wire-dialect",
+		since: "One wire dialect",
+		paths: []string{"internal/server", "cmd", "examples"},
+		match: anyOf(qual("encoding/json", `Unmarshal|NewDecoder`), word(`ProtoJSON|ProtoAuto|serveJSON`)),
+		why: "every connection speaks the binary framed protocol over internal/wire's value codec: no JSON-lines " +
+			"request loop, dialect negotiation or second value codec comes back beside it (the /metrics HTTP encoder is no wire dialect)",
+	},
+	{
 		id:    "one-parameter-count",
 		since: "One architecture table",
 		paths: []string{"internal/core"},

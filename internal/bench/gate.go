@@ -96,7 +96,7 @@ var Gates = []Gate{
 	{Rows: Sel{"concurrency", Any, "grfusion", "mixed", "p99_ratio"}, Op: AtMost, Limit: 2, OneCore: 4,
 		Why: "MVCC: a DML storm keeps traversal-read p99 within 2x of idle (4x when writer and readers share one core)"},
 	{Rows: Sel{"wire", Any, "grfusion", "point", "pipeline_speedup"}, Op: AtLeast, Limit: 3,
-		Why: "wire: pipelined binary point lookups are >= 3x JSON round trips"},
+		Why: "wire: pipelined prepared point lookups are >= 3x unpipelined ad hoc round trips"},
 	{Rows: Sel{"wire", Any, "grfusion", "ingest", "copy_speedup"}, Op: AtLeast, Limit: 4,
 		Why: "wire: COPY ingest is >= 4x per-statement inserts"},
 	{Rows: Sel{"observability", Any, "grfusion", "slowlog-armed", "overhead_on_pct"}, Op: AtMost, Limit: 15,

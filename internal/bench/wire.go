@@ -12,13 +12,12 @@ import (
 )
 
 // This file measures the wire protocol: how fast a client can drive the
-// server over TCP. Three point-query lanes (JSON-lines round trips,
-// binary round trips, and binary pipelined batches over a prepared
-// statement) quantify what framing and pipelining buy on the
-// request-dominated path, and two ingest lanes (per-statement prepared
-// INSERTs vs the COPY bulk stream) quantify the bulk path into a
-// graph-view edge table. Absolute rates are machine-bound, so the gates
-// (gate.go) read only the two speedup ratios.
+// server over TCP. Two point-query lanes (one round trip per ad hoc
+// query, and pipelined batches over a prepared statement) quantify what
+// pipelining buys on the request-dominated path, and two ingest lanes
+// (per-statement prepared INSERTs vs the COPY bulk stream) quantify the
+// bulk path into a graph-view edge table. Absolute rates are
+// machine-bound, so the gates (gate.go) read only the two speedup ratios.
 
 // wireBench runs the protocol experiment against a real server on a
 // loopback listener.
@@ -44,13 +43,10 @@ func wireBench(cfg Config) []Row {
 	defer srv.Shutdown()
 	addr := ln.Addr().String()
 
-	dial := func(proto string) (*server.Client, error) {
-		return server.DialWith(addr, server.Options{
-			ConnectTimeout: 10 * time.Second,
-			Protocol:       proto,
-		})
+	dial := func() (*server.Client, error) {
+		return server.DialWith(addr, server.Options{ConnectTimeout: 10 * time.Second})
 	}
-	admin, err := dial(server.ProtoAuto)
+	admin, err := dial()
 	if err != nil {
 		return abort("setup", err.Error())
 	}
@@ -99,8 +95,8 @@ func wireBench(cfg Config) []Row {
 	// Every point lane reports the median of wireReps timed passes over a
 	// warmed connection — single samples on a loaded host swing far too
 	// wide to gate on.
-	runSequential := func(proto string) (float64, error) {
-		c, err := dial(proto)
+	runSequential := func() (float64, error) {
+		c, err := dial()
 		if err != nil {
 			return 0, err
 		}
@@ -126,11 +122,7 @@ func wireBench(cfg Config) []Row {
 		}
 		return median(samples), nil
 	}
-	jsonQPS, err := runSequential(server.ProtoJSON)
-	if err != nil {
-		return abort("point json_roundtrip", err.Error())
-	}
-	binQPS, err := runSequential(server.ProtoBinary)
+	binQPS, err := runSequential()
 	if err != nil {
 		return abort("point binary_roundtrip", err.Error())
 	}
@@ -140,7 +132,7 @@ func wireBench(cfg Config) []Row {
 	// syscalls amortized across the batch, responses read back in order.
 	pipeQPS := 0.0
 	{
-		c, err := dial(server.ProtoBinary)
+		c, err := dial()
 		if err != nil {
 			return abort("point binary_pipelined", err.Error())
 		}
@@ -186,10 +178,9 @@ func wireBench(cfg Config) []Row {
 	}
 
 	rows = append(rows,
-		row("point json_roundtrip", "queries_per_sec", jsonQPS, fmt.Sprintf("%d sequential point lookups, one JSON round trip each", nq)),
 		row("point binary_roundtrip", "queries_per_sec", binQPS, fmt.Sprintf("%d sequential point lookups, one binary round trip each", nq)),
 		row("point binary_pipelined", "queries_per_sec", pipeQPS, "prepared point lookups pipelined 64 deep"),
-		row("point", "pipeline_speedup", pipeQPS/jsonQPS, "pipelined binary vs JSON round trips"),
+		row("point", "pipeline_speedup", pipeQPS/binQPS, "pipelined prepared lookups vs ad hoc round trips"),
 	)
 
 	// --- bulk ingest into the graph-view edge table ---------------------
@@ -198,7 +189,7 @@ func wireBench(cfg Config) []Row {
 	// per-publish costs — exactly what a naive loader pays.
 	perStmtRate := 0.0
 	{
-		c, err := dial(server.ProtoBinary)
+		c, err := dial()
 		if err != nil {
 			return abort("ingest per_statement", err.Error())
 		}
@@ -232,7 +223,7 @@ func wireBench(cfg Config) []Row {
 	// application, one MVCC publish for the whole load.
 	{
 		ne := scaled(500_000, cfg.Scale)
-		c, err := dial(server.ProtoBinary)
+		c, err := dial()
 		if err != nil {
 			return abort("ingest copy", err.Error())
 		}

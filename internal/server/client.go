@@ -2,12 +2,10 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -15,22 +13,12 @@ import (
 	"grfusion/internal/wire"
 )
 
-// Protocol selections for Options.Protocol.
-const (
-	// ProtoAuto negotiates: the client opens with the binary hello and
-	// downgrades to JSON-lines when the server answers with a JSON parse
-	// error (an old server). The default.
-	ProtoAuto = "auto"
-	// ProtoBinary requires the binary protocol; dialing a JSON-only
-	// server fails.
-	ProtoBinary = "binary"
-	// ProtoJSON speaks JSON-lines unconditionally (the legacy protocol).
-	ProtoJSON = "json"
-)
+// ProtoBinary names the binary framed protocol, the only one a Client
+// speaks. Options.Protocol accepts it or the empty string.
+const ProtoBinary = "binary"
 
 // Options tune a Client's fault-tolerance envelope. The zero value means
-// no timeouts and no retries (the pre-hardening behavior) over an
-// auto-negotiated protocol.
+// no timeouts and no retries (the pre-hardening behavior).
 type Options struct {
 	// ConnectTimeout bounds the initial dial and protocol handshake. Zero
 	// means no bound.
@@ -47,14 +35,10 @@ type Options struct {
 	// RetryBase is the first retry backoff, doubled per attempt with
 	// jitter. Zero selects 10ms.
 	RetryBase time.Duration
-	// Protocol selects the wire encoding: ProtoAuto (default), ProtoBinary
-	// or ProtoJSON.
+	// Protocol must be empty or ProtoBinary; any other value fails the
+	// dial.
 	Protocol string
 }
-
-// ErrBinaryUnsupported reports a ProtoBinary dial against a server that
-// only speaks JSON-lines.
-var ErrBinaryUnsupported = errors.New("server does not speak the binary wire protocol")
 
 // Client is a synchronous connection to a GRFusion server. It is safe for
 // concurrent use; requests are serialized over the single connection.
@@ -65,15 +49,11 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	// bw buffers outgoing requests so each submission costs one syscall at
-	// flush time — in particular the JSON encoder no longer writes
-	// unbuffered to the socket.
-	bw     *bufio.Writer
-	binary bool
+	// flush time.
+	bw *bufio.Writer
 	// copying blocks other requests while a COPY stream owns the
 	// connection (interleaving would corrupt the stream).
 	copying bool
-	enc     *json.Encoder // JSON mode: writes into bw
-	dec     *json.Decoder // JSON mode: reads from br
 	// broken poisons the connection after a mid-exchange failure (e.g. a
 	// request whose response never arrived before RequestTimeout): the
 	// stream may hold a stale response, so no further request can trust
@@ -85,7 +65,7 @@ type Client struct {
 func Dial(addr string) (*Client, error) { return DialWith(addr, Options{}) }
 
 // DialWith connects to a server with the given fault-tolerance options
-// and performs protocol negotiation per Options.Protocol.
+// and performs the hello exchange.
 func DialWith(addr string, opts Options) (*Client, error) {
 	d := net.Dialer{Timeout: opts.ConnectTimeout}
 	conn, err := d.Dial("tcp", addr)
@@ -96,14 +76,15 @@ func DialWith(addr string, opts Options) (*Client, error) {
 }
 
 // NewClientConn builds a client over an already-established connection
-// (a custom dialer, or a test injecting faults) and performs protocol
-// negotiation per Options.Protocol. On error the connection is closed.
+// (a custom dialer, or a test injecting faults) and performs the hello
+// exchange. On error the connection is closed.
 func NewClientConn(conn net.Conn, opts Options) (*Client, error) {
+	if opts.Protocol != "" && opts.Protocol != ProtoBinary {
+		conn.Close()
+		return nil, fmt.Errorf("unknown protocol %q (want %q)", opts.Protocol, ProtoBinary)
+	}
 	if opts.RetryBase <= 0 {
 		opts.RetryBase = 10 * time.Millisecond
-	}
-	if opts.Protocol == "" {
-		opts.Protocol = ProtoAuto
 	}
 	c := &Client{
 		opts: opts,
@@ -114,55 +95,18 @@ func NewClientConn(conn net.Conn, opts Options) (*Client, error) {
 	if opts.ConnectTimeout > 0 {
 		conn.SetDeadline(time.Now().Add(opts.ConnectTimeout))
 	}
-	switch opts.Protocol {
-	case ProtoJSON:
-		c.useJSON()
-	case ProtoAuto, ProtoBinary:
-		if err := c.handshake(); err != nil {
-			conn.Close()
-			return nil, err
-		}
-	default:
+	if err := c.handshake(); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("unknown protocol %q (want %q, %q or %q)",
-			opts.Protocol, ProtoAuto, ProtoBinary, ProtoJSON)
+		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
 	return c, nil
 }
 
-func (c *Client) useJSON() {
-	c.enc = json.NewEncoder(c.bw)
-	dec := json.NewDecoder(c.br)
-	dec.UseNumber()
-	c.dec = dec
-}
-
-// handshake opens with the binary hello and sorts the server's answer:
-// a binary hello frame (first byte 0x00) confirms the binary protocol; a
-// JSON response (first byte '{') is an old JSON-lines server complaining
-// about the hello line — consume the complaint and downgrade (ProtoAuto)
-// or fail (ProtoBinary).
+// handshake sends the hello and reads the server's MsgHello frame.
 func (c *Client) handshake() error {
 	if _, err := c.conn.Write(wire.Hello()); err != nil {
 		return fmt.Errorf("handshake send: %w", err)
-	}
-	first, err := c.br.Peek(1)
-	if err != nil {
-		return fmt.Errorf("handshake: no server response: %w", err)
-	}
-	if first[0] != 0 {
-		// A JSON-lines server answered our hello with a parse-error
-		// response line.
-		if c.opts.Protocol == ProtoBinary {
-			return ErrBinaryUnsupported
-		}
-		c.useJSON()
-		var discard Response
-		if err := c.dec.Decode(&discard); err != nil {
-			return fmt.Errorf("handshake: malformed server response: %w", err)
-		}
-		return nil
 	}
 	kind, payload, err := wire.ReadFrame(c.br)
 	if err != nil {
@@ -174,20 +118,11 @@ func (c *Client) handshake() error {
 	if v := payload[0]; v < 1 || v > wire.ProtoVersion {
 		return fmt.Errorf("handshake: server protocol version %d not supported (max %d)", v, wire.ProtoVersion)
 	}
-	c.binary = true
 	return nil
 }
 
 // Close tears the connection down.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// Binary reports whether the negotiated protocol is the binary framed
-// one.
-func (c *Client) Binary() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.binary
-}
 
 // Broken reports whether the connection has been poisoned by a
 // mid-exchange failure and must be replaced (see Pool).
@@ -294,19 +229,13 @@ func (c *Client) Health() (map[string]string, error) {
 func (c *Client) command(cmd string) (*Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.binary {
-		return c.binRoundTripLocked(wire.MsgCommand, wire.AppendString(nil, cmd), c.opts.RequestTimeout)
-	}
-	return c.jsonRoundTripLocked(Request{Cmd: cmd}, c.opts.RequestTimeout)
+	return c.roundTripLocked(wire.MsgCommand, wire.AppendString(nil, cmd), c.opts.RequestTimeout)
 }
 
 func (c *Client) once(query string, timeout time.Duration) (*Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.binary {
-		return c.binRoundTripLocked(wire.MsgQuery, wire.AppendQuery(nil, query, timeoutToMS(timeout)), timeout)
-	}
-	return c.jsonRoundTripLocked(Request{Query: query}, timeout)
+	return c.roundTripLocked(wire.MsgQuery, wire.AppendQuery(nil, query, timeoutToMS(timeout)), timeout)
 }
 
 // timeoutToMS converts a wire deadline into the timeout_ms request field
@@ -345,55 +274,7 @@ func (c *Client) armDeadlineLocked(timeout time.Duration) {
 	}
 }
 
-func (c *Client) jsonRoundTripLocked(req Request, timeout time.Duration) (*Result, error) {
-	if err := c.checkUsableLocked(); err != nil {
-		return nil, err
-	}
-	if timeout > 0 {
-		req.TimeoutMS = timeoutToMS(timeout)
-	}
-	c.armDeadlineLocked(timeout)
-	if err := c.sendJSONLocked(req); err != nil {
-		return nil, err
-	}
-	return c.readJSONLocked()
-}
-
-func (c *Client) sendJSONLocked(req Request) error {
-	if err := c.enc.Encode(req); err != nil {
-		c.broken = err
-		return fmt.Errorf("send: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.broken = err
-		return fmt.Errorf("send: %w", err)
-	}
-	return nil
-}
-
-func (c *Client) readJSONLocked() (*Result, error) {
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		// The request is in flight but its response was never read; any
-		// later read could see this statement's stale response.
-		c.broken = err
-		return nil, fmt.Errorf("receive: %w", err)
-	}
-	if resp.Error != "" {
-		return nil, &ServerError{Msg: resp.Error, Retryable: resp.Retryable, Degraded: resp.Degraded}
-	}
-	out := &Result{Columns: resp.Columns, Affected: resp.Affected}
-	for _, jrow := range resp.Rows {
-		row := make(types.Row, len(jrow))
-		for i, v := range jrow {
-			row[i] = decodeValue(v)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-func (c *Client) binRoundTripLocked(kind byte, payload []byte, timeout time.Duration) (*Result, error) {
+func (c *Client) roundTripLocked(kind byte, payload []byte, timeout time.Duration) (*Result, error) {
 	if err := c.checkUsableLocked(); err != nil {
 		return nil, err
 	}
@@ -456,30 +337,5 @@ func (c *Client) decodeResponseLocked(kind byte, body []byte) (*Result, error) {
 		err := fmt.Errorf("receive: unexpected response frame kind 0x%02x", kind)
 		c.broken = err
 		return nil, err
-	}
-}
-
-func decodeValue(v any) types.Value {
-	switch x := v.(type) {
-	case nil:
-		return types.Null()
-	case bool:
-		return types.NewBool(x)
-	case string:
-		return types.NewString(x)
-	case json.Number:
-		if !strings.ContainsAny(x.String(), ".eE") {
-			if i, err := x.Int64(); err == nil {
-				return types.NewInt(i)
-			}
-		}
-		if f, err := x.Float64(); err == nil {
-			return types.NewFloat(f)
-		}
-		return types.NewString(x.String())
-	case float64: // reachable only without UseNumber
-		return types.NewFloat(x)
-	default:
-		return types.NewString(fmt.Sprint(x))
 	}
 }

@@ -28,21 +28,17 @@ type CopyIn struct {
 
 // CopyIn opens a bulk load into table. cols names the supplied columns
 // (nil means the full schema in order); expectRows, when positive,
-// presizes server-side storage for the incoming volume. Requires the
-// binary protocol.
+// presizes server-side storage for the incoming volume.
 func (c *Client) CopyIn(table string, cols []string, expectRows int) (*CopyIn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.binary {
-		return nil, errors.New("COPY bulk load requires the binary protocol (server too old?)")
-	}
 	if err := c.checkUsableLocked(); err != nil {
 		return nil, err
 	}
 	payload := wire.AppendCopyBegin(nil, table, cols, expectRows)
 	// The begin is a full round trip: the server validates the table and
 	// columns and takes the bulk-load locks before we stream anything.
-	res, err := c.binRoundTripLocked(wire.MsgCopyBegin, payload, c.opts.RequestTimeout)
+	res, err := c.roundTripLocked(wire.MsgCopyBegin, payload, c.opts.RequestTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -100,5 +96,5 @@ func (ci *CopyIn) Close() (*Result, error) {
 	if c.broken != nil {
 		return nil, fmt.Errorf("connection poisoned by earlier failure (reconnect required): %w", c.broken)
 	}
-	return c.binRoundTripLocked(wire.MsgCopyEnd, nil, c.opts.RequestTimeout)
+	return c.roundTripLocked(wire.MsgCopyEnd, nil, c.opts.RequestTimeout)
 }

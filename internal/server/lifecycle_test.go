@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +16,7 @@ import (
 	"grfusion/internal/exec"
 	"grfusion/internal/faultnet"
 	"grfusion/internal/types"
+	"grfusion/internal/wire"
 )
 
 // quietLogger swallows expected operational noise (panic stacks, accept
@@ -337,28 +337,6 @@ func asServerError(err error, target **ServerError) bool {
 	return false
 }
 
-func TestOversizedRequestGetsDiagnosticResponse(t *testing.T) {
-	_, addr := startServerWith(t, Config{Logger: quietLogger()})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// One line over the 16 MiB cap. Send in the background: the server
-	// may answer (and close) before consuming the whole line.
-	huge := append([]byte(`{"query": "SELECT `), bytes.Repeat([]byte("x"), maxRequestBytes+1024)...)
-	huge = append(huge, []byte(`"}`+"\n")...)
-	go conn.Write(huge)
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatalf("no diagnostic before hangup: %v", err)
-	}
-	if !strings.Contains(line, "request too large") {
-		t.Fatalf("response: %s", line)
-	}
-}
-
 func TestIdleConnectionsAreReaped(t *testing.T) {
 	_, addr := startServerWith(t, Config{IdleTimeout: 100 * time.Millisecond, Logger: quietLogger()})
 	conn, err := net.Dial("tcp", addr)
@@ -402,8 +380,8 @@ func TestAcceptLoopSurvivesTemporaryErrors(t *testing.T) {
 }
 
 func TestRequestTimeoutMSFieldIsHonored(t *testing.T) {
-	// timeout_ms in the raw wire request bounds the statement without any
-	// client-library involvement.
+	// timeout_ms in a raw MsgQuery frame bounds the statement without any
+	// client-library involvement: no client deadline is armed.
 	_, addr := startServerWith(t, Config{Logger: quietLogger()})
 	c, err := Dial(addr)
 	if err != nil {
@@ -417,14 +395,23 @@ func TestRequestTimeoutMSFieldIsHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, `{"query": %q, "timeout_ms": 50}`+"\n", runawayQuery)
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
+	br := bufio.NewReader(conn)
+	if _, err := conn.Write(wire.Hello()); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(line, "timeout") {
-		t.Fatalf("response: %s", line)
+	if kind, _, err := wire.ReadFrame(br); err != nil || kind != wire.MsgHello {
+		t.Fatalf("hello ack: %d %v", kind, err)
+	}
+	if err := wire.WriteFrame(conn, wire.MsgQuery, wire.AppendQuery(nil, runawayQuery, 50)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	kind, body, err := wire.ReadFrame(br)
+	if err != nil || kind != wire.MsgError {
+		t.Fatalf("response: kind 0x%02x %v, want MsgError", kind, err)
+	}
+	if msg, _, _, err := wire.DecodeError(body); err != nil || !strings.Contains(msg, "timeout") {
+		t.Fatalf("response: %q %v", msg, err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 
 	"grfusion/internal/types"
@@ -22,10 +20,9 @@ import (
 // the client.
 type Pipeline struct {
 	c *Client
-	// buf holds the encoded (framed or JSON-line) requests.
+	// buf holds the framed requests.
 	buf []byte
 	n   int
-	err error // first encode error; Flush reports it without sending
 }
 
 // PipeResult is the outcome of one pipelined request.
@@ -42,34 +39,13 @@ func (p *Pipeline) Len() int { return p.n }
 
 // Query queues one SQL statement.
 func (p *Pipeline) Query(query string) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	timeoutMS := timeoutToMS(p.c.opts.RequestTimeout)
-	if p.c.Binary() {
-		p.buf = wire.AppendFrame(p.buf, wire.MsgQuery, wire.AppendQuery(nil, query, timeoutMS))
-	} else {
-		line, err := json.Marshal(Request{Query: query, TimeoutMS: timeoutMS})
-		if err != nil {
-			p.err = err
-			return p
-		}
-		p.buf = append(append(p.buf, line...), '\n')
-	}
+	p.buf = wire.AppendFrame(p.buf, wire.MsgQuery, wire.AppendQuery(nil, query, timeoutToMS(p.c.opts.RequestTimeout)))
 	p.n++
 	return p
 }
 
-// ExecStmt queues one prepared-statement execution (binary protocol
-// only).
+// ExecStmt queues one prepared-statement execution.
 func (p *Pipeline) ExecStmt(s *Stmt, params ...types.Value) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	if !p.c.Binary() {
-		p.err = errors.New("pipelined prepared statements require the binary protocol")
-		return p
-	}
 	payload := wire.AppendExecPrepared(nil, s.id, timeoutToMS(p.c.opts.RequestTimeout), params)
 	p.buf = wire.AppendFrame(p.buf, wire.MsgExecPrepared, payload)
 	p.n++
@@ -83,11 +59,6 @@ func (p *Pipeline) ExecStmt(s *Stmt, params ...types.Value) *Pipeline {
 // the per-request entries). After Flush the pipeline is empty and
 // reusable.
 func (p *Pipeline) Flush() ([]PipeResult, error) {
-	if p.err != nil {
-		err := p.err
-		p.buf, p.n, p.err = p.buf[:0], 0, nil
-		return nil, err
-	}
 	n := p.n
 	if n == 0 {
 		return nil, nil
@@ -113,16 +84,9 @@ func (p *Pipeline) Flush() ([]PipeResult, error) {
 	for i := 0; i < n; i++ {
 		c.armDeadlineLocked(c.opts.RequestTimeout)
 		var res *Result
-		var err error
-		if c.binary {
-			var kind byte
-			var body []byte
-			kind, body, err = c.readFrameLocked()
-			if err == nil {
-				res, err = c.decodeResponseLocked(kind, body)
-			}
-		} else {
-			res, err = c.readJSONLocked()
+		kind, body, err := c.readFrameLocked()
+		if err == nil {
+			res, err = c.decodeResponseLocked(kind, body)
 		}
 		out = append(out, PipeResult{Res: res, Err: err})
 		if c.broken != nil {

@@ -1,19 +1,12 @@
 // Package server exposes a GRFusion engine over TCP, mirroring the
-// client/server deployment of the paper's host system (VoltDB). The wire
-// protocol is newline-delimited JSON: one request object per line, one
-// response object per line. The engine serializes statement execution
-// internally, so any number of connections may be served concurrently.
-//
-// Request:  {"query": "SELECT ...", "timeout_ms": 100}
-//
-//	or {"cmd": "metrics"}
-//
-// Response: {"columns": [...], "rows": [[...], ...], "affected": 0}
-//
-//	or {"error": "...", "retryable": true}
-//
-// Values are encoded as their natural JSON types; BIGINTs survive
-// round-trips via json.Number. Paths are rendered as their PathString.
+// client/server deployment of the paper's host system (VoltDB). Every
+// connection speaks the binary framed protocol of internal/wire: the
+// client opens with the hello, then sends request frames (ad hoc
+// queries, prepared statements run by id, protocol commands, COPY bulk
+// loads) and reads one response frame per request, in order. A peer that
+// opens with anything else gets one plain-text diagnostic line and a
+// close. The engine serializes statement execution internally, so any
+// number of connections may be served concurrently.
 //
 // The server hardens the query lifecycle (VoltDB-style admission and
 // timeout management):
@@ -26,7 +19,7 @@
 //   - panic isolation: a panicking statement produces an error response on
 //     its connection (stack logged) and the server keeps serving.
 //   - bounded I/O: idle connections and stuck writes are reaped by
-//     IdleTimeout/WriteTimeout; oversized request lines get a diagnostic
+//     IdleTimeout/WriteTimeout; oversized request frames get a diagnostic
 //     error response instead of a silent hangup.
 //   - graceful-but-bounded shutdown: Shutdown stops accepting, lets
 //     in-flight statements finish and flush their responses, and only
@@ -36,7 +29,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -50,41 +42,6 @@ import (
 	"grfusion/internal/types"
 	"grfusion/internal/wire"
 )
-
-// maxRequestBytes caps one request line (the scanner buffer limit).
-const maxRequestBytes = 16 << 20
-
-// Request is one statement submission, or — when Cmd is set — a protocol
-// command that bypasses SQL execution entirely.
-type Request struct {
-	Query string `json:"query,omitempty"`
-	// Cmd names a protocol command. "metrics" returns the engine's metrics
-	// snapshot as name/value rows; "health" returns the durability health
-	// snapshot. Both skip admission control so the server stays observable
-	// under overload — health in particular must answer while the engine
-	// is degraded and shedding.
-	Cmd string `json:"cmd,omitempty"`
-	// TimeoutMS bounds this statement's execution in milliseconds; zero
-	// means no client-side bound (the server's QueryTimeout, if any, still
-	// applies — the effective deadline is the tighter of the two).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// Response is the outcome of one statement.
-type Response struct {
-	Columns  []string `json:"columns,omitempty"`
-	Rows     [][]any  `json:"rows,omitempty"`
-	Affected int      `json:"affected,omitempty"`
-	Error    string   `json:"error,omitempty"`
-	// Retryable marks an error the client may safely retry because the
-	// statement was never started (e.g. shed by admission control).
-	Retryable bool `json:"retryable,omitempty"`
-	// Degraded marks a write rejected because the engine is in degraded
-	// read-only mode (core.ErrDegraded). Terminal for the client's retry
-	// loop: retrying would hammer a sick disk — back off until the
-	// health surface reports the engine read-write again.
-	Degraded bool `json:"degraded,omitempty"`
-}
 
 // Config tunes the server's robustness envelope. The zero value imposes no
 // limits (matching the pre-hardening behavior, except that Shutdown drains
@@ -288,111 +245,32 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	// Protocol negotiation: sniff the first byte. 'G' opens the binary
-	// handshake (wire.Hello); anything else is treated as a JSON-lines
-	// peer, exactly as before the binary protocol existed — garbage then
-	// gets the JSON loop's "bad request" diagnostic. A JSON request line
-	// always starts '{' (or whitespace), never 'G', so the sniff cannot
-	// misroute a legacy client.
 	br := bufio.NewReaderSize(conn, 64<<10)
 	if s.cfg.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	}
-	first, err := br.Peek(1)
+	v, err := wire.ReadHello(br)
 	if err != nil {
+		// A peer speaking another protocol gets one line it can show; one
+		// that disconnected mid-hello gets nothing.
+		if errors.Is(err, wire.ErrBadMagic) {
+			if s.cfg.WriteTimeout > 0 {
+				conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			}
+			conn.Write([]byte("bad request: unrecognized protocol: expected the GRFusion binary hello\n"))
+		}
 		return
 	}
-	if first[0] == 'G' {
-		br.ReadByte()
-		v, err := wire.ReadHello(br, 'G')
-		if err != nil {
-			// Garbage after 'G', or a peer that disconnected mid-handshake.
-			// A diagnostic is only worth sending to a live peer.
-			if errors.Is(err, wire.ErrBadMagic) {
-				s.sendJSONError(conn, "unrecognized protocol: expected GRFusion binary hello or JSON-lines request")
-			}
-			return
-		}
-		if v > wire.ProtoVersion {
-			// Answer with our version; the client decides whether to speak it.
-			v = wire.ProtoVersion
-		}
-		s.serveBinary(conn, br, v)
-		return
+	if v > wire.ProtoVersion {
+		// Answer with our version; the client decides whether to speak it.
+		v = wire.ProtoVersion
 	}
-	s.serveJSON(conn, br)
+	s.serveBinary(conn, br, v)
 }
 
-// sendJSONError writes one best-effort JSON-lines error response, for
-// peers that failed negotiation (a JSON response is the only encoding an
-// unknown peer plausibly parses).
-func (s *Server) sendJSONError(conn net.Conn, msg string) {
-	if s.cfg.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	}
-	b, _ := json.Marshal(&Response{Error: msg})
-	conn.Write(append(b, '\n'))
-}
-
-// serveJSON is the JSON-lines request loop, unchanged protocol-wise since
-// the first server release: one request object per line, one response
-// object per line, in order.
-func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
-	sc := bufio.NewScanner(br)
-	// Start with the reader's modest buffer and let the scanner grow it on
-	// demand up to the cap: eagerly allocating maxRequestBytes per
-	// connection (as earlier releases did) burned 16 MiB per idle client.
-	sc.Buffer(nil, maxRequestBytes)
-	w := bufio.NewWriter(conn)
-	enc := json.NewEncoder(w)
-	send := func(resp *Response) bool {
-		if s.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		if err := enc.Encode(resp); err != nil {
-			return false
-		}
-		return w.Flush() == nil
-	}
-	for {
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			// The current statement (if any) already flushed its response;
-			// stop reading new requests so Shutdown can complete.
-			return
-		}
-		if s.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
-		if !sc.Scan() {
-			// A request line over the buffer cap is a client bug worth
-			// diagnosing: answer with the limit before hanging up (the
-			// stream cannot be re-synchronized mid-line).
-			if errors.Is(sc.Err(), bufio.ErrTooLong) {
-				send(&Response{Error: fmt.Sprintf(
-					"request too large: one request line is limited to %d bytes", maxRequestBytes)})
-			}
-			return
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var resp Response
-		if ee := s.guard(func() { resp = s.serveLine(line) }); ee != nil {
-			resp = errorResponse(ee)
-		}
-		if !send(&resp) {
-			return
-		}
-	}
-}
-
-// guard runs one request's handler for either codec. A panic anywhere under
-// it comes back as the error response to send, so one poisoned statement
-// cannot take down the server (or even its own connection).
+// guard runs one request's handler. A panic anywhere under it comes back
+// as the error response to send, so one poisoned statement cannot take
+// down the server (or even its own connection).
 func (s *Server) guard(handler func()) (ee *execError) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -402,35 +280,6 @@ func (s *Server) guard(handler func()) (ee *execError) {
 	}()
 	handler()
 	return nil
-}
-
-// serveLine decodes and executes one request line.
-func (s *Server) serveLine(line []byte) Response {
-	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		return Response{Error: fmt.Sprintf("bad request: %v", err)}
-	}
-	var res *core.Result
-	var ee *execError
-	if req.Cmd != "" {
-		res, ee = s.commandCore(req.Cmd)
-	} else {
-		res, ee = s.run(req.TimeoutMS, func(ctx context.Context) (*core.Result, error) {
-			return s.eng.ExecuteContext(ctx, req.Query)
-		})
-	}
-	if ee != nil {
-		return errorResponse(ee)
-	}
-	out := Response{Columns: res.Columns, Affected: res.Affected}
-	for _, row := range res.Rows {
-		enc := make([]any, len(row))
-		for i, v := range row {
-			enc[i] = encodeValue(v)
-		}
-		out.Rows = append(out.Rows, enc)
-	}
-	return out
 }
 
 // commandCore serves protocol commands. These never consume an admission
@@ -454,8 +303,7 @@ func (s *Server) commandCore(cmd string) (*core.Result, *execError) {
 	return out, nil
 }
 
-// execError is a failed statement plus its protocol flags, shared by the
-// JSON and binary encodings of the error.
+// execError is a failed statement plus the flags its MsgError carries.
 type execError struct {
 	msg       string
 	retryable bool
@@ -465,10 +313,6 @@ type execError struct {
 // execErr classifies an engine error for the wire.
 func execErr(err error) *execError {
 	return &execError{msg: err.Error(), degraded: errors.Is(err, core.ErrDegraded)}
-}
-
-func errorResponse(ee *execError) Response {
-	return Response{Error: ee.msg, Retryable: ee.retryable, Degraded: ee.degraded}
 }
 
 // admit takes an admission token, or returns the shed error. release is
@@ -502,9 +346,9 @@ func (s *Server) stmtContext(timeoutMS int64) (context.Context, context.CancelFu
 	return context.WithTimeout(s.baseCtx, d)
 }
 
-// run is the request core behind every statement on either codec — a JSON
-// query, binary MsgQuery, binary MsgExecPrepared: admission, the statement
-// deadline, the execution itself, error classification.
+// run is the request core behind every statement — a MsgQuery or a
+// MsgExecPrepared: admission, the statement deadline, the execution
+// itself, error classification.
 func (s *Server) run(timeoutMS int64, stmt func(context.Context) (*core.Result, error)) (*core.Result, *execError) {
 	// Admission control: shed instead of queueing — a shed statement never
 	// started, so the client can retry safely.
@@ -520,20 +364,4 @@ func (s *Server) run(timeoutMS int64, stmt func(context.Context) (*core.Result, 
 		return nil, execErr(err)
 	}
 	return res, nil
-}
-
-func encodeValue(v types.Value) any {
-	switch v.Kind {
-	case types.KindNull:
-		return nil
-	case types.KindBool:
-		return v.B
-	case types.KindInt:
-		return json.Number(v.String())
-	case types.KindFloat:
-		return v.F
-	default:
-		// Strings, and graph values rendered as text.
-		return v.String()
-	}
 }

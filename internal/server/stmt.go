@@ -11,8 +11,7 @@ import (
 
 // Stmt is a statement prepared server-side and executed by id — the
 // VoltDB stored-procedure model over the wire: parse and plan once, then
-// steady-state executions carry only an id and bound parameters. Requires
-// the binary protocol.
+// steady-state executions carry only an id and bound parameters.
 type Stmt struct {
 	c       *Client
 	id      uint64
@@ -27,9 +26,6 @@ type Stmt struct {
 func (c *Client) Prepare(query string) (*Stmt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.binary {
-		return nil, errors.New("prepared statements require the binary protocol (server too old?)")
-	}
 	if err := c.checkUsableLocked(); err != nil {
 		return nil, err
 	}
@@ -79,7 +75,7 @@ func (s *Stmt) ExecTimeout(timeout time.Duration, params ...types.Value) (*Resul
 			return nil, errors.New("prepared statement is closed")
 		}
 		payload := wire.AppendExecPrepared(nil, s.id, timeoutToMS(timeout), params)
-		return s.c.binRoundTripLocked(wire.MsgExecPrepared, payload, timeout)
+		return s.c.roundTripLocked(wire.MsgExecPrepared, payload, timeout)
 	})
 }
 
@@ -94,6 +90,6 @@ func (s *Stmt) Close() error {
 	if s.c.broken != nil {
 		return nil // the connection is gone; the server will reap it
 	}
-	_, err := s.c.binRoundTripLocked(wire.MsgClosePrepared, wire.AppendUvarint(nil, s.id), s.c.opts.RequestTimeout)
+	_, err := s.c.roundTripLocked(wire.MsgClosePrepared, wire.AppendUvarint(nil, s.id), s.c.opts.RequestTimeout)
 	return err
 }

@@ -146,7 +146,7 @@ func surfaceDump(t *testing.T, eng *core.Engine) string {
 
 // TestSurfaceEquivalence feeds one statement script through every surface
 // that can run a statement — ad hoc and prepared embedded, BulkLoad (the
-// inserts), JSON wire, binary Exec, binary Stmt — on fresh durable engines
+// inserts), binary Exec, binary Stmt — on fresh durable engines
 // and checks each against the ad hoc embedded run: same answers, same
 // accounting, same recovered database.
 func TestSurfaceEquivalence(t *testing.T) {
@@ -170,7 +170,7 @@ func TestSurfaceEquivalence(t *testing.T) {
 	adhoc := func(eng *core.Engine) runner {
 		return func(s surfaceStep) ([]types.Row, int, error) { return fromCore(eng.Execute(s.inline())) }
 	}
-	overWire := func(protocol string, run func(*Client, surfaceStep) (*Result, error)) func(*testing.T, *core.Engine) runner {
+	overWire := func(run func(*Client, surfaceStep) (*Result, error)) func(*testing.T, *core.Engine) runner {
 		return func(t *testing.T, eng *core.Engine) runner {
 			srv := NewWith(eng, Config{Logger: quietLogger()})
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -179,7 +179,7 @@ func TestSurfaceEquivalence(t *testing.T) {
 			}
 			go srv.Serve(ln)
 			t.Cleanup(srv.Shutdown)
-			c, err := DialWith(ln.Addr().String(), Options{Protocol: protocol})
+			c, err := Dial(ln.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,6 @@ func TestSurfaceEquivalence(t *testing.T) {
 			return func(s surfaceStep) ([]types.Row, int, error) { return fromWire(run(c, s)) }
 		}
 	}
-	execText := func(c *Client, s surfaceStep) (*Result, error) { return c.Exec(s.inline()) }
 
 	surfaces := []struct {
 		name string
@@ -230,9 +229,8 @@ func TestSurfaceEquivalence(t *testing.T) {
 				return fromCore(res, err)
 			}
 		}},
-		{name: "JSON wire", open: overWire(ProtoJSON, execText)},
-		{name: "binary Exec", open: overWire(ProtoBinary, execText)},
-		{name: "binary Stmt", open: overWire(ProtoBinary, func(c *Client, s surfaceStep) (*Result, error) {
+		{name: "binary Exec", open: overWire(func(c *Client, s surfaceStep) (*Result, error) { return c.Exec(s.inline()) })},
+		{name: "binary Stmt", open: overWire(func(c *Client, s surfaceStep) (*Result, error) {
 			st, err := c.Prepare(s.sql)
 			if err != nil {
 				return nil, err

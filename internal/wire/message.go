@@ -132,11 +132,12 @@ func DecodeCopyData(b []byte, width int) ([]types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := n * uint64(width)
-	if total > uint64(len(b)) { // each value is at least one byte
+	// Each value is at least one byte. Dividing, not multiplying, keeps
+	// a hostile count from wrapping past the check.
+	if n > 0 && (width < 1 || n > uint64(len(b)/width)) {
 		return nil, fmt.Errorf("%w: row count %d exceeds payload", ErrBadMessage, n)
 	}
-	slab := make([]types.Value, total)
+	slab := make([]types.Value, n*uint64(width))
 	rows := make([]types.Row, n)
 	for i := range slab {
 		if slab[i], b, err = DecodeValue(b); err != nil {
@@ -152,7 +153,8 @@ func DecodeCopyData(b []byte, width int) ([]types.Row, error) {
 	return rows, nil
 }
 
-// Result mirrors the JSON protocol's response shape for the binary path.
+// Result is the payload of a MsgResult: a statement's columns, rows and
+// affected-row count.
 type Result struct {
 	Columns  []string
 	Rows     []types.Row
@@ -202,7 +204,8 @@ func DecodeResult(b []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nr*nc > uint64(len(b)) {
+	// A result with rows has columns, and each value is at least one byte.
+	if nr > 0 && (nc == 0 || nr > uint64(len(b))/nc) {
 		return nil, fmt.Errorf("%w: row count %d exceeds payload", ErrBadMessage, nr)
 	}
 	if nr > 0 {
@@ -248,6 +251,9 @@ func DecodeError(b []byte) (msg string, retryable, degraded bool, err error) {
 		return "", false, false, fmt.Errorf("%w: empty error payload", ErrBadMessage)
 	}
 	flags := b[0]
+	if flags&^(ErrFlagRetryable|ErrFlagDegraded) != 0 {
+		return "", false, false, fmt.Errorf("%w: unknown error flags 0x%02x", ErrBadMessage, flags)
+	}
 	msg, rest, err := DecodeString(b[1:])
 	if err != nil {
 		return "", false, false, err

@@ -8,13 +8,12 @@ import (
 	"grfusion/internal/types"
 )
 
-// Typed value encoding — the binary replacement for the JSON protocol's
-// json.Number round trips. One tag byte selects the representation:
+// Typed value encoding. One tag byte selects the representation:
 // BIGINTs travel as zigzag varints (point-query results are mostly small
 // ids), DOUBLEs as 8 fixed bytes, strings length-prefixed. Graph values
 // (vertices, edges, paths) are rendered to their display string at the
-// server, exactly as the JSON protocol does — the relational surface is
-// the protocol, graph elements cross the wire as text.
+// server — the relational surface is the protocol, graph elements cross
+// the wire as text.
 const (
 	tagNull  = 0
 	tagFalse = 1
@@ -47,7 +46,7 @@ func AppendValue(dst []byte, v types.Value) []byte {
 	case types.KindString:
 		return AppendString(append(dst, tagStr), v.S)
 	default:
-		// Graph values: rendered text, like the JSON protocol.
+		// Graph values: rendered text.
 		return AppendString(append(dst, tagStr), v.String())
 	}
 }
@@ -66,11 +65,11 @@ func DecodeValue(b []byte) (types.Value, []byte, error) {
 	case tagTrue:
 		return types.NewBool(true), b, nil
 	case tagInt:
-		u, n := binary.Uvarint(b)
-		if n <= 0 {
-			return types.Value{}, nil, fmt.Errorf("%w: bad varint", ErrBadMessage)
+		u, rest, err := DecodeUvarint(b)
+		if err != nil {
+			return types.Value{}, nil, err
 		}
-		return types.NewInt(unzigzag(u)), b[n:], nil
+		return types.NewInt(unzigzag(u)), rest, nil
 	case tagFloat:
 		if len(b) < 8 {
 			return types.Value{}, nil, fmt.Errorf("%w: truncated float", ErrBadMessage)
@@ -95,20 +94,25 @@ func AppendString(dst []byte, s string) []byte {
 
 // DecodeString decodes a length-prefixed string, returning the rest.
 func DecodeString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b)-sz) < n {
+	n, rest, err := DecodeUvarint(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if uint64(len(rest)) < n {
 		return "", nil, fmt.Errorf("%w: truncated string", ErrBadMessage)
 	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
+	return string(rest[:n]), rest[n:], nil
 }
 
 // AppendUvarint re-exports varint appending for message encoders.
 func AppendUvarint(dst []byte, u uint64) []byte { return binary.AppendUvarint(dst, u) }
 
-// DecodeUvarint decodes one uvarint, returning the rest.
+// DecodeUvarint decodes one uvarint, returning the rest. It accepts only
+// the shortest encoding (no trailing zero group), so every payload that
+// decodes has exactly one encoding.
 func DecodeUvarint(b []byte) (uint64, []byte, error) {
 	u, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
 		return 0, nil, fmt.Errorf("%w: bad varint", ErrBadMessage)
 	}
 	return u, b[n:], nil

@@ -1,8 +1,6 @@
 // Package wire implements GRFusion's binary framed wire protocol: the
-// typed, length-prefixed encoding the server and client speak after a
-// successful magic-byte handshake, replacing JSON-lines round trips on
-// the hot path while remaining fully negotiable back to JSON for old
-// peers.
+// typed, length-prefixed encoding every connection between the server and
+// a client speaks after the hello exchange.
 //
 // Framing reuses the discipline of the write-ahead log (internal/wal):
 // every message is one self-checking frame
@@ -10,21 +8,13 @@
 //	frame = length(u32 BE) kind(u8) payload crc32(u32 BE)
 //
 // where length counts the kind byte plus the payload, and the IEEE CRC
-// covers the kind byte plus the payload. The length prefix is big-endian
-// so every frame under the 16 MiB cap starts with a zero byte — which is
-// what lets a peer distinguish a binary frame stream from a JSON-lines
-// stream (always starting '{') with a single sniffed byte during
-// protocol negotiation.
+// covers the kind byte plus the payload.
 //
-// The handshake: a binary-capable client opens with the 6-byte hello
-// "GRWB" ProtoVersion '\n'. The trailing newline matters — a JSON-lines
-// server's line scanner terminates on it and answers with a JSON parse
-// error, so the client's first response byte cleanly discriminates: '{'
-// means the peer speaks JSON-lines (downgrade, consume the error line),
-// 0x00 means the peer answered with a binary hello frame. A binary
-// server conversely sniffs the first client byte: 'G' starts the binary
-// handshake; anything else falls through to the JSON-lines loop (whose
-// parser diagnoses garbage), preserving legacy client behavior exactly.
+// The handshake: a client opens with the 6-byte hello "GRWB"
+// ProtoVersion '\n' and the server answers with a MsgHello frame carrying
+// its own version. A server reads the hello byte by byte and rejects a
+// peer at the first byte that breaks the magic, so a client that speaks
+// anything else is diagnosed without waiting for more input.
 package wire
 
 import (
@@ -50,8 +40,7 @@ const HelloLen = 6
 // Hello returns the client hello bytes.
 func Hello() []byte { return []byte{'G', 'R', 'W', 'B', ProtoVersion, '\n'} }
 
-// MaxFrameBytes caps one frame's length field (kind byte + payload),
-// matching the JSON-lines server's request cap.
+// MaxFrameBytes caps one frame's length field (kind byte + payload).
 const MaxFrameBytes = 16 << 20
 
 // Message kinds. Client→server kinds are low, server→client kinds start
@@ -178,19 +167,29 @@ func DiscardFrame(r *bufio.Reader, n int) error {
 	return nil
 }
 
-// ReadHello consumes a client hello whose first byte ('G') was already
-// sniffed by the caller, returning the client's protocol version.
-func ReadHello(r *bufio.Reader, first byte) (version byte, err error) {
-	buf := make([]byte, HelloLen)
-	buf[0] = first
-	if _, err := io.ReadFull(r, buf[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+// ReadHello consumes a client hello, returning the client's protocol
+// version. It fails with ErrBadMagic at the first byte that breaks the
+// magic, so a peer speaking another protocol is rejected without a
+// further read.
+func ReadHello(r *bufio.Reader) (version byte, err error) {
+	for i := 0; i < HelloLen; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if err == io.EOF && i > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
 		}
-		return 0, err
+		switch {
+		case i < len(Magic):
+			if b != Magic[i] {
+				return 0, ErrBadMagic
+			}
+		case i == len(Magic):
+			version = b
+		case b != '\n':
+			return 0, ErrBadMagic
+		}
 	}
-	if string(buf[:len(Magic)]) != Magic || buf[HelloLen-1] != '\n' {
-		return 0, ErrBadMagic
-	}
-	return buf[len(Magic)], nil
+	return version, nil
 }

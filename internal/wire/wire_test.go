@@ -36,11 +36,15 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameStartsWithZeroByte(t *testing.T) {
-	// Negotiation relies on every frame under the cap starting 0x00 —
-	// distinguishable from '{' with one sniffed byte.
+	// Every frame under the cap starts 0x00, never the 'G' of a hello: a
+	// client that skips the hello and sends a frame is rejected at its
+	// first byte.
 	b := AppendFrame(nil, MsgResult, bytes.Repeat([]byte{1}, 1000))
 	if b[0] != 0 {
-		t.Fatalf("frame starts 0x%02x, negotiation needs 0x00", b[0])
+		t.Fatalf("frame starts 0x%02x, want 0x00", b[0])
+	}
+	if _, err := ReadHello(bufio.NewReader(bytes.NewReader(b))); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("frame read as a hello: %v", err)
 	}
 }
 
@@ -100,21 +104,23 @@ func TestFrameTooLargeKeepsStreamSynchronized(t *testing.T) {
 func TestHello(t *testing.T) {
 	h := Hello()
 	if len(h) != HelloLen || h[HelloLen-1] != '\n' {
-		t.Fatalf("hello %q must be %d bytes ending in newline (JSON-lines fallback depends on it)", h, HelloLen)
+		t.Fatalf("hello %q must be %d bytes ending in newline", h, HelloLen)
 	}
-	r := bufio.NewReader(bytes.NewReader(h[1:]))
-	v, err := ReadHello(r, h[0])
+	v, err := ReadHello(bufio.NewReader(bytes.NewReader(h)))
 	if err != nil || v != ProtoVersion {
 		t.Fatalf("ReadHello = %d, %v", v, err)
 	}
 	// Garbage after a 'G' first byte must be ErrBadMagic.
-	r = bufio.NewReader(strings.NewReader("RABGE\n"))
-	if _, err := ReadHello(r, 'G'); !errors.Is(err, ErrBadMagic) {
+	if _, err := ReadHello(bufio.NewReader(strings.NewReader("GRABGE\n"))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("garbage hello: %v", err)
 	}
+	// A JSON request line is rejected at its first byte: the reader must
+	// not wait for the rest of a hello that will never come.
+	if _, err := ReadHello(bufio.NewReader(strings.NewReader("{"))); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("JSON-lines peer: %v", err)
+	}
 	// Mid-handshake disconnect must be ErrUnexpectedEOF.
-	r = bufio.NewReader(strings.NewReader("RW"))
-	if _, err := ReadHello(r, 'G'); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadHello(bufio.NewReader(strings.NewReader("GRW"))); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short hello: %v", err)
 	}
 }
@@ -220,43 +226,134 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
-// TestMessageDecodersRejectFuzzGarbage feeds truncations of every valid
-// payload into its decoder: none may panic, each must error or succeed
-// with consistent data (a hostile peer cannot crash the server).
-func TestMessageDecodersRejectTruncations(t *testing.T) {
-	rows := []types.Row{{types.NewInt(1), types.NewString("abc")}}
-	payloads := map[string][]byte{
-		"query":  AppendQuery(nil, "SELECT 1", 5),
-		"exec":   AppendExecPrepared(nil, 1, 0, []types.Value{types.NewFloat(1.5)}),
-		"begin":  AppendCopyBegin(nil, "t", []string{"a"}, 10),
-		"data":   AppendCopyData(nil, rows),
-		"result": AppendResult(nil, &Result{Columns: []string{"a", "b"}, Rows: rows}),
-		"error":  AppendError(nil, "msg", false, true),
-		"prep":   AppendPrepared(nil, 1, PreparedDML, 0, nil),
+// reencode decodes payload as a frame of the given kind (a MsgCopyData
+// of rows width values wide) and encodes the result again. A kind with no
+// payload comes back unchanged.
+func reencode(kind byte, width int, b []byte) ([]byte, error) {
+	var err error
+	var out []byte
+	switch kind {
+	case MsgQuery:
+		var q string
+		var tm int64
+		q, tm, err = DecodeQuery(b)
+		out = AppendQuery(nil, q, tm)
+	case MsgCommand, MsgPrepare:
+		var str string
+		var rest []byte
+		if str, rest, err = DecodeString(b); err == nil && len(rest) != 0 {
+			err = ErrBadMessage
+		}
+		out = AppendString(nil, str)
+	case MsgClosePrepared:
+		var id uint64
+		var rest []byte
+		if id, rest, err = DecodeUvarint(b); err == nil && len(rest) != 0 {
+			err = ErrBadMessage
+		}
+		out = AppendUvarint(nil, id)
+	case MsgExecPrepared:
+		var id uint64
+		var tm int64
+		var params []types.Value
+		id, tm, params, err = DecodeExecPrepared(b)
+		out = AppendExecPrepared(nil, id, tm, params)
+	case MsgCopyBegin:
+		var table string
+		var cols []string
+		var exp int
+		table, cols, exp, err = DecodeCopyBegin(b)
+		out = AppendCopyBegin(nil, table, cols, exp)
+	case MsgCopyData:
+		var rows []types.Row
+		rows, err = DecodeCopyData(b, width)
+		out = AppendCopyData(nil, rows)
+	case MsgResult:
+		var r *Result
+		if r, err = DecodeResult(b); err == nil {
+			out = AppendResult(nil, r)
+		}
+	case MsgError:
+		var msg string
+		var retry, degr bool
+		msg, retry, degr, err = DecodeError(b)
+		out = AppendError(nil, msg, retry, degr)
+	case MsgPrepared:
+		var id uint64
+		var pkind byte
+		var np int
+		var cols []string
+		id, pkind, np, cols, err = DecodePrepared(b)
+		out = AppendPrepared(nil, id, pkind, np, cols)
+	default:
+		out = b
 	}
-	for name, full := range payloads {
-		for cut := 0; cut < len(full); cut++ {
-			b := full[:cut]
-			var err error
-			switch name {
-			case "query":
-				_, _, err = DecodeQuery(b)
-			case "exec":
-				_, _, _, err = DecodeExecPrepared(b)
-			case "begin":
-				_, _, _, err = DecodeCopyBegin(b)
-			case "data":
-				_, err = DecodeCopyData(b, 2)
-			case "result":
-				_, err = DecodeResult(b)
-			case "error":
-				_, _, _, err = DecodeError(b)
-			case "prep":
-				_, _, _, _, err = DecodePrepared(b)
-			}
-			if err == nil {
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+type message struct {
+	kind    byte
+	payload []byte
+}
+
+// validMessages holds one well-formed payload of every kind that has one;
+// a MsgCopyData is two values wide.
+func validMessages() map[string]message {
+	rows := []types.Row{{types.NewInt(1), types.NewString("abc")}, {types.NewInt(-2), types.Null()}}
+	return map[string]message{
+		"query":   {MsgQuery, AppendQuery(nil, "SELECT 1", 5)},
+		"command": {MsgCommand, AppendString(nil, "metrics")},
+		"close":   {MsgClosePrepared, AppendUvarint(nil, 300)},
+		"exec":    {MsgExecPrepared, AppendExecPrepared(nil, 1, 0, []types.Value{types.NewFloat(1.5), types.NewBool(true)})},
+		"begin":   {MsgCopyBegin, AppendCopyBegin(nil, "t", []string{"a"}, 10)},
+		"data":    {MsgCopyData, AppendCopyData(nil, rows)},
+		"result":  {MsgResult, AppendResult(nil, &Result{Columns: []string{"a", "b"}, Affected: 3, Rows: rows})},
+		"error":   {MsgError, AppendError(nil, "msg", false, true)},
+		"prep":    {MsgPrepared, AppendPrepared(nil, 1, PreparedDML, 0, nil)},
+	}
+}
+
+// hostileMessages holds payloads whose counts promise more values than
+// the payload carries: a row count times a width wraps past 2^64 to a
+// small number, and rows are claimed for a result with no columns. Each
+// MsgCopyData is four values wide.
+func hostileMessages() map[string]message {
+	huge := uint64(1)<<62 + 1 // times 4 wraps to 4
+	four := []byte{tagNull, tagNull, tagNull, tagNull}
+	cols := []byte{4}
+	for _, c := range []string{"a", "b", "c", "d"} {
+		cols = AppendString(cols, c)
+	}
+	return map[string]message{
+		"data rows*width wraps":     {MsgCopyData, append(AppendUvarint(nil, huge), four...)},
+		"result rows*cols wraps":    {MsgResult, append(AppendUvarint(AppendUvarint(cols, 0), huge), four...)},
+		"result rows without cols":  {MsgResult, AppendUvarint([]byte{0, 0}, 1000)},
+		"result 2^62 rows, no cols": {MsgResult, AppendUvarint([]byte{0, 0}, 1<<62)},
+		"overlong varint":           {MsgClosePrepared, []byte{0x81, 0x00}},
+		"unknown error flag":        {MsgError, AppendString([]byte{4}, "x")},
+	}
+}
+
+// TestMessageDecodersRejectTruncations feeds truncations of every valid
+// payload, and payloads with hostile counts, into their decoders: none
+// may panic and each must error (a hostile peer cannot crash the server).
+func TestMessageDecodersRejectTruncations(t *testing.T) {
+	for name, m := range validMessages() {
+		if _, err := reencode(m.kind, 2, m.payload); err != nil {
+			t.Fatalf("%s: valid payload rejected: %v", name, err)
+		}
+		for cut := 0; cut < len(m.payload); cut++ {
+			if _, err := reencode(m.kind, 2, m.payload[:cut]); err == nil {
 				t.Fatalf("%s: truncation at %d decoded successfully", name, cut)
 			}
+		}
+	}
+	for name, m := range hostileMessages() {
+		if _, err := reencode(m.kind, 4, m.payload); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("%s: err = %v, want ErrBadMessage", name, err)
 		}
 	}
 }
