@@ -9,6 +9,9 @@ package grfusion
 
 import (
 	"fmt"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -364,26 +367,199 @@ func topologyDB(b testing.TB, ne int) *DB {
 	db := Open(Config{})
 	db.MustExec(`CREATE TABLE V (vid BIGINT PRIMARY KEY)`)
 	db.MustExec(`CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT, w DOUBLE)`)
-	insertAll := func(n int, table string, row func(i int) string) {
-		for i := 0; i < n; i += 1000 {
-			var sb strings.Builder
-			sb.WriteString("INSERT INTO " + table + " VALUES ")
-			for j := i; j < n && j < i+1000; j++ {
-				if j > i {
-					sb.WriteString(", ")
-				}
-				sb.WriteString(row(j))
-			}
-			db.MustExec(sb.String())
-		}
-	}
-	insertAll(nv, "V", func(i int) string { return fmt.Sprintf("(%d)", i) })
-	insertAll(ne, "E", func(i int) string {
+	insertAll(db, nv, "V", func(i int) string { return fmt.Sprintf("(%d)", i) })
+	insertAll(db, ne, "E", func(i int) string {
 		return fmt.Sprintf("(%d, %d, %d, %d.5)", i, mix(i)%nv, mix(ne+i)%nv, 1+mix(2*ne+i)%99)
 	})
 	db.MustExec(`CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = vid) FROM V
 		EDGES(ID = eid, FROM = src, TO = dst, w = w) FROM E`)
 	return db
+}
+
+// insertAll inserts rows 0..n-1 of table, 1000 to a statement.
+func insertAll(db *DB, n int, table string, row func(i int) string) {
+	for i := 0; i < n; i += 1000 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO " + table + " VALUES ")
+		for j := i; j < n && j < i+1000; j++ {
+			if j > i {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(row(j))
+		}
+		db.MustExec(sb.String())
+	}
+}
+
+// filterDB builds a 20k-vertex view of ne edges shaped like the layered
+// benchmark's traverse.read graph: vertex i is in group i % 1000 (grp),
+// every edge carries a weight w and a selectivity attribute sel in
+// [0, 100).
+func filterDB(b testing.TB, ne int) *DB {
+	b.Helper()
+	nv := ne / 5
+	db := Open(Config{})
+	db.MustExec(`CREATE TABLE V (vid BIGINT PRIMARY KEY, grp BIGINT)`)
+	db.MustExec(`CREATE INDEX v_grp ON V (grp)`)
+	db.MustExec(`CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT, w DOUBLE, sel BIGINT)`)
+	insertAll(db, nv, "V", func(i int) string { return fmt.Sprintf("(%d, %d)", i, i%1000) })
+	insertAll(db, ne, "E", func(i int) string {
+		return fmt.Sprintf("(%d, %d, %d, %d.5, %d)", i, mix(i)%nv, mix(ne+i)%nv, 1+mix(2*ne+i)%99, mix(3*ne+i)%100)
+	})
+	db.MustExec(`CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = vid, grp = grp) FROM V
+		EDGES(ID = eid, FROM = src, TO = dst, w = w, sel = sel) FROM E`)
+	return db
+}
+
+// pushedFilterLegs are BenchmarkPathScanPushedFilter's statements: the
+// layered benchmark's join template (20 sources per group, two hops), and
+// a two-hop count from one source, both under the pushed predicate
+// Edges[0..*].sel < 50. arg picks the i-th execution's parameter.
+var pushedFilterLegs = []struct {
+	name, q string
+	arg     func(i int) int
+}{
+	{"join", `SELECT COUNT(*) FROM V U, G.Paths PS HINT(BFS) WHERE U.grp = ? AND PS.StartVertex.Id = U.vid
+		AND PS.Length <= 2 AND PS.Edges[0..*].sel < 50`, func(i int) int { return mix(5*100_000+i) % 1000 }},
+	{"hop2", `SELECT COUNT(*) FROM G.Paths PS HINT(BFS) WHERE PS.StartVertex.Id = ?
+		AND PS.Length <= 2 AND PS.Edges[0..*].sel < 50`, func(i int) int { return mix(6*100_000+i) % 20_000 }},
+}
+
+// warmFilterColumns runs the join leg over every group, which lets the
+// view's binding lay out its sel column, and fails unless it did.
+func warmFilterColumns(tb testing.TB, db *DB) {
+	tb.Helper()
+	join, err := db.Prepare(pushedFilterLegs[0].q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for g := 0; g < 1000; g++ {
+		if _, err := join.Query(g); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if n := metricOf(db, "graphview.G.column_builds"); n != 1 {
+		tb.Fatalf("the warm-up laid out %d columns, want the sel column", n)
+	}
+}
+
+// metricOf reads one SHOW METRICS entry by name (-1 when absent).
+func metricOf(db *DB, name string) int64 {
+	for _, kv := range db.Engine().MetricsSnapshot() {
+		if kv.Name == name {
+			return kv.Value
+		}
+	}
+	return -1
+}
+
+// BenchmarkPathScanPushedFilter times the pushedFilterLegs on a binding
+// that has laid out its sel column (warmFilterColumns), so the pushed
+// predicate runs typed: the kernels test sel on the column, not through
+// the filter closure. It is the in-process profiling target for pushed
+// path predicates.
+func BenchmarkPathScanPushedFilter(b *testing.B) {
+	db := filterDB(b, 100_000)
+	warmFilterColumns(b, db)
+	for _, leg := range pushedFilterLegs {
+		b.Run(leg.name, func(b *testing.B) {
+			stmt, err := db.Prepare(leg.q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := stmt.Query(leg.arg(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestPushedFilterColumnWork checks BenchmarkPathScanPushedFilter's legs
+// on fixed parameters through the filter closure (a fresh binding) and
+// typed (after warmFilterColumns): EXPLAIN ANALYZE reports the same
+// summed edges_traversed and every probe the same rows, with typed=0
+// before and typed > 0 after. A prepared execution of each leg then
+// allocates no more than through the closure.
+func TestPushedFilterColumnWork(t *testing.T) {
+	const probes = 12
+	db := filterDB(t, 100_000)
+	actuals := regexp.MustCompile(`probes=(\d+) two_sided=\d+ typed=(\d+)\)$`)
+	run := func(q string) (edges int64, typed int, rows string) {
+		t.Helper()
+		plan, err := db.Query("EXPLAIN ANALYZE " + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		typed = -1
+		for _, r := range plan.Rows {
+			if m := actuals.FindStringSubmatch(r[0].S); m != nil {
+				typed, _ = strconv.Atoi(m[2])
+			}
+			fmt.Sscanf(r[0].S, "Counters: edges_traversed=%d", &edges)
+		}
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return edges, typed, fmt.Sprint(res.Rows)
+	}
+	allocs := func() []float64 {
+		var out []float64
+		for _, leg := range pushedFilterLegs {
+			stmt, err := db.Prepare(leg.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, testing.AllocsPerRun(5, func() {
+				if _, err := stmt.Query(leg.arg(0)); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return out
+	}
+	sweep := func(wantTyped bool) (edges []int64, rows []string) {
+		for _, leg := range pushedFilterLegs {
+			var sum int64
+			for i := 0; i < probes; i++ {
+				q := strings.Replace(leg.q, "?", strconv.Itoa(leg.arg(i)), 1)
+				e, typed, r := run(q)
+				if (typed > 0) != wantTyped || typed < 0 {
+					t.Fatalf("%s probe %d: typed=%d, want typed probes %v", leg.name, i, typed, wantTyped)
+				}
+				sum += e
+				rows = append(rows, r)
+			}
+			edges = append(edges, sum)
+		}
+		return edges, rows
+	}
+	closureEdges, closureRows := sweep(false)
+	closureAllocs := allocs()
+	if metricOf(db, "graphview.G.column_builds") != 0 {
+		t.Fatal("the closure sweep laid out a column")
+	}
+	warmFilterColumns(t, db)
+	typedEdges, typedRows := sweep(true)
+	typedAllocs := allocs()
+	t.Logf("edges_traversed join/hop2: %v; allocs/op closure %v, typed %v", typedEdges, closureAllocs, typedAllocs)
+	if !slices.Equal(closureEdges, typedEdges) || closureEdges[0] == 0 || closureEdges[1] == 0 {
+		t.Fatalf("edges_traversed join/hop2: closure %v, typed %v", closureEdges, typedEdges)
+	}
+	for i := range closureRows {
+		if closureRows[i] != typedRows[i] {
+			t.Fatalf("probe %d: closure %s, typed %s", i, closureRows[i], typedRows[i])
+		}
+	}
+	for i, leg := range pushedFilterLegs {
+		if !raceEnabled && typedAllocs[i] > closureAllocs[i] {
+			t.Errorf("%s: %.0f allocs/op typed, %.0f through the closure", leg.name, typedAllocs[i], closureAllocs[i])
+		}
+	}
 }
 
 // mix scatters i over the non-negative ints (the splitmix64 finalizer).

@@ -85,6 +85,12 @@ var Gates = []Gate{
 	{Rows: Sel{"fig10", Any, "grfusion", "sel=50", "ms"}, Per: &Sel{"fig10", Any, "sqlgraph-pipe", "sel=50", "ms"},
 		Op: AtMost, Limit: 1,
 		Why: "Fig 10: GRFusion counts triangles no slower than SQLGraph's 3-way self-join"},
+	{Rows: Sel{"fig10", Any, "grfusion", "sel=25", "ms"}, Per: &Sel{"fig10", Any, "neo4j-like", "sel=25", "ms"},
+		Op: AtMost, Limit: 1,
+		Why: "Fig 10: at sel=25 GRFusion counts triangles no slower than the bare map graph store, since the pushed predicate runs on a typed column"},
+	{Rows: Sel{"fig10", Any, "grfusion", "sel=50", "ms"}, Per: &Sel{"fig10", Any, "neo4j-like", "sel=50", "ms"},
+		Op: AtMost, Limit: 1,
+		Why: "Fig 10: at sel=50 GRFusion counts triangles no slower than the bare map graph store, since the pushed predicate runs on a typed column"},
 	{Rows: Sel{"table3", Any, "grfusion", Any, "topology_fraction"}, Op: AtMost, Limit: 0.35,
 		Why: "Table 3: the topology is a compact index, attributes are not replicated into it"},
 	{Rows: Sel{"fig11", Any, "grfusion-view", Any, "ms_per_op"}, Per: &Sel{"fig11", Any, "graphcore-reextract", Any, "full_reextract_ms"},

@@ -79,9 +79,9 @@ type GraphView struct {
 	csrHits   atomic.Int64
 	csrMisses atomic.Int64
 
-	// weightColBuilds counts SPScan weight columns laid out by the view's
-	// pinned bindings (GraphViewAt.Weights).
-	weightColBuilds atomic.Int64
+	// columnBuilds counts the typed columns the view's pinned bindings
+	// laid out (GraphViewAt.Column).
+	columnBuilds atomic.Int64
 
 	// badWeights counts, per declared edge attribute (EdgeAttrs order),
 	// the live edge rows whose value there is not a weight SPScan accepts
@@ -342,9 +342,9 @@ func (gv *GraphView) CSRStats() (builds, buildNS, hits, misses, bytes int64) {
 	return builds, buildNS, gv.csrHits.Load(), gv.csrMisses.Load(), bytes
 }
 
-// WeightColBuilds reports how many SPScan weight columns the view's
-// bindings have laid out. Safe anywhere.
-func (gv *GraphView) WeightColBuilds() int64 { return gv.weightColBuilds.Load() }
+// ColumnBuilds reports how many typed columns — pushed-filter and SPScan
+// weight columns — the view's bindings have laid out. Safe anywhere.
+func (gv *GraphView) ColumnBuilds() int64 { return gv.columnBuilds.Load() }
 
 // MaintOps reports how many incremental maintenance operations have been
 // applied to the topology since the view was built.

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -27,23 +26,41 @@ type GraphViewAt struct {
 	E    storage.RowView
 
 	// live marks the writer's binding: its sources move under it, so it
-	// never lays out a weight column.
+	// never lays out a column.
 	live bool
-	// relaxed counts the edges this binding's SPScans have relaxed
-	// (AddRelaxed); weights holds the columns Weights laid out, guarded by mu.
-	relaxed atomic.Int64
-	mu      sync.Mutex
-	weights []weightCol
+	// evaluated counts the elements this binding's filter and weight
+	// closures have answered (Credit); cols holds the columns Column laid
+	// out, copied on write under mu so a lookup takes no lock.
+	evaluated atomic.Int64
+	mu        sync.Mutex
+	cols      atomic.Pointer[[]*AttrColumn]
 	// badWeights is the view's badWeights as of the bound version, one
 	// count per declared edge attribute; nil on a binding At did not make.
 	badWeights []int
 }
 
-// weightCol is one SPScan weight column: the edge attribute at source
-// position pos, by edge index of the bound version.
-type weightCol struct {
-	pos int
-	col []float64
+// AttrColumn is one attribute's typed column over a bound version
+// (GraphViewAt.Column).
+type AttrColumn struct {
+	Col  *graph.Column
+	elem expr.ElemKind
+	pos  int
+	// dict holds a VARCHAR column's distinct values in ascending order;
+	// the entry of a value at rank r is the code 2r (see Code).
+	dict []string
+}
+
+// Code returns the code a VARCHAR constant s compares as against the
+// column's codes: 2r for the value at rank r of the dictionary, and the
+// odd code between its neighbours for a value it does not hold, so codes
+// order as strings.Compare orders their values and equal only where the
+// values are equal.
+func (c *AttrColumn) Code(s string) int64 {
+	i, found := slices.BinarySearch(c.dict, s)
+	if found {
+		return 2 * int64(i)
+	}
+	return 2*int64(i) - 1
 }
 
 var _ expr.GraphAccessor = (*GraphViewAt)(nil)
@@ -79,37 +96,114 @@ func (at *GraphViewAt) CSR() *graph.CSR {
 	return at.Topo
 }
 
-// Weights returns the SPScan weight column of the edge attribute ref over
-// the bound version as graph.CSR.EdgeColumn lays it out (by traversal
-// arc without a delta, by edge index with one), or nil while the
-// traversal asks its weight function for every edge. A pinned
-// binding lays the column out from its own edge view, once, when its
-// SPScans have together relaxed as many edges as the version holds, so
-// the build never costs more than the traversal work already done on the
-// binding. The writer's Live binding never builds one. NaN stands for
-// every weight a column cannot hold — NULL, non-numeric, a dangling tuple
-// pointer, NaN itself — and sends the edge to the weight function, which
-// reports it exactly as without a column.
-func (at *GraphViewAt) Weights(ref expr.AttrRef) []float64 {
-	if ne := int64(at.Topo.NumEdges()); at.live || ne == 0 || at.relaxed.Load() < ne {
+// columnKind returns the kind of column an attribute lays out: ColInt for
+// BIGINT, ColFloat for DOUBLE, ColCode (dictionary codes) for VARCHAR.
+// Other attributes, and the FanOut/FanIn properties, have none.
+func columnKind(ref expr.AttrRef) (graph.ColKind, bool) {
+	if ref.Src != expr.AttrColumn {
+		return 0, false
+	}
+	switch ref.Kind {
+	case types.KindInt:
+		return graph.ColInt, true
+	case types.KindFloat:
+		return graph.ColFloat, true
+	case types.KindString:
+		return graph.ColCode, true
+	}
+	return 0, false
+}
+
+// Column returns the typed column of the attribute ref of the bound
+// version's edges (elem ElemEdges, laid out as graph.CSR.EdgeColumn lays
+// it out) or vertexes (by dense vertex index), or nil while the binding's
+// closures answer for it. A pinned binding lays a column out from its own
+// row view, once, when its filter and weight closures have together
+// answered as many elements as the version holds edges (Credit), so the
+// build never costs more than the closure work already done on the
+// binding. The writer's Live binding never lays one out. An entry holds
+// the attribute's value only where it is of the attribute's kind; a NULL,
+// a value of another kind or a dangling tuple pointer leaves it empty,
+// and the kernels ask the closure, which answers as without a column.
+func (at *GraphViewAt) Column(elem expr.ElemKind, ref expr.AttrRef) *AttrColumn {
+	kind, ok := columnKind(ref)
+	if ne := int64(at.Topo.NumEdges()); !ok || at.live || ne == 0 || at.evaluated.Load() < ne {
 		return nil
+	}
+	if c := at.cachedColumn(elem, ref.Pos); c != nil {
+		return c
 	}
 	at.mu.Lock()
 	defer at.mu.Unlock()
-	for _, w := range at.weights {
-		if w.pos == ref.Pos {
-			return w.col
+	if c := at.cachedColumn(elem, ref.Pos); c != nil {
+		return c
+	}
+	c := at.layOut(elem, ref.Pos, kind)
+	var cols []*AttrColumn
+	if p := at.cols.Load(); p != nil {
+		cols = slices.Clone(*p)
+	}
+	cols = append(cols, c)
+	at.cols.Store(&cols)
+	at.GV.columnBuilds.Add(1)
+	return c
+}
+
+// cachedColumn returns the column Column laid out for (elem, pos), or nil.
+func (at *GraphViewAt) cachedColumn(elem expr.ElemKind, pos int) *AttrColumn {
+	if p := at.cols.Load(); p != nil {
+		for _, c := range *p {
+			if c.elem == elem && c.pos == pos {
+				return c
+			}
 		}
 	}
-	col := at.Topo.EdgeColumn(func(e *graph.Edge) float64 {
-		if row, ok := at.E.Get(storage.RowID(e.Tuple)); ok && row[ref.Pos].IsNumeric() {
-			return row[ref.Pos].AsFloat()
+	return nil
+}
+
+// layOut builds the column of the attribute at source position pos.
+func (at *GraphViewAt) layOut(elem expr.ElemKind, pos int, kind graph.ColKind) *AttrColumn {
+	src := at.E
+	if elem == expr.ElemVertexes {
+		src = at.V
+	}
+	c := &AttrColumn{elem: elem, pos: pos}
+	var codes map[string]int64
+	if kind == graph.ColCode {
+		src.Scan(func(_ storage.RowID, row types.Row) bool {
+			if v := row[pos]; v.Kind == types.KindString {
+				c.dict = append(c.dict, v.S)
+			}
+			return true
+		})
+		slices.Sort(c.dict)
+		c.dict = slices.Compact(c.dict)
+		codes = make(map[string]int64, len(c.dict))
+		for i, s := range c.dict {
+			codes[s] = 2 * int64(i)
 		}
-		return math.NaN()
-	})
-	at.weights = append(at.weights, weightCol{pos: ref.Pos, col: col})
-	at.GV.weightColBuilds.Add(1)
-	return col
+	}
+	read := func(tuple uint64) graph.Entry {
+		row, ok := src.Get(storage.RowID(tuple))
+		if !ok {
+			return graph.Entry{}
+		}
+		switch v := row[pos]; {
+		case kind == graph.ColInt && v.Kind == types.KindInt:
+			return graph.Entry{I: v.I, OK: true}
+		case kind == graph.ColFloat && v.Kind == types.KindFloat:
+			return graph.Entry{F: v.F, OK: true}
+		case kind == graph.ColCode && v.Kind == types.KindString:
+			return graph.Entry{I: codes[v.S], OK: true}
+		}
+		return graph.Entry{}
+	}
+	if elem == expr.ElemVertexes {
+		c.Col = at.Topo.VertexColumn(kind, func(v *graph.Vertex) graph.Entry { return read(v.Tuple) })
+	} else {
+		c.Col = at.Topo.EdgeColumn(kind, func(e *graph.Edge) graph.Entry { return read(e.Tuple) })
+	}
+	return c
 }
 
 // WeightsVouched reports whether every live edge of the bound version
@@ -130,9 +224,9 @@ func (at *GraphViewAt) WeightsVouched(ref expr.AttrRef) bool {
 	return false
 }
 
-// AddRelaxed credits n edges relaxed by an SPScan over the binding toward
-// its weight column's build (Weights).
-func (at *GraphViewAt) AddRelaxed(n int64) { at.relaxed.Add(n) }
+// Credit counts n elements answered by the binding's filter or weight
+// closures toward the build of its columns (Column).
+func (at *GraphViewAt) Credit(n int64) { at.evaluated.Add(n) }
 
 // ResolveAttr implements expr.GraphAccessor; attribute metadata is the
 // same in every version.

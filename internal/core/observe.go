@@ -149,7 +149,7 @@ func (e *Engine) viewStatsAt(st *dbState) []metrics.GraphViewStats {
 			MaintOps: gv.MaintOps(),
 		}
 		vs.CSRBuilds, vs.CSRBuildNS, vs.CSRHits, vs.CSRMisses, vs.CSRBytes = gv.CSRStats()
-		vs.WeightColBuilds = gv.WeightColBuilds()
+		vs.ColumnBuilds = gv.ColumnBuilds()
 		out = append(out, vs)
 	}
 	return out

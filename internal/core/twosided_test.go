@@ -85,11 +85,19 @@ func TestTwoSidedReachPlanShapes(t *testing.T) {
 
 // pathScanActuals matches a PathScan's kernel actuals on its EXPLAIN
 // ANALYZE line.
-var pathScanActuals = regexp.MustCompile(`^\s*PathScan\[.* probes=(\d+) two_sided=(\d+)\)$`)
+var pathScanActuals = regexp.MustCompile(`^\s*PathScan\[.* probes=(\d+) two_sided=(\d+) typed=(\d+)\)$`)
 
 // analyzeKernels runs EXPLAIN ANALYZE q and returns its one PathScan's
 // probes and two-sided probes.
 func analyzeKernels(t *testing.T, e *Engine, q string) (probes, twoSided int) {
+	t.Helper()
+	probes, twoSided, _ = analyzeActuals(t, e, q)
+	return probes, twoSided
+}
+
+// analyzeActuals runs EXPLAIN ANALYZE q and returns its one PathScan's
+// probes, two-sided probes and probes whose pushed filters ran typed.
+func analyzeActuals(t *testing.T, e *Engine, q string) (probes, twoSided, typed int) {
 	t.Helper()
 	var lines []string
 	for _, row := range render(mustExec(t, e, "EXPLAIN ANALYZE "+q)) {
@@ -97,11 +105,12 @@ func analyzeKernels(t *testing.T, e *Engine, q string) (probes, twoSided int) {
 		if m := pathScanActuals.FindStringSubmatch(row[0]); m != nil {
 			probes, _ = strconv.Atoi(m[1])
 			twoSided, _ = strconv.Atoi(m[2])
-			return probes, twoSided
+			typed, _ = strconv.Atoi(m[3])
+			return probes, twoSided, typed
 		}
 	}
 	t.Fatalf("EXPLAIN ANALYZE %s: no PathScan actuals:\n%s", q, strings.Join(lines, "\n"))
-	return 0, 0
+	return 0, 0, 0
 }
 
 // TestExplainAnalyzeNamesKernel: EXPLAIN ANALYZE says how many of a
@@ -311,10 +320,10 @@ func TestTwoSidedColumnMatchesReader(t *testing.T) {
 				t.Fatalf("%s: want sides=2, got %v\n%s", probe, err, plan)
 			}
 			before := fmt.Sprint(render(mustExec(t, e, probe)))
-			if gv.WeightColBuilds() != 0 {
+			if gv.ColumnBuilds() != 0 {
 				t.Fatalf("%s: the first run laid out a weight column", probe)
 			}
-			for i := 0; gv.WeightColBuilds() == 0; i++ {
+			for i := 0; gv.ColumnBuilds() == 0; i++ {
 				if i == 1000 {
 					t.Fatalf("%s: the binding never earned its weight column", probe)
 				}

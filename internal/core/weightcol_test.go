@@ -80,7 +80,7 @@ func freshBinding(st *dbState, gv *catalog.GraphView, earned bool) *dbState {
 	at := st.ats[gv]
 	fresh := &catalog.GraphViewAt{GV: gv, Topo: at.Topo, V: at.V, E: at.E}
 	if earned {
-		fresh.AddRelaxed(int64(at.Topo.NumEdges()))
+		fresh.Credit(int64(at.Topo.NumEdges()))
 	}
 	return &dbState{seq: st.seq, cat: st.cat, snaps: st.snaps,
 		ats: map[*catalog.GraphView]*catalog.GraphViewAt{gv: fresh}}
@@ -137,14 +137,14 @@ func TestWeightColumnMatchesClosure(t *testing.T) {
 			st := e.pin()
 			defer e.unpin(st)
 			for _, q := range tc.queries {
-				builds := gv.WeightColBuilds()
+				builds := gv.ColumnBuilds()
 				want, wantErr := runAt(e, freshBinding(st, gv, false), q)
-				if gv.WeightColBuilds() != builds {
+				if gv.ColumnBuilds() != builds {
 					t.Fatalf("%s: an unearned binding laid out a weight column", q)
 				}
 				got, gotErr := runAt(e, freshBinding(st, gv, true), q)
-				if gv.WeightColBuilds() != builds+1 {
-					t.Fatalf("%s: an earned binding laid out %d weight columns, want 1", q, gv.WeightColBuilds()-builds)
+				if gv.ColumnBuilds() != builds+1 {
+					t.Fatalf("%s: an earned binding laid out %d weight columns, want 1", q, gv.ColumnBuilds()-builds)
 				}
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
 					t.Fatalf("%s: the column diverged from the closure:\n column:  %q %v\n closure: %q %v",
@@ -176,12 +176,12 @@ func TestWeightColumnFollowsPin(t *testing.T) {
 	}
 
 	mustExec(t, e, `UPDATE E SET w = w * 10 WHERE src < 12`)
-	builds := gv.WeightColBuilds()
-	old.ats[gv].AddRelaxed(int64(old.ats[gv].Topo.NumEdges()))
+	builds := gv.ColumnBuilds()
+	old.ats[gv].Credit(int64(old.ats[gv].Topo.NumEdges()))
 	if got, err := runAt(e, old, q); err != nil || got != before {
 		t.Fatalf("pinned reader after the update:\n got:  %q %v\n want: %q", got, err, before)
 	}
-	if gv.WeightColBuilds() != builds+1 {
+	if gv.ColumnBuilds() != builds+1 {
 		t.Fatal("the pinned reader's SPScan laid out no weight column")
 	}
 
@@ -194,11 +194,11 @@ func TestWeightColumnFollowsPin(t *testing.T) {
 	if after == before {
 		t.Fatal("the weight update changed no cost")
 	}
-	cur.ats[gv].AddRelaxed(int64(cur.ats[gv].Topo.NumEdges()))
+	cur.ats[gv].Credit(int64(cur.ats[gv].Topo.NumEdges()))
 	if got, err := runAt(e, cur, q); err != nil || got != after {
 		t.Fatalf("fresh reader:\n got:  %q %v\n want: %q", got, err, after)
 	}
-	if gv.WeightColBuilds() != builds+2 {
+	if gv.ColumnBuilds() != builds+2 {
 		t.Fatal("the fresh reader's SPScan laid out no weight column")
 	}
 }
@@ -215,8 +215,8 @@ func TestLiveBindingBuildsNoWeightColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := gv.Live()
-	live.AddRelaxed(1 << 40)
-	if live.Weights(ref) != nil {
+	live.Credit(1 << 40)
+	if live.Column(expr.ElemEdges, ref) != nil {
 		t.Fatal("a Live binding laid out a weight column")
 	}
 
@@ -228,14 +228,14 @@ func TestLiveBindingBuildsNoWeightColumn(t *testing.T) {
 	if _, err := runAt(e, unbound, q); err != nil {
 		t.Fatal(err)
 	}
-	if n := gv.WeightColBuilds(); n != 0 {
+	if n := gv.ColumnBuilds(); n != 0 {
 		t.Fatalf("SPScans over the live binding laid out %d weight columns", n)
 	}
 	// The same join over the pinned binding earns one.
 	if _, err := runAt(e, st, q); err != nil {
 		t.Fatal(err)
 	}
-	if n := gv.WeightColBuilds(); n != 1 {
+	if n := gv.ColumnBuilds(); n != 1 {
 		t.Fatalf("SPScans over the pinned binding laid out %d weight columns, want 1", n)
 	}
 }
@@ -353,23 +353,23 @@ func TestWeightColumnAmortized(t *testing.T) {
 	if short == 0 || short >= ne/100 {
 		t.Fatalf("the short SPScan relaxed %d edges", short)
 	}
-	if n := gv.WeightColBuilds(); n != 0 {
+	if n := gv.ColumnBuilds(); n != 0 {
 		t.Fatalf("a short SPScan on a fresh binding laid out %d weight columns", n)
 	}
 	relaxed := short
-	for i := 0; i < 20 && gv.WeightColBuilds() == 0; i++ {
+	for i := 0; i < 20 && gv.ColumnBuilds() == 0; i++ {
 		earned := relaxed >= ne
 		relaxed += analyzeEdges(t, e, sp(nv))
-		if built := gv.WeightColBuilds() == 1; built != earned {
+		if built := gv.ColumnBuilds() == 1; built != earned {
 			t.Fatalf("after %d relaxations on a %d-edge binding: column laid out = %v", relaxed, ne, built)
 		}
 	}
 	analyzeEdges(t, e, sp(nv))
-	if n := gv.WeightColBuilds(); n != 1 {
-		t.Fatalf("weight_col_builds = %d, want 1", n)
+	if n := gv.ColumnBuilds(); n != 1 {
+		t.Fatalf("column_builds = %d, want 1", n)
 	}
-	if n := metricValue(e, "graphview.G.weight_col_builds"); n != 1 {
-		t.Fatalf("SHOW METRICS weight_col_builds = %d, want 1", n)
+	if n := metricValue(e, "graphview.G.column_builds"); n != 1 {
+		t.Fatalf("SHOW METRICS column_builds = %d, want 1", n)
 	}
 }
 
@@ -400,7 +400,7 @@ func TestWeightColumnConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := gv.WeightColBuilds(); n != 1 {
+	if n := gv.ColumnBuilds(); n != 1 {
 		t.Fatalf("concurrent readers laid out %d weight columns, want 1", n)
 	}
 }
@@ -494,7 +494,7 @@ func TestPreparedShortestAllocs(t *testing.T) {
 			t.Fatalf("%d→%d costs %g: TOP 3 gave %v, then TOP 1 %v", s, tgt, want, c3, c1)
 		}
 	}
-	if metricValue(e, "graphview.G.weight_col_builds") != 1 {
+	if metricValue(e, "graphview.G.column_builds") != 1 {
 		t.Fatal("the warm-up did not lay out the weight column")
 	}
 	if raceEnabled {

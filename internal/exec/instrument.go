@@ -119,12 +119,13 @@ func (n *Instrumented) Schema() *types.Schema { return n.Op.Schema() }
 func (n *Instrumented) Children() []Operator { return n.children }
 
 // Explain implements Operator: the wrapped operator's line plus actuals.
-// A PathScan adds its probes and how many ran a two-sided kernel.
+// A PathScan adds its probes, how many ran a two-sided kernel and how
+// many tested their pushed filters on typed columns.
 func (n *Instrumented) Explain() string {
 	var kernels string
 	if pj, ok := n.Op.(*PathProbeJoin); ok {
-		probes, two := pj.Actuals()
-		kernels = fmt.Sprintf(" probes=%d two_sided=%d", probes, two)
+		probes, two, typed := pj.Actuals()
+		kernels = fmt.Sprintf(" probes=%d two_sided=%d typed=%d", probes, two, typed)
 	}
 	return fmt.Sprintf("%s (actual rows=%d nexts=%d time=%s%s)",
 		n.Op.Explain(), n.rows, n.nexts, fmtDuration(n.CumulativeNS()), kernels)

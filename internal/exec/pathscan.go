@@ -194,19 +194,20 @@ type PathProbeJoin struct {
 }
 
 // pathActuals are a PathScan's EXPLAIN ANALYZE counters: the traversals
-// it started, one per start vertex of each probe, and those that ran a
-// two-sided kernel.
+// it started, one per start vertex of each probe, those that ran a
+// two-sided kernel, and those whose pushed filters ran over typed columns.
 type pathActuals struct {
-	probes, twoSided atomic.Int64
+	probes, twoSided, typed atomic.Int64
 }
 
-// Actuals reports the probes an instrumented PathScan ran and how many of
-// them ran a two-sided kernel; both are 0 on a plan not instrumented.
-func (p *PathProbeJoin) Actuals() (probes, twoSided int64) {
+// Actuals reports the probes an instrumented PathScan ran, how many of
+// them ran a two-sided kernel and how many tested pushed filters on typed
+// columns; all are 0 on a plan not instrumented.
+func (p *PathProbeJoin) Actuals() (probes, twoSided, typed int64) {
 	if p.actuals == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
-	return p.actuals.probes.Load(), p.actuals.twoSided.Load()
+	return p.actuals.probes.Load(), p.actuals.twoSided.Load(), p.actuals.typed.Load()
 }
 
 // NewPathProbeJoin creates the probe join; the output schema is the outer
@@ -320,9 +321,11 @@ type probeRun struct {
 	spErr   func() error // kernel error surface (SPScan, two-sided BFScan, parallel merge)
 	edges   int64        // run-local EdgesTraversed, counted by the kernel
 	msi     *graph.MultiSourceIter
-	// credit is the binding an SPScan run credits its edges to, toward
-	// the binding's weight column (catalog.GraphViewAt.Weights).
-	credit *catalog.GraphViewAt
+	// at is the binding the run traverses; asked counts the elements its
+	// filter and weight closures answered, credited to at toward its
+	// columns (catalog.GraphViewAt.Column).
+	at    *catalog.GraphViewAt
+	asked int64
 }
 
 // err surfaces whichever error the run hit first.
@@ -353,20 +356,36 @@ func (r *probeRun) finish() {
 	}
 	if r.edges != 0 {
 		atomic.AddInt64(&r.ctx.EdgesTraversed, r.edges)
-		if r.credit != nil {
-			r.credit.AddRelaxed(r.edges)
-		}
 		r.edges = 0
+	}
+	if r.asked != 0 {
+		r.at.Credit(r.asked)
+		r.asked = 0
 	}
 }
 
-// probeConsts holds the per-probe constant values of pushed filters.
+// probeConsts holds the per-probe state of the pushed filters and
+// aggregate bounds. bindConsts rebuilds it in place for each outer row,
+// after every run of the previous probe has finished.
 type probeConsts struct {
-	edgeOther []types.Value
-	edgeList  [][]types.Value
-	vertOther []types.Value
-	vertList  [][]types.Value
-	boundVals []types.Value
+	edge, vert boundFilters
+	boundVals  []types.Value
+}
+
+// boundFilters is one filter list's per-probe state: each filter's
+// constant or IN list evaluated against the outer row, the filter
+// compiled against it (compilePred), and whether any compiled filter has
+// a column, which decides whether the kernels get preds.
+type boundFilters struct {
+	vals  []filterVals
+	preds []graph.Pred
+	typed bool
+}
+
+// filterVals is one filter's evaluated constant (other) or IN list.
+type filterVals struct {
+	other types.Value
+	list  []types.Value
 }
 
 func (it *pathProbeIter) Next() (types.Row, error) {
@@ -544,47 +563,124 @@ func (it *pathProbeIter) bindProbe() error {
 func (it *pathProbeIter) bindConsts(env *expr.Env) error {
 	spec := &it.p.Spec
 	c := &it.consts
-	evalList := func(list []expr.Expr) ([]types.Value, error) {
-		out := make([]types.Value, len(list))
-		for i, e := range list {
-			v, err := expr.Eval(e, env)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	var err error
-	bindFilters := func(fs []ElemFilter) (others []types.Value, lists [][]types.Value, err error) {
-		others = make([]types.Value, len(fs))
-		lists = make([][]types.Value, len(fs))
-		for i := range fs {
-			if fs[i].IsIn {
-				if lists[i], err = evalList(fs[i].List); err != nil {
-					return nil, nil, err
-				}
-			} else {
-				if others[i], err = expr.Eval(fs[i].Other, env); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		return others, lists, nil
-	}
-	if c.edgeOther, c.edgeList, err = bindFilters(spec.EdgeFilters); err != nil {
+	if err := it.bindFilters(&c.edge, expr.ElemEdges, spec.EdgeFilters, env); err != nil {
 		return err
 	}
-	if c.vertOther, c.vertList, err = bindFilters(spec.VertexFilters); err != nil {
+	if err := it.bindFilters(&c.vert, expr.ElemVertexes, spec.VertexFilters, env); err != nil {
 		return err
 	}
-	c.boundVals = make([]types.Value, len(spec.AggBounds))
+	c.boundVals = c.boundVals[:0]
 	for i := range spec.AggBounds {
-		if c.boundVals[i], err = expr.Eval(spec.AggBounds[i].Bound, env); err != nil {
+		v, err := expr.Eval(spec.AggBounds[i].Bound, env)
+		if err != nil {
 			return err
 		}
+		c.boundVals = append(c.boundVals, v)
 	}
 	return nil
+}
+
+// bindFilters evaluates the constants of the pushed filters fs over the
+// probe's outer row into b, reusing its slices, and compiles each filter
+// to a graph.Pred against them: a typed test over the binding's column of
+// its attribute where compilePred can make one.
+func (it *pathProbeIter) bindFilters(b *boundFilters, elem expr.ElemKind, fs []ElemFilter, env *expr.Env) error {
+	b.vals, b.preds, b.typed = b.vals[:0], b.preds[:0], false
+	for i := range fs {
+		f := &fs[i]
+		var fv filterVals
+		var err error
+		if f.IsIn {
+			fv.list = make([]types.Value, len(f.List))
+			for j, e := range f.List {
+				if fv.list[j], err = expr.Eval(e, env); err != nil {
+					return err
+				}
+			}
+		} else if fv.other, err = expr.Eval(f.Other, env); err != nil {
+			return err
+		}
+		p := compilePred(it.at, elem, f, fv.other, fv.list)
+		b.vals, b.preds = append(b.vals, fv), append(b.preds, p)
+		b.typed = b.typed || p.Col != nil
+	}
+	return nil
+}
+
+// predOps maps a comparison to its typed test, and flipped the test of
+// the comparison with its operands swapped (k < attr is attr > k).
+var predOps = map[expr.BinOp]struct{ op, flipped graph.PredOp }{
+	expr.OpEq: {graph.PredEq, graph.PredEq},
+	expr.OpNe: {graph.PredNe, graph.PredNe},
+	expr.OpLt: {graph.PredLt, graph.PredGt},
+	expr.OpLe: {graph.PredLe, graph.PredGe},
+	expr.OpGt: {graph.PredGt, graph.PredLt},
+	expr.OpGe: {graph.PredGe, graph.PredLe},
+}
+
+// compilePred compiles one pushed filter bound to its probe constant
+// (other) or list into a typed predicate over the binding's column of its
+// attribute. It leaves the column out — the closure answers the filter —
+// unless the test is one the column answers exactly as expr.CompareOp
+// answers it: a comparison or [NOT] IN whose every constant has the
+// attribute's own kind, over an attribute that lays out a column, on a
+// binding that has laid it out (catalog.GraphViewAt.Column). A NULL
+// constant, a DOUBLE constant against a BIGINT attribute, LIKE and the
+// FanOut/FanIn properties all keep the closure.
+func compilePred(at *catalog.GraphViewAt, elem expr.ElemKind, f *ElemFilter, other types.Value, list []types.Value) graph.Pred {
+	p := graph.Pred{Lo: f.Rng.Start, Hi: -1}
+	switch {
+	case f.Rng.All:
+		p.Lo = 0
+	case !f.Rng.Wildcard:
+		p.Hi = f.Rng.End
+	}
+	kind := f.Ref.Kind
+	if f.IsIn {
+		for _, v := range list {
+			if v.Kind != kind {
+				return p
+			}
+		}
+		p.Op = graph.PredIn
+		if f.InNeg {
+			p.Op = graph.PredNotIn
+		}
+	} else {
+		ops, ok := predOps[f.Op]
+		if !ok || other.Kind != kind {
+			return p
+		}
+		p.Op = ops.op
+		if f.Flipped {
+			p.Op = ops.flipped
+		}
+	}
+	c := at.Column(elem, f.Ref)
+	if c == nil {
+		return p
+	}
+	p.Col = c.Col
+	switch kind {
+	case types.KindInt:
+		p.I = other.I
+		for _, v := range list {
+			p.Set = append(p.Set, v.I)
+		}
+	case types.KindFloat:
+		p.F = other.F
+		for _, v := range list {
+			p.FSet = append(p.FSet, v.F)
+		}
+	default: // VARCHAR: the dictionary codes the column holds
+		if !f.IsIn {
+			p.I = c.Code(other.S)
+		}
+		for _, v := range list {
+			p.Set = append(p.Set, c.Code(v.S))
+		}
+	}
+	return p
 }
 
 func (it *pathProbeIter) evalFilter(f *ElemFilter, v types.Value, other types.Value, list []types.Value) bool {
@@ -610,7 +706,7 @@ func (it *pathProbeIter) evalFilter(f *ElemFilter, v types.Value, other types.Va
 // runs for different starts may execute on different goroutines.
 func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 	spec := &it.p.Spec
-	run := &probeRun{ctx: it.ctx}
+	run := &probeRun{ctx: it.ctx, at: it.at}
 
 	target := it.target
 	if spec.CycleClose {
@@ -628,6 +724,7 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 	}
 	if len(spec.EdgeFilters) > 0 {
 		gspec.FilterEdge = func(pos int, e *graph.Edge, from, to *graph.Vertex) bool {
+			run.asked++
 			for i := range spec.EdgeFilters {
 				f := &spec.EdgeFilters[i]
 				if !f.contains(pos) {
@@ -638,7 +735,7 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 					run.evalErr = err
 					return false
 				}
-				if !it.evalFilter(f, v, it.consts.edgeOther[i], it.consts.edgeList[i]) {
+				if fv := &it.consts.edge.vals[i]; !it.evalFilter(f, v, fv.other, fv.list) {
 					return false
 				}
 			}
@@ -647,6 +744,7 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 	}
 	if len(spec.VertexFilters) > 0 {
 		gspec.FilterVertex = func(pos int, v *graph.Vertex) bool {
+			run.asked++
 			for i := range spec.VertexFilters {
 				f := &spec.VertexFilters[i]
 				if !f.contains(pos) {
@@ -657,12 +755,18 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 					run.evalErr = err
 					return false
 				}
-				if !it.evalFilter(f, val, it.consts.vertOther[i], it.consts.vertList[i]) {
+				if fv := &it.consts.vert.vals[i]; !it.evalFilter(f, val, fv.other, fv.list) {
 					return false
 				}
 			}
 			return true
 		}
+	}
+	if it.consts.edge.typed {
+		gspec.EdgePreds = it.consts.edge.preds
+	}
+	if it.consts.vert.typed {
+		gspec.VertexPreds = it.consts.vert.preds
 	}
 	if len(spec.AggBounds) > 0 {
 		gspec.Prune = func(p *graph.Path) bool {
@@ -676,19 +780,23 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 	}
 	switch spec.Phys {
 	case PhysSP:
-		gspec.Weights = it.at.Weights(spec.Weight)
+		if c := it.at.Column(expr.ElemEdges, spec.Weight); c != nil {
+			gspec.Weights = c.Col
+		}
 		var sp interface {
 			graph.CSRIterator
 			Err() error
 		}
 		if it.twoSided {
 			read := func(e *graph.Edge) (float64, bool) {
+				run.asked++
 				v, err := it.at.EdgeAttr(e, spec.Weight)
 				return v.AsFloat(), err == nil && v.IsNumeric()
 			}
 			sp = graph.NewCSRShortestPair(it.csr, gspec, read)
 		} else {
 			weight := func(pos int, e *graph.Edge, from, to *graph.Vertex) (float64, bool) {
+				run.asked++
 				v, err := it.at.EdgeAttr(e, spec.Weight)
 				if err != nil {
 					run.evalErr = err
@@ -705,7 +813,6 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 		}
 		run.iter = sp
 		run.spErr = sp.Err
-		run.credit = it.at
 	case PhysBFS:
 		if it.twoSided {
 			r := graph.NewCSRReach(it.csr, gspec)
@@ -720,6 +827,9 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 		a.probes.Add(1)
 		if it.twoSided {
 			a.twoSided.Add(1)
+		}
+		if gspec.EdgePreds != nil || gspec.VertexPreds != nil {
+			a.typed.Add(1)
 		}
 	}
 	return run

@@ -321,32 +321,6 @@ func (c *view) edge(i int32) *Edge {
 
 func (c *view) vertexID(i int32) int64 { return c.vert(i).ID }
 
-// EdgeColumn lays out a column of values computed by fn from each edge
-// record of the version; the result is what Spec.Weights expects. A
-// version without a delta holds one value per traversal arc of its main,
-// in adjacency order (adjEdge), so SPScan reads a vertex's weights as one
-// run; an undirected main lists each non-loop edge from both ends, so its
-// column holds about twice as many values as it has edges. A version with
-// a delta holds one value per edge index: its main's edges, then the delta
-// edges it sees, tombstoned ones included.
-func (c *view) EdgeColumn(fn func(*Edge) float64) []float64 {
-	if c.n == 0 {
-		col := make([]float64, len(c.m.adjEdge))
-		for i, ei := range c.m.adjEdge {
-			col[i] = fn(c.m.edges[ei])
-		}
-		return col
-	}
-	col := make([]float64, len(c.m.edges)+len(c.dedges))
-	for i, e := range c.m.edges {
-		col[i] = fn(e)
-	}
-	for i, e := range c.dedges {
-		col[len(c.m.edges)+i] = fn(e)
-	}
-	return col
-}
-
 // stamped reports whether an event stamp counts for this version.
 func (c *view) stamped(s *uint32) bool {
 	t := atomic.LoadUint32(s)

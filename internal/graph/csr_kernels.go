@@ -1,7 +1,5 @@
 package graph
 
-import "math"
-
 // Index-form traversal kernels over a CSR version. Each mirrors its
 // pointer twin (dfsIter/bfsIter/spIter) decision for decision — same
 // expansion order, same filter/prune call points, same emission
@@ -37,14 +35,42 @@ func csrTargetOK(targetIdx, vi int32) bool {
 	return targetIdx == noTarget || vi == targetIdx
 }
 
-func csrOkEdge(c *CSR, s *Spec, pos int, ei, from, to int32) bool {
+// csrOkEdge admits arc ai of vertex from (edge ei, toward to) at path
+// position pos: from the spec's typed predicates where they decide, from
+// its edge filter otherwise.
+func csrOkEdge(c *CSR, s *Spec, pos int, from, ai, ei, to int32) bool {
 	if s.Traversed != nil {
 		*s.Traversed++
 	}
 	if s.FilterEdge == nil {
 		return true
 	}
+	if s.EdgePreds != nil {
+		switch testPreds(s.EdgePreds, pos, c.arcSlot(from, ai, ei)) {
+		case verdictPass:
+			return true
+		case verdictFail:
+			return false
+		}
+	}
 	return s.FilterEdge(pos, c.edge(ei), c.vert(from), c.vert(to))
+}
+
+// csrOkVertex admits vertex vi at path position pos, as csrOkEdge admits
+// an arc.
+func csrOkVertex(c *CSR, s *Spec, pos int, vi int32) bool {
+	if s.FilterVertex == nil {
+		return true
+	}
+	if s.VertexPreds != nil {
+		switch testPreds(s.VertexPreds, pos, vi) {
+		case verdictPass:
+			return true
+		case verdictFail:
+			return false
+		}
+	}
+	return s.FilterVertex(pos, c.vert(vi))
 }
 
 // ---------------------------------------------------------------- DFScan
@@ -85,7 +111,7 @@ func NewCSRDFS(c *CSR, spec Spec) CSRIterator {
 	it.targetIdx = c.targetIndex(spec.Target)
 	s.pathV = s.pathV[:0]
 	s.pathE = s.pathE[:0]
-	if it.startIdx < 0 || !spec.admitStart() {
+	if it.startIdx < 0 || !csrOkVertex(c, &spec, 0, it.startIdx) {
 		it.done = true
 		return it
 	}
@@ -178,7 +204,7 @@ func (it *csrDFSIter) step() bool {
 		if it.onPath(toI) {
 			if it.spec.AllowCycle && toI == it.startIdx && depth >= 2 &&
 				it.spec.lenOK(depth) && csrTargetOK(it.targetIdx, toI) &&
-				csrOkEdge(c, &it.spec, pos, ei, f.v, toI) {
+				csrOkEdge(c, &it.spec, pos, f.v, ai, ei, toI) {
 				keep := true
 				if it.spec.Prune != nil {
 					s.pathV = append(s.pathV, toI)
@@ -194,10 +220,10 @@ func (it *csrDFSIter) step() bool {
 			}
 			continue
 		}
-		if !csrOkEdge(c, &it.spec, pos, ei, f.v, toI) {
+		if !csrOkEdge(c, &it.spec, pos, f.v, ai, ei, toI) {
 			continue
 		}
-		if it.spec.FilterVertex != nil && !it.spec.FilterVertex(depth, c.vert(toI)) {
+		if !csrOkVertex(c, &it.spec, depth, toI) {
 			continue
 		}
 		s.pathE = append(s.pathE, ei)
@@ -285,7 +311,7 @@ func NewCSRBFS(c *CSR, spec Spec) CSRIterator {
 	s.queue = s.queue[:0]
 	s.nodes = s.nodes[:0]
 	it.qHead = 0
-	if it.startIdx < 0 || !spec.admitStart() {
+	if it.startIdx < 0 || !csrOkVertex(c, &spec, 0, it.startIdx) {
 		it.done = true
 		return it
 	}
@@ -349,7 +375,7 @@ func (it *csrBFSIter) step() bool {
 			if seen {
 				if it.spec.AllowCycle && toI == it.startIdx && pos+1 >= 2 &&
 					it.spec.lenOK(pos+1) && csrTargetOK(it.targetIdx, toI) &&
-					csrOkEdge(c, &it.spec, pos, ei, n.v, toI) {
+					csrOkEdge(c, &it.spec, pos, n.v, ai, ei, toI) {
 					if it.spec.Prune != nil {
 						s.chainIdx(cur, ei, toI)
 						if !it.spec.Prune(c.fillPath(&s.scratch, s.pathV, s.pathE, 0)) {
@@ -361,10 +387,10 @@ func (it *csrBFSIter) step() bool {
 				}
 				continue
 			}
-			if !csrOkEdge(c, &it.spec, pos, ei, n.v, toI) {
+			if !csrOkEdge(c, &it.spec, pos, n.v, ai, ei, toI) {
 				continue
 			}
-			if it.spec.FilterVertex != nil && !it.spec.FilterVertex(pos+1, c.vert(toI)) {
+			if !csrOkVertex(c, &it.spec, pos+1, toI) {
 				continue
 			}
 			// Prune consults the refilled scratch path before the candidate
@@ -454,7 +480,7 @@ func NewCSRShortest(c *CSR, spec Spec, weight WeightFunc, k int) *csrSPIter {
 	if k == 1 && len(s.best) < len(s.visited) {
 		s.best = make([]float64, len(s.visited))
 	}
-	if it.startIdx < 0 || !spec.admitStart() {
+	if it.startIdx < 0 || !csrOkVertex(c, &spec, 0, it.startIdx) {
 		it.done = true
 		return it
 	}
@@ -493,16 +519,8 @@ func (it *csrSPIter) step() bool {
 			pos := int(n.depth)
 			s.arcs.reset()
 			tos, edges := c.adjacency(end, &s.arcs)
-			// Without a delta the weight column is in arc order and end's
-			// weights are one window of it; with one it is by edge index
-			// (EdgeColumn).
-			var arcW []float64
-			wc := it.spec.Weights
-			if c.n == 0 && len(wc) > 0 {
-				arcW = wc[c.m.adjOff[end]:c.m.adjOff[end+1]]
-			}
 			for ai, toI := range tos {
-				ei := edges[ai]
+				ei, ai := edges[ai], int32(ai)
 				if s.settled(toI) >= it.k {
 					continue
 				}
@@ -511,20 +529,14 @@ func (it *csrSPIter) step() bool {
 				if it.k > 1 && s.spChainContains(ni, toI) {
 					continue
 				}
-				if !csrOkEdge(c, &it.spec, pos, ei, end, toI) {
+				if !csrOkEdge(c, &it.spec, pos, end, ai, ei, toI) {
 					continue
 				}
-				if it.spec.FilterVertex != nil && !it.spec.FilterVertex(pos+1, c.vert(toI)) {
+				if !csrOkVertex(c, &it.spec, pos+1, toI) {
 					continue
 				}
-				w := math.NaN()
-				if arcW != nil {
-					w = arcW[ai]
-				} else if int(ei) < len(wc) {
-					w = wc[ei]
-				}
-				if math.IsNaN(w) {
-					var ok bool
+				w, ok := it.spec.Weights.Float(c.arcSlot(end, ai, ei))
+				if !ok {
 					if w, ok = it.weight(pos, c.edge(ei), c.vert(end), c.vert(toI)); !ok {
 						continue
 					}

@@ -236,7 +236,7 @@ func (it *csrPairIter) settle(d int) error {
 	}
 	me.nodes[top.node].settled = true
 	n := me.nodes[top.node] // copy: the arena may grow below
-	tos, edges, arcW, pos := it.arcs(d, v)
+	tos, edges, base, pos := it.arcs(d, v)
 	for ai, x := range tos {
 		bx := me.best(x, s.epoch)
 		if bx != nil && bx.settled {
@@ -246,17 +246,15 @@ func (it *csrPairIter) settle(d int) error {
 			*it.spec.Traversed++
 		}
 		ei := edges[ai]
-		w := math.NaN()
-		switch wc := it.spec.Weights; {
-		case arcW != nil:
-			w = arcW[ai]
+		slot := ei
+		switch {
 		case pos != nil:
-			w = wc[pos[ai]]
-		case c.n != 0 && int(ei) < len(wc):
-			w = wc[ei]
+			slot = pos[ai]
+		case base >= 0:
+			slot = base + int32(ai)
 		}
-		if math.IsNaN(w) {
-			var ok bool
+		w, ok := it.spec.Weights.Float(slot)
+		if !ok {
 			if w, ok = it.read(c.edge(ei)); !ok {
 				return fmt.Errorf("two-sided SPScan: edge %d has no numeric weight", c.edge(ei).ID)
 			}
@@ -281,20 +279,22 @@ func (it *csrPairIter) settle(d int) error {
 
 // arcs returns v's arcs for side d (view.sideArcs) and, where the weight
 // column is in arc order (a version without a delta), where their weights
-// sit in it: the run arcW for traversal arcs, the positions pos for
-// in-arcs.
-func (it *csrPairIter) arcs(d int, v int32) (to, edge []int32, arcW []float64, pos []int32) {
+// sit in it: from base on for traversal arcs, at the positions pos for
+// in-arcs. Otherwise base is -1, pos is nil and an arc's weight sits at
+// its edge index.
+func (it *csrPairIter) arcs(d int, v int32) (to, edge []int32, base int32, pos []int32) {
 	c, m := it.c, it.c.m
 	it.s.arcs.reset()
 	to, edge = c.sideArcs(d == 1, v, &it.s.arcs)
-	if wc := it.spec.Weights; c.n == 0 && len(wc) > 0 {
+	base = -1
+	if c.n == 0 && it.spec.Weights != nil {
 		if d == 0 || !m.directed {
-			arcW = wc[m.adjOff[v]:m.adjOff[v+1]]
+			base = m.adjOff[v]
 		} else {
 			pos = m.inArcPos()[m.inOff[v]:m.inOff[v+1]]
 		}
 	}
-	return to, edge, arcW, pos
+	return to, edge, base, pos
 }
 
 // chain fills s.pathV/s.pathE with the cheapest meeting's path — the

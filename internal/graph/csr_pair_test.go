@@ -149,16 +149,16 @@ func TestTwoSidedShortest(t *testing.T) {
 			clean, delta := pairVersions(t, seed, directed, wt)
 			var werr error
 			weight, read := wt.readers(nil, &werr)
-			byEdge := func(e *Edge) float64 { return wt[e.ID] }
+			byEdge := func(e *Edge) Entry { return Entry{F: wt[e.ID], OK: true} }
 			rng := rand.New(rand.NewSource(seed))
 			for _, v := range []struct {
 				name string
 				c    *CSR
 			}{{"clean", clean}, {"delta", delta}} {
 				for _, col := range []bool{false, true} {
-					var wc []float64
+					var wc *Column
 					if col {
-						wc = v.c.EdgeColumn(byEdge)
+						wc = v.c.EdgeColumn(ColFloat, byEdge)
 					}
 					for i := 0; i < 60; i++ {
 						s, tg := v.c.Vertex(int64(rng.Intn(152))), v.c.Vertex(int64(rng.Intn(152)))
@@ -302,13 +302,10 @@ func TestTwoSidedShortestBadWeights(t *testing.T) {
 				for _, col := range []bool{false, true} {
 					spec.Weights = nil
 					if col {
-						// The column holds NaN for a weight that is not a
-						// number, and the kernel asks the reader.
-						spec.Weights = c.EdgeColumn(func(e *Edge) float64 {
-							if nonNumeric[e.ID] {
-								return math.NaN()
-							}
-							return wt[e.ID]
+						// The column holds no entry for a weight that is
+						// not a number, and the kernel asks the reader.
+						spec.Weights = c.EdgeColumn(ColFloat, func(e *Edge) Entry {
+							return Entry{F: wt[e.ID], OK: !nonNumeric[e.ID]}
 						})
 					}
 					got, err := drainSP(NewCSRShortestPair(c, spec, read), &werr)

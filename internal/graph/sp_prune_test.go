@@ -119,7 +119,7 @@ func TestSPScanRejectsNaNWeight(t *testing.T) {
 		}
 		return float64(e.ID % 17), true
 	}
-	col := c.EdgeColumn(func(e *Edge) float64 { w, _ := weight(0, e, nil, nil); return w })
+	col := c.EdgeColumn(ColFloat, func(e *Edge) Entry { w, _ := weight(0, e, nil, nil); return Entry{F: w, OK: true} })
 	starts := 0
 	for id := int64(0); id < 200; id += 10 {
 		v := g.Vertex(id)
@@ -156,7 +156,7 @@ func TestEdgeColumnLayouts(t *testing.T) {
 	weight := func(pos int, e *Edge, from, to *Vertex) (float64, bool) {
 		return float64(e.ID%17) + 0.5, true
 	}
-	byEdge := func(e *Edge) float64 { w, _ := weight(0, e, nil, nil); return w }
+	byEdge := func(e *Edge) Entry { w, _ := weight(0, e, nil, nil); return Entry{F: w, OK: true} }
 	for _, directed := range []bool{true, false} {
 		topo := topologyOf(t, randTopology(t, 11, 300, 1500, directed))
 		clean := topo.Version()
@@ -178,9 +178,9 @@ func TestEdgeColumnLayouts(t *testing.T) {
 			{"delta", delta, len(delta.m.edges) + len(delta.dedges)},
 		} {
 			label := fmt.Sprintf("directed=%v %s", directed, tc.name)
-			col := tc.c.EdgeColumn(byEdge)
-			if len(col) != tc.wantLen {
-				t.Fatalf("%s: column holds %d values, want %d", label, len(col), tc.wantLen)
+			col := tc.c.EdgeColumn(ColFloat, byEdge)
+			if col.Len() != tc.wantLen {
+				t.Fatalf("%s: column holds %d values, want %d", label, col.Len(), tc.wantLen)
 			}
 			for start := int64(0); start < 300; start += 23 {
 				for _, k := range []int{1, 3} {

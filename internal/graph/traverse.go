@@ -67,12 +67,21 @@ type Spec struct {
 	// not one is installed, so a kernel run without a filter counts the
 	// same edges as one run with an always-true filter.
 	Traversed *int64
+	// EdgePreds and VertexPreds, when non-nil, are FilterEdge's and
+	// FilterVertex's filters compiled to typed predicates over columns of
+	// the CSR version the kernel walks (edge columns as EdgeColumn lays
+	// them out, vertex columns by dense index), one per filter in the
+	// closure's order. A CSR kernel rejects an element when a predicate
+	// covering its position fails on its column, admits it when all of
+	// them hold, and asks the closure otherwise: when a predicate has no
+	// column or its column does not hold the element's entry. They are
+	// consulted only where the closure is installed.
+	EdgePreds, VertexPreds []Pred
 	// Weights, when non-nil, is an SPScan weight column over the CSR
-	// version the kernel walks, as EdgeColumn lays it out: by main
-	// traversal arc for a version without a delta, by edge index for one
-	// with a delta. A NaN entry defers that edge to the weight function.
-	// CSR kernels only.
-	Weights []float64
+	// version the kernel walks (EdgeColumn); an edge whose entry it does
+	// not hold as a number is asked of the weight function. CSR kernels
+	// only.
+	Weights *Column
 	// Done, when non-nil, makes the traversal cooperative: the kernels poll
 	// the channel (amortized, every stopCheckMask+1 steps) and halt early
 	// once it is closed. A halted kernel simply stops emitting — the layer

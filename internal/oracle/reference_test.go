@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,7 +37,8 @@ type refProbe struct {
 	src, dst       int64
 	minLen, maxLen int
 	cycle          bool
-	selPct         int // pushed Edges[0..*].sel < selPct; < 0 = none
+	selPct         int    // pushed Edges[0..*].sel < selPct; < 0 = none
+	nameGE         string // pushed Vertexes[1..*].name >= nameGE; "" = none
 	// render turns the reference paths into the statement's result rows.
 	render func(paths []*graph.Path) []string
 }
@@ -101,6 +103,13 @@ func (sc *scenario) referenceProbes(rng *rand.Rand, st *datagen.GraphState) []re
 			sc.gv, k, selPct),
 			kernel: "DFScan", src: -1, dst: -1, minLen: 1, maxLen: k, selPct: selPct, render: pathCount},
 	}
+	// A pushed vertex filter over the VARCHAR name (the typed path
+	// compares dictionary codes), beside the sel filter.
+	nameGE := st.Verts[pick()]
+	ps = append(ps, refProbe{sql: fmt.Sprintf(
+		"SELECT PS.PathString FROM %s.Paths PS WHERE PS.StartVertex.Id = %d AND PS.Length <= %d AND PS.Vertexes[1..*].name >= '%s' AND PS.Edges[0..*].sel < %d",
+		sc.gv, src, k+1, strings.ReplaceAll(nameGE, "'", "''"), selPct),
+		src: src, dst: -1, minLen: 1, maxLen: k + 1, selPct: selPct, nameGE: nameGE, render: pathStrings})
 	if !sc.directed {
 		ps = append(ps, refProbe{sql: fmt.Sprintf(
 			"SELECT COUNT(P) FROM %s.Paths P WHERE P.Length = 3 AND P.Edges[0..*].sel < %d AND P.Edges[2].EndVertex = P.Edges[0].StartVertex",
@@ -138,6 +147,11 @@ func (p *refProbe) reference(g *graph.Graph, st *datagen.GraphState, kernel stri
 				return st.Edges[e.ID].Sel < int64(p.selPct)
 			}
 		}
+		if p.nameGE != "" {
+			spec.FilterVertex = func(pos int, v *graph.Vertex) bool {
+				return pos < 1 || st.Verts[v.ID] >= p.nameGE
+			}
+		}
 		var it graph.PathIterator
 		var kerr func() error
 		switch kernel {
@@ -163,6 +177,27 @@ func (p *refProbe) reference(g *graph.Graph, st *datagen.GraphState, kernel stri
 		}
 	}
 	return p.render(paths), nil
+}
+
+// typedActuals matches the typed probes on a PathScan's EXPLAIN ANALYZE
+// line.
+var typedActuals = regexp.MustCompile(`PathScan\[.* typed=(\d+)\)$`)
+
+// typedProbe runs EXPLAIN ANALYZE q and reports whether any of its
+// PathScan's probes tested its pushed filters on typed columns.
+func typedProbe(t *testing.T, eng *core.Engine, q string) bool {
+	t.Helper()
+	res, err := eng.Execute("EXPLAIN ANALYZE " + q)
+	if err != nil {
+		t.Fatalf("EXPLAIN ANALYZE %q: %v", q, err)
+	}
+	for _, line := range renderRows(res, false) {
+		if m := typedActuals.FindStringSubmatch(line); m != nil {
+			return m[1] != "0"
+		}
+	}
+	t.Fatalf("EXPLAIN ANALYZE %q shows no PathScan actuals", q)
+	return false
 }
 
 // plannedKernel returns the physical operator EXPLAIN names for q. The
@@ -194,8 +229,10 @@ func plannedKernel(t *testing.T, eng *core.Engine, q string) string {
 // topology, materialized in the canonical adjacency order the kernels
 // walk. Every mutation batch lands in the view's delta, so a read that
 // missed part of it shows up as a divergence. Each SHORTESTPATH probe is
-// repeated until its version has a weight column, so SPScan is checked
-// both through its weight closure and through the column.
+// repeated until its version has a weight column, and each probe with a
+// pushed filter until EXPLAIN ANALYZE reports that its filters ran over
+// typed columns, so SPScan weights and pushed filters are checked both
+// through their closures and through the columns.
 func TestKernelReference(t *testing.T) {
 	cfg := Config{Seed: 777, Workers: 2}.defaults()
 	for round := 0; round < 8; round++ {
@@ -207,7 +244,8 @@ func TestKernelReference(t *testing.T) {
 		}
 		st := datagen.NewGraphState(sc.initial)
 		opRNG := rand.New(rand.NewSource(roundSeed + 1))
-		colBuilds := "graphview." + sc.gv + ".weight_col_builds"
+		colBuilds := "graphview." + sc.gv + ".column_builds"
+		typedRuns := 0
 
 		compare := func(batch int) {
 			t.Helper()
@@ -229,11 +267,13 @@ func TestKernelReference(t *testing.T) {
 					t.Fatalf("round %d batch %d: reference for %q: %v", round, batch, p.sql, err)
 				}
 				// An SPScan probe repeats until the version's binding has
-				// laid out its weight column, so both the weight closure
-				// (the binding's first runs) and the column answer it.
+				// laid out its weight column, and a filtered probe until
+				// its filters have run typed once (the run after
+				// typedProbe saw it), so both the closures (the binding's
+				// first runs) and the columns answer them.
 				builds := metricOf(eng, colBuilds)
-				for rep := 0; rep == 0 || kernel == "SPScan" && rep <= len(st.Edges) &&
-					metricOf(eng, colBuilds) == builds; rep++ {
+				filtered, typed := p.selPct >= 0 || p.nameGE != "", false
+				for rep := 0; ; rep++ {
 					res, err := eng.Execute(p.sql)
 					if err != nil {
 						t.Fatalf("round %d batch %d: engine rejected %q: %v", round, batch, p.sql, err)
@@ -242,6 +282,17 @@ func TestKernelReference(t *testing.T) {
 						t.Fatalf("round %d batch %d run %d: engine diverged from the %s reference on %q:\n engine:    %v\n reference: %v",
 							round, batch, rep, kernel, p.sql, got, want)
 					}
+					if typed || rep >= len(st.Edges) ||
+						kernel == "SPScan" && metricOf(eng, colBuilds) != builds ||
+						kernel != "SPScan" && !filtered {
+						break
+					}
+					if filtered {
+						typed = typedProbe(t, eng, p.sql)
+					}
+				}
+				if typed {
+					typedRuns++
 				}
 			}
 		}
@@ -258,12 +309,15 @@ func TestKernelReference(t *testing.T) {
 		}
 
 		// The engine must have answered from a CSR main, from the delta
-		// after the batches that changed the topology, and from a weight
-		// column.
-		for _, key := range []string{"csr_builds", "csr_misses", "weight_col_builds"} {
+		// after the batches that changed the topology, and from typed
+		// columns, pushed filters among them.
+		for _, key := range []string{"csr_builds", "csr_misses", "column_builds"} {
 			if n := metricOf(eng, "graphview."+sc.gv+"."+key); n <= 0 {
 				t.Errorf("round %d: %s = %d, want > 0", round, key, n)
 			}
+		}
+		if typedRuns == 0 {
+			t.Errorf("round %d: no probe's pushed filters ever ran over typed columns", round)
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // ProtoVersion is the wire protocol version carried in the hello
@@ -143,11 +144,8 @@ func ReadFrame(r *bufio.Reader) (kind byte, payload []byte, err error) {
 	if n > MaxFrameBytes {
 		return 0, nil, &FrameTooLargeError{Len: n}
 	}
-	body := make([]byte, n+4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	body, err := readBody(r, n+4)
+	if err != nil {
 		return 0, nil, err
 	}
 	sum := binary.BigEndian.Uint32(body[n:])
@@ -155,6 +153,57 @@ func ReadFrame(r *bufio.Reader) (kind byte, payload []byte, err error) {
 		return 0, nil, ErrBadCRC
 	}
 	return body[0], body[1:n], nil
+}
+
+// frameStep is the most a frame body grows by before its bytes arrive: a
+// header that declares a large frame costs its peer that frame's bytes on
+// the wire, not memory up front.
+const frameStep = 64 << 10
+
+// stepPool recycles the frameStep chunks a long body is read into.
+var stepPool = sync.Pool{New: func() any { return new([frameStep]byte) }}
+
+// readBody reads a frame body of n bytes. A body of up to frameStep bytes
+// takes one allocation. A longer one is read a frameStep chunk at a time
+// and copied into one allocation of n bytes once all of it has arrived,
+// so a peer that stalls mid-frame holds memory in proportion to what it
+// sent, and the chunks go back to stepPool. A body cut short fails with
+// io.ErrUnexpectedEOF.
+func readBody(r *bufio.Reader, n int) ([]byte, error) {
+	if n <= frameStep {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, unexpectedEOF(err)
+		}
+		return body, nil
+	}
+	var chunks []*[frameStep]byte
+	defer func() {
+		for _, c := range chunks {
+			stepPool.Put(c)
+		}
+	}()
+	for read := 0; read < n; read += frameStep {
+		c := stepPool.Get().(*[frameStep]byte)
+		chunks = append(chunks, c)
+		if _, err := io.ReadFull(r, c[:min(n-read, frameStep)]); err != nil {
+			return nil, unexpectedEOF(err)
+		}
+	}
+	body := make([]byte, n)
+	for i, c := range chunks {
+		copy(body[i*frameStep:], c[:])
+	}
+	return body, nil
+}
+
+// unexpectedEOF reports a stream that ended inside a frame as
+// io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // DiscardFrame skips the remainder of a frame whose header declared n

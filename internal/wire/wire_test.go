@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -27,7 +28,18 @@ func frameRoundTrip(t *testing.T, kind byte, payload []byte) (byte, []byte) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 70000)} {
+	// A body (kind, payload, CRC) longer than frameStep is read in
+	// frameStep chunks: the patterned payloads put the body's end just
+	// inside, on and just past a chunk boundary, and span several chunks.
+	patterned := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + i/251)
+		}
+		return b
+	}
+	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 70000),
+		patterned(frameStep - 5), patterned(frameStep - 4), patterned(2*frameStep - 5), patterned(3*frameStep + 17)} {
 		k, p := frameRoundTrip(t, MsgQuery, payload)
 		if k != MsgQuery || !bytes.Equal(p, payload) {
 			t.Fatalf("round trip lost data: kind=%d len=%d want len=%d", k, len(p), len(payload))
@@ -72,6 +84,29 @@ func TestFrameTruncation(t *testing.T) {
 		if cut >= 4 && !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("truncation at %d: got %v, want ErrUnexpectedEOF", cut, err)
 		}
+	}
+}
+
+// TestFrameHeaderAllocatesAsBodyArrives: a header that declares a frame
+// near the size cap, followed by ten body bytes and the end of the
+// stream, allocates one bounded step rather than the declared length, and
+// fails as a truncation.
+func TestFrameHeaderAllocatesAsBodyArrives(t *testing.T) {
+	in := binary.BigEndian.AppendUint32(nil, MaxFrameBytes-1)
+	in = append(in, MsgQuery, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	if len(in) != 14 {
+		t.Fatalf("input holds %d bytes, want 14", len(in))
+	}
+	r := bufio.NewReader(bytes.NewReader(in))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(r)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 128<<10 {
+		t.Fatalf("reading a stalled %d-byte frame allocated %d bytes, want <= %d", MaxFrameBytes-1, n, 128<<10)
 	}
 }
 
