@@ -33,34 +33,18 @@ type GraphViewAt struct {
 	// out, copied on write under mu so a lookup takes no lock.
 	evaluated atomic.Int64
 	mu        sync.Mutex
-	cols      atomic.Pointer[[]*AttrColumn]
+	cols      atomic.Pointer[[]attrColumn]
 	// badWeights is the view's badWeights as of the bound version, one
 	// count per declared edge attribute; nil on a binding At did not make.
 	badWeights []int
 }
 
-// AttrColumn is one attribute's typed column over a bound version
-// (GraphViewAt.Column).
-type AttrColumn struct {
-	Col  *graph.Column
+// attrColumn is one column Column laid out, keyed by element kind and
+// source position.
+type attrColumn struct {
 	elem expr.ElemKind
 	pos  int
-	// dict holds a VARCHAR column's distinct values in ascending order;
-	// the entry of a value at rank r is the code 2r (see Code).
-	dict []string
-}
-
-// Code returns the code a VARCHAR constant s compares as against the
-// column's codes: 2r for the value at rank r of the dictionary, and the
-// odd code between its neighbours for a value it does not hold, so codes
-// order as strings.Compare orders their values and equal only where the
-// values are equal.
-func (c *AttrColumn) Code(s string) int64 {
-	i, found := slices.BinarySearch(c.dict, s)
-	if found {
-		return 2 * int64(i)
-	}
-	return 2*int64(i) - 1
+	col  *graph.Column
 }
 
 var _ expr.GraphAccessor = (*GraphViewAt)(nil)
@@ -97,8 +81,8 @@ func (at *GraphViewAt) CSR() *graph.CSR {
 }
 
 // columnKind returns the kind of column an attribute lays out: ColInt for
-// BIGINT, ColFloat for DOUBLE, ColCode (dictionary codes) for VARCHAR.
-// Other attributes, and the FanOut/FanIn properties, have none.
+// BIGINT, ColFloat for DOUBLE. Other attributes, VARCHAR included, and
+// the FanOut/FanIn properties have none; their filters keep the closure.
 func columnKind(ref expr.AttrRef) (graph.ColKind, bool) {
 	if ref.Src != expr.AttrColumn {
 		return 0, false
@@ -108,8 +92,6 @@ func columnKind(ref expr.AttrRef) (graph.ColKind, bool) {
 		return graph.ColInt, true
 	case types.KindFloat:
 		return graph.ColFloat, true
-	case types.KindString:
-		return graph.ColCode, true
 	}
 	return 0, false
 }
@@ -117,15 +99,16 @@ func columnKind(ref expr.AttrRef) (graph.ColKind, bool) {
 // Column returns the typed column of the attribute ref of the bound
 // version's edges (elem ElemEdges, laid out as graph.CSR.EdgeColumn lays
 // it out) or vertexes (by dense vertex index), or nil while the binding's
-// closures answer for it. A pinned binding lays a column out from its own
-// row view, once, when its filter and weight closures have together
-// answered as many elements as the version holds edges (Credit), so the
-// build never costs more than the closure work already done on the
-// binding. The writer's Live binding never lays one out. An entry holds
-// the attribute's value only where it is of the attribute's kind; a NULL,
-// a value of another kind or a dangling tuple pointer leaves it empty,
-// and the kernels ask the closure, which answers as without a column.
-func (at *GraphViewAt) Column(elem expr.ElemKind, ref expr.AttrRef) *AttrColumn {
+// closures answer for it. A pinned binding lays its columns out from its
+// own row views once its filter and weight closures have together
+// answered as many elements as the version holds edges (Credit). The
+// credit is the binding's, not the column's: it pays for the first
+// column, and any other column is laid out as soon as it is asked for.
+// The writer's Live binding never lays one out. An entry holds the
+// attribute's value only where it is of the attribute's kind; a NULL, a
+// value of another kind or a dangling tuple pointer leaves it empty, and
+// the kernels ask the closure, which answers as without a column.
+func (at *GraphViewAt) Column(elem expr.ElemKind, ref expr.AttrRef) *graph.Column {
 	kind, ok := columnKind(ref)
 	if ne := int64(at.Topo.NumEdges()); !ok || at.live || ne == 0 || at.evaluated.Load() < ne {
 		return nil
@@ -139,22 +122,22 @@ func (at *GraphViewAt) Column(elem expr.ElemKind, ref expr.AttrRef) *AttrColumn 
 		return c
 	}
 	c := at.layOut(elem, ref.Pos, kind)
-	var cols []*AttrColumn
+	var cols []attrColumn
 	if p := at.cols.Load(); p != nil {
 		cols = slices.Clone(*p)
 	}
-	cols = append(cols, c)
+	cols = append(cols, attrColumn{elem: elem, pos: ref.Pos, col: c})
 	at.cols.Store(&cols)
 	at.GV.columnBuilds.Add(1)
 	return c
 }
 
 // cachedColumn returns the column Column laid out for (elem, pos), or nil.
-func (at *GraphViewAt) cachedColumn(elem expr.ElemKind, pos int) *AttrColumn {
+func (at *GraphViewAt) cachedColumn(elem expr.ElemKind, pos int) *graph.Column {
 	if p := at.cols.Load(); p != nil {
 		for _, c := range *p {
 			if c.elem == elem && c.pos == pos {
-				return c
+				return c.col
 			}
 		}
 	}
@@ -162,26 +145,10 @@ func (at *GraphViewAt) cachedColumn(elem expr.ElemKind, pos int) *AttrColumn {
 }
 
 // layOut builds the column of the attribute at source position pos.
-func (at *GraphViewAt) layOut(elem expr.ElemKind, pos int, kind graph.ColKind) *AttrColumn {
+func (at *GraphViewAt) layOut(elem expr.ElemKind, pos int, kind graph.ColKind) *graph.Column {
 	src := at.E
 	if elem == expr.ElemVertexes {
 		src = at.V
-	}
-	c := &AttrColumn{elem: elem, pos: pos}
-	var codes map[string]int64
-	if kind == graph.ColCode {
-		src.Scan(func(_ storage.RowID, row types.Row) bool {
-			if v := row[pos]; v.Kind == types.KindString {
-				c.dict = append(c.dict, v.S)
-			}
-			return true
-		})
-		slices.Sort(c.dict)
-		c.dict = slices.Compact(c.dict)
-		codes = make(map[string]int64, len(c.dict))
-		for i, s := range c.dict {
-			codes[s] = 2 * int64(i)
-		}
 	}
 	read := func(tuple uint64) graph.Entry {
 		row, ok := src.Get(storage.RowID(tuple))
@@ -193,17 +160,13 @@ func (at *GraphViewAt) layOut(elem expr.ElemKind, pos int, kind graph.ColKind) *
 			return graph.Entry{I: v.I, OK: true}
 		case kind == graph.ColFloat && v.Kind == types.KindFloat:
 			return graph.Entry{F: v.F, OK: true}
-		case kind == graph.ColCode && v.Kind == types.KindString:
-			return graph.Entry{I: codes[v.S], OK: true}
 		}
 		return graph.Entry{}
 	}
 	if elem == expr.ElemVertexes {
-		c.Col = at.Topo.VertexColumn(kind, func(v *graph.Vertex) graph.Entry { return read(v.Tuple) })
-	} else {
-		c.Col = at.Topo.EdgeColumn(kind, func(e *graph.Edge) graph.Entry { return read(e.Tuple) })
+		return at.Topo.VertexColumn(kind, func(v *graph.Vertex) graph.Entry { return read(v.Tuple) })
 	}
-	return c
+	return at.Topo.EdgeColumn(kind, func(e *graph.Edge) graph.Entry { return read(e.Tuple) })
 }
 
 // WeightsVouched reports whether every live edge of the bound version

@@ -625,8 +625,8 @@ var predOps = map[expr.BinOp]struct{ op, flipped graph.PredOp }{
 // answers it: a comparison or [NOT] IN whose every constant has the
 // attribute's own kind, over an attribute that lays out a column, on a
 // binding that has laid it out (catalog.GraphViewAt.Column). A NULL
-// constant, a DOUBLE constant against a BIGINT attribute, LIKE and the
-// FanOut/FanIn properties all keep the closure.
+// constant, a DOUBLE constant against a BIGINT attribute, LIKE, VARCHAR
+// attributes and the FanOut/FanIn properties all keep the closure.
 func compilePred(at *catalog.GraphViewAt, elem expr.ElemKind, f *ElemFilter, other types.Value, list []types.Value) graph.Pred {
 	p := graph.Pred{Lo: f.Rng.Start, Hi: -1}
 	switch {
@@ -656,29 +656,19 @@ func compilePred(at *catalog.GraphViewAt, elem expr.ElemKind, f *ElemFilter, oth
 			p.Op = ops.flipped
 		}
 	}
-	c := at.Column(elem, f.Ref)
-	if c == nil {
+	if p.Col = at.Column(elem, f.Ref); p.Col == nil {
 		return p
 	}
-	p.Col = c.Col
-	switch kind {
-	case types.KindInt:
+	if kind == types.KindInt {
 		p.I = other.I
 		for _, v := range list {
 			p.Set = append(p.Set, v.I)
 		}
-	case types.KindFloat:
-		p.F = other.F
-		for _, v := range list {
-			p.FSet = append(p.FSet, v.F)
-		}
-	default: // VARCHAR: the dictionary codes the column holds
-		if !f.IsIn {
-			p.I = c.Code(other.S)
-		}
-		for _, v := range list {
-			p.Set = append(p.Set, c.Code(v.S))
-		}
+		return p
+	}
+	p.F = other.F
+	for _, v := range list {
+		p.FSet = append(p.FSet, v.F)
 	}
 	return p
 }
@@ -780,9 +770,7 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 	}
 	switch spec.Phys {
 	case PhysSP:
-		if c := it.at.Column(expr.ElemEdges, spec.Weight); c != nil {
-			gspec.Weights = c.Col
-		}
+		gspec.Weights = it.at.Column(expr.ElemEdges, spec.Weight)
 		var sp interface {
 			graph.CSRIterator
 			Err() error

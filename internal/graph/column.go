@@ -24,14 +24,10 @@ const (
 	ColInt ColKind = iota
 	// ColFloat holds float64 values (DOUBLE).
 	ColFloat
-	// ColCode holds int64 codes of non-numeric values, ordered as the
-	// values are: predicates compare them, SPScan reads no weight from
-	// them.
-	ColCode
 )
 
-// Entry is one value read into a column: I for ColInt and ColCode, F for
-// ColFloat. OK is false for a value the column cannot hold.
+// Entry is one value read into a column: I for ColInt, F for ColFloat.
+// OK is false for a value the column cannot hold.
 type Entry struct {
 	I  int64
 	F  float64
@@ -42,7 +38,7 @@ type Entry struct {
 // the kernels. It is immutable once built.
 type Column struct {
 	kind   ColKind
-	ints   []int64   // ColInt and ColCode entries
+	ints   []int64   // ColInt entries
 	floats []float64 // ColFloat entries
 	valid  []uint64  // bit i set: entry i holds the attribute's value
 }
@@ -105,10 +101,10 @@ func (c *view) arcSlot(v, ai, ei int32) int32 {
 func (col *Column) has(i int32) bool { return col.valid[i/64]&(1<<(uint(i)%64)) != 0 }
 
 // Float returns entry i of a numeric column as a float64, widening an
-// int64 as types.Value.AsFloat does. ok is false for a nil column, a
-// column of codes, or an entry the column does not hold.
+// int64 as types.Value.AsFloat does. ok is false for a nil column or an
+// entry the column does not hold.
 func (col *Column) Float(i int32) (w float64, ok bool) {
-	if col == nil || col.kind == ColCode || !col.has(i) {
+	if col == nil || !col.has(i) {
 		return 0, false
 	}
 	if col.kind == ColFloat {
@@ -138,9 +134,8 @@ const (
 // Pred is one pushed filter over a path's edges or vertexes. With a
 // column it is that filter compiled to a typed test: it holds at path
 // position pos when Lo <= pos and (Hi < 0 or pos <= Hi), and it compares
-// against I/Set on a ColInt or ColCode column, against F/FSet on a
-// ColFloat one. A Pred with no column stands for a filter the closure
-// alone evaluates.
+// against I/Set on a ColInt column, against F/FSet on a ColFloat one. A
+// Pred with no column stands for a filter the closure alone evaluates.
 type Pred struct {
 	Lo, Hi int
 	Col    *Column

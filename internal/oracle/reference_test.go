@@ -103,8 +103,8 @@ func (sc *scenario) referenceProbes(rng *rand.Rand, st *datagen.GraphState) []re
 			sc.gv, k, selPct),
 			kernel: "DFScan", src: -1, dst: -1, minLen: 1, maxLen: k, selPct: selPct, render: pathCount},
 	}
-	// A pushed vertex filter over the VARCHAR name (the typed path
-	// compares dictionary codes), beside the sel filter.
+	// A pushed vertex filter over the VARCHAR name, which keeps the
+	// closure, beside the sel filter, which the typed path tests.
 	nameGE := st.Verts[pick()]
 	ps = append(ps, refProbe{sql: fmt.Sprintf(
 		"SELECT PS.PathString FROM %s.Paths PS WHERE PS.StartVertex.Id = %d AND PS.Length <= %d AND PS.Vertexes[1..*].name >= '%s' AND PS.Edges[0..*].sel < %d",
