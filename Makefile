@@ -27,7 +27,7 @@ benchcheck:
 # One iteration of each in-process profiling benchmark: `go test ./...`
 # never runs a benchmark body, so a broken one would otherwise go unseen.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'ShortestPathSPScan|PathScanReachabilityBFS|PathScanPushedFilter|AnalyticsPageRank|AnalyticsDegree|PointUpdate|TopologyWrite' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'ShortestPathSPScan|PathScanReachabilityBFS|PathScanPushedFilter|PreparedAfterWrite|AnalyticsPageRank|AnalyticsDegree|PointUpdate|TopologyWrite' -benchtime 1x .
 
 # The merge gate: every package under the race detector.
 race:

@@ -10,6 +10,8 @@ package grfusion
 import (
 	"fmt"
 	"regexp"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -558,6 +560,123 @@ func TestPushedFilterColumnWork(t *testing.T) {
 	for i, leg := range pushedFilterLegs {
 		if !raceEnabled && typedAllocs[i] > closureAllocs[i] {
 			t.Errorf("%s: %.0f allocs/op typed, %.0f through the closure", leg.name, typedAllocs[i], closureAllocs[i])
+		}
+	}
+}
+
+// afterWriteLegs are the prepared reads BenchmarkPreparedAfterWrite and
+// TestPreparedAfterWriteAllocs run on afterWriteDB: the layered
+// benchmark's pk, reach, shortest and pagerank templates. args gives the
+// i-th execution's parameters.
+var afterWriteLegs = []struct {
+	name, q string
+	args    func(i int) []any
+}{
+	{"pk", `SELECT grp FROM V WHERE vid = ?`, func(i int) []any { return []any{mix(7*100_000+i) % 20_000} }},
+	{"reach", `SELECT PS.PathString FROM G.Paths PS WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ? LIMIT 1`,
+		func(i int) []any { return []any{mix(3*100_000+i) % 20_000, mix(4*100_000+i) % 20_000} }},
+	{"shortest", `SELECT TOP 1 SUM(PS.Edges.w), PS.Length FROM G.Paths PS HINT(SHORTESTPATH(w))
+		WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ?`,
+		func(i int) []any { return []any{mix(3*100_000+i) % 20_000, mix(4*100_000+i) % 20_000} }},
+	{"pagerank", `SELECT MAX(PR.rank), COUNT(*) FROM G.PAGERANK(0.85, 20) PR`, func(int) []any { return nil }},
+}
+
+// afterWriteDB is filterDB's 20k/100k view plus a table no leg reads,
+// visits, and the prepared write to it that moves the engine version.
+func afterWriteDB(tb testing.TB) (*DB, func()) {
+	tb.Helper()
+	db := filterDB(tb, 100_000)
+	db.MustExec(`CREATE TABLE visits (id BIGINT PRIMARY KEY, n BIGINT)`)
+	db.MustExec(`INSERT INTO visits VALUES (0, 0)`)
+	visit, err := db.PrepareDML(`UPDATE visits SET n = n + 1 WHERE id = 0`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db, func() {
+		if _, err := visit.Exec(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPreparedAfterWrite times each afterWriteLegs read in two legs:
+// static, with no write between executions, and afterwrite, after an
+// untimed write to the unrelated visits table before every execution. A
+// plan holds no version, so the write costs the read no replan.
+func BenchmarkPreparedAfterWrite(b *testing.B) {
+	db, write := afterWriteDB(b)
+	for _, leg := range afterWriteLegs {
+		stmt, err := db.Prepare(leg.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []string{"static", "afterwrite"} {
+			b.Run(leg.name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if mode == "afterwrite" {
+						b.StopTimer()
+						write()
+						b.StartTimer()
+					}
+					if _, err := stmt.Query(leg.args(i)...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// readAllocs is testing.AllocsPerRun for a read with an unmeasured step
+// before each run: the mean allocations of read over runs executions,
+// each preceded by before, whose own allocations are not counted. The
+// collector is off meanwhile, so a cycle that before's garbage sets off
+// cannot empty the kernels' scratch pools between runs.
+func readAllocs(runs int, before, read func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	var total uint64
+	for i := 0; i < runs; i++ {
+		before()
+		runtime.ReadMemStats(&ms)
+		start := ms.Mallocs
+		read()
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - start
+	}
+	return float64(total) / float64(runs)
+}
+
+// TestPreparedAfterWriteAllocs: each afterWriteLegs read, prepared,
+// allocates no more right after a write to an unrelated table than with
+// no write before it. Plans bind their version at Open, so the write
+// leaves the plan in place; a plan bound to one version would be rebuilt
+// on the first execution after every write.
+func TestPreparedAfterWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	db, write := afterWriteDB(t)
+	for _, leg := range afterWriteLegs {
+		stmt, err := db.Prepare(leg.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func() {
+			if _, err := stmt.Query(leg.args(0)...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write()
+		read() // settle one-time costs: the memo, pooled scratch
+		static := readAllocs(20, func() {}, read)
+		after := readAllocs(20, write, read)
+		t.Logf("%s: %.1f allocs/op static, %.1f after a write", leg.name, static, after)
+		if after > static {
+			t.Errorf("%s: %.1f allocs/op after an unrelated write, %.1f with none", leg.name, after, static)
 		}
 	}
 }

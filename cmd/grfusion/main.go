@@ -47,13 +47,7 @@ type executor interface {
 // remoteExec adapts a server.Client to the executor interface.
 type remoteExec struct{ c *server.Client }
 
-func (r remoteExec) Exec(query string) (*grfusion.Result, error) {
-	res, err := r.c.Exec(query)
-	if err != nil {
-		return nil, err
-	}
-	return &grfusion.Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}, nil
-}
+func (r remoteExec) Exec(query string) (*grfusion.Result, error) { return r.c.Exec(query) }
 
 func main() {
 	var (

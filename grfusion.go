@@ -234,34 +234,17 @@ func (db *DB) Shutdown() error { return db.engine.Shutdown() }
 // serving reads but rejects further mutations.
 func (db *DB) Close() { db.engine.Close() }
 
-// Result holds the outcome of one statement.
-type Result struct {
-	// Columns names the result columns (empty for DDL/DML).
-	Columns []string
-	// Rows holds the result tuples of a query.
-	Rows []Row
-	// Affected counts rows touched by DML.
-	Affected int
-}
-
-func wrap(r *core.Result) *Result {
-	if r == nil {
-		return nil
-	}
-	return &Result{Columns: r.Columns, Rows: r.Rows, Affected: r.Affected}
-}
+// Result holds the outcome of one statement: its result columns (empty
+// for DDL/DML), the result tuples of a query, and the rows DML touched.
+type Result = types.Result
 
 // Exec runs a single SQL statement (DDL, DML, or query).
-func (db *DB) Exec(query string) (*Result, error) {
-	r, err := db.engine.Execute(query)
-	return wrap(r), err
-}
+func (db *DB) Exec(query string) (*Result, error) { return db.engine.Execute(query) }
 
 // ExecContext is Exec under a cancellation context: ctx's deadline or
 // cancellation aborts the statement with ErrTimeout/ErrCanceled.
 func (db *DB) ExecContext(ctx context.Context, query string) (*Result, error) {
-	r, err := db.engine.ExecuteContext(ctx, query)
-	return wrap(r), err
+	return db.engine.ExecuteContext(ctx, query)
 }
 
 // MustExec runs a statement and panics on error; intended for setup code
@@ -357,8 +340,7 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Result, error) {
 		}
 		params[i] = v
 	}
-	r, err := s.p.QueryContext(ctx, params...)
-	return wrap(r), err
+	return s.p.QueryContext(ctx, params...)
 }
 
 // DMLStmt is a prepared, parameterized INSERT/UPDATE/DELETE.
@@ -389,8 +371,7 @@ func (s *DMLStmt) Exec(args ...any) (*Result, error) {
 		}
 		params[i] = v
 	}
-	r, err := s.p.Exec(params...)
-	return wrap(r), err
+	return s.p.Exec(params...)
 }
 
 // ToValue converts a Go value into an engine Value.

@@ -115,17 +115,20 @@ var rules = []rule{
 	},
 	{
 		id:    "exec-one-binding",
-		since: "One graph-view binding",
+		since: "Plans bind their version at Open",
 		paths: []string{"internal/exec"},
 		match: anyOf(nilCmp(`At$|Rows$|\bat$`), call(`Live`)),
-		why:   "every operator reads the one view binding its plan's Pin gives it: none falls back to the live view",
+		want:  1,
+		why: "every operator reads the one binding its execution's pin gives it (Context.View): " +
+			"the one live fallback is a Context with no pin",
 	},
 	{
 		id:    "plan-one-binding",
-		since: "One graph-view binding",
+		since: "Plans bind their version at Open",
 		paths: []string{"internal/plan"},
-		match: anyOf(nilCmp(`Pin$|\bfi\.at$`), word(`pinRows|pinView`)),
-		why:   "every planner carries a Pin: the planner has no second, unpinned binding",
+		match: word(`^(?:Pin|GraphViewAt|RowView|TableSnap|Live|pinRows|pinView)$`),
+		why: "a plan is a function of the statement, the catalog and the options: the planner names no version " +
+			"of a table or graph view, and operators read theirs from the execution's pin at Open",
 	},
 	{
 		id:    "attributes-resolved-once",

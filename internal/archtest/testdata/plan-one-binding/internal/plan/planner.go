@@ -1,12 +1,12 @@
 package plan
 
 func (p *Planner) pinView(gv *catalog.GraphView) *catalog.GraphViewAt { // want
-	if p.Pin == nil { // want
-		return nil
-	}
-	return p.Pin.GraphView(gv)
+	return gv.Live() // want
 }
 
-func (fi *fromItem) bound() bool { return fi.at != nil } // want
+func (p *Planner) scan(t *storage.Table,
+	pin exec.Pin) { // want
+	p.rows = pin.Table(t).(storage.RowView) // want
+}
 
-func (p *Planner) scan(t *Table) { p.pinRows(t) } // want
+func (fi *fromItem) snap() *storage.TableSnap { return nil } // want

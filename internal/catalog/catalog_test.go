@@ -96,7 +96,7 @@ func TestGraphViewAttrAccess(t *testing.T) {
 	_, _, _, gv := socialFixture(t)
 	at := gv.Live()
 	read := func(elem expr.ElemKind, id int64, name string) (types.Value, error) {
-		ref, err := at.ResolveAttr(elem, name)
+		ref, err := gv.ResolveAttr(elem, name)
 		if err != nil {
 			return types.Null(), err
 		}

@@ -367,7 +367,7 @@ func (gv *GraphView) EdgeSchema() *types.Schema { return gv.eSchema }
 // case-insensitively, to a reference read in O(1) per element: a declared
 // attribute's source column, or for vertexes the FanOut/FanIn property
 // (§5.2). Plans resolve every attribute they read here once, at bind or
-// plan time.
+// plan time (expr.GraphSchema: the same in every version).
 func (gv *GraphView) ResolveAttr(elem expr.ElemKind, name string) (expr.AttrRef, error) {
 	attrs, what := gv.EdgeAttrs, "edge"
 	if elem == expr.ElemVertexes {

@@ -16,8 +16,8 @@ import (
 // version plus row views of the relational sources. A pinned reader
 // holds a GraphViewAt whose Topo/V/E are immutable, so every traversal,
 // tuple-pointer dereference and fan-out read resolves against the version
-// it pinned, regardless of concurrent writers; the writer side uses Live,
-// which binds the current topology and the live tables. It is the one
+// it pinned, regardless of concurrent writers; an execution with no pin
+// uses Live, which binds the current topology and the live tables. It is the one
 // implementation of expr.GraphAccessor.
 type GraphViewAt struct {
 	GV   *GraphView
@@ -63,7 +63,7 @@ func (gv *GraphView) At(c *graph.CSR, v, e storage.RowView) *GraphViewAt {
 }
 
 // Live binds the view to its current topology and the live source
-// tables. Writer side: callers hold the engine write lock.
+// tables, for an execution with no pin: callers exclude writers.
 func (gv *GraphView) Live() *GraphViewAt {
 	return &GraphViewAt{GV: gv, Topo: gv.Version(), V: gv.vtab, E: gv.etab, live: true}
 }
@@ -190,12 +190,6 @@ func (at *GraphViewAt) WeightsVouched(ref expr.AttrRef) bool {
 // Credit counts n elements answered by the binding's filter or weight
 // closures toward the build of its columns (Column).
 func (at *GraphViewAt) Credit(n int64) { at.evaluated.Add(n) }
-
-// ResolveAttr implements expr.GraphAccessor; attribute metadata is the
-// same in every version.
-func (at *GraphViewAt) ResolveAttr(elem expr.ElemKind, name string) (expr.AttrRef, error) {
-	return at.GV.ResolveAttr(elem, name)
-}
 
 // VertexAttr reads a resolved vertex attribute or property against the
 // bound version.

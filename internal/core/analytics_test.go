@@ -171,7 +171,7 @@ func TestAnalyticsCancellation(t *testing.T) {
 		cancel()
 		runs, iters := metricValue(e, "analytics.runs"), metricValue(e, "analytics.iterations")
 		st := e.pin()
-		_, _, err = e.runSelect(ctx, stmt.(*sql.Select), st, nil, nil)
+		_, err = selectOn(ctx, e, st, stmt.(*sql.Select), nil)
 		e.unpin(st)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", q, err)

@@ -180,14 +180,7 @@ func (e *Engine) SetQueryTimeout(d time.Duration) {
 }
 
 // Result is the outcome of one statement.
-type Result struct {
-	// Columns names the result columns of a query (nil for DDL/DML).
-	Columns []string
-	// Rows holds query output.
-	Rows []types.Row
-	// Affected counts rows touched by DML.
-	Affected int
-}
+type Result = types.Result
 
 // Catalog exposes the system catalog (read-mostly; callers must not mutate
 // concurrently with statement execution).
@@ -218,7 +211,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, query string) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return e.execStmt(ctx, stmt, query, nil, nil)
+	return e.execStmt(ctx, stmt, query, nil)
 }
 
 // ExecuteScript runs a semicolon-separated script, stopping at the first
@@ -241,7 +234,7 @@ func (e *Engine) ExecuteScriptContext(ctx context.Context, script string) ([]*Re
 		if err := ctxErr(ctx); err != nil {
 			return out, err
 		}
-		r, err := e.execStmt(ctx, s, texts[i], nil, nil)
+		r, err := e.execStmt(ctx, s, texts[i], nil)
 		if err != nil {
 			return out, err
 		}
@@ -252,11 +245,11 @@ func (e *Engine) ExecuteScriptContext(ctx context.Context, script string) ([]*Re
 
 // execStmt is the statement path: the one body every surface that runs a
 // statement goes through — Execute/ExecuteScript (text), Prepared.Query
-// (cache set: its per-version plan cache), PreparedDML.Exec (params),
-// Explain, and WAL replay. Read-only statements (as classified by
-// plan.ReadOnly) pin the current published version and run lock-free;
-// everything else serializes under the exclusive lock and publishes a new
-// version on success. Around both arms:
+// (the Prepared itself, a SELECT with its plan), PreparedDML.Exec
+// (params), Explain, and WAL replay. Read-only statements (readsOnly) pin
+// the current published version and run lock-free; everything else
+// serializes under the exclusive lock and publishes a new version on
+// success. Around both arms:
 //
 //   - ctx's deadline/cancellation — tightened by the engine's QUERY_TIMEOUT
 //     when one is set — aborts cooperative operators and traversal kernels
@@ -269,7 +262,7 @@ func (e *Engine) ExecuteScriptContext(ctx context.Context, script string) ([]*Re
 //     via the standard logger) instead of taking down the process. For
 //     mutating statements the undo journal is not replayed across a panic,
 //     so the error also warns that state may be partially applied.
-func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, text string, params []types.Value, cache *Prepared) (res *Result, err error) {
+func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, text string, params []types.Value) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -278,7 +271,7 @@ func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, text string, 
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	readOnly := plan.ReadOnly(stmt)
+	readOnly := readsOnly(stmt)
 	// prof is set when the slow-query log armed instrumentation for this
 	// statement's plan; the observe defer mines it for the top operators.
 	var prof *exec.Instrumented
@@ -311,15 +304,36 @@ func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, text string, 
 	}
 	switch s := stmt.(type) {
 	case *sql.Select:
-		res, prof, err = e.runSelect(ctx, s, st, params, cache)
+		var op exec.Operator
+		if op, err = e.planner(st.cat).PlanSelect(s); err != nil {
+			return nil, err
+		}
+		res, prof, err = e.runSelect(ctx, st, op, columnNames(op), params)
+		return res, err
+	case *Prepared:
+		var op exec.Operator
+		if op, err = s.planOn(st); err != nil {
+			return nil, err
+		}
+		res, prof, err = e.runSelect(ctx, st, op, s.cols, params)
 		return res, err
 	case *sql.Explain:
 		return e.runExplain(ctx, s, st)
 	case *sql.Show:
 		return e.runShow(s, st)
 	}
-	// plan.ReadOnly and this switch must stay in sync.
+	// readsOnly and this switch must stay in sync.
 	return nil, fmt.Errorf("internal: unhandled read-only statement %T", stmt)
+}
+
+// readsOnly reports the statements that mutate nothing and run on pinned
+// versions; everything else, unknown kinds too, takes the writer lock.
+func readsOnly(stmt sql.Statement) bool {
+	switch stmt.(type) {
+	case *sql.Select, *Prepared, *sql.Explain, *sql.Show:
+		return true
+	}
+	return false
 }
 
 // write is the write body of the statement path: queue for the exclusive
@@ -386,14 +400,15 @@ func (e *Engine) commitLocked(stmt sql.Statement, text string, params []types.Va
 // tx.
 func (e *Engine) applyLocked(tx *txn, stmt sql.Statement, params []types.Value) (*Result, error) {
 	switch stmt.(type) {
-	case *sql.CreateTable, *sql.CreateGraphView, *sql.CreateMatView,
+	case *sql.CreateTable, *sql.CreateIndex, *sql.CreateGraphView, *sql.CreateMatView,
 		*sql.DropMatView, *sql.DropTable, *sql.DropGraphView, *sql.TruncateTable:
 		// DDL rewrites the catalog registry. Clone it first (COW): every
 		// published version holds the catalog pointer it was built with,
 		// so the registry a pinned reader resolves names through must
-		// never change underneath it. These statements change no object
-		// the previous registry holds, so restoring its pointer undoes
-		// them.
+		// never change underneath it, and a Prepared replans exactly when
+		// the pointer moves: CREATE INDEX takes one so plans may choose the
+		// index. Restoring the pointer undoes the registry change (CREATE
+		// INDEX's own journal entry drops the index).
 		tx.setCatalog(e.cat.Clone())
 	}
 	switch s := stmt.(type) {
@@ -433,14 +448,15 @@ func (e *Engine) applyLocked(tx *txn, stmt sql.Statement, params []types.Value) 
 	}
 }
 
-// planner returns a planner bound to a pinned version.
-func (e *Engine) planner(st *dbState) *plan.Planner {
-	return &plan.Planner{Cat: st.cat, Opts: e.planOptions(), Pin: st}
+// planner returns a planner over cat under the current options.
+func (e *Engine) planner(cat *catalog.Catalog) *plan.Planner {
+	return &plan.Planner{Cat: cat, Opts: e.planOptions()}
 }
 
-// execContext builds the per-execution operator context.
-func (e *Engine) execContext(ctx context.Context, params []types.Value) *exec.Context {
+// execContext builds the per-execution operator context over version st.
+func (e *Engine) execContext(ctx context.Context, st *dbState, params []types.Value) *exec.Context {
 	ec := exec.NewContext(e.opts.MemLimit)
+	ec.Pin = st
 	ec.Workers = e.workerCount()
 	ec.Params = params
 	ec.Bind(ctx)
@@ -457,7 +473,7 @@ func (e *Engine) Explain(query string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("EXPLAIN supports SELECT statements only")
 	}
-	res, err := e.execStmt(context.Background(), &sql.Explain{Query: s}, query, nil, nil)
+	res, err := e.execStmt(context.Background(), &sql.Explain{Query: s}, query, nil)
 	if err != nil {
 		return "", err
 	}
@@ -469,50 +485,38 @@ func (e *Engine) Explain(query string) (string, error) {
 	return sb.String(), nil
 }
 
-// runExplain plans the inner SELECT and renders the QEP, one line per row.
-// With ANALYZE the plan is also executed through the instrumentation layer
-// and every line carries the actual row counts and timings (observe.go).
+// runExplain plans the inner SELECT and renders the QEP as it runs on the
+// pinned version, one line per row. With ANALYZE the plan is also executed
+// through the instrumentation layer and every line carries the actual row
+// counts and timings (observe.go).
 func (e *Engine) runExplain(ctx context.Context, s *sql.Explain, st *dbState) (*Result, error) {
-	op, err := e.planner(st).PlanSelect(s.Query)
+	op, err := e.planner(st.cat).PlanSelect(s.Query)
 	if err != nil {
 		return nil, err
 	}
 	if s.Analyze {
-		return e.runExplainAnalyze(ctx, op)
+		return e.runExplainAnalyze(ctx, st, op)
 	}
 	res := &Result{Columns: []string{"plan"}}
-	for _, line := range strings.Split(strings.TrimRight(exec.Explain(op), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(exec.Explain(e.execContext(ctx, st, nil), op), "\n"), "\n") {
 		res.Rows = append(res.Rows, types.Row{types.NewString(line)})
 	}
 	return res, nil
 }
 
-// runSelect plans and executes a SELECT against the pinned version; a
-// prepared execution passes its plan cache, an ad hoc one plans fresh.
-// When the slow-query log is armed the plan runs through the
-// instrumentation layer and the instrumented root is returned so the
-// statement observer can report top operators; otherwise the plan runs
-// bare and the middle return is nil.
-func (e *Engine) runSelect(ctx context.Context, s *sql.Select, st *dbState, params []types.Value, cache *Prepared) (*Result, *exec.Instrumented, error) {
-	var op exec.Operator
-	var cols []string
-	var err error
-	if cache != nil {
-		op, err = cache.planFor(st)
-		cols = cache.cols
-	} else if op, err = e.planner(st).PlanSelect(s); err == nil {
-		cols = columnNames(op)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
+// runSelect executes a SELECT's plan, ad hoc or prepared, against the
+// pinned version. When the slow-query log is armed the plan runs through
+// the instrumentation layer and the instrumented root is returned so the
+// statement observer can report top operators; otherwise the middle
+// return is nil.
+func (e *Engine) runSelect(ctx context.Context, st *dbState, op exec.Operator, cols []string, params []types.Value) (*Result, *exec.Instrumented, error) {
 	var prof *exec.Instrumented
 	run := op
 	if e.slowQueryNS.Load() > 0 {
 		prof = exec.Instrument(op)
 		run = prof
 	}
-	ec := e.execContext(ctx, params)
+	ec := e.execContext(ctx, st, params)
 	rows, err := exec.Collect(ec, run)
 	e.observeAnalytics(ec)
 	if err != nil {

@@ -299,8 +299,9 @@ func TestShortestPathListing6(t *testing.T) {
 }
 
 // TestPinnedPlanPathAttrKinds checks that the plan the engine runs — built
-// against a pinned version — types path attributes by their source columns
-// and agrees column for column with a live plan of the same query.
+// under the pinned version's catalog — types path attributes by their
+// source columns and agrees column for column with a plan.New plan of the
+// same query.
 func TestPinnedPlanPathAttrKinds(t *testing.T) {
 	e := New(Options{})
 	mustScript(t, e, `
@@ -335,7 +336,7 @@ func TestPinnedPlanPathAttrKinds(t *testing.T) {
 	}
 	st := e.pin()
 	defer e.unpin(st)
-	pinned, live := kinds(e.planner(st)), kinds(plan.New(e.Catalog()))
+	pinned, live := kinds(e.planner(st.cat)), kinds(plan.New(e.Catalog()))
 	if fmt.Sprint(pinned) != fmt.Sprint(want) || fmt.Sprint(live) != fmt.Sprint(want) {
 		t.Errorf("result kinds: pinned %v, live %v, want %v", pinned, live, want)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"grfusion/internal/exec"
 	"grfusion/internal/expr"
 	"grfusion/internal/sql"
 	"grfusion/internal/types"
@@ -81,19 +82,38 @@ func sameRowBits(a, b types.Row) bool {
 	return true
 }
 
-// selectAt runs a SELECT at a pinned version, through p's cached plan
-// when p is not nil.
+// selectAt runs a SELECT at a pinned version, through p's plan when p is
+// not nil.
 func selectAt(t *testing.T, e *Engine, st *dbState, q string, p *Prepared) *Result {
 	t.Helper()
 	stmt, err := sql.Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := e.runSelect(context.Background(), stmt.(*sql.Select), st, nil, p)
+	var res *Result
+	if p != nil {
+		var op exec.Operator
+		if op, err = p.planOn(st); err == nil {
+			res, _, err = e.runSelect(context.Background(), st, op, p.cols, nil)
+		}
+	} else {
+		res, err = selectOn(context.Background(), e, st, stmt.(*sql.Select), nil)
+	}
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
 	return res
+}
+
+// selectOn plans s under st's catalog and runs it on st, below the statement
+// path's entry checks.
+func selectOn(ctx context.Context, e *Engine, st *dbState, s *sql.Select, params []types.Value) (*Result, error) {
+	op, err := e.planner(st.cat).PlanSelect(s)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := e.runSelect(ctx, st, op, columnNames(op), params)
+	return res, err
 }
 
 // TestAnalyticsFoldMatchesRows: an aggregate folded into an analytics scan

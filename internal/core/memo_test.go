@@ -278,7 +278,7 @@ func TestAnalyticsMemoSkipsCancelledRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	st := e.pin()
-	_, _, err = e.runSelect(ctx, stmt.(*sql.Select), st, nil, nil)
+	_, err = selectOn(ctx, e, st, stmt.(*sql.Select), nil)
 	e.unpin(st)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)

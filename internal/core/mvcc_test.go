@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"grfusion/internal/exec"
-	"grfusion/internal/plan"
 	"grfusion/internal/sql"
 	"grfusion/internal/types"
 	"grfusion/internal/wal"
@@ -302,7 +301,7 @@ var statementKinds = []sql.Statement{
 
 // TestReadOnlyDispatchComplete is the enforced invariant behind the
 // "internal: unhandled read-only statement" path: every statement kind
-// must route through plan.ReadOnly and the executor dispatch without
+// must route through readsOnly and the executor dispatch without
 // hitting it, and the corpus must cover every statement type, so a new
 // read-only kind cannot ship without a dispatch arm.
 func TestReadOnlyDispatchComplete(t *testing.T) {
@@ -314,7 +313,7 @@ func TestReadOnlyDispatchComplete(t *testing.T) {
 			t.Fatalf("parse %q: %v", q, err)
 		}
 		seen[reflect.TypeOf(stmt)] = true
-		ro := plan.ReadOnly(stmt)
+		ro := readsOnly(stmt)
 		res, err := e.Execute(q)
 		if err != nil {
 			if strings.Contains(err.Error(), "unhandled read-only statement") {

@@ -45,7 +45,7 @@ func (e *Engine) SetSlowQuery(d time.Duration) {
 // counters.
 func stmtKind(stmt sql.Statement) int {
 	switch stmt.(type) {
-	case *sql.Select:
+	case *sql.Select, *Prepared:
 		return metrics.StmtSelect
 	case *sql.Insert:
 		return metrics.StmtInsert
@@ -165,16 +165,15 @@ func (e *Engine) MetricsSnapshot() []metrics.KV {
 	return e.metrics.Snapshot(e.viewStatsAt(st))
 }
 
-// runExplainAnalyze executes the planned SELECT through the
-// instrumentation layer, discards its rows, and renders the annotated
-// operator tree plus execution summary lines: totals, traversal counters,
-// and for every PathScan the §6.3 statistics of the version it ran on —
-// the fan-out the optimizer's BFS/DFS choice read.
-// Callers hold a version pin (EXPLAIN is read-only; the plan was built
-// against the pinned version, so running it lock-free is sound).
-func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Result, error) {
+// runExplainAnalyze executes the planned SELECT on the pinned version st
+// through the instrumentation layer, discards its rows, and renders the
+// annotated operator tree plus execution summary lines: totals, traversal
+// counters, and for every PathScan the §6.3 statistics of the version it
+// ran on — the fan-out its BFS/DFS choice read. Callers hold the pin
+// (EXPLAIN is read-only, so running it lock-free is sound).
+func (e *Engine) runExplainAnalyze(ctx context.Context, st *dbState, op exec.Operator) (*Result, error) {
 	root := exec.Instrument(op)
-	ec := e.execContext(ctx, nil)
+	ec := e.execContext(ctx, st, nil)
 	start := time.Now()
 	rows, err := exec.Collect(ec, root)
 	elapsed := time.Since(start)
@@ -187,7 +186,7 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 	add := func(format string, args ...any) {
 		res.Rows = append(res.Rows, types.Row{types.NewString(fmt.Sprintf(format, args...))})
 	}
-	for _, line := range strings.Split(strings.TrimRight(exec.Explain(root), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(exec.Explain(ec, root), "\n"), "\n") {
 		add("%s", line)
 	}
 	add("")
@@ -215,15 +214,15 @@ func (e *Engine) runExplainAnalyze(ctx context.Context, op exec.Operator) (*Resu
 				folded = fmt.Sprintf(" folded=%d", as.Folded())
 			}
 			add("Analytics[%s.%s]: runs=%d iters=%d topdown_levels=%d bottomup_levels=%d memo=%s%s",
-				as.At.GV.Name, as.Fn, runs, iters, td, bu, memo, folded)
-			addCSR(as.At.GV)
+				as.View.Name, as.Fn, runs, iters, td, bu, memo, folded)
+			addCSR(as.View)
 			return
 		}
 		pj, ok := n.Op.(*exec.PathProbeJoin)
 		if !ok {
 			return
 		}
-		at := pj.Spec.At
+		at := st.GraphView(pj.Spec.View)
 		addCSR(at.GV)
 		add("Stats[%s]: avg_fanout=%.2f vertices=%d edges=%d",
 			at.GV.Name, at.Topo.AvgFanOut(), at.Topo.NumVertices(), at.Topo.NumEdges())

@@ -3,38 +3,44 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
+	"grfusion/internal/catalog"
 	"grfusion/internal/exec"
+	"grfusion/internal/plan"
 	"grfusion/internal/sql"
 	"grfusion/internal/types"
 )
 
-// Prepared is a compiled, parameterized SELECT: parsed once, planned
-// lazily per engine version, executable many times with different `?`
-// argument values. This is the VoltDB execution model the paper's system
-// inherits — queries run as precompiled stored procedures, so
-// steady-state query time is pure execution with no parse or plan cost.
+// Prepared is a compiled, parameterized SELECT: parsed and planned once,
+// executable many times with different `?` argument values. This is the
+// VoltDB execution model the paper's system inherits — queries run as
+// precompiled stored procedures, so steady-state query time is pure
+// execution with no parse or plan cost.
 //
-// Under MVCC a plan is bound to the version it was planned against (its
-// scans carry that version's snapshots and topology bindings), so the
-// compiled operator tree is cached per version sequence: as long as no
-// mutation intervenes, executions reuse the cached plan; after a
-// mutation, the next execution replans against the new version — which
-// also means DDL no longer silently invalidates a Prepared, it just
-// replans (and fails cleanly if its objects were dropped).
+// A plan holds no version (version.go), so writes leave it in place and
+// the §6.3 BFS/DFS choice follows each pinned version's fan-out. It is
+// replaced only when the published catalog or the planner options differ
+// from those it was built under — after DDL, CREATE INDEX included — and
+// an execution then fails cleanly if its objects were dropped. The result
+// columns are the ones Prepare saw.
 type Prepared struct {
+	// statement, the parsed *sql.Select, makes it a sql.Statement.
+	statement
 	e       *Engine
-	s       *sql.Select
 	cols    []string
 	nparams int
+	plan    atomic.Pointer[catalogPlan]
+}
 
-	// planMu guards the (seq, op) plan cache; executions only hold it
-	// while fetching or refreshing the cached plan, never during
-	// execution.
-	planMu sync.Mutex
-	seq    uint64
-	op     exec.Operator
+// statement names sql.Statement for Prepared to embed unexported.
+type statement = sql.Statement
+
+// catalogPlan is a plan and the catalog and planner options it was built under.
+type catalogPlan struct {
+	cat  *catalog.Catalog
+	opts plan.Options
+	op   exec.Operator
 }
 
 // Prepare parses and plans a SELECT containing `?` placeholders.
@@ -47,28 +53,29 @@ func (e *Engine) Prepare(query string) (*Prepared, error) {
 	if !ok {
 		return nil, fmt.Errorf("Prepare supports SELECT statements only, got %T (use PrepareDML)", stmt)
 	}
-	st := e.pin()
-	defer e.unpin(st)
-	op, err := e.planner(st).PlanSelect(s)
+	p := &Prepared{statement: s, e: e, nparams: nparams}
+	op, err := p.planOn(e.state.Load())
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{e: e, s: s, cols: columnNames(op), nparams: nparams, seq: st.seq, op: op}, nil
+	p.cols = columnNames(op)
+	return p, nil
 }
 
-// planFor returns the operator tree for the pinned version, reusing the
-// cached plan when the version is unchanged since it was built.
-func (p *Prepared) planFor(st *dbState) (exec.Operator, error) {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	if p.op == nil || p.seq != st.seq {
-		op, err := p.e.planner(st).PlanSelect(p.s)
-		if err != nil {
-			return nil, err
-		}
-		p.seq, p.op = st.seq, op
+// planOn returns the plan held, or a new one if it was built under
+// another catalog than st's or other planner options. Executions racing
+// across a change may each replan; their plans are equivalent.
+func (p *Prepared) planOn(st *dbState) (exec.Operator, error) {
+	pl := p.e.planner(st.cat)
+	if cp := p.plan.Load(); cp != nil && cp.cat == st.cat && cp.opts == pl.Opts {
+		return cp.op, nil
 	}
-	return p.op, nil
+	op, err := pl.PlanSelect(p.statement.(*sql.Select))
+	if err != nil {
+		return nil, err
+	}
+	p.plan.Store(&catalogPlan{cat: st.cat, opts: pl.Opts, op: op})
+	return op, nil
 }
 
 // PreparedDML is a parsed, parameterized INSERT/UPDATE/DELETE — the write
@@ -115,7 +122,7 @@ func (p *PreparedDML) ExecContext(ctx context.Context, params ...types.Value) (*
 		return nil, fmt.Errorf("prepared statement expects %d parameter(s), got %d",
 			p.nparams, len(params))
 	}
-	return p.e.execStmt(ctx, p.stmt, p.text, params, nil)
+	return p.e.execStmt(ctx, p.stmt, p.text, params)
 }
 
 // NumParams returns the number of `?` placeholders in the statement.
@@ -136,11 +143,11 @@ func (p *Prepared) Query(params ...types.Value) (*Result, error) {
 
 // QueryContext is Query under a cancellation context. It runs the
 // statement path (execStmt) like an ad hoc SELECT — same deadline,
-// accounting and panic isolation — adding only its per-version plan cache.
+// accounting and panic isolation — under the plan it holds.
 func (p *Prepared) QueryContext(ctx context.Context, params ...types.Value) (*Result, error) {
 	if len(params) != p.nparams {
 		return nil, fmt.Errorf("prepared statement expects %d parameter(s), got %d",
 			p.nparams, len(params))
 	}
-	return p.e.execStmt(ctx, p.s, "<prepared query>", params, p)
+	return p.e.execStmt(ctx, p, "<prepared query>", params)
 }

@@ -2,8 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"grfusion/internal/exec"
 	"grfusion/internal/types"
 )
 
@@ -212,5 +218,175 @@ func TestPrepareDML(t *testing.T) {
 	}
 	if _, err := e.PrepareDML(`CREATE TABLE x (a BIGINT)`); err == nil {
 		t.Error("DDL accepted by PrepareDML")
+	}
+}
+
+// preparedPlan renders the plan p holds as it runs on the current version.
+func preparedPlan(t *testing.T, e *Engine, p *Prepared) string {
+	t.Helper()
+	st := e.pin()
+	defer e.unpin(st)
+	op, err := p.planOn(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exec.Explain(e.execContext(context.Background(), st, nil), op)
+}
+
+// TestPreparedSharedAcrossVersions: four goroutines share one prepared
+// COUNT(*) and one prepared path count while a writer inserts rows and
+// edges. Every answer is the count of some published version, no
+// goroutine's answers ever decrease, and the writes leave both plans in
+// place: a plan holds no version.
+func TestPreparedSharedAcrossVersions(t *testing.T) {
+	const steps = 60
+	e := New(Options{})
+	mustScript(t, e, `
+		CREATE TABLE T (id BIGINT PRIMARY KEY);
+		CREATE TABLE V (vid BIGINT PRIMARY KEY);
+		CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT);
+		INSERT INTO V VALUES (0);
+		CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = vid) FROM V
+			EDGES(ID = eid, FROM = src, TO = dst) FROM E;
+	`)
+	rows, err := e.Prepare(`SELECT COUNT(*) FROM T`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := e.Prepare(`SELECT COUNT(*) FROM G.Paths PS WHERE PS.StartVertex.Id = ? AND PS.Length = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []*catalogPlan{rows.plan.Load(), paths.plan.Load()}
+
+	var wg sync.WaitGroup
+	var written atomic.Bool
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var lastRows, lastPaths int64
+			for i := 0; i < 20 || !written.Load(); i++ {
+				r, err := rows.Query()
+				if err != nil {
+					errs <- err
+					return
+				}
+				p, err := paths.Query(types.NewInt(0))
+				if err != nil {
+					errs <- err
+					return
+				}
+				nr, np := r.Rows[0][0].I, p.Rows[0][0].I
+				if nr < lastRows || np < lastPaths || nr > steps || np > steps {
+					errs <- fmt.Errorf("answers %d rows, %d paths after %d, %d: not the counts of a later version",
+						nr, np, lastRows, lastPaths)
+					return
+				}
+				lastRows, lastPaths = nr, np
+			}
+		}()
+	}
+	for k := 1; k <= steps; k++ {
+		mustExec(t, e, fmt.Sprintf(`INSERT INTO T VALUES (%d)`, k))
+		mustExec(t, e, fmt.Sprintf(`INSERT INTO V VALUES (%d)`, k))
+		mustExec(t, e, fmt.Sprintf(`INSERT INTO E VALUES (%d, 0, %d)`, k, k))
+	}
+	written.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if r, err := rows.Query(); err != nil || r.Rows[0][0].I != steps {
+		t.Fatalf("final row count %v (%v), want %d", r, err, steps)
+	}
+	if p, err := paths.Query(types.NewInt(0)); err != nil || p.Rows[0][0].I != steps {
+		t.Fatalf("final path count %v (%v), want %d", p, err, steps)
+	}
+	if rows.plan.Load() != plans[0] || paths.plan.Load() != plans[1] {
+		t.Fatal("a write to the data replanned a prepared statement")
+	}
+}
+
+// TestPreparedFanOutRuleFollowsVersion: an unhinted PS.Length <= 2 count
+// prepared while the view's average fan-out F is below 2 runs BFScan (the
+// §6.3 memory rule: F^2 < 2F). Once edge inserts lift F above 2, the same
+// prepared plan, never rebuilt, runs DFScan, as a fresh ad hoc plan does,
+// and both count the same paths.
+func TestPreparedFanOutRuleFollowsVersion(t *testing.T) {
+	const q = `SELECT COUNT(*) FROM G.Paths PS WHERE PS.Length <= 2`
+	e := New(Options{})
+	mustScript(t, e, `
+		CREATE TABLE V (vid BIGINT PRIMARY KEY);
+		CREATE TABLE E (eid BIGINT PRIMARY KEY, src BIGINT, dst BIGINT);
+		INSERT INTO V VALUES (0), (1), (2), (3), (4), (5), (6), (7), (8), (9);
+		INSERT INTO E VALUES (0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 5);
+		CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = vid) FROM V
+			EDGES(ID = eid, FROM = src, TO = dst) FROM E;
+	`)
+	p, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := p.plan.Load()
+	if plan := preparedPlan(t, e, p); !strings.Contains(plan, "PathScan[BFScan]") {
+		t.Fatalf("F = 0.5: prepared plan\n%s\nwant BFScan", plan)
+	}
+	if plan, err := e.Explain(q); err != nil || !strings.Contains(plan, "PathScan[BFScan]") {
+		t.Fatalf("F = 0.5: EXPLAIN %v\n%s\nwant BFScan", err, plan)
+	}
+	for k := 5; k < 25; k++ {
+		mustExec(t, e, fmt.Sprintf(`INSERT INTO E VALUES (%d, %d, %d)`, k, k%10, (3*k+1)%10))
+	}
+	if plan := preparedPlan(t, e, p); !strings.Contains(plan, "PathScan[DFScan]") {
+		t.Fatalf("F = 2.5: prepared plan\n%s\nwant DFScan", plan)
+	}
+	if plan, err := e.Explain(q); err != nil || !strings.Contains(plan, "PathScan[DFScan]") {
+		t.Fatalf("F = 2.5: EXPLAIN %v\n%s\nwant DFScan", err, plan)
+	}
+	prepared, err := p.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	adhoc := mustExec(t, e, q)
+	if fmt.Sprint(prepared.Rows) != fmt.Sprint(adhoc.Rows) {
+		t.Fatalf("prepared counts %v, ad hoc %v", prepared.Rows, adhoc.Rows)
+	}
+	if p.plan.Load() != held {
+		t.Fatal("edge inserts replanned the prepared statement")
+	}
+}
+
+// TestPreparedReplansOnNewIndex: CREATE INDEX publishes a new catalog, so
+// a prepared point read planned as a SeqScan picks the index up; a CREATE
+// INDEX that fails restores the catalog, and the plan stays.
+func TestPreparedReplansOnNewIndex(t *testing.T) {
+	e := New(Options{})
+	mustScript(t, e, `
+		CREATE TABLE T (id BIGINT PRIMARY KEY, name VARCHAR);
+		INSERT INTO T VALUES (1, 'a'), (2, 'b');
+	`)
+	p, err := e.Prepare(`SELECT id FROM T WHERE name = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := preparedPlan(t, e, p); !strings.Contains(plan, "SeqScan T") {
+		t.Fatalf("before the index:\n%s", plan)
+	}
+	mustExec(t, e, `CREATE INDEX t_name ON T (name)`)
+	if plan := preparedPlan(t, e, p); !strings.Contains(plan, "IndexScan T using t_name") {
+		t.Fatalf("after CREATE INDEX:\n%s", plan)
+	}
+	held := p.plan.Load()
+	if _, err := e.Execute(`CREATE INDEX t_name ON T (id)`); err == nil {
+		t.Fatal("a duplicate index name was accepted")
+	}
+	if r, err := p.Query(types.NewString("b")); err != nil || len(r.Rows) != 1 || r.Rows[0][0].I != 2 {
+		t.Fatalf("prepared read after the failed DDL: %v, %v", r, err)
+	}
+	if p.plan.Load() != held {
+		t.Fatal("a failed CREATE INDEX replanned the prepared statement")
 	}
 }

@@ -166,6 +166,8 @@ func (e *Engine) restoreLocked(r io.Reader) (uint64, error) {
 	if len(e.cat.Tables()) > 0 || len(e.cat.GraphViews()) > 0 {
 		return 0, fmt.Errorf("restore requires an empty engine")
 	}
+	// Like DDL, fill a fresh registry: the published one never changes.
+	e.cat = e.cat.Clone()
 	lsn, err := e.readSnapshotLocked(r)
 	if err != nil && !errors.Is(err, wal.ErrCorruptWAL) {
 		err = fmt.Errorf("%w: %v", wal.ErrCorruptWAL, err)

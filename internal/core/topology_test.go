@@ -44,7 +44,7 @@ func TestPinnedTopologyUnderChurn(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		res, _, err := e.runSelect(context.Background(), stmt.(*sql.Select), st, nil, nil)
+		res, err := selectOn(context.Background(), e, st, stmt.(*sql.Select), nil)
 		if err != nil {
 			return "", err
 		}

@@ -103,7 +103,7 @@ func runAtParams(e *Engine, st *dbState, q string, params ...types.Value) (strin
 	if err != nil {
 		return "", err
 	}
-	res, _, err := e.runSelect(context.Background(), stmt.(*sql.Select), st, params, nil)
+	res, err := selectOn(context.Background(), e, st, stmt.(*sql.Select), params)
 	if err != nil {
 		return "", err
 	}

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"grfusion/internal/catalog"
-	"grfusion/internal/plan"
 	"grfusion/internal/storage"
 )
 
@@ -21,6 +20,10 @@ import (
 // invariant needs transactional view maintenance), build the next version
 // privately, and publish it with a single pointer swap after the WAL
 // settles.
+//
+// Plans hold no version: the execution's pin (exec.Context.Pin, a
+// dbState) hands each operator its snapshot or view binding at Open, so a
+// Prepared plans once per catalog and keeps its plan across writes.
 //
 // Reclamation is epoch-like but delegated to the garbage collector: a
 // superseded state is unreachable from the engine once no reader pins it,
@@ -43,7 +46,8 @@ import (
 //     (main, delta length) in O(1) after folding a delta that outgrew its
 //     threshold into a new main, and a pinned GraphViewAt never sees an
 //     event past its length — no topology is ever copied.
-//   - DDL clones the catalog registry before mutating it.
+//   - DDL, CREATE INDEX and Restore included, clones the catalog registry
+//     before mutating it, so a changed catalog is a new pointer.
 
 // dbState is one published engine version. All fields but pins are
 // immutable after publish.
@@ -57,27 +61,12 @@ type dbState struct {
 	pins atomic.Int64
 }
 
-var _ plan.Pin = (*dbState)(nil)
+// Table implements exec.Pin. A plan runs only on versions of the catalog
+// it was built under, so t is always one of this version's tables.
+func (st *dbState) Table(t *storage.Table) storage.RowView { return st.snaps[t] }
 
-// Table implements plan.Pin: the pinned row view of t. An unknown table
-// (not in this version's catalog) falls back to the live object; pinned
-// plans resolve names through st.cat, so the fallback is never reached by
-// a pinned statement.
-func (st *dbState) Table(t *storage.Table) storage.RowView {
-	if s, ok := st.snaps[t]; ok {
-		return s
-	}
-	return t
-}
-
-// GraphView implements plan.Pin: the pinned binding of gv, with the same
-// live fallback as Table.
-func (st *dbState) GraphView(gv *catalog.GraphView) *catalog.GraphViewAt {
-	if at, ok := st.ats[gv]; ok {
-		return at
-	}
-	return gv.Live()
-}
+// GraphView implements exec.Pin, under the same rule as Table.
+func (st *dbState) GraphView(gv *catalog.GraphView) *catalog.GraphViewAt { return st.ats[gv] }
 
 // publishLocked builds and publishes the next version from the current
 // catalog and live objects. Requires the write lock; call only after a

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"grfusion/internal/catalog"
+	"grfusion/internal/exec"
 	"grfusion/internal/expr"
 	"grfusion/internal/sql"
 	"grfusion/internal/types"
@@ -60,7 +61,7 @@ func runAt(e *Engine, st *dbState, q string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, _, err := e.runSelect(context.Background(), stmt.(*sql.Select), st, nil, nil)
+	res, err := selectOn(context.Background(), e, st, stmt.(*sql.Select), nil)
 	if err != nil {
 		return "", err
 	}
@@ -224,10 +225,17 @@ func TestLiveBindingBuildsNoWeightColumn(t *testing.T) {
 
 	st := e.pin()
 	defer e.unpin(st)
-	// A state that binds no view falls back to the live binding.
-	unbound := &dbState{seq: st.seq, cat: st.cat, snaps: st.snaps}
+	// An execution with no pin reads the live binding.
 	q := `SELECT COUNT(*) FROM V U, G.Paths PS HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = U.vid AND PS.EndVertex.Id = 24`
-	if _, err := runAt(e, unbound, q); err != nil {
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := e.planner(st.cat).PlanSelect(stmt.(*sql.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.Collect(exec.NewContext(0), op); err != nil {
 		t.Fatal(err)
 	}
 	if n := gv.ColumnBuilds(); n != 0 {

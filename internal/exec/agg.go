@@ -51,7 +51,7 @@ func NewHashAggregate(child Operator, groupBy []expr.Expr, aggs []AggSpec, out *
 func (a *HashAggregate) Schema() *types.Schema { return a.Out }
 
 // Explain implements Operator.
-func (a *HashAggregate) Explain() string {
+func (a *HashAggregate) Explain(*Context) string {
 	var parts []string
 	for _, g := range a.GroupBy {
 		parts = append(parts, g.String())
@@ -64,6 +64,8 @@ func (a *HashAggregate) Explain() string {
 
 // Children implements Operator.
 func (a *HashAggregate) Children() []Operator { return []Operator{a.Child} }
+
+func (a *HashAggregate) withChildren(cs []Operator) Operator { c := *a; c.Child = cs[0]; return &c }
 
 type aggGroup struct {
 	groupVals types.Row
@@ -100,7 +102,7 @@ func (a *HashAggregate) Open(ctx *Context) (Iterator, error) {
 	// the one group is found once, so such a row allocates nothing. Reset
 	// drops the Builder's buffer rather than reusing it, so the keys
 	// already taken stay intact.
-	env := &expr.Env{Params: ctx.Params}
+	env := ctx.env(nil)
 	var sb strings.Builder
 	var global *aggGroup // the group every row joins when there is no GROUP BY
 	for {

@@ -122,8 +122,8 @@ func AnalyticsSchema(f AnalyticsFunc) *types.Schema {
 // AnalyticsScan runs one analytics function over a graph view and streams
 // the result relation.
 type AnalyticsScan struct {
-	// At is the view version the kernel runs over.
-	At     *catalog.GraphViewAt
+	// View is the graph view the kernel runs over, at the pinned version.
+	View   *catalog.GraphView
 	Alias  string
 	Fn     AnalyticsFunc
 	Args   []expr.Expr // constant arguments (literals or parameters)
@@ -145,9 +145,9 @@ type AnalyticsScan struct {
 }
 
 // NewAnalyticsScan creates the operator.
-func NewAnalyticsScan(at *catalog.GraphViewAt, alias string, fn AnalyticsFunc,
+func NewAnalyticsScan(gv *catalog.GraphView, alias string, fn AnalyticsFunc,
 	args []expr.Expr, filter expr.Expr) *AnalyticsScan {
-	return &AnalyticsScan{At: at, Alias: alias, Fn: fn, Args: args, Filter: filter,
+	return &AnalyticsScan{View: gv, Alias: alias, Fn: fn, Args: args, Filter: filter,
 		schema: AnalyticsSchema(fn).WithQualifier(alias)}
 }
 
@@ -181,9 +181,9 @@ func (s *AnalyticsScan) FoldAggregate(aggs []AggSpec, out *types.Schema) bool {
 }
 
 // Explain implements Operator.
-func (s *AnalyticsScan) Explain() string {
+func (s *AnalyticsScan) Explain(*Context) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "AnalyticsScan %s.%s(", s.At.GV.Name, s.Fn)
+	fmt.Fprintf(&sb, "AnalyticsScan %s.%s(", s.View.Name, s.Fn)
 	for i, a := range s.Args {
 		if i > 0 {
 			sb.WriteString(", ")
@@ -218,7 +218,7 @@ func (s *AnalyticsScan) Folded() int64 { return s.folded.Load() }
 
 // argFloat evaluates a constant argument to a float.
 func argFloat(ctx *Context, e expr.Expr, what string) (float64, error) {
-	v, err := expr.Eval(e, &expr.Env{Params: ctx.Params})
+	v, err := expr.Eval(e, ctx.env(nil))
 	if err != nil {
 		return 0, fmt.Errorf("%s: %v", what, err)
 	}
@@ -234,7 +234,7 @@ func argFloat(ctx *Context, e expr.Expr, what string) (float64, error) {
 
 // argInt evaluates a constant argument to an int.
 func argInt(ctx *Context, e expr.Expr, what string) (int, error) {
-	v, err := expr.Eval(e, &expr.Env{Params: ctx.Params})
+	v, err := expr.Eval(e, ctx.env(nil))
 	if err != nil {
 		return 0, fmt.Errorf("%s: %v", what, err)
 	}
@@ -319,9 +319,9 @@ func (s *AnalyticsScan) open(ctx *Context) (*analyticsIter, error) {
 		workers = 1
 	}
 
-	// Read the bound topology version at execution time — same pinning
+	// Read the pinned topology version at execution time — same pinning
 	// discipline as PathScan.
-	c := s.At.CSR()
+	c := ctx.View(s.View).CSR()
 	s.runs.Add(1)
 	atomic.AddInt64(&ctx.AnalyticsRuns, 1)
 	it := &analyticsIter{ctx: ctx, s: s, n: c.NumVertices(), env: expr.Env{Params: ctx.Params}}

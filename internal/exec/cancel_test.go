@@ -55,7 +55,7 @@ func denseCyclicFixture(t *testing.T, n int) *catalog.GraphView {
 // amount of work on a dense cyclic fixture.
 func allPathsSpec(gv *catalog.GraphView, parallel bool) PathScanSpec {
 	return PathScanSpec{
-		At: gv.Live(), Alias: "P", Phys: PhysDFS, Policy: graph.VisitPerPath,
+		View: gv, Alias: "P", Phys: PhysDFS, Policy: graph.VisitPerPath,
 		MinLen: 1, KPaths: 1, Parallel: parallel,
 	}
 }
@@ -131,7 +131,7 @@ func TestCancelStopsShortestPathScan(t *testing.T) {
 	// K-shortest simple paths over a dense cyclic graph with a large K:
 	// Yen-style enumeration explodes without cancellation.
 	spec := PathScanSpec{
-		At: gv.Live(), Alias: "P", Phys: PhysSP, MinLen: 1, WeightAttr: "ID", Weight: attrRef(t, gv, expr.ElemEdges, "ID"),
+		View: gv, Alias: "P", Phys: PhysSP, MinLen: 1, WeightAttr: "ID", Weight: attrRef(t, gv, expr.ElemEdges, "ID"),
 		KPaths: 1 << 20, StartExpr: intLit(1), EndExpr: intLit(2),
 	}
 	_, err := Collect(ec, NewPathProbeJoin(Singleton{}, spec, nil))
@@ -153,7 +153,7 @@ func TestBindNilAndBackgroundContextsAreFree(t *testing.T) {
 	}
 	gv := denseCyclicFixture(t, 4)
 	rows, err := Collect(ec, NewPathProbeJoin(Singleton{}, PathScanSpec{
-		At: gv.Live(), Alias: "P", Phys: PhysBFS, MinLen: 1, MaxLen: 2, KPaths: 1,
+		View: gv, Alias: "P", Phys: PhysBFS, MinLen: 1, MaxLen: 2, KPaths: 1,
 		StartExpr: intLit(1),
 	}, nil))
 	if err != nil || len(rows) == 0 {
@@ -168,7 +168,7 @@ func TestCancelAbortsRelationalPipelines(t *testing.T) {
 	cancel()
 	a := newTable(t, "a", 64)
 	b := newTable(t, "b", 64)
-	sa, sb := NewTableScan(a, a, "a", Access{}, nil), NewTableScan(b, b, "b", Access{}, nil)
+	sa, sb := NewTableScan(a, "a", Access{}, nil), NewTableScan(b, "b", Access{}, nil)
 	for name, op := range map[string]Operator{
 		"seqscan": sa,
 		"nlj":     NewNestedLoopJoin(sa, sb, nil),

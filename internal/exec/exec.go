@@ -10,14 +10,28 @@ package exec
 import (
 	"fmt"
 
+	"grfusion/internal/catalog"
+	"grfusion/internal/expr"
 	"grfusion/internal/storage"
 	"grfusion/internal/types"
 )
+
+// Pin is the database state an execution reads: a row view of each table
+// and a binding of each graph view. Plans hold none: operators ask their
+// Context when they open. Engine versions are Pins.
+type Pin interface {
+	Table(t *storage.Table) storage.RowView
+	GraphView(gv *catalog.GraphView) *catalog.GraphViewAt
+}
 
 // Context carries per-query execution state: the intermediate-result
 // memory budget (VoltDB's temporary-memory limit, which the paper's
 // Twitter experiment trips over) and counters exposed to benchmarks.
 type Context struct {
+	// Pin is the version the execution reads; nil, the executor's one
+	// live fallback, reads the live objects (callers exclude writers).
+	Pin Pin
+
 	// MemLimit bounds the bytes of materialized intermediate state (hash
 	// tables, sort buffers, nested-loop materializations). Zero means
 	// unlimited.
@@ -57,6 +71,32 @@ type Context struct {
 // NewContext creates an execution context with the given memory budget.
 func NewContext(memLimit int64) *Context { return &Context{MemLimit: memLimit} }
 
+// Rows returns the row view of t the execution reads (no pin: live).
+func (c *Context) Rows(t *storage.Table) storage.RowView {
+	if c == nil || c.Pin == nil {
+		return t
+	}
+	return c.Pin.Table(t)
+}
+
+// View returns the binding of gv the execution reads (no pin: live).
+func (c *Context) View(gv *catalog.GraphView) *catalog.GraphViewAt {
+	if c == nil || c.Pin == nil {
+		return gv.Live()
+	}
+	return c.Pin.GraphView(gv)
+}
+
+// Accessor implements expr.Graphs.
+func (c *Context) Accessor(view expr.GraphSchema) expr.GraphAccessor {
+	return c.View(view.(*catalog.GraphView))
+}
+
+// env returns the evaluation environment of row under the execution.
+func (c *Context) env(row types.Row) *expr.Env {
+	return &expr.Env{Row: row, Params: c.Params, Graphs: c}
+}
+
 // Grow charges bytes of intermediate memory, failing when the budget is
 // exhausted (the executor's analogue of VoltDB's temp-table limit).
 func (c *Context) Grow(bytes int64) error {
@@ -91,23 +131,23 @@ type Operator interface {
 	Schema() *types.Schema
 	// Open starts execution.
 	Open(ctx *Context) (Iterator, error)
-	// Explain renders one line describing the operator (children are
-	// rendered by Explain on the tree).
-	Explain() string
+	// Explain renders one line describing the operator as it runs under
+	// ctx's pin (children are rendered by Explain on the tree).
+	Explain(ctx *Context) string
 	// Children returns the operator's inputs, for plan rendering.
 	Children() []Operator
 }
 
 // Explain renders an operator tree as an indented plan, mirroring the QEP
-// figures of the paper.
-func Explain(op Operator) string {
+// figures of the paper, for the version ctx pins (nil: the live objects).
+func Explain(ctx *Context, op Operator) string {
 	var out []byte
 	var walk func(o Operator, depth int)
 	walk = func(o Operator, depth int) {
 		for i := 0; i < depth; i++ {
 			out = append(out, ' ', ' ')
 		}
-		out = append(out, o.Explain()...)
+		out = append(out, o.Explain(ctx)...)
 		out = append(out, '\n')
 		for _, c := range o.Children() {
 			walk(c, depth+1)

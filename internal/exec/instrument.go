@@ -20,6 +20,9 @@ type Instrumented struct {
 	// wrapped children, so exec.Explain renders the annotated tree.
 	Op       Operator
 	children []Operator
+	// ctx is the execution the tree profiles, set on every node when the
+	// root opens, so each line renders for the version it read.
+	ctx *Context
 
 	openNS     int64 // wall time inside Op.Open
 	nextNS     int64 // wall time inside the *timed* Next calls
@@ -44,72 +47,24 @@ const (
 // Instrument rebuilds the operator tree with every node wrapped in an
 // Instrumented shell. The original operators are shared, not copied —
 // inner nodes are shallow-copied only to repoint their child fields at the
-// wrapped children — so instrumenting a plan never perturbs what it
-// computes, and the uninstrumented plan remains usable.
+// wrapped children (withChildren) — so instrumenting a plan never perturbs
+// what it computes, and the uninstrumented plan remains usable.
 func Instrument(root Operator) *Instrumented {
-	return instrument(root)
+	kids := root.Children()
+	r, ok := root.(rewirer)
+	if !ok || len(kids) == 0 {
+		return &Instrumented{Op: root, children: kids}
+	}
+	wrapped := make([]Operator, len(kids))
+	for i, k := range kids {
+		wrapped[i] = Instrument(k)
+	}
+	return &Instrumented{Op: r.withChildren(wrapped), children: wrapped}
 }
 
-func instrument(op Operator) *Instrumented {
-	switch o := op.(type) {
-	case *Filter:
-		c := *o
-		w := instrument(o.Child)
-		c.Child = w
-		return &Instrumented{Op: &c, children: []Operator{w}}
-	case *Project:
-		c := *o
-		w := instrument(o.Child)
-		c.Child = w
-		return &Instrumented{Op: &c, children: []Operator{w}}
-	case *Limit:
-		c := *o
-		w := instrument(o.Child)
-		c.Child = w
-		return &Instrumented{Op: &c, children: []Operator{w}}
-	case *Sort:
-		c := *o
-		w := instrument(o.Child)
-		c.Child = w
-		return &Instrumented{Op: &c, children: []Operator{w}}
-	case *Distinct:
-		c := *o
-		w := instrument(o.Child)
-		c.Child = w
-		return &Instrumented{Op: &c, children: []Operator{w}}
-	case *Materialize:
-		c := *o
-		w := instrument(o.Child)
-		c.Child = w
-		return &Instrumented{Op: &c, children: []Operator{w}}
-	case *HashAggregate:
-		c := *o
-		w := instrument(o.Child)
-		c.Child = w
-		return &Instrumented{Op: &c, children: []Operator{w}}
-	case *HashJoin:
-		c := *o
-		l, r := instrument(o.Left), instrument(o.Right)
-		c.Left, c.Right = l, r
-		return &Instrumented{Op: &c, children: []Operator{l, r}}
-	case *NestedLoopJoin:
-		c := *o
-		l, r := instrument(o.Left), instrument(o.Right)
-		c.Left, c.Right = l, r
-		return &Instrumented{Op: &c, children: []Operator{l, r}}
-	case *PathProbeJoin:
-		c := *o
-		w := instrument(o.Outer)
-		c.Outer, c.actuals = w, new(pathActuals)
-		return &Instrumented{Op: &c, children: []Operator{w}}
-	default:
-		// Leaves (TableScan, ElemScan, Singleton) and any
-		// operator this switch does not know: wrap as-is.
-		// An unknown inner node still executes correctly — its subtree just
-		// is not individually timed.
-		return &Instrumented{Op: op, children: op.Children()}
-	}
-}
+// rewirer is an inner operator whose withChildren returns a shallow copy
+// reading cs, in Children order.
+type rewirer interface{ withChildren(cs []Operator) Operator }
 
 // Schema implements Operator.
 func (n *Instrumented) Schema() *types.Schema { return n.Op.Schema() }
@@ -121,18 +76,21 @@ func (n *Instrumented) Children() []Operator { return n.children }
 // Explain implements Operator: the wrapped operator's line plus actuals.
 // A PathScan adds its probes, how many ran a two-sided kernel and how
 // many tested their pushed filters on typed columns.
-func (n *Instrumented) Explain() string {
+func (n *Instrumented) Explain(ctx *Context) string {
 	var kernels string
 	if pj, ok := n.Op.(*PathProbeJoin); ok {
 		probes, two, typed := pj.Actuals()
 		kernels = fmt.Sprintf(" probes=%d two_sided=%d typed=%d", probes, two, typed)
 	}
 	return fmt.Sprintf("%s (actual rows=%d nexts=%d time=%s%s)",
-		n.Op.Explain(), n.rows, n.nexts, fmtDuration(n.CumulativeNS()), kernels)
+		n.Op.Explain(ctx), n.rows, n.nexts, fmtDuration(n.CumulativeNS()), kernels)
 }
 
 // Open implements Operator.
 func (n *Instrumented) Open(ctx *Context) (Iterator, error) {
+	if n.ctx == nil {
+		n.Walk(func(c *Instrumented) { c.ctx = ctx })
+	}
 	t0 := time.Now()
 	it, err := n.Op.Open(ctx)
 	n.openNS += time.Since(t0).Nanoseconds()
@@ -201,9 +159,6 @@ func (n *Instrumented) SelfNS() int64 {
 	return self
 }
 
-// OpLine renders the wrapped operator's un-annotated Explain line.
-func (n *Instrumented) OpLine() string { return n.Op.Explain() }
-
 // Walk visits the instrumented tree pre-order.
 func (n *Instrumented) Walk(fn func(*Instrumented)) {
 	fn(n)
@@ -227,7 +182,7 @@ type OpCost struct {
 func TopOperators(root *Instrumented, k int) []OpCost {
 	var all []OpCost
 	root.Walk(func(n *Instrumented) {
-		all = append(all, OpCost{Line: n.OpLine(), SelfNS: n.SelfNS(), Rows: n.Rows()})
+		all = append(all, OpCost{Line: n.Op.Explain(n.ctx), SelfNS: n.SelfNS(), Rows: n.Rows()})
 	})
 	sort.SliceStable(all, func(i, j int) bool { return all[i].SelfNS > all[j].SelfNS })
 	if len(all) > k {

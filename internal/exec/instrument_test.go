@@ -14,7 +14,7 @@ import (
 func TestInstrumentCountsAndPreservesResults(t *testing.T) {
 	tb := newTable(t, "t", 30)
 	build := func() Operator {
-		scan := NewTableScan(tb, tb, "t", Access{}, nil)
+		scan := NewTableScan(tb, "t", Access{}, nil)
 		pred := &expr.BinaryExpr{Op: expr.OpLt, L: col(t, scan.Schema(), "t", "id"), R: intLit(10)}
 		return NewLimit(NewFilter(scan, pred), 5, 0)
 	}
@@ -48,7 +48,7 @@ func TestInstrumentCountsAndPreservesResults(t *testing.T) {
 	}
 
 	// The annotated tree renders actuals at every level.
-	text := Explain(root)
+	text := Explain(nil, root)
 	for _, want := range []string{"Limit 5", "Filter", "SeqScan t", "actual rows=5"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("annotated plan missing %q:\n%s", want, text)
@@ -63,7 +63,7 @@ func TestInstrumentCountsAndPreservesResults(t *testing.T) {
 // the source tree must still point at its own children afterwards.
 func TestInstrumentDoesNotMutateOriginal(t *testing.T) {
 	tb := newTable(t, "t", 3)
-	scan := NewTableScan(tb, tb, "t", Access{}, nil)
+	scan := NewTableScan(tb, "t", Access{}, nil)
 	limit := NewLimit(scan, 2, 0)
 	Instrument(limit)
 	if limit.Child != Operator(scan) {
@@ -79,7 +79,7 @@ func TestInstrumentDoesNotMutateOriginal(t *testing.T) {
 func TestInstrumentJoinShape(t *testing.T) {
 	l := newTable(t, "l", 4)
 	r := newTable(t, "r", 4)
-	ls, rs := NewTableScan(l, l, "l", Access{}, nil), NewTableScan(r, r, "r", Access{}, nil)
+	ls, rs := NewTableScan(l, "l", Access{}, nil), NewTableScan(r, "r", Access{}, nil)
 	join := NewHashJoin(ls, rs,
 		[]expr.Expr{col(t, ls.Schema(), "l", "id")},
 		[]expr.Expr{col(t, rs.Schema(), "r", "id")}, nil)
@@ -104,7 +104,7 @@ func TestInstrumentJoinShape(t *testing.T) {
 
 func TestTopOperators(t *testing.T) {
 	tb := newTable(t, "t", 50)
-	scan := NewTableScan(tb, tb, "t", Access{}, nil)
+	scan := NewTableScan(tb, "t", Access{}, nil)
 	pred := &expr.BinaryExpr{Op: expr.OpGe, L: col(t, scan.Schema(), "t", "id"), R: intLit(0)}
 	root := Instrument(NewDistinct(NewFilter(scan, pred)))
 	if _, err := Collect(NewContext(0), root); err != nil {

@@ -30,7 +30,7 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []expr.Expr, residual
 func (j *HashJoin) Schema() *types.Schema { return j.schema }
 
 // Explain implements Operator.
-func (j *HashJoin) Explain() string {
+func (j *HashJoin) Explain(*Context) string {
 	parts := make([]string, len(j.LeftKeys))
 	for i := range j.LeftKeys {
 		parts[i] = fmt.Sprintf("%s=%s", j.LeftKeys[i], j.RightKeys[i])
@@ -44,6 +44,12 @@ func (j *HashJoin) Explain() string {
 
 // Children implements Operator.
 func (j *HashJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
+
+func (j *HashJoin) withChildren(cs []Operator) Operator {
+	c := *j
+	c.Left, c.Right = cs[0], cs[1]
+	return &c
+}
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Context) (Iterator, error) {
@@ -117,7 +123,7 @@ func (it *hashJoinIter) Next() (types.Row, error) {
 			it.mi++
 			joined := types.ConcatRows(it.leftRow, r)
 			if it.j.Residual != nil {
-				ok, err := expr.EvalBool(it.j.Residual, &expr.Env{Row: joined, Params: it.ctx.Params})
+				ok, err := expr.EvalBool(it.j.Residual, it.ctx.env(joined))
 				if err != nil {
 					return nil, err
 				}
@@ -187,7 +193,7 @@ func NewNestedLoopJoin(left, right Operator, on expr.Expr) *NestedLoopJoin {
 func (j *NestedLoopJoin) Schema() *types.Schema { return j.schema }
 
 // Explain implements Operator.
-func (j *NestedLoopJoin) Explain() string {
+func (j *NestedLoopJoin) Explain(*Context) string {
 	if j.On == nil {
 		return "NestedLoopJoin (cross)"
 	}
@@ -196,6 +202,12 @@ func (j *NestedLoopJoin) Explain() string {
 
 // Children implements Operator.
 func (j *NestedLoopJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
+
+func (j *NestedLoopJoin) withChildren(cs []Operator) Operator {
+	c := *j
+	c.Left, c.Right = cs[0], cs[1]
+	return &c
+}
 
 // Open implements Operator.
 func (j *NestedLoopJoin) Open(ctx *Context) (Iterator, error) {
@@ -257,7 +269,7 @@ func (it *nljIter) Next() (types.Row, error) {
 			joined := types.ConcatRows(it.leftRow, it.right[it.ri])
 			it.ri++
 			if it.j.On != nil {
-				ok, err := expr.EvalBool(it.j.On, &expr.Env{Row: joined, Params: it.ctx.Params})
+				ok, err := expr.EvalBool(it.j.On, it.ctx.env(joined))
 				if err != nil {
 					return nil, err
 				}

@@ -23,10 +23,12 @@ func NewMaterialize(child Operator) *Materialize { return &Materialize{Child: ch
 func (m *Materialize) Schema() *types.Schema { return m.Child.Schema() }
 
 // Explain implements Operator.
-func (m *Materialize) Explain() string { return "Materialize (temp table)" }
+func (m *Materialize) Explain(*Context) string { return "Materialize (temp table)" }
 
 // Children implements Operator.
 func (m *Materialize) Children() []Operator { return []Operator{m.Child} }
+
+func (m *Materialize) withChildren(cs []Operator) Operator { c := *m; c.Child = cs[0]; return &c }
 
 // Open implements Operator.
 func (m *Materialize) Open(ctx *Context) (Iterator, error) {

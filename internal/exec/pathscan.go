@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 
@@ -125,13 +126,17 @@ type AggBound struct {
 
 // PathScanSpec is the optimizer's full description of one PathScan.
 type PathScanSpec struct {
-	// At is the view version every traversal and tuple dereference reads
-	// (topology instance + source-table row views).
-	At    *catalog.GraphViewAt
+	// View is the graph view the scan traverses, at the version its
+	// execution pinned (topology instance + source-table row views).
+	View  *catalog.GraphView
 	Alias string
 
-	Phys   Phys
-	Policy graph.VisitPolicy
+	// Phys is the traversal operator the statement fixes (a hint,
+	// ALLPATHS, SHORTESTPATH, a bound target), unless ByFanOut leaves it
+	// to §6.3's memory rule on the pinned version (physAt).
+	Phys     Phys
+	ByFanOut bool
+	Policy   graph.VisitPolicy
 	// CycleClose allows the path to close back onto its start vertex and
 	// binds the traversal target to the start (triangle-style patterns).
 	CycleClose bool
@@ -169,6 +174,20 @@ type PathScanSpec struct {
 	EdgeFilters   []ElemFilter
 	VertexFilters []ElemFilter
 	AggBounds     []AggBound
+}
+
+// physAt returns Phys, or under ByFanOut the memory rule on at: a DFS
+// stack holds about F·L vertexes, a BFS queue about F^L, so BFS only when
+// F^L < F·L, F being at's exact average fan-out.
+func (s *PathScanSpec) physAt(at *catalog.GraphViewAt) Phys {
+	if !s.ByFanOut {
+		return s.Phys
+	}
+	f, l := at.Topo.AvgFanOut(), float64(s.MaxLen)
+	if math.Pow(f, l) < f*l {
+		return PhysBFS
+	}
+	return PhysDFS
 }
 
 // PathColumn returns the schema column a PathScan contributes.
@@ -221,9 +240,9 @@ func NewPathProbeJoin(outer Operator, spec PathScanSpec, residual expr.Expr) *Pa
 func (p *PathProbeJoin) Schema() *types.Schema { return p.schema }
 
 // Explain implements Operator.
-func (p *PathProbeJoin) Explain() string {
+func (p *PathProbeJoin) Explain(ctx *Context) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "PathScan[%s] %s", p.Spec.Phys, p.Spec.At.GV.Name)
+	fmt.Fprintf(&sb, "PathScan[%s] %s", p.Spec.physAt(ctx.View(p.Spec.View)), p.Spec.View.Name)
 	fmt.Fprintf(&sb, " len=[%d,%d]", p.Spec.MinLen, p.Spec.MaxLen)
 	if p.Spec.StartExpr != nil {
 		fmt.Fprintf(&sb, " start=%s", p.Spec.StartExpr)
@@ -272,17 +291,25 @@ func (p *PathProbeJoin) Explain() string {
 // Children implements Operator.
 func (p *PathProbeJoin) Children() []Operator { return []Operator{p.Outer} }
 
+// withChildren gives the copy the actuals EXPLAIN ANALYZE reads.
+func (p *PathProbeJoin) withChildren(cs []Operator) Operator {
+	c := *p
+	c.Outer, c.actuals = cs[0], new(pathActuals)
+	return &c
+}
+
 // Open implements Operator.
 func (p *PathProbeJoin) Open(ctx *Context) (Iterator, error) {
 	outer, err := p.Outer.Open(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// Every kernel of this execution traverses the bound version; a pinned
-	// reader sees exactly it even while writers append to the view's delta.
-	twoSided := p.Spec.TwoSided && (p.Spec.Phys != PhysSP || p.Spec.At.WeightsVouched(p.Spec.Weight))
-	return &pathProbeIter{ctx: ctx, p: p, outer: outer, at: p.Spec.At, csr: p.Spec.At.CSR(),
-		twoSided: twoSided}, nil
+	// Every kernel of this execution traverses the pinned version, even
+	// while writers append to the view's delta.
+	at := ctx.View(p.Spec.View)
+	twoSided := p.Spec.TwoSided && (p.Spec.Phys != PhysSP || at.WeightsVouched(p.Spec.Weight))
+	return &pathProbeIter{ctx: ctx, p: p, outer: outer, at: at, csr: at.CSR(),
+		phys: p.Spec.physAt(at), twoSided: twoSided}, nil
 }
 
 type pathProbeIter struct {
@@ -290,12 +317,14 @@ type pathProbeIter struct {
 	p     *PathProbeJoin
 	outer Iterator
 
-	// at is Spec.At, the version binding every topology walk and tuple
+	// at is the pinned binding of Spec.View every topology walk and tuple
 	// dereference resolves against.
 	at *catalog.GraphViewAt
 
-	// csr is the topology version (at.Topo) every kernel traverses.
-	csr *graph.CSR
+	// csr is the topology version (at.Topo) every kernel traverses, with
+	// the operator phys.
+	csr  *graph.CSR
+	phys Phys
 	// twoSided runs each probe with the two-sided kernel: the plan chose
 	// it and, for an SPScan, the binding vouches for every weight.
 	twoSided bool
@@ -411,7 +440,7 @@ func (it *pathProbeIter) Next() (types.Row, error) {
 				row = append(row, it.outerRow...)
 				row = append(row, types.NewRef(types.KindPath, path))
 				if it.p.Residual != nil {
-					ok, err := expr.EvalBool(it.p.Residual, &expr.Env{Row: row, Params: it.ctx.Params})
+					ok, err := expr.EvalBool(it.p.Residual, it.ctx.env(row))
 					if err != nil {
 						return nil, err
 					}
@@ -528,7 +557,7 @@ func (it *pathProbeIter) bindProbe() error {
 	it.si = 0
 	it.target = nil
 
-	env := &expr.Env{Row: it.outerRow, Params: it.ctx.Params}
+	env := it.ctx.env(it.outerRow)
 	if spec.StartExpr != nil {
 		v, err := expr.Eval(spec.StartExpr, env)
 		if err != nil {
@@ -768,7 +797,7 @@ func (it *pathProbeIter) newRun(start *graph.Vertex) *probeRun {
 			return true
 		}
 	}
-	switch spec.Phys {
+	switch it.phys {
 	case PhysSP:
 		gspec.Weights = it.at.Column(expr.ElemEdges, spec.Weight)
 		var sp interface {

@@ -24,10 +24,12 @@ func NewFilter(child Operator, pred expr.Expr) *Filter {
 func (f *Filter) Schema() *types.Schema { return f.Child.Schema() }
 
 // Explain implements Operator.
-func (f *Filter) Explain() string { return fmt.Sprintf("Filter %s", f.Pred) }
+func (f *Filter) Explain(*Context) string { return fmt.Sprintf("Filter %s", f.Pred) }
 
 // Children implements Operator.
 func (f *Filter) Children() []Operator { return []Operator{f.Child} }
+
+func (f *Filter) withChildren(cs []Operator) Operator { c := *f; c.Child = cs[0]; return &c }
 
 // Open implements Operator.
 func (f *Filter) Open(ctx *Context) (Iterator, error) {
@@ -50,7 +52,7 @@ func (it *filterIter) Next() (types.Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		ok, err := expr.EvalBool(it.f.Pred, &expr.Env{Row: row, Params: it.ctx.Params})
+		ok, err := expr.EvalBool(it.f.Pred, it.ctx.env(row))
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +80,7 @@ func NewProject(child Operator, exprs []expr.Expr, out *types.Schema) *Project {
 func (p *Project) Schema() *types.Schema { return p.Out }
 
 // Explain implements Operator.
-func (p *Project) Explain() string {
+func (p *Project) Explain(*Context) string {
 	parts := make([]string, len(p.Exprs))
 	for i, e := range p.Exprs {
 		parts[i] = e.String()
@@ -88,6 +90,8 @@ func (p *Project) Explain() string {
 
 // Children implements Operator.
 func (p *Project) Children() []Operator { return []Operator{p.Child} }
+
+func (p *Project) withChildren(cs []Operator) Operator { c := *p; c.Child = cs[0]; return &c }
 
 // Open implements Operator.
 func (p *Project) Open(ctx *Context) (Iterator, error) {
@@ -110,7 +114,7 @@ func (it *projectIter) Next() (types.Row, error) {
 		return nil, err
 	}
 	out := make(types.Row, len(it.p.Exprs))
-	env := &expr.Env{Row: row, Params: it.ctx.Params}
+	env := it.ctx.env(row)
 	for i, e := range it.p.Exprs {
 		v, err := expr.Eval(e, env)
 		if err != nil {
@@ -138,10 +142,12 @@ func NewLimit(child Operator, n, offset int) *Limit {
 func (l *Limit) Schema() *types.Schema { return l.Child.Schema() }
 
 // Explain implements Operator.
-func (l *Limit) Explain() string { return fmt.Sprintf("Limit %d offset %d", l.N, l.Offset) }
+func (l *Limit) Explain(*Context) string { return fmt.Sprintf("Limit %d offset %d", l.N, l.Offset) }
 
 // Children implements Operator.
 func (l *Limit) Children() []Operator { return []Operator{l.Child} }
+
+func (l *Limit) withChildren(cs []Operator) Operator { c := *l; c.Child = cs[0]; return &c }
 
 // Open implements Operator.
 func (l *Limit) Open(ctx *Context) (Iterator, error) {
@@ -205,7 +211,7 @@ func NewSort(child Operator, keys []SortKey) *Sort { return &Sort{Child: child, 
 func (s *Sort) Schema() *types.Schema { return s.Child.Schema() }
 
 // Explain implements Operator.
-func (s *Sort) Explain() string {
+func (s *Sort) Explain(*Context) string {
 	parts := make([]string, len(s.Keys))
 	for i, k := range s.Keys {
 		parts[i] = k.E.String()
@@ -218,6 +224,8 @@ func (s *Sort) Explain() string {
 
 // Children implements Operator.
 func (s *Sort) Children() []Operator { return []Operator{s.Child} }
+
+func (s *Sort) withChildren(cs []Operator) Operator { c := *s; c.Child = cs[0]; return &c }
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Context) (Iterator, error) {
@@ -246,7 +254,7 @@ func (s *Sort) Open(ctx *Context) (Iterator, error) {
 			break
 		}
 		keys := make(types.Row, len(s.Keys))
-		env := &expr.Env{Row: row, Params: ctx.Params}
+		env := ctx.env(row)
 		for i, k := range s.Keys {
 			v, err := expr.Eval(k.E, env)
 			if err != nil {
@@ -317,10 +325,12 @@ func NewDistinct(child Operator) *Distinct { return &Distinct{Child: child} }
 func (d *Distinct) Schema() *types.Schema { return d.Child.Schema() }
 
 // Explain implements Operator.
-func (d *Distinct) Explain() string { return "Distinct" }
+func (d *Distinct) Explain(*Context) string { return "Distinct" }
 
 // Children implements Operator.
 func (d *Distinct) Children() []Operator { return []Operator{d.Child} }
+
+func (d *Distinct) withChildren(cs []Operator) Operator { c := *d; c.Child = cs[0]; return &c }
 
 // Open implements Operator.
 func (d *Distinct) Open(ctx *Context) (Iterator, error) {

@@ -21,7 +21,7 @@ func (Singleton) Schema() *types.Schema { return types.NewSchema() }
 func (Singleton) Open(*Context) (Iterator, error) { return &singletonIter{}, nil }
 
 // Explain implements Operator.
-func (Singleton) Explain() string { return "Singleton" }
+func (Singleton) Explain(*Context) string { return "Singleton" }
 
 // Children implements Operator.
 func (Singleton) Children() []Operator { return nil }
@@ -126,24 +126,19 @@ func (a Access) RowIDs(t *storage.Table, rows storage.RowView, params types.Row)
 
 // TableScan is the one relational leaf: it reaches a table's rows through
 // Access and applies the residual Filter, which is bound against the
-// scan's output schema.
+// scan's output schema. It reads the pinned rows (Context.Rows).
 type TableScan struct {
 	Table  *storage.Table
 	Alias  string
 	Access Access
 	Filter expr.Expr
 
-	// Rows is the row view of Table the scan reads: the snapshot of the
-	// version the plan pinned, or the table itself for a live binding.
-	Rows storage.RowView
-
 	schema *types.Schema
 }
 
-// NewTableScan creates a scan over rows, a view of table t, under the
-// given range variable.
-func NewTableScan(t *storage.Table, rows storage.RowView, alias string, acc Access, filter expr.Expr) *TableScan {
-	return &TableScan{Table: t, Rows: rows, Alias: alias, Access: acc, Filter: filter,
+// NewTableScan creates a scan over table t under the given range variable.
+func NewTableScan(t *storage.Table, alias string, acc Access, filter expr.Expr) *TableScan {
+	return &TableScan{Table: t, Alias: alias, Access: acc, Filter: filter,
 		schema: t.Schema().WithQualifier(alias)}
 }
 
@@ -152,7 +147,7 @@ func (s *TableScan) Schema() *types.Schema { return s.schema }
 
 // Explain implements Operator: a SeqScan, IndexScan (point) or
 // IndexRangeScan line, by access.
-func (s *TableScan) Explain() string {
+func (s *TableScan) Explain(*Context) string {
 	a := s.Access
 	var out string
 	switch {
@@ -194,11 +189,12 @@ func (s *TableScan) Children() []Operator { return nil }
 // snapshots are immutable, live-table scans run with the engine lock held).
 func (s *TableScan) Open(ctx *Context) (Iterator, error) {
 	debugScanHooks(s.Table.Name())
-	ids, err := s.Access.RowIDs(s.Table, s.Rows, ctx.Params)
+	rows := ctx.Rows(s.Table)
+	ids, err := s.Access.RowIDs(s.Table, rows, ctx.Params)
 	if err != nil {
 		return nil, err
 	}
-	return &tableScanIter{ctx: ctx, filter: s.Filter, rows: s.Rows, ids: ids}, nil
+	return &tableScanIter{ctx: ctx, filter: s.Filter, rows: rows, ids: ids}, nil
 }
 
 type tableScanIter struct {
@@ -220,7 +216,7 @@ func (it *tableScanIter) Next() (types.Row, error) {
 			continue
 		}
 		if it.filter != nil {
-			ok, err := expr.EvalBool(it.filter, &expr.Env{Row: row, Params: it.ctx.Params})
+			ok, err := expr.EvalBool(it.filter, it.ctx.env(row))
 			if err != nil {
 				return nil, err
 			}
@@ -241,7 +237,7 @@ func (it *tableScanIter) Close() {}
 // under those names. The element kind picks the enumerator and the row
 // builder.
 type ElemScan struct {
-	At     *catalog.GraphViewAt
+	View   *catalog.GraphView
 	Elem   expr.ElemKind
 	Alias  string
 	Filter expr.Expr
@@ -249,13 +245,13 @@ type ElemScan struct {
 	schema *types.Schema
 }
 
-// NewElemScan creates a vertex or edge scan over the bound view version.
-func NewElemScan(at *catalog.GraphViewAt, elem expr.ElemKind, alias string, filter expr.Expr) *ElemScan {
-	schema := at.GV.EdgeSchema()
+// NewElemScan creates a vertex or edge scan over graph view gv.
+func NewElemScan(gv *catalog.GraphView, elem expr.ElemKind, alias string, filter expr.Expr) *ElemScan {
+	schema := gv.EdgeSchema()
 	if elem == expr.ElemVertexes {
-		schema = at.GV.VertexSchema()
+		schema = gv.VertexSchema()
 	}
-	return &ElemScan{At: at, Elem: elem, Alias: alias, Filter: filter,
+	return &ElemScan{View: gv, Elem: elem, Alias: alias, Filter: filter,
 		schema: schema.WithQualifier(alias)}
 }
 
@@ -263,12 +259,12 @@ func NewElemScan(at *catalog.GraphViewAt, elem expr.ElemKind, alias string, filt
 func (s *ElemScan) Schema() *types.Schema { return s.schema }
 
 // Explain implements Operator.
-func (s *ElemScan) Explain() string {
+func (s *ElemScan) Explain(*Context) string {
 	name := "EdgeScan"
 	if s.Elem == expr.ElemVertexes {
 		name = "VertexScan"
 	}
-	out := fmt.Sprintf("%s %s", name, s.At.GV.Name)
+	out := fmt.Sprintf("%s %s", name, s.View.Name)
 	if s.Filter != nil {
 		out += fmt.Sprintf(" filter=%s", s.Filter)
 	}
@@ -282,12 +278,13 @@ func (s *ElemScan) Children() []Operator { return nil }
 // builds each extended tuple as the iterator reaches it.
 func (s *ElemScan) Open(ctx *Context) (Iterator, error) {
 	it := &elemScanIter{ctx: ctx, filter: s.Filter}
+	at := ctx.View(s.View)
 	if s.Elem == expr.ElemVertexes {
-		verts := listAll(s.At.Topo.Vertices)
-		it.n, it.row = len(verts), func(i int) (types.Row, error) { return s.At.VertexRow(verts[i]) }
+		verts := listAll(at.Topo.Vertices)
+		it.n, it.row = len(verts), func(i int) (types.Row, error) { return at.VertexRow(verts[i]) }
 	} else {
-		edges := listAll(s.At.Topo.Edges)
-		it.n, it.row = len(edges), func(i int) (types.Row, error) { return s.At.EdgeRow(edges[i]) }
+		edges := listAll(at.Topo.Edges)
+		it.n, it.row = len(edges), func(i int) (types.Row, error) { return at.EdgeRow(edges[i]) }
 	}
 	return it, nil
 }
@@ -320,7 +317,7 @@ func (it *elemScanIter) Next() (types.Row, error) {
 			return nil, err
 		}
 		if it.filter != nil {
-			ok, err := expr.EvalBool(it.filter, &expr.Env{Row: row, Params: it.ctx.Params})
+			ok, err := expr.EvalBool(it.filter, it.ctx.env(row))
 			if err != nil {
 				return nil, err
 			}

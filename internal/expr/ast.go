@@ -365,16 +365,26 @@ type AttrRef struct {
 	Kind types.Kind
 }
 
-// GraphAccessor resolves a path's graph-view attribute names and reads the
-// resolved references through the view's tuple pointers.
-// *catalog.GraphViewAt implements it.
-type GraphAccessor interface {
+// GraphSchema is a path expression's graph view: its attributes, the same
+// in every version (read through Env.Graphs). *catalog.GraphView is one.
+type GraphSchema interface {
 	// ResolveAttr resolves name among the vertex or edge attributes.
 	ResolveAttr(elem ElemKind, name string) (AttrRef, error)
+}
+
+// GraphAccessor reads resolved attributes of one version of a graph view
+// through its tuple pointers. *catalog.GraphViewAt implements it.
+type GraphAccessor interface {
 	// VertexAttr reads a resolved vertex attribute or property.
 	VertexAttr(v *graph.Vertex, ref AttrRef) (types.Value, error)
 	// EdgeAttr reads a resolved edge attribute.
 	EdgeAttr(e *graph.Edge, ref AttrRef) (types.Value, error)
+}
+
+// Graphs hands an evaluation the pinned version of each graph view it
+// reads. *exec.Context implements it.
+type Graphs interface {
+	Accessor(view GraphSchema) GraphAccessor
 }
 
 // PathValueRef is a bare reference to a path range variable (SELECT PS).
@@ -424,7 +434,7 @@ type PathVertexAttr struct {
 	Attr  string
 	Ref   AttrRef // Attr, resolved at bind time
 	Col   int
-	Acc   GraphAccessor
+	View  GraphSchema
 }
 
 func (p *PathVertexAttr) String() string {
@@ -494,7 +504,7 @@ type PathElemAttr struct {
 	Attr  string  // empty for a bare element list (COUNT(PS.Edges))
 	Ref   AttrRef // Attr, resolved at bind time
 	Col   int
-	Acc   GraphAccessor
+	View  GraphSchema
 }
 
 func (p *PathElemAttr) String() string {

@@ -8,12 +8,12 @@ import (
 )
 
 // PathBinding tells the binder where a path range variable's path column
-// lives in the input schema and how to dereference its graph view.
+// lives in the input schema and which graph view resolves its attributes.
 type PathBinding struct {
 	// Col is the position of the path column within the schema.
 	Col int
-	// Acc dereferences vertex/edge attributes of the path's graph view.
-	Acc GraphAccessor
+	// View is the path's graph view.
+	View GraphSchema
 }
 
 // Binder resolves names in an expression tree against an operator's input
@@ -71,7 +71,7 @@ func (b *Binder) Bind(e Expr) (Expr, error) {
 			if !ok {
 				return nil, fmt.Errorf("unknown path variable %q", n.Alias)
 			}
-			n.Col, n.Acc = pb.Col, pb.Acc
+			n.Col, n.View = pb.Col, pb.View
 			return n, nil
 		case *PathEndpointID:
 			pb, ok := b.pathBinding(n.Alias)
@@ -85,7 +85,7 @@ func (b *Binder) Bind(e Expr) (Expr, error) {
 			if !ok {
 				return nil, fmt.Errorf("unknown path variable %q", n.Alias)
 			}
-			n.Col, n.Acc = pb.Col, pb.Acc
+			n.Col, n.View = pb.Col, pb.View
 			return n, nil
 		default:
 			return n, nil
@@ -164,7 +164,7 @@ func (b *Binder) bindPathRef(r *RawRef, pb PathBinding) (Expr, error) {
 		case "EDGES", "VERTEXES":
 			// COUNT(PS.Edges): an unsubscripted element list, aggregate-only.
 			return &PathElemAttr{Alias: alias, Elem: elemKindOf(up), Rng: Rng{All: true},
-				Col: pb.Col, Acc: pb.Acc}, nil
+				Col: pb.Col, View: pb.View}, nil
 		}
 		return nil, fmt.Errorf("unknown path property %s", r)
 
@@ -173,8 +173,8 @@ func (b *Binder) bindPathRef(r *RawRef, pb PathBinding) (Expr, error) {
 			return nil, fmt.Errorf("malformed path vertex reference %s", r)
 		}
 		n := &PathVertexAttr{Alias: alias, End: up == "ENDVERTEX", Attr: parts[2].Name,
-			Col: pb.Col, Acc: pb.Acc}
-		ref, err := pb.Acc.ResolveAttr(ElemVertexes, n.Attr)
+			Col: pb.Col, View: pb.View}
+		ref, err := pb.View.ResolveAttr(ElemVertexes, n.Attr)
 		if err != nil {
 			return nil, fmt.Errorf("unknown vertex attribute %q in %s", n.Attr, r)
 		}
@@ -199,8 +199,8 @@ func (b *Binder) bindPathRef(r *RawRef, pb PathBinding) (Expr, error) {
 				Col: pb.Col}, nil
 		}
 		n := &PathElemAttr{Alias: alias, Elem: elemKindOf(up), Rng: rng, Attr: attr,
-			Col: pb.Col, Acc: pb.Acc}
-		ref, err := pb.Acc.ResolveAttr(n.Elem, attr)
+			Col: pb.Col, View: pb.View}
+		ref, err := pb.View.ResolveAttr(n.Elem, attr)
 		if err != nil {
 			what := "edge"
 			if n.Elem == ElemVertexes {

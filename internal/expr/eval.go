@@ -16,6 +16,8 @@ type Env struct {
 	Row types.Row
 	// Params holds the positional arguments of a prepared statement.
 	Params types.Row
+	// Graphs must be set to evaluate a path attribute.
+	Graphs Graphs
 }
 
 // Eval evaluates a bound expression against env.
@@ -88,7 +90,7 @@ func Eval(e Expr, env *Env) (types.Value, error) {
 		if n.End {
 			v = p.End()
 		}
-		return n.Acc.VertexAttr(v, n.Ref)
+		return env.Graphs.Accessor(n.View).VertexAttr(v, n.Ref)
 	case *PathEndpointID:
 		p, err := pathAt(env.Row, n.Col)
 		if err != nil {
@@ -112,7 +114,7 @@ func Eval(e Expr, env *Env) (types.Value, error) {
 		if n.Rng.Start >= n.elemCount(p) {
 			return types.Null(), nil
 		}
-		return n.elemValue(p, n.Rng.Start)
+		return n.elemValue(env.Graphs.Accessor(n.View), p, n.Rng.Start)
 	case *RawRef:
 		return types.Null(), fmt.Errorf("unbound reference %s", n)
 	default:
@@ -149,11 +151,11 @@ func (n *PathElemAttr) elemCount(p *graph.Path) int {
 	return len(p.Edges)
 }
 
-func (n *PathElemAttr) elemValue(p *graph.Path, i int) (types.Value, error) {
+func (n *PathElemAttr) elemValue(acc GraphAccessor, p *graph.Path, i int) (types.Value, error) {
 	if n.Elem == ElemVertexes {
-		return n.Acc.VertexAttr(p.Verts[i], n.Ref)
+		return acc.VertexAttr(p.Verts[i], n.Ref)
 	}
-	return n.Acc.EdgeAttr(p.Edges[i], n.Ref)
+	return acc.EdgeAttr(p.Edges[i], n.Ref)
 }
 
 // quantifiedPositions returns the element positions a quantified range
@@ -240,8 +242,9 @@ func evalQuantifiedCompare(pe *PathElemAttr, op BinOp, other Expr, env *Env, fli
 	if !ok {
 		return types.NewBool(false), nil
 	}
+	acc := env.Graphs.Accessor(pe.View)
 	for i := lo; i <= hi; i++ {
-		v, err := pe.elemValue(p, i)
+		v, err := pe.elemValue(acc, p, i)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -383,8 +386,9 @@ func evalIn(in *InExpr, env *Env) (types.Value, error) {
 		if !ok {
 			return types.NewBool(in.Neg), nil
 		}
+		acc := env.Graphs.Accessor(pe.View)
 		for i := lo; i <= hi; i++ {
-			v, err := pe.elemValue(p, i)
+			v, err := pe.elemValue(acc, p, i)
 			if err != nil {
 				return types.Null(), err
 			}
@@ -544,9 +548,10 @@ func evalPathAggregate(name string, pe *PathElemAttr, env *Env) (types.Value, er
 		}
 		return types.NewInt(int64(count)), nil
 	}
+	acc := env.Graphs.Accessor(pe.View)
 	agg := NewAggState(name)
 	for i := 0; i < count; i++ {
-		v, err := pe.elemValue(p, i)
+		v, err := pe.elemValue(acc, p, i)
 		if err != nil {
 			return types.Null(), err
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // fakeAcc serves vertex/edge attributes from in-memory maps, standing in
-// for a catalog.GraphViewAt in unit tests. A resolved reference carries the
-// map key.
+// for a graph view, its one version and the execution that binds it in
+// unit tests. A resolved reference carries the map key.
 type fakeAcc struct {
 	vattrs map[int64]map[string]types.Value
 	eattrs map[int64]map[string]types.Value
@@ -33,6 +33,7 @@ func (a *fakeAcc) ResolveAttr(elem ElemKind, name string) (AttrRef, error) {
 	}
 	return AttrRef{}, fmt.Errorf("no attr %s", name)
 }
+func (a *fakeAcc) Accessor(GraphSchema) GraphAccessor { return a }
 func (a *fakeAcc) VertexAttr(v *graph.Vertex, ref AttrRef) (types.Value, error) {
 	if val, ok := a.vattrs[v.ID][ref.Name]; ok {
 		return val, nil
@@ -79,8 +80,8 @@ func pathEnv(t *testing.T) (*Binder, *Env, *graph.Path) {
 		types.Column{Qualifier: "u", Name: "job", Type: types.KindString},
 		types.Column{Qualifier: "ps", Name: "__path", Type: types.KindPath},
 	)
-	b := NewBinder(schema).WithPath("PS", PathBinding{Col: 1, Acc: acc})
-	env := &Env{Row: types.Row{types.NewString("Lawyer"), types.NewRef(types.KindPath, p)}}
+	b := NewBinder(schema).WithPath("PS", PathBinding{Col: 1, View: acc})
+	env := &Env{Row: types.Row{types.NewString("Lawyer"), types.NewRef(types.KindPath, p)}, Graphs: acc}
 	return b, env, p
 }
 

@@ -16,6 +16,7 @@ import (
 	"grfusion/internal/core"
 	"grfusion/internal/datagen"
 	"grfusion/internal/graph"
+	"grfusion/internal/types"
 )
 
 // The per-batch check battery. Order matters: the §3.3 maintenance oracle
@@ -323,7 +324,7 @@ func (sc *scenario) checkBatch(eng *core.Engine, st *datagen.GraphState, rng *ra
 	if v := sc.checkIsolation(eng, rng); v != nil {
 		return v
 	}
-	return nil
+	return sc.checkPrepared(eng, st, rng)
 }
 
 // checkMaintenance is the §3.3 oracle: the incrementally maintained
@@ -949,6 +950,101 @@ func (sc *scenario) checkIsolation(eng *core.Engine, rng *rand.Rand) *Violation 
 	if a, b := graphSig(live, true), graphSig(rebuilt, true); a != b {
 		return violationf("isolation",
 			"post-storm topology diverged from rebuild: %s", diffSigs("live", a, "rebuilt", b))
+	}
+	return nil
+}
+
+// preparedTemplates are the statements every scenario engine prepares
+// once, right after its view exists (newEngine), and checkPrepared runs
+// after every batch. In q, %[1]s is the view, %[2]s the vertex table and
+// %[3]s/%[4]s its id and name columns; params draws one batch's `?`
+// values from a vertex sampler. The enumerations carry no traversal hint,
+// so §6.3's BFS/DFS rule picks their kernel from each version's fan-out.
+var preparedTemplates = []struct {
+	check, q string
+	params   func(vertex func() int64, rng *rand.Rand) []types.Value
+}{
+	{"reach", "SELECT PS.PathString FROM %[1]s.Paths PS WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ? LIMIT 1", twoVertexes},
+	{"bounded-count", "SELECT COUNT(*) FROM %[1]s.Paths PS WHERE PS.StartVertex.Id = ? AND PS.Length <= 3 AND PS.Edges[0..*].sel < ?",
+		func(vertex func() int64, rng *rand.Rand) []types.Value {
+			return []types.Value{types.NewInt(vertex()), types.NewInt(int64(10 + rng.Intn(80)))}
+		}},
+	{"enumeration", "SELECT COUNT(*) FROM %[1]s.Paths PS WHERE PS.Length <= 2", noParams},
+	{"shortest-path", "SELECT TOP 1 SUM(PS.Edges.w), PS.PathString FROM %[1]s.Paths PS HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ?", twoVertexes},
+	{"analytics", "SELECT MAX(X.rank), COUNT(*) FROM %[1]s.PAGERANK(?, 20) X",
+		func(_ func() int64, rng *rand.Rand) []types.Value {
+			return []types.Value{types.NewFloat([]float64{0.5, 0.85}[rng.Intn(2)])}
+		}},
+	{"analytics", "SELECT * FROM %[1]s.CONNECTED_COMPONENTS() X", noParams},
+	{"relational", "SELECT %[4]s FROM %[2]s WHERE %[3]s = ?",
+		func(vertex func() int64, _ *rand.Rand) []types.Value { return []types.Value{types.NewInt(vertex())} }},
+}
+
+func twoVertexes(vertex func() int64, _ *rand.Rand) []types.Value {
+	return []types.Value{types.NewInt(vertex()), types.NewInt(vertex())}
+}
+
+func noParams(func() int64, *rand.Rand) []types.Value { return nil }
+
+// preparedSet is the templates one engine prepared.
+type preparedSet struct {
+	eng   *core.Engine
+	stmts []*core.Prepared
+}
+
+// template renders preparedTemplates[i]'s SQL for the scenario.
+func (sc *scenario) template(i int) string {
+	return fmt.Sprintf(preparedTemplates[i].q, sc.gv, sc.vt, sc.vCols["vid"], sc.vCols["name"])
+}
+
+// prepare prepares every template on eng, the engine the scenario checks
+// next.
+func (sc *scenario) prepare(eng *core.Engine) error {
+	sc.prepared = preparedSet{eng: eng}
+	for i := range preparedTemplates {
+		p, err := eng.Prepare(sc.template(i))
+		if err != nil {
+			return fmt.Errorf("prepare %q: %v", sc.template(i), err)
+		}
+		sc.prepared.stmts = append(sc.prepared.stmts, p)
+	}
+	return nil
+}
+
+// checkPrepared is the cached-versus-fresh plan oracle: each template,
+// prepared before any batch of writes and never prepared again, must
+// answer with the same rows (in the same order) or the same error text as
+// its ad hoc form with the batch's parameters spelled as literals, which
+// is planned afresh on the current version.
+func (sc *scenario) checkPrepared(eng *core.Engine, st *datagen.GraphState, rng *rand.Rand) *Violation {
+	if sc.prepared.eng != eng {
+		return violationf("prepared", "the engine under check prepared no templates")
+	}
+	verts := st.VertexIDs()
+	vertex := func() int64 {
+		if len(verts) == 0 {
+			return 0
+		}
+		return verts[rng.Intn(len(verts))]
+	}
+	outcome := func(res *core.Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return strings.Join(renderRows(res, false), "\n")
+	}
+	for i, t := range preparedTemplates {
+		params := t.params(vertex, rng)
+		adhoc := sc.template(i)
+		for _, v := range params {
+			adhoc = strings.Replace(adhoc, "?", v.String(), 1)
+		}
+		got := outcome(sc.prepared.stmts[i].Query(params...))
+		want := outcome(eng.Execute(adhoc))
+		if got != want {
+			return violationf("prepared-"+t.check, "prepared %q with %v answers\n%s\nad hoc %q answers\n%s",
+				sc.template(i), params, got, adhoc, want)
+		}
 	}
 	return nil
 }

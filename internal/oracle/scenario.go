@@ -34,6 +34,10 @@ type scenario struct {
 	opsPerBatch int
 
 	initial *datagen.Dataset
+
+	// prepared holds the templates the last engine newEngine built
+	// prepared (checkPrepared).
+	prepared preparedSet
 }
 
 var (
@@ -234,13 +238,17 @@ func (sc *scenario) setupSQL() []string {
 }
 
 // newEngine builds a fresh engine loaded with the scenario schema and
-// initial graph.
+// initial graph, and prepares the check templates on it once the view
+// exists.
 func (sc *scenario) newEngine() (*core.Engine, error) {
 	eng := core.New(core.Options{Workers: sc.workers})
 	for _, q := range sc.setupSQL() {
 		if _, err := eng.Execute(q); err != nil {
 			return nil, fmt.Errorf("setup %q: %v", firstLine(q), err)
 		}
+	}
+	if err := sc.prepare(eng); err != nil {
+		return nil, err
 	}
 	return eng, nil
 }

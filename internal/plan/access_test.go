@@ -59,7 +59,7 @@ func TestChooseAccess(t *testing.T) {
 		}
 		leaf := findTableScan(planFor(t, cat, Options{}, "SELECT b FROM Friends"+where))
 		sel, selRest := leaf.Access, len(expr.SplitConjuncts(leaf.Filter))
-		if got := exec.NewTableScan(friends, friends, "Friends", sel, nil).Explain(); got != tc.access || selRest != tc.residual {
+		if got := exec.NewTableScan(friends, "Friends", sel, nil).Explain(nil); got != tc.access || selRest != tc.residual {
 			t.Errorf("SELECT%s: %q with %d residual, want %q with %d", where, got, selRest, tc.access, tc.residual)
 		}
 		for _, dml := range []string{"UPDATE Friends SET b = 0", "DELETE FROM Friends"} {

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"grfusion/internal/exec"
@@ -30,7 +29,7 @@ func (p *Planner) attachPathScan(s *sql.Select, tree exec.Operator, fi *fromInfo
 	outerBinder := func() *expr.Binder { return binderFor(tree.Schema()) }
 
 	spec := exec.PathScanSpec{
-		At:     fi.at,
+		View:   fi.gv,
 		Alias:  fi.alias,
 		MinLen: 1,
 		KPaths: 1,
@@ -250,10 +249,10 @@ func (p *Planner) choosePhysical(s *sql.Select, fi *fromInfo, spec *exec.PathSca
 	}
 	switch fi.item.Hint.Kind {
 	case sql.HintShortestPath:
-		w, err := fi.at.ResolveAttr(expr.ElemEdges, fi.item.Hint.WeightAttr)
+		w, err := fi.gv.ResolveAttr(expr.ElemEdges, fi.item.Hint.WeightAttr)
 		if err != nil {
 			return fmt.Errorf("graph view %s has no edge attribute %q for SHORTESTPATH",
-				fi.at.GV.Name, fi.item.Hint.WeightAttr)
+				fi.gv.Name, fi.item.Hint.WeightAttr)
 		}
 		spec.Phys = exec.PhysSP
 		spec.WeightAttr, spec.Weight = fi.item.Hint.WeightAttr, w
@@ -278,20 +277,10 @@ func (p *Planner) choosePhysical(s *sql.Select, fi *fromInfo, spec *exec.PathSca
 		spec.Phys = exec.PhysBFS
 		return nil
 	}
-	// The paper's memory rule: a DFS stack holds about F·L vertexes, a BFS
-	// queue about F^L; prefer BFS only when F^L < F·L. F is the §6.3
-	// average fan-out of the version the plan reads: every topology
-	// version carries exact vertex and edge counts, so it is O(1) and
-	// never stale.
-	if spec.MaxLen > 0 {
-		f := fi.at.Topo.AvgFanOut()
-		l := float64(spec.MaxLen)
-		if math.Pow(f, l) < f*l {
-			spec.Phys = exec.PhysBFS
-			return nil
-		}
-	}
+	// The paper's memory rule reads F of the version each execution pins,
+	// so PathProbeJoin.Open applies it; an unbounded scan runs DFS.
 	spec.Phys = exec.PhysDFS
+	spec.ByFanOut = spec.MaxLen > 0
 	return nil
 }
 

@@ -37,37 +37,16 @@ type Options struct {
 	MaterializeJoins bool
 }
 
-// Pin binds a plan's scans to one state of the database: the row view of
-// each table and the binding of each graph view. The engine's pinned
-// versions are Pins, so a plan built against one reads only immutable state
-// at execution time and runs without the engine lock while writers publish
-// newer versions; New binds to the live objects instead.
-type Pin interface {
-	// Table returns the row view of t the plan reads.
-	Table(t *storage.Table) storage.RowView
-	// GraphView returns the binding of gv the plan reads.
-	GraphView(gv *catalog.GraphView) *catalog.GraphViewAt
-}
-
-// livePin binds plans to the live objects: each table's current rows and
-// each graph view's version at plan time. Callers serialize against
-// writers themselves (single-threaded embedders, tools, tests).
-type livePin struct{}
-
-func (livePin) Table(t *storage.Table) storage.RowView { return t }
-
-func (livePin) GraphView(gv *catalog.GraphView) *catalog.GraphViewAt { return gv.Live() }
-
-// Planner builds QEPs against a catalog.
+// Planner builds QEPs against a catalog. A plan holds no version of any
+// table or graph view: it reads its execution's pin at Open
+// (exec.Context), so one plan serves every version of its catalog.
 type Planner struct {
 	Cat  *catalog.Catalog
 	Opts Options
-	// Pin binds every scan in the plan; it must be set.
-	Pin Pin
 }
 
-// New creates a planner with default options over the live objects.
-func New(cat *catalog.Catalog) *Planner { return &Planner{Cat: cat, Pin: livePin{}} }
+// New creates a planner with default options.
+func New(cat *catalog.Catalog) *Planner { return &Planner{Cat: cat} }
 
 // fromKind classifies a FROM item.
 type fromKind uint8
@@ -85,7 +64,7 @@ type fromInfo struct {
 	alias  string // display alias
 	kind   fromKind
 	table  *storage.Table
-	at     *catalog.GraphViewAt // the plan's binding of a graph-view item
+	gv     *catalog.GraphView // a graph-view item's view
 	schema *types.Schema
 }
 
@@ -97,22 +76,22 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 		return nil, err
 	}
 	// Global schema + path bindings, used to classify predicates. Path
-	// attributes resolve and read through the plan's view binding.
+	// attributes resolve against their graph view's definition.
 	global := types.NewSchema()
-	accByAlias := map[string]expr.GraphAccessor{}
+	viewByAlias := map[string]expr.GraphSchema{}
 	for i := range infos {
 		fi := &infos[i]
 		global = global.Concat(fi.schema)
 		if fi.kind == kindPaths {
-			accByAlias[strings.ToLower(fi.alias)] = fi.at
+			viewByAlias[strings.ToLower(fi.alias)] = fi.gv
 		}
 	}
 	binderFor := func(schema *types.Schema) *expr.Binder {
 		b := expr.NewBinder(schema)
 		for i, c := range schema.Columns {
 			if c.Type == types.KindPath && strings.EqualFold(c.Name, catalog.PathColumn) {
-				if acc, ok := accByAlias[strings.ToLower(c.Qualifier)]; ok {
-					b.WithPath(c.Qualifier, expr.PathBinding{Col: i, Acc: acc})
+				if gv, ok := viewByAlias[strings.ToLower(c.Qualifier)]; ok {
+					b.WithPath(c.Qualifier, expr.PathBinding{Col: i, View: gv})
 				}
 			}
 		}
@@ -243,7 +222,7 @@ func (p *Planner) resolveFrom(items []sql.FromItem) ([]fromInfo, error) {
 			if !ok {
 				return nil, fmt.Errorf("unknown graph view %q", item.Name)
 			}
-			fi.at = p.Pin.GraphView(gv)
+			fi.gv = gv
 			switch item.Member {
 			case sql.MemberVertexes:
 				fi.kind = kindVertexes
@@ -307,12 +286,12 @@ func (p *Planner) buildScan(fi *fromInfo, conj []expr.Expr,
 		}
 		switch fi.kind {
 		case kindVertexes:
-			return exec.NewElemScan(fi.at, expr.ElemVertexes, fi.alias, f), nil
+			return exec.NewElemScan(fi.gv, expr.ElemVertexes, fi.alias, f), nil
 		case kindEdges:
-			return exec.NewElemScan(fi.at, expr.ElemEdges, fi.alias, f), nil
+			return exec.NewElemScan(fi.gv, expr.ElemEdges, fi.alias, f), nil
 		}
 		fn, _ := exec.AnalyticsFuncByName(fi.item.Func)
-		return exec.NewAnalyticsScan(fi.at, fi.alias, fn, fi.item.Args, f), nil
+		return exec.NewAnalyticsScan(fi.gv, fi.alias, fn, fi.item.Args, f), nil
 	}
 
 	acc, rest := ChooseAccess(fi.table, fi.schema, conj)
@@ -320,7 +299,7 @@ func (p *Planner) buildScan(fi *fromInfo, conj []expr.Expr,
 	if err != nil {
 		return nil, err
 	}
-	return exec.NewTableScan(fi.table, p.Pin.Table(fi.table), fi.alias, acc, f), nil
+	return exec.NewTableScan(fi.table, fi.alias, acc, f), nil
 }
 
 // ChooseAccess decides which index of t, if any, serves a conjunction over

@@ -183,7 +183,7 @@ func TestStartBindingFromOuterRelation(t *testing.T) {
 		t.Errorf("start expr: %s", pp.Spec.StartExpr)
 	}
 	// The outer must be a scan of Users (the Figure 6 shape).
-	plan := exec.Explain(op)
+	plan := exec.Explain(nil, op)
 	if !strings.Contains(plan, "Scan Users") {
 		t.Errorf("outer not a Users scan:\n%s", plan)
 	}
@@ -233,7 +233,7 @@ func TestPushdownSemanticForVisitOnce(t *testing.T) {
 	if len(pp.Spec.EdgeFilters) != 0 {
 		t.Fatalf("per-path scan pushed despite DisablePushdown: %+v", pp.Spec.EdgeFilters)
 	}
-	plan := exec.Explain(op)
+	plan := exec.Explain(nil, op)
 	if !strings.Contains(plan, "Filter") {
 		t.Errorf("residual filter missing:\n%s", plan)
 	}
@@ -255,7 +255,7 @@ func TestAggBoundPushdown(t *testing.T) {
 		t.Fatalf("flipped agg bound not pushed")
 	}
 	// The bound must ALSO remain as a residual filter (exactness).
-	plan := exec.Explain(op)
+	plan := exec.Explain(nil, op)
 	if !strings.Contains(plan, "SUM") || !strings.Contains(plan, "Filter") {
 		t.Errorf("agg residual missing:\n%s", plan)
 	}
@@ -321,21 +321,21 @@ func TestMemoryRuleSelectsBFSForTinyFanOut(t *testing.T) {
 	cat.RegisterGraphView(gv)
 	op := planFor(t, cat, Options{},
 		"SELECT PS FROM Chain.Paths PS WHERE PS.StartVertex.Id = 1 AND PS.Length <= 4")
-	if pp := findPathScan(op); pp.Spec.Phys != exec.PhysBFS {
-		t.Errorf("memory rule: phys %v, want BFS for F<1 fan-out", pp.Spec.Phys)
+	if plan := exec.Explain(nil, op); !strings.Contains(plan, "PathScan[BFScan]") {
+		t.Errorf("memory rule: want BFS for F<1 fan-out:\n%s", plan)
 	}
 }
 
 func TestIndexScanSelection(t *testing.T) {
 	cat := fixture(t)
 	op := planFor(t, cat, Options{}, "SELECT name FROM Users WHERE job = 'Lawyer'")
-	if !strings.Contains(exec.Explain(op), "IndexScan") {
-		t.Errorf("index not chosen:\n%s", exec.Explain(op))
+	if !strings.Contains(exec.Explain(nil, op), "IndexScan") {
+		t.Errorf("index not chosen:\n%s", exec.Explain(nil, op))
 	}
 	// No index on name: sequential scan.
 	op = planFor(t, cat, Options{}, "SELECT job FROM Users WHERE name = 'u'")
-	if strings.Contains(exec.Explain(op), "IndexScan") {
-		t.Errorf("phantom index:\n%s", exec.Explain(op))
+	if strings.Contains(exec.Explain(nil, op), "IndexScan") {
+		t.Errorf("phantom index:\n%s", exec.Explain(nil, op))
 	}
 }
 
@@ -343,13 +343,13 @@ func TestHashJoinVsNestedLoop(t *testing.T) {
 	cat := fixture(t)
 	op := planFor(t, cat, Options{},
 		"SELECT * FROM Users U, Friends F WHERE U.uid = F.a")
-	if !strings.Contains(exec.Explain(op), "HashJoin") {
-		t.Errorf("equi-join not hashed:\n%s", exec.Explain(op))
+	if !strings.Contains(exec.Explain(nil, op), "HashJoin") {
+		t.Errorf("equi-join not hashed:\n%s", exec.Explain(nil, op))
 	}
 	op = planFor(t, cat, Options{},
 		"SELECT * FROM Users U, Friends F WHERE U.uid < F.a")
-	if !strings.Contains(exec.Explain(op), "NestedLoopJoin") {
-		t.Errorf("theta join not NLJ:\n%s", exec.Explain(op))
+	if !strings.Contains(exec.Explain(nil, op), "NestedLoopJoin") {
+		t.Errorf("theta join not NLJ:\n%s", exec.Explain(nil, op))
 	}
 }
 
@@ -357,8 +357,8 @@ func TestMaterializeJoinsOption(t *testing.T) {
 	cat := fixture(t)
 	op := planFor(t, cat, Options{MaterializeJoins: true},
 		"SELECT * FROM Users U, Friends F WHERE U.uid = F.a")
-	if !strings.Contains(exec.Explain(op), "Materialize") {
-		t.Errorf("no temp-table barrier:\n%s", exec.Explain(op))
+	if !strings.Contains(exec.Explain(nil, op), "Materialize") {
+		t.Errorf("no temp-table barrier:\n%s", exec.Explain(nil, op))
 	}
 }
 

@@ -15,7 +15,7 @@ func TestRangeScanChosen(t *testing.T) {
 	}
 	// Two-sided range.
 	op := planFor(t, cat, Options{}, "SELECT name FROM Users WHERE uid >= 2 AND uid < 4")
-	plan := exec.Explain(op)
+	plan := exec.Explain(nil, op)
 	if !strings.Contains(plan, "IndexRangeScan") {
 		t.Fatalf("range scan not chosen:\n%s", plan)
 	}
@@ -28,8 +28,8 @@ func TestRangeScanChosen(t *testing.T) {
 	}
 	// One-sided range, flipped operand order.
 	op = planFor(t, cat, Options{}, "SELECT name FROM Users WHERE 3 < uid")
-	if !strings.Contains(exec.Explain(op), "IndexRangeScan") {
-		t.Fatalf("flipped range not chosen:\n%s", exec.Explain(op))
+	if !strings.Contains(exec.Explain(nil, op), "IndexRangeScan") {
+		t.Fatalf("flipped range not chosen:\n%s", exec.Explain(nil, op))
 	}
 	rows, err = exec.Collect(exec.NewContext(0), op)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestRangeScanChosen(t *testing.T) {
 	// Extra predicates on unindexed columns stay as residual filters and
 	// results remain exact.
 	op = planFor(t, cat, Options{}, "SELECT name FROM Users WHERE uid > 1 AND uid <= 4 AND name = 'u'")
-	plan = exec.Explain(op)
+	plan = exec.Explain(nil, op)
 	if !strings.Contains(plan, "IndexRangeScan") || !strings.Contains(plan, "name") {
 		t.Fatalf("residual lost:\n%s", plan)
 	}
@@ -57,8 +57,8 @@ func TestRangeScanChosen(t *testing.T) {
 func TestRangeScanNotChosenWithoutOrderedIndex(t *testing.T) {
 	cat := fixture(t) // only a hash index on job exists
 	op := planFor(t, cat, Options{}, "SELECT name FROM Users WHERE uid >= 2")
-	if strings.Contains(exec.Explain(op), "IndexRangeScan") {
-		t.Fatalf("range scan chosen without ordered index:\n%s", exec.Explain(op))
+	if strings.Contains(exec.Explain(nil, op), "IndexRangeScan") {
+		t.Fatalf("range scan chosen without ordered index:\n%s", exec.Explain(nil, op))
 	}
 }
 
@@ -71,7 +71,7 @@ func TestEqualityBeatsRange(t *testing.T) {
 	// A point predicate should use the (ordered) index as a point lookup,
 	// not a range scan.
 	op := planFor(t, cat, Options{}, "SELECT name FROM Users WHERE uid = 3 AND uid > 1")
-	plan := exec.Explain(op)
+	plan := exec.Explain(nil, op)
 	if !strings.Contains(plan, "IndexScan") || strings.Contains(plan, "IndexRangeScan") {
 		t.Fatalf("point lookup not preferred:\n%s", plan)
 	}

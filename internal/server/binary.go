@@ -219,7 +219,7 @@ func (c *binConn) reply(bw *bufio.Writer, res *core.Result, ee *execError) error
 }
 
 func (c *binConn) sendResult(bw *bufio.Writer, r *core.Result) error {
-	return wire.WriteFrame(bw, wire.MsgResult, wire.AppendResult(nil, (*wire.Result)(r)))
+	return wire.WriteFrame(bw, wire.MsgResult, wire.AppendResult(nil, r))
 }
 
 func (c *binConn) sendError(bw *bufio.Writer, ee *execError) error {

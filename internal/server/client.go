@@ -133,11 +133,7 @@ func (c *Client) Broken() bool {
 }
 
 // Result is a decoded server response.
-type Result struct {
-	Columns  []string
-	Rows     []types.Row
-	Affected int
-}
+type Result = types.Result
 
 // ServerError is an error reported by the server for one statement.
 type ServerError struct {
@@ -325,7 +321,7 @@ func (c *Client) decodeResponseLocked(kind byte, body []byte) (*Result, error) {
 			c.broken = err
 			return nil, fmt.Errorf("receive: %w", err)
 		}
-		return &Result{Columns: r.Columns, Rows: r.Rows, Affected: r.Affected}, nil
+		return r, nil
 	case wire.MsgError:
 		msg, retryable, degraded, err := wire.DecodeError(body)
 		if err != nil {

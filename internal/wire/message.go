@@ -155,11 +155,7 @@ func DecodeCopyData(b []byte, width int) ([]types.Row, error) {
 
 // Result is the payload of a MsgResult: a statement's columns, rows and
 // affected-row count.
-type Result struct {
-	Columns  []string
-	Rows     []types.Row
-	Affected int
-}
+type Result = types.Result
 
 // AppendResult encodes a MsgResult payload.
 func AppendResult(dst []byte, r *Result) []byte {
